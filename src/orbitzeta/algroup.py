@@ -151,7 +151,11 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
 
 class AlgebraGroup:
     """Vectorized view of 1+J: coordinate arrays, conjugation matrices,
-    orbit machinery for conjugacy classes and the coadjoint action."""
+    orbit machinery for conjugacy classes and the coadjoint action.
+
+    Group elements are prime coordinate rows of their J-part; the matrices
+    come from the structure tensor of J, and a seeded spot check compares
+    them with the scalar route gconj."""
 
     def __init__(self, alg: NilAlgebra, budgets: Budgets | None = None):
         self.alg = alg
@@ -172,10 +176,9 @@ class AlgebraGroup:
         # embedded dihedral elements and close at order 8.  Orbit machinery
         # uses _generators(), which extends this seed set until the subgroup
         # closure is everything.
-        self.prime_generators = [alg.prime_basis_vector(t) for t in range(self.n)]
+        self.prime_generators = np.eye(self.n, dtype=np.int64)
         self._conj_mats = [self._conjugation_matrix(g) for g in self.prime_generators]
-        self._conj_mats_inv = [self._conjugation_matrix(ginv(g))
-                               for g in self.prime_generators]
+        self._conj_mats_inv = [self.dual_matrix_for(g) for g in self.prime_generators]
         self._spot_check_linearity()
 
     # ---------------------------------------------------------- helpers --
@@ -187,7 +190,7 @@ class AlgebraGroup:
         if self._X is None:
             check_budget(self.budgets, "group_enumeration_max", self.N)
             idx = np.arange(self.N, dtype=np.int64)
-            digits = np.empty((self.N, self.n), dtype=np.int8)
+            digits = np.empty((self.N, self.n), dtype=np.min_scalar_type(self.p - 1))
             for t in range(self.n):
                 digits[:, t] = (idx // self.powers[t]) % self.p
             self._X = digits
@@ -196,31 +199,63 @@ class AlgebraGroup:
     def vector_digits(self, v: AlgVector) -> np.ndarray:
         return np.array(v.flat(), dtype=np.int64)
 
-    def unpack(self, code: int) -> AlgVector:
-        return self.alg.unpack(code)
+    def dual_matrix_for(self, g) -> np.ndarray:
+        """Matrix of the coadjoint action of 1+g on dual rows: lambda @ M.
 
-    def dual_matrix_for(self, g: AlgVector) -> np.ndarray:
-        """Matrix of the coadjoint action of 1+g on dual rows: lambda @ M."""
-        return self._conjugation_matrix(ginv(g))
+        g is the J-part as a prime coordinate row."""
+        return self._conjugation_matrix(self._inverse(g))
 
-    def _conjugation_matrix(self, g: AlgVector) -> np.ndarray:
-        cols = []
-        for t in range(self.n):
-            cols.append(self.vector_digits(gconj(self.alg.prime_basis_vector(t), g)))
-        return np.stack(cols, axis=1)  # image = (M @ x) % p
+    def _right_mul_matrix(self, y) -> np.ndarray:
+        """Row s is b_s * y, so x * y = x @ R."""
+        return np.tensordot(self.alg.T, np.asarray(y, dtype=np.int64), axes=([1], [0])) % self.p
 
-    def _right_mul_matrix(self, y: AlgVector) -> np.ndarray:
-        cols = []
-        for t in range(self.n):
-            cols.append(self.vector_digits(self.alg.prime_basis_vector(t) * y))
-        return np.stack(cols, axis=1)
+    def _inverse(self, g) -> np.ndarray:
+        """J-part of (1+g)^(-1): the truncated series -g + g^2 - ..."""
+        minus_r = -self._right_mul_matrix(g) % self.p
+        acc = np.zeros(self.n, dtype=np.int64)
+        term = -np.asarray(g, dtype=np.int64) % self.p
+        while term.any():
+            acc = (acc + term) % self.p
+            term = term @ minus_r % self.p
+        return acc
+
+    def _conjugation_matrix(self, g) -> np.ndarray:
+        """M with (1+g)^(-1)(1+x)(1+g) = 1 + (M @ x) % p, x a column."""
+        h = self._inverse(g)
+        n, p = self.n, self.p
+        left_h = h @ self.alg.T.reshape(n, n * n) % p   # row t is h * b_t
+        eye = np.eye(n, dtype=np.int64)
+        # x -> x + xg + hx + hxg = x (1 + R_g)(1 + L_h) on rows
+        rows = (eye + self._right_mul_matrix(g)) @ (eye + left_h.reshape(n, n)) % p
+        return rows.T
+
+    def _gmul_rows(self, X, Y) -> np.ndarray:
+        """(1+x)(1+y) row-wise, as J-parts."""
+        return (X + Y + self.alg._mul_rows(X, Y)) % self.p
+
+    def _log_rows(self, Y) -> np.ndarray:
+        """glog row-wise on prime coordinate rows; needs J^p = 0."""
+        alg, p = self.alg, self.p
+        c = alg.nilpotency_class
+        if c > p:
+            raise ValidationError(
+                f"log needs J^p = 0: class {c} exceeds characteristic {p}")
+        Y = np.asarray(Y, dtype=np.int64).reshape(-1, self.n)
+        acc = Y % p
+        term = acc
+        for k in range(2, c):
+            term = alg._mul_rows(term, Y)
+            scalar = pow(k, -1, p) * (-1 if k % 2 == 0 else 1)
+            acc = (acc + scalar % p * term) % p
+        return acc
 
     def _spot_check_linearity(self) -> None:
         rng = random.Random(_SPOT_SEED ^ self.N)
         for g, mat in list(zip(self.prime_generators, self._conj_mats))[:4]:
+            gv = self.alg.from_flat(g)
             for _ in range(2):
                 v = self.alg.unpack(rng.randrange(self.N))
-                direct = self.vector_digits(gconj(v, g))
+                direct = self.vector_digits(gconj(v, gv))
                 linear = (mat @ self.vector_digits(v)) % self.p
                 if not np.array_equal(direct, linear):
                     raise InternalInconsistencyError(
@@ -235,7 +270,7 @@ class AlgebraGroup:
             out[:, t] = (codes // self.powers[t]) % self.p
         return out
 
-    def _closure_mask(self, gens: list[AlgVector]) -> np.ndarray:
+    def _closure_mask(self, gens: np.ndarray) -> np.ndarray:
         """Membership mask of the subgroup generated by gens, by packed code."""
         mask = np.zeros(self.N, dtype=bool)
         mask[0] = True
@@ -252,10 +287,10 @@ class AlgebraGroup:
                         if new_codes else np.empty((0, self.n), dtype=np.int64))
         return mask
 
-    def _generators(self) -> list[AlgVector]:
-        """A verified generating set of 1+J, seeded with 1 + omega^m b_i."""
+    def _generators(self) -> np.ndarray:
+        """A verified generating set of 1+J as digit rows, seeded with 1 + omega^m b_i."""
         if self._gens is None:
-            gens = list(self.prime_generators)
+            gens = self.prime_generators
             eye = np.eye(self.n, dtype=np.int64)
             if all(np.array_equal(m, eye) for m in self._conj_mats):
                 # 1 + b_i central for a basis forces J commutative, so every
@@ -268,7 +303,7 @@ class AlgebraGroup:
                     if mask.all():
                         break
                     # each coset representative at least doubles the closure
-                    gens.append(self.alg.unpack(int(np.flatnonzero(~mask)[0])))
+                    gens = np.vstack([gens, self._digits_of([np.flatnonzero(~mask)[0]])])
                 self._gens = gens
         return self._gens
 
@@ -279,7 +314,7 @@ class AlgebraGroup:
             mats_inv = list(self._conj_mats_inv)
             for g in gens[len(self.prime_generators):]:
                 mats.append(self._conjugation_matrix(g))
-                mats_inv.append(self._conjugation_matrix(ginv(g)))
+                mats_inv.append(self.dual_matrix_for(g))
             self._gen_mats = (mats, mats_inv)
         return self._gen_mats
 
@@ -333,21 +368,24 @@ class AlgebraGroup:
 
     # ------------------------------------------------- derived subgroup --
 
-    def bulk_gmul(self, digits: np.ndarray, y: AlgVector) -> np.ndarray:
-        """(1+x)(1+y) rowwise for x over digit rows, fixed y."""
-        ydig = self.vector_digits(y)
-        ry = self._right_mul_matrix(y)
-        return (digits.astype(np.int64) + ydig + digits.astype(np.int64) @ ry.T) % self.p
+    def bulk_gmul(self, digits: np.ndarray, y) -> np.ndarray:
+        """(1+x)(1+y) rowwise for x over digit rows, fixed y (an AlgVector
+        or a prime coordinate row)."""
+        if isinstance(y, AlgVector):
+            y = self.vector_digits(y)
+        X = digits.astype(np.int64)
+        return (X + y + X @ self._right_mul_matrix(y)) % self.p
 
     def commutator_subgroup_packed(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
         gens = self._generators()
-        base = set()
-        for u in gens:
-            for v in gens:
-                c = gcomm(u, v)
-                if not c.is_zero():
-                    base.add(c.pack())
+        inv = np.array([self._inverse(g) for g in gens])
+        k = len(gens)
+        # [1+u, 1+v] = (1+u)^-1 (1+v)^-1 (1+u)(1+v) for every generator pair
+        comms = self._gmul_rows(
+            self._gmul_rows(np.repeat(inv, k, axis=0), np.tile(inv, (k, 1))),
+            self._gmul_rows(np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))))
+        base = {int(c) for c in self.pack_digits(comms) if c}
         # normal closure of the commutators under generator conjugation
         conj_mats, _ = self._generator_matrices()
         genset: set[int] = set()
@@ -358,12 +396,12 @@ class AlgebraGroup:
                 continue
             genset.add(xpk)
             check_budget(self.budgets, "closure_max", len(genset))
-            xd = np.array([self.alg.unpack(xpk).flat()], dtype=np.int64)
+            xd = self._digits_of([xpk])
             for mat in conj_mats:
                 img = int(self.pack_digits((xd @ mat.T) % self.p)[0])
                 if img not in genset:
                     stack.append(img)
-        gvecs = [self.alg.unpack(pk) for pk in sorted(genset)]
+        gvecs = self._digits_of(sorted(genset))
         members = {0}
         frontier = np.zeros((1, self.n), dtype=np.int64)
         while frontier.size:

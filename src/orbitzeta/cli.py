@@ -20,12 +20,12 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import corpus
+from . import __version__, corpus
 from .algroup import AlgebraGroup
 from .bogomod import build_mq, invariant_factors, mq_order, verify_filtration
 from .budgets import Budgets, get_budgets, parse_budget_config
-from .coadjoint import (character_table, conjecture_probe, fake_degree_identities,
-                        orbit_census)
+from .coadjoint import (character_table, conjecture_probe, engine_for,
+                        fake_degree_identities, orbit_census)
 from .errors import InternalInconsistencyError, ToolError, ValidationError
 from .ffield import make_field
 from .grouptab import parse_group_file
@@ -33,8 +33,6 @@ from .nilalg import parse_algebra_file
 from .zetalab import (LieTypeSpec, FactorSpec, abscissa_estimate,
                       dirichlet_product, divisor_tuple_count, prg_witness,
                       product_series, sl2_degrees, target_abscissa_spec)
-
-__version__ = "0.1.0"
 
 
 # ---------------------------------------------------------------- helpers --
@@ -106,8 +104,12 @@ def _load_factor_spec(path: str) -> FactorSpec:
             raise ValidationError(
                 f"{path}: entry {idx} type needs keys rank, pos_roots, coxeter")
         label = t.get("label", f"L(r{t['rank']})")
-        lie = LieTypeSpec(label, int(t["rank"]), int(t["pos_roots"]), int(t["coxeter"]))
-        factors.append((lie, int(entry["q"]), int(entry["mult"])))
+        try:
+            rank, pos_roots, coxeter = (int(t[k]) for k in ("rank", "pos_roots", "coxeter"))
+            q, mult = int(entry["q"]), int(entry["mult"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}: entry {idx} has a non-integer field") from None
+        factors.append((LieTypeSpec(label, rank, pos_roots, coxeter), q, mult))
     return FactorSpec(factors, name=os.path.basename(path))
 
 
@@ -136,7 +138,7 @@ def cmd_nilalg_info(args) -> dict:
     return {
         "dim": alg.dim,
         "class": alg.nilpotency_class,
-        "derived_dim": len(derived_rows),
+        "derived_dim": len(derived_rows) // alg.field.e,
         "p_nilpotent": alg.is_p_nilpotent(),
     }
 
@@ -365,7 +367,7 @@ def _suite_duality(budgets) -> dict:
                 corpus.unitriangular(4, 2), corpus.augmentation_ideal("D8", 2),
                 corpus.augmentation_ideal("C3", 3)]:
         census = orbit_census(alg, budgets)
-        eng = AlgebraGroup(alg, budgets)
+        eng = engine_for(alg, budgets)
         if census.count != eng.k():
             raise InternalInconsistencyError(
                 f"{alg.name}: {census.count} orbits but k = {eng.k()}")

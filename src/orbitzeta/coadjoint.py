@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algroup import AlgebraGroup, OrbitPartition, glog
+from .algroup import AlgebraGroup, OrbitPartition
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import (fq_span_from_prime_basis, in_span_fq, nullspace_mod_p,
-                     rank_nullspace_mod2_packed, rref_fq)
+from .linalg import (nullspace_mod_p, rank_nullspace_mod2_packed, reduce_mod_p,
+                     rref_mod_p)
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -172,7 +172,7 @@ def coadjoint_act(lam: DualFunctional, g: AlgVector) -> DualFunctional:
     if g.alg is not lam.alg:
         raise ValidationError("functional and group element live on different algebras")
     eng = engine_for(lam.alg)
-    M = eng.dual_matrix_for(g)
+    M = eng.dual_matrix_for(g.flat())
     row = (np.array(lam.row, dtype=np.int64) @ M) % eng.p
     return DualFunctional(lam.alg, row)
 
@@ -205,68 +205,57 @@ class CensusResult:
         return sorted(agg.items())
 
 
-def bracket_tensor(eng: AlgebraGroup) -> np.ndarray:
-    key = "_bracket_tensor"
-    cached = getattr(eng, key, None)
-    if cached is None:
-        n = eng.n
-        t3 = np.zeros((n, n, n), dtype=np.int64)
-        basis = [eng.alg.prime_basis_vector(t) for t in range(n)]
-        for s in range(n):
-            for t in range(n):
-                t3[s, t] = basis[s].bracket(basis[t]).flat()
-        setattr(eng, key, t3)
-        cached = t3
-    return cached
-
-
-def gram_matrix(eng: AlgebraGroup, lam_digits) -> np.ndarray:
+def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
     """K[s,t] = lambda([b_s, b_t]) over the prime basis."""
-    lam = np.asarray(lam_digits, dtype=np.int64)
-    return (bracket_tensor(eng) @ lam) % eng.p
+    p = alg.field.p
+    lam_prod = alg.T @ np.asarray(lam_digits, dtype=np.int64) % p  # lambda(b_s b_t)
+    return (lam_prod - lam_prod.T) % p
 
 
-def radical_of(eng: AlgebraGroup, lam_digits):
+def radical_of(alg: NilAlgebra, lam_digits):
     """(rank, prime echelon rows of Rad B_lambda)."""
-    K = gram_matrix(eng, lam_digits)
-    n, p = eng.n, eng.p
+    K = gram_matrix(alg, lam_digits)
+    n, p = K.shape[0], alg.field.p
     if not K.any():
-        full = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return 0, full
+        return 0, _full_rows(n)
     if p == 2:
         packed = [int(r) for r in (K @ (1 << np.arange(n, dtype=np.int64)))]
         rank, null_packed = rank_nullspace_mod2_packed(packed, n)
         rows = sorted((tuple((v >> j) & 1 for j in range(n)) for v in null_packed),
                       reverse=True)
         return rank, rows
-    rows = nullspace_mod_p([[int(x) for x in K[i]] for i in range(n)], n, p)
+    rows = nullspace_mod_p(K, n, p)
     return n - len(rows), rows
 
 
+def _full_rows(n: int) -> list[tuple[int, ...]]:
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
+    if not alg.is_fq_subspace(rows):
+        raise InternalInconsistencyError(f"{what} is not F_q-closed")
+
+
 def radical(alg: NilAlgebra, lam, budgets: Budgets | None = None):
-    """(prime echelon rows, F_q echelon rows) of Rad B_lambda.
+    """Prime echelon rows of Rad B_lambda.
 
     The radical is always closed under F_q scaling; for e > 1 that is a real
-    condition and the conversion enforces it.
+    condition and it is checked.
     """
-    eng = engine_for(alg, budgets)
     row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
-    _, rows = radical_of(eng, row)
-    try:
-        fq_rows, _ = fq_span_from_prime_basis(rows, alg.field, alg.dim)
-    except AssertionError as exc:
-        raise InternalInconsistencyError(f"radical is not F_q-closed: {exc}") from exc
-    return rows, fq_rows
+    _, rows = radical_of(alg, row)
+    _require_fq_closed(alg, rows, "radical")
+    return rref_mod_p(rows, alg.field.p)[0]
 
 
 def orbit_size(alg: NilAlgebra, lam, budgets: Budgets | None = None) -> int:
-    eng = engine_for(alg, budgets)
     row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
-    rank, _ = radical_of(eng, row)
+    rank, _ = radical_of(alg, row)
     if rank % (2 * alg.field.e):
         raise InternalInconsistencyError(
             "orbit size is not an even power of q; the pairing is defective")
-    return eng.p ** rank
+    return alg.field.p ** rank
 
 
 def fake_degree(alg: NilAlgebra, lam, budgets: Budgets | None = None) -> int:
@@ -290,16 +279,14 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     part = eng.dual_orbits()
     X = eng.digit_rows()
     q, e = alg.field.q, alg.field.e
-    t3_zero = not bracket_tensor(eng).any()
-    full_rows = tuple(tuple(1 if j == i else 0 for j in range(eng.n))
-                      for i in range(eng.n))
+    derived_rows, _ = alg.derived_lie_subspace()
+    full_rows = tuple(_full_rows(eng.n))
     records = []
     for rep, size in zip(part.reps, part.sizes):
-        if t3_zero:
+        if not derived_rows:
             rank, rad_rows = 0, full_rows
         else:
-            lam = X[rep]
-            rank, rad_rows = radical_of(eng, lam)
+            rank, rad_rows = radical_of(alg, X[rep])
             rad_rows = tuple(rad_rows)
         if eng.p ** rank != size:
             raise InternalInconsistencyError(
@@ -309,15 +296,10 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
                 f"orbit size {size} is not an even power of q at dual {rep}")
         fake = q ** (rank // (2 * e))
         if e > 1:
-            try:
-                fq_span_from_prime_basis(rad_rows, alg.field, alg.dim)
-            except AssertionError as exc:
-                raise InternalInconsistencyError(
-                    f"radical not F_q-closed at dual {rep}") from exc
+            _require_fq_closed(alg, rad_rows, f"radical at dual {rep}")
         records.append(OrbitRecord(int(rep), size, fake, rad_rows))
     fixed = sum(1 for s in part.sizes if s == 1)
-    derived_rows, _ = alg.derived_lie_subspace()
-    expected_fixed = q ** (alg.dim - len(derived_rows))
+    expected_fixed = eng.p ** (eng.n - len(derived_rows))
     if fixed != expected_fixed:
         raise InternalInconsistencyError(
             f"fixed duals {fixed} != |J|/|[J,J]_L| = {expected_fixed}")
@@ -338,7 +320,7 @@ def conjecture_probe(alg: NilAlgebra, budgets: Budgets | None = None) -> dict:
     """
     eng = engine_for(alg, budgets)
     derived_rows, _ = alg.derived_lie_subspace()
-    lie_index = alg.field.q ** (alg.dim - len(derived_rows))
+    lie_index = eng.p ** (eng.n - len(derived_rows))
     group_ab = eng.abelianization_order()
     return {
         "lie_index": lie_index,
@@ -366,100 +348,60 @@ def fake_degree_identities(census: CensusResult) -> dict:
 
 # ------------------------------------------------- isotropic subalgebras --
 
-def _is_isotropic(eng: AlgebraGroup, lam, rows) -> bool:
-    """Whether B_lambda vanishes on the F_q-span of the given rows."""
-    p, e = eng.p, eng.e
-    alg = eng.alg
-    vecs = []
-    for row in rows:
-        base = AlgVector(alg, row)
-        for m in range(e):
-            scalar = alg.field.from_code(p ** m) if e > 1 else alg.field.one
-            vecs.append(base.scale(scalar))
-    lamv = np.asarray(lam, dtype=np.int64)
-    for i, u in enumerate(vecs):
-        for v in vecs[i + 1:]:
-            w = u.bracket(v)
-            if int(lamv @ np.array(w.flat(), dtype=np.int64)) % p:
-                return False
-    return True
+def _is_isotropic(K: np.ndarray, rows, p: int) -> bool:
+    """Whether B_lambda, with Gram matrix K, vanishes on the span of the rows."""
+    if not len(rows):
+        return True
+    R = np.asarray(rows, dtype=np.int64)
+    return not (R @ K % p @ R.T % p).any()
 
 
 def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits,
                              budgets: Budgets | None = None):
     """A maximal isotropic subalgebra H for B_lambda, constructed through the
     ideal flag: take the first isotropic member of the flag, pass to its
-    perp (a subalgebra), and recurse.  Returns F_q echelon rows of H.
+    perp (a subalgebra), and recurse.  Returns prime echelon rows of H.
 
     Verifies on exit: H is a subalgebra, B_lambda vanishes on H, and
     dim H = dim J - (1/2) log_q |orbit of lambda|.
     """
-    eng = engine_for(alg, budgets)
-    rows = _max_isotropic_inner(alg, tuple(int(x) for x in lam_digits))
-    ech, piv = rref_fq(rows)
+    p, e = alg.field.p, alg.field.e
+    lam = tuple(int(x) for x in lam_digits)
+    ech, piv = rref_mod_p(_max_isotropic_inner(alg, lam), p)
     # verification
-    if not _is_isotropic(eng, lam_digits, ech):
+    if not _is_isotropic(gram_matrix(alg, lam), ech, p):
         raise InternalInconsistencyError("constructed subalgebra is not isotropic")
-    for u in ech:
-        for v in ech:
-            prod = AlgVector(alg, u) * AlgVector(alg, v)
-            if not in_span_fq(ech, piv, prod.coeffs):
-                raise InternalInconsistencyError("constructed space is not a subalgebra")
-    rank, _ = radical_of(eng, lam_digits)
-    expected_dim = alg.dim - rank // (2 * alg.field.e)
-    if len(ech) != expected_dim:
+    if reduce_mod_p(ech, piv, alg._products_of(ech, ech), p).any():
+        raise InternalInconsistencyError("constructed space is not a subalgebra")
+    rank, _ = radical_of(alg, lam)
+    expected_dim = alg.dim - rank // (2 * e)
+    if len(ech) != e * expected_dim:
         raise InternalInconsistencyError(
-            f"isotropic subalgebra has dim {len(ech)}, expected {expected_dim}")
+            f"isotropic subalgebra has dim {len(ech) // e}, expected {expected_dim}")
     return ech, piv
 
 
 def _max_isotropic_inner(alg: NilAlgebra, lam):
-    eng = engine_for(alg)
-    K = gram_matrix(eng, lam)
+    p, n = alg.field.p, alg.dim * alg.field.e
+    K = gram_matrix(alg, lam)
     if not K.any():
-        return [tuple(alg.basis_vector(i).coeffs) for i in range(alg.dim)]
+        return _full_rows(n)
     flag = alg.refine_to_flag()
-    p, e = alg.field.p, alg.field.e
-    lamv = np.asarray(lam, dtype=np.int64)
-    chosen = None
-    for idx in range(1, len(flag)):
-        rows, _ = flag[idx]
-        if _is_isotropic(eng, lam, rows):
-            chosen = rows
-            break
-    if chosen is None or not chosen:
+    chosen = next((rows for rows, _ in flag[1:] if _is_isotropic(K, rows, p)), None)
+    if not chosen:
         # the complete flag always reaches an isotropic member before 0:
         # the minimal one is not inside Rad B, see the recursion argument
         raise InternalInconsistencyError("no nonzero isotropic flag member found")
     # perp of the chosen ideal: x with lambda([x, h]) = K x . h = 0 for all h
-    constraints = []
-    for row in chosen:
-        base = AlgVector(alg, row)
-        for m in range(e):
-            scalar = alg.field.from_code(p ** m) if e > 1 else alg.field.one
-            hd = np.array(base.scale(scalar).flat(), dtype=np.int64)
-            constraints.append([int(x) for x in (K @ hd) % p])
-    perp_prime = nullspace_mod_p(constraints, eng.n, p)
-    perp_rows, perp_piv = fq_span_from_prime_basis(perp_prime, alg.field, alg.dim)
-    if len(perp_rows) == alg.dim:
+    perp = nullspace_mod_p(np.asarray(chosen, dtype=np.int64) @ K.T % p, n, p)
+    _require_fq_closed(alg, perp, "perp of an isotropic ideal")
+    if len(perp) == n:
         raise InternalInconsistencyError("perp did not cut the space down")
-    sub, basis = alg.subalgebra(perp_rows)
-    # restrict lambda to the subalgebra coordinates
-    lam_sub = []
-    for t in range(sub.dim * e):
-        i, m = divmod(t, e)
-        scalar = alg.field.from_code(p ** m) if e > 1 else alg.field.one
-        v = basis[i].scale(scalar)
-        lam_sub.append(int(lamv @ np.array(v.flat(), dtype=np.int64)) % p)
-    inner = _max_isotropic_inner(sub, tuple(lam_sub))
+    sub, basis = alg.subalgebra(perp)
+    basis = np.asarray(basis, dtype=np.int64)  # row t: prime basis vector t of sub
+    inner = _max_isotropic_inner(sub, tuple(int(x) for x in basis @ lam % p))
     # map back to ambient coordinates
-    out = []
-    for srow in inner:
-        acc = alg.zero_vector()
-        for c, bvec in zip(srow, basis):
-            acc = acc + bvec.scale(c)
-        out.append(tuple(acc.coeffs))
-    return out
+    return [tuple(r) for r in (np.asarray(inner, dtype=np.int64) @ basis % p).tolist()]
 
 
 # ------------------------------------------------------------ characters --
@@ -504,12 +446,9 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
     dual_labels = part.labels
     nd = part.count
 
-    # log of a class representative 1+x, as digit column
+    # log of each class representative 1+x, as digit rows
     values: list[list[CyclotomicValue]] = [[] for _ in range(nd)]
-    for crep in classes.reps:
-        x = eng.unpack(int(crep))
-        j = glog(x)
-        jd = np.array(j.flat(), dtype=np.int64)
+    for jd in eng._log_rows(X[classes.reps]):
         residues = (X @ jd) % p
         hist = np.bincount(dual_labels * p + residues, minlength=nd * p)
         hist = hist.reshape(nd, p)
@@ -548,26 +487,16 @@ def _verify_class_constancy(eng, census, classes, X) -> None:
     labels = part.labels
     class_labels = classes.labels
 
-    logs = {}
-
-    def log_digits(packed: int) -> np.ndarray:
-        got = logs.get(packed)
-        if got is None:
-            got = np.array(glog(eng.unpack(packed)).flat(), dtype=np.int64)
-            logs[packed] = got
-        return got
-
+    big_classes = [c for c in range(classes.count) if classes.sizes[c] > 1]
+    logs = {c: eng._log_rows(X[class_labels == c]) for c in big_classes}
     # fixed duals: mu(log x) must be constant along every class
     sizes_arr = np.array(part.sizes, dtype=np.int64)
     fixed_ids = np.where(sizes_arr == 1)[0]
     fixed_idx = np.where(np.isin(labels, fixed_ids))[0]
-    big_classes = [c for c in range(classes.count) if classes.sizes[c] > 1]
     if fixed_idx.size and big_classes:
         D = X[fixed_idx].astype(np.int64)
         for c in big_classes:
-            members = np.where(class_labels == c)[0]
-            L = np.stack([log_digits(int(m)) for m in members])
-            vals = (L @ D.T) % p
+            vals = (logs[c] @ D.T) % p
             if not (vals == vals[0]).all():
                 raise InternalInconsistencyError(
                     "linear character not constant on a class")
@@ -579,9 +508,7 @@ def _verify_class_constancy(eng, census, classes, X) -> None:
     sorted_labels = labels[order]
     Xs = X[order].astype(np.int64)
     for c in big_classes:
-        members = np.where(class_labels == c)[0]
-        L = np.stack([log_digits(int(m)) for m in members])
-        vals = (L @ Xs.T) % p
+        vals = (logs[c] @ Xs.T) % p
         for o in big_orbits:
             lo = int(np.searchsorted(sorted_labels, o, side="left"))
             hi = int(np.searchsorted(sorted_labels, o, side="right"))
@@ -663,26 +590,20 @@ def orthonormality_check(table: CharacterTable) -> bool:
 
 # ------------------------------------------------------ induced characters --
 
+def _span_points(rows, p: int) -> np.ndarray:
+    """Every Z/p-combination of the rows, one point per row of the result."""
+    B = np.asarray(rows, dtype=np.int64)
+    m = len(B)
+    codes = np.arange(p ** m)
+    combos = np.stack([(codes // p ** t) % p for t in range(m)], axis=1)
+    return combos @ B % p
+
+
 def _subspace_packed_set(eng: AlgebraGroup, rows) -> np.ndarray:
-    """All packed codes of the F_q-span of the given echelon rows."""
-    alg = eng.alg
-    p, e = eng.p, eng.e
-    prime = []
-    for row in rows:
-        base = AlgVector(alg, row)
-        for m in range(e):
-            scalar = alg.field.from_code(p ** m) if e > 1 else alg.field.one
-            prime.append(base.scale(scalar).flat())
-    if not prime:
+    """All packed codes of the span of the given prime echelon rows."""
+    if not len(rows):
         return np.zeros(1, dtype=np.int64)
-    B = np.array(prime, dtype=np.int64)
-    m = len(prime)
-    combos = np.zeros((p ** m, m), dtype=np.int64)
-    vals = np.arange(p ** m)
-    for t in range(m):
-        combos[:, t] = (vals // p ** t) % p
-    pts = (combos @ B) % p
-    return np.unique(pts @ eng.powers)
+    return np.unique(_span_points(rows, eng.p) @ eng.powers)
 
 
 def induced_character_values(alg: NilAlgebra, lam_digits,
@@ -691,13 +612,13 @@ def induced_character_values(alg: NilAlgebra, lam_digits,
     the stabilizer-count formula, where H is the maximal isotropic
     subalgebra for lambda and psi_lambda(1+v) = zeta^(lambda(log(1+v))).
 
-    Returns (values list aligned with conjugacy classes, H echelon rows).
+    Returns (values list aligned with conjugacy classes, prime echelon rows of H).
     """
     eng = engine_for(alg, budgets)
     p = eng.p
     rows, _ = max_isotropic_subalgebra(alg, lam_digits, budgets)
     hset = _subspace_packed_set(eng, rows)
-    hsize = int(alg.field.q ** len(rows))
+    hsize = p ** len(rows)
     if hset.size != hsize:
         raise InternalInconsistencyError("isotropic span enumeration mismatch")
     classes = eng.conjugacy_classes()
@@ -708,11 +629,8 @@ def induced_character_values(alg: NilAlgebra, lam_digits,
     for c, csize in enumerate(classes.sizes):
         members = np.where(class_labels == c)[0]
         inside = members[np.isin(members, hset)]
-        counts = np.zeros(p, dtype=np.int64)
-        for m in inside:
-            j = glog(eng.unpack(int(m)))
-            r = int(lamv @ np.array(j.flat(), dtype=np.int64)) % p
-            counts[r] += 1
+        residues = eng._log_rows(eng.digit_rows()[inside]) @ lamv % p
+        counts = np.bincount(residues, minlength=p)
         # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
         scale_den = hsize * int(csize)
         val = CyclotomicValue.from_histogram(p, counts).scale(N, scale_den)
@@ -751,38 +669,16 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     eng = engine_for(alg, budgets)
     if census is None:
         census = orbit_census(alg, budgets)
-    p, e = eng.p, eng.e
+    p = eng.p
     lam = tuple(int(x) for x in eng.digit_rows()[census.records[orbit_index].rep])
     rows, _ = max_isotropic_subalgebra(alg, lam, budgets)
     # Ann(H): functionals vanishing on the prime basis of H
-    prime = []
-    for row in rows:
-        base = AlgVector(alg, row)
-        for m in range(e):
-            scalar = alg.field.from_code(p ** m) if e > 1 else alg.field.one
-            prime.append(base.scale(scalar).flat())
-    ann = nullspace_mod_p([list(r) for r in prime], eng.n, p) if prime else \
-        [tuple(1 if j == i else 0 for j in range(eng.n)) for i in range(eng.n)]
-    m = len(ann)
+    ann = nullspace_mod_p(rows, eng.n, p)
     lamv = np.asarray(lam, dtype=np.int64)
-    if m:
-        A = np.array(ann, dtype=np.int64)
-        combos = np.zeros((p ** m, m), dtype=np.int64)
-        vals = np.arange(p ** m)
-        for t in range(m):
-            combos[:, t] = (vals // p ** t) % p
-        coset = (combos @ A + lamv) % p
-    else:
-        coset = lamv[None, :] % p
+    coset = (_span_points(ann, p) + lamv) % p if ann else lamv[None, :]
     coset_packed = set(int(x) for x in coset @ eng.powers)
     # orbit of lambda under the group generated by 1 + (prime basis of H)
-    mats = []
-    for row in rows:
-        base = AlgVector(alg, row)
-        for mm in range(e):
-            scalar = alg.field.from_code(p ** mm) if e > 1 else alg.field.one
-            g = base.scale(scalar)
-            mats.append(eng.dual_matrix_for(g))
+    mats = [eng.dual_matrix_for(row) for row in rows]
     seen = {int(lamv @ eng.powers)}
     frontier = [np.asarray(lam, dtype=np.int64)]
     while frontier:

@@ -233,7 +233,10 @@ class FiniteGroupTable:
     def from_cayley_table(cls, table, budgets: Budgets | None = None, name=None):
         m = len(table)
         check_budget(budgets, "table_order_max", m)
-        arr = np.asarray(table, dtype=np.int32)
+        try:
+            arr = np.asarray(table, dtype=np.int32)
+        except (OverflowError, ValueError):
+            raise ValidationError("Cayley table entries out of range") from None
         if arr.shape != (m, m):
             raise ValidationError(f"Cayley table must be square, got shape {arr.shape}")
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= m:
@@ -344,6 +347,8 @@ class FiniteGroupTable:
         """
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
+        if n < 0:
+            raise ValidationError("a pc presentation needs n >= 0 generators")
         check_budget(budgets, "pc_generators_max", n)
         check_budget(budgets, "group_enumeration_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))
@@ -523,6 +528,13 @@ def direct_product(g1: FiniteGroupTable, g2: FiniteGroupTable,
 
 # ---------------------------------------------------------------- parsing --
 
+def _ints(tokens, line: str) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ValidationError(f"non-integer token in group file line {line!r}") from None
+
+
 def parse_group_file(text: str, budgets: Budgets | None = None,
                      name=None) -> FiniteGroupTable:
     """Parse the group file format.
@@ -538,12 +550,12 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
     if header[0] == "cayley":
         if len(header) != 2:
             raise ValidationError("cayley header must be 'cayley m'")
-        m = int(header[1])
+        m, = _ints(header[1:], lines[0])
         if len(lines) != m + 1:
             raise ValidationError(f"expected {m} table rows, got {len(lines) - 1}")
         table = []
         for ln in lines[1:]:
-            row = [int(x) for x in ln.split()]
+            row = _ints(ln.split(), ln)
             if len(row) != m:
                 raise ValidationError(f"table row has {len(row)} entries, expected {m}")
             table.append(row)
@@ -551,17 +563,17 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
     if header[0] == "pc":
         if len(header) != 3:
             raise ValidationError("pc header must be 'pc p n'")
-        p, n = int(header[1]), int(header[2])
+        p, n = _ints(header[1:], lines[0])
         pows: dict[int, tuple[int, ...]] = {}
         comms: dict[tuple[int, int], tuple[int, ...]] = {}
         for ln in lines[1:]:
             kind, _, rest = ln.partition(":")
             kindparts = kind.split()
-            word = tuple(int(x) for x in rest.split())
-            if kindparts[0] == "pow" and len(kindparts) == 2:
-                pows[int(kindparts[1])] = word
-            elif kindparts[0] == "comm" and len(kindparts) == 3:
-                comms[(int(kindparts[1]), int(kindparts[2]))] = word
+            word = tuple(_ints(rest.split(), ln))
+            if kindparts[:1] == ["pow"] and len(kindparts) == 2:
+                pows[_ints(kindparts[1:], ln)[0]] = word
+            elif kindparts[:1] == ["comm"] and len(kindparts) == 3:
+                comms[tuple(_ints(kindparts[1:], ln))] = word
             else:
                 raise ValidationError(f"bad relation line: {ln!r}")
         return FiniteGroupTable.from_power_commutator(p, n, pows, comms, budgets, name=name)

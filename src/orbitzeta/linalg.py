@@ -1,68 +1,78 @@
-"""Exact linear algebra over Z/p and over F_q element tuples.
+"""Exact linear algebra over Z/p on integer coordinate rows.
 
 Subspaces are always represented by reduced row echelon bases so that
-equality of subspaces is literal equality of the representations.
+equality of subspaces is literal equality of the representations.  The
+elimination runs on int64 arrays and reduces mod p after every row
+operation, so no entry exceeds p^2 on the way.
 """
 
 from __future__ import annotations
 
-from .ffield import Field, FieldElement
+import numpy as np
 
 
 # ---------------------------------------------------------------- mod p ----
 
-def rref_mod_p(rows, p: int):
-    """Reduced row echelon form over Z/p. Returns (rows, pivot_cols); input unchanged."""
-    mat = [list(r) for r in rows if any(x % p for x in r)]
-    for r in mat:
-        for i, x in enumerate(r):
-            r[i] = x % p
-    ncols = len(mat[0]) if mat else 0
+def _echelon(rows, p: int):
+    """(reduced echelon array, pivot columns) of the rows, taken mod p."""
+    mat = np.array(rows, dtype=np.int64) % p
+    if mat.ndim != 2 or not mat.size:
+        return np.zeros((0, mat.shape[-1] if mat.ndim == 2 else 0), dtype=np.int64), []
+    nrows, ncols = mat.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(mat[row:, col])
+        if not nonzero.size:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[row])]
+        pivot = row + int(nonzero[0])
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+        inv = pow(int(mat[row, col]), -1, p)
+        if inv != 1:
+            mat[row] = mat[row] * inv % p
+        factors = mat[:, col].copy()
+        factors[row] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            mat[hit] = (mat[hit] - np.outer(factors[hit], mat[row])) % p
         pivots.append(col)
         row += 1
-        if row == len(mat):
+        if row == nrows:
             break
-    return [tuple(r) for r in mat[:row]], pivots
+    return mat[:row], pivots
 
 
-def rank_mod_p(rows, p: int) -> int:
-    return len(rref_mod_p(rows, p)[0])
+def rref_mod_p(rows, p: int):
+    """Reduced row echelon form over Z/p. Returns (rows, pivot_cols); input unchanged."""
+    mat, pivots = _echelon(rows, p)
+    return [tuple(r) for r in mat.tolist()], pivots
 
 
 def nullspace_mod_p(rows, ncols: int, p: int):
     """Echelon basis of {x : A x = 0} for A given by rows of length ncols."""
-    ech, pivots = rref_mod_p(rows, p)
+    ech, pivots = _echelon(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-ech[r][fc]) % p
-        basis.append(tuple(vec))
-    return rref_mod_p(basis, p)[0] if basis else []
+    if not free:
+        return []
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = (-ech[:, free]).T % p
+    return rref_mod_p(basis, p)[0]
 
 
-def in_span_mod_p(echelon_rows, pivots, vec, p: int) -> bool:
-    v = [x % p for x in vec]
-    for row, pc in zip(echelon_rows, pivots):
-        if v[pc]:
-            c = v[pc]
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return not any(v)
+def reduce_mod_p(echelon_rows, pivots, vecs, p: int) -> np.ndarray:
+    """Residues of vecs (any leading shape) against a reduced echelon basis.
+
+    A residue is zero exactly when its vector lies in the span; the
+    coordinates of a member in the echelon basis are its pivot entries.
+    """
+    vecs = np.asarray(vecs, dtype=np.int64) % p
+    if not pivots:
+        return vecs
+    ech = np.asarray(echelon_rows, dtype=np.int64)
+    return (vecs - (vecs[..., pivots] @ ech) % p) % p
 
 
 # ------------------------------------------------------- mod 2, packed ----
@@ -102,66 +112,3 @@ def rank_nullspace_mod2_packed(rows_packed: list[int], ncols: int):
                 vec ^= 1 << pc
         null_rows.append(vec)
     return rank, null_rows
-
-
-# ----------------------------------------------------------------- F_q ----
-
-def rref_fq(rows):
-    """Reduced row echelon form for rows of FieldElement. Returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(not x.is_zero() for x in r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if not mat[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return [tuple(r) for r in mat[:row]], pivots
-
-
-def reduce_against_fq(echelon_rows, pivots, vec):
-    """Reduce vec against an echelon basis; returns (residue, coefficients)."""
-    v = list(vec)
-    coeffs = []
-    for row, pc in zip(echelon_rows, pivots):
-        c = v[pc]
-        coeffs.append(c)
-        if not c.is_zero():
-            v = [a - c * b for a, b in zip(v, row)]
-    return v, coeffs
-
-
-def in_span_fq(echelon_rows, pivots, vec) -> bool:
-    residue, _ = reduce_against_fq(echelon_rows, pivots, vec)
-    return all(x.is_zero() for x in residue)
-
-
-def fq_span_from_prime_basis(prime_rows, field: Field, dim: int):
-    """Turn a Z/p-echelon basis of an F_q-closed subspace into an F_q-echelon basis.
-
-    prime_rows are flattened coordinate tuples of length dim*e; raises
-    AssertionError if the span is not actually closed under F_q scaling.
-    """
-    e = field.e
-    vecs = []
-    for row in prime_rows:
-        vec = tuple(field.element(row[i * e:(i + 1) * e]) for i in range(dim))
-        vecs.append(vec)
-    ech, pivots = rref_fq(vecs)
-    if len(ech) * e != len(prime_rows):
-        raise AssertionError("subspace is not F_q-closed")
-    return ech, pivots

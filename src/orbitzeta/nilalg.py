@@ -1,17 +1,28 @@
 """Finite dimensional nilpotent associative algebras over F_q, given by
 structure constants on a fixed basis.
 
-Vectors are coefficient tuples; subspaces are reduced echelon bases, so
-subspace equality is representation equality.  Every algebra verifies
-associativity and nilpotency at construction time.
+AlgVector coefficient tuples over F_q are the element API and the reference
+route for products.  Bulk work runs over Z/p instead: J has the prime basis
+omega^m b_i at t = i*e + m, and the structure tensor T[s, t] holds the prime
+coordinates of b_s * b_t.  Subspaces are reduced echelon bases of Z/p rows
+on that basis, so subspace equality is representation equality and an
+F_q-dimension is len(rows) // e.  Every algebra verifies associativity and
+nilpotency at construction time.
 """
 
 from __future__ import annotations
 
-from .budgets import Budgets, check_budget
+import numpy as np
+
+from .budgets import Budgets
 from .errors import ValidationError
 from .ffield import Field, FieldElement, make_field
-from .linalg import rref_fq, reduce_against_fq, in_span_fq
+from .linalg import reduce_mod_p, rref_mod_p
+
+
+# T holds n^3 int64 entries (16 MB at n = 128); augmentation ideals of
+# groups of order 128 are the largest algebras the corpus builds
+_PRIME_DIM_MAX = 128
 
 
 class AlgVector:
@@ -73,7 +84,10 @@ class NilAlgebra:
     """Nilpotent associative F_q-algebra with sparse structure constants.
 
     table maps a basis pair (i, j) to a tuple of (k, coeff) terms giving
-    b_i * b_j; absent pairs multiply to zero.
+    b_i * b_j; absent pairs multiply to zero.  T is the same multiplication
+    over Z/p on the prime basis t = i*e + m (see prime_basis_vector):
+    b_s * b_t has prime coordinates T[s, t].  omega is the matrix of
+    multiplication by omega on prime coordinate rows.
     """
 
     def __init__(self, field: Field, dim: int, table, *, name: str | None = None,
@@ -93,11 +107,35 @@ class NilAlgebra:
                     raise ValidationError(f"structure constant target {k} out of range")
             if clean:
                 self.table[(i, j)] = clean
+        self._build_tensor()
         if check:
             self._verify_associativity()
         self.powers = self._power_ideal_chain()
         self.nilpotency_class = len(self.powers)  # least n with J^n = 0
         self._flag = None
+
+    def _build_tensor(self) -> None:
+        p, e, d = self.field.p, self.field.e, self.dim
+        n = d * e
+        if n > _PRIME_DIM_MAX:
+            raise ValidationError(
+                f"J has dimension {n} over Z/p; the structure tensor needs n^3 "
+                f"entries and supports n <= {_PRIME_DIM_MAX}")
+        # companion matrix: digits(omega * x) = comp @ digits(x)
+        comp = np.zeros((e, e), dtype=np.int64)
+        comp[np.arange(1, e), np.arange(e - 1)] = 1
+        comp[:, e - 1] = [-c % p for c in self.field.modulus[:e]]
+        pw = [np.eye(e, dtype=np.int64)]
+        for _ in range(2 * e - 2):
+            pw.append(comp @ pw[-1] % p)
+        # (omega^a b_i)(omega^c b_j) = omega^(a+c) b_i b_j
+        shift = np.array([[pw[a + c] for c in range(e)] for a in range(e)])
+        coeffs = np.zeros((d, d, d, e), dtype=np.int64)
+        for (i, j), terms in self.table.items():
+            for k, c in terms:
+                coeffs[i, j, k] += c.coeffs  # repeated targets add up
+        self.T = np.einsum("acrs,ijks->iajckr", shift, coeffs).reshape(n, n, n) % p
+        self.omega = np.kron(np.eye(d, dtype=np.int64), comp.T)
 
     # ------------------------------------------------------- vector ops --
 
@@ -157,39 +195,69 @@ class NilAlgebra:
                     dense[k] = dense[k] + ab * c
         return AlgVector(self, dense)
 
-    def _basis_product(self, i: int, j: int):
-        return self.table.get((i, j), ())
+    # -------------------------------------------- prime coordinate rows --
+
+    def _mul_rows(self, X, Y) -> np.ndarray:
+        """Row-wise products x_r * y_r of prime coordinate rows."""
+        p = self.field.p
+        X = np.asarray(X, dtype=np.int64)
+        Y = np.asarray(Y, dtype=np.int64)
+        out = np.zeros(Y.shape, dtype=np.int64)
+        for s in np.flatnonzero(X.any(axis=0)):
+            out = (out + X[:, s, None] * (Y @ self.T[s] % p)) % p
+        return out
+
+    def _products_of(self, U, V) -> np.ndarray:
+        """All products u_i * v_j of prime coordinate rows, shape (|U|, |V|, n)."""
+        p, n = self.field.p, self.T.shape[0]
+        left = np.asarray(U, dtype=np.int64).reshape(-1, n) @ self.T.reshape(n, n * n) % p
+        return np.einsum("jt,itx->ijx", np.asarray(V, dtype=np.int64).reshape(-1, n),
+                         left.reshape(-1, n, n)) % p
+
+    def _ideal_products(self, rows) -> np.ndarray:
+        """The rows v * b_t and b_t * v for every row v and prime basis vector b_t."""
+        n = self.T.shape[0]
+        eye = np.eye(n, dtype=np.int64)
+        return np.concatenate([self._products_of(rows, eye).reshape(-1, n),
+                               self._products_of(eye, rows).reshape(-1, n)])
+
+    def is_fq_subspace(self, rows) -> bool:
+        """Whether the Z/p-span of prime coordinate rows is an F_q-subspace,
+        that is, invariant under multiplication by omega."""
+        if self.field.e == 1:
+            return True
+        ech, piv = rref_mod_p(rows, self.field.p)
+        scaled = np.asarray(ech, dtype=np.int64).reshape(-1, self.T.shape[0]) @ self.omega
+        return not reduce_mod_p(ech, piv, scaled, self.field.p).any()
 
     # ----------------------------------------------------- verification --
 
     def _verify_associativity(self) -> None:
-        d = self.dim
+        p, e, d = self.field.p, self.field.e, self.dim
+        T, n = self.T, self.T.shape[0]
         if d > 64:  # sampled above the exhaustive cutoff
             import random
 
             rng = random.Random(0xA550C)
-            triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                       for _ in range(20000))
-        else:
-            triples = ((i, j, k) for i in range(d) for j in range(d) for k in range(d))
-        for i, j, k in triples:
-            left = self._mul_sparse_basis(self._basis_product(i, j), k, right=True)
-            right = self._mul_sparse_basis(self._basis_product(j, k), i, right=False)
-            if left != right:
+            for _ in range(20000):
+                i, j, k = (rng.randrange(d) for _ in range(3))
+                left = T[i * e, j * e] @ T[:, k * e] % p
+                right = T[j * e, k * e] @ T[i * e] % p
+                if not np.array_equal(left, right):
+                    raise ValidationError(
+                        f"structure constants not associative at basis triple ({i},{j},{k})")
+            return
+        # (b_i b_j) b_k and b_i (b_j b_k) over the F_q basis, one i at a time
+        lower = T[::e, ::e].reshape(d * d, n)
+        upper = T[:, ::e].reshape(n, d * n)
+        for i in range(d):
+            left = (T[i * e, ::e] @ upper % p).reshape(d, d, n)
+            right = (lower @ T[i * e] % p).reshape(d, d, n)
+            bad = np.argwhere((left != right).any(axis=2))
+            if bad.size:
+                j, k = (int(x) for x in bad[0])
                 raise ValidationError(
                     f"structure constants not associative at basis triple ({i},{j},{k})")
-
-    def _mul_sparse_basis(self, sparse_vec, s: int, right: bool):
-        out: dict[int, FieldElement] = {}
-        for m, c in sparse_vec:
-            pair = (m, s) if right else (s, m)
-            for k, c2 in self._basis_product(*pair):
-                acc = out.get(k, self.field.zero) + c * c2
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return sorted((k, v.coeffs) for k, v in out.items())
 
     # ----------------------------------------------------------- chains --
 
@@ -199,20 +267,13 @@ class NilAlgebra:
         Returns the list [basis(J^1), .., basis(J^{c-1})] where J^c = 0; the
         nilpotency class is one more than the list length of nonzero powers.
         """
-        full = [tuple(self.basis_vector(i).coeffs) for i in range(self.dim)]
-        chain = [rref_fq(full)]
+        p, n = self.field.p, self.T.shape[0]
+        chain = [rref_mod_p(np.eye(n, dtype=np.int64), p)]
         while True:
             prev_rows, _ = chain[-1]
             if not prev_rows:
                 break
-            prods = []
-            for row in prev_rows:
-                rv = AlgVector(self, row)
-                for i in range(self.dim):
-                    b = self.basis_vector(i)
-                    prods.append((rv * b).coeffs)
-                    prods.append((b * rv).coeffs)
-            nxt = rref_fq(prods)
+            nxt = rref_mod_p(self._ideal_products(prev_rows), p)
             if len(nxt[0]) >= len(prev_rows):
                 raise ValidationError("algebra is not nilpotent: power chain stalled")
             chain.append(nxt)
@@ -232,25 +293,22 @@ class NilAlgebra:
         return self.nilpotency_class <= self.field.p
 
     def derived_lie_subspace(self):
-        """Echelon basis of the span of all brackets [b_i, b_j]."""
-        rows = []
-        for i in range(self.dim):
-            bi = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                bj = self.basis_vector(j)
-                rows.append(bi.bracket(bj).coeffs)
-        return rref_fq(rows)
+        """Echelon basis of the span of all brackets [b_s, b_t]."""
+        n = self.T.shape[0]
+        return rref_mod_p((self.T - self.T.transpose(1, 0, 2)).reshape(n * n, n),
+                          self.field.p)
 
     def refine_to_flag(self):
-        """A chain of ideals J = J_1 > J_2 > .. > 0 with codimension-1 steps.
+        """A chain of ideals J = J_1 > J_2 > .. > 0 with F_q-codimension-1 steps.
 
         Refines the power chain deterministically: each layer J^m extends
-        J^{m+1} by the earliest echelon basis vectors of J^m.  Verifies
-        J*J_i + J_i*J <= J_{i+1} for every step, which makes each member a
-        two-sided ideal.
+        J^{m+1} by the F_q-multiples of the earliest echelon rows of J^m.
+        Verifies J*J_i + J_i*J <= J_{i+1} for every step, which makes each
+        member a two-sided ideal.
         """
         if self._flag is not None:
             return self._flag
+        p, e = self.field.p, self.field.e
         flag = [self.powers[0]]
         for m in range(len(self.powers) - 1, 0, -1):
             lower_rows, lower_piv = self.powers[m]  # J^{m+1}
@@ -258,9 +316,12 @@ class NilAlgebra:
             cur_rows, cur_piv = list(lower_rows), list(lower_piv)
             intermediates = []
             for v in upper_rows:
-                if in_span_fq(cur_rows, cur_piv, v):
+                if not reduce_mod_p(cur_rows, cur_piv, v, p).any():
                     continue
-                cur_rows, cur_piv = rref_fq(list(cur_rows) + [v])
+                multiples = [np.asarray(v, dtype=np.int64)]
+                for _ in range(e - 1):
+                    multiples.append(multiples[-1] @ self.omega % p)
+                cur_rows, cur_piv = rref_mod_p(cur_rows + [tuple(w) for w in multiples], p)
                 intermediates.append((cur_rows, cur_piv))
             # the last extension re-derives J^m itself; keep strict ones only
             for space in intermediates[:-1]:
@@ -268,7 +329,7 @@ class NilAlgebra:
             flag.append(self.powers[m])
         flag = sorted(flag, key=lambda sp: -len(sp[0]))
         dims = [len(rows) for rows, _ in flag]
-        if dims != list(range(self.dim, -1, -1)):
+        if dims != [e * k for k in range(self.dim, -1, -1)]:
             raise ValidationError(f"flag refinement produced dimensions {dims}")
         self._verify_flag_ideals(flag)
         self._flag = flag
@@ -277,45 +338,44 @@ class NilAlgebra:
     def _verify_flag_ideals(self, flag) -> None:
         # J*J_i + J_i*J <= J_{i+1} holds for the power-chain refinement and
         # makes every member a two-sided ideal; check it on basis vectors.
-        for idx in range(len(flag) - 1):
-            rows, _ = flag[idx]
-            nxt_rows, nxt_piv = flag[idx + 1]
-            for v in rows:
-                rv = AlgVector(self, v)
-                for i in range(self.dim):
-                    b = self.basis_vector(i)
-                    for prod in (rv * b, b * rv):
-                        if not in_span_fq(nxt_rows, nxt_piv, prod.coeffs):
-                            raise ValidationError(
-                                "flag member is not an ideal with codim-1 drop")
+        for (rows, _), (nxt_rows, nxt_piv) in zip(flag, flag[1:]):
+            prods = self._ideal_products(rows)
+            if reduce_mod_p(nxt_rows, nxt_piv, prods, self.field.p).any():
+                raise ValidationError("flag member is not an ideal with codim-1 drop")
 
     # ------------------------------------------------------ subalgebras --
 
     def subalgebra(self, rows, *, name: str | None = None,
-                   check: bool = True) -> tuple["NilAlgebra", list[AlgVector]]:
+                   check: bool = True) -> tuple["NilAlgebra", list[tuple[int, ...]]]:
         """The algebra structure on an F_q-subspace closed under multiplication.
 
-        rows: echelon basis in the ambient coordinates.  Returns the new
-        algebra and the list of ambient basis vectors matching its basis.
+        rows span the subspace in ambient prime coordinates.  Its reduced
+        echelon rows are omega^m v_i at t = i*e + m, where v_i are the F_q
+        echelon rows; they become the prime basis of the new algebra, with
+        basis v_i.  Returns the new algebra and those echelon rows.
         """
-        ech, piv = rref_fq(rows)
-        basis = [AlgVector(self, r) for r in ech]
+        p, e = self.field.p, self.field.e
+        ech, piv = rref_mod_p(rows, p)
+        if not ech:
+            raise ValidationError("zero subalgebra has no basis")
+        if not self.is_fq_subspace(ech):
+            raise ValidationError("subspace is not closed under F_q scaling")
+        basis = np.asarray(ech, dtype=np.int64)[::e]
+        prods = self._products_of(basis, basis)
+        if reduce_mod_p(ech, piv, prods, p).any():
+            raise ValidationError("subspace is not closed under multiplication")
+        coords = prods[..., piv]  # prime coordinates in the new algebra
         sub_dim = len(basis)
         table = {}
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                prod = u * v
-                residue, coeffs = reduce_against_fq(ech, piv, prod.coeffs)
-                if any(not x.is_zero() for x in residue):
-                    raise ValidationError("subspace is not closed under multiplication")
-                terms = tuple((k, c) for k, c in enumerate(coeffs) if not c.is_zero())
+        for i in range(sub_dim):
+            for j in range(sub_dim):
+                terms = tuple((k, self.field.element(coords[i, j, k * e:(k + 1) * e]))
+                              for k in range(sub_dim) if coords[i, j, k * e:(k + 1) * e].any())
                 if terms:
                     table[(i, j)] = terms
-        if sub_dim == 0:
-            raise ValidationError("zero subalgebra has no basis")
         sub = NilAlgebra(self.field, sub_dim, table, name=name or f"{self.name}|sub",
                          check=check)
-        return sub, basis
+        return sub, ech
 
 
 # ------------------------------------------------------------ constructors --
@@ -398,14 +458,20 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
     header = lines[0].split()
     if len(header) != 4 or header[0] != "alg":
         raise ValidationError("algebra header must be 'alg p e d'")
-    p, e, d = int(header[1]), int(header[2]), int(header[3])
+    try:
+        p, e, d = (int(x) for x in header[1:])
+    except ValueError:
+        raise ValidationError(f"algebra header has non-integer tokens: {lines[0]!r}") from None
     field = make_field(p, e, budgets)
     table: dict[tuple[int, int], list] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ValidationError(f"bad structure line: {ln!r}")
-        i, j, k, code = (int(x) for x in parts)
+        try:
+            i, j, k, code = (int(x) for x in parts)
+        except ValueError:
+            raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
         coeff = field.from_code(code)
         table.setdefault((i, j), []).append((k, coeff))
     return NilAlgebra(field, d, {ij: tuple(t) for ij, t in table.items()},

@@ -299,8 +299,14 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
             if ms.min_nontrivial_degree() > N:
                 continue
             f = TruncatedDirichlet.from_degree_multiset(ms, N)
-            for _ in range(mult):
-                out = dirichlet_product(out, f)
+            # square-and-multiply: about 2 log2(mult) products
+            while True:
+                if mult & 1:
+                    out = dirichlet_product(out, f)
+                mult >>= 1
+                if not mult:
+                    break
+                f = dirichlet_product(f, f)
         else:
             a, b = akov_term(L, q)
             base = q ** b
@@ -424,12 +430,15 @@ def integer_root(x: int, k: int) -> int:
         raise ValidationError("need x >= 0 and k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    guess = int(round(x ** (1.0 / k)))
-    while guess ** k > x:
-        guess -= 1
-    while (guess + 1) ** k <= x:
-        guess += 1
-    return guess
+    if k == 2:
+        return math.isqrt(x)
+    # integer Newton iteration, decreasing from a power of two above the root
+    root = 1 << -(-x.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * root + x // root ** (k - 1)) // k
+        if nxt >= root:
+            return root
+        root = nxt
 
 
 def synthetic_power_series(c, N: int) -> TruncatedDirichlet:

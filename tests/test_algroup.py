@@ -190,3 +190,10 @@ def test_vectorized_associativity_bulk():
         for _ in range(2000):
             x, y, z = (alg.unpack(rng.randrange(codes)) for _ in range(3))
             assert (x * y) * z == x * (y * z)
+
+
+def test_digit_rows_hold_digits_above_127():
+    # p = 131: digits up to 130 must survive storage, or packing and every
+    # orbit computation on them go wrong
+    eng = AlgebraGroup(corpus.zero_algebra(2, 131))
+    assert np.array_equal(eng.pack_digits(eng.digit_rows()), np.arange(eng.N))

@@ -1,15 +1,23 @@
 import hashlib
 import json
+import math
+import os
 import shutil
 import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orbitzeta
 from orbitzeta import corpus
 from orbitzeta.cli import main
-from orbitzeta.errors import InternalInconsistencyError
-from orbitzeta.grouptab import serialize_cayley
-from orbitzeta.nilalg import serialize_algebra
+from orbitzeta.errors import InternalInconsistencyError, ToolError
+from orbitzeta.grouptab import parse_group_file, serialize_cayley
+from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
+from orbitzeta.zetalab import TruncatedDirichlet, dirichlet_product, sl2_degrees
 
 
 def run(capsys, argv):
@@ -377,3 +385,62 @@ def test_thread_flag_does_not_change_output(capsys, algebra_file):
     rc2, payload2, _ = run(capsys, ["orbits", "census", path, "--threads", "8"])
     assert rc1 == rc2 == 0
     assert payload1 == payload2
+
+
+# ------------------------------------------------------- malformed tokens --
+
+@pytest.mark.parametrize("argv,name,content", [
+    (["nilalg", "info"], "bad.alg", "alg 2 1 two\n"),
+    (["grouptab", "classes"], "bad.grp", "cayley x\n"),
+    (["zeta", "product"], "bad.json",
+     '[{"type": {"rank": 1, "pos_roots": 1, "coxeter": 2}, "q": "five", "mult": 1}]'),
+])
+def test_non_integer_tokens_exit_2(tmp_path, argv, name, content):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    extra = ["--N", "10"] if argv[0] == "zeta" else []
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", *argv, str(path), *extra],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_WORDS = st.sampled_from(["alg", "cayley", "pc", "pow", "comm", ":", "x", "two", "1.5",
+                          "-", "0x3"])
+_LINES = st.lists(st.lists(st.one_of(st.integers(-2, 9).map(str), _WORDS), max_size=5)
+                  .map(" ".join), max_size=5)
+
+
+# header numbers stay at 3 or below: a 'pc 5 5' group already takes seconds
+@settings(max_examples=150, deadline=None)
+@given(header=st.sampled_from(["alg", "cayley", "pc", "x"]),
+       head_args=st.lists(st.one_of(st.integers(-1, 3).map(str), _WORDS), max_size=4),
+       body=_LINES)
+def test_parsers_raise_only_tool_errors(header, head_args, body):
+    text = "\n".join([" ".join([header, *head_args]), *body])
+    for parse in (parse_algebra_file, parse_group_file):
+        try:
+            parse(text)
+        except ToolError:
+            pass
+
+
+def test_exact_product_with_huge_multiplicity(capsys, a1_spec):
+    mult, N = 10 ** 8, 10
+    t0 = time.monotonic()
+    rc, payload, _ = run(capsys, ["zeta", "product", a1_spec([(5, mult)]), "--N", str(N)])
+    assert time.monotonic() - t0 < 10
+    assert rc == 0
+    # closed form: (1 + g)^mult = sum_j C(mult, j) g^j, and g^4 = 0 below 16
+    g = TruncatedDirichlet.from_degree_multiset(sl2_degrees(5), N)
+    g.coeffs[1] = 0
+    want = [0] * (N + 1)
+    want[1] = 1
+    power = TruncatedDirichlet.identity(N)
+    for j in range(1, 4):
+        power = dirichlet_product(power, g)
+        for n, c in enumerate(power.coeffs):
+            want[n] += math.comb(mult, j) * c
+    assert payload["checkpoints"] == [[n, sum(want[1:n + 1])] for n in range(1, N + 1)]

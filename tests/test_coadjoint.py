@@ -17,7 +17,7 @@ from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional,
                                  orthonormality_check, radical,
                                  transitivity_check,
                                  verify_induced_matches_orbit)
-from orbitzeta.errors import BudgetError, ValidationError
+from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 
 
 # ------------------------------------------------------ cyclotomic values --
@@ -137,9 +137,9 @@ def test_orbit_size_and_radical_at_e13_dual():
     lam = (0, 0, 1)
     assert orbit_size(alg, lam) == 9
     assert fake_degree(alg, lam) == 3
-    prime_rows, fq_rows = radical(alg, lam)
-    assert len(fq_rows) == 1
-    assert tuple(int(c.code) for c in fq_rows[0]) == (0, 0, 1)
+    rows = radical(alg, lam)
+    assert len(rows) // alg.field.e == 1
+    assert rows[0] == (0, 0, 1)
     # trivial functional: radical is everything, orbit is a point
     assert orbit_size(alg, (0, 0, 0)) == 1
 
@@ -242,3 +242,12 @@ def test_census_budget():
     with pytest.raises(BudgetError):
         orbit_census(corpus.unitriangular(3, 3),
                      budgets=Budgets(dual_census_max=8))
+
+
+def test_radical_closure_check_needs_omega_invariance():
+    from orbitzeta.coadjoint import _require_fq_closed
+
+    alg = corpus.unitriangular(3, 2, 2)  # prime basis (e12, w e12, e23, w e23, e13, w e13)
+    _require_fq_closed(alg, [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)], "F_4 e13")
+    with pytest.raises(InternalInconsistencyError):
+        _require_fq_closed(alg, [(0, 0, 0, 0, 1, 0)], "F_2 e13")

@@ -71,9 +71,9 @@ def test_zero_algebra():
 
 
 def test_derived_lie_subspace_dims():
-    u3 = corpus.unitriangular(3, 3)
-    rows, _ = u3.derived_lie_subspace()
-    assert len(rows) == 1  # span of e13
+    for u3 in (corpus.unitriangular(3, 3), corpus.unitriangular(3, 2, 2)):
+        rows, _ = u3.derived_lie_subspace()
+        assert len(rows) // u3.field.e == 1  # span of e13
     abelian = corpus.augmentation_ideal("C4", 2)
     rows, _ = abelian.derived_lie_subspace()
     assert rows == []
@@ -119,6 +119,9 @@ def test_structure_constant_validation():
     # x*x = x is not nilpotent
     with pytest.raises(ValidationError):
         NilAlgebra(f, 1, {(0, 0): ((0, one),)})
+    # the dense n^3 structure tensor is capped at n = 128
+    with pytest.raises(ValidationError):
+        NilAlgebra(f, 129, {})
     # a nonassociative table: b0*b0 = b1, b0*b1 = b2 = 0-dim... use dim 3
     with pytest.raises(ValidationError):
         NilAlgebra(f, 3, {(0, 0): ((1, one),), (1, 0): ((2, one),)})
@@ -134,7 +137,10 @@ def test_subalgebra_closure():
     u3 = corpus.unitriangular(3, 2)
     v = u3.basis_vector(0) + u3.basis_vector(1)
     with pytest.raises(ValidationError):
-        u3.subalgebra([v.coeffs])
+        u3.subalgebra([v.flat()])
+    # F_2 e13 inside u3(F_4) is closed under products but not under F_4 scaling
+    with pytest.raises(ValidationError):
+        corpus.unitriangular(3, 2, 2).subalgebra([(0, 0, 0, 0, 1, 0)])
 
 
 def test_refine_to_flag():
@@ -172,15 +178,40 @@ def test_unitriangular_needs_n_at_least_two():
 
 
 def test_flag_members_are_two_sided_ideals():
-    from orbitzeta.linalg import in_span_fq
-    from orbitzeta.nilalg import AlgVector
+    from orbitzeta.linalg import rref_mod_p
 
     for alg in (corpus.unitriangular(3, 3), corpus.unitriangular(4, 2),
                 corpus.augmentation_ideal("D8", 2)):
         basis = [alg.basis_vector(i) for i in range(alg.dim)]
         for rows, piv in alg.refine_to_flag():
             for row in rows:
-                v = AlgVector(alg, row)
+                v = alg.from_flat(row)
                 for b in basis:
-                    assert in_span_fq(rows, piv, (b * v).coeffs)
-                    assert in_span_fq(rows, piv, (v * b).coeffs)
+                    for prod in (b * v, v * b):
+                        assert rref_mod_p(rows + [prod.flat()], alg.field.p) == (rows, piv)
+
+
+def _big_constant_algebra():
+    # b_i b_j = c_ij b_4 for i, j < 4 with c_ij near p = 1048573, the largest
+    # prime below 2^20; every triple product vanishes, so it is associative
+    f = make_field(1048573)
+    table = {(i, j): ((4, f.from_int(-1 - i - 4 * j)),) for i in range(4) for j in range(4)}
+    return NilAlgebra(f, 5, table, name="big-constants")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: corpus.unitriangular(3, 2, 2),
+    lambda: corpus.unitriangular(3, 3, 2),
+    lambda: corpus.augmentation_ideal("C9", 3),
+    _big_constant_algebra,
+], ids=["u3_F4", "u3_F9", "I_F3_C9", "p1048573"])
+def test_structure_tensor_matches_multiply(make):
+    alg = make()
+    rng = random.Random(alg.dim)
+    codes = alg.field.q ** alg.dim
+    # the all-(p-1) pair makes every term of an unreduced contraction ~2^60
+    top = alg.from_flat([alg.field.p - 1] * (alg.dim * alg.field.e))
+    xs = [top] + [alg.unpack(rng.randrange(codes)) for _ in range(40)]
+    ys = [top] + [alg.unpack(rng.randrange(codes)) for _ in range(40)]
+    got = alg._mul_rows([x.flat() for x in xs], [y.flat() for y in ys])
+    assert [tuple(r) for r in got.tolist()] == [(x * y).flat() for x, y in zip(xs, ys)]

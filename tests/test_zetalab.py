@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,18 @@ def test_integer_root_exact():
         integer_root(-1, 2)
     with pytest.raises(ValidationError):
         integer_root(4, 0)
+    # far beyond float range: no float step, no OverflowError
+    x = 2 ** 1100
+    r = integer_root(x, 3)
+    assert r ** 3 <= x < (r + 1) ** 3
+
+
+def test_synthetic_power_series_huge_exponent():
+    t0 = time.monotonic()
+    series = synthetic_power_series(Fraction(801, 2), 10)
+    assert time.monotonic() - t0 < 5
+    assert [sum(series.coeffs[1:n + 1]) for n in range(1, 11)] == \
+        [math.isqrt(n ** 801) for n in range(1, 11)]
 
 
 def test_synthetic_power_series_partial_counts():

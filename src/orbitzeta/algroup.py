@@ -9,6 +9,7 @@ on J, so orbit computations run on integer coordinate arrays.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -122,31 +123,48 @@ class OrbitPartition:
 
 
 def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
+    """Orbits of the group generated by perms on 0..n_points-1.
+
+    Min-label propagation with pointer jumping: every label points at a
+    point of the same orbit and never rises.  Along each edge x -> perm[x]
+    the points both ends point at take the smaller of the two labels, and
+    pointer jumping (the label of the label) then flattens every chain, so
+    a long cycle merges in one round.  At the fixed point every label is
+    the least index of its orbit.
+    """
     idx = np.arange(n_points, dtype=np.int64)
     if all(np.array_equal(perm, idx) for perm in perms):
-        # every point is fixed; skip the per-seed search
+        # every point is fixed; skip the propagation
         return OrbitPartition(idx.copy(), list(range(n_points)), [1] * n_points)
-    labels = np.full(n_points, -1, dtype=np.int64)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for seed in range(n_points):
-        if labels[seed] >= 0:
-            continue
-        cid = len(reps)
-        labels[seed] = cid
-        frontier = np.array([seed], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            imgs = np.unique(np.concatenate([perm[frontier] for perm in perms]))
-            new = imgs[labels[imgs] < 0]
-            labels[new] = cid
-            size += int(new.size)
-            frontier = new
-        reps.append(seed)
-        sizes.append(size)
-    if sum(sizes) != n_points:
+    labels, prev = idx.copy(), None
+    while not np.array_equal(labels, prev):
+        prev = labels.copy()
+        for perm in perms:
+            ends = labels.copy(), labels[perm]
+            smaller = np.minimum(*ends)
+            for end in ends:
+                np.minimum.at(labels, end, smaller)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+    reps, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if int(sizes.sum()) != n_points:
         raise InternalInconsistencyError("orbit sizes do not partition the point set")
-    return OrbitPartition(labels, reps, sizes)
+    return OrbitPartition(labels, reps.tolist(), sizes.tolist())
+
+
+def _close(mask: np.ndarray, perms: list[np.ndarray], frontier: np.ndarray) -> None:
+    """Mark in mask the frontier, unmarked points without repeats, and
+    everything perms reach from it."""
+    while frontier.size:
+        mask[frontier] = True
+        fresh = []
+        for perm in perms:
+            img = perm[frontier]
+            img = img[~mask[img]]
+            mask[img] = True
+            fresh.append(img)
+        frontier = np.concatenate(fresh)
 
 
 class AlgebraGroup:
@@ -177,8 +195,6 @@ class AlgebraGroup:
         # uses _generators(), which extends this seed set until the subgroup
         # closure is everything.
         self.prime_generators = np.eye(self.n, dtype=np.int64)
-        self._conj_mats = [self._conjugation_matrix(g) for g in self.prime_generators]
-        self._conj_mats_inv = [self.dual_matrix_for(g) for g in self.prime_generators]
         self._spot_check_linearity()
 
     # ---------------------------------------------------------- helpers --
@@ -251,8 +267,8 @@ class AlgebraGroup:
 
     def _spot_check_linearity(self) -> None:
         rng = random.Random(_SPOT_SEED ^ self.N)
-        for g, mat in list(zip(self.prime_generators, self._conj_mats))[:4]:
-            gv = self.alg.from_flat(g)
+        for g in self.prime_generators[:4]:
+            mat, gv = self._conjugation_matrix(g), self.alg.from_flat(g)
             for _ in range(2):
                 v = self.alg.unpack(rng.randrange(self.N))
                 direct = self.vector_digits(gconj(v, gv))
@@ -261,93 +277,100 @@ class AlgebraGroup:
                     raise InternalInconsistencyError(
                         "conjugation matrix disagrees with direct conjugation")
 
-    # ------------------------------------------------------- generators --
-
-    def _digits_of(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.empty((codes.size, self.n), dtype=np.int64)
-        for t in range(self.n):
-            out[:, t] = (codes // self.powers[t]) % self.p
-        return out
-
-    def _closure_mask(self, gens: np.ndarray) -> np.ndarray:
-        """Membership mask of the subgroup generated by gens, by packed code."""
-        mask = np.zeros(self.N, dtype=bool)
-        mask[0] = True
-        frontier = np.zeros((1, self.n), dtype=np.int64)
-        while frontier.size:
-            new_codes = []
-            for y in gens:
-                packed = self.pack_digits(self.bulk_gmul(frontier, y))
-                fresh = np.unique(packed[~mask[packed]])
-                if fresh.size:
-                    mask[fresh] = True
-                    new_codes.append(fresh)
-            frontier = (self._digits_of(np.concatenate(new_codes))
-                        if new_codes else np.empty((0, self.n), dtype=np.int64))
-        return mask
-
-    def _generators(self) -> np.ndarray:
-        """A verified generating set of 1+J as digit rows, seeded with 1 + omega^m b_i."""
-        if self._gens is None:
-            gens = self.prime_generators
-            eye = np.eye(self.n, dtype=np.int64)
-            if all(np.array_equal(m, eye) for m in self._conj_mats):
-                # 1 + b_i central for a basis forces J commutative, so every
-                # conjugation is trivial and any seed set serves the orbits
-                self._gens = gens
-            else:
-                check_budget(self.budgets, "group_enumeration_max", self.N)
-                while True:
-                    mask = self._closure_mask(gens)
-                    if mask.all():
-                        break
-                    # each coset representative at least doubles the closure
-                    gens = np.vstack([gens, self._digits_of([np.flatnonzero(~mask)[0]])])
-                self._gens = gens
-        return self._gens
-
-    def _generator_matrices(self):
-        if self._gen_mats is None:
-            gens = self._generators()
-            mats = list(self._conj_mats)
-            mats_inv = list(self._conj_mats_inv)
-            for g in gens[len(self.prime_generators):]:
-                mats.append(self._conjugation_matrix(g))
-                mats_inv.append(self.dual_matrix_for(g))
-            self._gen_mats = (mats, mats_inv)
-        return self._gen_mats
-
     # ------------------------------------------------------ permutations --
+
+    def affine_perm(self, mat, shift=None) -> np.ndarray:
+        """Packed codes of (x @ mat + shift) % p for every point x, in code order.
+
+        Digit doubling: the points below p^(t+1) with digit d at t are the
+        points below p^t plus d e_t, so their images are the images below
+        p^t plus d * mat[t], reduced once.  Digits on the way stay below
+        2p - 1, which the unsigned digit dtype holds; it then has at least
+        2p values, so for a digit x < p the difference x - p wraps above x
+        and min(x, x - p) is x mod p.
+        """
+        check_budget(self.budgets, "group_enumeration_max", self.N)
+        p, n = self.p, self.n
+        mat = np.asarray(mat, dtype=np.int64) % p
+        digits = np.empty((self.N, n), dtype=np.min_scalar_type(2 * p - 2))
+        digits[0] = 0 if shift is None else np.asarray(shift, dtype=np.int64) % p
+        multiples = np.arange(1, p, dtype=np.int64)[:, None, None]
+        size = 1
+        for t in range(n):
+            block = digits[size:p * size].reshape(p - 1, size, n)
+            np.add(digits[:size], (multiples * mat[t] % p).astype(digits.dtype), out=block)
+            np.minimum(block, block - p, out=block)
+            size *= p
+        return self.pack_digits(digits)
+
+    def right_mul_perm(self, y) -> np.ndarray:
+        """x -> (1+x)(1+y) on packed codes: x (1 + R_y) + y."""
+        y = np.asarray(y, dtype=np.int64)
+        return self.affine_perm(np.eye(self.n, dtype=np.int64) + self._right_mul_matrix(y), y)
 
     def group_perms(self) -> list[np.ndarray]:
         """Permutations of packed J-coordinates: x -> x^g per generator."""
         if self._group_perms is None:
-            X = self.digit_rows().astype(np.int64)
             mats, _ = self._generator_matrices()
-            perms = []
-            for mat in mats:
-                imgs = (X @ mat.T) % self.p
-                perms.append(imgs @ self.powers)
-            self._group_perms = perms
+            self._group_perms = [self.affine_perm(mat.T) for mat in mats]
         return self._group_perms
 
     def dual_perms(self) -> list[np.ndarray]:
         """Permutations of packed dual coordinates under the coadjoint action.
 
         lambda^g(a) = lambda(a^(g^-1)), i.e. row vectors act through the
-        conjugation matrix of the inverse.
+        conjugation matrix of the inverse: lambda -> lambda @ M.
         """
         if self._dual_perms is None:
             check_budget(self.budgets, "dual_census_max", self.N)
-            X = self.digit_rows().astype(np.int64)
             _, mats_inv = self._generator_matrices()
-            perms = []
-            for mat in mats_inv:
-                imgs = (X @ mat) % self.p   # row action: lambda @ M == (M.T @ l)
-                perms.append(imgs @ self.powers)
-            self._dual_perms = perms
+            self._dual_perms = [self.affine_perm(mat) for mat in mats_inv]
         return self._dual_perms
+
+    # ------------------------------------------------------- generators --
+
+    def _adjoin(self, mask: np.ndarray, perms: list[np.ndarray], g) -> None:
+        """Grow mask, the subgroup generated by the right multiplications in
+        perms, by the generator 1+g, which must lie outside it.
+
+        The new subgroup contains the coset mask * (1+g), which is disjoint
+        from mask, so the closure continues from that coset."""
+        perm = self.right_mul_perm(g)
+        perms.append(perm)
+        _close(mask, perms, perm[mask])
+
+    def _generators(self) -> np.ndarray:
+        """A verified generating set of 1+J as digit rows: those seeds
+        1 + omega^m b_i that the earlier ones do not generate, then least
+        coset representatives until the closure is everything."""
+        if self._gens is None:
+            T = self.alg.T
+            if np.array_equal(T, T.transpose(1, 0, 2)):
+                # J commutative: every conjugation is trivial and any seed
+                # set serves the orbits
+                self._gens = self.prime_generators
+            else:
+                check_budget(self.budgets, "group_enumeration_max", self.N)
+                mask = np.zeros(self.N, dtype=bool)
+                mask[0] = True
+                perms: list[np.ndarray] = []
+                chosen = []
+                # the seeds at codes p^t, then the least non-member until
+                # argmin finds none and returns 0; each coset representative
+                # at least doubles the closure
+                for code in itertools.chain(self.powers, iter(lambda: int(np.argmin(mask)), 0)):
+                    if not mask[code]:
+                        chosen.append(self.digit_rows()[code])
+                        self._adjoin(mask, perms, chosen[-1])
+                self._gens = np.array(chosen, dtype=np.int64)
+        return self._gens
+
+    def _generator_matrices(self):
+        if self._gen_mats is None:
+            gens = self._generators()
+            self._gen_mats = ([self._conjugation_matrix(g) for g in gens],
+                              [self.dual_matrix_for(g) for g in gens])
+        return self._gen_mats
 
     # ----------------------------------------------------------- classes --
 
@@ -368,14 +391,6 @@ class AlgebraGroup:
 
     # ------------------------------------------------- derived subgroup --
 
-    def bulk_gmul(self, digits: np.ndarray, y) -> np.ndarray:
-        """(1+x)(1+y) rowwise for x over digit rows, fixed y (an AlgVector
-        or a prime coordinate row)."""
-        if isinstance(y, AlgVector):
-            y = self.vector_digits(y)
-        X = digits.astype(np.int64)
-        return (X + y + X @ self._right_mul_matrix(y)) % self.p
-
     def commutator_subgroup_packed(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
         gens = self._generators()
@@ -385,39 +400,21 @@ class AlgebraGroup:
         comms = self._gmul_rows(
             self._gmul_rows(np.repeat(inv, k, axis=0), np.tile(inv, (k, 1))),
             self._gmul_rows(np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))))
-        base = {int(c) for c in self.pack_digits(comms) if c}
+        base = np.setdiff1d(self.pack_digits(comms), [0])
         # normal closure of the commutators under generator conjugation
-        conj_mats, _ = self._generator_matrices()
-        genset: set[int] = set()
-        stack = list(base)
-        while stack:
-            xpk = stack.pop()
-            if xpk in genset:
-                continue
-            genset.add(xpk)
-            check_budget(self.budgets, "closure_max", len(genset))
-            xd = self._digits_of([xpk])
-            for mat in conj_mats:
-                img = int(self.pack_digits((xd @ mat.T) % self.p)[0])
-                if img not in genset:
-                    stack.append(img)
-        gvecs = self._digits_of(sorted(genset))
-        members = {0}
-        frontier = np.zeros((1, self.n), dtype=np.int64)
-        while frontier.size:
-            new_rows = []
-            for y in gvecs:
-                prods = self.bulk_gmul(frontier, y)
-                packed = self.pack_digits(prods)
-                for row, pk in zip(prods, packed):
-                    pk = int(pk)
-                    if pk not in members:
-                        members.add(pk)
-                        new_rows.append(row)
-            check_budget(self.budgets, "closure_max", len(members))
-            frontier = (np.array(new_rows, dtype=np.int64)
-                        if new_rows else np.empty((0, self.n), dtype=np.int64))
-        out = np.array(sorted(members), dtype=np.int64)
+        normal = np.zeros(self.N, dtype=bool)
+        if base.size:
+            _close(normal, self.group_perms(), base)
+        check_budget(self.budgets, "closure_max", int(normal.sum()))
+        # the subgroup they generate: adjoin each one not yet inside
+        members = np.zeros(self.N, dtype=bool)
+        members[0] = True
+        perms: list[np.ndarray] = []
+        for code in np.flatnonzero(normal):
+            if not members[code]:
+                self._adjoin(members, perms, self.digit_rows()[code])
+        out = np.flatnonzero(members)
+        check_budget(self.budgets, "closure_max", int(out.size))
         if self.N % out.size:
             raise InternalInconsistencyError("derived subgroup size does not divide |1+J|")
         return out

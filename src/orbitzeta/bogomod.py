@@ -12,28 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, ValidationError
-from .ffield import is_prime, make_field
+from .ffield import _poly_mul, _trim, is_prime, make_field, prime_power_decompose
 from .grouptab import FiniteGroupTable
 
 
 # ------------------------------------------------------- poly arithmetic --
-
-def _trim(poly: list[int]) -> list[int]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_mul(a, b, mod: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return _trim(out)
-
 
 def _poly_sub(a, b, mod: int) -> list[int]:
     out = [0] * max(len(a), len(b))
@@ -199,15 +182,15 @@ class MqPresentation:
 def build_mq(group: FiniteGroupTable, p: int, e: int,
              frobenius: list[list[int]] | None = None) -> MqPresentation:
     """Relation matrix of M_q(pi) over Z/p^v, p^v = p*exp(pi)."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    # the order test first: it bounds p by |pi| unless pi is trivial, and
+    # trial division up to sqrt(p) would not end for a huge p
     m = group.order
-    a = 0
-    while m % p == 0:
+    while p > 1 and m % p == 0:
         m //= p
-        a += 1
     if m != 1:
         raise ValidationError(f"group of order {group.order} is not a {p}-group")
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     exponent = group.exponent()
     t = 0
     while exponent > 1:
@@ -360,18 +343,10 @@ def verify_filtration(pres: MqPresentation, group: FiniteGroupTable) -> dict:
 
 def predicted_ab_order(group: FiniteGroupTable, q: int, b0_order: int) -> int:
     """q^(k(pi)-1) * |B_0(pi)|: the predicted |(1+I_(F_q))_ab|."""
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None or not is_prime(p):
+    pp = prime_power_decompose(q)
+    if pp is None:
         raise ValidationError(f"{q} is not a prime power")
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if qq != 1:
-        raise ValidationError(f"{q} is not a prime power")
+    p = pp[0]
     m = group.order
     while m % p == 0:
         m //= p

@@ -9,17 +9,18 @@ degrees and the exact cyclotomic character values all live here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algroup import AlgebraGroup, OrbitPartition
+from .algroup import AlgebraGroup, OrbitPartition, orbit_partition
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import (nullspace_mod_p, rank_nullspace_mod2_packed, reduce_mod_p,
-                     rref_mod_p)
+from .linalg import (nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p,
+                     rref_mod_p, rref_stack_mod_p)
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -218,14 +219,30 @@ def radical_of(alg: NilAlgebra, lam_digits):
     n, p = K.shape[0], alg.field.p
     if not K.any():
         return 0, _full_rows(n)
-    if p == 2:
-        packed = [int(r) for r in (K @ (1 << np.arange(n, dtype=np.int64)))]
-        rank, null_packed = rank_nullspace_mod2_packed(packed, n)
-        rows = sorted((tuple((v >> j) & 1 for j in range(n)) for v in null_packed),
-                      reverse=True)
-        return rank, rows
     rows = nullspace_mod_p(K, n, p)
     return n - len(rows), rows
+
+
+# Gram matrices per batched elimination: bounds the n x n stacks in memory
+_RADICAL_BATCH = 1024
+
+
+def _radicals_by_row(alg: NilAlgebra, lam_rows):
+    """(rank, prime echelon rows of Rad B_lambda, whether they are F_q-closed)
+    for each dual row, as radical_of gives them, from one batched
+    elimination per _RADICAL_BATCH rows."""
+    p, n = alg.field.p, alg.dim * alg.field.e
+    for lo in range(0, len(lam_rows), _RADICAL_BATCH):
+        lam_prod = np.tensordot(np.asarray(lam_rows[lo:lo + _RADICAL_BATCH], dtype=np.int64),
+                                alg.T, axes=([1], [2])) % p      # lambda(b_s b_t)
+        ranks, rads = nullspace_stack_mod_p((lam_prod - lam_prod.transpose(0, 2, 1)) % p, p)
+        closed = np.ones(len(ranks), dtype=bool)
+        if alg.field.e > 1:
+            # F_q-closed: adding the omega-multiples of the rows keeps the rank
+            spans = np.concatenate([rads, rads @ alg.omega % p], axis=1)
+            closed = rref_stack_mod_p(spans, p)[1] == n - ranks
+        for rank, rad, ok in zip(ranks.tolist(), rads, closed.tolist()):
+            yield rank, tuple(map(tuple, rad[:n - rank].tolist())), ok
 
 
 def _full_rows(n: int) -> list[tuple[int, ...]]:
@@ -277,27 +294,23 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     eng = engine_for(alg, budgets)
     check_budget(budgets, "dual_census_max", eng.N)
     part = eng.dual_orbits()
-    X = eng.digit_rows()
-    q, e = alg.field.q, alg.field.e
+    p, q, e = eng.p, alg.field.q, alg.field.e
     derived_rows, _ = alg.derived_lie_subspace()
-    full_rows = tuple(_full_rows(eng.n))
+    if derived_rows:
+        radicals = _radicals_by_row(alg, eng.digit_rows()[part.reps])
+    else:
+        radicals = itertools.repeat((0, tuple(_full_rows(eng.n)), True))
     records = []
-    for rep, size in zip(part.reps, part.sizes):
-        if not derived_rows:
-            rank, rad_rows = 0, full_rows
-        else:
-            rank, rad_rows = radical_of(alg, X[rep])
-            rad_rows = tuple(rad_rows)
-        if eng.p ** rank != size:
+    for rep, size, (rank, rad_rows, closed) in zip(part.reps, part.sizes, radicals):
+        if p ** rank != size:
             raise InternalInconsistencyError(
-                f"orbit size {size} != |J|/|Rad| = {eng.p ** rank} at dual {rep}")
+                f"orbit size {size} != |J|/|Rad| = {p ** rank} at dual {rep}")
         if rank % (2 * e):
             raise InternalInconsistencyError(
                 f"orbit size {size} is not an even power of q at dual {rep}")
-        fake = q ** (rank // (2 * e))
-        if e > 1:
-            _require_fq_closed(alg, rad_rows, f"radical at dual {rep}")
-        records.append(OrbitRecord(int(rep), size, fake, rad_rows))
+        if not closed:
+            raise InternalInconsistencyError(f"radical at dual {rep} is not F_q-closed")
+        records.append(OrbitRecord(int(rep), size, q ** (rank // (2 * e)), rad_rows))
     fixed = sum(1 for s in part.sizes if s == 1)
     expected_fixed = eng.p ** (eng.n - len(derived_rows))
     if fixed != expected_fixed:
@@ -676,22 +689,11 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     ann = nullspace_mod_p(rows, eng.n, p)
     lamv = np.asarray(lam, dtype=np.int64)
     coset = (_span_points(ann, p) + lamv) % p if ann else lamv[None, :]
-    coset_packed = set(int(x) for x in coset @ eng.powers)
     # orbit of lambda under the group generated by 1 + (prime basis of H)
-    mats = [eng.dual_matrix_for(row) for row in rows]
-    seen = {int(lamv @ eng.powers)}
-    frontier = [np.asarray(lam, dtype=np.int64)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for M in mats:
-                w = (v @ M) % p
-                code = int(w @ eng.powers)
-                if code not in seen:
-                    seen.add(code)
-                    nxt.append(w)
-        frontier = nxt
-    if seen != coset_packed:
+    labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(row)) for row in rows],
+                             eng.N).labels
+    orbit = np.flatnonzero(labels == labels[lamv @ eng.powers])
+    if not np.array_equal(orbit, np.unique(coset @ eng.powers)):
         raise InternalInconsistencyError(
             "1+H orbit does not exhaust the agreeing functionals")
     return True

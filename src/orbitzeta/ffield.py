@@ -10,6 +10,7 @@ least significant.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product as _iter_product
 
@@ -26,6 +27,25 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power_decompose(n: int):
+    """(p, e) with n = p^e, or None."""
+    if n < 2:
+        return None
+    p = None
+    m = n
+    for cand in range(2, math.isqrt(n) + 1):
+        if m % cand == 0:
+            p = cand
+            break
+    if p is None:
+        return (n, 1)
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return (p, e) if m == 1 else None
 
 
 def _trim(coeffs: list[int]) -> list[int]:

@@ -75,40 +75,62 @@ def reduce_mod_p(echelon_rows, pivots, vecs, p: int) -> np.ndarray:
     return (vecs - (vecs[..., pivots] @ ech) % p) % p
 
 
-# ------------------------------------------------------- mod 2, packed ----
+# ------------------------------------------------------------- stacks ----
 
-def rank_nullspace_mod2_packed(rows_packed: list[int], ncols: int):
-    """Rank and nullspace basis for a mod-2 matrix with rows packed as ints.
+def rref_stack_mod_p(mats, p: int):
+    """Reduced row echelon forms over Z/p of a stack of matrices (B, m, n).
 
-    Bit i of a row is column i. Returns (rank, nullspace_rows_packed).
+    One elimination runs on the whole stack, column by column, in the least
+    unsigned dtype that holds x + y*z for residues x, y, z.  Returns (ech,
+    ranks, is_pivot): ech[b] is the reduced echelon form of mats[b] with its
+    ranks[b] nonzero rows on top, and is_pivot[b, c] marks the pivot columns.
+    Input unchanged.
     """
-    rows = [r for r in rows_packed]
-    pivots: list[int] = []
-    basis: list[int] = []
-    for col in range(ncols):
-        mask = 1 << col
-        pivot = None
-        for idx, r in enumerate(rows):
-            if r & mask and (pivot is None):
-                pivot = idx
-        if pivot is None:
+    dtype = np.min_scalar_type(p * p - 1)
+    ech = (np.array(mats, dtype=np.int64) % p).astype(dtype)
+    nmat, m, n = ech.shape
+    ranks = np.zeros(nmat, dtype=np.int64)
+    is_pivot = np.zeros((nmat, n), dtype=bool)
+    below = np.arange(m)
+    for col in range(n):
+        live = (ech[:, :, col] != 0) & (below >= ranks[:, None])
+        b = np.flatnonzero(live.any(axis=1))
+        if not b.size:
             continue
-        pr = rows.pop(pivot)
-        for idx, r in enumerate(rows):
-            if r & mask:
-                rows[idx] = r ^ pr
-        basis.append(pr)
-        pivots.append(col)
-    rank = len(pivots)
-    # back substitution for the kernel
-    null_rows = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = 1 << fc
-        # solve for pivot coordinates against the echelon rows, bottom up
-        for row, pc in sorted(zip(basis, pivots), key=lambda t: -t[1]):
-            # parity of row . vec determines the pc coordinate
-            if bin(row & vec).count("1") % 2:
-                vec ^= 1 << pc
-        null_rows.append(vec)
-    return rank, null_rows
+        row, src = ranks[b], live[b].argmax(axis=1)
+        lead = ech[b, src]
+        ech[b, src] = ech[b, row]
+        distinct, where = np.unique(lead[:, col], return_inverse=True)  # one pow each
+        inv = np.array([pow(int(v), -1, p) for v in distinct], dtype=dtype)[where]
+        pivot_row = np.zeros((nmat, n), dtype=dtype)
+        pivot_row[b] = lead * inv[:, None] % p
+        ech[b, row] = pivot_row[b]
+        # add (p - factor) times the pivot row to every other row; a matrix
+        # without a pivot in this column has a zero pivot row
+        negated = (p - ech[:, :, col]) % p
+        negated[b, row] = 0
+        ech += negated[:, :, None] * pivot_row[:, None, :]
+        np.remainder(ech, p, out=ech)
+        is_pivot[b, col] = True
+        ranks[b] += 1
+    return ech.astype(np.int64), ranks, is_pivot
+
+
+def nullspace_stack_mod_p(mats, p: int):
+    """Kernels over Z/p of a stack of matrices (B, m, n).
+
+    Returns (ranks, kernels): kernels[b, :n - ranks[b]] is the reduced echelon
+    basis of {x : mats[b] x = 0}, the same rows nullspace_mod_p gives, and
+    the rows below it are zero.
+    """
+    ech, ranks, is_pivot = rref_stack_mod_p(mats, p)
+    nmat, _, n = ech.shape
+    # placed[b, c] is the echelon row of mats[b] whose pivot is column c
+    placed = np.zeros((nmat, n, n), dtype=np.int64)
+    bi, ci = np.nonzero(is_pivot)
+    ri = np.arange(bi.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+    placed[bi, ci] = ech[bi, ri]
+    # row f: e_f minus the pivot coordinates forced by x_f = 1, for each free
+    # column f; the rows at pivot columns vanish
+    free = (np.eye(n, dtype=np.int64) - placed.transpose(0, 2, 1)) % p
+    return ranks, rref_stack_mod_p(free, p)[0]

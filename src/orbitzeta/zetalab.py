@@ -13,26 +13,7 @@ from functools import lru_cache
 
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .ffield import is_prime
-
-
-def prime_power_decompose(n: int):
-    """(p, e) with n = p^e, or None."""
-    if n < 2:
-        return None
-    p = None
-    m = n
-    for cand in range(2, math.isqrt(n) + 1):
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return (n, 1)
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
+from .ffield import is_prime, prime_power_decompose
 
 
 # ------------------------------------------------------------ Lie types --

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitzeta import corpus
 from orbitzeta.algroup import (AlgebraGroup, bch, enumerate_group_elements,
@@ -99,6 +101,41 @@ def test_orbit_partition_cycle():
     assert part.labels[3] != part.labels[0]
 
 
+def _orbit_partition_bfs(perms, n_points):
+    """Reference: one breadth-first search per unlabelled seed."""
+    labels = np.full(n_points, -1, dtype=np.int64)
+    reps, sizes = [], []
+    for seed in range(n_points):
+        if labels[seed] >= 0:
+            continue
+        cid = len(reps)
+        labels[seed] = cid
+        frontier = np.array([seed], dtype=np.int64)
+        size = 1
+        while frontier.size:
+            imgs = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            new = imgs[labels[imgs] < 0]
+            labels[new] = cid
+            size += int(new.size)
+            frontier = new
+        reps.append(seed)
+        sizes.append(size)
+    return labels, reps, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_orbit_partition_matches_per_seed_bfs(perm_lists):
+    perms = [np.array(perm, dtype=np.int64) for perm in perm_lists]
+    n_points = len(perms[0])
+    part = orbit_partition(perms, n_points)
+    labels, reps, sizes = _orbit_partition_bfs(perms, n_points)
+    assert np.array_equal(part.labels, labels)
+    assert part.reps == reps
+    assert part.sizes == sizes
+
+
 KNOWN_GROUP_K = [
     ("u3_F2", corpus.unitriangular(3, 2), 5),
     ("u3_F3", corpus.unitriangular(3, 3), 11),
@@ -143,17 +180,29 @@ def test_brute_force_class_count_matches_engine():
         assert g.k() == AlgebraGroup(alg).k()
 
 
-def test_bulk_gmul_matches_scalar():
+def test_right_mul_perm_matches_scalar():
     alg = corpus.unitriangular(3, 3)
     eng = AlgebraGroup(alg)
     rng = random.Random(2)
-    rows = eng.digit_rows()
     for _ in range(10):
         y = random_vectors(alg, rng, 1)[0]
-        out = eng.bulk_gmul(rows, y)
-        packed = eng.pack_digits(out)
+        perm = eng.right_mul_perm(eng.vector_digits(y))
         for i in (0, 1, 5, 11, 26):
-            assert int(packed[i]) == gmul(alg.unpack(i), y).pack()
+            assert int(perm[i]) == gmul(alg.unpack(i), y).pack()
+
+
+@pytest.mark.parametrize("p,dim", [(2, 6), (3, 4), (5, 3), (131, 2)])
+@pytest.mark.parametrize("with_shift", [False, True])
+def test_affine_perm_matches_digit_matmul(p, dim, with_shift):
+    # p = 131: digits on the way reach 2p - 2 = 260, beyond a byte
+    eng = AlgebraGroup(corpus.zero_algebra(dim, p))
+    rng = np.random.default_rng(p * 10 + with_shift)
+    mat = rng.integers(0, p, (dim, dim))
+    shift = rng.integers(0, p, dim) if with_shift else np.zeros(dim, dtype=np.int64)
+    digits = eng.digit_rows().astype(np.int64)
+    want = ((digits @ mat + shift) % p) @ eng.powers
+    got = eng.affine_perm(mat, shift if with_shift else None)
+    assert np.array_equal(got, want)
 
 
 def test_abelianization_orders():

@@ -407,6 +407,17 @@ def test_non_integer_tokens_exit_2(tmp_path, argv, name, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_mq_compute_with_huge_prime_exits_2_quickly(group_file):
+    # the order test must reject p before primality is tried by trial division
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", "mq", "compute",
+                           group_file("C3"), "--p", "1000000000000000003"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _WORDS = st.sampled_from(["alg", "cayley", "pc", "pow", "comm", ":", "x", "two", "1.5",
                           "-", "0x3"])
 _LINES = st.lists(st.lists(st.one_of(st.integers(-2, 9).map(str), _WORDS), max_size=5)

@@ -14,10 +14,11 @@ from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional,
                                  induced_character_values, inner_product,
                                  max_isotropic_subalgebra, orbit_census,
                                  orbit_method_character, orbit_size,
-                                 orthonormality_check, radical,
+                                 orthonormality_check, radical, radical_of,
                                  transitivity_check,
                                  verify_induced_matches_orbit)
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
+from orbitzeta.linalg import rref_mod_p
 
 
 # ------------------------------------------------------ cyclotomic values --
@@ -114,6 +115,31 @@ def test_census_abelian():
     zero = orbit_census(corpus.zero_algebra(3, 2))
     assert zero.count == 8
     assert zero.fixed_points == 8
+
+
+@pytest.mark.parametrize("alg", corpus.duality_corpus(), ids=lambda alg: alg.name)
+def test_census_radicals_match_radical_of(alg):
+    # the census finds every radical in one batched elimination; compare
+    # ranks and spans with the one-matrix route at a seeded sample of reps
+    census = orbit_census(alg)
+    eng = AlgebraGroup(alg)
+    p = alg.field.p
+    records = random.Random(alg.name).sample(census.records, min(48, census.count))
+    for rec in records:
+        rank, rows = radical_of(alg, eng.digit_rows()[rec.rep])
+        assert p ** rank == rec.size
+        assert rref_mod_p(rows, p) == rref_mod_p(rec.radical_prime_rows, p)
+        assert list(rec.radical_prime_rows) == rref_mod_p(rows, p)[0]
+
+
+def test_census_checks_radicals_are_fq_closed(monkeypatch):
+    alg = corpus.unitriangular(3, 2, 2)  # prime basis (e12, w e12, e23, w e23, e13, w e13)
+    alg.derived_lie_subspace()
+    # a stand-in for omega that sends e13 to e12 leaves no radical of a
+    # degree-2 orbit closed, since those radicals are spanned by e13, w e13
+    monkeypatch.setattr(alg, "omega", np.roll(np.eye(6, dtype=np.int64), 2, axis=1))
+    with pytest.raises(InternalInconsistencyError, match="radical at dual .* F_q-closed"):
+        orbit_census(alg)
 
 
 def test_fake_degree_identities_aggregate():

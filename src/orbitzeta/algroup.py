@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
+from .grouptab import (OrbitPartition, _adjoin, _close, _least_non_members,
+                       orbit_partition)
 from .nilalg import AlgVector, NilAlgebra
 
 _SPOT_SEED = 0x11EA5
@@ -108,64 +109,6 @@ def bch(x: AlgVector, y: AlgVector) -> AlgVector:
 
 
 # ------------------------------------------------------ linearized group --
-
-@dataclass
-class OrbitPartition:
-    """Orbit decomposition of 0..N-1 under a set of permutations."""
-
-    labels: np.ndarray          # int64, length N
-    reps: list[int]             # least index per orbit, in discovery order
-    sizes: list[int]
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
-
-
-def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
-    """Orbits of the group generated by perms on 0..n_points-1.
-
-    Min-label propagation with pointer jumping: every label points at a
-    point of the same orbit and never rises.  Along each edge x -> perm[x]
-    the points both ends point at take the smaller of the two labels, and
-    pointer jumping (the label of the label) then flattens every chain, so
-    a long cycle merges in one round.  At the fixed point every label is
-    the least index of its orbit.
-    """
-    idx = np.arange(n_points, dtype=np.int64)
-    if all(np.array_equal(perm, idx) for perm in perms):
-        # every point is fixed; skip the propagation
-        return OrbitPartition(idx.copy(), list(range(n_points)), [1] * n_points)
-    labels, prev = idx.copy(), None
-    while not np.array_equal(labels, prev):
-        prev = labels.copy()
-        for perm in perms:
-            ends = labels.copy(), labels[perm]
-            smaller = np.minimum(*ends)
-            for end in ends:
-                np.minimum.at(labels, end, smaller)
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
-    reps, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if int(sizes.sum()) != n_points:
-        raise InternalInconsistencyError("orbit sizes do not partition the point set")
-    return OrbitPartition(labels, reps.tolist(), sizes.tolist())
-
-
-def _close(mask: np.ndarray, perms: list[np.ndarray], frontier: np.ndarray) -> None:
-    """Mark in mask the frontier, unmarked points without repeats, and
-    everything perms reach from it."""
-    while frontier.size:
-        mask[frontier] = True
-        fresh = []
-        for perm in perms:
-            img = perm[frontier]
-            img = img[~mask[img]]
-            mask[img] = True
-            fresh.append(img)
-        frontier = np.concatenate(fresh)
-
 
 class AlgebraGroup:
     """Vectorized view of 1+J: coordinate arrays, conjugation matrices,
@@ -308,6 +251,9 @@ class AlgebraGroup:
         y = np.asarray(y, dtype=np.int64)
         return self.affine_perm(np.eye(self.n, dtype=np.int64) + self._right_mul_matrix(y), y)
 
+    def _right_mul_code(self, code) -> np.ndarray:
+        return self.right_mul_perm(self.digit_rows()[code])
+
     def group_perms(self) -> list[np.ndarray]:
         """Permutations of packed J-coordinates: x -> x^g per generator."""
         if self._group_perms is None:
@@ -329,16 +275,6 @@ class AlgebraGroup:
 
     # ------------------------------------------------------- generators --
 
-    def _adjoin(self, mask: np.ndarray, perms: list[np.ndarray], g) -> None:
-        """Grow mask, the subgroup generated by the right multiplications in
-        perms, by the generator 1+g, which must lie outside it.
-
-        The new subgroup contains the coset mask * (1+g), which is disjoint
-        from mask, so the closure continues from that coset."""
-        perm = self.right_mul_perm(g)
-        perms.append(perm)
-        _close(mask, perms, perm[mask])
-
     def _generators(self) -> np.ndarray:
         """A verified generating set of 1+J as digit rows: those seeds
         1 + omega^m b_i that the earlier ones do not generate, then least
@@ -353,16 +289,11 @@ class AlgebraGroup:
                 check_budget(self.budgets, "group_enumeration_max", self.N)
                 mask = np.zeros(self.N, dtype=bool)
                 mask[0] = True
-                perms: list[np.ndarray] = []
-                chosen = []
-                # the seeds at codes p^t, then the least non-member until
-                # argmin finds none and returns 0; each coset representative
-                # at least doubles the closure
-                for code in itertools.chain(self.powers, iter(lambda: int(np.argmin(mask)), 0)):
-                    if not mask[code]:
-                        chosen.append(self.digit_rows()[code])
-                        self._adjoin(mask, perms, chosen[-1])
-                self._gens = np.array(chosen, dtype=np.int64)
+                # the seeds at codes p^t, then least non-members; each coset
+                # representative at least doubles the closure
+                codes = _adjoin(mask, self._right_mul_code,
+                                itertools.chain(self.powers, _least_non_members(mask)))
+                self._gens = self.digit_rows()[codes].astype(np.int64)
         return self._gens
 
     def _generator_matrices(self):
@@ -409,10 +340,7 @@ class AlgebraGroup:
         # the subgroup they generate: adjoin each one not yet inside
         members = np.zeros(self.N, dtype=bool)
         members[0] = True
-        perms: list[np.ndarray] = []
-        for code in np.flatnonzero(normal):
-            if not members[code]:
-                self._adjoin(members, perms, self.digit_rows()[code])
+        _adjoin(members, self._right_mul_code, np.flatnonzero(normal))
         out = np.flatnonzero(members)
         check_budget(self.budgets, "closure_max", int(out.size))
         if self.N % out.size:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, ValidationError
+from .budgets import Budgets, check_budget, get_budgets
+from .errors import BudgetError, InternalInconsistencyError, ValidationError
 from .ffield import _poly_mul, _trim, is_prime, make_field, prime_power_decompose
 from .grouptab import FiniteGroupTable
 
@@ -180,15 +181,23 @@ class MqPresentation:
 
 
 def build_mq(group: FiniteGroupTable, p: int, e: int,
-             frobenius: list[list[int]] | None = None) -> MqPresentation:
+             frobenius: list[list[int]] | None = None,
+             budgets: Budgets | None = None) -> MqPresentation:
     """Relation matrix of M_q(pi) over Z/p^v, p^v = p*exp(pi)."""
-    # the order test first: it bounds p by |pi| unless pi is trivial, and
-    # trial division up to sqrt(p) would not end for a huge p
     m = group.order
     while p > 1 and m % p == 0:
         m //= p
     if m != 1:
         raise ValidationError(f"group of order {group.order} is not a {p}-group")
+    if e < 1:
+        raise ValidationError("extension degree must be >= 1")
+    # the trivial group passes the order test for every p, and the Frobenius
+    # matrix builds monomials of degree up to (e-1)p: bound q = p^e first,
+    # without forming p^e when e alone puts it past the budget
+    limit = get_budgets(budgets).field_q_max
+    if abs(p) > 1 and e > limit.bit_length():
+        raise BudgetError("field_q_max", f"{p}^{e}", limit)
+    check_budget(budgets, "field_q_max", p**e)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     exponent = group.exponent()
@@ -201,7 +210,7 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
     v = t + 1
     mod = p ** v
     classes = group.conjugacy_classes()
-    k = classes.k
+    k = classes.count
     ident_class = classes.class_of(group.identity)
     nontrivial = [c for c in range(k) if c != ident_class]
     pos = {c: i for i, c in enumerate(nontrivial)}
@@ -355,5 +364,5 @@ def predicted_ab_order(group: FiniteGroupTable, q: int, b0_order: int) -> int:
             f"group order {group.order} does not match characteristic {p}")
     if b0_order < 1:
         raise ValidationError("|B_0| must be a positive integer")
-    k = group.conjugacy_classes().k
+    k = group.conjugacy_classes().count
     return q ** (k - 1) * b0_order

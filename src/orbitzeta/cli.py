@@ -27,7 +27,7 @@ from .budgets import Budgets, get_budgets, parse_budget_config
 from .coadjoint import (character_table, conjecture_probe, engine_for,
                         fake_degree_identities, orbit_census)
 from .errors import InternalInconsistencyError, ToolError, ValidationError
-from .ffield import make_field
+from .ffield import make_field, prime_power_decompose
 from .grouptab import parse_group_file
 from .nilalg import parse_algebra_file
 from .zetalab import (LieTypeSpec, FactorSpec, abscissa_estimate,
@@ -62,17 +62,9 @@ def _effective_budgets(args) -> Budgets:
     return get_budgets(budgets)
 
 
-def _geometric_checkpoints(series, points: int = 32):
-    """(n, R_n) on a geometric grid up to the cutoff, R_n = sum of r_m, m<=n."""
-    grid = sorted({max(1, round(series.N ** (i / (points - 1)))) for i in range(points)})
-    out = []
-    acc = 0
-    prev = 0
-    for n in grid:
-        acc += sum(series.coeffs[prev + 1:n + 1])
-        prev = n
-        out.append((n, acc))
-    return out
+def _checkpoint_grid(N: int) -> list[int]:
+    """32 geometric series checkpoints from 1 up to the cutoff N."""
+    return sorted({max(1, round(N ** (i / 31))) for i in range(32)})
 
 
 def _parse_lie_type(label: str) -> LieTypeSpec:
@@ -125,7 +117,7 @@ def cmd_grouptab(args) -> dict:
     classes = g.conjugacy_classes(budgets)
     return {
         "order": g.order,
-        "k": classes.k,
+        "k": classes.count,
         "class_sizes": sorted(classes.sizes),
         "derived_order": len(g.commutator_subgroup(budgets)),
     }
@@ -203,7 +195,7 @@ def cmd_orbits_probe(args) -> dict:
 def cmd_mq(args) -> dict:
     budgets = _effective_budgets(args)
     g = parse_group_file(_read_text(args.file), budgets)
-    pres = build_mq(g, args.p, args.e)
+    pres = build_mq(g, args.p, args.e, budgets=budgets)
     factors = invariant_factors(pres)
     order = mq_order(pres)
     kk = g.k(budgets)
@@ -233,7 +225,7 @@ def cmd_zeta_product(args) -> dict:
     budgets = _effective_budgets(args)
     spec = _load_factor_spec(args.spec)
     series = product_series(spec, args.N, mode=args.mode, budgets=budgets)
-    checkpoints = _geometric_checkpoints(series)
+    checkpoints = series.partial_counts(_checkpoint_grid(series.N))
     if args.emit_plot_data:
         with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
             fh.write("n,R_n\n")
@@ -334,7 +326,7 @@ def _suite_groups(budgets) -> dict:
         derived = len(g.commutator_subgroup(budgets))
         if g.order % derived:
             raise InternalInconsistencyError(f"{name}: derived order does not divide")
-        rows.append({"name": name, "order": g.order, "k": classes.k,
+        rows.append({"name": name, "order": g.order, "k": classes.count,
                      "derived_order": derived})
     return {"groups": rows}
 
@@ -387,7 +379,7 @@ def _suite_mq(budgets) -> dict:
         rows.append({"name": name, "invariant_factors": got})
     for name in corpus.groups_of_order_le(32):
         g = corpus.group(name)
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         pres = build_mq(g, p, 1)
         if mq_order(pres) != p ** (g.k(budgets) - 1):
             raise InternalInconsistencyError(f"|M_{p}({name})| != p^(k-1)")
@@ -473,7 +465,7 @@ def cmd_export(args) -> dict:
         rows = []
         for name in corpus.groups_of_order_le(32):
             g = corpus.group(name)
-            p = corpus.group_prime(name)
+            p, _ = prime_power_decompose(g.order)
             pres = build_mq(g, p, 1)
             rows.append({"group": name, "p": p, "k": g.k(budgets),
                          "invariant_factors": invariant_factors(pres)})
@@ -486,7 +478,7 @@ def cmd_export(args) -> dict:
         series = product_series(corpus.zeta_products()["sl2_tower_5"], 10000,
                                 budgets=budgets)
         lines = ["n,R_n"]
-        for n, r in _geometric_checkpoints(series):
+        for n, r in series.partial_counts(_checkpoint_grid(series.N)):
             lines.append(f"{n},{r}")
         emit("series_sl2_tower_5.csv", "\n".join(lines) + "\n")
     return {"target": args.target, "format": args.format, "written": written}

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algroup import AlgebraGroup, OrbitPartition, orbit_partition
+from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
+from .grouptab import OrbitPartition, orbit_partition
 from .linalg import (nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p,
                      rref_mod_p, rref_stack_mod_p)
 from .nilalg import AlgVector, NilAlgebra

@@ -239,14 +239,6 @@ def group_names() -> list[str]:
     return list(_GROUP_BUILDERS)
 
 
-def group_prime(name: str) -> int:
-    m = GROUP_ORDERS[name]
-    for p in (2, 3, 5, 7):
-        if m % p == 0:
-            return p
-    raise ValidationError(f"group {name} has no small prime factor")
-
-
 def groups_of_order_le(nmax: int, p: int | None = None) -> list[str]:
     out = []
     for name, m in GROUP_ORDERS.items():

@@ -18,34 +18,67 @@ from .budgets import Budgets, check_budget
 from .errors import ValidationError
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n beyond the bound where its
+    fixed bases are proven exact, unless a base divides n."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise ValidationError(
+            f"cannot decide primality of {n}: above {_MR_EXACT_BELOW}, where "
+            f"deterministic Miller-Rabin is proven")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def integer_root(x: int, k: int) -> int:
+    """Floor k-th root of a nonnegative integer, exactly."""
+    if x < 0 or k < 1:
+        raise ValidationError("need x >= 0 and k >= 1")
+    if x in (0, 1) or k == 1:
+        return x
+    if k == 2:
+        return math.isqrt(x)
+    # integer Newton iteration, decreasing from a power of two above the root
+    root = 1 << -(-x.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * root + x // root ** (k - 1)) // k
+        if nxt >= root:
+            return root
+        root = nxt
+
+
 def prime_power_decompose(n: int):
-    """(p, e) with n = p^e, or None."""
+    """(p, e) with n = p^e, or None.  At most one exponent e has a prime
+    e-th root, so exponents are tried from the largest down."""
     if n < 2:
         return None
-    p = None
-    m = n
-    for cand in range(2, math.isqrt(n) + 1):
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return (n, 1)
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
+    for e in range(n.bit_length(), 0, -1):
+        p = integer_root(n, e)
+        if p ** e == n and is_prime(p):
+            return (p, e)
+    return None
 
 
 def _trim(coeffs: list[int]) -> list[int]:

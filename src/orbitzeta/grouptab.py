@@ -1,8 +1,10 @@
-"""Finite group engine: Cayley tables, permutation closures, power-commutator
+"""Finite group engine: Cayley tables, permutation groups, power-commutator
 presentations, conjugacy classes, the class power map, derived subgroups and
-central quotients.
+central quotients, and the orbit and closure engine over permutation arrays
+that both group models (these tables and the algebra groups 1+J) run on.
 
-Elements are always integer indices with a deterministic numbering per
+Every group is one validated dense int32 Cayley table with its inverse
+array.  Elements are integer indices with a deterministic numbering per
 construction, so class representatives (least index in the class) are
 reproducible across runs.
 """
@@ -10,99 +12,184 @@ reproducible across runs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budgets import Budgets, check_budget, get_budgets
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import BudgetError, InternalInconsistencyError, ValidationError
 from .ffield import is_prime
 
 _ASSOC_SEED = 0x5EED01
+_PC_SAMPLE_PAIRS = 256
 
+
+# ------------------------------------------------------ permutation engine --
 
 @dataclass
-class ClassData:
-    """Conjugacy class partition: labels[i] is the class id of element i."""
+class OrbitPartition:
+    """Orbit decomposition of 0..N-1 under a set of permutations; under
+    conjugation, the conjugacy classes.  labels[i] is the orbit id of i."""
 
-    labels: list[int]
-    reps: list[int]
+    labels: np.ndarray          # int64, length N
+    reps: list[int]             # least index per orbit, ascending
     sizes: list[int]
 
     @property
-    def k(self) -> int:
+    def count(self) -> int:
         return len(self.reps)
 
     def class_of(self, i: int) -> int:
-        return self.labels[i]
+        return int(self.labels[i])
 
+
+ClassData = OrbitPartition
+
+
+def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
+    """Orbits of the group generated by perms on 0..n_points-1.
+
+    Min-label propagation with pointer jumping: every label points at a
+    point of the same orbit and never rises.  Along each edge x -> perm[x]
+    the points both ends point at take the smaller of the two labels, and
+    pointer jumping (the label of the label) then flattens every chain, so
+    a long cycle merges in one round.  At the fixed point every label is
+    the least index of its orbit.
+    """
+    idx = np.arange(n_points, dtype=np.int64)
+    if all(np.array_equal(perm, idx) for perm in perms):
+        # every point is fixed; skip the propagation
+        return OrbitPartition(idx.copy(), list(range(n_points)), [1] * n_points)
+    labels, prev = idx.copy(), None
+    while not np.array_equal(labels, prev):
+        prev = labels.copy()
+        for perm in perms:
+            ends = labels.copy(), labels[perm]
+            smaller = np.minimum(*ends)
+            for end in ends:
+                np.minimum.at(labels, end, smaller)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+    reps, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if int(sizes.sum()) != n_points:
+        raise InternalInconsistencyError("orbit sizes do not partition the point set")
+    return OrbitPartition(labels, reps.tolist(), sizes.tolist())
+
+
+def _close(mask: np.ndarray, perms: list[np.ndarray], frontier: np.ndarray) -> None:
+    """Mark in mask the frontier, unmarked points without repeats, and
+    everything perms reach from it."""
+    while frontier.size:
+        mask[frontier] = True
+        fresh = []
+        for perm in perms:
+            img = perm[frontier]
+            img = img[~mask[img]]
+            mask[img] = True
+            fresh.append(img)
+        frontier = np.concatenate(fresh)
+
+
+def _adjoin(mask: np.ndarray, right_mul, candidates) -> list[int]:
+    """Grow mask, a subgroup, by each candidate not inside it when its turn
+    comes; right_mul(x) is the permutation y -> y x.  Returns the
+    candidates adjoined, a generating set of the final mask over the
+    starting one.
+
+    An adjoined x brings the coset mask x, which is disjoint from mask, so
+    the closure under all right multiplications so far continues from that
+    coset."""
+    perms: list[np.ndarray] = []
+    chosen = []
+    for x in candidates:
+        if not mask[x]:
+            chosen.append(int(x))
+            perms.append(right_mul(x))
+            _close(mask, perms, perms[-1][mask])
+    return chosen
+
+
+def _least_non_members(mask: np.ndarray):
+    """The least point outside mask, read afresh at each step, until mask
+    holds everything."""
+    while not mask.all():
+        yield int(np.argmin(mask))
+
+
+def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
+    """Cayley table of the group whose generators act by the permutations
+    x -> x g in right_mul.
+
+    Column y g holds x (y g) = (x y) g, so a breadth-first search from the
+    identity fills every column from one found before it."""
+    cols = np.empty((m, m), dtype=np.int32)     # cols[y, x] = x y
+    cols[identity] = np.arange(m)
+    found = np.zeros(m, dtype=bool)
+    found[identity] = True
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for col in right_mul:
+                z = int(col[y])
+                if not found[z]:
+                    found[z] = True
+                    cols[z] = col[cols[y]]
+                    fresh.append(z)
+        frontier = fresh
+    if not found.all():
+        raise InternalInconsistencyError("generators do not reach every element")
+    return np.ascontiguousarray(cols.T)
+
+
+# ------------------------------------------------------------ the group --
 
 class FiniteGroupTable:
-    """A finite group with elements 0..order-1 and a multiplication oracle."""
+    """A finite group on elements 0..order-1: table[i, j] is the index of
+    i*j and inv[i] that of i^-1.
 
-    def __init__(self, order, identity, mult_fn, generators, labels=None, name=None,
-                 table=None, inv_list=None):
-        self.order = order
-        self.identity = identity
-        self._mult_fn = mult_fn
+    The constructor validates the table; generators default to the greedy
+    set of least non-members.  pres, a pc presentation the table was
+    tabulated from, adds its consistency checks."""
+
+    def __init__(self, table: np.ndarray, generators=None, name=None,
+                 pres: _PcPresentation | None = None):
+        self.table = table
+        self.order = m = len(table)
+        self.identity = _validate_table(table)
+        self.inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
+        if generators is None:
+            mask = np.zeros(m, dtype=bool)
+            mask[self.identity] = True
+            generators = _adjoin(mask, lambda x: table[:, x], _least_non_members(mask))
         self.generators = list(generators)
-        self.labels = labels
-        self.name = name or f"group{order}"
-        self._table = table
-        self._mult_memo: dict[tuple[int, int], int] = {}
-        self._inv = list(inv_list) if inv_list is not None else None
-        self._classes: ClassData | None = None
+        if pres is not None:
+            _verify_pc_table(self, pres)
+        self.name = name or f"group{m}"
+        self._classes: OrbitPartition | None = None
         self._derived: frozenset[int] | None = None
 
     # ------------------------------------------------------------ basics --
 
     def mult(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        key = (i, j)
-        out = self._mult_memo.get(key)
-        if out is None:
-            out = self._mult_fn(i, j)
-            self._mult_memo[key] = out
-        return out
+        return int(self.table[i, j])
 
     def inverse(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [-1] * self.order
-        if self._inv[i] == -1:
-            self._inv[i] = self._find_inverse(i)
-        return self._inv[i]
+        return int(self.inv[i])
 
-    def _find_inverse(self, i: int) -> int:
-        # p-power group elements have order dividing a small power; generic
-        # fallback walks the cyclic group generated by i.
-        e = self.identity
-        if i == e:
-            return e
-        prev = i
-        cur = self.mult(i, i)
-        steps = 1
-        while cur != e:
-            prev = cur
-            cur = self.mult(cur, i)
-            steps += 1
-            if steps > self.order:
-                raise InternalInconsistencyError("element powers never reach the identity")
-        return prev
-
-    def power(self, i: int, n: int) -> int:
-        result = self.identity
-        base = i
+    def power(self, i, n: int):
+        """i^n by square-and-multiply; elementwise when i is an index array."""
+        base = np.asarray(i)
         if n < 0:
-            base = self.inverse(i)
-            n = -n
+            base, n = self.inv[base], -n
+        result = np.full(base.shape, self.identity, dtype=np.int32)
         while n:
             if n & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base)
+                result = self.table[result, base]
+            base = self.table[base, base]
             n >>= 1
-        return result
+        return result if np.ndim(i) else int(result)
 
     def element_order(self, i: int) -> int:
         e = self.identity
@@ -136,92 +223,58 @@ class FiniteGroupTable:
 
     # ----------------------------------------------------------- classes --
 
-    def conjugacy_classes(self, budgets: Budgets | None = None) -> ClassData:
-        if self._classes is not None:
-            return self._classes
-        check_budget(budgets, "group_enumeration_max", self.order)
-        m = self.order
-        geninv = [self.inverse(g) for g in self.generators]
-        labels = [-1] * m
-        reps: list[int] = []
-        sizes: list[int] = []
-        for seed in range(m):
-            if labels[seed] != -1:
-                continue
-            cid = len(reps)
-            labels[seed] = cid
-            stack = [seed]
-            size = 0
-            while stack:
-                x = stack.pop()
-                size += 1
-                for g, gi in zip(self.generators, geninv):
-                    y = self.mult(gi, self.mult(x, g))
-                    if labels[y] == -1:
-                        labels[y] = cid
-                        stack.append(y)
-            reps.append(seed)
-            sizes.append(size)
-        if sum(sizes) != m:
-            raise InternalInconsistencyError("class sizes do not partition the group")
-        for s in sizes:
-            if m % s:
+    def _conjugation_perms(self) -> list[np.ndarray]:
+        """x -> g^-1 x g for each generator g."""
+        return [self.table[self.inv[g]][self.table[:, g]] for g in self.generators]
+
+    def conjugacy_classes(self, budgets: Budgets | None = None) -> OrbitPartition:
+        if self._classes is None:
+            check_budget(budgets, "group_enumeration_max", self.order)
+            classes = orbit_partition(self._conjugation_perms(), self.order)
+            if any(self.order % s for s in classes.sizes):
                 raise InternalInconsistencyError("class size does not divide group order")
-        self._classes = ClassData(labels, reps, sizes)
+            self._classes = classes
         return self._classes
 
     def k(self, budgets: Budgets | None = None) -> int:
-        return self.conjugacy_classes(budgets).k
+        return self.conjugacy_classes(budgets).count
 
     def class_power_map(self, p: int, budgets: Budgets | None = None) -> list[int]:
         """For each class id, the class id of the p-th power of its elements."""
         classes = self.conjugacy_classes(budgets)
-        out = [classes.class_of(self.power(r, p)) for r in classes.reps]
+        image = classes.labels[self.power(np.arange(self.order), p)]
+        out = image[classes.reps]
         if self.order <= 2**12:
             # representative independence, exhaustively
-            for x in range(self.order):
-                if classes.class_of(self.power(x, p)) != out[classes.class_of(x)]:
-                    raise InternalInconsistencyError(
-                        f"class power map not constant on class of element {x}")
-        return out
+            bad = np.flatnonzero(image != out[classes.labels])
+            if bad.size:
+                raise InternalInconsistencyError(
+                    f"class power map not constant on class of element {bad[0]}")
+        return out.tolist()
 
     # ----------------------------------------------------------- derived --
 
     def commutator_subgroup(self, budgets: Budgets | None = None) -> frozenset[int]:
-        if self._derived is not None:
-            return self._derived
-        e = self.identity
-        gens = self.generators
-        base = {self.commutator(a, b) for a in gens for b in gens}
-        base.discard(e)
-        # normal closure of the commutators under conjugation by generators
-        geninv = [self.inverse(g) for g in gens]
-        genset: set[int] = set()
-        stack = list(base)
-        while stack:
-            x = stack.pop()
-            if x in genset:
-                continue
-            genset.add(x)
-            check_budget(budgets, "closure_max", len(genset))
-            for g, gi in zip(gens, geninv):
-                stack.append(self.mult(gi, self.mult(x, g)))
-        # subgroup closure
-        sub = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for t in frontier:
-                for s in genset:
-                    y = self.mult(t, s)
-                    if y not in sub:
-                        sub.add(y)
-                        new.append(y)
-            check_budget(budgets, "closure_max", len(sub))
-            frontier = new
-        if self.order % len(sub):
-            raise InternalInconsistencyError("derived subgroup order does not divide group order")
-        self._derived = frozenset(sub)
+        if self._derived is None:
+            table, inv = self.table, self.inv
+            gens = np.asarray(self.generators, dtype=np.int64)
+            a, b = np.repeat(gens, gens.size), np.tile(gens, gens.size)
+            # [a, b] = a^-1 b^-1 a b for every generator pair
+            base = np.setdiff1d(table[inv[a], table[inv[b], table[a, b]]], [self.identity])
+            # normal closure of the commutators under conjugation by generators
+            normal = np.zeros(self.order, dtype=bool)
+            _close(normal, self._conjugation_perms(), base)
+            check_budget(budgets, "closure_max", int(normal.sum()))
+            # the subgroup they generate: adjoin each one not yet inside
+            members = np.zeros(self.order, dtype=bool)
+            members[self.identity] = True
+            _adjoin(members, lambda x: table[:, x], np.flatnonzero(normal))
+            size = int(members.sum())
+            check_budget(budgets, "closure_max", size)
+            if self.order % size:
+                raise InternalInconsistencyError(
+                    "derived subgroup order does not divide group order")
+            self._derived = frozenset(np.flatnonzero(members).tolist())
         return self._derived
 
     def abelianization_order(self, budgets: Budgets | None = None) -> int:
@@ -241,62 +294,7 @@ class FiniteGroupTable:
             raise ValidationError(f"Cayley table must be square, got shape {arr.shape}")
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= m:
             raise ValidationError("Cayley table entries out of range")
-        ident = np.arange(m, dtype=np.int32)
-        # identity element
-        e_candidates = [i for i in range(m) if np.array_equal(arr[i], ident)]
-        e_candidates = [i for i in e_candidates if np.array_equal(arr[:, i], ident)]
-        if len(e_candidates) != 1:
-            raise ValidationError("Cayley table has no unique two-sided identity")
-        e = e_candidates[0]
-        # Latin square property
-        if not (np.array_equal(np.sort(arr, axis=1), np.tile(ident, (m, 1)))
-                and np.array_equal(np.sort(arr, axis=0), np.tile(ident[:, None], (1, m)))):
-            raise ValidationError("Cayley table rows/columns are not permutations")
-        # associativity
-        if m <= 256:
-            for i in range(m):
-                left = arr[arr[i], :]        # (i*j)*k
-                right = arr[i][arr]          # i*(j*k)
-                if not np.array_equal(left, right):
-                    j, kk = np.argwhere(left != right)[0]
-                    raise ValidationError(
-                        f"associativity fails at triple ({i},{j},{kk})")
-        else:
-            rng = random.Random(_ASSOC_SEED)
-            for _ in range(10 * m):
-                i, j, kk = (rng.randrange(m) for _ in range(3))
-                if arr[arr[i, j], kk] != arr[i, arr[j, kk]]:
-                    raise ValidationError(f"associativity fails at triple ({i},{j},{kk})")
-        inv = [int(np.nonzero(arr[i] == e)[0][0]) for i in range(m)]
-        group = cls(m, e, None, [], name=name, table=arr, inv_list=inv)
-        group.generators = group._greedy_generators()
-        return group
-
-    def _greedy_generators(self) -> list[int]:
-        gens: list[int] = []
-        span = {self.identity}
-        for x in range(self.order):
-            if x in span:
-                continue
-            gens.append(x)
-            span = self._closure(gens)
-            if len(span) == self.order:
-                break
-        return gens
-
-    def _closure(self, gens: list[int]) -> set[int]:
-        sub = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for t in frontier:
-                for g in gens:
-                    y = self.mult(t, g)
-                    if y not in sub:
-                        sub.add(y)
-                        new.append(y)
-            frontier = new
-        return sub
+        return cls(arr, name=name)
 
     @classmethod
     def from_permutation_generators(cls, perms, budgets: Budgets | None = None, name=None):
@@ -322,18 +320,16 @@ class FiniteGroupTable:
                     if y not in index and y not in new:
                         new.add(y)
             check_budget(budgets, "group_enumeration_max", len(elements) + len(new))
+            check_budget(budgets, "table_order_max", len(elements) + len(new))
             level = sorted(new)
             for y in level:
                 index[y] = len(elements)
                 elements.append(y)
-        m = len(elements)
-
-        def mult(i: int, j: int) -> int:
-            a, b = elements[i], elements[j]
-            return index[tuple(b[v] for v in a)]
-
-        gen_idx = [index[g] for g in gens]
-        return cls(m, 0, mult, gen_idx, labels=elements, name=name)
+        points = np.array(elements, dtype=np.int64)
+        right_mul = [np.array([index[tuple(row)] for row in np.array(g)[points].tolist()])
+                     for g in gens]
+        return cls(_tabulate(right_mul, len(elements), 0), [index[g] for g in gens],
+                   name=name)
 
     @classmethod
     def from_power_commutator(cls, p, n, power_words, commutator_words,
@@ -344,6 +340,9 @@ class FiniteGroupTable:
         commutator_words: dict (j, i) with j > i -> exponent tuple for [g_j, g_i].
         Missing entries mean the trivial word. Words may only involve
         generators with index beyond the left-hand side.
+
+        Collection runs once per element and generator, for x g_i; the
+        table follows from those columns.
         """
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
@@ -351,18 +350,63 @@ class FiniteGroupTable:
             raise ValidationError("a pc presentation needs n >= 0 generators")
         check_budget(budgets, "pc_generators_max", n)
         check_budget(budgets, "group_enumeration_max", p**n)
+        check_budget(budgets, "table_order_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))
         m = p**n
+        words = [pres.letters_of(pres.tuple_of(x)) for x in range(m)]
+        right_mul = [np.array([pres.index(pres.collect(w + [i])) for w in words],
+                              dtype=np.int32) for i in range(n)]
+        gens = [int(col[0]) for col in right_mul]
+        return cls(_tabulate(right_mul, m, 0), gens, name=name, pres=pres)
 
-        def mult(i: int, j: int) -> int:
-            return pres.index(pres.mult(pres.tuple_of(i), pres.tuple_of(j)))
 
-        gen_idx = [pres.index(pres.generator_tuple(i)) for i in range(1, n + 1)]
-        labels = [pres.tuple_of(i) for i in range(m)]
-        group = cls(m, 0, mult, gen_idx, labels=labels, name=name)
-        group._pc = pres
-        _verify_pc_consistency(group, pres)
-        return group
+def _validate_table(arr: np.ndarray) -> int:
+    """The identity of a square table with entries in 0..m-1, after checking
+    that it is the Cayley table of a group: a unique two-sided identity, the
+    Latin property and associativity, exhaustively for m <= 256 and on 10m
+    seeded triples above."""
+    m = len(arr)
+    ident = np.arange(m, dtype=np.int32)
+    e = np.flatnonzero((arr == ident).all(axis=1) & (arr == ident[:, None]).all(axis=0))
+    if len(e) != 1:
+        raise ValidationError("Cayley table has no unique two-sided identity")
+    if not ((np.sort(arr, axis=1) == ident).all()
+            and (np.sort(arr, axis=0) == ident[:, None]).all()):
+        raise ValidationError("Cayley table rows/columns are not permutations")
+    if m <= 256:
+        for i in range(m):
+            left = arr[arr[i], :]        # (i*j)*k
+            right = arr[i][arr]          # i*(j*k)
+            if not np.array_equal(left, right):
+                j, kk = np.argwhere(left != right)[0]
+                raise ValidationError(f"associativity fails at triple ({i},{j},{kk})")
+    else:
+        i, j, kk = np.random.default_rng(_ASSOC_SEED).integers(0, m, (3, 10 * m))
+        bad = np.flatnonzero(arr[arr[i, j], kk] != arr[i, arr[j, kk]])
+        if bad.size:
+            t = bad[0]
+            raise ValidationError(f"associativity fails at triple ({i[t]},{j[t]},{kk[t]})")
+    return int(e[0])
+
+
+def _verify_pc_table(group: FiniteGroupTable, pres: _PcPresentation) -> None:
+    """Consistency of a tabulated pc presentation: associativity on every
+    generator triple, and the table against direct collection of both
+    normal words on a seeded sample of pairs."""
+    table, m = group.table, group.order
+    gens = np.asarray(group.generators, dtype=np.int64)
+    a, b, c = (x.ravel() for x in np.meshgrid(gens, gens, gens, indexing="ij"))
+    bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
+    if bad.size:
+        t = bad[0]
+        raise ValidationError(
+            f"inconsistent presentation: associativity fails on generators "
+            f"({a[t]},{b[t]},{c[t]})")
+    rng = np.random.default_rng(_ASSOC_SEED ^ m)
+    for x, y in rng.integers(0, m, (_PC_SAMPLE_PAIRS, 2)).tolist():
+        if pres.index(pres.mult(pres.tuple_of(x), pres.tuple_of(y))) != table[x, y]:
+            raise ValidationError(
+                f"inconsistent presentation: the table disagrees with collection at ({x},{y})")
 
 
 class _PcPresentation:
@@ -393,9 +437,6 @@ class _PcPresentation:
                     f"relation word touches generator g_{idx + 1}, must only involve later ones")
             letters.extend([idx] * (a % self.p))
         return letters
-
-    def generator_tuple(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if t == i - 1 else 0 for t in range(self.n))
 
     def index(self, vec: tuple[int, ...]) -> int:
         out = 0
@@ -444,8 +485,6 @@ class _PcPresentation:
                     i += 1
             steps += 1
             if steps > limit:
-                from .errors import BudgetError
-
                 raise BudgetError("collection_steps_max", steps, limit)
         vec = [0] * self.n
         for g in w:
@@ -454,25 +493,6 @@ class _PcPresentation:
 
     def mult(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return self.collect(self.letters_of(u) + self.letters_of(v))
-
-
-def _verify_pc_consistency(group: FiniteGroupTable, pres: _PcPresentation) -> None:
-    n, m = pres.n, group.order
-    gens = group.generators
-    for a in gens:
-        for b in gens:
-            ab = group.mult(a, b)
-            for c in gens:
-                if group.mult(ab, c) != group.mult(a, group.mult(b, c)):
-                    raise ValidationError(
-                        f"inconsistent presentation: associativity fails on generators "
-                        f"({a},{b},{c})")
-    rng = random.Random(_ASSOC_SEED ^ m)
-    for _ in range(min(10 * m, 20000)):
-        i, j, kk = (rng.randrange(m) for _ in range(3))
-        if group.mult(group.mult(i, j), kk) != group.mult(i, group.mult(j, kk)):
-            raise ValidationError(
-                f"inconsistent presentation: associativity fails at ({i},{j},{kk})")
 
 
 # ------------------------------------------------------------ operations --
@@ -488,41 +508,28 @@ def central_quotient(group: FiniteGroupTable, z: int,
     while cur != e:
         zpowers.append(cur)
         cur = group.mult(cur, z)
-
-    def canon(x: int) -> int:
-        return min(group.mult(x, zk) for zk in zpowers)
-
-    canon_map = [canon(x) for x in range(group.order)]
-    reps = sorted(set(canon_map))
-    rep_index = {r: idx for idx, r in enumerate(reps)}
-
-    def mult(i: int, j: int) -> int:
-        return rep_index[canon_map[group.mult(reps[i], reps[j])]]
-
-    gen_idx = sorted({rep_index[canon_map[g]] for g in group.generators})
-    gen_idx = [g for g in gen_idx if g != rep_index[canon_map[e]]] or gen_idx
-    quotient = FiniteGroupTable(
-        len(reps), rep_index[canon_map[e]], mult, gen_idx,
-        labels=[group.labels[r] if group.labels else r for r in reps],
-        name=f"{group.name}/<z{z}>")
+    # each coset x<z> is numbered by its least element, in ascending order
+    reps, image = np.unique(group.table[:, zpowers].min(axis=1), return_inverse=True)
+    check_budget(budgets, "table_order_max", len(reps))
+    image = image.astype(np.int32)
+    qe = int(image[e])
+    gens = sorted({int(image[g]) for g in group.generators} - {qe})
+    quotient = FiniteGroupTable(image[group.table[np.ix_(reps, reps)]], gens,
+                                name=f"{group.name}/<z{z}>")
     if group.order != quotient.order * len(zpowers):
         raise InternalInconsistencyError("quotient order mismatch")
     return quotient
 
 
-def direct_product(g1: FiniteGroupTable, g2: FiniteGroupTable,
-                   name=None) -> FiniteGroupTable:
+def direct_product(g1: FiniteGroupTable, g2: FiniteGroupTable, name=None,
+                   budgets: Budgets | None = None) -> FiniteGroupTable:
+    """g1 x g2 with (a1, a2) at index a1 * |g2| + a2."""
     m1, m2 = g1.order, g2.order
-
-    def mult(i: int, j: int) -> int:
-        a1, a2 = divmod(i, m2)
-        b1, b2 = divmod(j, m2)
-        return g1.mult(a1, b1) * m2 + g2.mult(a2, b2)
-
-    e = g1.identity * m2 + g2.identity
+    check_budget(budgets, "table_order_max", m1 * m2)
+    table = g1.table[:, None, :, None] * m2 + g2.table[None, :, None, :]
     gens = [g * m2 + g2.identity for g in g1.generators]
     gens += [g1.identity * m2 + h for h in g2.generators]
-    return FiniteGroupTable(m1 * m2, e, mult, gens,
+    return FiniteGroupTable(table.reshape(m1 * m2, m1 * m2), gens,
                             name=name or f"{g1.name}x{g2.name}")
 
 
@@ -582,6 +589,5 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
 
 def serialize_cayley(group: FiniteGroupTable) -> str:
     rows = [f"cayley {group.order}"]
-    for i in range(group.order):
-        rows.append(" ".join(str(group.mult(i, j)) for j in range(group.order)))
+    rows += [" ".join(map(str, row)) for row in group.table.tolist()]
     return "\n".join(rows) + "\n"

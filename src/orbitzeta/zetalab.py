@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .ffield import is_prime, prime_power_decompose
+from .ffield import integer_root, is_prime, prime_power_decompose
 
 
 # ------------------------------------------------------------ Lie types --
@@ -170,6 +170,17 @@ class TruncatedDirichlet:
         if not 1 <= n <= self.N:
             raise ValidationError(f"index {n} outside 1..{self.N}")
         return sum(self.coeffs[1:n + 1])
+
+    def partial_counts(self, points) -> list[tuple[int, int]]:
+        """(n, R_n) at each of the sorted points, in one pass."""
+        out = []
+        acc = 0
+        prev = 0
+        for n in points:
+            acc += sum(self.coeffs[prev + 1:n + 1])
+            prev = n
+            out.append((n, acc))
+        return out
 
     def support(self):
         return [(n, c) for n, c in enumerate(self.coeffs) if n >= 1 and c]
@@ -379,14 +390,8 @@ def abscissa_estimate(series: TruncatedDirichlet, grid: int = 48,
     if N < 4:
         raise ValidationError("series too short to estimate anything")
     points = sorted({max(2, round(N ** (j / grid))) for j in range(1, grid + 1)})
-    path = []
-    acc = 0
-    prev = 0
-    for n in points:
-        acc += sum(series.coeffs[prev + 1:n + 1])
-        prev = n
-        ratio = math.log(acc) / math.log(n) if acc >= 1 else 0.0
-        path.append((n, acc, ratio))
+    path = [(n, acc, math.log(acc) / math.log(n) if acc >= 1 else 0.0)
+            for n, acc in series.partial_counts(points)]
     cutoff = N ** tail_exponent
     tail = [(n, r, ratio) for n, r, ratio in path if n >= cutoff and r >= 1]
     if not tail:
@@ -403,23 +408,6 @@ def abscissa_estimate(series: TruncatedDirichlet, grid: int = 48,
     else:
         slope = est
     return AbscissaEstimate(est, tail_max, slope, path, N)
-
-
-def integer_root(x: int, k: int) -> int:
-    """Floor k-th root of a nonnegative integer, exactly."""
-    if x < 0 or k < 1:
-        raise ValidationError("need x >= 0 and k >= 1")
-    if x in (0, 1) or k == 1:
-        return x
-    if k == 2:
-        return math.isqrt(x)
-    # integer Newton iteration, decreasing from a power of two above the root
-    root = 1 << -(-x.bit_length() // k)
-    while True:
-        nxt = ((k - 1) * root + x // root ** (k - 1)) // k
-        if nxt >= root:
-            return root
-        root = nxt
 
 
 def synthetic_power_series(c, N: int) -> TruncatedDirichlet:

@@ -159,8 +159,7 @@ def test_unitriangular_group_is_dihedral_of_order_8():
     def mult(i, j):
         return index[gmul(els[i], els[j]).pack()]
 
-    g = FiniteGroupTable(8, index[alg.zero_vector().pack()], mult,
-                         list(range(8)))
+    g = FiniteGroupTable.from_cayley_table([[mult(i, j) for j in range(8)] for i in range(8)])
     assert g.k() == 5
     assert g.exponent() == 4
     assert g.center_size() == 2
@@ -175,8 +174,8 @@ def test_brute_force_class_count_matches_engine():
         def mult(i, j, els=els, index=index):
             return index[gmul(els[i], els[j]).pack()]
 
-        g = FiniteGroupTable(len(els), index[alg.zero_vector().pack()], mult,
-                             list(range(len(els))))
+        g = FiniteGroupTable.from_cayley_table(
+            [[mult(i, j) for j in range(len(els))] for i in range(len(els))])
         assert g.k() == AlgebraGroup(alg).k()
 
 

@@ -10,7 +10,7 @@ from orbitzeta.bogomod import (build_mq, frobenius_matrix,
                                predicted_ab_order, smith_valuations,
                                verify_filtration)
 from orbitzeta.errors import ValidationError
-from orbitzeta.ffield import make_field
+from orbitzeta.ffield import make_field, prime_power_decompose
 
 
 def test_hensel_lift_basic():
@@ -90,7 +90,7 @@ def test_g128_invariants():
 def test_size_law_sample():
     for name in ("C8", "D16", "SD16", "M16", "Q16", "M27", "C3xC3"):
         g = corpus.group(name)
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         for e in (1, 2):
             pres = build_mq(g, p, e)
             q = p ** e
@@ -105,14 +105,14 @@ def test_power_class_layers():
     # layer sizes sum to k - 1
     for name in ("D8", "C9", "M16", "g128"):
         g = corpus.group(name)
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         assert sum(power_class_layers(g, p)) == g.k() - 1
 
 
 def test_verify_filtration():
     for name, e in (("Q8", 1), ("C9", 1), ("C4", 2), ("M16", 1), ("He27", 2)):
         g = corpus.group(name)
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         out = verify_filtration(build_mq(g, p, e), g)
         assert out["ok"], out
 
@@ -122,7 +122,7 @@ def test_frobenius_basis_independence():
     # leaves the module invariants alone
     for name in ("C4", "Q8", "C9"):
         g = corpus.group(name)
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         pres = build_mq(g, p, 2)
         v, mod = pres.v, p ** pres.v
         phi = frobenius_matrix(p, 2, v)
@@ -196,7 +196,7 @@ def _relation_rows_at_precision(group, p, e, w):
     """Rebuild the relation matrix mod p^w independently of build_mq."""
     classes = group.conjugacy_classes()
     ident = classes.class_of(group.identity)
-    nontrivial = [c for c in range(classes.k) if c != ident]
+    nontrivial = [c for c in range(classes.count) if c != ident]
     pos = {c: i for i, c in enumerate(nontrivial)}
     pm = group.class_power_map(p)
     frob = frobenius_matrix(p, e, w)

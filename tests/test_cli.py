@@ -418,6 +418,29 @@ def test_mq_compute_with_huge_prime_exits_2_quickly(group_file):
     assert "Traceback" not in proc.stderr
 
 
+def test_zeta_sl2_with_huge_prime_exits_0_quickly():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", "zeta", "sl2",
+                           "1000000000000000003"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 10**18 + 7
+
+
+@pytest.mark.parametrize("p,e", [(10**18 + 3, 1), (10**18 + 3, 2), (2, 3 * 10**9)])
+def test_mq_compute_trivial_group_huge_field_exits_3_quickly(tmp_path, p, e):
+    # order 1 passes the p-group test for every p; q = p^e is bounded first
+    path = tmp_path / "trivial.grp"
+    path.write_text("cayley 1\n0\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", "mq", "compute", str(path),
+                           "--p", str(p), "--e", str(e)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3
+    assert "field_q_max" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _WORDS = st.sampled_from(["alg", "cayley", "pc", "pow", "comm", ":", "x", "two", "1.5",
                           "-", "0x3"])
 _LINES = st.lists(st.lists(st.one_of(st.integers(-2, 9).map(str), _WORDS), max_size=5)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from orbitzeta.errors import BudgetError, ValidationError
@@ -15,6 +16,28 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_is_prime_matches_sieve_below_1e5():
+    sieve = np.ones(10**5, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(10**5) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(1000000000000000003)
+
+
+def test_is_prime_refuses_beyond_proven_bound():
+    assert not is_prime(2**100)  # a base divides it: no refusal needed
+    with pytest.raises(ValidationError):
+        is_prime(2**127 - 1)
 
 
 def test_make_field_rejects_bad_input():

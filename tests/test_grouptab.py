@@ -1,14 +1,19 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitzeta import corpus
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets
+from orbitzeta.cli import main
 from orbitzeta.errors import BudgetError, ValidationError
-from orbitzeta.grouptab import (FiniteGroupTable, central_quotient,
-                                direct_product, parse_group_file,
-                                serialize_cayley)
+from orbitzeta.ffield import prime_power_decompose
+from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation,
+                                central_quotient, direct_product,
+                                parse_group_file, serialize_cayley)
 
 
 def order_profile(g: FiniteGroupTable) -> dict:
@@ -19,7 +24,7 @@ def test_s3_from_permutations():
     g = FiniteGroupTable.from_permutation_generators([(1, 2, 0), (1, 0, 2)])
     assert g.order == 6
     classes = g.conjugacy_classes()
-    assert classes.k == 3
+    assert classes.count == 3
     assert sorted(classes.sizes) == [1, 2, 3]
     assert len(g.commutator_subgroup()) == 3
     assert g.abelianization_order() == 2
@@ -124,7 +129,7 @@ def test_order16_groups_pairwise_distinct():
         center_exp = max(g.element_order(z) for z in range(g.order) if g.is_central(z))
         prints[name] = (
             tuple(sorted(order_profile(g).items())),
-            classes.k,
+            classes.count,
             tuple(sorted(classes.sizes)),
             len(g.commutator_subgroup()),
             squares,
@@ -259,7 +264,7 @@ def test_class_power_map_is_representative_independent():
         g = corpus.group(name)
         if g.order > 4096:
             continue
-        p = corpus.group_prime(name)
+        p, _ = prime_power_decompose(g.order)
         classes = g.conjugacy_classes()
         cmap = g.class_power_map(p)
         for x in range(g.order):
@@ -267,3 +272,121 @@ def test_class_power_map_is_representative_independent():
             for _ in range(p - 1):
                 xp = g.mult(xp, x)
             assert cmap[classes.class_of(x)] == classes.class_of(xp), (name, x)
+
+
+# ------------------------------------------------- table engine references --
+
+def _classes_bfs(g):
+    """Reference: one breadth-first search per unlabelled seed under
+    conjugation by the generators, on scalar products."""
+    labels = [-1] * g.order
+    reps, sizes = [], []
+    for seed in range(g.order):
+        if labels[seed] != -1:
+            continue
+        cid = len(reps)
+        labels[seed] = cid
+        stack = [seed]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for h in g.generators:
+                y = g.mult(g.inverse(h), g.mult(x, h))
+                if labels[y] == -1:
+                    labels[y] = cid
+                    stack.append(y)
+        reps.append(seed)
+        sizes.append(size)
+    return labels, reps, sizes
+
+
+def _derived_sets(g):
+    """Reference: normal closure of the generator commutators, then the
+    subgroup they generate, on Python sets."""
+    gens = g.generators
+    stack = [g.commutator(a, b) for a in gens for b in gens]
+    normal = set()
+    while stack:
+        x = stack.pop()
+        if x == g.identity or x in normal:
+            continue
+        normal.add(x)
+        stack.extend(g.conjugate(x, h) for h in gens)
+    sub = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        new = []
+        for t in frontier:
+            for s in normal:
+                y = g.mult(t, s)
+                if y not in sub:
+                    sub.add(y)
+                    new.append(y)
+        frontier = new
+    return sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([n for n, m in corpus.GROUP_ORDERS.items() if m <= 32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_table_engine_matches_bfs_and_set_closure(name, seed):
+    # a relabelled table moves the identity off 0 and reorders every class
+    table = corpus.group(name).table
+    sigma = np.random.default_rng(seed).permutation(len(table))
+    relabelled = np.empty_like(table)
+    relabelled[sigma[:, None], sigma[None, :]] = sigma[table]
+    g = FiniteGroupTable.from_cayley_table(relabelled)
+    labels, reps, sizes = _classes_bfs(g)
+    classes = g.conjugacy_classes()
+    assert classes.labels.tolist() == labels
+    assert classes.reps == reps
+    assert classes.sizes == sizes
+    assert g.commutator_subgroup() == _derived_sets(g)
+
+
+def test_sympy_oracle_class_count_and_derived_order():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for name, m in corpus.GROUP_ORDERS.items():
+        if m > 128:
+            continue
+        g = corpus.group(name)
+        # the right regular representation x -> x h of the generators
+        pg = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g.table[:, h].tolist()) for h in g.generators])
+        assert pg.order() == m, name
+        assert len(pg.conjugacy_classes()) == g.k(), name
+        assert pg.derived_subgroup().order() == len(g.commutator_subgroup()), name
+
+
+# g1^2 = g2 commutes with g1, yet [g2, g1] = g3; free generators beyond g3
+# take the order past the exhaustive associativity check
+@pytest.mark.parametrize("n", [3, 9])
+def test_inconsistent_presentation_is_rejected(tmp_path, capsys, n):
+    zeros = ["0"] * (n - 3)
+    text = "\n".join([f"pc 2 {n}", " ".join(["pow 1: 0 1 0", *zeros]),
+                      " ".join(["comm 2 1: 0 0 1", *zeros])]) + "\n"
+    with pytest.raises(ValidationError):
+        parse_group_file(text)
+    path = tmp_path / "bad.pc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_pc_table_is_checked_against_collection():
+    # a valid group table (C4) that the presentation (C2 x C2) does not give
+    c4 = FiniteGroupTable.from_power_commutator(2, 2, {1: (0, 1)}, {})
+    with pytest.raises(ValidationError, match="collection"):
+        FiniteGroupTable(c4.table, c4.generators,
+                         pres=_PcPresentation(2, 2, {}, {}, DEFAULT_BUDGETS))
+
+
+def test_pc_order_beyond_table_budget(tmp_path, capsys):
+    with pytest.raises(BudgetError) as info:
+        FiniteGroupTable.from_power_commutator(2, 13, {}, {})
+    assert info.value.budget_name == "table_order_max"
+    path = tmp_path / "big.pc"
+    path.write_text("pc 2 13\n", encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 3
+    assert "table_order_max" in capsys.readouterr().err

@@ -42,6 +42,9 @@ def test_prime_power_decompose():
     assert prime_power_decompose(12) is None
     assert prime_power_decompose(1) is None
     assert prime_power_decompose(0) is None
+    assert prime_power_decompose(3 ** 40) == (3, 40)
+    assert prime_power_decompose((10 ** 18 + 3) ** 2) == (10 ** 18 + 3, 2)
+    assert prime_power_decompose(6 ** 20) is None
 
 
 def test_classical_type_data():

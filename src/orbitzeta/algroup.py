@@ -127,6 +127,7 @@ class AlgebraGroup:
         self.N = self.p ** self.n               # |1+J|
         self.powers = self.p ** np.arange(self.n, dtype=np.int64)
         self._X = None
+        self._L = None
         self._group_perms = None
         self._dual_perms = None
         self._classes = None
@@ -154,6 +155,14 @@ class AlgebraGroup:
                 digits[:, t] = (idx // self.powers[t]) % self.p
             self._X = digits
         return self._X
+
+    def log_digit_rows(self) -> np.ndarray:
+        """Row x is log(1+x) for every x in code order, in the digit dtype;
+        needs J^p = 0."""
+        if self._L is None:
+            X = self.digit_rows()
+            self._L = self._log_rows(X).astype(X.dtype)
+        return self._L
 
     def vector_digits(self, v: AlgVector) -> np.ndarray:
         return np.array(v.flat(), dtype=np.int64)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import Budgets, check_budget, get_budgets
-from .errors import BudgetError, InternalInconsistencyError, ValidationError
-from .ffield import _poly_mul, _trim, is_prime, make_field, prime_power_decompose
+from .budgets import Budgets
+from .errors import InternalInconsistencyError, ValidationError
+from .ffield import (_poly_mul, _trim, check_field_order, is_prime, make_field,
+                     prime_power_decompose)
 from .grouptab import FiniteGroupTable
 
 
@@ -192,12 +193,8 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
     if e < 1:
         raise ValidationError("extension degree must be >= 1")
     # the trivial group passes the order test for every p, and the Frobenius
-    # matrix builds monomials of degree up to (e-1)p: bound q = p^e first,
-    # without forming p^e when e alone puts it past the budget
-    limit = get_budgets(budgets).field_q_max
-    if abs(p) > 1 and e > limit.bit_length():
-        raise BudgetError("field_q_max", f"{p}^{e}", limit)
-    check_budget(budgets, "field_q_max", p**e)
+    # matrix builds monomials of degree up to (e-1)p: bound q = p^e first
+    check_field_order(budgets, p, e)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     exponent = group.exponent()

@@ -4,7 +4,12 @@ method character theory at desk scale.
 Dual functionals are Z/p-linear maps J -> Z/p, stored as coordinate rows of
 length dim(J)*e.  The group acts by lambda^g(a) = lambda(a^(g^-1)); orbits,
 the alternating forms B_lambda(a,b) = lambda([a,b]), their radicals, fake
-degrees and the exact cyclotomic character values all live here.
+degrees and the exact character values all live here.
+
+A character table is one integer array H[o, c, r] of residue counts, with
+chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o; the class constancy,
+orthonormality and induction checks are integer array operations on such
+histograms.  CyclotomicValue is the normalized scalar view of one value.
 """
 
 from __future__ import annotations
@@ -68,48 +73,10 @@ class CyclotomicValue:
         return cls(p, (-value,) * (p - 1))
 
     @classmethod
-    def from_rational(cls, p: int, value: Fraction) -> "CyclotomicValue":
-        return cls(p, (-value.numerator,) * (p - 1), value.denominator)
-
-    @classmethod
-    def root_power(cls, p: int, k: int) -> "CyclotomicValue":
-        k %= p
-        if k == 0:
-            return cls.from_int(p, 1)
-        return cls(p, tuple(1 if t == k - 1 else 0 for t in range(p - 1)))
-
-    @classmethod
     def from_histogram(cls, p: int, counts, denom: int = 1) -> "CyclotomicValue":
         """Sum of counts[r] * zeta^r over residues r."""
         c0 = int(counts[0])
         return cls(p, tuple(int(counts[k]) - c0 for k in range(1, p)), denom)
-
-    def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        d = self.denom * other.denom // math.gcd(self.denom, other.denom)
-        a, b = d // self.denom, d // other.denom
-        return CyclotomicValue(self.p, tuple(a * x + b * y for x, y in zip(self.vec, other.vec)), d)
-
-    def __sub__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        return self + CyclotomicValue(other.p, tuple(-x for x in other.vec), other.denom)
-
-    def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        p = self.p
-        # multiply in Z[zeta]: power p wraps to 0, and zeta^0 expands to -sum
-        acc = [0] * p
-        for i, x in enumerate(self.vec, start=1):
-            if not x:
-                continue
-            for j, y in enumerate(other.vec, start=1):
-                if y:
-                    acc[(i + j) % p] += x * y
-        out = [acc[k] - acc[0] for k in range(1, p)]
-        return CyclotomicValue(p, out, self.denom * other.denom)
-
-    def conjugate(self) -> "CyclotomicValue":
-        return CyclotomicValue(self.p, tuple(reversed(self.vec)), self.denom)
-
-    def scale(self, num: int, den: int = 1) -> "CyclotomicValue":
-        return CyclotomicValue(self.p, tuple(num * x for x in self.vec), self.denom * den)
 
     def as_rational(self) -> Fraction | None:
         first = self.vec[0]
@@ -422,19 +389,35 @@ def _max_isotropic_inner(alg: NilAlgebra, lam):
 
 @dataclass
 class CharacterTable:
+    """chi_o(c) = sum_r H[o, c, r] zeta_p^r / fake_degrees[o], where H[o, c, r]
+    counts the duals mu in orbit o with mu(log c) = r."""
     alg: NilAlgebra
     class_reps: list[int]          # packed J-parts, one per conjugacy class
     class_sizes: list[int]
     orbit_reps: list[int]          # packed duals, one per coadjoint orbit
     fake_degrees: list[int]
-    values: list[list[CyclotomicValue]]   # values[orbit][class]
+    H: np.ndarray                  # int64 residue counts, shape (orbits, classes, p)
 
     @property
     def k(self) -> int:
         return len(self.class_reps)
 
     def row(self, i: int) -> list[CyclotomicValue]:
-        return self.values[i]
+        p, d = self.alg.field.p, self.fake_degrees[i]
+        return [CyclotomicValue.from_histogram(p, h, d) for h in self.H[i].tolist()]
+
+    @property
+    def values(self) -> list[list[CyclotomicValue]]:
+        """values[orbit][class], built from H on every access."""
+        return [self.row(i) for i in range(len(self.fake_degrees))]
+
+
+def _dual_histograms(eng: AlgebraGroup, part: OrbitPartition, points) -> np.ndarray:
+    """hist[i, o, r]: the duals mu in orbit o with mu(log x) = r, x = points[i]."""
+    p, nd = eng.p, part.count
+    residues = eng.log_digit_rows()[points].astype(np.int64) @ eng.digit_rows().T % p
+    idx = (np.arange(len(residues))[:, None] * nd + part.labels) * p + residues
+    return np.bincount(idx.ravel(), minlength=len(residues) * nd * p).reshape(-1, nd, p)
 
 
 def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
@@ -451,89 +434,44 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
             f"orbit method characters need class < p; class is "
             f"{alg.nilpotency_class} at p={alg.field.p}")
     eng = engine_for(alg, budgets)
-    p = eng.p
     if census is None:
         census = orbit_census(alg, budgets)
-    part = census.partition
     classes = eng.conjugacy_classes()
-    X = eng.digit_rows()
-    dual_labels = part.labels
-    nd = part.count
-
-    # log of each class representative 1+x, as digit rows
-    values: list[list[CyclotomicValue]] = [[] for _ in range(nd)]
-    for jd in eng._log_rows(X[classes.reps]):
-        residues = (X @ jd) % p
-        hist = np.bincount(dual_labels * p + residues, minlength=nd * p)
-        hist = hist.reshape(nd, p)
-        for o in range(nd):
-            val = CyclotomicValue.from_histogram(p, hist[o],
-                                                 census.records[o].fake_degree)
-            values[o].append(val)
-
+    H = np.ascontiguousarray(
+        _dual_histograms(eng, census.partition, classes.reps).transpose(1, 0, 2))
     table = CharacterTable(alg, [int(r) for r in classes.reps],
                            [int(s) for s in classes.sizes],
                            [rec.rep for rec in census.records],
-                           [rec.fake_degree for rec in census.records],
-                           values)
+                           [rec.fake_degree for rec in census.records], H)
     # chi(1) = fake degree: identity class is packed 0, always class rep 0
     if table.class_reps[0] != 0:
         raise InternalInconsistencyError("identity class is not first")
-    for o in range(nd):
-        expect = CyclotomicValue.from_int(p, table.fake_degrees[o])
-        if values[o][0] != expect:
-            raise InternalInconsistencyError(
-                f"chi(1) != fake degree on orbit {o}")
-    _verify_class_constancy(eng, census, classes, X)
+    # chi_o(1) = d_o: every coordinate (H[o,0,r] - H[o,0,0]) / d_o on zeta^r is -d_o
+    deg = np.array(table.fake_degrees, dtype=np.int64)
+    bad = np.flatnonzero((H[:, 0, 1:] - H[:, 0, :1] != -(deg * deg)[:, None]).any(axis=1))
+    if bad.size:
+        raise InternalInconsistencyError(f"chi(1) != fake degree on orbit {bad[0]}")
+    _verify_class_constancy(eng, census, classes, H)
     return table
 
 
-def _verify_class_constancy(eng, census, classes, X) -> None:
-    """Each chi_Omega is constant on each conjugacy class.
+# class members per residue block: bounds the (members x N) residues in memory
+_CONSTANCY_BATCH = 2 ** 18
 
-    Equivalent statement checked: for x, y in one class the histograms of
-    mu(log x') over each orbit agree.  Singleton classes are trivially
-    constant; for singleton orbits the value is a single root of unity, so
-    constancy is linear and checked in one matrix pass.
-    """
-    p = eng.p
-    part = census.partition
-    labels = part.labels
-    class_labels = classes.labels
 
-    big_classes = [c for c in range(classes.count) if classes.sizes[c] > 1]
-    logs = {c: eng._log_rows(X[class_labels == c]) for c in big_classes}
-    # fixed duals: mu(log x) must be constant along every class
-    sizes_arr = np.array(part.sizes, dtype=np.int64)
-    fixed_ids = np.where(sizes_arr == 1)[0]
-    fixed_idx = np.where(np.isin(labels, fixed_ids))[0]
-    if fixed_idx.size and big_classes:
-        D = X[fixed_idx].astype(np.int64)
-        for c in big_classes:
-            vals = (logs[c] @ D.T) % p
-            if not (vals == vals[0]).all():
-                raise InternalInconsistencyError(
-                    "linear character not constant on a class")
-    # non-singleton orbits vs non-singleton classes: compare histograms
-    big_orbits = [o for o in range(part.count) if part.sizes[o] > 1]
-    if not big_orbits or not big_classes:
-        return
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    Xs = X[order].astype(np.int64)
-    for c in big_classes:
-        vals = (logs[c] @ Xs.T) % p
-        for o in big_orbits:
-            lo = int(np.searchsorted(sorted_labels, o, side="left"))
-            hi = int(np.searchsorted(sorted_labels, o, side="right"))
-            block = vals[:, lo:hi]
-            row_ids = block + p * np.arange(block.shape[0])[:, None]
-            hists = np.bincount(row_ids.ravel(),
-                                minlength=p * block.shape[0])
-            hists = hists.reshape(block.shape[0], p)
-            if not (hists == hists[0]).all():
-                raise InternalInconsistencyError(
-                    "character histogram varies inside a class")
+def _verify_class_constancy(eng, census, classes, H) -> None:
+    """Each chi_Omega is constant on each conjugacy class: every member of a
+    class with more than one member has the (orbit, residue) histogram of
+    that class's column of H."""
+    labels = classes.labels
+    members = np.flatnonzero(np.asarray(classes.sizes)[labels] > 1)
+    columns = H.transpose(1, 0, 2)
+    step = max(1, _CONSTANCY_BATCH // eng.N)
+    for lo in range(0, members.size, step):
+        chunk = members[lo:lo + step]
+        if not np.array_equal(_dual_histograms(eng, census.partition, chunk),
+                              columns[labels[chunk]]):
+            raise InternalInconsistencyError("character histogram varies inside a class")
 
 
 def orbit_method_character(alg: NilAlgebra, lam,
@@ -549,56 +487,48 @@ def orbit_method_character(alg: NilAlgebra, lam,
     census = orbit_census(alg, budgets)
     table = character_table(alg, budgets, census)
     oid = int(census.partition.labels[packed])
-    return table.class_reps, table.values[oid]
+    return table.class_reps, table.row(oid)
+
+
+def _shift_grams(table: CharacterTable, a=slice(None), b=slice(None)) -> np.ndarray:
+    """G[t, a, b] = sum_c |c| sum_r H[a, c, r] H[b, c, r - t], one matrix product
+    per shift t, so that <chi_a, chi_b> = sum_t G[t, a, b] zeta^t / (N d_a d_b).
+
+    No entry exceeds N max|O|^2: int64 below 2^63, exact Python ints above.
+    """
+    N = table.alg.field.q ** table.alg.dim
+    max_orbit = int(table.H.sum(axis=2).max())
+    dtype = np.int64 if N * max_orbit ** 2 < 2 ** 63 else object
+    left = table.H[a].astype(dtype) * np.array(table.class_sizes, dtype=dtype)[:, None]
+    right = table.H[b].astype(dtype)
+    left = left.reshape(len(left), -1)
+    return np.stack([left @ np.roll(right, t, axis=2).reshape(len(right), -1).T
+                     for t in range(table.alg.field.p)])
 
 
 def inner_product(table: CharacterTable, a: int, b: int) -> CyclotomicValue:
     """Exact <chi_a, chi_b> = |G|^(-1) sum_c |c| chi_a(c) conj(chi_b(c))."""
-    p = table.alg.field.p
     N = table.alg.field.q ** table.alg.dim
-    acc = CyclotomicValue.from_int(p, 0)
-    for w, x, y in zip(table.class_sizes, table.values[a], table.values[b]):
-        acc = acc + (x * y.conjugate()).scale(w)
-    return acc.scale(1, N)
+    G = _shift_grams(table, [a], [b])[:, 0, 0]
+    return CyclotomicValue.from_histogram(table.alg.field.p, G,
+                                          N * table.fake_degrees[a] * table.fake_degrees[b])
 
 
 def orthonormality_check(table: CharacterTable) -> bool:
-    """Exact first orthogonality: <chi_a, chi_b> = delta_ab in Q(zeta_p).
+    """Exact first orthogonality: <chi_a, chi_b> = delta_ab in Q(zeta_p), for
+    all pairs at once.  sum_t G_t zeta^t is rational iff G_1 = G_t for every
+    t >= 2, and it is then G_0 - G_1, which must be delta_ab N d_a^2.
 
     Raises on any failure, returns True otherwise.
     """
-    p = table.alg.field.p
     N = table.alg.field.q ** table.alg.dim
-    k = table.k
-    w = np.array(table.class_sizes, dtype=np.int64)
-    # pack rows as integer matrices (k, p-1) with per-row denominators
-    mats, denoms = [], []
-    for row in table.values:
-        d = 1
-        for v in row:
-            d = d * v.denom // math.gcd(d, v.denom)
-        mats.append(np.array([[x * (d // v.denom) for x in v.vec] for v in row],
-                             dtype=np.int64))
-        denoms.append(d)
-    # zeta^i * conj(zeta^j) = zeta^(i-j); expansion tensor over the basis,
-    # with zeta^0 = 1 = -(zeta + ... + zeta^(p-1))
-    T = np.zeros((p - 1, p - 1, p - 1), dtype=np.int64)
-    for i in range(1, p):
-        for j in range(1, p):
-            r = (i - j) % p
-            if r == 0:
-                T[i - 1, j - 1] = -1
-            else:
-                T[i - 1, j - 1, r - 1] = 1
-    for a in range(k):
-        for b in range(a, k):
-            vec = np.einsum("c,ci,cj,ijk->k", w, mats[a], mats[b], T)
-            val = CyclotomicValue(p, [int(x) for x in vec],
-                                  N * denoms[a] * denoms[b])
-            want = CyclotomicValue.from_int(p, 1 if a == b else 0)
-            if val != want:
-                raise InternalInconsistencyError(
-                    f"<chi_{a}, chi_{b}> = {val}, expected {want}")
+    G = _shift_grams(table)
+    deg = np.array(table.fake_degrees, dtype=object)
+    bad = (G[1:] != G[1]).any(axis=0) | (G[0] - G[1] != np.diag(N * deg * deg))
+    if bad.any():
+        a, b = (int(i) for i in np.argwhere(bad)[0])
+        raise InternalInconsistencyError(
+            f"<chi_{a}, chi_{b}> = {inner_product(table, a, b)}, expected {int(a == b)}")
     return True
 
 
@@ -620,6 +550,20 @@ def _subspace_packed_set(eng: AlgebraGroup, rows) -> np.ndarray:
     return np.unique(_span_points(rows, eng.p) @ eng.powers)
 
 
+def _induced_histogram(eng: AlgebraGroup, lam_digits, budgets: Budgets | None = None):
+    """(I, prime echelon rows of H): I[c, r] counts the x in class c inside
+    1+H with lambda(log x) = r, H the maximal isotropic subalgebra for lambda."""
+    p = eng.p
+    rows, _ = max_isotropic_subalgebra(eng.alg, lam_digits, budgets)
+    inside = _subspace_packed_set(eng, rows)
+    if inside.size != p ** len(rows):
+        raise InternalInconsistencyError("isotropic span enumeration mismatch")
+    classes = eng.conjugacy_classes()
+    residues = eng.log_digit_rows()[inside] @ np.asarray(lam_digits, dtype=np.int64) % p
+    counts = np.bincount(classes.labels[inside] * p + residues, minlength=classes.count * p)
+    return counts.reshape(classes.count, p), rows
+
+
 def induced_character_values(alg: NilAlgebra, lam_digits,
                              budgets: Budgets | None = None):
     """Values of Ind_{1+H}^{1+J} psi_lambda on the class reps, computed by
@@ -629,27 +573,11 @@ def induced_character_values(alg: NilAlgebra, lam_digits,
     Returns (values list aligned with conjugacy classes, prime echelon rows of H).
     """
     eng = engine_for(alg, budgets)
-    p = eng.p
-    rows, _ = max_isotropic_subalgebra(alg, lam_digits, budgets)
-    hset = _subspace_packed_set(eng, rows)
-    hsize = p ** len(rows)
-    if hset.size != hsize:
-        raise InternalInconsistencyError("isotropic span enumeration mismatch")
-    classes = eng.conjugacy_classes()
-    class_labels = classes.labels
-    N = eng.N
-    lamv = np.asarray(lam_digits, dtype=np.int64)
-    out = []
-    for c, csize in enumerate(classes.sizes):
-        members = np.where(class_labels == c)[0]
-        inside = members[np.isin(members, hset)]
-        residues = eng._log_rows(eng.digit_rows()[inside]) @ lamv % p
-        counts = np.bincount(residues, minlength=p)
-        # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
-        scale_den = hsize * int(csize)
-        val = CyclotomicValue.from_histogram(p, counts).scale(N, scale_den)
-        out.append(val)
-    return out, rows
+    I, rows = _induced_histogram(eng, lam_digits, budgets)
+    hsize = eng.p ** len(rows)
+    # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
+    return [CyclotomicValue.from_histogram(eng.p, [eng.N * x for x in counts], hsize * size)
+            for counts, size in zip(I.tolist(), eng.conjugacy_classes().sizes)], rows
 
 
 def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
@@ -657,20 +585,26 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
                                  census: CensusResult | None = None,
                                  table: CharacterTable | None = None) -> bool:
     """Induced character from the isotropic polarization equals the orbit
-    method character, exactly, on every conjugacy class."""
+    method character, exactly, on every conjugacy class:
+    N d_o (I[c, r] - I[c, 0]) = |H| |c| (H[o, c, r] - H[o, c, 0]) for all c, r."""
     eng = engine_for(alg, budgets)
     if census is None:
         census = orbit_census(alg, budgets)
     if table is None:
         table = character_table(alg, budgets, census)
     lam = eng.digit_rows()[census.records[orbit_index].rep]
-    got, _ = induced_character_values(alg, lam, budgets)
-    want = table.values[orbit_index]
-    for c, (g, wv) in enumerate(zip(got, want)):
-        if g != wv:
-            raise InternalInconsistencyError(
-                f"induced value differs from orbit character at class {c}: "
-                f"{g} vs {wv}")
+    I, rows = _induced_histogram(eng, lam, budgets)
+    I, Ho = I.astype(object), table.H[orbit_index].astype(object)
+    hsize, deg = eng.p ** len(rows), table.fake_degrees[orbit_index]
+    sizes = np.array(table.class_sizes, dtype=object)[:, None]
+    bad = np.flatnonzero((eng.N * deg * (I[:, 1:] - I[:, :1])
+                          != hsize * sizes * (Ho[:, 1:] - Ho[:, :1])).any(axis=1))
+    if bad.size:
+        c = int(bad[0])
+        got = CyclotomicValue.from_histogram(eng.p, I[c] * eng.N, hsize * table.class_sizes[c])
+        raise InternalInconsistencyError(
+            f"induced value differs from orbit character at class {c}: "
+            f"{got} vs {table.row(orbit_index)[c]}")
     return True
 
 

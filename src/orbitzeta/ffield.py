@@ -14,8 +14,8 @@ import math
 from functools import lru_cache
 from itertools import product as _iter_product
 
-from .budgets import Budgets, check_budget
-from .errors import ValidationError
+from .budgets import Budgets, check_budget, get_budgets
+from .errors import BudgetError, ValidationError
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -217,6 +217,15 @@ class FieldElement:
         return "+".join(terms) if terms else "0"
 
 
+def check_field_order(budgets: Budgets | None, p: int, e: int) -> None:
+    """Bound q = p^e by field_q_max without forming p^e when e alone puts it
+    past the limit: for |p| >= 2, p^e >= 2^e."""
+    limit = get_budgets(budgets).field_q_max
+    if abs(p) > 1 and e > limit.bit_length():
+        raise BudgetError("field_q_max", f"{p}^{e}", limit)
+    check_budget(budgets, "field_q_max", p**e)
+
+
 class Field:
     """F_{p^e} with the canonical modulus; construct through make_field."""
 
@@ -225,7 +234,7 @@ class Field:
             raise ValidationError(f"{p} is not prime")
         if e < 1:
             raise ValidationError("extension degree must be >= 1")
-        check_budget(budgets, "field_q_max", p**e)
+        check_field_order(budgets, p, e)
         self.p = p
         self.e = e
         self.q = p**e
@@ -308,7 +317,7 @@ def _make_field_cached(p: int, e: int) -> Field:
 def make_field(p: int, e: int = 1, budgets: Budgets | None = None) -> Field:
     """Interned constructor: the same (p, e) always returns the same object."""
     if budgets is not None:
-        check_budget(budgets, "field_q_max", p**e)
+        check_field_order(budgets, p, e)
     return _make_field_cached(p, e)
 
 

@@ -97,7 +97,7 @@ def test_03_orbit_method_characters():
             identity_idx = list(table.class_reps).index(0)
             for i in range(table.k):
                 assert table.fake_degrees[i] == census.records[i].fake_degree
-                assert (table.values[i][identity_idx].as_rational()
+                assert (table.row(i)[identity_idx].as_rational()
                         == Fraction(table.fake_degrees[i]))
                 assert verify_induced_matches_orbit(alg, i, census=census,
                                                     table=table), (alg.name, i)

@@ -227,3 +227,22 @@ def test_invariant_factors_stable_under_extra_precision():
             vals = smith_valuations(rows, p, pres.v + 1, n)
             assert all(a < pres.v for a in vals)  # module killed by exp(pi)
             assert [p ** a for a in vals if a > 0] == base, (name, e)
+
+
+def test_sympy_smith_form_oracle_for_mq():
+    # Z^n / (relations + p^v Z^n) over ZZ: the diagonal of its Smith form above 1
+    # must be the invariant factors; every corpus group up to order 128, q = p, p^2
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    for name in corpus.groups_of_order_le(128):
+        g = corpus.group(name)
+        p, _ = prime_power_decompose(g.order)
+        for e in (1, 2):
+            pres = build_mq(g, p, e)
+            n, mod = pres.ngens, pres.p ** pres.v
+            stacked = Matrix(list(pres.rows)
+                             + [[mod if i == j else 0 for j in range(n)] for i in range(n)])
+            S = normalforms.smith_normal_form(stacked, domain=ZZ)
+            diagonal = sorted(abs(int(S[i, i])) for i in range(n))
+            assert [d for d in diagonal if d > 1] == invariant_factors(pres), (name, e)

@@ -348,6 +348,17 @@ def test_verify_corpus_extra_algebra(capsys, algebra_file):
     assert payload["ok"] is True
 
 
+def test_verify_corpus_algebras_compares_batched_and_scalar_gmul(capsys, monkeypatch):
+    # batched products that drop the xy term are still associative; only the
+    # scalar reference triple can notice
+    def additive(self, X, Y):
+        return (X + Y) % self.p
+    monkeypatch.setattr("orbitzeta.algroup.AlgebraGroup._gmul_rows", additive)
+    rc, _, err = run(capsys, ["verify-corpus", "--only", "algebras"])
+    assert rc == 4
+    assert "batched gmul disagrees with gmul" in err
+
+
 def test_export_json(capsys, tmp_path):
     target = tmp_path / "outdir"
     rc, payload, _ = run(capsys, ["export", "--target", str(target), "--format", "json"])
@@ -435,6 +446,18 @@ def test_mq_compute_trivial_group_huge_field_exits_3_quickly(tmp_path, p, e):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
     proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", "mq", "compute", str(path),
                            "--p", str(p), "--e", str(e)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3
+    assert "field_q_max" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_nilalg_info_huge_extension_degree_exits_3_quickly(tmp_path):
+    # the field is bounded by field_q_max before p^e is formed
+    path = tmp_path / "huge_e.nil"
+    path.write_text("alg 2 3000000000 1\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "orbitzeta.cli", "nilalg", "info", str(path)],
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 3
     assert "field_q_max" in proc.stderr

@@ -9,7 +9,7 @@ from orbitzeta.algroup import AlgebraGroup, ginv, gmul, glog
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional,
                                  character_table, coadjoint_act,
-                                 conjecture_probe, fake_degree,
+                                 conjecture_probe, engine_for, fake_degree,
                                  fake_degree_identities, fixed_point_count,
                                  induced_character_values, inner_product,
                                  max_isotropic_subalgebra, orbit_census,
@@ -25,28 +25,21 @@ from orbitzeta.linalg import rref_mod_p
 
 def test_cyclotomic_roots_sum_to_zero():
     for p in (2, 3, 5, 7):
-        acc = CyclotomicValue.from_int(p, 0)
-        for k in range(p):
-            acc = acc + CyclotomicValue.root_power(p, k)
-        assert acc.is_zero()
+        assert CyclotomicValue.from_histogram(p, [1] * p).is_zero()
 
 
 def test_cyclotomic_arithmetic():
     p = 5
-    z = CyclotomicValue.root_power(p, 1)
+    z = CyclotomicValue.from_histogram(p, [0, 1, 0, 0, 0])
     one = CyclotomicValue.from_int(p, 1)
-    assert CyclotomicValue.root_power(p, 0) == one
-    # zeta * zeta^4 = 1
-    assert z * CyclotomicValue.root_power(p, 4) == one
-    # conjugation inverts the root
-    assert z.conjugate() == CyclotomicValue.root_power(p, p - 1)
-    # |zeta|^2 = 1
-    assert z * z.conjugate() == one
-    assert (z - z).is_zero()
+    assert CyclotomicValue.from_histogram(p, [1, 0, 0, 0, 0]) == one
+    assert CyclotomicValue.from_histogram(p, [2, 2, 2, 2, 2]).is_zero()
     assert one.as_rational() == Fraction(1)
     assert z.as_rational() is None
-    assert CyclotomicValue.from_rational(p, Fraction(3, 4)).scale(4) == \
-        CyclotomicValue.from_int(p, 3)
+    # normalization: the sign moves to the coordinates and common factors cancel
+    assert CyclotomicValue(p, (6, 6, 6, 6), -8) == CyclotomicValue(p, (-3, -3, -3, -3), 4)
+    assert CyclotomicValue(p, (-3, -3, -3, -3), 4).as_rational() == Fraction(3, 4)
+    assert CyclotomicValue.from_histogram(p, [4, 0, 0, 0, 0], 4) == one
 
 
 def test_cyclotomic_histogram():
@@ -105,6 +98,22 @@ def test_census_u3_f4():
     assert census.count == 19
     assert census.fake_degree_multiset() == [(1, 16), (4, 3)]
     assert census.fixed_points == 16
+
+
+# k(U_n(F_q)) from the literature: 1, 2, 5, 16, 61, 275 over F_2 for n = 1..6
+# (n = 1 is the trivial group; J = 0 is not a NilAlgebra), and the
+# Vera-Lopez-Arregi polynomials k(U_4(F_q)) = 2q^3 + q^2 - 2q and
+# k(U_5(F_q)) = 5q^4 - 5q^2 + 1, see Pak and Soffer, arXiv:1507.00411
+@pytest.mark.parametrize("n,q,k", [(2, 2, 2), (3, 2, 5), (4, 2, 16), (5, 2, 61), (6, 2, 275),
+                                   (5, 3, 361), (4, 5, 265)])
+def test_unitriangular_class_counts_match_literature(n, q, k):
+    if n == 5:
+        assert k == 5 * q**4 - 5 * q**2 + 1
+    if n == 4:
+        assert k == 2 * q**3 + q**2 - 2 * q
+    alg = corpus.unitriangular(n, q)
+    assert engine_for(alg).k() == k
+    assert orbit_census(alg).count == k
 
 
 def test_census_abelian():
@@ -220,6 +229,94 @@ def test_inner_product_diagonal():
     assert inner_product(table, 0, 1) == zero
 
 
+def reference_inner_product(table, a, b):
+    """<chi_a, chi_b> from the histogram rows as polynomials in Z[x]/(x^p - 1):
+    sum_c |c| h_ac(x) h_bc(x^-1), read in Q(zeta) through 1 + zeta + .. = 0."""
+    p = table.alg.field.p
+    N = table.alg.field.q ** table.alg.dim
+    acc = [0] * p
+    for w, ha, hb in zip(table.class_sizes, table.H[a].tolist(), table.H[b].tolist()):
+        for r in range(p):
+            for s in range(p):
+                acc[(r - s) % p] += w * ha[r] * hb[s]
+    return CyclotomicValue(p, [acc[t] - acc[0] for t in range(1, p)],
+                           N * table.fake_degrees[a] * table.fake_degrees[b])
+
+
+@pytest.mark.parametrize("alg_factory", [
+    lambda: corpus.unitriangular(3, 3),
+    lambda: corpus.unitriangular(3, 5),
+    lambda: corpus.augmentation_ideal("C3", 3),
+])
+def test_inner_product_matches_polynomial_reference(alg_factory):
+    table = character_table(alg_factory())
+    one = CyclotomicValue.from_int(table.alg.field.p, 1)
+    zero = CyclotomicValue.from_int(table.alg.field.p, 0)
+    for a in range(table.k):
+        for b in range(table.k):
+            got = inner_product(table, a, b)
+            assert got == reference_inner_product(table, a, b)
+            assert got == (one if a == b else zero)
+
+
+def test_shift_grams_switch_to_exact_integers_past_int64():
+    import dataclasses
+
+    from orbitzeta.coadjoint import _shift_grams
+
+    table = character_table(corpus.unitriangular(3, 3))
+    small = _shift_grams(table)
+    assert small.dtype == np.int64
+    # counts scaled by 2^30 put N max|O|^2 = 27 * 81 * 2^60 past 2^63
+    big = _shift_grams(dataclasses.replace(table, H=table.H * 2 ** 30))
+    assert big.dtype == object
+    assert (big == small.astype(object) * 2 ** 60).all()
+    assert int(big.max()) >= 2 ** 63
+
+
+def test_orthonormality_check_catches_a_raised_count():
+    table = character_table(corpus.unitriangular(3, 3))
+    table.H[4, 2, 1] += 1
+    with pytest.raises(InternalInconsistencyError, match="<chi_"):
+        orthonormality_check(table)
+
+
+def test_induced_check_catches_a_raised_count(monkeypatch):
+    import orbitzeta.coadjoint as coadjoint
+
+    alg = corpus.unitriangular(3, 3)
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)
+    honest = coadjoint._induced_histogram
+
+    def raised(*args, **kwargs):
+        counts, rows = honest(*args, **kwargs)
+        counts[3, 1] += 1
+        return counts, rows
+
+    monkeypatch.setattr(coadjoint, "_induced_histogram", raised)
+    for o in (0, census.count - 1):
+        with pytest.raises(InternalInconsistencyError, match="at class 3"):
+            verify_induced_matches_orbit(alg, o, census=census, table=table)
+
+
+def test_class_constancy_catches_a_changed_member():
+    from orbitzeta.coadjoint import _verify_class_constancy
+
+    alg = corpus.unitriangular(3, 3)
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)
+    eng = AlgebraGroup(alg)  # its own log cache, not the one the corpus algebra keeps
+    classes = eng.conjugacy_classes()
+    # a member of a class of size 3 that is not its representative: giving it
+    # the log of the identity changes its histogram on every orbit
+    c = next(c for c, size in enumerate(classes.sizes) if size > 1)
+    member = next(x for x in np.flatnonzero(classes.labels == c) if x != classes.reps[c])
+    eng.log_digit_rows()[member] = 0
+    with pytest.raises(InternalInconsistencyError, match="varies inside a class"):
+        _verify_class_constancy(eng, census, classes, table.H)
+
+
 def test_orbit_method_character_row():
     alg = corpus.unitriangular(3, 3)
     reps, values = orbit_method_character(alg, (0, 0, 1))
@@ -247,8 +344,7 @@ def naive_induced(alg, lam_digits):
             if y.pack() in hset:
                 r = int(lamv @ np.array(glog(y).flat(), dtype=np.int64)) % p
                 counts[r] += 1
-        val = CyclotomicValue.from_histogram(p, counts).scale(1, len(hset))
-        out.append(val)
+        out.append(CyclotomicValue.from_histogram(p, counts, len(hset)))
     return out
 
 

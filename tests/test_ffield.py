@@ -170,3 +170,13 @@ def test_field_budget():
 
     with pytest.raises(BudgetError):
         make_field(2, 30, budgets=Budgets(field_q_max=2**10))
+
+
+def test_field_budget_is_checked_before_forming_a_huge_power():
+    # 2^(3 * 10^9) would take minutes to form; the bit-length bound refuses it first
+    from orbitzeta.budgets import Budgets
+
+    for build in (lambda: Field(2, 3 * 10**9), lambda: Field(3, 10**12),
+                  lambda: make_field(2, 3 * 10**9, budgets=Budgets())):
+        with pytest.raises(BudgetError, match="field_q_max"):
+            build()

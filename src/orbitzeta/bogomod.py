@@ -13,114 +13,42 @@ from dataclasses import dataclass
 
 from .budgets import Budgets
 from .errors import InternalInconsistencyError, ValidationError
-from .ffield import (_poly_mul, _trim, check_field_order, is_prime, make_field,
-                     prime_power_decompose)
+from .ffield import (_poly_mod, _poly_mul, _poly_powmod, check_field_order, is_prime,
+                     make_field, p_adic, prime_power_decompose)
 from .grouptab import FiniteGroupTable
 
 
-# ------------------------------------------------------- poly arithmetic --
-
-def _poly_sub(a, b, mod: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % mod
-    return _trim(out)
-
-
-def _poly_divmod(a, b, mod: int):
-    """Division by b whose leading coefficient is invertible mod mod."""
-    a = [x % mod for x in a]
-    b = [x % mod for x in b]
-    _trim(a)
-    _trim(b)
-    if not b:
-        raise ValidationError("division by zero polynomial")
-    inv = pow(b[-1], -1, mod)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = (rem[shift + len(b) - 1] * inv) % mod
-        if c:
-            quo[shift] = c
-            for i, y in enumerate(b):
-                rem[shift + i] = (rem[shift + i] - c * y) % mod
-    return quo, _trim(rem)
-
-
-def _poly_gcd_bezout(a, b, p: int):
-    """(g, u, w) with u*a + w*b = g over F_p, g monic."""
-    r0, r1 = [x % p for x in a], [x % p for x in b]
-    u0, u1 = [1], []
-    w0, w1 = [], [1]
-    _trim(r0)
-    _trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, p), p)
-        w0, w1 = w1, _poly_sub(w0, _poly_mul(q, w1, p), p)
-    if not r0:
-        raise ValidationError("gcd of zero polynomials")
-    lead_inv = pow(r0[-1], -1, p)
-    scale = lambda poly: [(x * lead_inv) % p for x in poly]
-    return scale(r0), scale(u0), scale(w0)
-
-
-# ---------------------------------------------------------- Hensel lift --
+# ---------------------------------------------------- Teichmuller lift --
 
 def hensel_lift_modulus(p: int, e: int, v: int) -> list[int]:
     """Lift the canonical degree-e field modulus f to fhat modulo p^v with
-    fhat monic, fhat = f mod p, and fhat | t^(q-1) - 1 mod p^v."""
-    field = make_field(p, e)
-    f = [int(c) for c in field.modulus]
-    q = p ** e
-    target = [0] * q
-    target[0] = -1
-    target[q - 1] = 1
-    g, rem = _poly_divmod(target, f, p)
-    if rem:
-        raise InternalInconsistencyError("field modulus does not divide t^(q-1)-1 mod p")
-    gcd, a, b = _poly_gcd_bezout(f, g, p)
-    if gcd != [1]:
-        raise InternalInconsistencyError("modulus and cofactor are not coprime mod p")
-    def add_scaled(base, corr, scalar, mod):
-        out = [x % mod for x in base] + [0] * max(0, len(corr) - len(base))
-        for i, y in enumerate(corr):
-            out[i] = (out[i] + scalar * y) % mod
-        return _trim(out)
+    fhat monic, fhat = f mod p, and fhat | t^(q-1) - 1 mod p^v.
 
-    fk, gk = list(f), list(g)
-    big = p ** (2 * v)
-    for k in range(1, v):
-        diff = _poly_sub(target, _poly_mul(fk, gk, big), big)
-        h = []
-        for x in diff:
-            if x % p ** k:
-                raise InternalInconsistencyError("Hensel residue not divisible by p^k")
-            h.append((x // p ** k) % p)
-        _trim(h)
-        # solve f*eps + g*delta = h (mod p) with deg delta < e
-        bh = _poly_mul(b, h, p)
-        _, delta = _poly_divmod(bh, f, p)
-        eps_num = _poly_sub(h, _poly_mul(gk, delta, p), p)
-        eps, rem2 = _poly_divmod(eps_num, f, p)
-        if rem2:
-            raise InternalInconsistencyError("Hensel correction failed to divide")
-        fk = add_scaled(fk, delta, p ** k, p ** (k + 1))
-        gk = add_scaled(gk, eps, p ** k, p ** (k + 1))
-    mod = p ** v
-    fk = [x % mod for x in fk]
+    fhat is the minimal polynomial of the Teichmuller lift omega = t^(q^(v-1))
+    of t in (Z/p^v)[t]/(f).  The coordinates P of omega^0 .. omega^(e-1) are
+    the identity mod p, so c <- omega^e + (I - P) c gains one p-adic digit
+    per step and is exact after v steps; then omega^e = sum c_i omega^i.
+    """
+    f = list(make_field(p, e).modulus)
+    q, mod = p ** e, p ** v
+    omega = _poly_powmod([0, 1], q ** (v - 1), f, mod)
+    powers = [[1]]
+    for _ in range(e):
+        powers.append(_poly_mod(_poly_mul(powers[-1], omega, mod), f, mod))
+    cols = [w + [0] * (e - len(w)) for w in powers]
+    c = [0] * e
+    for _ in range(v):
+        c = [(cols[e][i] + c[i] - sum(cols[j][i] * c[j] for j in range(e))) % mod
+             for i in range(e)]
+    fhat = [-x % mod for x in c] + [1]
     # verification: monic of degree e, reduces to f, divides t^(q-1)-1
-    if len(fk) != e + 1 or fk[-1] != 1:
+    if len(fhat) != e + 1 or fhat[-1] != 1:
         raise InternalInconsistencyError("lifted modulus is not monic of the right degree")
-    if [x % p for x in fk] != [x % p for x in f]:
+    if [x % p for x in fhat] != f:
         raise InternalInconsistencyError("lifted modulus does not reduce to the field modulus")
-    _, check = _poly_divmod(target, fk, mod)
-    if check:
+    if _poly_powmod([0, 1], q - 1, fhat, mod) != [1]:
         raise InternalInconsistencyError("lifted modulus does not divide t^(q-1)-1 mod p^v")
-    return fk
+    return fhat
 
 
 def frobenius_matrix(p: int, e: int, v: int) -> list[list[int]]:
@@ -136,10 +64,8 @@ def frobenius_matrix(p: int, e: int, v: int) -> list[list[int]]:
     mod = p ** v
     cols = []
     for j in range(e):
-        mono = [0] * (j * p) + [1]
-        _, red = _poly_divmod(mono, fhat, mod)
-        red = red + [0] * (e - len(red))
-        cols.append(red)
+        red = _poly_powmod([0, 1], j * p, fhat, mod)
+        cols.append(red + [0] * (e - len(red)))
     mat = [[cols[j][i] for j in range(e)] for i in range(e)]
     # mod-p reduction must be the Frobenius matrix of F_q on the same basis
     field = make_field(p, e)
@@ -185,10 +111,9 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
              frobenius: list[list[int]] | None = None,
              budgets: Budgets | None = None) -> MqPresentation:
     """Relation matrix of M_q(pi) over Z/p^v, p^v = p*exp(pi)."""
-    m = group.order
-    while p > 1 and m % p == 0:
-        m //= p
-    if m != 1:
+    if p < 2:
+        raise ValidationError(f"{p} is not prime")
+    if p_adic(group.order, p)[1] != 1:
         raise ValidationError(f"group of order {group.order} is not a {p}-group")
     if e < 1:
         raise ValidationError("extension degree must be >= 1")
@@ -197,13 +122,9 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
     check_field_order(budgets, p, e)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    exponent = group.exponent()
-    t = 0
-    while exponent > 1:
-        if exponent % p:
-            raise InternalInconsistencyError("p-group exponent is not a p-power")
-        exponent //= p
-        t += 1
+    t, rest = p_adic(group.exponent(), p)
+    if rest != 1:
+        raise InternalInconsistencyError("p-group exponent is not a p-power")
     v = t + 1
     mod = p ** v
     classes = group.conjugacy_classes()
@@ -234,13 +155,7 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
 
 def _val(x: int, p: int, v: int) -> int:
     x %= p ** v
-    if x == 0:
-        return v
-    out = 0
-    while x % p == 0:
-        x //= p
-        out += 1
-    return out
+    return p_adic(x, p)[0] if x else v
 
 
 def smith_valuations(rows, p: int, v: int, ncols: int | None = None) -> list[int]:
@@ -326,13 +241,7 @@ def verify_filtration(pres: MqPresentation, group: FiniteGroupTable) -> dict:
     """Check |p^i M / p^(i+1) M| = q^|C_i| for all i, reading layer sizes
     off the invariant factors."""
     factors = invariant_factors(pres)
-    vals = []
-    for f in factors:
-        a = 0
-        while f > 1:
-            f //= pres.p
-            a += 1
-        vals.append(a)
+    vals = [p_adic(f, pres.p)[0] for f in factors]
     layers_c = power_class_layers(group, pres.p)
     depth = max(len(layers_c), max(vals) if vals else 0)
     layers = []
@@ -353,10 +262,7 @@ def predicted_ab_order(group: FiniteGroupTable, q: int, b0_order: int) -> int:
     if pp is None:
         raise ValidationError(f"{q} is not a prime power")
     p = pp[0]
-    m = group.order
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if p_adic(group.order, p)[1] != 1:
         raise ValidationError(
             f"group order {group.order} does not match characteristic {p}")
     if b0_order < 1:

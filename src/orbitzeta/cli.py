@@ -350,7 +350,7 @@ def _suite_algebras(budgets, extra_files=()) -> dict:
             continue
         rng = random.Random(0xC0FFEE ^ alg.dim)
         codes = [rng.randrange(alg.field.q ** alg.dim) for _ in range(3 * 200)]
-        eng = engine_for(alg, budgets)
+        eng = AlgebraGroup(alg, budgets)  # samples 1+J, however large
         p = eng.p
         rows = np.array([[c // p ** t % p for t in range(eng.n)] for c in codes],
                         dtype=np.int64).reshape(200, 3, eng.n)

@@ -31,10 +31,16 @@ from .nilalg import AlgVector, NilAlgebra
 
 
 def engine_for(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
+    """The engine cached on alg, after bounding |1+J| by the caller's budgets:
+    the cached engine keeps the budgets of the call that built it."""
+    check_budget(budgets, "group_enumeration_max", alg.field.q ** alg.dim)
+    return _engine(alg, budgets)
+
+
+def _engine(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
     eng = getattr(alg, "_engine", None)
     if eng is None:
-        eng = AlgebraGroup(alg, budgets)
-        alg._engine = eng
+        eng = alg._engine = AlgebraGroup(alg, budgets)
     return eng
 
 
@@ -140,7 +146,7 @@ def coadjoint_act(lam: DualFunctional, g: AlgVector) -> DualFunctional:
     """lambda^g with lambda^g(a) = lambda(a^((1+g)^-1)); (lam^g)^h = lam^(gh)."""
     if g.alg is not lam.alg:
         raise ValidationError("functional and group element live on different algebras")
-    eng = engine_for(lam.alg)
+    eng = _engine(lam.alg)  # one matrix, no enumeration
     M = eng.dual_matrix_for(g.flat())
     row = (np.array(lam.row, dtype=np.int64) @ M) % eng.p
     return DualFunctional(lam.alg, row)
@@ -222,7 +228,7 @@ def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
         raise InternalInconsistencyError(f"{what} is not F_q-closed")
 
 
-def radical(alg: NilAlgebra, lam, budgets: Budgets | None = None):
+def radical(alg: NilAlgebra, lam):
     """Prime echelon rows of Rad B_lambda.
 
     The radical is always closed under F_q scaling; for e > 1 that is a real
@@ -234,7 +240,7 @@ def radical(alg: NilAlgebra, lam, budgets: Budgets | None = None):
     return rref_mod_p(rows, alg.field.p)[0]
 
 
-def orbit_size(alg: NilAlgebra, lam, budgets: Budgets | None = None) -> int:
+def orbit_size(alg: NilAlgebra, lam) -> int:
     row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
     rank, _ = radical_of(alg, row)
     if rank % (2 * alg.field.e):
@@ -243,8 +249,8 @@ def orbit_size(alg: NilAlgebra, lam, budgets: Budgets | None = None) -> int:
     return alg.field.p ** rank
 
 
-def fake_degree(alg: NilAlgebra, lam, budgets: Budgets | None = None) -> int:
-    size = orbit_size(alg, lam, budgets)
+def fake_degree(alg: NilAlgebra, lam) -> int:
+    size = orbit_size(alg, lam)
     root = math.isqrt(size)
     if root * root != size:
         raise InternalInconsistencyError(f"orbit size {size} is not a square")
@@ -337,8 +343,7 @@ def _is_isotropic(K: np.ndarray, rows, p: int) -> bool:
     return not (R @ K % p @ R.T % p).any()
 
 
-def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits,
-                             budgets: Budgets | None = None):
+def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
     """A maximal isotropic subalgebra H for B_lambda, constructed through the
     ideal flag: take the first isotropic member of the flag, pass to its
     perp (a subalgebra), and recurse.  Returns prime echelon rows of H.
@@ -550,11 +555,11 @@ def _subspace_packed_set(eng: AlgebraGroup, rows) -> np.ndarray:
     return np.unique(_span_points(rows, eng.p) @ eng.powers)
 
 
-def _induced_histogram(eng: AlgebraGroup, lam_digits, budgets: Budgets | None = None):
+def _induced_histogram(eng: AlgebraGroup, lam_digits):
     """(I, prime echelon rows of H): I[c, r] counts the x in class c inside
     1+H with lambda(log x) = r, H the maximal isotropic subalgebra for lambda."""
     p = eng.p
-    rows, _ = max_isotropic_subalgebra(eng.alg, lam_digits, budgets)
+    rows, _ = max_isotropic_subalgebra(eng.alg, lam_digits)
     inside = _subspace_packed_set(eng, rows)
     if inside.size != p ** len(rows):
         raise InternalInconsistencyError("isotropic span enumeration mismatch")
@@ -573,7 +578,7 @@ def induced_character_values(alg: NilAlgebra, lam_digits,
     Returns (values list aligned with conjugacy classes, prime echelon rows of H).
     """
     eng = engine_for(alg, budgets)
-    I, rows = _induced_histogram(eng, lam_digits, budgets)
+    I, rows = _induced_histogram(eng, lam_digits)
     hsize = eng.p ** len(rows)
     # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
     return [CyclotomicValue.from_histogram(eng.p, [eng.N * x for x in counts], hsize * size)
@@ -593,7 +598,7 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
     if table is None:
         table = character_table(alg, budgets, census)
     lam = eng.digit_rows()[census.records[orbit_index].rep]
-    I, rows = _induced_histogram(eng, lam, budgets)
+    I, rows = _induced_histogram(eng, lam)
     I, Ho = I.astype(object), table.H[orbit_index].astype(object)
     hsize, deg = eng.p ** len(rows), table.fake_degrees[orbit_index]
     sizes = np.array(table.class_sizes, dtype=object)[:, None]
@@ -619,7 +624,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
         census = orbit_census(alg, budgets)
     p = eng.p
     lam = tuple(int(x) for x in eng.digit_rows()[census.records[orbit_index].rep])
-    rows, _ = max_isotropic_subalgebra(alg, lam, budgets)
+    rows, _ = max_isotropic_subalgebra(alg, lam)
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)
     lamv = np.asarray(lam, dtype=np.int64)

@@ -35,10 +35,7 @@ def is_prime(n: int) -> bool:
         raise ValidationError(
             f"cannot decide primality of {n}: above {_MR_EXACT_BELOW}, where "
             f"deterministic Miller-Rabin is proven")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = p_adic(n - 1, 2)
     for b in _MR_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
@@ -81,45 +78,75 @@ def prime_power_decompose(n: int):
     return None
 
 
+def p_adic(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and u prime to p; n nonzero, p >= 2."""
+    if p < 2 or n == 0:
+        raise ValidationError(f"no {p}-adic split of {n}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+# polynomials are coefficient lists, constant term first, with no trailing
+# zeros once trimmed; every coefficient is reduced modulo an integer mod
+
 def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = (out[i + j] + ai * bj) % mod
     return _trim(out)
 
 
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
+def _poly_mod(a: list[int], m: list[int], mod: int) -> list[int]:
+    """The remainder of a by the monic m."""
+    a = [x % mod for x in a]
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
+    for shift in range(len(a) - 1 - dm, -1, -1):
+        lead = a[shift + dm]
         if lead:
-            shift = len(a) - 1 - dm
             for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _trim(a)
+                a[shift + i] = (a[shift + i] - lead * mi) % mod
+    return _trim(a[:dm])
+
+
+def _poly_powmod(a: list[int], n: int, m: list[int], mod: int) -> list[int]:
+    """a^n modulo the monic m, by square and multiply; n >= 0."""
+    result, base = _poly_mod([1], m, mod), _poly_mod(a, m, mod)
+    while n:
+        if n & 1:
+            result = _poly_mod(_poly_mul(result, base, mod), m, mod)
+        n >>= 1
+        if n:
+            base = _poly_mod(_poly_mul(base, base, mod), m, mod)
+    return result
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Trial factorization against all monic polynomials of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in _iter_product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            if not _poly_mod(m, cand, p):
-                return False
+    """Ben-Or: a monic m of degree d is irreducible over Z/p when no
+    t^(p^i) - t with i <= d/2 shares a factor with it."""
+    power = [0, 1]
+    for _ in range((len(m) - 1) // 2):
+        power = _poly_powmod(power, p, m, p)
+        diff = power + [0] * (2 - len(power))
+        diff[1] = (diff[1] - 1) % p
+        a, b = m, _trim(diff)
+        while b:
+            inv = pow(b[-1], -1, p)
+            a, b = b, _poly_mod(a, [x * inv % p for x in b], p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -145,8 +172,7 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         prod = _poly_mul(_trim(list(self.coeffs)), _trim(list(other.coeffs)), f.p)
-        red = _poly_mod(prod, f._modulus_list, f.p)
-        return FieldElement(f, tuple(red) + (0,) * (f.e - len(red)))
+        return f._reduced(prod)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -154,14 +180,8 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        return f._reduced(_poly_powmod(list(self.coeffs), n, f._modulus_list, f.p))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -243,35 +263,22 @@ class Field:
         self.zero = FieldElement(self, (0,) * e)
         self.one = FieldElement(self, (1,) + (0,) * (e - 1))
         self.name = f"F_{self.q}"
-        self.generator_code = self._find_generator() if self.q <= 2**10 else None
 
     @staticmethod
     def _least_irreducible(p: int, e: int) -> list[int]:
         if e == 1:
             return [0, 1]
-        for tail in _iter_product(range(p), repeat=e):
+        # a zero constant term leaves the factor t, so the scan starts at 1
+        for tail in _iter_product(range(1, p), *[range(p)] * (e - 1)):
             cand = list(tail) + [1]
             if _is_irreducible(cand, p):
                 return cand
         raise AssertionError("no irreducible polynomial found")  # cannot happen
 
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        prime_factors = []
-        m, d = n, 2
-        while d * d <= m:
-            if m % d == 0:
-                prime_factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            prime_factors.append(m)
-        for code in range(1, self.q):
-            x = self.from_code(code)
-            if all((x ** (n // f)) != self.one for f in prime_factors):
-                return code
-        raise AssertionError("multiplicative group had no generator")
+    def _reduced(self, poly: list[int]) -> FieldElement:
+        """The element of a polynomial over Z/p, reduced by the modulus."""
+        red = _poly_mod(poly, self._modulus_list, self.p)
+        return FieldElement(self, tuple(red) + (0,) * (self.e - len(red)))
 
     def element(self, coeffs) -> FieldElement:
         coeffs = tuple(int(c) % self.p for c in coeffs)
@@ -311,13 +318,14 @@ class Field:
 
 @lru_cache(maxsize=None)
 def _make_field_cached(p: int, e: int) -> Field:
-    return Field(p, e)
+    # the caller has bounded q = p^e by its own budgets
+    return Field(p, e, Budgets(field_q_max=p ** e))
 
 
 def make_field(p: int, e: int = 1, budgets: Budgets | None = None) -> Field:
-    """Interned constructor: the same (p, e) always returns the same object."""
-    if budgets is not None:
-        check_field_order(budgets, p, e)
+    """Interned constructor: the same (p, e) always returns the same object,
+    whichever budgets admitted it."""
+    check_field_order(budgets, p, e)
     return _make_field_cached(p, e)
 
 

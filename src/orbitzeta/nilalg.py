@@ -16,7 +16,7 @@ import numpy as np
 
 from .budgets import Budgets
 from .errors import ValidationError
-from .ffield import Field, FieldElement, make_field
+from .ffield import Field, FieldElement, make_field, p_adic
 from .linalg import reduce_mod_p, rref_mod_p
 
 
@@ -91,7 +91,7 @@ class NilAlgebra:
     """
 
     def __init__(self, field: Field, dim: int, table, *, name: str | None = None,
-                 check: bool = True, budgets: Budgets | None = None):
+                 check: bool = True):
         if dim < 1:
             raise ValidationError("algebra dimension must be >= 1")
         self.field = field
@@ -380,7 +380,7 @@ class NilAlgebra:
 
 # ------------------------------------------------------------ constructors --
 
-def make_unitriangular(n: int, field: Field, budgets: Budgets | None = None) -> NilAlgebra:
+def make_unitriangular(n: int, field: Field) -> NilAlgebra:
     """u_n(F_q): strictly upper triangular n x n matrices.
 
     Basis e_ij (i < j) ordered by (j - i, i); nilpotency class is n.
@@ -396,26 +396,21 @@ def make_unitriangular(n: int, field: Field, budgets: Budgets | None = None) -> 
         for b, (k, l) in enumerate(pairs):
             if j == k:
                 table[(a, b)] = ((index[(i, l)], one),)
-    alg = NilAlgebra(field, len(pairs), table,
-                     name=f"u_{n}({field.name})", budgets=budgets)
+    alg = NilAlgebra(field, len(pairs), table, name=f"u_{n}({field.name})")
     if alg.nilpotency_class != n:
         raise ValidationError(f"u_{n} must have class {n}, got {alg.nilpotency_class}")
     return alg
 
 
-def make_augmentation_ideal(group, field: Field,
-                            budgets: Budgets | None = None) -> NilAlgebra:
+def make_augmentation_ideal(group, field: Field) -> NilAlgebra:
     """I_F[pi]: the augmentation ideal of the group algebra of a p-group over
     a field of the same characteristic, on the basis {g - 1 : g != 1}.
     """
     m = group.order
-    p = field.p
-    size = m
-    while size % p == 0:
-        size //= p
-    if size != 1 or m == 1:
+    if m == 1 or p_adic(m, field.p)[1] != 1:
         raise ValidationError(
-            f"group of order {m} is not a nontrivial {p}-group; characteristic must match")
+            f"group of order {m} is not a nontrivial {field.p}-group; "
+            "characteristic must match")
     e = group.identity
     elems = [x for x in range(m) if x != e]
     index = {x: t for t, x in enumerate(elems)}
@@ -433,8 +428,7 @@ def make_augmentation_ideal(group, field: Field,
             clean = tuple((k, c) for k, c in sorted(terms.items()) if not c.is_zero())
             if clean:
                 table[(a, b)] = clean
-    return NilAlgebra(field, m - 1, table,
-                      name=f"I_{field.name}[{group.name}]", budgets=budgets)
+    return NilAlgebra(field, m - 1, table, name=f"I_{field.name}[{group.name}]")
 
 
 def make_zero_algebra(dim: int, field: Field) -> NilAlgebra:
@@ -474,8 +468,7 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
             raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
         coeff = field.from_code(code)
         table.setdefault((i, j), []).append((k, coeff))
-    return NilAlgebra(field, d, {ij: tuple(t) for ij, t in table.items()},
-                      name=name, budgets=budgets)
+    return NilAlgebra(field, d, {ij: tuple(t) for ij, t in table.items()}, name=name)
 
 
 def serialize_algebra(alg: NilAlgebra) -> str:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,33 @@ def test_hensel_lift_basic():
         field = make_field(p, e)
         assert len(fhat) == e + 1 and fhat[-1] == 1
         assert [c % p for c in fhat] == [c % p for c in field.modulus]
+
+
+def test_lifted_modulus_divides_t_q_minus_1_by_sympy_remainder():
+    # fhat | t^(q-1) - 1 mod p^v pins the lift (Hensel uniqueness); the
+    # remainder over ZZ comes from sympy, not from the polynomial kit
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(2, 9):
+            q = p ** e
+            if q > 256:
+                break
+            target = sympy.Poly(t ** (q - 1) - 1, t, domain=sympy.ZZ)
+            for v in range(1, 7):
+                fhat = hensel_lift_modulus(p, e, v)
+                assert len(fhat) == e + 1 and fhat[-1] == 1
+                assert [c % p for c in fhat] == list(make_field(p, e).modulus)
+                rem = target.rem(sympy.Poly(fhat[::-1], t, domain=sympy.ZZ))
+                assert all(c % p ** v == 0 for c in rem.all_coeffs()), (p, e, v)
+
+
+def test_frobenius_matrix_for_a_large_field_is_fast():
+    # the lift costs O(e^2 log q) products, not a division of t^(q-1) - 1
+    start = time.perf_counter()
+    mat = frobenius_matrix(1021, 2, 3)
+    assert time.perf_counter() - start < 2.0
+    assert [[x % 1021 for x in row] for row in mat] == frobenius_matrix(1021, 2, 1)
 
 
 def test_frobenius_matrix_anchor():

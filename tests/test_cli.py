@@ -274,6 +274,18 @@ def test_budget_violation_exits_3(capsys, algebra_file):
     assert "error:" in err
 
 
+def test_raised_field_budget_reaches_the_field(capsys, tmp_path):
+    # q = 1048583 is past the default field_q_max of 2^20
+    path = tmp_path / "big_q.nil"
+    path.write_text("alg 1048583 1 1\n", encoding="utf-8")
+    rc, _, err = run(capsys, ["nilalg", "info", str(path)])
+    assert rc == 3 and "field_q_max" in err
+    rc, payload, _ = run(capsys, ["nilalg", "info", str(path),
+                                  "--set", "field_q_max=2000000"])
+    assert rc == 0
+    assert payload["dim"] == 1
+
+
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     def boom(q):
         raise InternalInconsistencyError("forced for the exit code test")

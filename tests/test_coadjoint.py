@@ -366,6 +366,14 @@ def test_census_budget():
                      budgets=Budgets(dual_census_max=8))
 
 
+def test_engine_for_checks_budgets_on_a_cached_engine():
+    alg = corpus.unitriangular(3, 3)
+    engine_for(alg)  # cached on alg under the default budgets
+    with pytest.raises(BudgetError, match="group_enumeration_max"):
+        character_table(alg, Budgets(group_enumeration_max=4))
+    assert character_table(alg).k == 11
+
+
 def test_radical_closure_check_needs_omega_invariance():
     from orbitzeta.coadjoint import _require_fq_closed
 

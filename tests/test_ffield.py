@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from orbitzeta.errors import BudgetError, ValidationError
-from orbitzeta.ffield import Field, is_prime, make_field, parse_field_record
+from orbitzeta.budgets import Budgets
+from orbitzeta.ffield import (Field, FieldElement, _poly_mod, _poly_mul, _poly_powmod,
+                              is_prime, make_field, p_adic, parse_field_record)
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (7, 1), (3, 3)]
@@ -135,13 +138,6 @@ def test_code_roundtrip(p, e):
         f.from_code(f.q)
 
 
-def test_generator_has_full_order():
-    f = make_field(3, 2)
-    g = f.from_code(f.generator_code)
-    powers = {(g ** i).code for i in range(f.q - 1)}
-    assert len(powers) == f.q - 1
-
-
 def test_t_is_root_of_modulus():
     f = make_field(2, 3)
     t = f.t()
@@ -180,3 +176,72 @@ def test_field_budget_is_checked_before_forming_a_huge_power():
                   lambda: make_field(2, 3 * 10**9, budgets=Budgets())):
         with pytest.raises(BudgetError, match="field_q_max"):
             build()
+
+
+def test_make_field_under_raised_budget_is_interned():
+    raised = Budgets(field_q_max=2 * 10**6)
+    f = make_field(1048583, 1, raised)
+    assert f.q == 1048583 and make_field(1048583, 1, raised) is f
+    with pytest.raises(BudgetError, match="field_q_max"):
+        make_field(1048583, 1)  # the cache does not bypass the default budget
+
+
+# ------------------------------------------------------- polynomial kit --
+
+def test_p_adic():
+    assert p_adic(1, 2) == (0, 1)
+    for p in (2, 3, 7):
+        for v in range(6):
+            assert p_adic(p ** v, p) == (v, 1)
+    assert p_adic(35, 3) == (0, 35)
+    assert p_adic(2**61 - 1, 2) == (0, 2**61 - 1)
+    assert p_adic(3**4 * 5, 3) == (4, 5)
+    assert p_adic(-24, 2) == (3, -3)
+    for bad in ((0, 2), (5, 1), (5, 0)):
+        with pytest.raises(ValidationError):
+            p_adic(*bad)
+
+
+@pytest.mark.parametrize("mod,m", [(5, [2, 0, 1]), (5**3, [2, 0, 1]),
+                                   (2**4, [1, 1, 0, 1]), (3**2, [7, 1])])
+def test_poly_powmod_matches_repeated_multiplication(mod, m):
+    rng = random.Random(mod)
+    a = [rng.randrange(mod) for _ in range(len(m) + 2)]
+    exponents = {0, 1} | {2**k + d for k in range(1, 7) for d in (-1, 1)}
+    acc, n = _poly_mod([1], m, mod), 0
+    for target in sorted(exponents):
+        while n < target:
+            acc = _poly_mod(_poly_mul(acc, a, mod), m, mod)
+            n += 1
+        assert _poly_powmod(a, n, m, mod) == acc, (mod, m, n)
+
+
+def test_negative_power_goes_through_inverse(monkeypatch):
+    f = make_field(3, 2)
+    x = f.from_code(5)
+    calls = []
+    real = FieldElement.inverse
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(FieldElement, "inverse", spy)
+    assert x ** -3 == real(x) ** 3
+    assert calls == [x]
+    with pytest.raises(ZeroDivisionError):
+        f.zero ** -2
+
+
+def _irreducible_by_trial_division(m, p):
+    deg = len(m) - 1
+    return all(_poly_mod(m, list(tail) + [1], p)
+               for d in range(1, deg // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (5, 3), (7, 2)])
+def test_modulus_is_least_irreducible_by_trial_division(p, e):
+    # the lexicographically least monic irreducible, constant term first
+    least = next(list(tail) + [1] for tail in itertools.product(range(p), repeat=e)
+                 if _irreducible_by_trial_division(list(tail) + [1], p))
+    assert list(make_field(p, e).modulus) == least

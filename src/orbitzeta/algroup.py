@@ -9,14 +9,13 @@ on J, so orbit computations run on integer coordinate arrays.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .grouptab import (OrbitPartition, _adjoin, _close, _least_non_members,
+from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
                        orbit_partition)
 from .nilalg import AlgVector, NilAlgebra
 
@@ -296,12 +295,9 @@ class AlgebraGroup:
                 self._gens = self.prime_generators
             else:
                 check_budget(self.budgets, "group_enumeration_max", self.N)
-                mask = np.zeros(self.N, dtype=bool)
-                mask[0] = True
                 # the seeds at codes p^t, then least non-members; each coset
                 # representative at least doubles the closure
-                codes = _adjoin(mask, self._right_mul_code,
-                                itertools.chain(self.powers, _least_non_members(mask)))
+                codes = generating_set(self.N, 0, self._right_mul_code, self.powers)
                 self._gens = self.digit_rows()[codes].astype(np.int64)
         return self._gens
 
@@ -333,6 +329,7 @@ class AlgebraGroup:
 
     def commutator_subgroup_packed(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
+        check_budget(self.budgets, "group_enumeration_max", self.N)
         gens = self._generators()
         inv = np.array([self._inverse(g) for g in gens])
         k = len(gens)
@@ -340,21 +337,8 @@ class AlgebraGroup:
         comms = self._gmul_rows(
             self._gmul_rows(np.repeat(inv, k, axis=0), np.tile(inv, (k, 1))),
             self._gmul_rows(np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))))
-        base = np.setdiff1d(self.pack_digits(comms), [0])
-        # normal closure of the commutators under generator conjugation
-        normal = np.zeros(self.N, dtype=bool)
-        if base.size:
-            _close(normal, self.group_perms(), base)
-        check_budget(self.budgets, "closure_max", int(normal.sum()))
-        # the subgroup they generate: adjoin each one not yet inside
-        members = np.zeros(self.N, dtype=bool)
-        members[0] = True
-        _adjoin(members, self._right_mul_code, np.flatnonzero(normal))
-        out = np.flatnonzero(members)
-        check_budget(self.budgets, "closure_max", int(out.size))
-        if self.N % out.size:
-            raise InternalInconsistencyError("derived subgroup size does not divide |1+J|")
-        return out
+        return derived_subgroup(self.N, 0, self._right_mul_code, self.group_perms,
+                                self.pack_digits(comms))
 
     def abelianization_order(self) -> int:
         return self.N // int(self.commutator_subgroup_packed().size)

@@ -21,7 +21,6 @@ class Budgets:
     collection_steps_max: int = 10**7  # rewriting steps per multiplication
     group_enumeration_max: int = 2**22  # elements of 1+J enumerated
     dual_census_max: int = 2**24      # dual functionals visited in a census
-    closure_max: int = 2**22          # subgroup closure size
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series
 
 

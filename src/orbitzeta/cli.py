@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -105,6 +106,18 @@ def _load_factor_spec(path: str) -> FactorSpec:
     return FactorSpec(factors, name=os.path.basename(path))
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without the int-to-str conversion that Python
+    refuses past 4300 digits: the bit length places n within a digit or two,
+    and powers of 10 settle it."""
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    while d > 1 and n < 10 ** (d - 1):
+        d -= 1
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
 def _cyclo_json(value):
     return {"vec": [int(x) for x in value.vec], "den": int(value.denom)}
 
@@ -119,7 +132,7 @@ def cmd_grouptab(args) -> dict:
         "order": g.order,
         "k": classes.count,
         "class_sizes": sorted(classes.sizes),
-        "derived_order": len(g.commutator_subgroup(budgets)),
+        "derived_order": len(g.commutator_subgroup()),
     }
 
 
@@ -268,18 +281,19 @@ def cmd_zeta_target(args) -> dict:
     ts = target_abscissa_spec(c, lie, args.p, imax=args.imax)
     above = ts.akov_partial_sums(float(c) + 0.1, args.imax)[-1]
     below = ts.akov_partial_sums(float(c) - 0.1, args.imax)[-1]
+    entries = [[i, a, _decimal_digits(f) if f else 0] for i, a, f in ts.entries]
     if args.emit_plot_data:
         with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
             fh.write("i,a_i,f_digits\n")
-            for i, a, f in ts.entries:
-                fh.write(f"{i},{a},{len(str(f)) if f else 0}\n")
+            for i, a, digits in entries:
+                fh.write(f"{i},{a},{digits}\n")
     return {
         "c": str(c),
         "type": lie.label,
         "p": args.p,
         "imax": args.imax,
         "n0": ts.n0,
-        "entries": [[i, a, len(str(f)) if f else 0] for i, a, f in ts.entries],
+        "entries": entries,
         "partial_sum_above": above,
         "partial_sum_below": below,
     }
@@ -323,7 +337,7 @@ def _suite_groups(budgets) -> dict:
         classes = g.conjugacy_classes(budgets)
         if sum(classes.sizes) != g.order:
             raise InternalInconsistencyError(f"{name}: class sizes do not sum to order")
-        derived = len(g.commutator_subgroup(budgets))
+        derived = len(g.commutator_subgroup())
         if g.order % derived:
             raise InternalInconsistencyError(f"{name}: derived order does not divide")
         rows.append({"name": name, "order": g.order, "k": classes.count,

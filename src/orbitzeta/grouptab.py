@@ -11,6 +11,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,34 @@ def _least_non_members(mask: np.ndarray):
         yield int(np.argmin(mask))
 
 
+def generating_set(n_points: int, identity: int, right_mul, seeds=()) -> list[int]:
+    """A generating set of the group on 0..n_points-1 whose right
+    multiplications right_mul(x) gives: each seed, then each least point,
+    that the ones before it do not generate."""
+    mask = np.zeros(n_points, dtype=bool)
+    mask[identity] = True
+    return _adjoin(mask, right_mul, itertools.chain(seeds, _least_non_members(mask)))
+
+
+def derived_subgroup(n_points: int, identity: int, right_mul, conjugation_perms,
+                     commutators) -> np.ndarray:
+    """Sorted points of the derived subgroup, given the commutators of all
+    generator pairs: their normal closure under the permutations that
+    conjugation_perms() returns (called only if a commutator is not the
+    identity), then the subgroup that closure generates."""
+    normal = np.zeros(n_points, dtype=bool)
+    base = np.setdiff1d(commutators, [identity])
+    if base.size:
+        _close(normal, conjugation_perms(), base)
+    members = np.zeros(n_points, dtype=bool)
+    members[identity] = True
+    _adjoin(members, right_mul, np.flatnonzero(normal))
+    out = np.flatnonzero(members)
+    if n_points % out.size:
+        raise InternalInconsistencyError("derived subgroup order does not divide group order")
+    return out
+
+
 def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
     """Cayley table of the group whose generators act by the permutations
     x -> x g in right_mul.
@@ -160,9 +189,7 @@ class FiniteGroupTable:
         self.identity = _validate_table(table)
         self.inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
         if generators is None:
-            mask = np.zeros(m, dtype=bool)
-            mask[self.identity] = True
-            generators = _adjoin(mask, lambda x: table[:, x], _least_non_members(mask))
+            generators = generating_set(m, self.identity, lambda x: table[:, x])
         self.generators = list(generators)
         if pres is not None:
             _verify_pc_table(self, pres)
@@ -254,31 +281,20 @@ class FiniteGroupTable:
 
     # ----------------------------------------------------------- derived --
 
-    def commutator_subgroup(self, budgets: Budgets | None = None) -> frozenset[int]:
+    def commutator_subgroup(self) -> frozenset[int]:
         if self._derived is None:
             table, inv = self.table, self.inv
             gens = np.asarray(self.generators, dtype=np.int64)
             a, b = np.repeat(gens, gens.size), np.tile(gens, gens.size)
             # [a, b] = a^-1 b^-1 a b for every generator pair
-            base = np.setdiff1d(table[inv[a], table[inv[b], table[a, b]]], [self.identity])
-            # normal closure of the commutators under conjugation by generators
-            normal = np.zeros(self.order, dtype=bool)
-            _close(normal, self._conjugation_perms(), base)
-            check_budget(budgets, "closure_max", int(normal.sum()))
-            # the subgroup they generate: adjoin each one not yet inside
-            members = np.zeros(self.order, dtype=bool)
-            members[self.identity] = True
-            _adjoin(members, lambda x: table[:, x], np.flatnonzero(normal))
-            size = int(members.sum())
-            check_budget(budgets, "closure_max", size)
-            if self.order % size:
-                raise InternalInconsistencyError(
-                    "derived subgroup order does not divide group order")
-            self._derived = frozenset(np.flatnonzero(members).tolist())
+            comms = table[inv[a], table[inv[b], table[a, b]]]
+            members = derived_subgroup(self.order, self.identity, lambda x: table[:, x],
+                                       self._conjugation_perms, comms)
+            self._derived = frozenset(members.tolist())
         return self._derived
 
-    def abelianization_order(self, budgets: Budgets | None = None) -> int:
-        return self.order // len(self.commutator_subgroup(budgets))
+    def abelianization_order(self) -> int:
+        return self.order // len(self.commutator_subgroup())
 
     # ------------------------------------------------------ constructors --
 

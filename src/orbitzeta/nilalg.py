@@ -25,6 +25,26 @@ from .linalg import reduce_mod_p, rref_mod_p
 _PRIME_DIM_MAX = 128
 
 
+def _check_size(field: Field, d: int) -> None:
+    """The bounds on J that hold before any array of its size exists."""
+    if d < 1:
+        raise ValidationError("algebra dimension must be >= 1")
+    n = d * field.e
+    if n > _PRIME_DIM_MAX:
+        raise ValidationError(
+            f"J has dimension {n} over Z/p; the structure tensor needs n^3 "
+            f"entries and supports n <= {_PRIME_DIM_MAX}")
+    # a Z/p contraction sums n products of residues in int64
+    if n * (field.p - 1) ** 2 >= 2**63:
+        raise ValidationError(f"J has dimension {n} over Z/{field.p}; int64 "
+                              "contractions need n (p-1)^2 < 2^63")
+
+
+def _zero_constants(field: Field, d: int) -> np.ndarray:
+    _check_size(field, d)
+    return np.zeros((d, d, d, field.e), dtype=np.int64)
+
+
 class AlgVector:
     """An element of J, a coefficient tuple over the algebra's basis."""
 
@@ -81,32 +101,27 @@ class AlgVector:
 
 
 class NilAlgebra:
-    """Nilpotent associative F_q-algebra with sparse structure constants.
+    """Nilpotent associative F_q-algebra given by its structure constants.
 
-    table maps a basis pair (i, j) to a tuple of (k, coeff) terms giving
-    b_i * b_j; absent pairs multiply to zero.  T is the same multiplication
-    over Z/p on the prime basis t = i*e + m (see prime_basis_vector):
-    b_s * b_t has prime coordinates T[s, t].  omega is the matrix of
-    multiplication by omega on prime coordinate rows.
+    C[i, j, k] holds the F_q digits (constant term first) of the
+    coefficient of b_k in b_i * b_j.  T is the same multiplication over Z/p
+    on the prime basis t = i*e + m (see prime_basis_vector): b_s * b_t has
+    prime coordinates T[s, t].  omega is the matrix of multiplication by
+    omega on prime coordinate rows.
     """
 
-    def __init__(self, field: Field, dim: int, table, *, name: str | None = None,
+    def __init__(self, field: Field, C, *, name: str | None = None,
                  check: bool = True):
-        if dim < 1:
-            raise ValidationError("algebra dimension must be >= 1")
+        C = np.asarray(C, dtype=np.int64)
+        d = len(C)
+        if C.shape != (d, d, d, field.e):
+            raise ValidationError(
+                f"structure constants need shape (d, d, d, {field.e}), got {C.shape}")
+        _check_size(field, d)
         self.field = field
-        self.dim = dim
-        self.name = name or f"nilalg(d={dim},{field.name})"
-        self.table: dict[tuple[int, int], tuple[tuple[int, FieldElement], ...]] = {}
-        for (i, j), terms in table.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValidationError(f"structure constant index ({i},{j}) out of range")
-            clean = tuple((k, c) for (k, c) in terms if not c.is_zero())
-            for k, _ in clean:
-                if not 0 <= k < dim:
-                    raise ValidationError(f"structure constant target {k} out of range")
-            if clean:
-                self.table[(i, j)] = clean
+        self.dim = d
+        self.name = name or f"nilalg(d={d},{field.name})"
+        self.C = C % field.p
         self._build_tensor()
         if check:
             self._verify_associativity()
@@ -117,10 +132,6 @@ class NilAlgebra:
     def _build_tensor(self) -> None:
         p, e, d = self.field.p, self.field.e, self.dim
         n = d * e
-        if n > _PRIME_DIM_MAX:
-            raise ValidationError(
-                f"J has dimension {n} over Z/p; the structure tensor needs n^3 "
-                f"entries and supports n <= {_PRIME_DIM_MAX}")
         # companion matrix: digits(omega * x) = comp @ digits(x)
         comp = np.zeros((e, e), dtype=np.int64)
         comp[np.arange(1, e), np.arange(e - 1)] = 1
@@ -130,11 +141,7 @@ class NilAlgebra:
             pw.append(comp @ pw[-1] % p)
         # (omega^a b_i)(omega^c b_j) = omega^(a+c) b_i b_j
         shift = np.array([[pw[a + c] for c in range(e)] for a in range(e)])
-        coeffs = np.zeros((d, d, d, e), dtype=np.int64)
-        for (i, j), terms in self.table.items():
-            for k, c in terms:
-                coeffs[i, j, k] += c.coeffs  # repeated targets add up
-        self.T = np.einsum("acrs,ijks->iajckr", shift, coeffs).reshape(n, n, n) % p
+        self.T = np.einsum("acrs,ijks->iajckr", shift, self.C).reshape(n, n, n) % p
         self.omega = np.kron(np.eye(d, dtype=np.int64), comp.T)
 
     # ------------------------------------------------------- vector ops --
@@ -182,17 +189,18 @@ class NilAlgebra:
             yield self.unpack(code)
 
     def multiply(self, u: AlgVector, v: AlgVector) -> AlgVector:
-        dense = [self.field.zero] * self.dim
-        ui = [(i, a) for i, a in enumerate(u.coeffs) if not a.is_zero()]
-        vj = [(j, b) for j, b in enumerate(v.coeffs) if not b.is_zero()]
-        for i, a in ui:
-            for j, b in vj:
-                terms = self.table.get((i, j))
-                if not terms:
-                    continue
-                ab = a * b
-                for k, c in terms:
-                    dense[k] = dense[k] + ab * c
+        """The product over F_q from C, the reference route for T."""
+        f = self.field
+        dense = [f.zero] * self.dim
+        rows = [i for i, a in enumerate(u.coeffs) if not a.is_zero()]
+        cols = [j for j, b in enumerate(v.coeffs) if not b.is_zero()]
+        block = self.C[rows][:, cols]
+        x, y, k = np.nonzero(block.any(axis=3))  # sorted by (x, y)
+        pair = ab = None
+        for i, j, t, c in zip(x.tolist(), y.tolist(), k.tolist(), block[x, y, k].tolist()):
+            if (i, j) != pair:
+                pair, ab = (i, j), u.coeffs[rows[i]] * v.coeffs[cols[j]]
+            dense[t] = dense[t] + ab * FieldElement(f, tuple(c))
         return AlgVector(self, dense)
 
     # -------------------------------------------- prime coordinate rows --
@@ -364,17 +372,10 @@ class NilAlgebra:
         prods = self._products_of(basis, basis)
         if reduce_mod_p(ech, piv, prods, p).any():
             raise ValidationError("subspace is not closed under multiplication")
-        coords = prods[..., piv]  # prime coordinates in the new algebra
-        sub_dim = len(basis)
-        table = {}
-        for i in range(sub_dim):
-            for j in range(sub_dim):
-                terms = tuple((k, self.field.element(coords[i, j, k * e:(k + 1) * e]))
-                              for k in range(sub_dim) if coords[i, j, k * e:(k + 1) * e].any())
-                if terms:
-                    table[(i, j)] = terms
-        sub = NilAlgebra(self.field, sub_dim, table, name=name or f"{self.name}|sub",
-                         check=check)
+        # prime coordinates in the new algebra, t = k*e + m
+        d = len(basis)
+        sub = NilAlgebra(self.field, prods[..., piv].reshape(d, d, d, e),
+                         name=name or f"{self.name}|sub", check=check)
         return sub, ech
 
 
@@ -387,16 +388,15 @@ def make_unitriangular(n: int, field: Field) -> NilAlgebra:
     """
     if n < 2:
         raise ValidationError("unitriangular algebra needs n >= 2")
-    pairs = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
-                   key=lambda ij: (ij[1] - ij[0], ij[0]))
-    index = {ij: t for t, ij in enumerate(pairs)}
-    one = field.one
-    table = {}
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                table[(a, b)] = ((index[(i, l)], one),)
-    alg = NilAlgebra(field, len(pairs), table, name=f"u_{n}({field.name})")
+    C = _zero_constants(field, n * (n - 1) // 2)
+    pairs = np.array(sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                            key=lambda ij: (ij[1] - ij[0], ij[0])))
+    index = np.zeros((n, n), dtype=np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+    # e_ij e_kl = e_il when j = k
+    a, b = np.nonzero(pairs[:, 1, None] == pairs[None, :, 0])
+    C[a, b, index[pairs[a, 0], pairs[b, 1]], 0] = 1
+    alg = NilAlgebra(field, C, name=f"u_{n}({field.name})")
     if alg.nilpotency_class != n:
         raise ValidationError(f"u_{n} must have class {n}, got {alg.nilpotency_class}")
     return alg
@@ -411,29 +411,23 @@ def make_augmentation_ideal(group, field: Field) -> NilAlgebra:
         raise ValidationError(
             f"group of order {m} is not a nontrivial {field.p}-group; "
             "characteristic must match")
-    e = group.identity
-    elems = [x for x in range(m) if x != e]
-    index = {x: t for t, x in enumerate(elems)}
-    one = field.one
-    minus = -field.one
-    table = {}
-    for a, g in enumerate(elems):
-        for b, h in enumerate(elems):
-            gh = group.mult(g, h)
-            terms: dict[int, FieldElement] = {}
-            if gh != e:
-                terms[index[gh]] = one
-            terms[a] = terms.get(a, field.zero) + minus
-            terms[b] = terms.get(b, field.zero) + minus
-            clean = tuple((k, c) for k, c in sorted(terms.items()) if not c.is_zero())
-            if clean:
-                table[(a, b)] = clean
-    return NilAlgebra(field, m - 1, table, name=f"I_{field.name}[{group.name}]")
+    _check_size(field, m - 1)
+    # (g - 1)(h - 1) = (gh - 1) - (g - 1) - (h - 1) over the whole group,
+    # then the identity drops out: its g - 1 is zero
+    g, h = np.indices((m, m))
+    C = np.zeros((m, m, m, field.e), dtype=np.int64)
+    C[g, h, group.table, 0] += 1
+    C[g, h, g, 0] -= 1
+    C[g, h, h, 0] -= 1
+    keep = np.arange(m) != group.identity
+    return NilAlgebra(field, C[np.ix_(keep, keep, keep)],
+                      name=f"I_{field.name}[{group.name}]")
 
 
 def make_zero_algebra(dim: int, field: Field) -> NilAlgebra:
     """J with J*J = 0; the algebra group 1+J is elementary abelian."""
-    return NilAlgebra(field, dim, {}, name=f"zero(d={dim},{field.name})")
+    return NilAlgebra(field, _zero_constants(field, dim),
+                      name=f"zero(d={dim},{field.name})")
 
 
 # ----------------------------------------------------------------- files --
@@ -443,7 +437,7 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
     """Parse 'alg p e d' followed by sparse structure lines 'i j k coeff'.
 
     coeff is the integer code of a field element (base-p digits, constant
-    term least significant).
+    term least significant); repeated (i, j, k) lines add up.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -457,7 +451,7 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
     except ValueError:
         raise ValidationError(f"algebra header has non-integer tokens: {lines[0]!r}") from None
     field = make_field(p, e, budgets)
-    table: dict[tuple[int, int], list] = {}
+    C = _zero_constants(field, d)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
@@ -466,15 +460,15 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
             i, j, k, code = (int(x) for x in parts)
         except ValueError:
             raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
-        coeff = field.from_code(code)
-        table.setdefault((i, j), []).append((k, coeff))
-    return NilAlgebra(field, d, {ij: tuple(t) for ij, t in table.items()}, name=name)
+        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+            raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
+        C[i, j, k] = (C[i, j, k] + field.from_code(code).coeffs) % p
+    return NilAlgebra(field, C, name=name)
 
 
 def serialize_algebra(alg: NilAlgebra) -> str:
     f = alg.field
     out = [f"alg {f.p} {f.e} {alg.dim}"]
-    for (i, j), terms in sorted(alg.table.items()):
-        for k, c in terms:
-            out.append(f"{i} {j} {k} {c.code}")
+    for i, j, k in np.argwhere(alg.C.any(axis=3)).tolist():
+        out.append(f"{i} {j} {k} {f.element(alg.C[i, j, k]).code}")
     return "\n".join(out) + "\n"

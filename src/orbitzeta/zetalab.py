@@ -274,7 +274,8 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
     Only factors whose minimal nontrivial degree is <= N contribute; the
     rest multiply the series by 1 + O(n^(-s)) terms beyond the cutoff.
     exact mode requires type A1 with odd q (SL2 data); akov mode uses the
-    two-term approximants with binomial expansion across multiplicities.
+    two-term approximants.  Either way a factor's series is raised to its
+    multiplicity by square-and-multiply, about 2 log2(mult) products.
     """
     check_budget(budgets, "series_cutoff_max", N)
     if mode not in ("exact", "akov"):
@@ -291,26 +292,17 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
             if ms.min_nontrivial_degree() > N:
                 continue
             f = TruncatedDirichlet.from_degree_multiset(ms, N)
-            # square-and-multiply: about 2 log2(mult) products
-            while True:
-                if mult & 1:
-                    out = dirichlet_product(out, f)
-                mult >>= 1
-                if not mult:
-                    break
-                f = dirichlet_product(f, f)
         else:
-            a, b = akov_term(L, q)
-            base = q ** b
-            if base > N:
+            if q ** L.pos_roots > N:
                 continue
-            f = TruncatedDirichlet(N, exact=False)
-            f.coeffs[1] = 1
-            j = 1
-            while base ** j <= N and j <= mult:
-                f.coeffs[base ** j] += math.comb(mult, j) * a ** j
-                j += 1
-            out = dirichlet_product(out, f)
+            f = akov_series(L, q, N)
+        while True:
+            if mult & 1:
+                out = dirichlet_product(out, f)
+            mult >>= 1
+            if not mult:
+                break
+            f = dirichlet_product(f, f)
     if mode == "akov":
         out.exact = False
     return out

@@ -166,17 +166,25 @@ def test_unitriangular_group_is_dihedral_of_order_8():
 
 
 def test_brute_force_class_count_matches_engine():
-    # independent oracle: build the Cayley table and count classes there
-    for alg in (corpus.unitriangular(3, 3), corpus.augmentation_ideal("C4", 2)):
-        els = enumerate_group_elements(alg)
-        index = {v.pack(): i for i, v in enumerate(els)}
+    # independent oracle: the Cayley table of 1+J from products of all pairs
+    # runs the FiniteGroupTable route to classes and the derived subgroup
+    for alg in (corpus.unitriangular(3, 3), corpus.augmentation_ideal("C4", 2),
+                corpus.unitriangular(3, 2, 2), corpus.unitriangular(4, 2),
+                corpus.augmentation_ideal("D8", 2)):
+        eng = AlgebraGroup(alg)
+        X = eng.digit_rows().astype(np.int64)
+        N = eng.N
+        table = eng.pack_digits(eng._gmul_rows(np.repeat(X, N, axis=0), np.tile(X, (N, 1))))
+        g = FiniteGroupTable.from_cayley_table(table.reshape(N, N))
+        assert g.k() == eng.k(), alg.name
+        assert sorted(g.conjugacy_classes().sizes) == sorted(eng.conjugacy_classes().sizes)
+        assert len(g.commutator_subgroup()) == eng.commutator_subgroup_packed().size
 
-        def mult(i, j, els=els, index=index):
-            return index[gmul(els[i], els[j]).pack()]
 
-        g = FiniteGroupTable.from_cayley_table(
-            [[mult(i, j) for j in range(len(els))] for i in range(len(els))])
-        assert g.k() == AlgebraGroup(alg).k()
+def test_derived_subgroup_is_budgeted_before_its_masks():
+    # J*J = 0 skips the generator closure; N = 2^40 must still hit the budget
+    with pytest.raises(BudgetError):
+        AlgebraGroup(corpus.zero_algebra(40, 2)).abelianization_order()
 
 
 def test_right_mul_perm_matches_scalar():

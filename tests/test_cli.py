@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 import orbitzeta
 from orbitzeta import corpus
-from orbitzeta.cli import main
+from orbitzeta.cli import _decimal_digits, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
 from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
-from orbitzeta.zetalab import TruncatedDirichlet, dirichlet_product, sl2_degrees
+from orbitzeta.zetalab import (A1, TruncatedDirichlet, dirichlet_product, sl2_degrees,
+                               target_abscissa_spec)
 
 
 def run(capsys, argv):
@@ -142,6 +144,34 @@ def test_zeta_target_accepts_fractions(capsys):
     assert payload["c"] == "1/2"
 
 
+def test_zeta_target_counts_digits_past_the_str_limit(capsys, tmp_path):
+    # 5^6500 has 4544 digits, past the 4300-digit int-to-str default
+    plot = tmp_path / "target.csv"
+    rc, payload, _ = run(capsys, ["zeta", "target", "--c", "3/2", "--p", "5",
+                                  "--imax", "13000", "--emit-plot-data", str(plot)])
+    assert rc == 0
+    spec = target_abscissa_spec(Fraction(3, 2), A1, 5, imax=13000)
+    i, a, f = spec.entries[-1]
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert payload["entries"][-1] == [i, a, len(str(f))] == [13000, 19500, 4544]
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert plot.read_text(encoding="utf-8").splitlines()[-1] == "13000,19500,4544"
+
+
+def test_decimal_digits_matches_str():
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in [1, 9, 10, 11, 99, 100, 10 ** 17 - 1, 10 ** 17, 2 ** 64,
+                  10 ** 5000 - 1, 10 ** 5000, 7 ** 9000]:
+            assert _decimal_digits(n) == len(str(n))
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
 @pytest.mark.parametrize("argv", [
     ["zeta", "target", "--c", "abc", "--type", "B2", "--p", "2"],
     ["zeta", "target", "--c", "1", "--type", "X3", "--p", "2"],
@@ -260,7 +290,7 @@ def test_budget_config_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["nonsense", "no_such_key=5", "field_q_max=x",
-                                     "field_q_max=0"])
+                                     "field_q_max=0", "closure_max=5"])
 def test_budget_bad_setting_exits_2(capsys, setting):
     rc, _, err = run(capsys, ["budget", "--set", setting])
     assert rc == 2
@@ -473,6 +503,34 @@ def test_nilalg_info_huge_extension_degree_exits_3_quickly(tmp_path):
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 3
     assert "field_q_max" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _cli_subprocess(argv, timeout=10):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
+    return subprocess.run([sys.executable, "-m", "orbitzeta.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_nilalg_info_huge_dimension_exits_2_quickly(tmp_path):
+    # d*e is bounded before the (d, d, d, e) structure array is allocated
+    path = tmp_path / "huge_d.nil"
+    path.write_text("alg 2 1 1000000\n", encoding="utf-8")
+    proc = _cli_subprocess(["nilalg", "info", str(path)])
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_nilalg_info_rejects_int64_overflow_prime(tmp_path):
+    # n (p-1)^2 >= 2^63: wrapped int64 contractions made this file report
+    # derived_dim 2, where the true value is 1
+    path = tmp_path / "big_p.nil"
+    path.write_text("alg 4294967311 1 5\n0 1 3 4294967309\n0 1 4 4294967308\n"
+                    "0 2 3 4048053733\n0 2 4 3924596944\n", encoding="utf-8")
+    proc = _cli_subprocess(["nilalg", "info", str(path), "--set", "field_q_max=5000000000"])
+    assert proc.returncode == 2
+    assert "2^63" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

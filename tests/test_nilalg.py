@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from orbitzeta import corpus
+from orbitzeta.budgets import Budgets
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import make_field
 from orbitzeta.nilalg import (NilAlgebra, make_augmentation_ideal,
@@ -25,6 +27,16 @@ def test_unitriangular_dimensions_and_class():
 
 
 def test_unitriangular_products():
+    # the array constructor against the loop over basis pairs (i, j), (k, l)
+    u5 = make_unitriangular(5, make_field(3))
+    pairs = sorted(((i, j) for i in range(5) for j in range(i + 1, 5)),
+                   key=lambda ij: (ij[1] - ij[0], ij[0]))
+    want = np.zeros_like(u5.C)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if j == k:
+                want[a, b, pairs.index((i, l)), 0] = 1
+    assert np.array_equal(u5.C, want)
     # e_{12} e_{23} = e_{13}, all other basis products vanish
     u3 = make_unitriangular(3, make_field(5))
     e12, e23, e13 = (u3.basis_vector(i) for i in range(3))
@@ -48,6 +60,16 @@ def test_augmentation_ideal_basics():
         g = corpus.group(name)
         alg = corpus.augmentation_ideal(name, 2)
         assert alg.dim == g.order - 1
+        # the array constructor against the term-by-term loop
+        elems = [x for x in range(g.order) if x != g.identity]
+        want = np.zeros_like(alg.C)
+        for a, x in enumerate(elems):
+            for b, y in enumerate(elems):
+                if g.mult(x, y) != g.identity:
+                    want[a, b, elems.index(g.mult(x, y)), 0] += 1
+                want[a, b, a, 0] -= 1
+                want[a, b, b, 0] -= 1
+        assert np.array_equal(alg.C, want % 2)
     c2 = corpus.augmentation_ideal("C2", 2)
     x = c2.basis_vector(0)
     assert (x * x).is_zero()  # (g-1)^2 = g^2 - 2g + 1 = 0 in char 2
@@ -111,20 +133,45 @@ def test_pack_flat_roundtrip():
 
 def test_structure_constant_validation():
     f = make_field(2)
-    one = f.one
+    # out-of-range pair and target indices
     with pytest.raises(ValidationError):
-        NilAlgebra(f, 2, {(0, 5): ((1, one),)})
+        parse_algebra_file("alg 2 1 2\n0 5 1 1\n")
     with pytest.raises(ValidationError):
-        NilAlgebra(f, 2, {(0, 0): ((7, one),)})
+        parse_algebra_file("alg 2 1 2\n0 0 7 1\n")
     # x*x = x is not nilpotent
+    C = np.zeros((1, 1, 1, 1), dtype=np.int64)
+    C[0, 0, 0, 0] = 1
     with pytest.raises(ValidationError):
-        NilAlgebra(f, 1, {(0, 0): ((0, one),)})
+        NilAlgebra(f, C)
     # the dense n^3 structure tensor is capped at n = 128
     with pytest.raises(ValidationError):
-        NilAlgebra(f, 129, {})
-    # a nonassociative table: b0*b0 = b1, b0*b1 = b2 = 0-dim... use dim 3
+        make_zero_algebra(129, f)
+    # a nonassociative table: b0*b0 = b1, b1*b0 = b2, so (b0 b0) b0 != b0 (b0 b0)
+    C = np.zeros((3, 3, 3, 1), dtype=np.int64)
+    C[0, 0, 1, 0] = C[1, 0, 2, 0] = 1
     with pytest.raises(ValidationError):
-        NilAlgebra(f, 3, {(0, 0): ((1, one),), (1, 0): ((2, one),)})
+        NilAlgebra(f, C)
+    # C must be (d, d, d, e) with e the extension degree
+    with pytest.raises(ValidationError):
+        NilAlgebra(f, np.zeros((2, 2, 2, 2), dtype=np.int64))
+    with pytest.raises(ValidationError):
+        NilAlgebra(f, np.zeros((2, 2, 3, 1), dtype=np.int64))
+    # n (p-1)^2 < 2^63 keeps every int64 contraction exact; p = 3037000493 is
+    # the largest prime with (p-1)^2 < 2^63, so n = 1 passes and n = 2 fails
+    big = make_field(3037000493, 1, Budgets(field_q_max=2**32))
+    assert make_zero_algebra(1, big).dim == 1
+    with pytest.raises(ValidationError):
+        make_zero_algebra(2, big)
+    with pytest.raises(ValidationError):
+        make_zero_algebra(1, make_field(4294967311, 1, Budgets(field_q_max=2**33)))
+
+
+def test_parser_adds_repeated_targets_mod_p():
+    alg = parse_algebra_file("alg 3 1 2\n0 0 1 2\n0 0 1 2\n")
+    assert alg.C[0, 0, 1, 0] == 1
+    assert (alg.basis_vector(0) * alg.basis_vector(0)) == alg.basis_vector(1)
+    # the two lines cancel over F_2: J*J = 0
+    assert parse_algebra_file("alg 2 1 2\n0 0 1 1\n0 0 1 1\n").nilpotency_class == 2
 
 
 def test_subalgebra_closure():
@@ -157,7 +204,7 @@ def test_serialize_parse_roundtrip():
         back = parse_algebra_file(text)
         assert back.dim == alg.dim
         assert back.field is alg.field
-        assert back.table == alg.table
+        assert np.array_equal(back.C, alg.C)
 
 
 def test_augmentation_ideal_matches_group_algebra_relations():
@@ -195,8 +242,11 @@ def _big_constant_algebra():
     # b_i b_j = c_ij b_4 for i, j < 4 with c_ij near p = 1048573, the largest
     # prime below 2^20; every triple product vanishes, so it is associative
     f = make_field(1048573)
-    table = {(i, j): ((4, f.from_int(-1 - i - 4 * j)),) for i in range(4) for j in range(4)}
-    return NilAlgebra(f, 5, table, name="big-constants")
+    C = np.zeros((5, 5, 5, 1), dtype=np.int64)
+    for i in range(4):
+        for j in range(4):
+            C[i, j, 4, 0] = (-1 - i - 4 * j) % f.p
+    return NilAlgebra(f, C, name="big-constants")
 
 
 @pytest.mark.parametrize("make", [

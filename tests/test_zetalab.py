@@ -264,6 +264,23 @@ def test_product_series_akov_tower():
 def test_product_series_akov_multiplicity_binomials():
     f = product_series(FactorSpec([(A1, 3, 2)]), 20, mode="akov")
     assert dict(f.support()) == {1: 1, 3: 6, 9: 9}  # (1 + 3m^-s)^2
+    # (1 + a m^-s)^mult with m = q^|Phi+| is sum_j C(mult, j) a^j m^(-js)
+    for L, q, mult, N in [(A1, 2, 13, 5000), (LieTypeSpec.type_b(2), 2, 6, 4096),
+                          (A1, 5, 10 ** 6, 10 ** 4)]:
+        a, m = akov_term(L, q)
+        m = q ** m
+        want = {m ** j: math.comb(mult, j) * a ** j
+                for j in range(min(mult, N.bit_length()) + 1) if m ** j <= N}
+        f = product_series(FactorSpec([(L, q, mult)]), N, mode="akov")
+        assert dict(f.support()) == want
+        assert not f.exact
+
+
+def test_product_series_akov_is_approximate_when_every_factor_is_skipped():
+    f = product_series(FactorSpec([(A1, 101, 3)]), 50, mode="akov")
+    assert f.support() == [(1, 1)]
+    assert not f.exact
+    assert product_series(FactorSpec([(A1, 101, 3)]), 50).exact
 
 
 def test_product_series_budget():

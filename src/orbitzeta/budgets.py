@@ -22,6 +22,7 @@ class Budgets:
     group_enumeration_max: int = 2**22  # elements of 1+J enumerated
     dual_census_max: int = 2**24      # dual functionals visited in a census
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series
+    target_terms_max: int = 2**14     # indices i of the target-abscissa builder
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -275,12 +275,15 @@ def cmd_zeta_abscissa(args) -> dict:
 def cmd_zeta_target(args) -> dict:
     try:
         c = Fraction(args.c)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"--c must be a rational number, got {args.c!r}") from None
+        cf = float(c)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValidationError(f"--c must be a rational number in float range, "
+                              f"got {args.c!r}") from None
     lie = _parse_lie_type(args.type)
-    ts = target_abscissa_spec(c, lie, args.p, imax=args.imax)
-    above = ts.akov_partial_sums(float(c) + 0.1, args.imax)[-1]
-    below = ts.akov_partial_sums(float(c) - 0.1, args.imax)[-1]
+    ts = target_abscissa_spec(c, lie, args.p, imax=args.imax,
+                              budgets=_effective_budgets(args))
+    above = ts.akov_partial_sums(cf + 0.1, args.imax)[-1]
+    below = ts.akov_partial_sums(cf - 0.1, args.imax)[-1]
     entries = [[i, a, _decimal_digits(f) if f else 0] for i, a, f in ts.entries]
     if args.emit_plot_data:
         with open(args.emit_plot_data, "w", encoding="utf-8") as fh:

@@ -240,6 +240,8 @@ class FieldElement:
 def check_field_order(budgets: Budgets | None, p: int, e: int) -> None:
     """Bound q = p^e by field_q_max without forming p^e when e alone puts it
     past the limit: for |p| >= 2, p^e >= 2^e."""
+    if e < 1:
+        raise ValidationError("extension degree must be >= 1")
     limit = get_budgets(budgets).field_q_max
     if abs(p) > 1 and e > limit.bit_length():
         raise BudgetError("field_q_max", f"{p}^{e}", limit)
@@ -252,8 +254,6 @@ class Field:
     def __init__(self, p: int, e: int, budgets: Budgets | None = None):
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        if e < 1:
-            raise ValidationError("extension degree must be >= 1")
         check_field_order(budgets, p, e)
         self.p = p
         self.e = e

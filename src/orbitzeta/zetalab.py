@@ -7,9 +7,12 @@ families whose zeta function has a prescribed abscissa.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
@@ -124,11 +127,38 @@ def sl2_degrees(q: int) -> DegreeMultiset:
 
 # ------------------------------------------------------ truncated series --
 
+_INT64_MAX = 2**63 - 1
+
+
+def _exact_dtype(bound: int):
+    """int64 when bound, proven for the absolute value of everything about
+    to be formed, fits; else exact Python ints (dtype=object)."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _abs_max(values: np.ndarray) -> int:
+    return max(int(values.max()), -int(values.min())) if len(values) else 0
+
+
+def _abs_sum(values: np.ndarray) -> int:
+    return sum(map(abs, values.tolist()))
+
+
+def _support_indices(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Sorted n in 1..N with r_n != 0."""
+    return np.flatnonzero(coeffs[1:N + 1]) + 1
+
+
 class TruncatedDirichlet:
     """Dirichlet series coefficients r_1..r_N as exact integers.
 
-    exact=True means every coefficient below the cutoff is the true one;
-    approximant series (AKOV two-term factors) carry exact=False.
+    coeffs is one numpy array of length N+1 (index 0 unused): int64 when
+    every entry is known to fit, else dtype=object holding Python ints.
+    Products and cumulative sums choose their dtype from a proven bound on
+    every value they form, so no arithmetic wraps and no float touches a
+    coefficient.  exact=True means every coefficient below the cutoff is
+    the true one; approximant series (AKOV two-term factors) carry
+    exact=False.
     """
 
     __slots__ = ("N", "coeffs", "exact")
@@ -138,24 +168,37 @@ class TruncatedDirichlet:
             raise ValidationError("cutoff must be >= 1")
         self.N = N
         if coeffs is None:
-            coeffs = [0] * (N + 1)
-        if len(coeffs) != N + 1:
+            coeffs = np.zeros(N + 1, dtype=np.int64)
+        elif not (isinstance(coeffs, np.ndarray) and coeffs.dtype in (np.int64, object)):
+            try:
+                values = [operator.index(c) for c in coeffs]
+            except TypeError:
+                raise ValidationError("coefficients must be integers") from None
+            try:
+                coeffs = np.array(values, dtype=np.int64)
+            except OverflowError:
+                coeffs = np.array(values, dtype=object)
+        if coeffs.shape != (N + 1,):
             raise ValidationError("coefficient array must have length N+1")
         self.coeffs = coeffs
         self.exact = exact
 
     @classmethod
-    def identity(cls, N: int) -> "TruncatedDirichlet":
-        out = cls(N)
-        out.coeffs[1] = 1
+    def _from_support(cls, N: int, support, exact: bool = True) -> "TruncatedDirichlet":
+        """The series with r_n = c for each (n, c), distinct n in 1..N."""
+        dtype = _exact_dtype(max((abs(c) for _, c in support), default=0))
+        out = cls(N, np.zeros(N + 1, dtype=dtype), exact)
+        for n, c in support:
+            out.coeffs[n] = c
         return out
 
     @classmethod
+    def identity(cls, N: int) -> "TruncatedDirichlet":
+        return cls._from_support(N, [(1, 1)])
+
+    @classmethod
     def from_degree_multiset(cls, ms: DegreeMultiset, N: int) -> "TruncatedDirichlet":
-        out = cls(N)
-        for d, m in ms.entries:
-            if d <= N:
-                out.coeffs[d] += m
+        out = cls._from_support(N, [(d, m) for d, m in ms.entries if d <= N])
         if out.coeffs[1] < 1:
             raise ValidationError("group series must contain the trivial representation")
         return out
@@ -163,27 +206,28 @@ class TruncatedDirichlet:
     def r(self, n: int) -> int:
         if not 1 <= n <= self.N:
             raise ValidationError(f"coefficient index {n} outside 1..{self.N}")
-        return self.coeffs[n]
+        return int(self.coeffs[n])
 
     def partial_count(self, n: int) -> int:
         """R_n = number of irreducibles of degree <= n."""
         if not 1 <= n <= self.N:
             raise ValidationError(f"index {n} outside 1..{self.N}")
-        return sum(self.coeffs[1:n + 1])
+        return self.partial_counts([n])[0][1]
 
     def partial_counts(self, points) -> list[tuple[int, int]]:
-        """(n, R_n) at each of the sorted points, in one pass."""
-        out = []
-        acc = 0
-        prev = 0
-        for n in points:
-            acc += sum(self.coeffs[prev + 1:n + 1])
-            prev = n
-            out.append((n, acc))
-        return out
+        """(n, R_n) at each of the points: one cumulative sum over the
+        nonzero coefficients, in int64 when max|r_m| times their count fits."""
+        points = list(points)
+        nz = _support_indices(self.coeffs, self.N)
+        values = self.coeffs[nz]
+        running = np.cumsum(values, dtype=_exact_dtype(_abs_max(values) * len(values)))
+        running = [0] + running.tolist()
+        ends = np.searchsorted(nz, points, side="right").tolist()
+        return [(n, running[i]) for n, i in zip(points, ends)]
 
     def support(self):
-        return [(n, c) for n, c in enumerate(self.coeffs) if n >= 1 and c]
+        nz = _support_indices(self.coeffs, self.N)
+        return list(zip(nz.tolist(), self.coeffs[nz].tolist()))
 
     def partial_sum(self, s: float) -> float:
         """Sum of r_n / n^s over the truncation range."""
@@ -193,8 +237,10 @@ class TruncatedDirichlet:
         return dirichlet_product(self, other)
 
     def __eq__(self, other) -> bool:
+        """Equal cutoff, exactness and coefficient values, whatever the dtypes."""
         return (isinstance(other, TruncatedDirichlet) and self.N == other.N
-                and self.coeffs == other.coeffs and self.exact == other.exact)
+                and self.exact == other.exact
+                and bool(np.array_equal(self.coeffs, other.coeffs)))
 
     def __repr__(self) -> str:
         head = {n: c for n, c in self.support()[:6]}
@@ -204,24 +250,30 @@ class TruncatedDirichlet:
 
 def dirichlet_product(f: TruncatedDirichlet, g: TruncatedDirichlet,
                       N: int | None = None) -> TruncatedDirichlet:
-    """(fg)_n = sum over ab = n of f_a g_b, exactly, below the cutoff."""
+    """(fg)_n = sum over ab = n of f_a g_b, exactly, below the cutoff.
+
+    Works on the supports alone: for each a in the sparser support, the b
+    of the other support with ab <= N add f_a g_b at ab.  Every entry and
+    partial sum of the result is at most max|f_a| * sum|g_b| (and the same
+    with f and g swapped), so the result is int64 when that bound fits and
+    exact Python ints otherwise.
+    """
     if N is None:
         N = min(f.N, g.N)
     if N > min(f.N, g.N):
         raise ValidationError("product cutoff exceeds an operand cutoff")
-    # iterate over the sparser factor
-    fs, gs = f.support(), g.support()
-    dense, sparse = (f, gs) if len(fs) >= len(gs) else (g, fs)
-    out = [0] * (N + 1)
-    dc = dense.coeffs
-    dlim = dense.N
-    for d, c in sparse:
-        if d > N:
-            break
-        top = min(N // d, dlim)
-        for n in range(1, top + 1):
-            if dc[n]:
-                out[n * d] += dc[n] * c
+    if N < 1:
+        raise ValidationError("cutoff must be >= 1")
+    fz, gz = _support_indices(f.coeffs, N), _support_indices(g.coeffs, N)
+    if len(fz) > len(gz):
+        f, g, fz, gz = g, f, gz, fz
+    fv, gv = f.coeffs[fz], g.coeffs[gz]
+    dtype = _exact_dtype(min(_abs_max(fv) * _abs_sum(gv), _abs_max(gv) * _abs_sum(fv)))
+    fv, gv = fv.astype(dtype), gv.astype(dtype)
+    out = np.zeros(N + 1, dtype=dtype)
+    ends = np.searchsorted(gz, N // fz, side="right").tolist()
+    for a, c, k in zip(fz.tolist(), fv, ends):
+        out[a * gz[:k]] += c * gv[:k]
     return TruncatedDirichlet(N, out, exact=f.exact and g.exact)
 
 
@@ -237,11 +289,8 @@ def akov_term(L: LieTypeSpec, q: int):
 
 def akov_series(L: LieTypeSpec, q: int, N: int) -> TruncatedDirichlet:
     a, b = akov_term(L, q)
-    out = TruncatedDirichlet(N, exact=False)
-    out.coeffs[1] = 1
-    if q ** b <= N:
-        out.coeffs[q ** b] += a
-    return out
+    support = [(1, 1)] + ([(q ** b, a)] if q ** b <= N else [])
+    return TruncatedDirichlet._from_support(N, support, exact=False)
 
 
 # ---------------------------------------------------------- factor specs --
@@ -409,13 +458,13 @@ def synthetic_power_series(c, N: int) -> TruncatedDirichlet:
     if c <= 0:
         raise ValidationError("exponent must be positive")
     a, b = c.numerator, c.denominator
-    out = TruncatedDirichlet(N)
+    coeffs = [0] * (N + 1)
     prev = 0
     for n in range(1, N + 1):
         cur = integer_root(n ** a, b)
-        out.coeffs[n] = cur - prev
+        coeffs[n] = cur - prev
         prev = cur
-    return out
+    return TruncatedDirichlet(N, coeffs)
 
 
 # ------------------------------------------------- target-abscissa builder --
@@ -454,14 +503,25 @@ class TargetSpec:
         return sums
 
 
-def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400) -> TargetSpec:
+# a large c or p makes f(i) grow as fast as a large imax does: at c = 10^6,
+# p = 5 the builder would form a 6-million-bit power at i = 2
+_TARGET_MULT_BITS_MAX = 2**16
+
+
+def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400,
+                         budgets: Budgets | None = None) -> TargetSpec:
     """Choose a_i = max(floor(ic), ceil(2i/h)) and f(i) = p^(k(h a_i - 2i)/2).
 
     Needs h even (so the exponent is an integer) and k*h*c > 2 (so the
     series diverges at s < c).  a_i = floor(ic) satisfies the window
     0 <= c - a_i/i < 1/i; the ceil(2i/h) adjustment (only possible for
-    small i) keeps the multiplicity exponent nonnegative.
+    small i) keeps the multiplicity exponent nonnegative.  imax is bounded
+    by target_terms_max, and the bit length of each f(i) by
+    _TARGET_MULT_BITS_MAX before the power is formed.
     """
+    if imax < 1:
+        raise ValidationError("need imax >= 1")
+    check_budget(budgets, "target_terms_max", imax)
     c = Fraction(c)
     if c <= 0:
         raise ValidationError("target abscissa must be positive")
@@ -483,7 +543,14 @@ def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400) -> TargetSp
         exponent = k * (h * a - 2 * i)
         if exponent % 2:
             raise InternalInconsistencyError("odd multiplicity exponent with even h")
-        f = p ** (exponent // 2) if (n0 is not None and i > n0) else 0
+        f = 0
+        if n0 is not None and i > n0:
+            bits = exponent // 2 * p.bit_length()
+            if bits > _TARGET_MULT_BITS_MAX:
+                raise ValidationError(
+                    f"multiplicity f({i}) would have about {bits} bits; the builder "
+                    f"supports at most {_TARGET_MULT_BITS_MAX}; use a smaller c or p")
+            f = p ** (exponent // 2)
         entries.append((i, a, f))
     if n0 is None:
         raise InternalInconsistencyError("threshold index not found; khc > 2 should force it")

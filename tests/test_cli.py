@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitzeta
@@ -545,6 +545,7 @@ _LINES = st.lists(st.lists(st.one_of(st.integers(-2, 9).map(str), _WORDS), max_s
 @given(header=st.sampled_from(["alg", "cayley", "pc", "x"]),
        head_args=st.lists(st.one_of(st.integers(-1, 3).map(str), _WORDS), max_size=4),
        body=_LINES)
+@example(header="alg", head_args=["0", "-1", "0"], body=[])  # p^e with e < 1
 def test_parsers_raise_only_tool_errors(header, head_args, body):
     text = "\n".join([" ".join([header, *head_args]), *body])
     for parse in (parse_algebra_file, parse_group_file):
@@ -568,6 +569,52 @@ def test_exact_product_with_huge_multiplicity(capsys, a1_spec):
     power = TruncatedDirichlet.identity(N)
     for j in range(1, 4):
         power = dirichlet_product(power, g)
-        for n, c in enumerate(power.coeffs):
+        for n, c in enumerate(power.coeffs.tolist()):
             want[n] += math.comb(mult, j) * c
     assert payload["checkpoints"] == [[n, sum(want[1:n + 1])] for n in range(1, N + 1)]
+
+
+def test_zeta_target_huge_imax_exits_3_quickly():
+    t0 = time.monotonic()
+    proc = _cli_subprocess(["zeta", "target", "--c", "3/2", "--p", "5", "--imax", "100000000"])
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    assert "target_terms_max" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_A1 = {"label": "A1", "rank": 1, "pos_roots": 1, "coxeter": 2}
+_UP_TO_2_64 = st.integers(min_value=0, max_value=2 ** 64)
+# --N and --imax are either small enough to run, or past series_cutoff_max
+# and target_terms_max so that only the budget check runs: the slowest case
+# drawn, three SL2 factors of multiplicity near 2^64 at N = 4096, takes
+# about 1 s on 2 cores (at N = 10^6 it takes about 20 s)
+_SIZE = st.one_of(st.integers(min_value=0, max_value=4096),
+                  st.integers(min_value=10 ** 6 + 1, max_value=2 ** 64))
+# an integer drawn up to 2^64 is seldom a prime power, so valid q and p are
+# mixed in to reach the computation behind the validation
+_Q = st.one_of(st.sampled_from([5, 7, 9, 25, 2 ** 61 - 1]), _UP_TO_2_64)
+_P = st.one_of(st.sampled_from([2, 3, 5, 2 ** 61 - 1]), _UP_TO_2_64)
+
+
+# each case runs in its own process, so a hang fails on the timeout
+@pytest.mark.parametrize("sub", ["sl2", "product", "abscissa", "target"])
+@settings(max_examples=7, deadline=None, derandomize=True)
+@example(size=4096, p=5, factors=[(5, 2 ** 64), (7, 2 ** 64 - 1), (9, 2 ** 63)], c="7/3")
+@given(size=_SIZE, p=_P,
+       factors=st.lists(st.tuples(_Q, _UP_TO_2_64), min_size=1, max_size=3),
+       c=st.sampled_from(["1/2", "1", "3/2", "7/3", "1000000"]))
+def test_zeta_subcommands_keep_the_exit_code_contract(tmp_path_factory, sub, size, p,
+                                                       factors, c):
+    if sub == "sl2":
+        argv = ["zeta", "sl2", str(factors[0][0])]
+    elif sub == "target":
+        argv = ["zeta", "target", "--c", c, "--p", str(p), "--imax", str(size)]
+    else:
+        spec = tmp_path_factory.mktemp("zeta") / "spec.json"
+        spec.write_text(json.dumps([{"type": _A1, "q": q, "mult": m} for q, m in factors]),
+                        encoding="utf-8")
+        argv = ["zeta", sub, str(spec), "--N", str(size)]
+    proc = _cli_subprocess(argv, timeout=30)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr

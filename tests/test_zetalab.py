@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitzeta.budgets import Budgets
@@ -147,11 +148,13 @@ def test_truncated_series_basics():
         TruncatedDirichlet(0)
     with pytest.raises(ValidationError):
         TruncatedDirichlet(3, [0, 1])  # wrong length
+    with pytest.raises(ValidationError):
+        TruncatedDirichlet(2, [0, 1.5, 0])  # no float coefficients
 
 
 def test_from_degree_multiset():
     f = TruncatedDirichlet.from_degree_multiset(sl2_degrees(5), 4)
-    assert f.coeffs == [0, 1, 2, 2, 2]  # degrees above the cutoff drop out
+    assert f.coeffs.tolist() == [0, 1, 2, 2, 2]  # degrees above the cutoff drop out
     with pytest.raises(ValidationError):
         TruncatedDirichlet.from_degree_multiset(DegreeMultiset(((2, 1),)), 4)
 
@@ -160,8 +163,18 @@ def test_dirichlet_product_hand_case():
     f = TruncatedDirichlet(6, [0, 1, 2, 0, 0, 0, 0])
     g = TruncatedDirichlet(6, [0, 1, 0, 3, 0, 0, 0])
     h = f * g
-    assert h.coeffs == [0, 1, 2, 3, 0, 0, 6]
+    assert h.coeffs.tolist() == [0, 1, 2, 3, 0, 0, 6]
     assert h.exact
+
+
+def _brute_product(f, g, N):
+    """The double loop over all a, b <= N with ab <= N, on Python ints."""
+    fc, gc = f.coeffs.tolist(), g.coeffs.tolist()
+    out = [0] * (N + 1)
+    for a in range(1, N + 1):
+        for b in range(1, N // a + 1):
+            out[a * b] += fc[a] * gc[b]
+    return out
 
 
 def test_dirichlet_product_vs_brute_force():
@@ -171,11 +184,68 @@ def test_dirichlet_product_vs_brute_force():
         f = TruncatedDirichlet(N, [0] + [rng.randrange(4) for _ in range(N)])
         g = TruncatedDirichlet(N, [0] + [rng.randrange(4) for _ in range(N)])
         h = f * g
-        brute = [0] * (N + 1)
-        for a in range(1, N + 1):
-            for b in range(1, N // a + 1):
-                brute[a * b] += f.coeffs[a] * g.coeffs[b]
-        assert h.coeffs == brute
+        assert h.coeffs.tolist() == _brute_product(f, g, N)
+
+
+def test_dirichlet_product_sparse_times_dense_int64():
+    rng = random.Random(5)
+    N = 300
+    for _ in range(6):
+        sparse = [0] * (N + 1)
+        for n in rng.sample(range(1, N + 1), 7):
+            sparse[n] = rng.randrange(-10 ** 6, 10 ** 6)
+        dense = [0] + [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(N)]
+        f, g = TruncatedDirichlet(N, sparse), TruncatedDirichlet(N, dense)
+        for h in (f * g, g * f):
+            assert h.coeffs.dtype == np.int64
+            assert h.coeffs.tolist() == _brute_product(f, g, N)
+
+
+def test_dirichlet_product_past_int64_is_exact_python_ints():
+    # entries near 2^40: max|f| * sum|g| passes 2^63, and so do the true
+    # coefficients, which int64 arithmetic would wrap
+    rng = random.Random(11)
+    N = 60
+    f = TruncatedDirichlet(N, [0] + [rng.choice((-1, 1)) * (2 ** 40 - rng.randrange(1000))
+                                     for _ in range(N)])
+    g = TruncatedDirichlet(N, [0] + [rng.randrange(2 ** 40) if n % 3 else 0
+                                     for n in range(1, N + 1)])
+    assert f.coeffs.dtype == g.coeffs.dtype == np.int64
+    h = f * g
+    assert h.coeffs.dtype == object
+    want = _brute_product(f, g, N)
+    assert max(map(abs, want)) > 2 ** 63
+    assert h.coeffs.tolist() == want
+    # each product 3e9 * 3e9 fits in int64, the sums over divisors do not
+    f = TruncatedDirichlet(N, [0] + [3 * 10 ** 9] * N)
+    h = f * f
+    assert h.coeffs.dtype == object
+    assert h.coeffs.tolist() == _brute_product(f, f, N)
+
+
+def test_partial_counts_past_int64_with_int64_coefficients():
+    N = 12
+    f = TruncatedDirichlet(N, [0] + [2 ** 62 - n for n in range(1, N + 1)])
+    assert f.coeffs.dtype == np.int64
+    want = [sum(2 ** 62 - m for m in range(1, n + 1)) for n in range(N + 1)]
+    assert want[-1] > 2 ** 63
+    assert f.partial_counts(range(N + 1)) == list(enumerate(want))
+    assert f.partial_count(N) == want[N]
+
+
+def test_equality_compares_values_not_dtypes():
+    values = [0, 1, 2, 0, 0, 3]
+    small = TruncatedDirichlet(5, values)
+    boxed = TruncatedDirichlet(5, np.array(values, dtype=object))
+    assert small.coeffs.dtype == np.int64 and boxed.coeffs.dtype == object
+    assert small == boxed and boxed == small
+    boxed.coeffs[5] = 2 ** 70
+    assert small != boxed
+    # a multiplicity beyond int64 makes the series exact Python ints
+    big = TruncatedDirichlet.from_degree_multiset(DegreeMultiset(((1, 1), (2, 2 ** 70))), 4)
+    assert big.coeffs.dtype == object
+    assert big.support() == [(1, 1), (2, 2 ** 70)]
+    assert big.partial_count(4) == 2 ** 70 + 1
 
 
 def test_dirichlet_product_algebra():
@@ -184,9 +254,9 @@ def test_dirichlet_product_algebra():
     f, g, h = (TruncatedDirichlet(N, [0] + [rng.randrange(3) for _ in range(N)])
                for _ in range(3))
     one = TruncatedDirichlet.identity(N)
-    assert (f * g).coeffs == (g * f).coeffs
-    assert ((f * g) * h).coeffs == (f * (g * h)).coeffs
-    assert (f * one).coeffs == f.coeffs
+    assert (f * g).coeffs.tolist() == (g * f).coeffs.tolist()
+    assert ((f * g) * h).coeffs.tolist() == (f * (g * h)).coeffs.tolist()
+    assert (f * one).coeffs.tolist() == f.coeffs.tolist()
     approx = TruncatedDirichlet(N, list(g.coeffs), exact=False)
     assert not (f * approx).exact
     with pytest.raises(ValidationError):
@@ -281,6 +351,12 @@ def test_product_series_akov_is_approximate_when_every_factor_is_skipped():
     assert f.support() == [(1, 1)]
     assert not f.exact
     assert product_series(FactorSpec([(A1, 101, 3)]), 50).exact
+
+
+def test_product_series_tower_stays_int64():
+    series = product_series(sl2_tower(5, 12), 10 ** 6)
+    assert series.coeffs.dtype == np.int64
+    assert len(series.support()) == 619
 
 
 def test_product_series_budget():
@@ -411,7 +487,7 @@ def test_synthetic_power_series_huge_exponent():
     t0 = time.monotonic()
     series = synthetic_power_series(Fraction(801, 2), 10)
     assert time.monotonic() - t0 < 5
-    assert [sum(series.coeffs[1:n + 1]) for n in range(1, 11)] == \
+    assert [sum(series.coeffs.tolist()[1:n + 1]) for n in range(1, 11)] == \
         [math.isqrt(n ** 801) for n in range(1, 11)]
 
 
@@ -452,6 +528,21 @@ def test_target_spec_validation():
         target_abscissa_spec(1, b2, 6)  # 6 not prime
     with pytest.raises(ValidationError):
         target_abscissa_spec(-1, b2, 2)
+
+
+def test_target_spec_budgets():
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError, match="target_terms_max"):
+        target_abscissa_spec(Fraction(3, 2), A1, 5, imax=10 ** 8)
+    # f(2) = 5^(2 * 10^5 - 2) has about 464,000 bits
+    with pytest.raises(ValidationError, match="supports at most 65536"):
+        target_abscissa_spec(10 ** 5, A1, 5, imax=2)
+    assert time.monotonic() - t0 < 5
+    # f(2) = 5^(2 * 10^4 - 2) has about 46,000 bits and is still formed
+    spec = target_abscissa_spec(10 ** 4, A1, 5, imax=2)
+    assert spec.entries[1][2] == 5 ** (2 * 10 ** 4 - 2)
+    with pytest.raises(ValidationError):
+        target_abscissa_spec(Fraction(3, 2), A1, 5, imax=0)
 
 
 def test_target_partial_sums_split_at_the_target():

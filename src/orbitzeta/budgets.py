@@ -23,6 +23,7 @@ class Budgets:
     dual_census_max: int = 2**24      # dual functionals visited in a census
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series
     target_terms_max: int = 2**14     # indices i of the target-abscissa builder
+    character_table_max: int = 2**22  # entries orbits x classes x p of a character table
 
 
 DEFAULT_BUDGETS = Budgets()

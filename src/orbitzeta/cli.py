@@ -20,6 +20,9 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__, corpus
 from .algroup import AlgebraGroup
@@ -106,20 +109,93 @@ def _load_factor_spec(path: str) -> FactorSpec:
     return FactorSpec(factors, name=os.path.basename(path))
 
 
+# log10 of an int is within about 5e-16 (1 + log10 n) of the truth: a
+# fractional part this close to an integer is settled by a power of 10
+_LOG10_GUARD = 1e-9
+
+
 def _decimal_digits(n: int) -> int:
     """len(str(n)) for n >= 1, without the int-to-str conversion that Python
-    refuses past 4300 digits: the bit length places n within a digit or two,
-    and powers of 10 settle it."""
-    d = int((n.bit_length() - 1) * math.log10(2)) + 1
-    while d > 1 and n < 10 ** (d - 1):
-        d -= 1
-    while n >= 10 ** d:
-        d += 1
-    return d
+    refuses past 4300 digits: the float log10 fixes the count, unless it
+    lies within rounding of an integer m, where n >= 10^m settles it."""
+    log = math.log10(n)
+    m = round(log)
+    if abs(log - m) <= _LOG10_GUARD * (1 + log):
+        return m + 1 if n >= 10 ** m else m
+    return math.floor(log) + 1
 
 
-def _cyclo_json(value):
-    return {"vec": [int(x) for x in value.vec], "den": int(value.denom)}
+# renderings longer than this are not kept for reuse, so the memo of _dumps
+# stays within a small multiple of its output
+_DUMPS_MEMO_MAX = 512
+_INT_ONLY = {int}
+
+
+def _floatstr(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for acyclic
+    obj with str keys (others raise TypeError); the canonical writer of
+    every JSON output.
+
+    A list of plain ints is joined in one step, and a container met again at
+    the same depth (a shared character value, say) is rendered once: callers
+    look up (id, depth) before rendering a child, and ids are unique among
+    the live objects of obj.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(o, depth: int) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _floatstr(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        d = depth + 1
+        inner = "\n" + "  " * d
+        if isinstance(o, dict):
+            parts = [encode_basestring_ascii(k) + ": " + (memo.get((id(v), d)) or render(v, d))
+                     for k, v in sorted(o.items())]
+            text = "{" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "}"
+        else:
+            if set(map(type, o)) == _INT_ONLY:
+                parts = map(int.__repr__, o)
+            else:
+                parts = [memo.get((id(v), d)) or render(v, d) for v in o]
+            text = "[" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "]"
+        if len(text) <= _DUMPS_MEMO_MAX:
+            memo[id(o), depth] = text
+        return text
+
+    return render(obj, 0)
+
+
+def _character_values(table) -> list[list[dict]]:
+    """values[orbit][class] as {"den", "vec"} dicts, one shared dict per
+    distinct reduced value."""
+    den, vec = table.reduced()
+    flat = np.concatenate([den[..., None], vec], axis=2).reshape(-1, vec.shape[2] + 1)
+    distinct, inverse = np.unique(flat, axis=0, return_inverse=True)
+    leaves = [{"den": row[0], "vec": row[1:]} for row in distinct.tolist()]
+    return [[leaves[j] for j in cells]
+            for cells in inverse.reshape(den.shape).tolist()]
 
 
 # --------------------------------------------------------------- payloads --
@@ -186,12 +262,9 @@ def cmd_orbits_characters(args) -> dict:
         "class_reps": [int(c) for c in table.class_reps],
         "class_sizes": [int(s) for s in table.class_sizes],
         "orbits": [
-            {
-                "rep": int(table.orbit_reps[i]),
-                "degree": int(table.fake_degrees[i]),
-                "values": [_cyclo_json(v) for v in table.row(i)],
-            }
-            for i in range(table.k)
+            {"rep": int(rep), "degree": int(degree), "values": values}
+            for rep, degree, values in zip(table.orbit_reps, table.fake_degrees,
+                                           _character_values(table))
         ],
     }
 
@@ -354,8 +427,6 @@ def _suite_algebras(budgets, extra_files=()) -> dict:
     scalar route."""
     import random
 
-    import numpy as np
-
     from .algroup import gmul
 
     algs = list(corpus.duality_corpus()) + list(corpus.character_corpus())
@@ -483,14 +554,14 @@ def cmd_export(args) -> dict:
             "orbits": [{"rep": int(r.rep), "size": r.size, "fake_degree": r.fake_degree}
                        for r in census.records],
         }
-        emit("census_u3_F3.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        emit("census_u3_F3.json", _dumps(payload) + "\n")
         table = character_table(alg, budgets, census=census)
         payload = {
             "algebra": alg.name,
             "class_reps": [int(c) for c in table.class_reps],
-            "values": [[_cyclo_json(v) for v in row] for row in table.values],
+            "values": _character_values(table),
         }
-        emit("characters_u3_F3.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        emit("characters_u3_F3.json", _dumps(payload) + "\n")
         rows = []
         for name in corpus.groups_of_order_le(32):
             g = corpus.group(name)
@@ -498,7 +569,7 @@ def cmd_export(args) -> dict:
             pres = build_mq(g, p, 1)
             rows.append({"group": name, "p": p, "k": g.k(budgets),
                          "invariant_factors": invariant_factors(pres)})
-        emit("mq_corpus.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        emit("mq_corpus.json", _dumps(rows) + "\n")
     else:
         lines = ["rep,size,fake_degree"]
         for r in census.records:
@@ -639,7 +710,7 @@ def main(argv=None) -> int:
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _dumps(payload) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -660,7 +731,7 @@ def main(argv=None) -> int:
             "timing_ms": round(1000 * (time.monotonic() - t0), 3),
         }
         with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(_dumps(manifest) + "\n")
     return 0
 
 

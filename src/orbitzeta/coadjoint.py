@@ -9,7 +9,8 @@ degrees and the exact character values all live here.
 A character table is one integer array H[o, c, r] of residue counts, with
 chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o; the class constancy,
 orthonormality and induction checks are integer array operations on such
-histograms.  CyclotomicValue is the normalized scalar view of one value.
+histograms.  CharacterTable.reduced() is the scalar view, every value as
+(den, vec) in lowest terms; CyclotomicValue wraps one such value.
 """
 
 from __future__ import annotations
@@ -407,9 +408,21 @@ class CharacterTable:
     def k(self) -> int:
         return len(self.class_reps)
 
+    def reduced(self, orbits=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(den, vec) with chi_o(c) = sum_k vec[o, c, k-1] zeta_p^k / den[o, c]
+        in lowest terms, den > 0, for the orbits selected: the coordinates
+        H[o, c, k] - H[o, c, 0], divided once by their gcd with the degree."""
+        H = self.H[orbits]
+        vec = H[..., 1:] - H[..., :1]
+        deg = np.asarray(self.fake_degrees, dtype=np.int64)[orbits]
+        den = np.broadcast_to(deg[..., None], H.shape[:-1])
+        g = np.gcd(np.gcd.reduce(vec, axis=-1), den)
+        return den // g, vec // g[..., None]
+
     def row(self, i: int) -> list[CyclotomicValue]:
-        p, d = self.alg.field.p, self.fake_degrees[i]
-        return [CyclotomicValue.from_histogram(p, h, d) for h in self.H[i].tolist()]
+        den, vec = self.reduced(i)
+        p = self.alg.field.p
+        return [CyclotomicValue(p, v, d) for d, v in zip(den.tolist(), vec.tolist())]
 
     @property
     def values(self) -> list[list[CyclotomicValue]]:
@@ -442,6 +455,7 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
     if census is None:
         census = orbit_census(alg, budgets)
     classes = eng.conjugacy_classes()
+    check_budget(budgets, "character_table_max", census.count * classes.count * eng.p)
     H = np.ascontiguousarray(
         _dual_histograms(eng, census.partition, classes.reps).transpose(1, 0, 2))
     table = CharacterTable(alg, [int(r) for r in classes.reps],

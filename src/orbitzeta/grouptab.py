@@ -365,6 +365,9 @@ class FiniteGroupTable:
         if n < 0:
             raise ValidationError("a pc presentation needs n >= 0 generators")
         check_budget(budgets, "pc_generators_max", n)
+        limit = get_budgets(budgets).group_enumeration_max
+        if n > limit.bit_length():  # p^n >= 2^n, bounded before the power is formed
+            raise BudgetError("group_enumeration_max", f"{p}^{n}", limit)
         check_budget(budgets, "group_enumeration_max", p**n)
         check_budget(budgets, "table_order_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import orbitzeta
 from orbitzeta import corpus
-from orbitzeta.cli import _decimal_digits, main
+from orbitzeta.budgets import Budgets
+from orbitzeta.coadjoint import CyclotomicValue, character_table
+from orbitzeta.cli import _decimal_digits, _dumps, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
 from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
@@ -166,7 +168,8 @@ def test_decimal_digits_matches_str():
     sys.set_int_max_str_digits(0)
     try:
         for n in [1, 9, 10, 11, 99, 100, 10 ** 17 - 1, 10 ** 17, 2 ** 64,
-                  10 ** 5000 - 1, 10 ** 5000, 7 ** 9000]:
+                  10 ** 22 - 1, 10 ** 22, 10 ** 22 + 1, 10 ** 300 - 1, 10 ** 300 + 1,
+                  10 ** 5000 - 1, 10 ** 5000, 7 ** 9000, 5 ** 30000, 2 ** 50000 - 1]:
             assert _decimal_digits(n) == len(str(n))
     finally:
         sys.set_int_max_str_digits(old_limit)
@@ -237,6 +240,45 @@ def test_orbits_characters_payload(capsys, algebra_file):
         for val in row["values"]:
             assert isinstance(val["den"], int)
             assert all(isinstance(x, int) for x in val["vec"])
+
+
+@pytest.mark.parametrize("alg_factory", [
+    lambda: corpus.unitriangular(3, 3),
+    lambda: corpus.unitriangular(3, 5),
+    lambda: corpus.zero_algebra(2, 3, 2),
+])
+def test_orbits_characters_matches_the_per_value_route(capsys, algebra_file, alg_factory):
+    path = algebra_file(alg_factory())
+    rc = main(["orbits", "characters", path])
+    text = capsys.readouterr().out
+    assert rc == 0
+    with open(path, encoding="utf-8") as fh:
+        table = character_table(parse_algebra_file(fh.read()))
+    rows = _reference_rows(table)
+    payload = json.loads(text)
+    for i, orbit in enumerate(payload["orbits"]):
+        for c, cell in enumerate(orbit["values"]):
+            assert cell == rows[i][c], (i, c)
+    want = {
+        "k": table.k,
+        "class_reps": [int(c) for c in table.class_reps],
+        "class_sizes": [int(s) for s in table.class_sizes],
+        "orbits": [{"rep": int(table.orbit_reps[i]), "degree": int(table.fake_degrees[i]),
+                    "values": rows[i]} for i in range(table.k)],
+    }
+    assert text == _canonical(want)
+
+
+def test_orbits_characters_budget_exits_3_quickly(tmp_path):
+    # an abelian group of order 211: H would hold 211^3 entries
+    path = tmp_path / "c211.nil"
+    path.write_text("alg 211 1 1\n", encoding="utf-8")
+    t0 = time.monotonic()
+    proc = _cli_subprocess(["orbits", "characters", str(path)])
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    assert "character_table_max" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_orbits_probe_payload(capsys, algebra_file):
@@ -413,6 +455,38 @@ def test_export_json(capsys, tmp_path):
     assert all("invariant_factors" in row for row in mq)
 
 
+def _cyclo_json(value):
+    return {"vec": [int(x) for x in value.vec], "den": int(value.denom)}
+
+
+def _reference_rows(table):
+    """values[orbit][class] by the per-value route: one CyclotomicValue and
+    one dict per cell, from the histogram H."""
+    p = table.alg.field.p
+    return [[_cyclo_json(CyclotomicValue.from_histogram(p, h, d)) for h in hist]
+            for hist, d in zip(table.H.tolist(), table.fake_degrees)]
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_export_json_matches_the_per_value_route(capsys, tmp_path):
+    target = tmp_path / "outdir"
+    rc, _, _ = run(capsys, ["export", "--target", str(target), "--format", "json"])
+    assert rc == 0
+    alg = corpus.unitriangular(3, 3)
+    table = character_table(alg)
+    want = {"algebra": alg.name, "class_reps": [int(c) for c in table.class_reps],
+            "values": _reference_rows(table)}
+    text = (target / "characters_u3_F3.json").read_text(encoding="utf-8")
+    assert json.loads(text) == want
+    assert text == _canonical(want)
+    for name in ("census_u3_F3.json", "mq_corpus.json"):
+        text = (target / name).read_text(encoding="utf-8")
+        assert text == _canonical(json.loads(text))
+
+
 def test_export_csv(capsys, tmp_path):
     target = tmp_path / "outdir"
     rc, payload, _ = run(capsys, ["export", "--target", str(target), "--format", "csv"])
@@ -438,6 +512,37 @@ def test_thread_flag_does_not_change_output(capsys, algebra_file):
     rc2, payload2, _ = run(capsys, ["orbits", "census", path, "--threads", "8"])
     assert rc1 == rc2 == 0
     assert payload1 == payload2
+
+
+# ------------------------------------------------------------- the writer --
+
+_SHARED_LEAF = {"den": 3, "vec": [-1, 2]}
+_SHARED_LIST = [1, [2, "x"], {}]
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é", "\u2028", "\U0001f600"]),
+    st.sampled_from([_SHARED_LEAF, _SHARED_LIST, [], {}]))
+
+
+@st.composite
+def _json_trees(draw):
+    shared = draw(st.recursive(_JSON_SCALARS, lambda kids: st.lists(kids, max_size=3),
+                               max_leaves=4))
+    tree = st.recursive(
+        _JSON_SCALARS | st.just(shared),
+        lambda kids: st.lists(kids, max_size=5) | st.tuples(kids, kids)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+        max_leaves=30)
+    return draw(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_json_trees())
+@example(obj=[[_SHARED_LEAF] * 3, {"a": _SHARED_LEAF, "b": [_SHARED_LEAF, [_SHARED_LEAF]]}])
+@example(obj=[2 ** 64 + 1, -(2 ** 64), True, 0, 1.5, -0.0, float("nan"), float("-inf")])
+def test_dumps_is_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------- malformed tokens --
@@ -615,6 +720,56 @@ def test_zeta_subcommands_keep_the_exit_code_contract(tmp_path_factory, sub, siz
         spec.write_text(json.dumps([{"type": _A1, "q": q, "mult": m} for q, m in factors]),
                         encoding="utf-8")
         argv = ["zeta", sub, str(spec), "--N", str(size)]
+    proc = _cli_subprocess(argv, timeout=30)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Header integers are either cheap (|1+J| and |G| at most 81) or at least
+# 2^32, where a validation or budget check must refuse them at once; a
+# budget raised by --set then admits nothing expensive.
+_BIG = st.integers(min_value=2 ** 32, max_value=2 ** 64)
+_ALG_HEADER = st.one_of(
+    st.sampled_from([(2, 1, 3), (3, 1, 3), (5, 1, 2), (3, 2, 2), (2, 2, 2), (2, 1, 1)]),
+    st.tuples(st.one_of(st.sampled_from([2, 3, 2 ** 61 - 1]), _BIG),
+              st.one_of(st.just(1), _BIG), st.one_of(st.integers(1, 3), _BIG)))
+_ALG_LINE = st.lists(st.one_of(st.integers(0, 3), _BIG), min_size=4, max_size=4)
+_GROUP_TEXT = st.one_of(
+    st.sampled_from([serialize_cayley(corpus.group(n)) for n in ("C2", "C4", "D8", "C9")]),
+    st.tuples(st.one_of(st.sampled_from([2, 3]), _BIG), st.one_of(st.integers(0, 3), _BIG))
+    .map(lambda h: f"pc {h[0]} {h[1]}\n"),
+    _BIG.map(lambda m: f"cayley {m}\n0\n"))
+_BUDGET_NAMES = sorted(Budgets.__dataclass_fields__)
+_SET = st.one_of(st.none(), st.tuples(st.sampled_from(_BUDGET_NAMES),
+                                      st.one_of(st.integers(1, 64), _BIG)))
+_ALG_ARGV = {"nilalg": ["nilalg", "info"], "algroup": ["algroup", "classes"],
+             "orbits": ["orbits", "characters"]}
+
+
+# each case runs in its own process, so a hang fails on the timeout
+@pytest.mark.parametrize("sub", ["nilalg", "algroup", "orbits", "grouptab", "mq"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@example(header=(2, 1, 1), lines=[], group="pc 2 4294967296\n",
+         setting=("pc_generators_max", 2 ** 64), p=2, e=1)
+@given(header=_ALG_HEADER, lines=st.lists(_ALG_LINE, max_size=2), group=_GROUP_TEXT,
+       setting=_SET, p=st.one_of(st.sampled_from([2, 3]), _UP_TO_2_64),
+       e=st.one_of(st.integers(1, 2), _UP_TO_2_64))
+def test_algebra_and_group_subcommands_keep_the_exit_code_contract(
+        tmp_path_factory, sub, header, lines, group, setting, p, e):
+    directory = tmp_path_factory.mktemp("cli")
+    if sub in _ALG_ARGV:
+        path = directory / "alg.nil"
+        body = [" ".join(map(str, ln)) for ln in lines]
+        path.write_text("\n".join(["alg %d %d %d" % header, *body]) + "\n", encoding="utf-8")
+        argv = [*_ALG_ARGV[sub], str(path)]
+    else:
+        path = directory / "group.grp"
+        path.write_text(group, encoding="utf-8")
+        argv = ["grouptab", "classes", str(path)]
+        if sub == "mq":
+            argv = ["mq", "compute", str(path), "--p", str(p), "--e", str(e)]
+    if setting is not None:
+        argv += ["--set", "%s=%d" % setting]
     proc = _cli_subprocess(argv, timeout=30)
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert "Traceback" not in proc.stderr

@@ -214,6 +214,32 @@ def test_character_table_u3_f3():
         assert transitivity_check(alg, o, census=census)
 
 
+@pytest.mark.parametrize("alg_factory", [
+    lambda: corpus.unitriangular(3, 3),
+    lambda: corpus.unitriangular(3, 5),
+    lambda: corpus.zero_algebra(2, 3, 2),
+    lambda: corpus.augmentation_ideal("C3", 3),
+])
+def test_reduced_values_match_the_histogram_route(alg_factory):
+    table = character_table(alg_factory())
+    p = table.alg.field.p
+    want = [[CyclotomicValue.from_histogram(p, h, d) for h in hist]
+            for hist, d in zip(table.H.tolist(), table.fake_degrees)]
+    den, vec = table.reduced()
+    assert den.shape == table.H.shape[:2] and vec.shape == (*den.shape, p - 1)
+    assert [[(v.denom, list(v.vec)) for v in row] for row in want] == \
+        [list(zip(drow, vrow)) for drow, vrow in zip(den.tolist(), vec.tolist())]
+    assert table.values == want
+    assert [table.row(o) for o in range(table.k)] == want
+
+
+def test_character_table_budget_counts_orbits_classes_and_p():
+    alg = corpus.unitriangular(3, 3)  # 11 orbits, 11 classes, p = 3
+    assert character_table(alg, Budgets(character_table_max=363)).k == 11
+    with pytest.raises(BudgetError, match="character_table_max"):
+        character_table(alg, Budgets(character_table_max=362))
+
+
 def test_character_table_needs_p_nilpotence():
     with pytest.raises(ValidationError):
         character_table(corpus.unitriangular(3, 2))

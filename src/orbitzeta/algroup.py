@@ -343,8 +343,3 @@ class AlgebraGroup:
     def abelianization_order(self) -> int:
         return self.N // int(self.commutator_subgroup_packed().size)
 
-
-def enumerate_group_elements(alg: NilAlgebra, budgets: Budgets | None = None):
-    """All elements of 1+J as AlgVectors, in packed-code order."""
-    check_budget(budgets, "group_enumeration_max", alg.field.q ** alg.dim)
-    return list(alg.iter_vectors())

@@ -12,6 +12,7 @@ inconsistency (an invariant that must hold was violated; always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -239,14 +240,11 @@ def cmd_orbits_census(args) -> dict:
     budgets = _effective_budgets(args)
     alg = parse_algebra_file(_read_text(args.file), budgets)
     census = orbit_census(alg, budgets)
-    hist: dict[str, int] = {}
-    for rec in census.records:
-        key = str(rec.size)
-        hist[key] = hist.get(key, 0) + 1
+    sizes, counts = np.unique(census.sizes, return_counts=True)
     return {
         "group_order": census.alg.field.q ** census.alg.dim,
         "orbit_count": census.count,
-        "sizes_histogram": hist,
+        "sizes_histogram": dict(zip(map(str, sizes.tolist()), counts.tolist())),
         "fake_degrees": [[d, m] for d, m in census.fake_degree_multiset()],
         "fixed_points": census.fixed_points,
         "identities": fake_degree_identities(census),
@@ -548,11 +546,11 @@ def cmd_export(args) -> dict:
 
     alg = corpus.unitriangular(3, 3)
     census = orbit_census(alg, budgets)
+    orbits = census.reps.tolist(), census.sizes.tolist(), census.fake_degrees.tolist()
     if args.format == "json":
         payload = {
             "algebra": alg.name,
-            "orbits": [{"rep": int(r.rep), "size": r.size, "fake_degree": r.fake_degree}
-                       for r in census.records],
+            "orbits": [{"rep": r, "size": s, "fake_degree": d} for r, s, d in zip(*orbits)],
         }
         emit("census_u3_F3.json", _dumps(payload) + "\n")
         table = character_table(alg, budgets, census=census)
@@ -572,8 +570,7 @@ def cmd_export(args) -> dict:
         emit("mq_corpus.json", _dumps(rows) + "\n")
     else:
         lines = ["rep,size,fake_degree"]
-        for r in census.records:
-            lines.append(f"{int(r.rep)},{r.size},{r.fake_degree}")
+        lines += [f"{r},{s},{d}" for r, s, d in zip(*orbits)]
         emit("census_u3_F3.csv", "\n".join(lines) + "\n")
         series = product_series(corpus.zeta_products()["sl2_tower_5"], 10000,
                                 budgets=budgets)
@@ -597,6 +594,7 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON payload here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitzeta",

@@ -15,7 +15,6 @@ histograms.  CharacterTable.reduced() is the scalar view, every value as
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,7 @@ from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, orbit_partition
-from .linalg import (nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p,
-                     rref_mod_p, rref_stack_mod_p)
+from .linalg import nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -165,20 +163,35 @@ class OrbitRecord:
 
 @dataclass
 class CensusResult:
+    """Per-orbit arrays in the order of partition.reps: rows [:n - ranks[o]] of
+    radical_rows[o] are the prime echelon rows of Rad B_lambda, the rest 0."""
     alg: NilAlgebra
     partition: OrbitPartition
-    records: list[OrbitRecord]
+    reps: np.ndarray              # packed duals, least in their orbit, int64
+    sizes: np.ndarray             # int64
+    ranks: np.ndarray             # rank of B_lambda, int64
+    fake_degrees: np.ndarray      # q^(rank / 2e), int64
+    radical_rows: np.ndarray      # (orbits, n, n), in the digit dtype
     fixed_points: int
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return len(self.reps)
+
+    @property
+    def records(self) -> list[OrbitRecord]:
+        """The orbits as OrbitRecords, built from the arrays on every access;
+        the orbits of rank 0, whose radical is all of J, share one tuple."""
+        n = self.radical_rows.shape[-1]
+        full = tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
+        return [OrbitRecord(rep, size, deg, tuple(map(tuple, rows[:n - rank].tolist()))
+                            if rank else full) for rep, size, deg, rank, rows in zip(
+            self.reps.tolist(), self.sizes.tolist(), self.fake_degrees.tolist(),
+            self.ranks.tolist(), self.radical_rows)]
 
     def fake_degree_multiset(self) -> list[tuple[int, int]]:
-        agg: dict[int, int] = {}
-        for rec in self.records:
-            agg[rec.fake_degree] = agg.get(rec.fake_degree, 0) + 1
-        return sorted(agg.items())
+        degrees, counts = np.unique(self.fake_degrees, return_counts=True)
+        return list(zip(degrees.tolist(), counts.tolist()))
 
 
 def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
@@ -191,37 +204,34 @@ def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
 def radical_of(alg: NilAlgebra, lam_digits):
     """(rank, prime echelon rows of Rad B_lambda)."""
     K = gram_matrix(alg, lam_digits)
-    n, p = K.shape[0], alg.field.p
-    if not K.any():
-        return 0, _full_rows(n)
-    rows = nullspace_mod_p(K, n, p)
-    return n - len(rows), rows
+    rows = nullspace_mod_p(K, len(K), alg.field.p)
+    return len(K) - len(rows), rows
 
 
 # Gram matrices per batched elimination: bounds the n x n stacks in memory
 _RADICAL_BATCH = 1024
 
 
-def _radicals_by_row(alg: NilAlgebra, lam_rows):
-    """(rank, prime echelon rows of Rad B_lambda, whether they are F_q-closed)
-    for each dual row, as radical_of gives them, from one batched
-    elimination per _RADICAL_BATCH rows."""
+def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray):
+    """(ranks, radical rows, closed) of the dual rows, as arrays: rows [:n - rank]
+    of radical rows are the prime echelon rows of Rad B_lambda that radical_of
+    gives, in the dtype of lam_rows; one batched elimination per _RADICAL_BATCH.
+
+    The rows span ker K, K the Gram matrix, so they are F_q-closed exactly
+    when omega maps each row into ker K: K (rows omega)^T = 0 mod p."""
     p, n = alg.field.p, alg.dim * alg.field.e
+    # lambda([b_s, b_t]) = sum_k lambda_k (T[s, t, k] - T[t, s, k])
+    lie = ((alg.T - alg.T.transpose(1, 0, 2)) % p).reshape(n * n, n).T
+    batches = []
     for lo in range(0, len(lam_rows), _RADICAL_BATCH):
-        lam_prod = np.tensordot(np.asarray(lam_rows[lo:lo + _RADICAL_BATCH], dtype=np.int64),
-                                alg.T, axes=([1], [2])) % p      # lambda(b_s b_t)
-        ranks, rads = nullspace_stack_mod_p((lam_prod - lam_prod.transpose(0, 2, 1)) % p, p)
-        closed = np.ones(len(ranks), dtype=bool)
+        K = (lam_rows[lo:lo + _RADICAL_BATCH].astype(np.int64) @ lie % p).reshape(-1, n, n)
+        ranks, kernel = nullspace_stack_mod_p(K, p)
+        closed = np.ones(len(K), dtype=bool)
         if alg.field.e > 1:
-            # F_q-closed: adding the omega-multiples of the rows keeps the rank
-            spans = np.concatenate([rads, rads @ alg.omega % p], axis=1)
-            closed = rref_stack_mod_p(spans, p)[1] == n - ranks
-        for rank, rad, ok in zip(ranks.tolist(), rads, closed.tolist()):
-            yield rank, tuple(map(tuple, rad[:n - rank].tolist())), ok
-
-
-def _full_rows(n: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+            images = kernel @ alg.omega % p
+            closed = ~(K @ images.transpose(0, 2, 1) % p).any(axis=(1, 2))
+        batches.append((ranks, kernel.astype(lam_rows.dtype), closed))
+    return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
 def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
@@ -261,43 +271,36 @@ def fake_degree(alg: NilAlgebra, lam) -> int:
 def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResult:
     """Full orbit decomposition of the dual with per-orbit invariants.
 
-    Cross-checks inside: orbit sizes partition the dual, every orbit size
-    equals |J| / |Rad B_lambda| at its representative, sizes are even
-    q-powers, radicals are F_q-closed (substantive only when e > 1), and
-    the fixed point count matches |J| / |[J,J]_L|.
+    Cross-checks inside, as array comparisons: orbit sizes partition the dual,
+    every orbit size equals |J| / |Rad B_lambda| at its representative, sizes
+    are even q-powers, radicals are F_q-closed (substantive only when e > 1),
+    and the fixed point count matches |J| / |[J,J]_L|.
     """
     eng = engine_for(alg, budgets)
     check_budget(budgets, "dual_census_max", eng.N)
     part = eng.dual_orbits()
-    p, q, e = eng.p, alg.field.q, alg.field.e
+    p, q, e, n = eng.p, alg.field.q, alg.field.e, eng.n
+    reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))
+    digits = eng.digit_rows()
     derived_rows, _ = alg.derived_lie_subspace()
     if derived_rows:
-        radicals = _radicals_by_row(alg, eng.digit_rows()[part.reps])
-    else:
-        radicals = itertools.repeat((0, tuple(_full_rows(eng.n)), True))
-    records = []
-    for rep, size, (rank, rad_rows, closed) in zip(part.reps, part.sizes, radicals):
-        if p ** rank != size:
-            raise InternalInconsistencyError(
-                f"orbit size {size} != |J|/|Rad| = {p ** rank} at dual {rep}")
-        if rank % (2 * e):
-            raise InternalInconsistencyError(
-                f"orbit size {size} is not an even power of q at dual {rep}")
-        if not closed:
-            raise InternalInconsistencyError(f"radical at dual {rep} is not F_q-closed")
-        records.append(OrbitRecord(int(rep), size, q ** (rank // (2 * e)), rad_rows))
-    fixed = sum(1 for s in part.sizes if s == 1)
-    expected_fixed = eng.p ** (eng.n - len(derived_rows))
+        ranks, rads, closed = _radicals_by_row(alg, digits[reps])
+    else:  # J is commutative: every radical is J, one array shared by all orbits
+        ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
+        rads = np.broadcast_to(np.eye(n, dtype=digits.dtype), (reps.size, n, n))
+    checks = [(sizes != p ** ranks, "orbit size {0} != |J|/|Rad| = {1} at dual {2}"),
+              (ranks % (2 * e) != 0, "orbit size {0} is not an even power of q at dual {2}"),
+              (~closed, "radical at dual {2} is not F_q-closed")]
+    for bad, message in checks:
+        if bad.any():
+            i = bad.argmax()
+            raise InternalInconsistencyError(message.format(sizes[i], p ** ranks[i], reps[i]))
+    fixed = int(np.count_nonzero(sizes == 1))
+    expected_fixed = p ** (n - len(derived_rows))
     if fixed != expected_fixed:
         raise InternalInconsistencyError(
             f"fixed duals {fixed} != |J|/|[J,J]_L| = {expected_fixed}")
-    return CensusResult(alg, part, records, fixed)
-
-
-def fixed_point_count(alg: NilAlgebra, budgets: Budgets | None = None) -> int:
-    """Number of coadjoint fixed points, computed from the census (which
-    already cross-checks it against |J|/|[J,J]_L|)."""
-    return orbit_census(alg, budgets).fixed_points
+    return CensusResult(alg, part, reps, sizes, ranks, q ** (ranks // (2 * e)), rads, fixed)
 
 
 def conjecture_probe(alg: NilAlgebra, budgets: Budgets | None = None) -> dict:
@@ -319,17 +322,12 @@ def conjecture_probe(alg: NilAlgebra, budgets: Budgets | None = None) -> dict:
 
 def fake_degree_identities(census: CensusResult) -> dict:
     """Aggregate identities: sum of squares, count, abelianization count."""
-    alg = census.alg
-    q = alg.field.q
-    total = sum(rec.size for rec in census.records)
-    sum_squares = sum(rec.fake_degree ** 2 for rec in census.records)
-    n_linear = sum(1 for rec in census.records if rec.fake_degree == 1)
     return {
         "orbit_count": census.count,
-        "dual_size": total,
-        "sum_fake_squares": sum_squares,
-        "group_order": q ** alg.dim,
-        "linear_count": n_linear,
+        "dual_size": int(census.sizes.sum()),
+        "sum_fake_squares": int((census.fake_degrees ** 2).sum()),
+        "group_order": census.alg.field.q ** census.alg.dim,
+        "linear_count": int(np.count_nonzero(census.fake_degrees == 1)),
         "fixed_points": census.fixed_points,
     }
 
@@ -372,7 +370,7 @@ def _max_isotropic_inner(alg: NilAlgebra, lam):
     p, n = alg.field.p, alg.dim * alg.field.e
     K = gram_matrix(alg, lam)
     if not K.any():
-        return _full_rows(n)
+        return np.eye(n, dtype=np.int64).tolist()
     flag = alg.refine_to_flag()
     chosen = next((rows for rows, _ in flag[1:] if _is_isotropic(K, rows, p)), None)
     if not chosen:
@@ -460,8 +458,7 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
         _dual_histograms(eng, census.partition, classes.reps).transpose(1, 0, 2))
     table = CharacterTable(alg, [int(r) for r in classes.reps],
                            [int(s) for s in classes.sizes],
-                           [rec.rep for rec in census.records],
-                           [rec.fake_degree for rec in census.records], H)
+                           census.reps.tolist(), census.fake_degrees.tolist(), H)
     # chi(1) = fake degree: identity class is packed 0, always class rep 0
     if table.class_reps[0] != 0:
         raise InternalInconsistencyError("identity class is not first")
@@ -611,7 +608,7 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
         census = orbit_census(alg, budgets)
     if table is None:
         table = character_table(alg, budgets, census)
-    lam = eng.digit_rows()[census.records[orbit_index].rep]
+    lam = eng.digit_rows()[census.reps[orbit_index]]
     I, rows = _induced_histogram(eng, lam)
     I, Ho = I.astype(object), table.H[orbit_index].astype(object)
     hsize, deg = eng.p ** len(rows), table.fake_degrees[orbit_index]
@@ -637,7 +634,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     if census is None:
         census = orbit_census(alg, budgets)
     p = eng.p
-    lam = tuple(int(x) for x in eng.digit_rows()[census.records[orbit_index].rep])
+    lam = tuple(eng.digit_rows()[census.reps[orbit_index]].tolist())
     rows, _ = max_isotropic_subalgebra(alg, lam)
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)

@@ -4,6 +4,9 @@ Subspaces are always represented by reduced row echelon bases so that
 equality of subspaces is literal equality of the representations.  The
 elimination runs on int64 arrays and reduces mod p after every row
 operation, so no entry exceeds p^2 on the way.
+The kernels of a stack take one elimination, of the column-reversed stack
+(see nullspace_stack_mod_p); the census checks their F_q-closure by one
+product, not by eliminating again.
 """
 
 from __future__ import annotations
@@ -122,15 +125,22 @@ def nullspace_stack_mod_p(mats, p: int):
     Returns (ranks, kernels): kernels[b, :n - ranks[b]] is the reduced echelon
     basis of {x : mats[b] x = 0}, the same rows nullspace_mod_p gives, and
     the rows below it are zero.
+
+    One elimination, of mats[..., ::-1]: read in the original order, each
+    pivot column c of that echelon form has entries only at free columns
+    f < c, so the kernel row of a free column f has its leading 1 at f and
+    0 at every other free column.  By ascending f, the rows are reduced.
     """
-    ech, ranks, is_pivot = rref_stack_mod_p(mats, p)
+    ech, ranks, is_pivot = rref_stack_mod_p(np.asarray(mats)[..., ::-1], p)
     nmat, _, n = ech.shape
-    # placed[b, c] is the echelon row of mats[b] whose pivot is column c
+    # placed[b, c] is the echelon row whose pivot is (reversed) column c
     placed = np.zeros((nmat, n, n), dtype=np.int64)
     bi, ci = np.nonzero(is_pivot)
     ri = np.arange(bi.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
     placed[bi, ci] = ech[bi, ri]
     # row f: e_f minus the pivot coordinates forced by x_f = 1, for each free
-    # column f; the rows at pivot columns vanish
-    free = (np.eye(n, dtype=np.int64) - placed.transpose(0, 2, 1)) % p
-    return ranks, rref_stack_mod_p(free, p)[0]
+    # column f; the rows at pivot columns vanish.  Reversing rows and columns
+    # returns to the original order; a stable sort lifts the free rows on top
+    free = ((np.eye(n, dtype=np.int64) - placed.transpose(0, 2, 1)) % p)[:, ::-1, ::-1]
+    order = np.argsort(is_pivot[:, ::-1], axis=1, kind="stable")
+    return ranks, np.take_along_axis(free, order[:, :, None], axis=1)

@@ -16,7 +16,7 @@ import orbitzeta
 from orbitzeta import corpus
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import CyclotomicValue, character_table
-from orbitzeta.cli import _decimal_digits, _dumps, main
+from orbitzeta.cli import _decimal_digits, _dumps, build_parser, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
 from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
@@ -615,6 +615,28 @@ def _cli_subprocess(argv, timeout=10):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitzeta.__file__)))
     return subprocess.run([sys.executable, "-m", "orbitzeta.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, algebra_file, group_file, a1_spec):
+    # one argparse tree serves every call of the process: each call, also
+    # after a parse error and after a bad file, prints what a fresh
+    # interpreter prints, and --set values do not carry over
+    census = ["orbits", "census", algebra_file(corpus.unitriangular(3, 3))]
+    calls = [census,
+             ["budget", "--set", "character_table_max=5", "--set", "dual_census_max=7"],
+             ["zeta", "product", a1_spec([(5, 1)])],                 # no --N: exit 2
+             ["grouptab", "classes", group_file("D8")],
+             ["grouptab", "classes", "/nonexistent/file.grp"],      # exit 2
+             ["budget", "--set", "dual_census_max=9"],
+             census]
+    assert build_parser() is build_parser()
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        proc = _cli_subprocess(argv)
+        assert (rc, capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
 
 
 def test_nilalg_info_huge_dimension_exits_2_quickly(tmp_path):

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitzeta import corpus
+from orbitzeta import coadjoint, corpus
 from orbitzeta.algroup import AlgebraGroup, ginv, gmul, glog
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional,
                                  character_table, coadjoint_act,
                                  conjecture_probe, engine_for, fake_degree,
-                                 fake_degree_identities, fixed_point_count,
+                                 fake_degree_identities,
                                  induced_character_values, inner_product,
                                  max_isotropic_subalgebra, orbit_census,
                                  orbit_method_character, orbit_size,
@@ -139,6 +139,16 @@ def test_census_radicals_match_radical_of(alg):
         assert p ** rank == rec.size
         assert rref_mod_p(rows, p) == rref_mod_p(rec.radical_prime_rows, p)
         assert list(rec.radical_prime_rows) == rref_mod_p(rows, p)[0]
+    if alg.field.e > 1:
+        # over F_q with q > p (u_3(F_4) in this corpus), the stacked rows
+        # themselves, on every orbit
+        n = eng.n
+        assert census.radical_rows.shape == (census.count, n, n)
+        for rep, rank, stacked in zip(census.reps, census.ranks, census.radical_rows):
+            r, rows = radical_of(alg, eng.digit_rows()[rep])
+            assert r == rank
+            assert stacked[:n - rank].tolist() == [list(row) for row in rows]
+            assert not stacked[n - rank:].any()
 
 
 def test_census_checks_radicals_are_fq_closed(monkeypatch):
@@ -148,6 +158,27 @@ def test_census_checks_radicals_are_fq_closed(monkeypatch):
     # degree-2 orbit closed, since those radicals are spanned by e13, w e13
     monkeypatch.setattr(alg, "omega", np.roll(np.eye(6, dtype=np.int64), 2, axis=1))
     with pytest.raises(InternalInconsistencyError, match="radical at dual .* F_q-closed"):
+        orbit_census(alg)
+
+
+def test_census_checks_sizes_and_ranks_name_the_dual(monkeypatch):
+    alg = corpus.unitriangular(3, 2)  # orbit sizes 1 and 4: ranks 0 and 2
+    part = engine_for(alg).dual_orbits()
+    first = part.reps[part.sizes.index(4)]
+    radicals = coadjoint._radicals_by_row
+
+    def halved(*args):
+        ranks, rows, closed = radicals(*args)
+        return ranks // 2, rows, closed
+
+    monkeypatch.setattr(coadjoint, "_radicals_by_row", halved)
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"orbit size 4 != \|J\|/\|Rad\| = 2 at dual {first}$"):
+        orbit_census(alg)
+    # sizes 2 = p^1 agree with the halved ranks, which are odd
+    monkeypatch.setattr(part, "sizes", [min(s, 2) for s in part.sizes])
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"orbit size 2 is not an even power of q at dual {first}$"):
         orbit_census(alg)
 
 
@@ -181,7 +212,7 @@ def test_orbit_size_and_radical_at_e13_dual():
 
 def test_fixed_points_and_probe():
     alg = corpus.unitriangular(3, 3)
-    assert fixed_point_count(alg) == 9
+    assert orbit_census(alg).fixed_points == 9
     probe = conjecture_probe(alg)
     assert probe["equal"]
     assert probe["lie_index"] == probe["group_abelianization"] == 9

@@ -1,0 +1,75 @@
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orbitzeta.linalg import (nullspace_mod_p, nullspace_stack_mod_p, rref_mod_p,
+                              rref_stack_mod_p)
+
+PRIMES = (2, 3, 5, 7, 251)
+
+
+@st.composite
+def stacks(draw):
+    """(p, stack): 1 to 4 matrices of one shape with entries in [-p, 2p), so
+    that the reduction mod p is exercised too; a third of them are zero."""
+    p = draw(st.sampled_from(PRIMES))
+    count, m, n = (draw(st.integers(1, hi)) for hi in (4, 6, 6))
+    mats = np.array(draw(st.lists(st.integers(-p, 2 * p - 1), min_size=count * m * n,
+                                  max_size=count * m * n)), dtype=np.int64)
+    mats = mats.reshape(count, m, n)
+    mats[draw(st.lists(st.booleans(), min_size=count, max_size=count))] = 0
+    return p, mats
+
+
+def _full_rank(p, m, n):
+    """An m x n matrix of rank min(m, n): identity plus entries above it."""
+    mat = np.triu(np.arange(1, m * n + 1).reshape(m, n) % p, 1)
+    mat[np.arange(min(m, n)), np.arange(min(m, n))] = 1
+    return mat
+
+
+EXAMPLES = [
+    (251, np.array([[[0]], [[250]], [[-1]]])),                        # 1 x 1
+    (2, np.zeros((2, 3, 4), dtype=np.int64)),                         # all zero
+    (7, np.stack([_full_rank(7, 3, 5), np.zeros((3, 5), np.int64)])),  # m < n
+    (5, np.stack([_full_rank(5, 4, 4), _full_rank(5, 4, 4)[::-1]])),  # m = n
+    (3, np.stack([_full_rank(3, 6, 2), np.ones((6, 2), np.int64)])),  # m > n
+    (251, np.stack([_full_rank(251, 5, 5) * 250])),
+]
+
+
+def _examples(test):
+    for p, mats in EXAMPLES:
+        test = example(case=(p, mats))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacks())
+@_examples
+def test_rref_stack_matches_rref_mod_p(case):
+    p, mats = case
+    ech, ranks, is_pivot = rref_stack_mod_p(mats, p)
+    assert ech.shape == mats.shape
+    for b, mat in enumerate(mats):
+        rows, pivots = rref_mod_p(mat, p)
+        assert ranks[b] == len(rows)
+        assert ech[b, :ranks[b]].tolist() == [list(r) for r in rows]
+        assert not ech[b, ranks[b]:].any()
+        assert np.flatnonzero(is_pivot[b]).tolist() == pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacks())
+@_examples
+def test_nullspace_stack_matches_nullspace_mod_p(case):
+    p, mats = case
+    n = mats.shape[2]
+    ranks, kernels = nullspace_stack_mod_p(mats, p)
+    assert kernels.shape == (len(mats), n, n)
+    for b, mat in enumerate(mats):
+        rows = nullspace_mod_p(mat, n, p)
+        assert ranks[b] == n - len(rows)
+        assert kernels[b, :n - ranks[b]].tolist() == [list(r) for r in rows]
+        assert not kernels[b, n - ranks[b]:].any()
+        assert not (mat @ kernels[b].T % p).any()

@@ -109,6 +109,11 @@ def bch(x: AlgVector, y: AlgVector) -> AlgVector:
 
 # ------------------------------------------------------ linearized group --
 
+def _moving(mats) -> list[np.ndarray]:
+    """The matrices that are not the identity."""
+    return [mat for mat in mats if not np.array_equal(mat, np.eye(len(mat), dtype=mat.dtype))]
+
+
 class AlgebraGroup:
     """Vectorized view of 1+J: coordinate arrays, conjugation matrices,
     orbit machinery for conjugacy classes and the coadjoint action.
@@ -263,10 +268,11 @@ class AlgebraGroup:
         return self.right_mul_perm(self.digit_rows()[code])
 
     def group_perms(self) -> list[np.ndarray]:
-        """Permutations of packed J-coordinates: x -> x^g per generator."""
+        """Permutations of packed J-coordinates: x -> x^g per generator whose
+        conjugation is not the identity; a central generator moves nothing."""
         if self._group_perms is None:
             mats, _ = self._generator_matrices()
-            self._group_perms = [self.affine_perm(mat.T) for mat in mats]
+            self._group_perms = [self.affine_perm(mat.T) for mat in _moving(mats)]
         return self._group_perms
 
     def dual_perms(self) -> list[np.ndarray]:
@@ -278,7 +284,7 @@ class AlgebraGroup:
         if self._dual_perms is None:
             check_budget(self.budgets, "dual_census_max", self.N)
             _, mats_inv = self._generator_matrices()
-            self._dual_perms = [self.affine_perm(mat) for mat in mats_inv]
+            self._dual_perms = [self.affine_perm(mat) for mat in _moving(mats_inv)]
         return self._dual_perms
 
     # ------------------------------------------------------- generators --

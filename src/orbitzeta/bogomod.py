@@ -16,6 +16,7 @@ from .errors import InternalInconsistencyError, ValidationError
 from .ffield import (_poly_mod, _poly_mul, _poly_powmod, check_field_order, is_prime,
                      make_field, p_adic, prime_power_decompose)
 from .grouptab import FiniteGroupTable
+from .linalg import smith_valuations_mod_pv
 
 
 # ---------------------------------------------------- Teichmuller lift --
@@ -153,49 +154,11 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
     return MqPresentation(p, e, v, k, gens, rows, name=group.name)
 
 
-def _val(x: int, p: int, v: int) -> int:
-    x %= p ** v
-    return p_adic(x, p)[0] if x else v
-
-
 def smith_valuations(rows, p: int, v: int, ncols: int | None = None) -> list[int]:
     """Diagonal p-valuations of the Smith form over Z/p^v, one per column,
-    ascending; v stands for a zero diagonal entry."""
-    mod = p ** v
-    a = [[x % mod for x in r] for r in rows]
-    nrows = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    vals: list[int] = []
-    corner = 0
-    while corner < min(nrows, ncols):
-        best = None
-        for i in range(corner, nrows):
-            for j in range(corner, ncols):
-                w = _val(a[i][j], p, v)
-                if w < v and (best is None or w < best[0]):
-                    best = (w, i, j)
-        if best is None:
-            break
-        cval, bi, bj = best
-        a[corner], a[bi] = a[bi], a[corner]
-        for r in a:
-            r[corner], r[bj] = r[bj], r[corner]
-        unit = a[corner][corner] // p ** cval
-        uinv = pow(unit, -1, mod)
-        a[corner] = [(x * uinv) % mod for x in a[corner]]
-        for i in range(nrows):
-            if i != corner and a[i][corner]:
-                t = a[i][corner] // p ** cval
-                a[i] = [(x - t * y) % mod for x, y in zip(a[i], a[corner])]
-        for j in range(corner + 1, ncols):
-            if a[corner][j]:
-                t = a[corner][j] // p ** cval
-                for i in range(nrows):
-                    a[i][j] = (a[i][j] - t * a[i][corner]) % mod
-        vals.append(cval)
-        corner += 1
-    vals += [v] * (ncols - len(vals))
+    ascending; v stands for a zero diagonal entry.  The elimination is
+    linalg.smith_valuations_mod_pv."""
+    vals = smith_valuations_mod_pv(rows, p, v, ncols)
     if any(x > y for x, y in zip(vals, vals[1:])):
         raise InternalInconsistencyError("Smith diagonal valuations are not ascending")
     return vals

@@ -22,6 +22,9 @@ class Budgets:
     group_enumeration_max: int = 2**22  # elements of 1+J enumerated
     dual_census_max: int = 2**24      # dual functionals visited in a census
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series
+    # Dirichlet products of one product_series: twice the most the tests and
+    # the benchmark run, 256 for three SL2 factors of multiplicity near 2^64
+    series_products_max: int = 2**9
     target_terms_max: int = 2**14     # indices i of the target-abscissa builder
     character_table_max: int = 2**22  # entries orbits x classes x p of a character table
 

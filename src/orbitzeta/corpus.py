@@ -128,23 +128,25 @@ def _unit_word(i: int, n: int) -> tuple[int, ...]:
     return tuple(1 if t == i else 0 for t in range(n))
 
 
-def _g128() -> FiniteGroupTable:
+# pc presentations (p, n, power words, commutator words) of the corpus
+PC_PRESENTATIONS = {
     # two generators of order 4 whose commutator g3 acts nontrivially;
     # g4..g7 complete the pc chain
-    pows = {1: _unit_word(3, 7), 2: _unit_word(4, 7)}
-    comms = {(2, 1): _unit_word(2, 7), (3, 1): _unit_word(5, 7),
-             (3, 2): _unit_word(6, 7), (4, 2): _unit_word(5, 7),
-             (5, 1): _unit_word(6, 7)}
-    return FiniteGroupTable.from_power_commutator(2, 7, pows, comms, name="g128")
-
-
-def _g1024() -> FiniteGroupTable:
+    "g128": (2, 7, {1: _unit_word(3, 7), 2: _unit_word(4, 7)},
+             {(2, 1): _unit_word(2, 7), (3, 1): _unit_word(5, 7),
+              (3, 2): _unit_word(6, 7), (4, 2): _unit_word(5, 7),
+              (5, 1): _unit_word(6, 7)}),
     # largest class-2 quotient of the free product of four C2's: generators
     # with trivial squares and six free central commutators
-    comms = {(2, 1): _unit_word(4, 10), (3, 1): _unit_word(5, 10),
-             (4, 1): _unit_word(6, 10), (3, 2): _unit_word(7, 10),
-             (4, 2): _unit_word(8, 10), (4, 3): _unit_word(9, 10)}
-    return FiniteGroupTable.from_power_commutator(2, 10, {}, comms, name="g1024")
+    "g1024": (2, 10, {},
+              {(2, 1): _unit_word(4, 10), (3, 1): _unit_word(5, 10),
+               (4, 1): _unit_word(6, 10), (3, 2): _unit_word(7, 10),
+               (4, 2): _unit_word(8, 10), (4, 3): _unit_word(9, 10)}),
+}
+
+
+def _pc_group(name: str) -> FiniteGroupTable:
+    return FiniteGroupTable.from_power_commutator(*PC_PRESENTATIONS[name], name=name)
 
 
 def _g512() -> FiniteGroupTable:
@@ -196,9 +198,9 @@ _GROUP_BUILDERS = {
     # the two extraspecial groups of order 32
     "D8oD8": lambda: _central_product(_d8(), 2, _d8(), 2, "D8oD8"),
     "D8oQ8": lambda: _central_product(_d8(), 2, dicyclic(2), 4, "D8oQ8"),
-    "g128": _g128,
+    "g128": lambda: _pc_group("g128"),
     "g512": _g512,
-    "g1024": _g1024,
+    "g1024": lambda: _pc_group("g1024"),
 }
 
 # |pi| per name, so registry queries never force a build

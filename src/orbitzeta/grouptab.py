@@ -80,10 +80,10 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
 
 def _close(mask: np.ndarray, perms: list[np.ndarray], frontier: np.ndarray) -> None:
     """Mark in mask the frontier, unmarked points without repeats, and
-    everything perms reach from it."""
+    everything perms reach from it; perms may be empty."""
     while frontier.size:
         mask[frontier] = True
-        fresh = []
+        fresh = [frontier[:0]]
         for perm in perms:
             img = perm[frontier]
             img = img[~mask[img]]
@@ -357,8 +357,16 @@ class FiniteGroupTable:
         Missing entries mean the trivial word. Words may only involve
         generators with index beyond the left-hand side.
 
-        Collection runs once per element and generator, for x g_i; the
-        table follows from those columns.
+        The columns x -> x g_i come from collecting tails only.  Write
+        x = h s with h = g_1^a_1 .. g_(i-1)^a_(i-1) and s in
+        G_i = <g_i, .., g_n>.  Relation words only involve later
+        generators, so collecting s g_i never leaves G_i, and its normal
+        word put after h is already the normal word of x g_i.  Column i
+        therefore takes p^(n-i+1) collections, one per s, not p^n, and the
+        head h is added back as an array: in the index of x, h is the part
+        above p^(n-i+1).  The table follows from those columns, and
+        _verify_pc_table compares it on sampled pairs against collection of
+        both full normal words.
         """
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
@@ -372,9 +380,13 @@ class FiniteGroupTable:
         check_budget(budgets, "table_order_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))
         m = p**n
-        words = [pres.letters_of(pres.tuple_of(x)) for x in range(m)]
-        right_mul = [np.array([pres.index(pres.collect(w + [i])) for w in words],
-                              dtype=np.int32) for i in range(n)]
+        x = np.arange(m, dtype=np.int32)
+        right_mul = []
+        for i in range(n):
+            size = p ** (n - i)     # |G_i|; s in G_i has index below size
+            tails = np.array([pres.index(pres.collect(pres.letters_of(pres.tuple_of(s)) + [i]))
+                              for s in range(size)], dtype=np.int32)
+            right_mul.append(x - x % size + tails[x % size])
         gens = [int(col[0]) for col in right_mul]
         return cls(_tabulate(right_mul, m, 0), gens, name=name, pres=pres)
 

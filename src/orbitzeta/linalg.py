@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z/p on integer coordinate rows.
+"""Exact linear algebra over Z/p on integer coordinate rows, and the Smith
+form over Z/p^v.
 
 Subspaces are always represented by reduced row echelon bases so that
 equality of subspaces is literal equality of the representations.  The
@@ -6,7 +7,9 @@ elimination runs on int64 arrays and reduces mod p after every row
 operation, so no entry exceeds p^2 on the way.
 The kernels of a stack take one elimination, of the column-reversed stack
 (see nullspace_stack_mod_p); the census checks their F_q-closure by one
-product, not by eliminating again.
+product, not by eliminating again.  The Smith form valuations over Z/p^v
+(smith_valuations_mod_pv) take one elimination on int64 or exact object
+arrays.
 """
 
 from __future__ import annotations
@@ -144,3 +147,41 @@ def nullspace_stack_mod_p(mats, p: int):
     free = ((np.eye(n, dtype=np.int64) - placed.transpose(0, 2, 1)) % p)[:, ::-1, ::-1]
     order = np.argsort(is_pivot[:, ::-1], axis=1, kind="stable")
     return ranks, np.take_along_axis(free, order[:, :, None], axis=1)
+
+
+# ------------------------------------------------------------ mod p^v ----
+
+_INT64_MAX = 2**63 - 1
+
+
+def smith_valuations_mod_pv(rows, p: int, v: int, ncols: int | None = None) -> list[int]:
+    """Diagonal p-valuations of the Smith form over Z/p^v, one per column,
+    ascending; v stands for a zero diagonal entry.
+
+    Each step takes a pivot of least valuation w in the remaining block,
+    makes it p^w by a unit and clears its column with it.  Clearing its
+    row would then change nothing else, so its row and column are dropped.
+    Every entry left is a multiple of p^w, so w never falls.
+    The block is int64 when (p^v)^2 < 2^63, which holds every product of
+    two residues, and exact Python ints (dtype=object) otherwise.
+    """
+    mod = p ** v
+    if ncols is None:
+        ncols = len(rows[0]) if len(rows) else 0
+    block = np.array(rows, dtype=object).reshape(len(rows), ncols) % mod
+    if mod * mod <= _INT64_MAX:
+        block = block.astype(np.int64)
+    vals: list[int] = []
+    w = 0
+    while block.size:
+        while w < v and not (hit := block % p ** (w + 1) != 0).any():
+            w += 1
+        if w == v:
+            break
+        i, j = divmod(int(np.argmax(hit)), block.shape[1])
+        unit = int(block[i, j]) // p ** w
+        pivot_row = block[i] * pow(unit, -1, mod) % mod
+        block = (block - np.outer(block[:, j] // p ** w, pivot_row)) % mod
+        block = np.delete(np.delete(block, i, axis=0), j, axis=1)
+        vals.append(w)
+    return vals + [v] * (ncols - len(vals))

@@ -144,29 +144,45 @@ def _abs_sum(values: np.ndarray) -> int:
     return sum(map(abs, values.tolist()))
 
 
-def _support_indices(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Sorted n in 1..N with r_n != 0."""
-    return np.flatnonzero(coeffs[1:N + 1]) + 1
+# pairs (a, b) formed at once by one product; bounds its temporaries
+_PAIR_BLOCK = 2**18
+
+
+def _sum_by_index(index: np.ndarray, values: np.ndarray):
+    """(sorted distinct n, sum of the values at n) over the n whose sum is
+    not 0.  The stable sort merges an already sorted run in linear time."""
+    if not len(index):
+        return index, values
+    order = np.argsort(index, kind="stable")
+    index, values = index[order], values[order]
+    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+    sums = np.add.reduceat(values, starts)
+    keep = np.flatnonzero(sums != 0)
+    return index[starts[keep]], sums[keep]
 
 
 class TruncatedDirichlet:
-    """Dirichlet series coefficients r_1..r_N as exact integers.
+    """Dirichlet series coefficients r_1..r_N as exact integers, held as
+    their support: index, the sorted n in 1..N with r_n != 0, and values,
+    the r_n at those n.
 
-    coeffs is one numpy array of length N+1 (index 0 unused): int64 when
-    every entry is known to fit, else dtype=object holding Python ints.
-    Products and cumulative sums choose their dtype from a proven bound on
-    every value they form, so no arithmetic wraps and no float touches a
-    coefficient.  exact=True means every coefficient below the cutoff is
-    the true one; approximant series (AKOV two-term factors) carry
-    exact=False.
+    values is int64 when every entry is known to fit, else dtype=object
+    holding Python ints.  Products and cumulative sums choose their dtype
+    from a proven bound on every value they form, so no arithmetic wraps
+    and no float touches a coefficient.  Nothing of length N is kept:
+    coeffs is a read-only dense view r_0..r_N (r_0 = 0), built from the
+    support on each read.  exact=True means every coefficient below the
+    cutoff is the true one; approximant series (AKOV two-term factors)
+    carry exact=False.
     """
 
-    __slots__ = ("N", "coeffs", "exact")
+    __slots__ = ("N", "index", "values", "exact")
 
     def __init__(self, N: int, coeffs=None, exact: bool = True):
+        """The series with dense coefficients coeffs[n] = r_n (index 0
+        unused), or the zero series when coeffs is None."""
         if N < 1:
             raise ValidationError("cutoff must be >= 1")
-        self.N = N
         if coeffs is None:
             coeffs = np.zeros(N + 1, dtype=np.int64)
         elif not (isinstance(coeffs, np.ndarray) and coeffs.dtype in (np.int64, object)):
@@ -180,17 +196,27 @@ class TruncatedDirichlet:
                 coeffs = np.array(values, dtype=object)
         if coeffs.shape != (N + 1,):
             raise ValidationError("coefficient array must have length N+1")
-        self.coeffs = coeffs
+        self.N = N
+        self.index = np.flatnonzero(coeffs[1:]) + 1
+        self.values = coeffs[self.index]
         self.exact = exact
+
+    @classmethod
+    def _from_arrays(cls, N: int, index: np.ndarray, values: np.ndarray,
+                     exact: bool = True) -> "TruncatedDirichlet":
+        """The series with r_n = values[i] at n = index[i]; index sorted,
+        in 1..N, and no value 0."""
+        out = cls.__new__(cls)
+        out.N, out.index, out.values, out.exact = N, index, values, exact
+        return out
 
     @classmethod
     def _from_support(cls, N: int, support, exact: bool = True) -> "TruncatedDirichlet":
         """The series with r_n = c for each (n, c), distinct n in 1..N."""
+        support = sorted((n, c) for n, c in support if c)
         dtype = _exact_dtype(max((abs(c) for _, c in support), default=0))
-        out = cls(N, np.zeros(N + 1, dtype=dtype), exact)
-        for n, c in support:
-            out.coeffs[n] = c
-        return out
+        return cls._from_arrays(N, np.array([n for n, _ in support], dtype=np.int64),
+                                np.array([c for _, c in support], dtype=dtype), exact)
 
     @classmethod
     def identity(cls, N: int) -> "TruncatedDirichlet":
@@ -199,14 +225,28 @@ class TruncatedDirichlet:
     @classmethod
     def from_degree_multiset(cls, ms: DegreeMultiset, N: int) -> "TruncatedDirichlet":
         out = cls._from_support(N, [(d, m) for d, m in ms.entries if d <= N])
-        if out.coeffs[1] < 1:
+        if out.r(1) < 1:
             raise ValidationError("group series must contain the trivial representation")
         return out
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Dense read-only r_0..r_N in the dtype of values, r_0 = 0."""
+        out = np.zeros(self.N + 1, dtype=self.values.dtype)
+        out[self.index] = self.values
+        out.flags.writeable = False
+        return out
+
+    def _truncated(self, N: int):
+        """(index, values) of the support at n <= N."""
+        k = int(np.searchsorted(self.index, N, side="right"))
+        return self.index[:k], self.values[:k]
 
     def r(self, n: int) -> int:
         if not 1 <= n <= self.N:
             raise ValidationError(f"coefficient index {n} outside 1..{self.N}")
-        return int(self.coeffs[n])
+        i = int(np.searchsorted(self.index, n))
+        return int(self.values[i]) if i < len(self.index) and self.index[i] == n else 0
 
     def partial_count(self, n: int) -> int:
         """R_n = number of irreducibles of degree <= n."""
@@ -216,18 +256,16 @@ class TruncatedDirichlet:
 
     def partial_counts(self, points) -> list[tuple[int, int]]:
         """(n, R_n) at each of the points: one cumulative sum over the
-        nonzero coefficients, in int64 when max|r_m| times their count fits."""
+        support, in int64 when max|r_m| times the support size fits."""
         points = list(points)
-        nz = _support_indices(self.coeffs, self.N)
-        values = self.coeffs[nz]
+        values = self.values
         running = np.cumsum(values, dtype=_exact_dtype(_abs_max(values) * len(values)))
         running = [0] + running.tolist()
-        ends = np.searchsorted(nz, points, side="right").tolist()
+        ends = np.searchsorted(self.index, points, side="right").tolist()
         return [(n, running[i]) for n, i in zip(points, ends)]
 
     def support(self):
-        nz = _support_indices(self.coeffs, self.N)
-        return list(zip(nz.tolist(), self.coeffs[nz].tolist()))
+        return list(zip(self.index.tolist(), self.values.tolist()))
 
     def partial_sum(self, s: float) -> float:
         """Sum of r_n / n^s over the truncation range."""
@@ -240,7 +278,8 @@ class TruncatedDirichlet:
         """Equal cutoff, exactness and coefficient values, whatever the dtypes."""
         return (isinstance(other, TruncatedDirichlet) and self.N == other.N
                 and self.exact == other.exact
-                and bool(np.array_equal(self.coeffs, other.coeffs)))
+                and bool(np.array_equal(self.index, other.index))
+                and bool(np.array_equal(self.values, other.values)))
 
     def __repr__(self) -> str:
         head = {n: c for n, c in self.support()[:6]}
@@ -252,11 +291,12 @@ def dirichlet_product(f: TruncatedDirichlet, g: TruncatedDirichlet,
                       N: int | None = None) -> TruncatedDirichlet:
     """(fg)_n = sum over ab = n of f_a g_b, exactly, below the cutoff.
 
-    Works on the supports alone: for each a in the sparser support, the b
-    of the other support with ab <= N add f_a g_b at ab.  Every entry and
-    partial sum of the result is at most max|f_a| * sum|g_b| (and the same
-    with f and g swapped), so the result is int64 when that bound fits and
-    exact Python ints otherwise.
+    Works on the supports alone: the pairs (a, b) of the two supports with
+    ab <= N are formed in blocks of at most _PAIR_BLOCK, and their products
+    f_a g_b are summed by ab; sums that cancel to 0 leave the support.
+    Every entry and partial sum of the result is at most max|f_a| *
+    sum|g_b| (and the same with f and g swapped), so the result is int64
+    when that bound fits and exact Python ints otherwise.
     """
     if N is None:
         N = min(f.N, g.N)
@@ -264,17 +304,25 @@ def dirichlet_product(f: TruncatedDirichlet, g: TruncatedDirichlet,
         raise ValidationError("product cutoff exceeds an operand cutoff")
     if N < 1:
         raise ValidationError("cutoff must be >= 1")
-    fz, gz = _support_indices(f.coeffs, N), _support_indices(g.coeffs, N)
-    if len(fz) > len(gz):
-        f, g, fz, gz = g, f, gz, fz
-    fv, gv = f.coeffs[fz], g.coeffs[gz]
+    (fz, fv), (gz, gv) = f._truncated(N), g._truncated(N)
+    if not (len(fz) and len(gz)):
+        return TruncatedDirichlet(N, exact=f.exact and g.exact)
     dtype = _exact_dtype(min(_abs_max(fv) * _abs_sum(gv), _abs_max(gv) * _abs_sum(fv)))
     fv, gv = fv.astype(dtype), gv.astype(dtype)
-    out = np.zeros(N + 1, dtype=dtype)
-    ends = np.searchsorted(gz, N // fz, side="right").tolist()
-    for a, c, k in zip(fz.tolist(), fv, ends):
-        out[a * gz[:k]] += c * gv[:k]
-    return TruncatedDirichlet(N, out, exact=f.exact and g.exact)
+    counts = np.searchsorted(gz, N // fz, side="right")   # partners b of each a
+    ends = np.cumsum(counts)
+    index, values = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+    lo = 0
+    while lo < len(fz):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _PAIR_BLOCK,
+                                             side="right")))
+        c = counts[lo:hi]
+        rows = np.repeat(np.arange(lo, hi), c)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(c) - c, c)
+        index, values = _sum_by_index(np.concatenate([index, fz[rows] * gz[cols]]),
+                                      np.concatenate([values, fv[rows] * gv[cols]]))
+        lo = hi
+    return TruncatedDirichlet._from_arrays(N, index, values, exact=f.exact and g.exact)
 
 
 # ----------------------------------------------------------- AKOV terms --
@@ -324,12 +372,14 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
     rest multiply the series by 1 + O(n^(-s)) terms beyond the cutoff.
     exact mode requires type A1 with odd q (SL2 data); akov mode uses the
     two-term approximants.  Either way a factor's series is raised to its
-    multiplicity by square-and-multiply, about 2 log2(mult) products.
+    multiplicity by square-and-multiply: bit_length + popcount - 1
+    products, about 2 log2(mult).  Their total is checked against
+    series_products_max before the first product.
     """
     check_budget(budgets, "series_cutoff_max", N)
     if mode not in ("exact", "akov"):
         raise ValidationError(f"unknown mode {mode!r}")
-    out = TruncatedDirichlet.identity(N)
+    powers = []
     for L, q, mult in spec.factors:
         if mult == 0:
             continue
@@ -340,11 +390,13 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
             ms = sl2_degrees(q)
             if ms.min_nontrivial_degree() > N:
                 continue
-            f = TruncatedDirichlet.from_degree_multiset(ms, N)
-        else:
-            if q ** L.pos_roots > N:
-                continue
-            f = akov_series(L, q, N)
+            powers.append((TruncatedDirichlet.from_degree_multiset(ms, N), mult))
+        elif q ** L.pos_roots <= N:
+            powers.append((akov_series(L, q, N), mult))
+    check_budget(budgets, "series_products_max",
+                 sum(mult.bit_length() + mult.bit_count() - 1 for _, mult in powers))
+    out = TruncatedDirichlet.identity(N)
+    for f, mult in powers:
         while True:
             if mult & 1:
                 out = dirichlet_product(out, f)
@@ -453,18 +505,31 @@ def abscissa_estimate(series: TruncatedDirichlet, grid: int = 48,
 
 def synthetic_power_series(c, N: int) -> TruncatedDirichlet:
     """r_n = floor(n^c) - floor((n-1)^c) for rational c, so R_n = floor(n^c)
-    exactly and the true abscissa is c."""
+    exactly and the true abscissa is c.
+
+    With c = a/b, floor(n^c) is the largest m with m^b <= n^a.  All n go
+    in one pass: a float estimate of n^c, then exact steps down while
+    m^b > n^a and up while (m+1)^b <= n^a.  The steps run in int64 when
+    N^a and (floor(N^c) + 2)^b fit; otherwise each n takes integer_root on
+    Python ints.
+    """
     c = Fraction(c)
     if c <= 0:
         raise ValidationError("exponent must be positive")
     a, b = c.numerator, c.denominator
-    coeffs = [0] * (N + 1)
-    prev = 0
-    for n in range(1, N + 1):
-        cur = integer_root(n ** a, b)
-        coeffs[n] = cur - prev
-        prev = cur
-    return TruncatedDirichlet(N, coeffs)
+    top = integer_root(N ** a, b) + 2
+    if N ** a <= _INT64_MAX and top ** b <= _INT64_MAX:
+        n = np.arange(N + 1, dtype=np.int64)
+        power = n ** a
+        m = power if b == 1 else np.minimum(
+            np.floor(n.astype(np.float64) ** (a / b)), top - 1).astype(np.int64)
+        while (high := m ** b > power).any():
+            m -= high
+        while (low := (m + 1) ** b <= power).any():
+            m += low
+        return TruncatedDirichlet(N, np.diff(m, prepend=0))
+    floors = [integer_root(n ** a, b) for n in range(N + 1)]
+    return TruncatedDirichlet(N, [0] + [y - x for x, y in zip(floors, floors[1:])])
 
 
 # ------------------------------------------------- target-abscissa builder --

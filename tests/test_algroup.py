@@ -12,6 +12,7 @@ from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import orbit_census
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.grouptab import FiniteGroupTable
+from orbitzeta.nilalg import NilAlgebra
 
 
 def random_vectors(alg, rng, count):
@@ -252,3 +253,23 @@ def test_digit_rows_hold_digits_above_127():
     # orbit computation on them go wrong
     eng = AlgebraGroup(corpus.zero_algebra(2, 131))
     assert np.array_equal(eng.pack_digits(eng.digit_rows()), np.arange(eng.N))
+
+
+def test_zero_algebra_builds_no_permutations():
+    # every conjugation of an elementary abelian 1+J is the identity
+    eng = AlgebraGroup(corpus.zero_algebra(12, 2))
+    assert eng.group_perms() == [] and eng.dual_perms() == []
+    assert eng.k() == eng.dual_orbits().count == eng.N == 2 ** 12
+    assert eng.abelianization_order() == eng.N
+
+
+def test_central_generator_is_skipped():
+    # J = u_3(F_2) + F_2 with F_2 a zero algebra: its generator is central,
+    # and 1+J = D8 x C2 has 2 * 5 classes and abelianization of order 8
+    u3 = corpus.unitriangular(3, 2)
+    C = np.zeros((4, 4, 4, 1), dtype=np.int64)
+    C[:3, :3, :3] = u3.C
+    eng = AlgebraGroup(NilAlgebra(u3.field, C))
+    assert len(eng.group_perms()) == len(eng.dual_perms()) < len(eng._generators())
+    assert eng.k() == eng.dual_orbits().count == 10
+    assert eng.abelianization_order() == 8

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitzeta import corpus
 from orbitzeta.algroup import AlgebraGroup
@@ -11,7 +13,8 @@ from orbitzeta.bogomod import (build_mq, frobenius_matrix,
                                predicted_ab_order, smith_valuations,
                                verify_filtration)
 from orbitzeta.errors import ValidationError
-from orbitzeta.ffield import make_field, prime_power_decompose
+from orbitzeta.ffield import make_field, p_adic, prime_power_decompose
+from orbitzeta.linalg import smith_valuations_mod_pv
 
 
 def test_hensel_lift_basic():
@@ -85,6 +88,67 @@ def test_smith_valuations_row_op_invariance():
         c = rng.randrange(mod)
         shuffled[i] = [(x + c * y) % mod for x, y in zip(shuffled[i], shuffled[j])]
         assert smith_valuations(shuffled, p, v) == base
+
+
+def _smith_valuations_by_lists(rows, p, v, ncols):
+    """The elimination over Python lists: a pivot of least valuation,
+    first in row-major order, then full row and column clearing."""
+    mod = p ** v
+
+    def val(x):
+        x %= mod
+        return p_adic(x, p)[0] if x else v
+
+    a = [[x % mod for x in r] for r in rows]
+    nrows = len(a)
+    vals = []
+    corner = 0
+    while corner < min(nrows, ncols):
+        best = None
+        for i in range(corner, nrows):
+            for j in range(corner, ncols):
+                w = val(a[i][j])
+                if w < v and (best is None or w < best[0]):
+                    best = (w, i, j)
+        if best is None:
+            break
+        cval, bi, bj = best
+        a[corner], a[bi] = a[bi], a[corner]
+        for r in a:
+            r[corner], r[bj] = r[bj], r[corner]
+        uinv = pow(a[corner][corner] // p ** cval, -1, mod)
+        a[corner] = [(x * uinv) % mod for x in a[corner]]
+        for i in range(nrows):
+            if i != corner and a[i][corner]:
+                t = a[i][corner] // p ** cval
+                a[i] = [(x - t * y) % mod for x, y in zip(a[i], a[corner])]
+        for j in range(corner + 1, ncols):
+            if a[corner][j]:
+                t = a[corner][j] // p ** cval
+                for i in range(nrows):
+                    a[i][j] = (a[i][j] - t * a[i][corner]) % mod
+        vals.append(cval)
+        corner += 1
+    return vals + [v] * (ncols - len(vals))
+
+
+# (p, v): (p^v)^2 below 2^63 runs on int64, from 2^63 on dtype=object
+_SMITH_MODULI = [(2, 3), (3, 4), (5, 2), (7, 1), (2, 31), (3, 19), (2, 32), (3, 20),
+                 (2, 70), (10 ** 9 + 7, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), pv=st.sampled_from(_SMITH_MODULI), nrows=st.integers(0, 7),
+       ncols=st.integers(0, 7))
+def test_smith_valuations_match_the_list_elimination(data, pv, nrows, ncols):
+    p, v = pv
+    mod = p ** v
+    # entries p^k * u with a few valuations, so the diagonal is not all 0
+    entry = st.builds(lambda k, u: p ** k * u % mod, st.integers(0, v), st.integers(0, mod))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    assert smith_valuations_mod_pv(rows, p, v, ncols) == \
+        _smith_valuations_by_lists(rows, p, v, ncols)
 
 
 # anchors: C2 and C4 are the hand-checked examples; C9, Q8, D8 follow by

@@ -689,8 +689,8 @@ def test_exact_product_with_huge_multiplicity(capsys, a1_spec):
     assert time.monotonic() - t0 < 10
     assert rc == 0
     # closed form: (1 + g)^mult = sum_j C(mult, j) g^j, and g^4 = 0 below 16
-    g = TruncatedDirichlet.from_degree_multiset(sl2_degrees(5), N)
-    g.coeffs[1] = 0
+    g = TruncatedDirichlet.from_degree_multiset(sl2_degrees(5), N).coeffs.tolist()
+    g = TruncatedDirichlet(N, [0, 0] + g[2:])
     want = [0] * (N + 1)
     want[1] = 1
     power = TruncatedDirichlet.identity(N)
@@ -699,6 +699,23 @@ def test_exact_product_with_huge_multiplicity(capsys, a1_spec):
         for n, c in enumerate(power.coeffs.tolist()):
             want[n] += math.comb(mult, j) * c
     assert payload["checkpoints"] == [[n, sum(want[1:n + 1])] for n in range(1, N + 1)]
+
+
+def test_zeta_product_past_the_product_budget_exits_3_quickly(tmp_path):
+    # five factors of multiplicity 2^64 - 1 need 5 * 127 products
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"type": {"label": "A1", "rank": 1, "pos_roots": 1,
+                                          "coxeter": 2}, "q": q, "mult": 2 ** 64 - 1}
+                                for q in (5, 7, 9, 11, 13)]), encoding="utf-8")
+    t0 = time.monotonic()
+    proc = _cli_subprocess(["zeta", "product", str(spec), "--N", "1000000"])
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    assert "series_products_max" in proc.stderr and "635" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = _cli_subprocess(["zeta", "product", str(spec), "--N", "10",
+                            "--set", "series_products_max=635"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_zeta_target_huge_imax_exits_3_quickly():
@@ -715,7 +732,7 @@ _UP_TO_2_64 = st.integers(min_value=0, max_value=2 ** 64)
 # --N and --imax are either small enough to run, or past series_cutoff_max
 # and target_terms_max so that only the budget check runs: the slowest case
 # drawn, three SL2 factors of multiplicity near 2^64 at N = 4096, takes
-# about 1 s on 2 cores (at N = 10^6 it takes about 20 s)
+# about 0.2 s on 2 cores (at N = 10^6 it takes about 3 s)
 _SIZE = st.one_of(st.integers(min_value=0, max_value=4096),
                   st.integers(min_value=10 ** 6 + 1, max_value=2 ** 64))
 # an integer drawn up to 2^64 is seldom a prime power, so valid q and p are

@@ -11,8 +11,8 @@ from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets
 from orbitzeta.cli import main
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.ffield import prime_power_decompose
-from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation,
-                                central_quotient, direct_product,
+from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation, _close, _tabulate,
+                                central_quotient, derived_subgroup, direct_product,
                                 parse_group_file, serialize_cayley)
 
 
@@ -390,3 +390,55 @@ def test_pc_order_beyond_table_budget(tmp_path, capsys):
     path.write_text("pc 2 13\n", encoding="utf-8")
     assert main(["grouptab", "classes", str(path)]) == 3
     assert "table_order_max" in capsys.readouterr().err
+
+
+def _full_word_table(p, n, pows, comms):
+    """The Cayley table from one collection of each full normal word x g_i."""
+    pres = _PcPresentation(p, n, pows, comms, DEFAULT_BUDGETS)
+    words = [pres.letters_of(pres.tuple_of(x)) for x in range(p ** n)]
+    right_mul = [np.array([pres.index(pres.collect(w + [i])) for w in words], dtype=np.int32)
+                 for i in range(n)]
+    return _tabulate(right_mul, p ** n, 0)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.PC_PRESENTATIONS))
+def test_tail_collection_matches_full_words_on_the_corpus(name):
+    g = corpus.group(name)
+    assert np.array_equal(g.table, _full_word_table(*corpus.PC_PRESENTATIONS[name]))
+
+
+def _class2_presentation(rng: random.Random, p: int, r: int, s: int):
+    """r generators over s central generators of exponent p: every power
+    and commutator of the first r is a random word in the last s, which
+    is consistent because those words are central of exponent p."""
+    n = r + s
+
+    def central_word():
+        return tuple([0] * r + [rng.randrange(p) for _ in range(s)])
+
+    pows = {i: central_word() for i in range(1, r + 1)}
+    comms = {(j, i): central_word() for j in range(2, r + 1) for i in range(1, j)}
+    return p, n, pows, comms
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(2, 2, 1), (2, 3, 3), (2, 4, 4), (3, 2, 1), (3, 3, 2), (5, 2, 1)]))
+def test_tail_collection_matches_full_words_on_class2_presentations(seed, shape):
+    p, r, s = shape
+    p, n, pows, comms = _class2_presentation(random.Random(seed), p, r, s)
+    g = FiniteGroupTable.from_power_commutator(p, n, pows, comms)
+    assert np.array_equal(g.table, _full_word_table(p, n, pows, comms))
+
+
+def test_close_and_derived_subgroup_take_no_permutations():
+    mask = np.zeros(8, dtype=bool)
+    _close(mask, [], np.array([3, 5]))
+    assert np.flatnonzero(mask).tolist() == [3, 5]
+    # C2 x C2 x C2 as xor: abelian, so no conjugation moves anything
+    members = derived_subgroup(8, 0, lambda x: np.arange(8) ^ x, lambda: [],
+                               np.array([0, 0, 0]))
+    assert members.tolist() == [0]
+    members = derived_subgroup(8, 0, lambda x: np.arange(8) ^ x, lambda: [],
+                               np.array([1, 0]))
+    assert members.tolist() == [0, 1]

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitzeta import zetalab
 from orbitzeta.budgets import Budgets
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.zetalab import (
@@ -223,6 +226,58 @@ def test_dirichlet_product_past_int64_is_exact_python_ints():
     assert h.coeffs.tolist() == _brute_product(f, f, N)
 
 
+def _signed_series(draw, N, scale):
+    """A random series with a few coefficients of either sign up to scale."""
+    coeffs = [0] * (N + 1)
+    for n in draw(st.lists(st.integers(1, N), max_size=12)):
+        coeffs[n] = draw(st.integers(-scale, scale))
+    return TruncatedDirichlet(N, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), N=st.integers(1, 80),
+       scale=st.sampled_from([1, 3, 2 ** 31, 2 ** 40, 2 ** 70]))
+def test_sparse_product_matches_brute_force_with_cancellation(data, N, scale):
+    f = _signed_series(data.draw, N, scale)
+    g = _signed_series(data.draw, N, scale)
+    # f * (g - g) and f*g - f*g cancel to 0 everywhere; f*g + f*(-g) too
+    minus_g = TruncatedDirichlet(N, [-c for c in g.coeffs.tolist()])
+    for h, want in ((f * g, _brute_product(f, g, N)),
+                    (f * minus_g, [-c for c in _brute_product(f, g, N)])):
+        assert h.coeffs.tolist() == want
+        assert all(c != 0 for c in h.values.tolist())  # zeros leave the support
+        assert h.index.tolist() == [n for n in range(1, N + 1) if want[n]]
+        fv, gv = [list(map(abs, x.values.tolist())) for x in (f, g)]
+        bound = min(max(fv, default=0) * sum(gv), max(gv, default=0) * sum(fv))
+        assert h.values.dtype == (np.int64 if bound < 2 ** 63 else object)
+    both = TruncatedDirichlet(N, [a + b for a, b in zip((f * g).coeffs.tolist(),
+                                                          (f * minus_g).coeffs.tolist())])
+    assert both == TruncatedDirichlet(N) and both.support() == []
+
+
+def test_sparse_product_cancels_to_the_zero_series():
+    # (1 + 2^-s)(1 - 2^-s) = 1 - 4^-s: the 2^-s terms cancel
+    f = TruncatedDirichlet(8, [0, 1, 1, 0, 0, 0, 0, 0, 0])
+    g = TruncatedDirichlet(8, [0, 1, -1, 0, 0, 0, 0, 0, 0])
+    assert (f * g).support() == [(1, 1), (4, -1)]
+    boxed = TruncatedDirichlet(8, np.array([0, 2 ** 70, 2 ** 70, 0, 0, 0, 0, 0, 0],
+                                           dtype=object))
+    h = boxed * g
+    assert h.values.dtype == object
+    assert h.support() == [(1, 2 ** 70), (4, -2 ** 70)]
+
+
+def test_sparse_product_blocks_agree_with_one_block(monkeypatch):
+    rng = random.Random(3)
+    N = 2000
+    f = TruncatedDirichlet(N, [0] + [rng.randrange(-3, 4) for _ in range(N)])
+    g = TruncatedDirichlet(N, [0] + [rng.randrange(-3, 4) for _ in range(N)])
+    whole = f * g
+    monkeypatch.setattr(zetalab, "_PAIR_BLOCK", 97)
+    assert f * g == whole
+    assert whole.coeffs.tolist() == _brute_product(f, g, N)
+
+
 def test_partial_counts_past_int64_with_int64_coefficients():
     N = 12
     f = TruncatedDirichlet(N, [0] + [2 ** 62 - n for n in range(1, N + 1)])
@@ -239,8 +294,10 @@ def test_equality_compares_values_not_dtypes():
     boxed = TruncatedDirichlet(5, np.array(values, dtype=object))
     assert small.coeffs.dtype == np.int64 and boxed.coeffs.dtype == object
     assert small == boxed and boxed == small
-    boxed.coeffs[5] = 2 ** 70
+    boxed = TruncatedDirichlet(5, np.array(values[:5] + [2 ** 70], dtype=object))
     assert small != boxed
+    with pytest.raises(ValueError):
+        small.coeffs[5] = 4  # the dense view is read-only
     # a multiplicity beyond int64 makes the series exact Python ints
     big = TruncatedDirichlet.from_degree_multiset(DegreeMultiset(((1, 1), (2, 2 ** 70))), 4)
     assert big.coeffs.dtype == object
@@ -362,6 +419,24 @@ def test_product_series_tower_stays_int64():
 def test_product_series_budget():
     with pytest.raises(BudgetError):
         product_series(sl2_tower(5, 2), 10 ** 4, budgets=Budgets(series_cutoff_max=100))
+
+
+def test_product_series_counts_products_before_the_first(monkeypatch):
+    # 2^64 - 1 takes 63 squarings and 64 multiplications; 16 takes 4 and 1;
+    # SL2(101) is invisible below N = 10 and costs nothing
+    spec = FactorSpec([(A1, 5, 2 ** 64 - 1), (A1, 7, 16), (A1, 101, 2 ** 64 - 1)])
+    calls = []
+
+    def counting(*args, real=zetalab.dirichlet_product):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(zetalab, "dirichlet_product", counting)
+    with pytest.raises(BudgetError, match="series_products_max"):
+        product_series(spec, 10, budgets=Budgets(series_products_max=131))
+    assert calls == []
+    product_series(spec, 10, budgets=Budgets(series_products_max=132))
+    assert len(calls) == 132
 
 
 def test_factor_spec_validation():
@@ -489,6 +564,31 @@ def test_synthetic_power_series_huge_exponent():
     assert time.monotonic() - t0 < 5
     assert [sum(series.coeffs.tolist()[1:n + 1]) for n in range(1, 11)] == \
         [math.isqrt(n ** 801) for n in range(1, 11)]
+
+
+def _synthetic_by_integer_root(c, N):
+    """The loop of one integer_root per n, on Python ints."""
+    a, b = c.numerator, c.denominator
+    floors = [integer_root(n ** a, b) for n in range(N + 1)]
+    return [0] + [y - x for x, y in zip(floors, floors[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 40), b=st.integers(1, 7), N=st.integers(1, 3000))
+def test_one_pass_synthetic_matches_integer_root(a, b, N):
+    c = Fraction(a, b)
+    series = synthetic_power_series(c, N)
+    assert series.coeffs.tolist() == _synthetic_by_integer_root(c, N)
+
+
+@pytest.mark.parametrize("c,N", [(Fraction(1, 2), 10 ** 5), (Fraction(3, 2), 10 ** 5),
+                                 (Fraction(7, 3), 400), (Fraction(801, 2), 12),
+                                 (Fraction(63, 1), 2), (Fraction(62, 1), 2),
+                                 (Fraction(1, 7), 5000)])
+def test_one_pass_synthetic_on_both_routes(c, N):
+    # N^a past 2^63 takes the integer_root route: 7/3 at N = 400 and
+    # 801/2 do, 2^62 and 1/7 stay on int64
+    assert synthetic_power_series(c, N).coeffs.tolist() == _synthetic_by_integer_root(c, N)
 
 
 def test_synthetic_power_series_partial_counts():

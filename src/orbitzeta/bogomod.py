@@ -9,6 +9,7 @@ so Smith normal form over Z/p^v recovers the exact invariant factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .budgets import Budgets
@@ -180,10 +181,7 @@ def invariant_factors(pres: MqPresentation) -> list[int]:
 
 
 def mq_order(pres: MqPresentation) -> int:
-    out = 1
-    for f in invariant_factors(pres):
-        out *= f
-    return out
+    return math.prod(invariant_factors(pres))
 
 
 def power_class_layers(group: FiniteGroupTable, p: int) -> list[int]:
@@ -200,10 +198,10 @@ def power_class_layers(group: FiniteGroupTable, p: int) -> list[int]:
     return layers
 
 
-def verify_filtration(pres: MqPresentation, group: FiniteGroupTable) -> dict:
+def verify_filtration(pres: MqPresentation, group: FiniteGroupTable,
+                      factors: list[int]) -> dict:
     """Check |p^i M / p^(i+1) M| = q^|C_i| for all i, reading layer sizes
-    off the invariant factors."""
-    factors = invariant_factors(pres)
+    off the invariant factors of pres."""
     vals = [p_adic(f, pres.p)[0] for f in factors]
     layers_c = power_class_layers(group, pres.p)
     depth = max(len(layers_c), max(vals) if vals else 0)

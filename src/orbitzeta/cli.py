@@ -280,10 +280,10 @@ def cmd_mq(args) -> dict:
     budgets = _effective_budgets(args)
     g = parse_group_file(_read_text(args.file), budgets)
     pres = build_mq(g, args.p, args.e, budgets=budgets)
-    factors = invariant_factors(pres)
-    order = mq_order(pres)
+    factors = invariant_factors(pres)  # the one Smith form of this command
+    order = math.prod(factors)
     kk = g.k(budgets)
-    filt = verify_filtration(pres, g)
+    filt = verify_filtration(pres, g, factors)
     return {
         "k": kk,
         "q": pres.q,
@@ -478,10 +478,10 @@ def _suite_mq(budgets) -> dict:
     for name in corpus.groups_of_order_le(32):
         g = corpus.group(name)
         p, _ = prime_power_decompose(g.order)
-        pres = build_mq(g, p, 1)
-        if mq_order(pres) != p ** (g.k(budgets) - 1):
+        order = mq_order(build_mq(g, p, 1))
+        if order != p ** (g.k(budgets) - 1):
             raise InternalInconsistencyError(f"|M_{p}({name})| != p^(k-1)")
-        rows.append({"name": name, "order": mq_order(pres)})
+        rows.append({"name": name, "order": order})
     return {"mq": rows}
 
 

@@ -309,9 +309,6 @@ class Field:
             raise ValidationError("prime field has no extension generator")
         return FieldElement(self, (0, 1) + (0,) * (self.e - 2))
 
-    def serialize(self) -> str:
-        return " ".join(str(x) for x in (self.p, self.e) + self.modulus)
-
     def __repr__(self) -> str:
         return self.name
 
@@ -327,23 +324,3 @@ def make_field(p: int, e: int = 1, budgets: Budgets | None = None) -> Field:
     whichever budgets admitted it."""
     check_field_order(budgets, p, e)
     return _make_field_cached(p, e)
-
-
-def parse_field_record(text: str) -> Field:
-    """Parse 'p e c_0 .. c_e' and return the interned field, verifying the modulus."""
-    parts = text.split()
-    if len(parts) < 3:
-        raise ValidationError(f"field record too short: {text!r}")
-    try:
-        nums = [int(x) for x in parts]
-    except ValueError:
-        raise ValidationError(f"field record has non-integer tokens: {text!r}")
-    p, e, coeffs = nums[0], nums[1], nums[2:]
-    if len(coeffs) != e + 1:
-        raise ValidationError(f"field record: expected {e + 1} modulus coefficients, got {len(coeffs)}")
-    field = make_field(p, e)
-    if tuple(c % p for c in coeffs) != field.modulus:
-        raise ValidationError(
-            f"field record modulus {coeffs} does not match the canonical modulus {list(field.modulus)}"
-        )
-    return field

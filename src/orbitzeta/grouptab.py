@@ -1,7 +1,7 @@
-"""Finite group engine: Cayley tables, permutation groups, power-commutator
-presentations, conjugacy classes, the class power map, derived subgroups and
-central quotients, and the orbit and closure engine over permutation arrays
-that both group models (these tables and the algebra groups 1+J) run on.
+"""Finite group engine: Cayley tables, power-commutator presentations,
+conjugacy classes, the class power map, derived subgroups and central
+quotients, and the orbit and closure engine over permutation arrays that
+both group models (these tables and the algebra groups 1+J) run on.
 
 Every group is one validated dense int32 Cayley table with its inverse
 array.  Elements are integer indices with a deterministic numbering per
@@ -311,41 +311,6 @@ class FiniteGroupTable:
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= m:
             raise ValidationError("Cayley table entries out of range")
         return cls(arr, name=name)
-
-    @classmethod
-    def from_permutation_generators(cls, perms, budgets: Budgets | None = None, name=None):
-        if not perms:
-            raise ValidationError("need at least one permutation generator")
-        deg = len(perms[0])
-        gens = []
-        for g in perms:
-            t = tuple(g)
-            if sorted(t) != list(range(deg)):
-                raise ValidationError(f"not a permutation of 0..{deg - 1}: {g}")
-            gens.append(t)
-        gens = sorted(set(gens))
-        ident = tuple(range(deg))
-        index = {ident: 0}
-        elements = [ident]
-        level = [ident]
-        while level:
-            new = set()
-            for x in level:
-                for g in gens:
-                    y = tuple(g[v] for v in x)  # apply x then g
-                    if y not in index and y not in new:
-                        new.add(y)
-            check_budget(budgets, "group_enumeration_max", len(elements) + len(new))
-            check_budget(budgets, "table_order_max", len(elements) + len(new))
-            level = sorted(new)
-            for y in level:
-                index[y] = len(elements)
-                elements.append(y)
-        points = np.array(elements, dtype=np.int64)
-        right_mul = [np.array([index[tuple(row)] for row in np.array(g)[points].tolist()])
-                     for g in gens]
-        return cls(_tabulate(right_mul, len(elements), 0), [index[g] for g in gens],
-                   name=name)
 
     @classmethod
     def from_power_commutator(cls, p, n, power_words, commutator_words,

@@ -19,6 +19,31 @@ import numpy as np
 
 # ---------------------------------------------------------------- mod p ----
 
+# every integer of magnitude at most 2^53 is a float64
+_FLOAT64_EXACT = 2**53
+
+
+def matmul_mod_p(A, B, p: int) -> np.ndarray:
+    """A @ B mod p as int64 residues, for integer arrays with entries in
+    (-p, p), with matmul broadcasting.
+
+    With inner dimension m, every partial sum of the product, in whatever
+    order BLAS takes, is an integer of magnitude at most m (p-1)^2.  Below
+    2^53 each such integer is a float64, so every rounded operation is exact
+    and so is the float64 product.  Otherwise the product is int64, exact
+    while m (p-1)^2 < 2^63 (nilalg._check_size).  The residues are
+    x - (x // p) p in int64: a float % costs more than the product, and
+    numpy's int64 // by a scalar is several times faster than its %.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape[-1] * (p - 1) ** 2 < _FLOAT64_EXACT:
+        prod = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    else:
+        prod = A.astype(np.int64) @ B.astype(np.int64)
+    prod -= prod // p * p
+    return prod
+
+
 def _echelon(rows, p: int):
     """(reduced echelon array, pivot columns) of the rows, taken mod p."""
     mat = np.array(rows, dtype=np.int64) % p

@@ -17,7 +17,7 @@ import numpy as np
 from .budgets import Budgets
 from .errors import ValidationError
 from .ffield import Field, FieldElement, make_field, p_adic
-from .linalg import reduce_mod_p, rref_mod_p
+from .linalg import matmul_mod_p, reduce_mod_p, rref_mod_p
 
 
 # T holds n^3 int64 entries (16 MB at n = 128); augmentation ideals of
@@ -110,8 +110,7 @@ class NilAlgebra:
     omega on prime coordinate rows.
     """
 
-    def __init__(self, field: Field, C, *, name: str | None = None,
-                 check: bool = True):
+    def __init__(self, field: Field, C, *, name: str | None = None):
         C = np.asarray(C, dtype=np.int64)
         d = len(C)
         if C.shape != (d, d, d, field.e):
@@ -123,8 +122,7 @@ class NilAlgebra:
         self.name = name or f"nilalg(d={d},{field.name})"
         self.C = C % field.p
         self._build_tensor()
-        if check:
-            self._verify_associativity()
+        self._verify_associativity()
         self.powers = self._power_ideal_chain()
         self.nilpotency_class = len(self.powers)  # least n with J^n = 0
         self._flag = None
@@ -218,16 +216,17 @@ class NilAlgebra:
     def _products_of(self, U, V) -> np.ndarray:
         """All products u_i * v_j of prime coordinate rows, shape (|U|, |V|, n)."""
         p, n = self.field.p, self.T.shape[0]
-        left = np.asarray(U, dtype=np.int64).reshape(-1, n) @ self.T.reshape(n, n * n) % p
-        return np.einsum("jt,itx->ijx", np.asarray(V, dtype=np.int64).reshape(-1, n),
-                         left.reshape(-1, n, n)) % p
+        # left[i, t] = u_i * b_t, and u_i * v_j = sum_t v_jt left[i, t]
+        left = matmul_mod_p(np.reshape(U, (-1, n)), self.T.reshape(n, n * n), p)
+        return matmul_mod_p(np.reshape(V, (-1, n)), left.reshape(-1, n, n), p)
 
     def _ideal_products(self, rows) -> np.ndarray:
         """The rows v * b_t and b_t * v for every row v and prime basis vector b_t."""
-        n = self.T.shape[0]
-        eye = np.eye(n, dtype=np.int64)
-        return np.concatenate([self._products_of(rows, eye).reshape(-1, n),
-                               self._products_of(eye, rows).reshape(-1, n)])
+        p, n = self.field.p, self.T.shape[0]
+        rows = np.reshape(rows, (-1, n))
+        # b_t * v = sum_s v_s T[t, s]
+        return np.concatenate([matmul_mod_p(rows, T.reshape(n, n * n), p).reshape(-1, n)
+                               for T in (self.T, self.T.transpose(1, 0, 2))])
 
     def is_fq_subspace(self, rows) -> bool:
         """Whether the Z/p-span of prime coordinate rows is an F_q-subspace,
@@ -259,11 +258,10 @@ class NilAlgebra:
         lower = T[::e, ::e].reshape(d * d, n)
         upper = T[:, ::e].reshape(n, d * n)
         for i in range(d):
-            left = (T[i * e, ::e] @ upper % p).reshape(d, d, n)
-            right = (lower @ T[i * e] % p).reshape(d, d, n)
-            bad = np.argwhere((left != right).any(axis=2))
-            if bad.size:
-                j, k = (int(x) for x in bad[0])
+            left = matmul_mod_p(T[i * e, ::e], upper, p).reshape(d, d, n)
+            right = matmul_mod_p(lower, T[i * e], p).reshape(d, d, n)
+            if not np.array_equal(left, right):
+                j, k = (int(x) for x in np.argwhere((left != right).any(axis=2))[0])
                 raise ValidationError(
                     f"structure constants not associative at basis triple ({i},{j},{k})")
 
@@ -274,6 +272,10 @@ class NilAlgebra:
 
         Returns the list [basis(J^1), .., basis(J^{c-1})] where J^c = 0; the
         nilpotency class is one more than the list length of nonzero powers.
+        J^(k+1) is spanned by the products v * b_t of the rows v of J^k with
+        the prime basis, one product with T.  That one side suffices because
+        every NilAlgebra verifies associativity before its chain, and in an
+        associative algebra J^k J = J J^k = J^(k+1).
         """
         p, n = self.field.p, self.T.shape[0]
         chain = [rref_mod_p(np.eye(n, dtype=np.int64), p)]
@@ -281,7 +283,8 @@ class NilAlgebra:
             prev_rows, _ = chain[-1]
             if not prev_rows:
                 break
-            nxt = rref_mod_p(self._ideal_products(prev_rows), p)
+            prods = matmul_mod_p(prev_rows, self.T.reshape(n, n * n), p)
+            nxt = rref_mod_p(prods.reshape(-1, n), p)
             if len(nxt[0]) >= len(prev_rows):
                 raise ValidationError("algebra is not nilpotent: power chain stalled")
             chain.append(nxt)
@@ -353,8 +356,8 @@ class NilAlgebra:
 
     # ------------------------------------------------------ subalgebras --
 
-    def subalgebra(self, rows, *, name: str | None = None,
-                   check: bool = True) -> tuple["NilAlgebra", list[tuple[int, ...]]]:
+    def subalgebra(self, rows, *, name: str | None = None
+                   ) -> tuple["NilAlgebra", list[tuple[int, ...]]]:
         """The algebra structure on an F_q-subspace closed under multiplication.
 
         rows span the subspace in ambient prime coordinates.  Its reduced
@@ -375,7 +378,7 @@ class NilAlgebra:
         # prime coordinates in the new algebra, t = k*e + m
         d = len(basis)
         sub = NilAlgebra(self.field, prods[..., piv].reshape(d, d, d, e),
-                         name=name or f"{self.name}|sub", check=check)
+                         name=name or f"{self.name}|sub")
         return sub, ech
 
 
@@ -437,7 +440,9 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
     """Parse 'alg p e d' followed by sparse structure lines 'i j k coeff'.
 
     coeff is the integer code of a field element (base-p digits, constant
-    term least significant); repeated (i, j, k) lines add up.
+    term least significant); repeated (i, j, k) lines add up.  The body is
+    read as one (lines, 4) int64 array; when that fails, the lines are
+    checked in order, so an error names the first offending line.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -452,18 +457,48 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
         raise ValidationError(f"algebra header has non-integer tokens: {lines[0]!r}") from None
     field = make_field(p, e, budgets)
     C = _zero_constants(field, d)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValidationError(f"bad structure line: {ln!r}")
-        try:
-            i, j, k, code = (int(x) for x in parts)
-        except ValueError:
-            raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
-        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-            raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
-        C[i, j, k] = (C[i, j, k] + field.from_code(code).coeffs) % p
+    try:
+        rows = np.fromiter(_line_tokens(lines[1:]), dtype=np.int64,
+                           count=4 * (len(lines) - 1)).reshape(-1, 4)
+        valid = (rows >= 0).all() and (rows[:, :3] < d).all() and (rows[:, 3] < field.q).all()
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        # the first offending line raises; valid lines only get here with
+        # codes past int64, when q > 2^63
+        rows = np.array([_structure_line(ln, field, d) for ln in lines[1:]],
+                        dtype=object).reshape(-1, 4)
+    code = rows[:, 3]
+    digits = np.empty((len(rows), e), dtype=np.int64)
+    for m in range(e):
+        digits[:, m] = code % p
+        code = code // p
+    np.add.at(C, tuple(rows[:, :3].astype(np.int64).T), digits)
     return NilAlgebra(field, C, name=name)
+
+
+def _line_tokens(lines):
+    """The integers of structure lines of four tokens each, in order."""
+    for ln in lines:
+        toks = ln.split()
+        if len(toks) != 4:
+            raise ValueError(ln)
+        yield from map(int, toks)
+
+
+def _structure_line(ln: str, field: Field, d: int) -> tuple[int, ...]:
+    """The checked tokens (i, j, k, code) of one structure line."""
+    toks = ln.split()
+    if len(toks) != 4:
+        raise ValidationError(f"bad structure line: {ln!r}")
+    try:
+        i, j, k, code = (int(x) for x in toks)
+    except ValueError:
+        raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
+    if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+        raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
+    field.from_code(code)  # raises unless 0 <= code < q
+    return i, j, k, code
 
 
 def serialize_algebra(alg: NilAlgebra) -> str:

@@ -142,7 +142,7 @@ def test_06_mq_size_law():
             for e in (1, 2):
                 pres = build_mq(g, p, e)
                 assert mq_order(pres) == (p ** e) ** (kk - 1), (name, p, e)
-                filt = verify_filtration(pres, g)
+                filt = verify_filtration(pres, g, invariant_factors(pres))
                 assert filt["ok"], (name, p, e)
 
 

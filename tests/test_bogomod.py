@@ -205,7 +205,8 @@ def test_verify_filtration():
     for name, e in (("Q8", 1), ("C9", 1), ("C4", 2), ("M16", 1), ("He27", 2)):
         g = corpus.group(name)
         p, _ = prime_power_decompose(g.order)
-        out = verify_filtration(build_mq(g, p, e), g)
+        pres = build_mq(g, p, e)
+        out = verify_filtration(pres, g, invariant_factors(pres))
         assert out["ok"], out
 
 

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitzeta
-from orbitzeta import corpus
+from orbitzeta import bogomod, corpus
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import CyclotomicValue, character_table
 from orbitzeta.cli import _decimal_digits, _dumps, build_parser, main
@@ -299,6 +300,18 @@ def test_mq_compute_payload(capsys, group_file):
     assert payload["order"] == 8
     assert payload["order_equals_q_pow_km1"] is True
     assert payload["layers_ok"] is True
+
+
+@pytest.mark.parametrize("name,p,e", [("C4", 2, 1), ("D8", 2, 2), ("M27", 3, 2)])
+def test_mq_compute_takes_one_smith_form(capsys, group_file, name, p, e):
+    # invariant factors, order and filtration layers all come from one
+    # Smith form of the relation matrix
+    path = group_file(name)
+    with mock.patch.object(bogomod, "smith_valuations_mod_pv",
+                           wraps=bogomod.smith_valuations_mod_pv) as smith:
+        rc, payload, _ = run(capsys, ["mq", "compute", path, "--p", str(p), "--e", str(e)])
+    assert rc == 0 and payload["layers_ok"] and payload["order_equals_q_pow_km1"]
+    assert smith.call_count == 1
 
 
 def test_mq_wrong_prime_exits_2(capsys, group_file):

@@ -7,7 +7,7 @@ import pytest
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.budgets import Budgets
 from orbitzeta.ffield import (Field, FieldElement, _poly_mod, _poly_mul, _poly_powmod,
-                              is_prime, make_field, p_adic, parse_field_record)
+                              is_prime, make_field, p_adic)
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (7, 1), (3, 3)]
@@ -147,18 +147,6 @@ def test_t_is_root_of_modulus():
     assert acc.is_zero()
     with pytest.raises(ValidationError):
         make_field(5).t()
-
-
-def test_serialize_parse_roundtrip():
-    for p, e in SMALL_FIELDS:
-        f = make_field(p, e)
-        assert parse_field_record(f.serialize()) is f
-    with pytest.raises(ValidationError):
-        parse_field_record("2 2")
-    with pytest.raises(ValidationError):
-        parse_field_record("2 2 1 1 x")
-    with pytest.raises(ValidationError):
-        parse_field_record("2 2 0 0 1")  # wrong modulus
 
 
 def test_field_budget():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -21,7 +22,10 @@ def order_profile(g: FiniteGroupTable) -> dict:
 
 
 def test_s3_from_permutations():
-    g = FiniteGroupTable.from_permutation_generators([(1, 2, 0), (1, 0, 2)])
+    # the Cayley table of all permutations of three points, x then y
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(y[v] for v in x)) for y in perms] for x in perms]
+    g = FiniteGroupTable.from_cayley_table(table)
     assert g.order == 6
     classes = g.conjugacy_classes()
     assert classes.count == 3

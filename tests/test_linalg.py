@@ -2,8 +2,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitzeta.linalg import (nullspace_mod_p, nullspace_stack_mod_p, rref_mod_p,
-                              rref_stack_mod_p)
+from orbitzeta.linalg import (matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
+                              rref_mod_p, rref_stack_mod_p)
 
 PRIMES = (2, 3, 5, 7, 251)
 
@@ -73,3 +73,40 @@ def test_nullspace_stack_matches_nullspace_mod_p(case):
         assert kernels[b, :n - ranks[b]].tolist() == [list(r) for r in rows]
         assert not kernels[b, n - ranks[b]:].any()
         assert not (mat @ kernels[b].T % p).any()
+
+
+# m (p-1)^2 < 2^53 takes the float64 route: 33554393 = prevprime(2^25) up to
+# m = 8, 94906249 = prevprime(sqrt(2^53)) at m = 1 only; the others always take
+# int64, and 3037000493, the largest prime with (p-1)^2 < 2^63, only at m = 1
+MATMUL_PRIMES = (2, 3, 251, 33554393, 94906249, 134217689, 3037000493)
+
+
+@st.composite
+def residue_products(draw):
+    """(p, A, B): A of shape (k, m) and B of shape (m, n) or a stack (s, m, n),
+    entries in (-p, p) with a bias to +-(p - 1); m keeps m (p-1)^2 < 2^63."""
+    p = draw(st.sampled_from(MATMUL_PRIMES))
+    m = draw(st.integers(1, min(12, (2**63 - 1) // (p - 1) ** 2)))
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape_b = (m, n) if draw(st.booleans()) else (draw(st.integers(1, 3)), m, n)
+    entry = st.one_of(st.sampled_from([p - 1, 1 - p, 0]), st.integers(1 - p, p - 1))
+    A = np.array(draw(st.lists(entry, min_size=k * m, max_size=k * m))).reshape(k, m)
+    B = np.array(draw(st.lists(entry, min_size=int(np.prod(shape_b)),
+                               max_size=int(np.prod(shape_b))))).reshape(shape_b)
+    return p, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=residue_products())
+@example(case=(33554393, np.full((2, 8), 33554392), np.full((8, 3), 33554392)))
+@example(case=(33554393, np.full((2, 9), 33554392), np.full((9, 3), -33554392)))
+@example(case=(94906249, np.full((1, 1), 94906248), np.full((1, 1), 94906248)))
+@example(case=(94906249, np.full((1, 2), 94906248), np.full((2, 2), 94906248)))
+@example(case=(3037000493, np.full((3, 1), 3037000492), np.full((1, 2), 3037000492)))
+def test_matmul_mod_p_matches_exact_products(case):
+    p, A, B = case
+    want = (A.astype(object) @ B.astype(object)) % p
+    got = matmul_mod_p(A, B, p)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()

@@ -1,12 +1,17 @@
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitzeta import corpus
+from orbitzeta import corpus, nilalg
 from orbitzeta.budgets import Budgets
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import make_field
+from orbitzeta.linalg import rref_mod_p
 from orbitzeta.nilalg import (NilAlgebra, make_augmentation_ideal,
                               make_unitriangular, make_zero_algebra,
                               parse_algebra_file, serialize_algebra)
@@ -265,3 +270,193 @@ def test_structure_tensor_matches_multiply(make):
     ys = [top] + [alg.unpack(rng.randrange(codes)) for _ in range(40)]
     got = alg._mul_rows([x.flat() for x in xs], [y.flat() for y in ys])
     assert [tuple(r) for r in got.tolist()] == [(x * y).flat() for x, y in zip(xs, ys)]
+
+
+# ------------------------------------------------------------- the parser --
+
+def _reference_parse(text):
+    """The per-line parse, one from_code call and one C[i, j, k] update per
+    line: C reduced mod p, or the ValidationError of the first bad line."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    _, p, e, d = lines[0].split()
+    field, d = make_field(int(p), int(e)), int(d)
+    C = np.zeros((d, d, d, field.e), dtype=np.int64)
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 4:
+            raise ValidationError(f"bad structure line: {ln!r}")
+        try:
+            i, j, k, code = (int(x) for x in parts)
+        except ValueError:
+            raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
+        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+            raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
+        C[i, j, k] = (C[i, j, k] + field.from_code(code).coeffs) % field.p
+    return C
+
+
+def _parsed_constants(text, budgets=None):
+    """The C that parse_algebra_file hands to NilAlgebra, for any C."""
+    with mock.patch.object(nilalg, "NilAlgebra", lambda field, C, name=None: C):
+        return parse_algebra_file(text, budgets)
+
+
+# tokens a structure line may hold, valid or not: int() accepts "+1" and "1_0"
+_ODD_TOKENS = ["x", "1.5", "0x3", "-1", "+1", "1_0", "", str(2**63), str(2**64),
+               str(-2**63 - 1)]
+
+
+@st.composite
+def algebra_texts(draw):
+    """Headers over prime and extension fields; bodies of valid lines with
+    repeated targets, comments, blank lines and, in some, bad lines."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]))
+    q, d = p ** e, draw(st.integers(1, 4))
+    index = st.integers(0, d - 1).map(str)
+    code = st.one_of(st.integers(0, q - 1), st.sampled_from([q - 1, 0])).map(str)
+    good = st.tuples(index, index, index, code).map(" ".join)
+    token = st.one_of(index, code, st.sampled_from(_ODD_TOKENS + [str(d), str(q)]))
+    # four integers with one index or the code out of range, or any tokens
+    near = st.tuples(index, index, index, code, st.integers(0, 3),
+                     st.sampled_from([-1, d, q, 2**63, 2**64]))
+    bad = st.one_of(
+        near.map(lambda t: " ".join(t[:t[4]] + (str(t[5]),) + t[t[4] + 1:4])),
+        st.lists(token, max_size=6).map(" ".join))
+    line = st.one_of(
+        good, good, good,
+        st.tuples(good, st.sampled_from(["#", "# 9 9", "#x"])).map(" ".join),
+        st.sampled_from(["", "   ", "# comment", "\t", "#"]))
+    lines = draw(st.lists(line, max_size=40))
+    # a few lines again, in a new order: repeated (i, j, k) targets add up
+    lines += draw(st.permutations(lines))[:draw(st.integers(0, len(lines)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    return "\n".join([f"alg {p} {e} {d}"] + lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=algebra_texts())
+@example(text="alg 3 2 2\n0 0 1 8\n0 0 1 8 # again\n\n1 1 0 5\n0 0 1 7")
+@example(text="alg 2 1 2\n0 0 1 1\n0 0 1 x\n0 0 1")
+@example(text=f"alg 2 1 2\n0 0 1 {2**63}\n{2**64} 0 0 1")
+def test_array_parse_matches_per_line_reference(text):
+    try:
+        want = _reference_parse(text)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            _parsed_constants(text)
+        assert str(got.value) == str(exc)
+        return
+    p = int(text.split()[1])
+    assert np.array_equal(_parsed_constants(text) % p, want)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("0 0 1", "bad structure line: '0 0 1'"),
+    ("0 0 1 1 1", "bad structure line: '0 0 1 1 1'"),
+    ("0 0 1 x", "structure line has non-integer tokens: '0 0 1 x'"),
+    ("0 0 1.5 1", "structure line has non-integer tokens: '0 0 1.5 1'"),
+    ("0 2 1 1", "structure constant index (0,2,1) out of range"),
+    ("-1 0 1 1", "structure constant index (-1,0,1) out of range"),
+    ("0 0 1 4", "element code 4 out of range for F_4"),
+    ("0 0 1 -1", "element code -1 out of range for F_4"),
+    (f"0 0 1 {2**63}", f"element code {2**63} out of range for F_4"),
+    (f"0 0 1 {2**64}", f"element code {2**64} out of range for F_4"),
+    (f"{2**63} 0 1 1", f"structure constant index ({2**63},0,1) out of range"),
+    (f"0 0 {2**64} 1", f"structure constant index (0,0,{2**64}) out of range"),
+])
+@pytest.mark.parametrize("after", ["", "1 1 1 9 9\n"], ids=["alone", "then-worse"])
+def test_structure_line_error_messages(line, message, after):
+    # valid lines around the bad one, or a bad line of another kind after it:
+    # the error names the first offending line
+    text = f"alg 2 2 2\n0 0 1 3\n{line}  # the bad line\n1 0 1 2\n{after}"
+    with pytest.raises(ValidationError) as exc:
+        parse_algebra_file(text)
+    assert str(exc.value) == message
+
+
+def test_codes_past_int64_parse_exactly():
+    # q = 2^64: codes from 2^63 on are field elements but not int64 values
+    budgets = Budgets(field_q_max=2**64)
+    code = 2**63 + 5
+    C = _parsed_constants(f"alg 2 64 2\n0 0 1 {code}\n1 0 1 1\n", budgets)
+    assert C[0, 0, 1].tolist() == [(code >> m) & 1 for m in range(64)]
+    assert C[1, 0, 1].tolist() == [1] + [0] * 63
+    # the two lines cancel over F_2: the zero algebra of dimension 1
+    alg = parse_algebra_file(f"alg 2 64 1\n0 0 0 {code}\n0 0 0 {code}\n", budgets)
+    assert alg.nilpotency_class == 2
+    with pytest.raises(ValidationError, match=f"element code {2**64} out of range"):
+        parse_algebra_file(f"alg 2 64 1\n0 0 0 {2**64}\n", budgets)
+
+
+# ------------------------------------------------------ the product checks --
+
+def _first_nonassociative_triple(field, C):
+    """The least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), by F_q
+    arithmetic on C alone."""
+    d = len(C)
+    c = [[[field.element(C[i, j, k]) for k in range(d)] for j in range(d)] for i in range(d)]
+
+    def product(u, v):
+        out = [field.zero] * d
+        for s, t in itertools.product(range(d), repeat=2):
+            if not (u[s].is_zero() or v[t].is_zero()):
+                for k in range(d):
+                    out[k] = out[k] + u[s] * v[t] * c[s][t][k]
+        return [x.coeffs for x in out]
+
+    basis = [[field.one if s == i else field.zero for s in range(d)] for i in range(d)]
+    for i, j, k in itertools.product(range(d), repeat=3):
+        left = product([field.element(x) for x in product(basis[i], basis[j])], basis[k])
+        right = product(basis[i], [field.element(x) for x in product(basis[j], basis[k])])
+        if left != right:
+            return i, j, k
+    return None
+
+
+# p = 134217689 = prevprime(2^27): n (p-1)^2 >= 2^53 at n = 3, the int64 route
+_BIG = make_field(134217689, 1, Budgets(field_q_max=2**28))
+
+
+@pytest.mark.parametrize("alg,float_route", [
+    (corpus.unitriangular(4, 2), True),
+    (corpus.augmentation_ideal("D8", 2), True),
+    (corpus.unitriangular(4, 3), True),
+    (corpus.unitriangular(3, 3, 2), True),
+    (make_unitriangular(3, _BIG), False),
+], ids=["u4_F2", "I_F2_D8", "u4_F3", "u3_F9", "u3_F134217689"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_associativity_mutation_raises_at_first_triple(alg, float_route, data):
+    f, d = alg.field, alg.dim
+    assert (alg.T.shape[0] * (f.p - 1) ** 2 < 2**53) == float_route
+    i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+    delta = data.draw(st.lists(st.integers(0, f.p - 1), min_size=f.e, max_size=f.e)
+                      .filter(any))
+    C = alg.C.copy()
+    C[i, j, k] = (C[i, j, k] + delta) % f.p
+    want = _first_nonassociative_triple(f, C)
+    try:
+        NilAlgebra(f, C)
+    except ValidationError as exc:
+        assert (str(exc) == "structure constants not associative at basis triple "
+                f"({want[0]},{want[1]},{want[2]})" if want else
+                "not associative" not in str(exc))
+    else:
+        assert want is None
+
+
+def _two_sided_chain(alg):
+    """J^(k+1) as the span of v * b_t and b_t * v over the rows v of J^k."""
+    chain = [alg.powers[0]]
+    while chain[-1][0]:
+        chain.append(rref_mod_p(alg._ideal_products(chain[-1][0]), alg.field.p))
+    return chain
+
+
+@pytest.mark.parametrize("alg", corpus.duality_corpus() + [
+    corpus.unitriangular(4, 2, 2), corpus.unitriangular(3, 3, 2),
+    corpus.unitriangular(4, 3, 2), corpus.unitriangular(3, 2, 3)], ids=lambda a: a.name)
+def test_one_sided_power_chain_matches_two_sided(alg):
+    assert alg.powers == _two_sided_chain(alg)

@@ -9,6 +9,7 @@ on J, so orbit computations run on integer coordinate arrays.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -108,6 +109,27 @@ def bch(x: AlgVector, y: AlgVector) -> AlgVector:
 
 
 # ------------------------------------------------------ linearized group --
+
+# the number of block codes of affine_perm at most: one byte each
+_BLOCK_CODE_MAX = 256
+
+
+def _block_width(p: int) -> int:
+    """The largest w with p^w <= _BLOCK_CODE_MAX, and 1 when p exceeds it."""
+    w = 1
+    while p ** (w + 1) <= _BLOCK_CODE_MAX:
+        w += 1
+    return w
+
+
+@functools.cache
+def _digit_sum_table(p: int) -> np.ndarray:
+    """table[a, b] is the block code of the digit-wise sum mod p of the
+    blocks of codes a and b, w = _block_width(p) digits each, as uint8."""
+    powers = p ** np.arange(_block_width(p), dtype=np.int64)
+    digits = np.arange(powers[-1] * p, dtype=np.int64)[:, None] // powers % p
+    return ((digits[:, None] + digits[None, :]) % p @ powers).astype(np.uint8)
+
 
 def _moving(mats) -> list[np.ndarray]:
     """The matrices that are not the identity."""
@@ -238,26 +260,49 @@ class AlgebraGroup:
     def affine_perm(self, mat, shift=None) -> np.ndarray:
         """Packed codes of (x @ mat + shift) % p for every point x, in code order.
 
-        Digit doubling: the points below p^(t+1) with digit d at t are the
-        points below p^t plus d e_t, so their images are the images below
-        p^t plus d * mat[t], reduced once.  Digits on the way stay below
-        2p - 1, which the unsigned digit dtype holds; it then has at least
-        2p values, so for a digit x < p the difference x - p wraps above x
-        and min(x, x - p) is x mod p.
+        The output digits go in blocks of w, the largest w with p^w <= 256
+        (w = 1 when p > 16), and each block is one N-vector of its codes,
+        never an N x n digit array.  Digit doubling on block codes: the
+        points below p^(t+1) with digit d at t are the points below p^t plus
+        d e_t, so their block codes are those below p^t plus the block code
+        of d * mat[t], added digit-wise mod p.  For w > 1 that sum is a
+        lookup in the p^w x p^w table of _digit_sum_table, and the codes
+        stay below p^w <= 256, one byte each.  For w = 1 a code is its digit
+        and is added directly: sums stay below 2p - 1, which the unsigned
+        digit dtype holds; it then has at least 2p values, so for a digit
+        x < p the difference x - p wraps above x and min(x, x - p) is x mod p.
+        The blocks are then summed with their powers of p, from the top.
         """
         check_budget(self.budgets, "group_enumeration_max", self.N)
-        p, n = self.p, self.n
+        p, n, N = self.p, self.n, self.N
         mat = np.asarray(mat, dtype=np.int64) % p
-        digits = np.empty((self.N, n), dtype=np.min_scalar_type(2 * p - 2))
-        digits[0] = 0 if shift is None else np.asarray(shift, dtype=np.int64) % p
-        multiples = np.arange(1, p, dtype=np.int64)[:, None, None]
-        size = 1
-        for t in range(n):
-            block = digits[size:p * size].reshape(p - 1, size, n)
-            np.add(digits[:size], (multiples * mat[t] % p).astype(digits.dtype), out=block)
-            np.minimum(block, block - p, out=block)
-            size *= p
-        return self.pack_digits(digits)
+        shift = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(
+            shift, dtype=np.int64) % p
+        # steps[d - 1, t] is the digit row of d * mat[t]
+        steps = np.arange(1, p, dtype=np.int64)[:, None, None] * mat % p
+        w = _block_width(p)
+        table = _digit_sum_table(p) if w > 1 else None
+        packed = np.zeros(N, dtype=np.int64)
+        for lo in reversed(range(0, n, w)):
+            width = min(w, n - lo)
+            block_powers = p ** np.arange(width, dtype=np.int64)
+            step_codes = steps[:, :, lo:lo + width] @ block_powers
+            # uint8 when w > 1, as p <= 16
+            codes = np.empty(N, dtype=np.min_scalar_type(2 * p - 2))
+            codes[0] = shift[lo:lo + width] @ block_powers
+            size = 1
+            for t in range(n):
+                block = codes[size:p * size].reshape(p - 1, size)
+                if table is not None:
+                    np.take(table[step_codes[:, t]], codes[:size], axis=1, out=block,
+                            mode="clip")
+                else:
+                    np.add(codes[:size], step_codes[:, t, None].astype(codes.dtype), out=block)
+                    np.minimum(block, block - p, out=block)
+                size *= p
+            packed *= p ** width
+            packed += codes
+        return packed
 
     def right_mul_perm(self, y) -> np.ndarray:
         """x -> (1+x)(1+y) on packed codes: x (1 + R_y) + y."""

@@ -16,6 +16,7 @@ histograms.  CharacterTable.reduced() is the scalar view, every value as
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, orbit_partition
-from .linalg import nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
+from .linalg import (matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p,
+                     rref_mod_p)
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -179,19 +181,33 @@ class CensusResult:
         return len(self.reps)
 
     @property
-    def records(self) -> list[OrbitRecord]:
-        """The orbits as OrbitRecords, built from the arrays on every access;
-        the orbits of rank 0, whose radical is all of J, share one tuple."""
-        n = self.radical_rows.shape[-1]
-        full = tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
-        return [OrbitRecord(rep, size, deg, tuple(map(tuple, rows[:n - rank].tolist()))
-                            if rank else full) for rep, size, deg, rank, rows in zip(
-            self.reps.tolist(), self.sizes.tolist(), self.fake_degrees.tolist(),
-            self.ranks.tolist(), self.radical_rows)]
+    def records(self) -> OrbitRecords:
+        """The orbits as a read-only sequence of OrbitRecords, each built
+        from the arrays when it is read."""
+        return OrbitRecords(self)
 
     def fake_degree_multiset(self) -> list[tuple[int, int]]:
         degrees, counts = np.unique(self.fake_degrees, return_counts=True)
         return list(zip(degrees.tolist(), counts.tolist()))
+
+
+class OrbitRecords(Sequence):
+    """Read-only view of a census as OrbitRecords, one built per index read;
+    the orbits of rank 0, whose radical is all of J, share one tuple."""
+
+    def __init__(self, census: CensusResult):
+        self._census = census
+        n = census.radical_rows.shape[-1]
+        self._full = tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
+
+    def __len__(self) -> int:
+        return self._census.count
+
+    def __getitem__(self, i: int) -> OrbitRecord:
+        c = self._census
+        rank, rows = int(c.ranks[i]), c.radical_rows[i]
+        radical = tuple(map(tuple, rows[:len(rows) - rank].tolist())) if rank else self._full
+        return OrbitRecord(int(c.reps[i]), int(c.sizes[i]), int(c.fake_degrees[i]), radical)
 
 
 def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
@@ -224,7 +240,7 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray):
     lie = ((alg.T - alg.T.transpose(1, 0, 2)) % p).reshape(n * n, n).T
     batches = []
     for lo in range(0, len(lam_rows), _RADICAL_BATCH):
-        K = (lam_rows[lo:lo + _RADICAL_BATCH].astype(np.int64) @ lie % p).reshape(-1, n, n)
+        K = matmul_mod_p(lam_rows[lo:lo + _RADICAL_BATCH], lie, p).reshape(-1, n, n)
         ranks, kernel = nullspace_stack_mod_p(K, p)
         closed = np.ones(len(K), dtype=bool)
         if alg.field.e > 1:

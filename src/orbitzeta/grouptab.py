@@ -22,6 +22,7 @@ from .errors import BudgetError, InternalInconsistencyError, ValidationError
 from .ffield import is_prime
 
 _ASSOC_SEED = 0x5EED01
+_LATIN_CELLS = 2 ** 16       # cells per block of the Latin check
 _PC_SAMPLE_PAIRS = 256
 
 
@@ -366,9 +367,18 @@ def _validate_table(arr: np.ndarray) -> int:
     e = np.flatnonzero((arr == ident).all(axis=1) & (arr == ident[:, None]).all(axis=0))
     if len(e) != 1:
         raise ValidationError("Cayley table has no unique two-sided identity")
-    if not ((np.sort(arr, axis=1) == ident).all()
-            and (np.sort(arr, axis=0) == ident[:, None]).all()):
-        raise ValidationError("Cayley table rows/columns are not permutations")
+    # Latin: a row of m entries is a permutation exactly when it hits all m
+    # of its cells row * m + value, and so for columns; blocks of rows and of
+    # columns bound the cell arrays
+    step = max(1, _LATIN_CELLS // m)
+    for lo in range(0, m, step):
+        rows, cols = arr[lo:lo + step], arr[:, lo:lo + step].T
+        offsets = np.arange(0, len(rows) * m, m)[:, None]
+        for block in (rows, cols):
+            seen = np.zeros(len(rows) * m, dtype=bool)
+            seen[offsets + block] = True
+            if not seen.all():
+                raise ValidationError("Cayley table rows/columns are not permutations")
     if m <= 256:
         for i in range(m):
             left = arr[arr[i], :]        # (i*j)*k

@@ -3,8 +3,11 @@ form over Z/p^v.
 
 Subspaces are always represented by reduced row echelon bases so that
 equality of subspaces is literal equality of the representations.  The
-elimination runs on int64 arrays and reduces mod p after every row
-operation, so no entry exceeds p^2 on the way.
+one-matrix elimination (_echelon) runs on int64 arrays and reduces mod p
+after every row operation.  The elimination of a stack of matrices
+(rref_stack_mod_p) delays the reduction: it reduces only the residues of the
+current column, each new pivot row and the result, in an unsigned dtype
+sized by the number of updates an entry can take.
 The kernels of a stack take one elimination, of the column-reversed stack
 (see nullspace_stack_mod_p); the census checks their F_q-closure by one
 product, not by eliminating again.  The Smith form valuations over Z/p^v
@@ -108,29 +111,46 @@ def reduce_mod_p(echelon_rows, pivots, vecs, p: int) -> np.ndarray:
 
 # ------------------------------------------------------------- stacks ----
 
+def _stack_dtype(p: int, m: int, n: int):
+    """The least unsigned dtype of a lazily reduced (B, m, n) elimination:
+    entries start below p and take at most min(m, n) rank-one updates, each
+    adding at most (p - 1)^2."""
+    return np.min_scalar_type(p - 1 + min(m, n) * (p - 1) ** 2)
+
+
 def rref_stack_mod_p(mats, p: int):
     """Reduced row echelon forms over Z/p of a stack of matrices (B, m, n).
 
-    One elimination runs on the whole stack, column by column, in the least
-    unsigned dtype that holds x + y*z for residues x, y, z.  Returns (ech,
-    ranks, is_pivot): ech[b] is the reduced echelon form of mats[b] with its
-    ranks[b] nonzero rows on top, and is_pivot[b, c] marks the pivot columns.
-    Input unchanged.
+    One elimination runs on the whole stack, column by column, and reduces
+    mod p only where it must (delayed reduction): the residues of the current
+    column, the new pivot row and the final result.  Every other entry is a
+    nonnegative integer congruent to its residue.  A pivot adds (p - factor)
+    times the reduced pivot row to the other rows, at most (p - 1)^2 per
+    entry, and each matrix has at most min(m, n) pivots, so no entry exceeds
+    p - 1 + min(m, n) (p - 1)^2, which _stack_dtype holds.  The pivot row is
+    0 left of its pivot column: those columns are cleared below the rank, so
+    an update touches only the columns from the pivot on.
+
+    Returns (ech, ranks, is_pivot): ech[b], in the dtype of _stack_dtype, is
+    the reduced echelon form of mats[b] with its ranks[b] nonzero rows on
+    top, and is_pivot[b, c] marks the pivot columns.  Input unchanged.
     """
-    dtype = np.min_scalar_type(p * p - 1)
-    ech = (np.array(mats, dtype=np.int64) % p).astype(dtype)
-    nmat, m, n = ech.shape
+    mats = np.asarray(mats)
+    nmat, m, n = mats.shape
+    dtype = _stack_dtype(p, m, n)
+    ech = (mats % p).astype(dtype)
     ranks = np.zeros(nmat, dtype=np.int64)
     is_pivot = np.zeros((nmat, n), dtype=bool)
     below = np.arange(m)
     for col in range(n):
-        live = (ech[:, :, col] != 0) & (below >= ranks[:, None])
+        residues = ech[:, :, col] % p
+        live = (residues != 0) & (below >= ranks[:, None])
         b = np.flatnonzero(live.any(axis=1))
         if not b.size:
             continue
         row, src = ranks[b], live[b].argmax(axis=1)
-        lead = ech[b, src]
-        ech[b, src] = ech[b, row]
+        lead = ech[b, src] % p
+        ech[b, src], residues[b, src] = ech[b, row], residues[b, row]
         distinct, where = np.unique(lead[:, col], return_inverse=True)  # one pow each
         inv = np.array([pow(int(v), -1, p) for v in distinct], dtype=dtype)[where]
         pivot_row = np.zeros((nmat, n), dtype=dtype)
@@ -138,13 +158,13 @@ def rref_stack_mod_p(mats, p: int):
         ech[b, row] = pivot_row[b]
         # add (p - factor) times the pivot row to every other row; a matrix
         # without a pivot in this column has a zero pivot row
-        negated = (p - ech[:, :, col]) % p
-        negated[b, row] = 0
-        ech += negated[:, :, None] * pivot_row[:, None, :]
-        np.remainder(ech, p, out=ech)
+        residues[b, row] = 0
+        negated = (p - residues) % p
+        ech[:, :, col:] += negated[:, :, None] * pivot_row[:, None, col:]
         is_pivot[b, col] = True
         ranks[b] += 1
-    return ech.astype(np.int64), ranks, is_pivot
+    np.remainder(ech, p, out=ech)
+    return ech, ranks, is_pivot
 
 
 def nullspace_stack_mod_p(mats, p: int):
@@ -152,7 +172,7 @@ def nullspace_stack_mod_p(mats, p: int):
 
     Returns (ranks, kernels): kernels[b, :n - ranks[b]] is the reduced echelon
     basis of {x : mats[b] x = 0}, the same rows nullspace_mod_p gives, and
-    the rows below it are zero.
+    the rows below it are zero; kernels has the dtype of rref_stack_mod_p.
 
     One elimination, of mats[..., ::-1]: read in the original order, each
     pivot column c of that echelon form has entries only at free columns
@@ -162,16 +182,18 @@ def nullspace_stack_mod_p(mats, p: int):
     ech, ranks, is_pivot = rref_stack_mod_p(np.asarray(mats)[..., ::-1], p)
     nmat, _, n = ech.shape
     # placed[b, c] is the echelon row whose pivot is (reversed) column c
-    placed = np.zeros((nmat, n, n), dtype=np.int64)
+    placed = np.zeros((nmat, n, n), dtype=ech.dtype)
     bi, ci = np.nonzero(is_pivot)
     ri = np.arange(bi.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
     placed[bi, ci] = ech[bi, ri]
     # row f: e_f minus the pivot coordinates forced by x_f = 1, for each free
-    # column f; the rows at pivot columns vanish.  Reversing rows and columns
-    # returns to the original order; a stable sort lifts the free rows on top
-    free = ((np.eye(n, dtype=np.int64) - placed.transpose(0, 2, 1)) % p)[:, ::-1, ::-1]
+    # column f, as p + e_f - placed^T (positive and below 2p, which the
+    # unsigned dtype holds); the rows at pivot columns vanish.  Reversing
+    # rows and columns returns to the original order; a stable sort lifts
+    # the free rows on top
+    free = ((p + np.eye(n, dtype=ech.dtype)) - placed.transpose(0, 2, 1)) % p
     order = np.argsort(is_pivot[:, ::-1], axis=1, kind="stable")
-    return ranks, np.take_along_axis(free, order[:, :, None], axis=1)
+    return ranks, np.take_along_axis(free[:, ::-1, ::-1], order[:, :, None], axis=1)
 
 
 # ------------------------------------------------------------ mod p^v ----

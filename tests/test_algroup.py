@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,10 +200,14 @@ def test_right_mul_perm_matches_scalar():
             assert int(perm[i]) == gmul(alg.unpack(i), y).pack()
 
 
-@pytest.mark.parametrize("p,dim", [(2, 6), (3, 4), (5, 3), (131, 2)])
+@pytest.mark.parametrize("p,dim", [(2, 6), (3, 4), (5, 3), (131, 2), (2, 8), (2, 9), (2, 17),
+                                   (3, 5), (3, 6), (17, 2), (257, 2)])
 @pytest.mark.parametrize("with_shift", [False, True])
 def test_affine_perm_matches_digit_matmul(p, dim, with_shift):
-    # p = 131: digits on the way reach 2p - 2 = 260, beyond a byte
+    # blocks of w digits with p^w <= 256: w = 8 at p = 2 (dim 8, 9 and 17
+    # end at, past and one past two blocks), w = 5 at p = 3; w = 1 adds the
+    # digits directly from p = 17 on.  p = 131, 257: digits on the way reach
+    # 2p - 2, beyond a byte
     eng = AlgebraGroup(corpus.zero_algebra(dim, p))
     rng = np.random.default_rng(p * 10 + with_shift)
     mat = rng.integers(0, p, (dim, dim))
@@ -211,6 +216,23 @@ def test_affine_perm_matches_digit_matmul(p, dim, with_shift):
     want = ((digits @ mat + shift) % p) @ eng.powers
     got = eng.affine_perm(mat, shift if with_shift else None)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,p", [(16, 2), (10, 3)])
+def test_affine_perm_peak_memory(dim, p):
+    # one warm call holds its N int64 codes and a byte per point per block,
+    # never an N x n digit array: at most 4 int64 words per point at peak
+    eng = AlgebraGroup(corpus.zero_algebra(dim, p))
+    rng = np.random.default_rng(dim)
+    mat, shift = rng.integers(0, p, (dim, dim)), rng.integers(0, p, dim)
+    eng.affine_perm(mat, shift)
+    tracemalloc.start()
+    try:
+        eng.affine_perm(mat, shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * eng.N
 
 
 def test_abelianization_orders():

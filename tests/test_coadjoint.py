@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from orbitzeta import coadjoint, corpus
 from orbitzeta.algroup import AlgebraGroup, ginv, gmul, glog
 from orbitzeta.budgets import Budgets
-from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional,
+from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional, OrbitRecord,
                                  character_table, coadjoint_act,
                                  conjecture_probe, engine_for, fake_degree,
                                  fake_degree_identities,
@@ -124,6 +126,25 @@ def test_census_abelian():
     zero = orbit_census(corpus.zero_algebra(3, 2))
     assert zero.count == 8
     assert zero.fixed_points == 8
+
+
+def test_census_records_build_one_record_per_read():
+    census = orbit_census(corpus.zero_algebra(16, 2))
+    tracemalloc.start()
+    try:
+        records = census.records
+        first = records[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one record of 16 rows, not a list of 2^16 records
+    assert peak < 2 ** 16
+    assert isinstance(records, Sequence) and len(records) == census.count == 2 ** 16
+    eye = tuple(map(tuple, np.eye(16, dtype=np.int64).tolist()))
+    assert first == OrbitRecord(rep=0, size=1, fake_degree=1, radical_prime_rows=eye)
+    assert records[-1].rep == 2 ** 16 - 1
+    with pytest.raises(IndexError):
+        records[2 ** 16]
 
 
 @pytest.mark.parametrize("alg", corpus.duality_corpus(), ids=lambda alg: alg.name)

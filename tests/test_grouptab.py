@@ -66,6 +66,31 @@ def test_cayley_table_validation():
         FiniteGroupTable.from_cayley_table(loop)
 
 
+def _swapped(m, axis):
+    """The table of Z/m with the entries at m - 3 and m - 2 of its last row
+    (axis 1) or last column (axis 0) swapped: that line stays a permutation,
+    and the two lines across it repeat an entry.  At m = 300 all three lie
+    in the last block of the Latin check."""
+    table = (np.arange(m)[:, None] + np.arange(m)) % m
+    line = table[-1] if axis == 1 else table[:, -1]
+    line[[-3, -2]] = line[[-2, -3]]
+    return table.tolist()
+
+
+# identity 0 and one Latin direction: rows of the first repeat an entry while
+# every column is a permutation, and the transpose the other way round
+REPEATED_ROW_ENTRY = [[0, 1, 2], [1, 0, 0], [2, 2, 1]]
+REPEATED_COLUMN_ENTRY = [list(col) for col in zip(*REPEATED_ROW_ENTRY)]
+
+
+@pytest.mark.parametrize("table", [REPEATED_ROW_ENTRY, REPEATED_COLUMN_ENTRY,
+                                   _swapped(300, 0), _swapped(300, 1)],
+                         ids=["row", "column", "row_300", "column_300"])
+def test_cayley_table_repeated_entry(table):
+    with pytest.raises(ValidationError, match=r"^Cayley table rows/columns are not permutations$"):
+        FiniteGroupTable.from_cayley_table(table)
+
+
 def test_corpus_orders_match():
     for name in corpus.group_names():
         assert corpus.group(name).order == corpus.GROUP_ORDERS[name]

@@ -28,6 +28,17 @@ def _full_rank(p, m, n):
     return mat
 
 
+def _past_a_byte(m, n):
+    """A stack at p = 7 of m x n matrices of rank min(m, n), I + 1 and
+    I + 1 + i + j with i, j the row and column, whose elimination without
+    reduction drives entries past 255 (up to 15 updates of up to 36)."""
+    i, j = np.arange(m)[:, None], np.arange(n)[None, :]
+    ones_plus_eye = 1 + (i == j)
+    mats = np.stack([ones_plus_eye, ones_plus_eye + i + j, (ones_plus_eye + i + j)[::-1]]) % 7
+    assert all(len(rref_mod_p(mat, 7)[0]) == min(m, n) for mat in mats)
+    return mats
+
+
 EXAMPLES = [
     (251, np.array([[[0]], [[250]], [[-1]]])),                        # 1 x 1
     (2, np.zeros((2, 3, 4), dtype=np.int64)),                         # all zero
@@ -35,6 +46,10 @@ EXAMPLES = [
     (5, np.stack([_full_rank(5, 4, 4), _full_rank(5, 4, 4)[::-1]])),  # m = n
     (3, np.stack([_full_rank(3, 6, 2), np.ones((6, 2), np.int64)])),  # m > n
     (251, np.stack([_full_rank(251, 5, 5) * 250])),
+    # a square full-rank matrix reduces to the identity whatever wraps on
+    # the way; the free columns of the wide stack keep the wrapped entries
+    (7, _past_a_byte(15, 15)),
+    (7, _past_a_byte(15, 18)),
 ]
 
 

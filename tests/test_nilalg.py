@@ -447,6 +447,48 @@ def test_associativity_mutation_raises_at_first_triple(alg, float_route, data):
         assert want is None
 
 
+def _sampled_reference(alg):
+    """The message of the sampled associativity check (d > 64) as one
+    vector-matrix product per drawn triple, or None when every draw passes."""
+    T, p, e, d = alg.T, alg.field.p, alg.field.e, alg.dim
+    rng = random.Random(0xA550C)
+    for _ in range(20000):
+        i, j, k = (rng.randrange(d) for _ in range(3))
+        left = T[i * e, j * e] @ T[:, k * e] % p
+        right = T[j * e, k * e] @ T[i * e] % p
+        if not np.array_equal(left, right):
+            return f"structure constants not associative at basis triple ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize("base,products,seed", [
+    (corpus.unitriangular(13, 2), 1, 0),
+    (corpus.unitriangular(13, 2), 40, 1),
+    (corpus.unitriangular(13, 2), 400, 2),
+    (make_zero_algebra(65, make_field(3)), 80, 3),
+    (make_zero_algebra(65, make_field(3)), 400, 4),
+], ids=["u13_F2_one", "u13_F2_sparse", "u13_F2_dense", "zero65_F3_sparse", "zero65_F3"])
+def test_sampled_associativity_mutation_matches_per_triple_loop(base, products, seed):
+    # random extra products b_a b_b += c b_t on an algebra with d > 64 (so
+    # e = 1: n = d e <= 128); the grouped products must raise at the first
+    # failing draw of the loop
+    f, d = base.field, base.dim
+    rng = np.random.default_rng(seed)
+    C = base.C.copy()
+    a, b, t = rng.integers(0, d, (3, products))
+    C[a, b, t] = (C[a, b, t] + rng.integers(1, f.p, (products, 1))) % f.p
+    mutated = NilAlgebra.__new__(NilAlgebra)
+    mutated.field, mutated.dim, mutated.C = f, d, C
+    mutated._build_tensor()
+    want = _sampled_reference(mutated)
+    try:
+        NilAlgebra(f, C)
+    except ValidationError as exc:
+        assert str(exc) == want if want else "not associative" not in str(exc)
+    else:
+        assert want is None
+
+
 def _two_sided_chain(alg):
     """J^(k+1) as the span of v * b_t and b_t * v over the rows v of J^k."""
     chain = [alg.powers[0]]

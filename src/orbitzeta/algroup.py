@@ -18,6 +18,7 @@ from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
                        orbit_partition)
+from .linalg import base_p_digits
 from .nilalg import AlgVector, NilAlgebra
 
 _SPOT_SEED = 0x11EA5
@@ -126,9 +127,9 @@ def _block_width(p: int) -> int:
 def _digit_sum_table(p: int) -> np.ndarray:
     """table[a, b] is the block code of the digit-wise sum mod p of the
     blocks of codes a and b, w = _block_width(p) digits each, as uint8."""
-    powers = p ** np.arange(_block_width(p), dtype=np.int64)
-    digits = np.arange(powers[-1] * p, dtype=np.int64)[:, None] // powers % p
-    return ((digits[:, None] + digits[None, :]) % p @ powers).astype(np.uint8)
+    w = _block_width(p)
+    digits = base_p_digits(np.arange(p ** w), p, w)
+    return ((digits[:, None] + digits[None, :]) % p @ p ** np.arange(w)).astype(np.uint8)
 
 
 def _moving(mats) -> list[np.ndarray]:
@@ -175,11 +176,7 @@ class AlgebraGroup:
     def digit_rows(self) -> np.ndarray:
         if self._X is None:
             check_budget(self.budgets, "group_enumeration_max", self.N)
-            idx = np.arange(self.N, dtype=np.int64)
-            digits = np.empty((self.N, self.n), dtype=np.min_scalar_type(self.p - 1))
-            for t in range(self.n):
-                digits[:, t] = (idx // self.powers[t]) % self.p
-            self._X = digits
+            self._X = base_p_digits(np.arange(self.N), self.p, self.n)
         return self._X
 
     def log_digit_rows(self) -> np.ndarray:

@@ -34,6 +34,7 @@ from .coadjoint import (character_table, conjecture_probe, engine_for,
 from .errors import InternalInconsistencyError, ToolError, ValidationError
 from .ffield import make_field, prime_power_decompose
 from .grouptab import parse_group_file
+from .linalg import base_p_digits
 from .nilalg import parse_algebra_file
 from .zetalab import (LieTypeSpec, FactorSpec, abscissa_estimate,
                       dirichlet_product, divisor_tuple_count, prg_witness,
@@ -48,6 +49,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _sha256(path: str) -> str:
@@ -311,10 +320,8 @@ def cmd_zeta_product(args) -> dict:
     series = product_series(spec, args.N, mode=args.mode, budgets=budgets)
     checkpoints = series.partial_counts(_checkpoint_grid(series.N))
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-            fh.write("n,R_n\n")
-            for n, r in checkpoints:
-                fh.write(f"{n},{r}\n")
+        _write_text(args.emit_plot_data, "n,R_n\n" + "".join(
+            f"{n},{r}\n" for n, r in checkpoints))
     return {
         "N": series.N,
         "mode": args.mode,
@@ -329,10 +336,8 @@ def cmd_zeta_abscissa(args) -> dict:
     series = product_series(spec, args.N, mode=args.mode, budgets=budgets)
     est = abscissa_estimate(series)
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-            fh.write("n,R_n,log_ratio\n")
-            for n, r, ratio in est.path:
-                fh.write(f"{n},{r},{ratio:.6f}\n")
+        _write_text(args.emit_plot_data, "n,R_n,log_ratio\n" + "".join(
+            f"{n},{r},{ratio:.6f}\n" for n, r, ratio in est.path))
     return {
         "N": series.N,
         "mode": args.mode,
@@ -357,10 +362,8 @@ def cmd_zeta_target(args) -> dict:
     below = ts.akov_partial_sums(cf - 0.1, args.imax)[-1]
     entries = [[i, a, _decimal_digits(f) if f else 0] for i, a, f in ts.entries]
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8") as fh:
-            fh.write("i,a_i,f_digits\n")
-            for i, a, digits in entries:
-                fh.write(f"{i},{a},{digits}\n")
+        _write_text(args.emit_plot_data, "i,a_i,f_digits\n" + "".join(
+            f"{i},{a},{digits}\n" for i, a, digits in entries))
     return {
         "c": str(c),
         "type": lie.label,
@@ -437,9 +440,7 @@ def _suite_algebras(budgets, extra_files=()) -> dict:
         rng = random.Random(0xC0FFEE ^ alg.dim)
         codes = [rng.randrange(alg.field.q ** alg.dim) for _ in range(3 * 200)]
         eng = AlgebraGroup(alg, budgets)  # samples 1+J, however large
-        p = eng.p
-        rows = np.array([[c // p ** t % p for t in range(eng.n)] for c in codes],
-                        dtype=np.int64).reshape(200, 3, eng.n)
+        rows = base_p_digits(codes, eng.p, eng.n).astype(np.int64).reshape(200, 3, eng.n)
         x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
         left = eng._gmul_rows(eng._gmul_rows(x, y), z)
         if not np.array_equal(left, eng._gmul_rows(x, eng._gmul_rows(y, z))):
@@ -535,13 +536,14 @@ def cmd_verify_corpus(args) -> dict:
 
 def cmd_export(args) -> dict:
     budgets = _effective_budgets(args)
-    os.makedirs(args.target, exist_ok=True)
+    try:
+        os.makedirs(args.target, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.target}: {exc}") from None
     written = []
 
     def emit(name: str, text: str):
-        path = os.path.join(args.target, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(os.path.join(args.target, name), text)
         written.append(name)
 
     alg = corpus.unitriangular(3, 3)
@@ -704,33 +706,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        payload = args.func(args)
+        text = _dumps(args.func(args)) + "\n"
+        if getattr(args, "out", None):
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
+        if getattr(args, "manifest", None):
+            _write_text(args.manifest, _dumps(_manifest(args, argv, t0)) + "\n")
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    text = _dumps(payload) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if getattr(args, "manifest", None):
-        inputs = {}
-        for attr in ("file", "spec", "budget_config"):
-            path = getattr(args, attr, None)
-            if path and os.path.exists(path):
-                inputs[path] = _sha256(path)
-        manifest = {
-            "command": argv if argv is not None else sys.argv[1:],
-            "inputs": inputs,
-            "budgets": asdict(_effective_budgets(args)),
-            "seed": "fixed (seeded spot checks only; see module constants)",
-            "version": __version__,
-            "timing_ms": round(1000 * (time.monotonic() - t0), 3),
-        }
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(manifest) + "\n")
     return 0
+
+
+def _manifest(args, argv, t0: float) -> dict:
+    inputs = {}
+    for attr in ("file", "spec", "budget_config"):
+        path = getattr(args, attr, None)
+        if path and os.path.exists(path):
+            inputs[path] = _sha256(path)
+    return {
+        "command": argv if argv is not None else sys.argv[1:],
+        "inputs": inputs,
+        "budgets": asdict(_effective_budgets(args)),
+        "seed": "fixed (seeded spot checks only; see module constants)",
+        "version": __version__,
+        "timing_ms": round(1000 * (time.monotonic() - t0), 3),
+    }
 
 
 if __name__ == "__main__":

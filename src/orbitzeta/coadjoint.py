@@ -26,8 +26,8 @@ from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, orbit_partition
-from .linalg import (matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p,
-                     rref_mod_p)
+from .linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
+                     reduce_mod_p)
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -218,7 +218,7 @@ def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
 
 
 def radical_of(alg: NilAlgebra, lam_digits):
-    """(rank, prime echelon rows of Rad B_lambda)."""
+    """(rank, prime echelon rows of Rad B_lambda, an int64 array)."""
     K = gram_matrix(alg, lam_digits)
     rows = nullspace_mod_p(K, len(K), alg.field.p)
     return len(K) - len(rows), rows
@@ -256,7 +256,8 @@ def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
 
 
 def radical(alg: NilAlgebra, lam):
-    """Prime echelon rows of Rad B_lambda.
+    """Prime echelon rows of Rad B_lambda, an int64 array: the kernel rows
+    of radical_of, which are reduced.
 
     The radical is always closed under F_q scaling; for e > 1 that is a real
     condition and it is checked.
@@ -264,7 +265,7 @@ def radical(alg: NilAlgebra, lam):
     row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
     _, rows = radical_of(alg, row)
     _require_fq_closed(alg, rows, "radical")
-    return rref_mod_p(rows, alg.field.p)[0]
+    return rows
 
 
 def orbit_size(alg: NilAlgebra, lam) -> int:
@@ -299,7 +300,7 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))
     digits = eng.digit_rows()
     derived_rows, _ = alg.derived_lie_subspace()
-    if derived_rows:
+    if len(derived_rows):
         ranks, rads, closed = _radicals_by_row(alg, digits[reps])
     else:  # J is commutative: every radical is J, one array shared by all orbits
         ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
@@ -352,23 +353,21 @@ def fake_degree_identities(census: CensusResult) -> dict:
 
 def _is_isotropic(K: np.ndarray, rows, p: int) -> bool:
     """Whether B_lambda, with Gram matrix K, vanishes on the span of the rows."""
-    if not len(rows):
-        return True
-    R = np.asarray(rows, dtype=np.int64)
-    return not (R @ K % p @ R.T % p).any()
+    return not (rows @ K % p @ rows.T % p).any()
 
 
 def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
     """A maximal isotropic subalgebra H for B_lambda, constructed through the
     ideal flag: take the first isotropic member of the flag, pass to its
-    perp (a subalgebra), and recurse.  Returns prime echelon rows of H.
+    perp (a subalgebra), and recurse.  Returns the prime echelon basis
+    (rows, pivots) of H.
 
     Verifies on exit: H is a subalgebra, B_lambda vanishes on H, and
     dim H = dim J - (1/2) log_q |orbit of lambda|.
     """
     p, e = alg.field.p, alg.field.e
-    lam = tuple(int(x) for x in lam_digits)
-    ech, piv = rref_mod_p(_max_isotropic_inner(alg, lam), p)
+    lam = np.asarray(lam_digits, dtype=np.int64)
+    ech, piv = _max_isotropic_inner(alg, lam)
     # verification
     if not _is_isotropic(gram_matrix(alg, lam), ech, p):
         raise InternalInconsistencyError("constructed subalgebra is not isotropic")
@@ -382,27 +381,31 @@ def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
     return ech, piv
 
 
-def _max_isotropic_inner(alg: NilAlgebra, lam):
+def _max_isotropic_inner(alg: NilAlgebra, lam: np.ndarray):
+    """The echelon basis (rows, pivots) of max_isotropic_subalgebra, unverified."""
     p, n = alg.field.p, alg.dim * alg.field.e
     K = gram_matrix(alg, lam)
     if not K.any():
-        return np.eye(n, dtype=np.int64).tolist()
-    flag = alg.refine_to_flag()
-    chosen = next((rows for rows, _ in flag[1:] if _is_isotropic(K, rows, p)), None)
-    if not chosen:
+        return np.eye(n, dtype=np.int64), list(range(n))
+    # the nonzero flag members; the last member of the flag is 0
+    flag = alg.refine_to_flag()[1:-1]
+    chosen = next((rows for rows, _ in flag if _is_isotropic(K, rows, p)), None)
+    if chosen is None:
         # the complete flag always reaches an isotropic member before 0:
         # the minimal one is not inside Rad B, see the recursion argument
         raise InternalInconsistencyError("no nonzero isotropic flag member found")
     # perp of the chosen ideal: x with lambda([x, h]) = K x . h = 0 for all h
-    perp = nullspace_mod_p(np.asarray(chosen, dtype=np.int64) @ K.T % p, n, p)
+    perp = nullspace_mod_p(chosen @ K.T % p, n, p)
     _require_fq_closed(alg, perp, "perp of an isotropic ideal")
     if len(perp) == n:
         raise InternalInconsistencyError("perp did not cut the space down")
-    sub, basis = alg.subalgebra(perp)
-    basis = np.asarray(basis, dtype=np.int64)  # row t: prime basis vector t of sub
-    inner = _max_isotropic_inner(sub, tuple(int(x) for x in basis @ lam % p))
-    # map back to ambient coordinates
-    return [tuple(r) for r in (np.asarray(inner, dtype=np.int64) @ basis % p).tolist()]
+    sub, basis = alg.subalgebra(perp)  # row t: prime basis vector t of sub
+    inner, inner_piv = _max_isotropic_inner(sub, basis @ lam % p)
+    # back to ambient coordinates with no elimination: reduced rows in sub
+    # coordinates times a reduced basis, with pivots piv, are reduced, with
+    # pivots piv[inner_piv] (row i has a 1 at piv[c], 0 at every other piv)
+    piv = np.argmax(basis != 0, axis=1)
+    return inner @ basis % p, piv[inner_piv].tolist()
 
 
 # ------------------------------------------------------------ characters --
@@ -568,17 +571,11 @@ def orthonormality_check(table: CharacterTable) -> bool:
 
 def _span_points(rows, p: int) -> np.ndarray:
     """Every Z/p-combination of the rows, one point per row of the result."""
-    B = np.asarray(rows, dtype=np.int64)
-    m = len(B)
-    codes = np.arange(p ** m)
-    combos = np.stack([(codes // p ** t) % p for t in range(m)], axis=1)
-    return combos @ B % p
+    return base_p_digits(np.arange(p ** len(rows)), p, len(rows)) @ rows % p
 
 
 def _subspace_packed_set(eng: AlgebraGroup, rows) -> np.ndarray:
     """All packed codes of the span of the given prime echelon rows."""
-    if not len(rows):
-        return np.zeros(1, dtype=np.int64)
     return np.unique(_span_points(rows, eng.p) @ eng.powers)
 
 
@@ -650,12 +647,11 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     if census is None:
         census = orbit_census(alg, budgets)
     p = eng.p
-    lam = tuple(eng.digit_rows()[census.reps[orbit_index]].tolist())
-    rows, _ = max_isotropic_subalgebra(alg, lam)
+    lamv = eng.digit_rows()[census.reps[orbit_index]].astype(np.int64)
+    rows, _ = max_isotropic_subalgebra(alg, lamv)
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)
-    lamv = np.asarray(lam, dtype=np.int64)
-    coset = (_span_points(ann, p) + lamv) % p if ann else lamv[None, :]
+    coset = (_span_points(ann, p) + lamv) % p
     # orbit of lambda under the group generated by 1 + (prime basis of H)
     labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(row)) for row in rows],
                              eng.N).labels

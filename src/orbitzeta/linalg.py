@@ -1,18 +1,18 @@
 """Exact linear algebra over Z/p on integer coordinate rows, and the Smith
 form over Z/p^v.
 
-Subspaces are always represented by reduced row echelon bases so that
-equality of subspaces is literal equality of the representations.  The
-one-matrix elimination (_echelon) runs on int64 arrays and reduces mod p
-after every row operation.  The elimination of a stack of matrices
-(rref_stack_mod_p) delays the reduction: it reduces only the residues of the
-current column, each new pivot row and the result, in an unsigned dtype
-sized by the number of updates an entry can take.
-The kernels of a stack take one elimination, of the column-reversed stack
-(see nullspace_stack_mod_p); the census checks their F_q-closure by one
-product, not by eliminating again.  The Smith form valuations over Z/p^v
-(smith_valuations_mod_pv) take one elimination on int64 or exact object
-arrays.
+A subspace is one pair (rows, pivots): an int64 array of its reduced row
+echelon basis and the list of its pivot columns, made by one elimination,
+so that equality of subspaces is equality of the arrays.  The one-matrix
+elimination (rref_mod_p) reduces mod p after every row operation.  The
+elimination of a stack of matrices (rref_stack_mod_p) delays the reduction:
+it reduces only the residues of the current column, each new pivot row and
+the result, in an unsigned dtype sized by the number of updates an entry
+can take.  A kernel, of one matrix or of each matrix of a stack, takes one
+elimination, of the column-reversed rows (see _kernel_rows); the census
+checks the F_q-closure of its kernels by one product, not by eliminating
+again.  The Smith form valuations over Z/p^v (smith_valuations_mod_pv) take
+one elimination on int64 or exact object arrays.
 """
 
 from __future__ import annotations
@@ -47,8 +47,21 @@ def matmul_mod_p(A, B, p: int) -> np.ndarray:
     return prod
 
 
-def _echelon(rows, p: int):
-    """(reduced echelon array, pivot columns) of the rows, taken mod p."""
+def base_p_digits(codes, p: int, width: int) -> np.ndarray:
+    """(len(codes), width) base-p digits of the codes, least significant first,
+    in the least unsigned dtype holding p - 1, filled one column at a time:
+    no temporary is larger than the vector of codes (int64, or object)."""
+    rest = np.array(codes)
+    digits = np.empty((rest.size, width), dtype=np.min_scalar_type(p - 1))
+    for t in range(width):
+        digits[:, t] = rest % p
+        rest //= p
+    return digits
+
+
+def rref_mod_p(rows, p: int):
+    """Reduced row echelon form over Z/p: (int64 array of the nonzero rows,
+    list of their pivot columns).  Input unchanged."""
     mat = np.array(rows, dtype=np.int64) % p
     if mat.ndim != 2 or not mat.size:
         return np.zeros((0, mat.shape[-1] if mat.ndim == 2 else 0), dtype=np.int64), []
@@ -77,36 +90,25 @@ def _echelon(rows, p: int):
     return mat[:row], pivots
 
 
-def rref_mod_p(rows, p: int):
-    """Reduced row echelon form over Z/p. Returns (rows, pivot_cols); input unchanged."""
-    mat, pivots = _echelon(rows, p)
-    return [tuple(r) for r in mat.tolist()], pivots
-
-
-def nullspace_mod_p(rows, ncols: int, p: int):
-    """Echelon basis of {x : A x = 0} for A given by rows of length ncols."""
-    ech, pivots = _echelon(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return []
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots:
-        basis[:, pivots] = (-ech[:, free]).T % p
-    return rref_mod_p(basis, p)[0]
+def nullspace_mod_p(rows, ncols: int, p: int) -> np.ndarray:
+    """Reduced echelon basis, int64 rows, of {x : A x = 0} for A given by rows
+    of length ncols: one elimination, of the column-reversed rows (see
+    _kernel_rows)."""
+    ech, pivots = rref_mod_p(np.reshape(rows, (-1, ncols))[:, ::-1], p)
+    is_pivot = np.zeros((1, ncols), dtype=bool)
+    is_pivot[0, pivots] = True
+    return _kernel_rows(ech[None], is_pivot, p)[0, :ncols - len(pivots)]
 
 
 def reduce_mod_p(echelon_rows, pivots, vecs, p: int) -> np.ndarray:
-    """Residues of vecs (any leading shape) against a reduced echelon basis.
+    """Residues of vecs (any leading shape) against the reduced echelon basis
+    (echelon_rows, pivots) of a subspace, echelon_rows an int64 array.
 
     A residue is zero exactly when its vector lies in the span; the
     coordinates of a member in the echelon basis are its pivot entries.
     """
     vecs = np.asarray(vecs, dtype=np.int64) % p
-    if not pivots:
-        return vecs
-    ech = np.asarray(echelon_rows, dtype=np.int64)
-    return (vecs - (vecs[..., pivots] @ ech) % p) % p
+    return (vecs - (vecs[..., pivots] @ echelon_rows) % p) % p
 
 
 # ------------------------------------------------------------- stacks ----
@@ -153,18 +155,42 @@ def rref_stack_mod_p(mats, p: int):
         ech[b, src], residues[b, src] = ech[b, row], residues[b, row]
         distinct, where = np.unique(lead[:, col], return_inverse=True)  # one pow each
         inv = np.array([pow(int(v), -1, p) for v in distinct], dtype=dtype)[where]
-        pivot_row = np.zeros((nmat, n), dtype=dtype)
-        pivot_row[b] = lead * inv[:, None] % p
-        ech[b, row] = pivot_row[b]
-        # add (p - factor) times the pivot row to every other row; a matrix
-        # without a pivot in this column has a zero pivot row
-        residues[b, row] = 0
-        negated = (p - residues) % p
-        ech[:, :, col:] += negated[:, :, None] * pivot_row[:, None, col:]
+        pivot_row = lead * inv[:, None] % p
+        ech[b, row] = pivot_row
+        # add (p - factor) times the pivot row to every other row of the
+        # matrices b, the ones with a pivot in this column
+        factors = residues[b]
+        factors[np.arange(b.size), row] = 0
+        ech[b, :, col:] += ((p - factors) % p)[:, :, None] * pivot_row[:, None, col:]
         is_pivot[b, col] = True
         ranks[b] += 1
     np.remainder(ech, p, out=ech)
     return ech, ranks, is_pivot
+
+
+def _kernel_rows(ech, is_pivot, p: int) -> np.ndarray:
+    """Kernels from the echelon forms (ech, is_pivot) of column-reversed
+    matrices, as nullspace_stack_mod_p returns them.
+
+    Read in the original order, each pivot column c of a reversed echelon
+    form has entries only at free columns f < c, so the kernel row of a free
+    column f has its leading 1 at f and 0 at every other free column.  By
+    ascending f, the rows are reduced.
+    """
+    nmat, m, n = ech.shape
+    ranks = is_pivot.sum(axis=1)
+    # placed[b, c] is the echelon row whose pivot is (reversed) column c:
+    # pivot columns ascend with the rows, so both masks list them in order
+    placed = np.zeros((nmat, n, n), dtype=ech.dtype)
+    placed[is_pivot] = ech[np.arange(m) < ranks[:, None]]
+    # row f: e_f minus the pivot coordinates forced by x_f = 1, for each free
+    # column f, as p + e_f - placed^T (positive and below 2p, which the
+    # unsigned dtype holds).  Reversing rows and columns returns to the
+    # original order, where the free rows, in ascending order, go on top
+    free = ((p + np.eye(n, dtype=ech.dtype)) - placed.transpose(0, 2, 1)) % p
+    kernels = np.zeros_like(placed)
+    kernels[np.arange(n) < n - ranks[:, None]] = free[:, ::-1, ::-1][~is_pivot[:, ::-1]]
+    return kernels
 
 
 def nullspace_stack_mod_p(mats, p: int):
@@ -173,27 +199,10 @@ def nullspace_stack_mod_p(mats, p: int):
     Returns (ranks, kernels): kernels[b, :n - ranks[b]] is the reduced echelon
     basis of {x : mats[b] x = 0}, the same rows nullspace_mod_p gives, and
     the rows below it are zero; kernels has the dtype of rref_stack_mod_p.
-
-    One elimination, of mats[..., ::-1]: read in the original order, each
-    pivot column c of that echelon form has entries only at free columns
-    f < c, so the kernel row of a free column f has its leading 1 at f and
-    0 at every other free column.  By ascending f, the rows are reduced.
+    One elimination, of mats[..., ::-1] (see _kernel_rows).
     """
     ech, ranks, is_pivot = rref_stack_mod_p(np.asarray(mats)[..., ::-1], p)
-    nmat, _, n = ech.shape
-    # placed[b, c] is the echelon row whose pivot is (reversed) column c
-    placed = np.zeros((nmat, n, n), dtype=ech.dtype)
-    bi, ci = np.nonzero(is_pivot)
-    ri = np.arange(bi.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
-    placed[bi, ci] = ech[bi, ri]
-    # row f: e_f minus the pivot coordinates forced by x_f = 1, for each free
-    # column f, as p + e_f - placed^T (positive and below 2p, which the
-    # unsigned dtype holds); the rows at pivot columns vanish.  Reversing
-    # rows and columns returns to the original order; a stable sort lifts
-    # the free rows on top
-    free = ((p + np.eye(n, dtype=ech.dtype)) - placed.transpose(0, 2, 1)) % p
-    order = np.argsort(is_pivot[:, ::-1], axis=1, kind="stable")
-    return ranks, np.take_along_axis(free[:, ::-1, ::-1], order[:, :, None], axis=1)
+    return ranks, _kernel_rows(ech, is_pivot, p)
 
 
 # ------------------------------------------------------------ mod p^v ----

@@ -4,10 +4,11 @@ structure constants on a fixed basis.
 AlgVector coefficient tuples over F_q are the element API and the reference
 route for products.  Bulk work runs over Z/p instead: J has the prime basis
 omega^m b_i at t = i*e + m, and the structure tensor T[s, t] holds the prime
-coordinates of b_s * b_t.  Subspaces are reduced echelon bases of Z/p rows
-on that basis, so subspace equality is representation equality and an
-F_q-dimension is len(rows) // e.  Every algebra verifies associativity and
-nilpotency at construction time.
+coordinates of b_s * b_t.  A subspace is a pair (rows, pivots) as in
+linalg: an int64 array of its reduced echelon rows on that basis and their
+pivot columns, so subspace equality is array equality and an F_q-dimension
+is len(rows) // e.  Every algebra verifies associativity and nilpotency at
+construction time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .budgets import Budgets
 from .errors import ValidationError
 from .ffield import Field, FieldElement, make_field, p_adic
-from .linalg import matmul_mod_p, reduce_mod_p, rref_mod_p
+from .linalg import base_p_digits, matmul_mod_p, reduce_mod_p, rref_mod_p
 
 
 # T holds n^3 int64 entries (16 MB at n = 128); augmentation ideals of
@@ -176,13 +177,8 @@ class NilAlgebra:
             self.field.element(flat[i * e:(i + 1) * e]) for i in range(self.dim)))
 
     def unpack(self, code: int) -> AlgVector:
-        p = self.field.p
-        n = self.dim * self.field.e
-        digits = []
-        for _ in range(n):
-            digits.append(code % p)
-            code //= p
-        return self.from_flat(digits)
+        digits = base_p_digits([code], self.field.p, self.dim * self.field.e)
+        return self.from_flat(digits[0].tolist())
 
     def iter_vectors(self):
         for code in range(self.field.q ** self.dim):
@@ -231,13 +227,13 @@ class NilAlgebra:
                                for T in (self.T, self.T.transpose(1, 0, 2))])
 
     def is_fq_subspace(self, rows) -> bool:
-        """Whether the Z/p-span of prime coordinate rows is an F_q-subspace,
-        that is, invariant under multiplication by omega."""
+        """Whether the Z/p-span of reduced echelon rows is an F_q-subspace,
+        that is, invariant under multiplication by omega.  The pivot of a
+        reduced row is its first nonzero column."""
         if self.field.e == 1:
             return True
-        ech, piv = rref_mod_p(rows, self.field.p)
-        scaled = np.asarray(ech, dtype=np.int64).reshape(-1, self.T.shape[0]) @ self.omega
-        return not reduce_mod_p(ech, piv, scaled, self.field.p).any()
+        pivots = np.argmax(rows != 0, axis=1)
+        return not reduce_mod_p(rows, pivots, rows @ self.omega, self.field.p).any()
 
     # ----------------------------------------------------- verification --
 
@@ -284,13 +280,14 @@ class NilAlgebra:
         J^(k+1) is spanned by the products v * b_t of the rows v of J^k with
         the prime basis, one product with T.  That one side suffices because
         every NilAlgebra verifies associativity before its chain, and in an
-        associative algebra J^k J = J J^k = J^(k+1).
+        associative algebra J^k J = J J^k = J^(k+1).  J^1 is the identity,
+        which is reduced.
         """
         p, n = self.field.p, self.T.shape[0]
-        chain = [rref_mod_p(np.eye(n, dtype=np.int64), p)]
+        chain = [(np.eye(n, dtype=np.int64), list(range(n)))]
         while True:
             prev_rows, _ = chain[-1]
-            if not prev_rows:
+            if not len(prev_rows):
                 break
             prods = matmul_mod_p(prev_rows, self.T.reshape(n, n * n), p)
             nxt = rref_mod_p(prods.reshape(-1, n), p)
@@ -302,12 +299,10 @@ class NilAlgebra:
         return chain  # chain[k] is basis of J^{k+1}; last entry is empty
 
     def power_basis(self, k: int):
-        """Echelon basis (rows, pivots) of J^k, k >= 1; empty beyond the class."""
+        """Echelon basis (rows, pivots) of J^k, k >= 1; empty from the class on."""
         if k < 1:
             raise ValidationError("power index must be >= 1")
-        if k - 1 < len(self.powers):
-            return self.powers[k - 1]
-        return [], []
+        return self.powers[min(k, len(self.powers)) - 1]
 
     def is_p_nilpotent(self) -> bool:
         return self.nilpotency_class <= self.field.p
@@ -333,15 +328,15 @@ class NilAlgebra:
         for m in range(len(self.powers) - 1, 0, -1):
             lower_rows, lower_piv = self.powers[m]  # J^{m+1}
             upper_rows, _ = self.powers[m - 1]      # J^m
-            cur_rows, cur_piv = list(lower_rows), list(lower_piv)
+            cur_rows, cur_piv = lower_rows, lower_piv
             intermediates = []
             for v in upper_rows:
                 if not reduce_mod_p(cur_rows, cur_piv, v, p).any():
                     continue
-                multiples = [np.asarray(v, dtype=np.int64)]
+                multiples = [v]
                 for _ in range(e - 1):
                     multiples.append(multiples[-1] @ self.omega % p)
-                cur_rows, cur_piv = rref_mod_p(cur_rows + [tuple(w) for w in multiples], p)
+                cur_rows, cur_piv = rref_mod_p(np.concatenate([cur_rows, multiples]), p)
                 intermediates.append((cur_rows, cur_piv))
             # the last extension re-derives J^m itself; keep strict ones only
             for space in intermediates[:-1]:
@@ -366,7 +361,7 @@ class NilAlgebra:
     # ------------------------------------------------------ subalgebras --
 
     def subalgebra(self, rows, *, name: str | None = None
-                   ) -> tuple["NilAlgebra", list[tuple[int, ...]]]:
+                   ) -> tuple["NilAlgebra", np.ndarray]:
         """The algebra structure on an F_q-subspace closed under multiplication.
 
         rows span the subspace in ambient prime coordinates.  Its reduced
@@ -376,11 +371,11 @@ class NilAlgebra:
         """
         p, e = self.field.p, self.field.e
         ech, piv = rref_mod_p(rows, p)
-        if not ech:
+        if not len(ech):
             raise ValidationError("zero subalgebra has no basis")
         if not self.is_fq_subspace(ech):
             raise ValidationError("subspace is not closed under F_q scaling")
-        basis = np.asarray(ech, dtype=np.int64)[::e]
+        basis = ech[::e]
         prods = self._products_of(basis, basis)
         if reduce_mod_p(ech, piv, prods, p).any():
             raise ValidationError("subspace is not closed under multiplication")
@@ -477,12 +472,7 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
         # codes past int64, when q > 2^63
         rows = np.array([_structure_line(ln, field, d) for ln in lines[1:]],
                         dtype=object).reshape(-1, 4)
-    code = rows[:, 3]
-    digits = np.empty((len(rows), e), dtype=np.int64)
-    for m in range(e):
-        digits[:, m] = code % p
-        code = code // p
-    np.add.at(C, tuple(rows[:, :3].astype(np.int64).T), digits)
+    np.add.at(C, tuple(rows[:, :3].astype(np.int64).T), base_p_digits(rows[:, 3], p, e))
     return NilAlgebra(field, C, name=name)
 
 

@@ -408,6 +408,27 @@ def test_manifest_records_inputs(capsys, tmp_path, a1_spec):
     assert manifest["timing_ms"] >= 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget", "--out", "{path}"],
+    ["budget", "--manifest", "{path}"],
+    ["zeta", "product", "{spec}", "--N", "50", "--emit-plot-data", "{path}"],
+    ["zeta", "abscissa", "{spec}", "--N", "50", "--emit-plot-data", "{path}"],
+    ["zeta", "target", "--c", "1", "--type", "B2", "--p", "2", "--imax", "5",
+     "--emit-plot-data", "{path}"],
+    ["export", "--target", "{path}", "--format", "csv"],
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("{")))
+def test_unwritable_output_path_exits_2(capsys, tmp_path, a1_spec, argv):
+    # a path below a regular file cannot be created, whoever runs the test
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    path = str(blocker / "out" / "x.json")
+    argv = [a.format(path=path, spec=a1_spec([(5, 1)])) for a in argv]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -158,8 +158,9 @@ def test_census_radicals_match_radical_of(alg):
     for rec in records:
         rank, rows = radical_of(alg, eng.digit_rows()[rec.rep])
         assert p ** rank == rec.size
-        assert rref_mod_p(rows, p) == rref_mod_p(rec.radical_prime_rows, p)
-        assert list(rec.radical_prime_rows) == rref_mod_p(rows, p)[0]
+        (ech, piv), (rec_ech, rec_piv) = (rref_mod_p(r, p) for r in (rows, rec.radical_prime_rows))
+        assert np.array_equal(ech, rec_ech) and piv == rec_piv
+        assert list(rec.radical_prime_rows) == list(map(tuple, ech.tolist()))
     if alg.field.e > 1:
         # over F_q with q > p (u_3(F_4) in this corpus), the stacked rows
         # themselves, on every orbit
@@ -226,7 +227,7 @@ def test_orbit_size_and_radical_at_e13_dual():
     assert fake_degree(alg, lam) == 3
     rows = radical(alg, lam)
     assert len(rows) // alg.field.e == 1
-    assert rows[0] == (0, 0, 1)
+    assert rows[0].tolist() == [0, 0, 1]
     # trivial functional: radical is everything, orbit is a point
     assert orbit_size(alg, (0, 0, 0)) == 1
 
@@ -245,6 +246,21 @@ def test_max_isotropic_subalgebra_dim():
     assert len(rows) == 2  # dim J - log_q(fake degree)
     rows0, _ = max_isotropic_subalgebra(alg, (0, 0, 0))
     assert len(rows0) == 3
+
+
+# u_5(F_2) recurses through two subalgebras, u_4(F_4) through one with e = 2
+@pytest.mark.parametrize("alg", corpus.character_corpus() + [
+    corpus.unitriangular(5, 2), corpus.unitriangular(4, 2, 2)], ids=lambda alg: alg.name)
+def test_max_isotropic_subalgebra_rows_are_reduced(alg):
+    # the recursion maps reduced rows through reduced bases and never
+    # eliminates them again: they must be their own echelon form
+    census = orbit_census(alg)
+    digits = engine_for(alg).digit_rows()
+    for rep in census.reps:
+        rows, piv = max_isotropic_subalgebra(alg, digits[rep])
+        ech, ech_piv = rref_mod_p(rows, alg.field.p)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, ech) and piv == ech_piv
 
 
 # -------------------------------------------------------------- characters --
@@ -456,6 +472,6 @@ def test_radical_closure_check_needs_omega_invariance():
     from orbitzeta.coadjoint import _require_fq_closed
 
     alg = corpus.unitriangular(3, 2, 2)  # prime basis (e12, w e12, e23, w e23, e13, w e13)
-    _require_fq_closed(alg, [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)], "F_4 e13")
+    _require_fq_closed(alg, np.array([(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]), "F_4 e13")
     with pytest.raises(InternalInconsistencyError):
-        _require_fq_closed(alg, [(0, 0, 0, 0, 1, 0)], "F_2 e13")
+        _require_fq_closed(alg, np.array([(0, 0, 0, 0, 1, 0)]), "F_2 e13")

@@ -2,8 +2,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitzeta.linalg import (matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
-                              rref_mod_p, rref_stack_mod_p)
+from orbitzeta import linalg
+from orbitzeta.linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p,
+                              nullspace_stack_mod_p, rref_mod_p, rref_stack_mod_p)
 
 PRIMES = (2, 3, 5, 7, 251)
 
@@ -88,6 +89,91 @@ def test_nullspace_stack_matches_nullspace_mod_p(case):
         assert kernels[b, :n - ranks[b]].tolist() == [list(r) for r in rows]
         assert not kernels[b, n - ranks[b]:].any()
         assert not (mat @ kernels[b].T % p).any()
+
+
+def _nullspace_by_two_eliminations(rows, ncols, p):
+    """Reference kernel: eliminate the rows, set each free variable to 1 in
+    turn, solve for the pivot variables, and eliminate those rows again."""
+    ech, pivots = rref_mod_p(np.reshape(rows, (-1, ncols)), p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = (-ech[:, free]).T % p
+    return rref_mod_p(basis, p)[0]
+
+
+@st.composite
+def matrices(draw):
+    """(p, mat): one m x n matrix, entries in [-p, 2p); a third of them zero."""
+    p, mats = draw(stacks())
+    return p, mats[0]
+
+
+def _matrix_examples(test):
+    for p, mats in EXAMPLES:
+        for mat in mats:
+            test = example(case=(p, mat))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=matrices())
+@_matrix_examples
+def test_nullspace_mod_p_matches_two_eliminations(case):
+    p, mat = case
+    n = mat.shape[1]
+    rows = nullspace_mod_p(mat, n, p)
+    want = _nullspace_by_two_eliminations(mat, n, p)
+    assert rows.dtype == np.int64 and rows.shape == want.shape == (len(want), n)
+    assert rows.tolist() == want.tolist()
+
+
+@st.composite
+def small_spaces(draw):
+    """(p, mat) with mat of shape (m, n) and p^n <= 4096."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, int(np.log(4096.5) / np.log(p))))
+    m = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n))
+    return p, np.array(entries, dtype=np.int64).reshape(m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_spaces())
+@example(case=(2, np.zeros((3, 12), dtype=np.int64)))
+@example(case=(3, _full_rank(3, 7, 7)))
+@example(case=(5, _full_rank(5, 6, 5)))
+def test_nullspace_mod_p_is_the_kernel_by_brute_force(case):
+    # every x in (Z/p)^n with A x = 0, against the span of the kernel rows
+    p, mat = case
+    n = mat.shape[1]
+    points = base_p_digits(np.arange(p ** n), p, n).astype(np.int64)
+    kernel = np.flatnonzero(~(points @ mat.T % p).any(axis=1))
+    rows = nullspace_mod_p(mat, n, p)
+    span = base_p_digits(np.arange(p ** len(rows)), p, len(rows)) @ rows % p
+    assert np.array_equal(np.unique(span @ p ** np.arange(n)), kernel)
+
+
+def test_nullspace_mod_p_takes_one_elimination(monkeypatch):
+    calls = []
+    for name in ("rref_mod_p", "rref_stack_mod_p"):
+        honest = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, honest=honest: calls.append(args) or honest(*args))
+    for p, mats in EXAMPLES:
+        for mat in mats:
+            calls.clear()
+            nullspace_mod_p(mat, mat.shape[1], p)
+            assert len(calls) == 1
+
+
+def test_base_p_digits_match_divmod():
+    for p, width, codes in ((2, 5, range(32)), (3, 4, [0, 80, 41]), (251, 2, [63000]),
+                            (2, 70, [2 ** 69 + 5, 3])):
+        digits = base_p_digits(codes, p, width)
+        assert digits.dtype == np.min_scalar_type(p - 1)
+        assert digits.tolist() == [[c // p ** t % p for t in range(width)] for c in codes]
 
 
 # m (p-1)^2 < 2^53 takes the float64 route: 33554393 = prevprime(2^25) up to

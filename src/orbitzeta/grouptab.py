@@ -147,32 +147,6 @@ def derived_subgroup(n_points: int, identity: int, right_mul, conjugation_perms,
     return out
 
 
-def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
-    """Cayley table of the group whose generators act by the permutations
-    x -> x g in right_mul.
-
-    Column y g holds x (y g) = (x y) g, so a breadth-first search from the
-    identity fills every column from one found before it."""
-    cols = np.empty((m, m), dtype=np.int32)     # cols[y, x] = x y
-    cols[identity] = np.arange(m)
-    found = np.zeros(m, dtype=bool)
-    found[identity] = True
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for y in frontier:
-            for col in right_mul:
-                z = int(col[y])
-                if not found[z]:
-                    found[z] = True
-                    cols[z] = col[cols[y]]
-                    fresh.append(z)
-        frontier = fresh
-    if not found.all():
-        raise InternalInconsistencyError("generators do not reach every element")
-    return np.ascontiguousarray(cols.T)
-
-
 # ------------------------------------------------------------ the group --
 
 class FiniteGroupTable:
@@ -320,19 +294,11 @@ class FiniteGroupTable:
 
         power_words: dict i -> exponent tuple for g_i^p (1-based i);
         commutator_words: dict (j, i) with j > i -> exponent tuple for [g_j, g_i].
-        Missing entries mean the trivial word. Words may only involve
-        generators with index beyond the left-hand side.
-
-        The columns x -> x g_i come from collecting tails only.  Write
-        x = h s with h = g_1^a_1 .. g_(i-1)^a_(i-1) and s in
-        G_i = <g_i, .., g_n>.  Relation words only involve later
-        generators, so collecting s g_i never leaves G_i, and its normal
-        word put after h is already the normal word of x g_i.  Column i
-        therefore takes p^(n-i+1) collections, one per s, not p^n, and the
-        head h is added back as an array: in the index of x, h is the part
-        above p^(n-i+1).  The table follows from those columns, and
-        _verify_pc_table compares it on sampled pairs against collection of
-        both full normal words.
+        Missing entries mean the trivial word.  Exponents lie in 0..p-1,
+        and words may only involve generators with index beyond the
+        left-hand side.  Element indices are those of normal words
+        g_1^a_1 .. g_n^a_n, first generator most significant; _pc_table
+        builds the table.
         """
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
@@ -345,16 +311,58 @@ class FiniteGroupTable:
         check_budget(budgets, "group_enumeration_max", p**n)
         check_budget(budgets, "table_order_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))
-        m = p**n
-        x = np.arange(m, dtype=np.int32)
-        right_mul = []
-        for i in range(n):
-            size = p ** (n - i)     # |G_i|; s in G_i has index below size
-            tails = np.array([pres.index(pres.collect(pres.letters_of(pres.tuple_of(s)) + [i]))
-                              for s in range(size)], dtype=np.int32)
-            right_mul.append(x - x % size + tails[x % size])
-        gens = [int(col[0]) for col in right_mul]
-        return cls(_tabulate(right_mul, m, 0), gens, name=name, pres=pres)
+        gens = [p ** (n - 1 - i) for i in range(n)]
+        return cls(_pc_table(pres), gens, name=name, pres=pres)
+
+
+def _pc_table(pres: _PcPresentation) -> np.ndarray:
+    """The Cayley table of a pc presentation, bottom-up along its series.
+
+    G_k = <g_k, .., g_n> is g_k^a t with a in 0..p-1 and t in G_(k+1),
+    at index a |G_(k+1)| + t.  Conjugation phi(t) = g_k^-1 t g_k maps
+    G_(k+1) to itself, with phi(g_j) = g_j [g_j, g_k] for j > k, and
+    w = g_k^p lies in G_(k+1); so
+        (g_k^a t)(g_k^b u) = g_k^(a+b) phi^b(t) u,
+    where g_k^(a+b) = g_k^(a+b-p) w once a + b >= p.  Block (a, b) of the
+    table of G_k is therefore the table of G_(k+1) at the rows phi^b(t),
+    or w phi^b(t), plus the offset of the power of g_k.  phi itself comes
+    from the images of the generators of G_(k+1), one gather per
+    generator: phi(g_j^c s) = phi(g_j)^c phi(s) for s in G_(j+1).
+
+    When the presentation is consistent, G_(k+1) is normal in G_k of index
+    p, phi is the automorphism the relations give, and the blocks are the
+    group's products.  When it is not, phi need not be an automorphism and
+    the table need not be a group's: _validate_table (Latin property,
+    associativity) and _verify_pc_table (generator triples, and sampled
+    pairs against collection) reject it.
+    """
+    p, n = pres.p, pres.n
+    table = np.zeros((1, 1), dtype=np.int32)        # the trivial group G_(n+1)
+    for k in range(n - 1, -1, -1):
+        size = len(table)                           # |G_(k+1)|
+        phi = np.zeros(1, dtype=np.int32)           # phi on G_(n+1)
+        for j in range(n - 1, k, -1):
+            # phi on G_j from phi on G_(j+1): g_j^c s -> phi(g_j)^c phi(s)
+            image = table[p ** (n - 1 - j), pres.word_index(pres.comm_letters.get((j, k), []))]
+            powers = [0]
+            for _ in range(p - 1):
+                powers.append(table[powers[-1], image])
+            phi = table[np.array(powers)[:, None], phi].ravel()
+        w = pres.word_index(pres.pow_letters[k])
+        out = np.empty((p * size, p * size), dtype=np.int32)
+        phi_b = np.arange(size)                     # phi^b, from b = 0
+        for b in range(p):
+            rows = [phi_b, table[w, phi_b]]
+            # mode="clip" lets take write into the block unbuffered; every
+            # index is an entry of the table, so none is clipped
+            for a in range(p):
+                block = out[a * size:(a + 1) * size, b * size:(b + 1) * size]
+                np.take(table, rows[a + b >= p], axis=0, out=block, mode="clip")
+                if (a + b) % p:
+                    block += (a + b) % p * size
+            phi_b = phi[phi_b]
+        table = out
+    return table
 
 
 def _validate_table(arr: np.ndarray) -> int:
@@ -425,24 +433,33 @@ class _PcPresentation:
         for i, word in (power_words or {}).items():
             if not (1 <= i <= n):
                 raise ValidationError(f"power relation index {i} out of range")
-            self.pow_letters[i - 1] = self._letters(word, minimum=i)
+            self.pow_letters[i - 1] = self._letters(word, i, f"pow {i}")
         for (j, i), word in (commutator_words or {}).items():
             if not (1 <= i < j <= n):
                 raise ValidationError(f"commutator relation indices ({j},{i}) out of range")
-            self.comm_letters[(j - 1, i - 1)] = self._letters(word, minimum=j)
+            self.comm_letters[(j - 1, i - 1)] = self._letters(word, j, f"comm {j} {i}")
         self._powers = [p**k for k in range(n + 1)]
 
-    def _letters(self, word, minimum: int) -> list[int]:
+    def _letters(self, word, minimum: int, relation: str) -> list[int]:
+        """The letters of a normal word: exponents in 0..p-1 (reducing them
+        mod p would presume g^p = 1), on generators beyond minimum."""
         word = tuple(int(x) for x in word)
         if len(word) != self.n:
             raise ValidationError(f"relation word must have {self.n} exponents")
         letters = []
         for idx, a in enumerate(word):
-            if a % self.p and idx + 1 <= minimum:
+            if not 0 <= a < self.p:
+                raise ValidationError(
+                    f"relation {relation}: exponent {a} of g_{idx + 1} is not in 0..{self.p - 1}")
+            if a and idx + 1 <= minimum:
                 raise ValidationError(
                     f"relation word touches generator g_{idx + 1}, must only involve later ones")
-            letters.extend([idx] * (a % self.p))
+            letters.extend([idx] * a)
         return letters
+
+    def word_index(self, letters: list[int]) -> int:
+        """Index of a normal word given by its letters."""
+        return sum(self._powers[self.n - 1 - g] for g in letters)
 
     def index(self, vec: tuple[int, ...]) -> int:
         out = 0

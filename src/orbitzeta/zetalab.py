@@ -507,11 +507,22 @@ def synthetic_power_series(c, N: int) -> TruncatedDirichlet:
     """r_n = floor(n^c) - floor((n-1)^c) for rational c, so R_n = floor(n^c)
     exactly and the true abscissa is c.
 
-    With c = a/b, floor(n^c) is the largest m with m^b <= n^a.  All n go
-    in one pass: a float estimate of n^c, then exact steps down while
-    m^b > n^a and up while (m+1)^b <= n^a.  The steps run in int64 when
-    N^a and (floor(N^c) + 2)^b fit; otherwise each n takes integer_root on
-    Python ints.
+    With c = a/b, floor(n^c) is the largest m with m^b <= n^a.  When N^a
+    and (floor(N^c) + 2)^b fit in int64, all n go in one int64 pass: a
+    float estimate of n^c, then exact steps down while m^b > n^a and up
+    while (m+1)^b <= n^a.
+
+    Otherwise, while floor(N^c) + 2 < 2^52, the float estimate
+    e = n ** fl(a/b) still decides floor(n^c) = floor(e) for every n whose
+    e lies farther than B = e 2^-44 from each integer, and only the other
+    n take integer_root on Python ints.  The bound: fl(a/b) = c(1 + d) with
+    |d| <= 2^-53 moves the exact power by a factor exp(d c ln n) =
+    exp(d ln x), x = n^c < 2^52, so by less than 36.1 * 2^-53 < 2^-47.8
+    relatively; pow adds at most 4 ulp (2^-50) on top.  So
+    |e - x| < e 2^-47.4 < B, no integer lies between x and e when e is
+    farther than B from every integer, and floor(x) = floor(e) there.  n = 0
+    and the exact powers (e an integer) always take the exact route.
+    Beyond 2^52 the float spacing passes 1 and every n takes integer_root.
     """
     c = Fraction(c)
     if c <= 0:
@@ -527,6 +538,12 @@ def synthetic_power_series(c, N: int) -> TruncatedDirichlet:
             m -= high
         while (low := (m + 1) ** b <= power).any():
             m += low
+        return TruncatedDirichlet(N, np.diff(m, prepend=0))
+    if top < 2**52:
+        est = np.arange(N + 1, dtype=np.float64) ** (a / b)
+        m = np.floor(est).astype(np.int64)
+        for n in np.flatnonzero(np.abs(est - np.rint(est)) <= est * 2.0**-44).tolist():
+            m[n] = integer_root(n ** a, b)
         return TruncatedDirichlet(N, np.diff(m, prepend=0))
     floors = [integer_root(n ** a, b) for n in range(N + 1)]
     return TruncatedDirichlet(N, [0] + [y - x for x, y in zip(floors, floors[1:])])

@@ -12,7 +12,7 @@ from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets
 from orbitzeta.cli import main
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.ffield import prime_power_decompose
-from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation, _close, _tabulate,
+from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation, _close,
                                 central_quotient, derived_subgroup, direct_product,
                                 parse_group_file, serialize_cayley)
 
@@ -421,6 +421,31 @@ def test_pc_order_beyond_table_budget(tmp_path, capsys):
     assert "table_order_max" in capsys.readouterr().err
 
 
+def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
+    """Cayley table of the group whose generators act by the permutations
+    x -> x g in right_mul.
+
+    Column y g holds x (y g) = (x y) g, so a breadth-first search from the
+    identity fills every column from one found before it."""
+    cols = np.empty((m, m), dtype=np.int32)     # cols[y, x] = x y
+    cols[identity] = np.arange(m)
+    found = np.zeros(m, dtype=bool)
+    found[identity] = True
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for col in right_mul:
+                z = int(col[y])
+                if not found[z]:
+                    found[z] = True
+                    cols[z] = col[cols[y]]
+                    fresh.append(z)
+        frontier = fresh
+    assert found.all(), "generators do not reach every element"
+    return np.ascontiguousarray(cols.T)
+
+
 def _full_word_table(p, n, pows, comms):
     """The Cayley table from one collection of each full normal word x g_i."""
     pres = _PcPresentation(p, n, pows, comms, DEFAULT_BUDGETS)
@@ -431,7 +456,7 @@ def _full_word_table(p, n, pows, comms):
 
 
 @pytest.mark.parametrize("name", sorted(corpus.PC_PRESENTATIONS))
-def test_tail_collection_matches_full_words_on_the_corpus(name):
+def test_pc_table_matches_full_words_on_the_corpus(name):
     g = corpus.group(name)
     assert np.array_equal(g.table, _full_word_table(*corpus.PC_PRESENTATIONS[name]))
 
@@ -453,11 +478,48 @@ def _class2_presentation(rng: random.Random, p: int, r: int, s: int):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from([(2, 2, 1), (2, 3, 3), (2, 4, 4), (3, 2, 1), (3, 3, 2), (5, 2, 1)]))
-def test_tail_collection_matches_full_words_on_class2_presentations(seed, shape):
+def test_pc_table_matches_full_words_on_class2_presentations(seed, shape):
     p, r, s = shape
     p, n, pows, comms = _class2_presentation(random.Random(seed), p, r, s)
     g = FiniteGroupTable.from_power_commutator(p, n, pows, comms)
     assert np.array_equal(g.table, _full_word_table(p, n, pows, comms))
+
+
+# g_i^p = g_(i+1): nontrivial power words, which class-2 presentations over
+# exponent-p centres lack, carried through every level of the series
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(1, 6)])
+def test_pc_table_matches_full_words_on_cyclic_chains(p, n):
+    pows = {i: tuple(int(j == i) for j in range(n)) for i in range(1, n)}
+    g = FiniteGroupTable.from_power_commutator(p, n, pows, {})
+    assert np.array_equal(g.table, _full_word_table(p, n, pows, {}))
+    assert g.element_order(g.generators[0]) == p ** n
+
+
+# Q8 written with g1^2 = g2^2: reducing the exponent 2 mod 2 would give D8
+Q8_AS_SQUARES = "pc 2 3\npow 1: 0 2 0\npow 2: 0 0 1\ncomm 2 1: 0 0 1\n"
+
+
+@pytest.mark.parametrize("text,relation", [(Q8_AS_SQUARES, "pow 1"),
+                                           ("pc 2 2\npow 1: 0 -1\n", "pow 1"),
+                                           ("pc 3 3\ncomm 3 1: 0 0 0\ncomm 2 1: 0 0 3\n",
+                                            "comm 2 1")],
+                         ids=["q8_as_squares", "negative", "comm_exponent_p"])
+def test_relation_exponents_outside_0_to_p_minus_1_are_rejected(tmp_path, capsys, text,
+                                                                relation):
+    with pytest.raises(ValidationError, match=f"^relation {relation}: exponent"):
+        parse_group_file(text)
+    path = tmp_path / "bad.pc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and relation in err
+    assert "Traceback" not in err
+
+
+def test_exponent_range_is_checked_before_the_later_generator_rule():
+    # g1 appears in its own power word with exponent -1
+    with pytest.raises(ValidationError, match="exponent -1 of g_1"):
+        FiniteGroupTable.from_power_commutator(2, 2, {1: (-1, 0)}, {})
 
 
 def test_close_and_derived_subgroup_take_no_permutations():

@@ -586,9 +586,27 @@ def test_one_pass_synthetic_matches_integer_root(a, b, N):
                                  (Fraction(63, 1), 2), (Fraction(62, 1), 2),
                                  (Fraction(1, 7), 5000)])
 def test_one_pass_synthetic_on_both_routes(c, N):
-    # N^a past 2^63 takes the integer_root route: 7/3 at N = 400 and
-    # 801/2 do, 2^62 and 1/7 stay on int64
+    # N^a past 2^63 leaves int64: 7/3 at N = 400 takes the float estimate,
+    # 801/2 and 2^63 (floors past 2^52) integer_root; 2^62 and 1/7 stay on int64
     assert synthetic_power_series(c, N).coeffs.tolist() == _synthetic_by_integer_root(c, N)
+
+
+@pytest.mark.parametrize("c", [Fraction(7, 3), Fraction(5, 7), Fraction(9, 4), Fraction(2, 9)])
+def test_float_estimate_route_matches_integer_root(c):
+    # N^a passes 2^63 for 7/3, 5/7 and 9/4: the float estimate decides every
+    # n far from an integer; 2/9 stays on int64
+    N = 10 ** 5
+    assert synthetic_power_series(c, N).coeffs.tolist() == _synthetic_by_integer_root(c, N)
+
+
+@pytest.mark.parametrize("c", [Fraction(7, 3), Fraction(5, 7)])
+def test_float_estimate_route_is_fast(c):
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        synthetic_power_series(c, 10 ** 5)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05
 
 
 def test_synthetic_power_series_partial_counts():

@@ -4,7 +4,8 @@ method character theory at desk scale.
 Dual functionals are Z/p-linear maps J -> Z/p, stored as coordinate rows of
 length dim(J)*e.  The group acts by lambda^g(a) = lambda(a^(g^-1)); orbits,
 the alternating forms B_lambda(a,b) = lambda([a,b]), their radicals, fake
-degrees and the exact character values all live here.
+degrees, polarizations (sums of radicals on the ideal flag of J) and the
+exact character values all live here.
 
 A character table is one integer array H[o, c, r] of residue counts, with
 chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o; the class constancy,
@@ -25,9 +26,9 @@ import numpy as np
 from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .grouptab import OrbitPartition, orbit_partition
+from .grouptab import OrbitPartition, _adjoin, orbit_partition
 from .linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
-                     reduce_mod_p)
+                     reduce_mod_p, rref_mod_p)
 from .nilalg import AlgVector, NilAlgebra
 
 
@@ -351,61 +352,47 @@ def fake_degree_identities(census: CensusResult) -> dict:
 
 # ------------------------------------------------- isotropic subalgebras --
 
-def _is_isotropic(K: np.ndarray, rows, p: int) -> bool:
-    """Whether B_lambda, with Gram matrix K, vanishes on the span of the rows."""
-    return not (rows @ K % p @ rows.T % p).any()
-
-
 def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
-    """A maximal isotropic subalgebra H for B_lambda, constructed through the
-    ideal flag: take the first isotropic member of the flag, pass to its
-    perp (a subalgebra), and recurse.  Returns the prime echelon basis
-    (rows, pivots) of H.
+    """Vergne's polarization of lambda: H is the sum of the radicals
+    rad(B|V) = {x in V : B(x, V) = 0} over the members V of the ideal flag
+    of refine_to_flag, B = B_lambda.  Returns its prime echelon basis
+    (rows, pivots).  Why H is a polarization, for flag members V <= W,
+    x in rad(B|V), y in rad(B|W), and B(a, b) = lambda(ab - ba):
+    - Isotropic: B(x, y) = 0, because x lies in W.
+    - A subalgebra: xy and yx lie in V, because V is an ideal.  For v in V,
+      B(xy, v) = B(x, yv) + B(y, vx) and B(yx, v) = B(y, xv) + B(x, vy).
+      Every term is 0, so xy and yx lie in rad(B|V).
+    - F_q-closed: B(omega x, y) = B(x, omega y), so every radical is
+      omega-stable.
+    - Maximal: write lambda = Tr o mu with mu F_q-linear; then rad(B|V) =
+      rad(B_mu|V).  The flag steps have F_q-codimension 1, so Vergne's count
+      gives dim H = dim J - rank(B) / 2e, the rank of the V = J term.
 
-    Verifies on exit: H is a subalgebra, B_lambda vanishes on H, and
-    dim H = dim J - (1/2) log_q |orbit of lambda|.
+    Verifies all four on exit.  When B = 0, H is J.
     """
-    p, e = alg.field.p, alg.field.e
-    lam = np.asarray(lam_digits, dtype=np.int64)
-    ech, piv = _max_isotropic_inner(alg, lam)
-    # verification
-    if not _is_isotropic(gram_matrix(alg, lam), ech, p):
+    p, e, n = alg.field.p, alg.field.e, alg.dim * alg.field.e
+    K = gram_matrix(alg, lam_digits)
+    ech, piv, rank = np.eye(n, dtype=np.int64), list(range(n)), 0
+    if K.any():
+        # R[i]: the rows of flag member i, padded with zero rows to n x n.
+        # c R[i] lies in rad(B|V_i) exactly when c R[i] K R[i]^T = 0; a zero
+        # row adds a kernel coordinate that R[i] maps to 0
+        R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
+                      for rows, _ in alg.refine_to_flag()[:-1]])
+        ranks, kernels = nullspace_stack_mod_p(
+            matmul_mod_p(matmul_mod_p(R, K, p), R.transpose(0, 2, 1), p), p)
+        ech, piv = rref_mod_p(matmul_mod_p(kernels, R, p).reshape(-1, n), p)
+        rank = int(ranks[0])
+    _require_fq_closed(alg, ech, "polarization")
+    if (ech @ K % p @ ech.T % p).any():
         raise InternalInconsistencyError("constructed subalgebra is not isotropic")
     if reduce_mod_p(ech, piv, alg._products_of(ech, ech), p).any():
         raise InternalInconsistencyError("constructed space is not a subalgebra")
-    rank, _ = radical_of(alg, lam)
     expected_dim = alg.dim - rank // (2 * e)
     if len(ech) != e * expected_dim:
         raise InternalInconsistencyError(
             f"isotropic subalgebra has dim {len(ech) // e}, expected {expected_dim}")
     return ech, piv
-
-
-def _max_isotropic_inner(alg: NilAlgebra, lam: np.ndarray):
-    """The echelon basis (rows, pivots) of max_isotropic_subalgebra, unverified."""
-    p, n = alg.field.p, alg.dim * alg.field.e
-    K = gram_matrix(alg, lam)
-    if not K.any():
-        return np.eye(n, dtype=np.int64), list(range(n))
-    # the nonzero flag members; the last member of the flag is 0
-    flag = alg.refine_to_flag()[1:-1]
-    chosen = next((rows for rows, _ in flag if _is_isotropic(K, rows, p)), None)
-    if chosen is None:
-        # the complete flag always reaches an isotropic member before 0:
-        # the minimal one is not inside Rad B, see the recursion argument
-        raise InternalInconsistencyError("no nonzero isotropic flag member found")
-    # perp of the chosen ideal: x with lambda([x, h]) = K x . h = 0 for all h
-    perp = nullspace_mod_p(chosen @ K.T % p, n, p)
-    _require_fq_closed(alg, perp, "perp of an isotropic ideal")
-    if len(perp) == n:
-        raise InternalInconsistencyError("perp did not cut the space down")
-    sub, basis = alg.subalgebra(perp)  # row t: prime basis vector t of sub
-    inner, inner_piv = _max_isotropic_inner(sub, basis @ lam % p)
-    # back to ambient coordinates with no elimination: reduced rows in sub
-    # coordinates times a reduced basis, with pivots piv, are reduced, with
-    # pivots piv[inner_piv] (row i has a 1 at piv[c], 0 at every other piv)
-    piv = np.argmax(basis != 0, axis=1)
-    return inner @ basis % p, piv[inner_piv].tolist()
 
 
 # ------------------------------------------------------------ characters --
@@ -642,7 +629,8 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
                        census: CensusResult | None = None) -> bool:
     """The subgroup 1+H acts transitively on the functionals agreeing with
     lambda on H.  That set is lambda + Ann(H); the check compares it with
-    the orbit of lambda under 1+H."""
+    the orbit of lambda under 1+H, generated by adjoining the rows of H, then
+    its points, since 1 + (rows of H) may generate a proper subgroup."""
     eng = engine_for(alg, budgets)
     if census is None:
         census = orbit_census(alg, budgets)
@@ -652,8 +640,14 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)
     coset = (_span_points(ann, p) + lamv) % p
-    # orbit of lambda under the group generated by 1 + (prime basis of H)
-    labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(row)) for row in rows],
+    inside = _subspace_packed_set(eng, rows)
+    closure = np.zeros(eng.N, dtype=bool)
+    closure[0] = True
+    gens = _adjoin(closure, eng._right_mul_code, np.concatenate([rows @ eng.powers, inside]))
+    if inside.size != p ** len(rows) or not np.array_equal(np.flatnonzero(closure), inside):
+        raise InternalInconsistencyError("generators of 1+H do not close to 1+H")
+    digits = eng.digit_rows()[gens].astype(np.int64)
+    labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(g)) for g in digits],
                              eng.N).labels
     orbit = np.flatnonzero(labels == labels[lamv @ eng.powers])
     if not np.array_equal(orbit, np.unique(coset @ eng.powers)):

@@ -358,33 +358,6 @@ class NilAlgebra:
             if reduce_mod_p(nxt_rows, nxt_piv, prods, self.field.p).any():
                 raise ValidationError("flag member is not an ideal with codim-1 drop")
 
-    # ------------------------------------------------------ subalgebras --
-
-    def subalgebra(self, rows, *, name: str | None = None
-                   ) -> tuple["NilAlgebra", np.ndarray]:
-        """The algebra structure on an F_q-subspace closed under multiplication.
-
-        rows span the subspace in ambient prime coordinates.  Its reduced
-        echelon rows are omega^m v_i at t = i*e + m, where v_i are the F_q
-        echelon rows; they become the prime basis of the new algebra, with
-        basis v_i.  Returns the new algebra and those echelon rows.
-        """
-        p, e = self.field.p, self.field.e
-        ech, piv = rref_mod_p(rows, p)
-        if not len(ech):
-            raise ValidationError("zero subalgebra has no basis")
-        if not self.is_fq_subspace(ech):
-            raise ValidationError("subspace is not closed under F_q scaling")
-        basis = ech[::e]
-        prods = self._products_of(basis, basis)
-        if reduce_mod_p(ech, piv, prods, p).any():
-            raise ValidationError("subspace is not closed under multiplication")
-        # prime coordinates in the new algebra, t = k*e + m
-        d = len(basis)
-        sub = NilAlgebra(self.field, prods[..., piv].reshape(d, d, d, e),
-                         name=name or f"{self.name}|sub")
-        return sub, ech
-
 
 # ------------------------------------------------------------ constructors --
 

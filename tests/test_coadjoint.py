@@ -19,8 +19,9 @@ from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional, OrbitRecord,
                                  orthonormality_check, radical, radical_of,
                                  transitivity_check,
                                  verify_induced_matches_orbit)
+from orbitzeta.coadjoint import _span_points, _subspace_packed_set
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
-from orbitzeta.linalg import rref_mod_p
+from orbitzeta.linalg import reduce_mod_p, rref_mod_p
 
 
 # ------------------------------------------------------ cyclotomic values --
@@ -248,19 +249,34 @@ def test_max_isotropic_subalgebra_dim():
     assert len(rows0) == 3
 
 
-# u_5(F_2) recurses through two subalgebras, u_4(F_4) through one with e = 2
+# the flags of u_5(F_2) and I_F2[D8] have 10 and 7 nonzero members; u_4(F_4)
+# has e = 2; on the three smallest, H is checked point by point
 @pytest.mark.parametrize("alg", corpus.character_corpus() + [
-    corpus.unitriangular(5, 2), corpus.unitriangular(4, 2, 2)], ids=lambda alg: alg.name)
+    corpus.unitriangular(5, 2), corpus.unitriangular(4, 2, 2), corpus.unitriangular(4, 2),
+    corpus.augmentation_ideal("D8", 2), corpus.unitriangular(4, 3)],
+    ids=lambda alg: alg.name)
 def test_max_isotropic_subalgebra_rows_are_reduced(alg):
-    # the recursion maps reduced rows through reduced bases and never
-    # eliminates them again: they must be their own echelon form
+    # H is one elimination of the sum of the flag radicals: its rows are
+    # their own echelon form, and it holds Rad B_lambda, the V = J term
     census = orbit_census(alg)
-    digits = engine_for(alg).digit_rows()
-    for rep in census.reps:
-        rows, piv = max_isotropic_subalgebra(alg, digits[rep])
-        ech, ech_piv = rref_mod_p(rows, alg.field.p)
+    eng = engine_for(alg)
+    p, n, digits = eng.p, eng.n, eng.digit_rows()
+    by_points = alg.name in ("u_3(F_3)", "I_F_3[C3]", "u_4(F_2)")
+    for o, rep in enumerate(census.reps):
+        lam = digits[rep].astype(np.int64)
+        rows, piv = max_isotropic_subalgebra(alg, lam)
+        ech, ech_piv = rref_mod_p(rows, p)
         assert rows.dtype == np.int64
         assert np.array_equal(rows, ech) and piv == ech_piv
+        rad = census.radical_rows[o][:n - census.ranks[o]]
+        assert not reduce_mod_p(rows, piv, rad, p).any()
+        if by_points:
+            # every pair x, y of points of H: lambda(xy - yx) = 0 and xy in H
+            points = _span_points(rows, p)
+            prods = alg._products_of(points, points)
+            assert not ((prods - prods.transpose(1, 0, 2)) @ lam % p).any()
+            assert np.isin(prods.reshape(-1, n) @ eng.powers,
+                           _subspace_packed_set(eng, rows)).all()
 
 
 # -------------------------------------------------------------- characters --
@@ -279,6 +295,22 @@ def test_character_table_u3_f3():
     assert sum(d * d for d in table.fake_degrees) == 27
     for o in range(table.k):
         assert verify_induced_matches_orbit(alg, o, census=census, table=table)
+        assert transitivity_check(alg, o, census=census)
+
+
+def test_transitivity_check_acts_by_all_of_one_plus_h():
+    # on I_F2[D8oC4] the elements 1 + (echelon rows of H) can generate a
+    # proper subgroup of 1+H: at orbit 96, 1024 of its 8192 elements
+    alg = corpus.augmentation_ideal("D8oC4", 2)
+    census = orbit_census(alg)
+    for o in [96] + random.Random(0xD8C4).sample(range(census.count), 8):
+        assert transitivity_check(alg, o, census=census)
+
+
+@pytest.mark.parametrize("alg", corpus.character_corpus(), ids=lambda alg: alg.name)
+def test_transitivity_check_on_the_character_corpus(alg):
+    census = orbit_census(alg)
+    for o in range(census.count):
         assert transitivity_check(alg, o, census=census)
 
 
@@ -423,8 +455,6 @@ def naive_induced(alg, lam_digits):
     eng = AlgebraGroup(alg)
     p = eng.p
     rows, _ = max_isotropic_subalgebra(alg, lam_digits)
-    from orbitzeta.coadjoint import _subspace_packed_set
-
     hset = set(int(x) for x in _subspace_packed_set(eng, rows))
     lamv = np.array(lam_digits, dtype=np.int64)
     els = [alg.unpack(c) for c in range(eng.N)]

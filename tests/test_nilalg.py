@@ -179,22 +179,6 @@ def test_parser_adds_repeated_targets_mod_p():
     assert parse_algebra_file("alg 2 1 2\n0 0 1 1\n0 0 1 1\n").nilpotency_class == 2
 
 
-def test_subalgebra_closure():
-    u4 = corpus.unitriangular(4, 2)
-    rows, _ = u4.power_basis(2)
-    sub, basis = u4.subalgebra(rows)
-    assert sub.dim == 3
-    assert sub.nilpotency_class == 2
-    # not closed: span of e12 alone in u3 is closed, but e12+e23 squares out
-    u3 = corpus.unitriangular(3, 2)
-    v = u3.basis_vector(0) + u3.basis_vector(1)
-    with pytest.raises(ValidationError):
-        u3.subalgebra([v.flat()])
-    # F_2 e13 inside u3(F_4) is closed under products but not under F_4 scaling
-    with pytest.raises(ValidationError):
-        corpus.unitriangular(3, 2, 2).subalgebra([(0, 0, 0, 0, 1, 0)])
-
-
 def test_refine_to_flag():
     for alg in (corpus.unitriangular(3, 3), corpus.unitriangular(4, 2),
                 corpus.augmentation_ideal("D8", 2)):

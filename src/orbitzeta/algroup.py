@@ -142,8 +142,9 @@ class AlgebraGroup:
     orbit machinery for conjugacy classes and the coadjoint action.
 
     Group elements are prime coordinate rows of their J-part; the matrices
-    come from the structure tensor of J, and a seeded spot check compares
-    them with the scalar route gconj."""
+    come from the structure tensor T of J, and a seeded spot check compares
+    them with conjugation computed from the structure constants C
+    (NilAlgebra._fq_products), the route of gconj."""
 
     def __init__(self, alg: NilAlgebra, budgets: Budgets | None = None):
         self.alg = alg
@@ -160,6 +161,7 @@ class AlgebraGroup:
         self._classes = None
         self._dual_orbits = None
         self._gens = None
+        self._gen_invs = None
         self._gen_mats = None
         # 1 + omega^m b_i need not generate 1+J: inside I_F2[D8] they are the
         # embedded dihedral elements and close at order 8.  Orbit machinery
@@ -193,8 +195,9 @@ class AlgebraGroup:
     def dual_matrix_for(self, g) -> np.ndarray:
         """Matrix of the coadjoint action of 1+g on dual rows: lambda @ M.
 
-        g is the J-part as a prime coordinate row."""
-        return self._conjugation_matrix(self._inverse(g))
+        g is the J-part as a prime coordinate row.  The action is conjugation
+        by (1+g)^(-1), whose inverse is 1+g."""
+        return self._conjugation_matrix(self._inverse(g), g)
 
     def _right_mul_matrix(self, y) -> np.ndarray:
         """Row s is b_s * y, so x * y = x @ R."""
@@ -210,9 +213,9 @@ class AlgebraGroup:
             term = term @ minus_r % self.p
         return acc
 
-    def _conjugation_matrix(self, g) -> np.ndarray:
-        """M with (1+g)^(-1)(1+x)(1+g) = 1 + (M @ x) % p, x a column."""
-        h = self._inverse(g)
+    def _conjugation_matrix(self, g, h) -> np.ndarray:
+        """M with (1+g)^(-1)(1+x)(1+g) = 1 + (M @ x) % p, x a column, where
+        h = _inverse(g) is the J-part of (1+g)^(-1)."""
         n, p = self.n, self.p
         left_h = h @ self.alg.T.reshape(n, n * n) % p   # row t is h * b_t
         eye = np.eye(n, dtype=np.int64)
@@ -241,16 +244,34 @@ class AlgebraGroup:
         return acc
 
     def _spot_check_linearity(self) -> None:
+        """The conjugation matrices of the first four seeds 1 + b_t, from T,
+        against conjugation of two seeded points each, from C: the group law
+        and the geometric-series inverse on digit rows, all eight points in
+        one batch of NilAlgebra._fq_products."""
+        alg, p = self.alg, self.p
         rng = random.Random(_SPOT_SEED ^ self.N)
-        for g in self.prime_generators[:4]:
-            mat, gv = self._conjugation_matrix(g), self.alg.from_flat(g)
-            for _ in range(2):
-                v = self.alg.unpack(rng.randrange(self.N))
-                direct = self.vector_digits(gconj(v, gv))
-                linear = (mat @ self.vector_digits(v)) % self.p
-                if not np.array_equal(direct, linear):
-                    raise InternalInconsistencyError(
-                        "conjugation matrix disagrees with direct conjugation")
+        gens = self.prime_generators[:4]
+        # Python-int codes: N may pass 2^63
+        points = base_p_digits([rng.randrange(self.N) for _ in gens for _ in range(2)],
+                               p, self.n).astype(np.int64)
+
+        def product(X, Y):
+            return alg._fq_products(X, Y).reshape(len(X), self.n)
+
+        def law(X, Y):  # (1+x)(1+y) = 1 + (x + y + xy)
+            return (X + Y + product(X, Y)) % p
+
+        # the J-part of (1+g)^(-1): -g + g^2 - ..., finite as J is nilpotent
+        neg = -gens % p
+        inv, term = np.zeros_like(gens), neg
+        while term.any():
+            inv = (inv + term) % p
+            term = product(term, neg)
+        direct = law(law(np.repeat(inv, 2, axis=0), points), np.repeat(gens, 2, axis=0))
+        mats = np.repeat([self._conjugation_matrix(g, self._inverse(g)) for g in gens], 2, axis=0)
+        if not np.array_equal(direct, (mats @ points[:, :, None])[:, :, 0] % p):
+            raise InternalInconsistencyError(
+                "conjugation matrix disagrees with direct conjugation")
 
     # ------------------------------------------------------ permutations --
 
@@ -349,11 +370,19 @@ class AlgebraGroup:
                 self._gens = self.digit_rows()[codes].astype(np.int64)
         return self._gens
 
+    def _generator_inverses(self) -> np.ndarray:
+        """The J-parts of the inverses of _generators(), one series each."""
+        if self._gen_invs is None:
+            self._gen_invs = np.array([self._inverse(g) for g in self._generators()])
+        return self._gen_invs
+
     def _generator_matrices(self):
+        """The conjugation matrices of the generators, and those of their
+        inverses, which act on dual rows (dual_matrix_for)."""
         if self._gen_mats is None:
-            gens = self._generators()
-            self._gen_mats = ([self._conjugation_matrix(g) for g in gens],
-                              [self.dual_matrix_for(g) for g in gens])
+            pairs = list(zip(self._generators(), self._generator_inverses()))
+            self._gen_mats = ([self._conjugation_matrix(g, h) for g, h in pairs],
+                              [self._conjugation_matrix(h, g) for g, h in pairs])
         return self._gen_mats
 
     # ----------------------------------------------------------- classes --
@@ -378,8 +407,7 @@ class AlgebraGroup:
     def commutator_subgroup_packed(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
         check_budget(self.budgets, "group_enumeration_max", self.N)
-        gens = self._generators()
-        inv = np.array([self._inverse(g) for g in gens])
+        gens, inv = self._generators(), self._generator_inverses()
         k = len(gens)
         # [1+u, 1+v] = (1+u)^-1 (1+v)^-1 (1+u)(1+v) for every generator pair
         comms = self._gmul_rows(

@@ -229,26 +229,44 @@ def radical_of(alg: NilAlgebra, lam_digits):
 _RADICAL_BATCH = 1024
 
 
-def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray):
+def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.ndarray):
     """(ranks, radical rows, closed) of the dual rows, as arrays: rows [:n - rank]
     of radical rows are the prime echelon rows of Rad B_lambda that radical_of
-    gives, in the dtype of lam_rows; one batched elimination per _RADICAL_BATCH.
+    gives, in the dtype of lam_rows.
+
+    K_lambda[s, t] = lambda([b_s, b_t]), and every bracket lies in C = [J, J]_L,
+    the span of derived_rows, its echelon rows.  So K_lambda depends only on
+    lambda restricted to C, which its values on derived_rows fix: duals with
+    the same values share K, and with it the rank, the radical and closed.
+    One Gram matrix is eliminated per distinct row of values, at most
+    p^dim C of them, one batched elimination per _RADICAL_BATCH, and the
+    results are gathered back to every dual.
 
     The rows span ker K, K the Gram matrix, so they are F_q-closed exactly
     when omega maps each row into ker K: K (rows omega)^T = 0 mod p."""
     p, n = alg.field.p, alg.dim * alg.field.e
+    # key: the values in base p, with the digits so far renumbered densely
+    # (below len(lam_rows)) whenever one more would pass int64
+    key, bound = np.zeros(len(lam_rows), dtype=np.int64), 1
+    for value in matmul_mod_p(lam_rows, derived_rows.T, p).T:
+        if bound * p >= 2**63:
+            _, key = np.unique(key, return_inverse=True)
+            bound = len(lam_rows)
+        key, bound = key * p + value, bound * p
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    distinct = lam_rows[first]
     # lambda([b_s, b_t]) = sum_k lambda_k (T[s, t, k] - T[t, s, k])
     lie = ((alg.T - alg.T.transpose(1, 0, 2)) % p).reshape(n * n, n).T
     batches = []
-    for lo in range(0, len(lam_rows), _RADICAL_BATCH):
-        K = matmul_mod_p(lam_rows[lo:lo + _RADICAL_BATCH], lie, p).reshape(-1, n, n)
+    for lo in range(0, len(distinct), _RADICAL_BATCH):
+        K = matmul_mod_p(distinct[lo:lo + _RADICAL_BATCH], lie, p).reshape(-1, n, n)
         ranks, kernel = nullspace_stack_mod_p(K, p)
         closed = np.ones(len(K), dtype=bool)
         if alg.field.e > 1:
             images = kernel @ alg.omega % p
             closed = ~(K @ images.transpose(0, 2, 1) % p).any(axis=(1, 2))
         batches.append((ranks, kernel.astype(lam_rows.dtype), closed))
-    return tuple(np.concatenate(parts) for parts in zip(*batches))
+    return tuple(np.concatenate(parts)[where] for parts in zip(*batches))
 
 
 def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
@@ -289,10 +307,12 @@ def fake_degree(alg: NilAlgebra, lam) -> int:
 def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResult:
     """Full orbit decomposition of the dual with per-orbit invariants.
 
-    Cross-checks inside, as array comparisons: orbit sizes partition the dual,
-    every orbit size equals |J| / |Rad B_lambda| at its representative, sizes
-    are even q-powers, radicals are F_q-closed (substantive only when e > 1),
-    and the fixed point count matches |J| / |[J,J]_L|.
+    The radicals take one Gram matrix per distinct restriction of lambda to
+    [J,J]_L (_radicals_by_row).  Cross-checks inside, as array comparisons
+    over every representative: orbit sizes partition the dual, every orbit
+    size equals |J| / |Rad B_lambda| at its representative, sizes are even
+    q-powers, radicals are F_q-closed (substantive only when e > 1), and the
+    fixed point count matches |J| / |[J,J]_L|.
     """
     eng = engine_for(alg, budgets)
     check_budget(budgets, "dual_census_max", eng.N)
@@ -302,7 +322,7 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     digits = eng.digit_rows()
     derived_rows, _ = alg.derived_lie_subspace()
     if len(derived_rows):
-        ranks, rads, closed = _radicals_by_row(alg, digits[reps])
+        ranks, rads, closed = _radicals_by_row(alg, digits[reps], derived_rows)
     else:  # J is commutative: every radical is J, one array shared by all orbits
         ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
         rads = np.broadcast_to(np.eye(n, dtype=digits.dtype), (reps.size, n, n))

@@ -14,6 +14,8 @@ import math
 from functools import lru_cache
 from itertools import product as _iter_product
 
+import numpy as np
+
 from .budgets import Budgets, check_budget, get_budgets
 from .errors import BudgetError, ValidationError
 
@@ -279,6 +281,24 @@ class Field:
         """The element of a polynomial over Z/p, reduced by the modulus."""
         red = _poly_mod(poly, self._modulus_list, self.p)
         return FieldElement(self, tuple(red) + (0,) * (self.e - len(red)))
+
+    def reduce_digit_products(self, products) -> np.ndarray:
+        """The digit rows (..., e) of the polynomials sum x_a y_c t^(a+c),
+        given the residues mod p (..., e, e) of the digit products x_a y_c
+        (or of sums of them) at [..., a, c]: _reduced on arrays.  They are
+        collected by degree, then the top coefficient is cleared with the
+        monic modulus, degree by degree.  The entries stay residues, so no
+        step exceeds (p - 1)^2 in magnitude: exact in int64 while
+        (p - 1)^2 < 2^63, as nilalg._check_size implies."""
+        p, e = self.p, self.e
+        red = np.zeros(products.shape[:-2] + (2 * e - 1,), dtype=np.int64)
+        for a in range(e):
+            red[..., a:a + e] += products[..., a, :]
+        red %= p
+        tail = np.array(self._modulus_list[:e], dtype=np.int64)
+        for k in range(2 * e - 2, e - 1, -1):
+            red[..., k - e:k] = (red[..., k - e:k] - red[..., k, None] * tail) % p
+        return red[..., :e]
 
     def element(self, coeffs) -> FieldElement:
         coeffs = tuple(int(c) % self.p for c in coeffs)

@@ -1,14 +1,17 @@
 """Finite dimensional nilpotent associative algebras over F_q, given by
 structure constants on a fixed basis.
 
-AlgVector coefficient tuples over F_q are the element API and the reference
-route for products.  Bulk work runs over Z/p instead: J has the prime basis
-omega^m b_i at t = i*e + m, and the structure tensor T[s, t] holds the prime
-coordinates of b_s * b_t.  A subspace is a pair (rows, pivots) as in
-linalg: an int64 array of its reduced echelon rows on that basis and their
-pivot columns, so subspace equality is array equality and an F_q-dimension
-is len(rows) // e.  Every algebra verifies associativity and nilpotency at
-construction time.
+AlgVector coefficient tuples over F_q are the element API.  Products have
+two routes.  The C route, _fq_products, multiplies batches of F_q digit
+arrays through the structure constants C with polynomial arithmetic
+reduced by the modulus; AlgVector products are one call of it, and it is
+the reference that T is checked against.  Bulk work runs over Z/p: J has
+the prime basis omega^m b_i at t = i*e + m, and the structure tensor
+T[s, t] holds the prime coordinates of b_s * b_t.  A subspace is a pair
+(rows, pivots) as in linalg: an int64 array of its reduced echelon rows on
+that basis and their pivot columns, so subspace equality is array equality
+and an F_q-dimension is len(rows) // e.  Every algebra verifies
+associativity and nilpotency at construction time.
 """
 
 from __future__ import annotations
@@ -185,19 +188,33 @@ class NilAlgebra:
             yield self.unpack(code)
 
     def multiply(self, u: AlgVector, v: AlgVector) -> AlgVector:
-        """The product over F_q from C, the reference route for T."""
-        f = self.field
-        dense = [f.zero] * self.dim
-        rows = [i for i, a in enumerate(u.coeffs) if not a.is_zero()]
-        cols = [j for j, b in enumerate(v.coeffs) if not b.is_zero()]
-        block = self.C[rows][:, cols]
-        x, y, k = np.nonzero(block.any(axis=3))  # sorted by (x, y)
-        pair = ab = None
-        for i, j, t, c in zip(x.tolist(), y.tolist(), k.tolist(), block[x, y, k].tolist()):
-            if (i, j) != pair:
-                pair, ab = (i, j), u.coeffs[rows[i]] * v.coeffs[cols[j]]
-            dense[t] = dense[t] + ab * FieldElement(f, tuple(c))
-        return AlgVector(self, dense)
+        """The product over F_q from C, one row of _fq_products: the
+        reference route for T."""
+        out = self._fq_products(u.flat(), v.flat())[0].tolist()
+        return AlgVector(self, tuple(FieldElement(self.field, tuple(c)) for c in out))
+
+    def _fq_products(self, U, V) -> np.ndarray:
+        """Row-wise products u_b * v_b over F_q from C, for digit arrays U and
+        V of shape (B, d, e) (or flat rows of length d e), as a (B, d, e)
+        array: the C route, which uses neither T nor omega.
+
+        Two contractions over the basis: left[b, j, k], the coefficient of
+        b_k in u_b * b_j, is sum_i u_bi C[i, j, k]; then the coefficient of
+        b_k in u_b * v_b is sum_j left[b, j, k] v_bj.  Each stage forms the
+        products of the digits of its F_q factors and sums at most d <= n of
+        them per entry in matmul_mod_p, exact while n (p-1)^2 < 2^63 (the
+        bound of _check_size), reduced mod p; ffield then collects the digit
+        products by degree and reduces them by the modulus, to residues
+        again before the next stage.
+        """
+        f, d, e = self.field, self.dim, self.field.e
+        U, V = (np.asarray(X, dtype=np.int64).reshape(-1, d, e) for X in (U, V))
+        # left[b, (j, k, c), a] = sum_i C[i, j, k, c] U[b, i, a]
+        left = matmul_mod_p(self.C.reshape(d, d * d * e).T, U, f.p)
+        left = f.reduce_digit_products(left.reshape(-1, d, d, e, e))
+        # out[b, (k, c), a] = sum_j left[b, j, k, c] V[b, j, a]
+        out = matmul_mod_p(left.transpose(0, 2, 3, 1).reshape(-1, d * e, d), V, f.p)
+        return f.reduce_digit_products(out.reshape(-1, d, e, e))
 
     # -------------------------------------------- prime coordinate rows --
 

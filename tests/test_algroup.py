@@ -11,9 +11,10 @@ from orbitzeta.algroup import (AlgebraGroup, bch, gcomm, gconj, gexp, ginv,
                                glog, gmul, orbit_partition)
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import orbit_census
-from orbitzeta.errors import BudgetError, ValidationError
+from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
+from orbitzeta.ffield import make_field
 from orbitzeta.grouptab import FiniteGroupTable
-from orbitzeta.nilalg import NilAlgebra
+from orbitzeta.nilalg import NilAlgebra, make_zero_algebra
 
 
 def random_vectors(alg, rng, count):
@@ -268,6 +269,32 @@ def test_vectorized_associativity_bulk():
         for _ in range(2000):
             x, y, z = (alg.unpack(rng.randrange(codes)) for _ in range(3))
             assert (x * y) * z == x * (y * z)
+
+
+def test_spot_check_catches_a_wrong_conjugation_matrix(monkeypatch):
+    right = AlgebraGroup._conjugation_matrix
+    monkeypatch.setattr(AlgebraGroup, "_conjugation_matrix",
+                        lambda self, g, h: np.roll(right(self, g, h), 1, axis=0))
+    for alg in (corpus.unitriangular(4, 2), corpus.unitriangular(3, 3, 2)):
+        with pytest.raises(InternalInconsistencyError,
+                           match="^conjugation matrix disagrees with direct conjugation$"):
+            AlgebraGroup(alg)
+
+
+def test_engine_builds_past_int64():
+    # N = 2^65 and 2^66: the spot check draws its points as Python ints
+    for alg in (make_zero_algebra(65, make_field(2)), corpus.unitriangular(12, 2)):
+        assert AlgebraGroup(alg).N == 2 ** alg.dim > 2 ** 63
+
+
+def test_generator_inverses_are_computed_once(monkeypatch):
+    eng = AlgebraGroup(corpus.augmentation_ideal("D8", 2))
+    calls = []
+    inverse = AlgebraGroup._inverse
+    monkeypatch.setattr(AlgebraGroup, "_inverse",
+                        lambda self, g: calls.append(1) or inverse(self, g))
+    eng.group_perms(), eng.dual_perms(), eng.commutator_subgroup_packed()
+    assert len(calls) == len(eng._generators()) > 0
 
 
 def test_digit_rows_hold_digits_above_127():

@@ -12,7 +12,7 @@ from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional, OrbitRecord,
                                  character_table, coadjoint_act,
                                  conjecture_probe, engine_for, fake_degree,
-                                 fake_degree_identities,
+                                 fake_degree_identities, gram_matrix,
                                  induced_character_values, inner_product,
                                  max_isotropic_subalgebra, orbit_census,
                                  orbit_method_character, orbit_size,
@@ -21,7 +21,7 @@ from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional, OrbitRecord,
                                  verify_induced_matches_orbit)
 from orbitzeta.coadjoint import _span_points, _subspace_packed_set
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
-from orbitzeta.linalg import reduce_mod_p, rref_mod_p
+from orbitzeta.linalg import nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
 
 
 # ------------------------------------------------------ cyclotomic values --
@@ -172,6 +172,52 @@ def test_census_radicals_match_radical_of(alg):
             assert r == rank
             assert stacked[:n - rank].tolist() == [list(row) for row in rows]
             assert not stacked[n - rank:].any()
+
+
+@pytest.mark.parametrize("alg", corpus.duality_corpus() + corpus.character_corpus(),
+                         ids=lambda alg: alg.name)
+def test_radicals_by_row_match_one_elimination_per_rep(alg):
+    # _radicals_by_row eliminates one Gram matrix per distinct restriction to
+    # [J, J]_L; the reference eliminates the Gram matrix of every rep, in
+    # stacks of 1024, and tests closure by reducing rows @ omega against them
+    census = orbit_census(alg)
+    eng = engine_for(alg)
+    p, n = eng.p, eng.n
+    lam_rows = eng.digit_rows()[census.reps]
+    ranks, rads, closed = coadjoint._radicals_by_row(
+        alg, lam_rows, alg.derived_lie_subspace()[0])
+    assert rads.dtype == lam_rows.dtype
+    for lo in range(0, len(lam_rows), 1024):
+        at = slice(lo, lo + 1024)
+        # lambda(b_s b_t) for every rep, as gram_matrix forms it
+        prods = (alg.T.reshape(n * n, n) @ lam_rows[at].T.astype(np.int64)).T.reshape(-1, n, n)
+        ref_ranks, ref_kernels = nullspace_stack_mod_p(prods - prods.transpose(0, 2, 1), p)
+        assert np.array_equal(ranks[at], ref_ranks) and np.array_equal(census.ranks[at], ref_ranks)
+        assert np.array_equal(rads[at], ref_kernels)
+        assert np.array_equal(census.radical_rows[at], ref_kernels)
+        assert closed[at].tolist() == [alg.is_fq_subspace(kernel[:n - rank])
+                                       for rank, kernel in zip(ref_ranks, ref_kernels)]
+
+
+def test_radicals_by_row_eliminate_once_per_restriction(monkeypatch):
+    # u_5 at p = 1048573: [J, J]_L is spanned by the coordinates 4.. 9, so
+    # p^dim C passes 2^63 and the keys are renumbered on the way; duals that
+    # differ only off [J, J]_L share one Gram matrix
+    alg = corpus.unitriangular(5, 1048573)
+    p, n = alg.field.p, 10
+    derived = alg.derived_lie_subspace()[0]
+    assert p ** len(derived) > 2 ** 63
+    rng = np.random.default_rng(5)
+    lam_rows = rng.integers(0, p, (8, n))[rng.integers(0, 8, 64)]
+    lam_rows[:, :4] = rng.integers(0, p, (64, 4))
+    stack, eliminated = coadjoint.nullspace_stack_mod_p, []
+    monkeypatch.setattr(coadjoint, "nullspace_stack_mod_p",
+                        lambda K, p: eliminated.append(len(K)) or stack(K, p))
+    ranks, rads, closed = coadjoint._radicals_by_row(alg, lam_rows, derived)
+    assert eliminated == [len(np.unique(lam_rows[:, 4:], axis=0))]
+    ref_ranks, ref_kernels = stack(np.stack([gram_matrix(alg, lam) for lam in lam_rows]), p)
+    assert np.array_equal(ranks, ref_ranks) and np.array_equal(rads, ref_kernels)
+    assert closed.all()
 
 
 def test_census_checks_radicals_are_fq_closed(monkeypatch):

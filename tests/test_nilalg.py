@@ -257,6 +257,58 @@ def test_structure_tensor_matches_multiply(make):
     assert [tuple(r) for r in got.tolist()] == [(x * y).flat() for x, y in zip(xs, ys)]
 
 
+def _scalar_product(alg, u, v):
+    """u * v over F_q from C, one FieldElement product per nonzero constant:
+    the reference for NilAlgebra._fq_products."""
+    f = alg.field
+    dense = [f.zero] * alg.dim
+    rows = [i for i, a in enumerate(u.coeffs) if not a.is_zero()]
+    cols = [j for j, b in enumerate(v.coeffs) if not b.is_zero()]
+    block = alg.C[rows][:, cols]
+    x, y, k = np.nonzero(block.any(axis=3))  # sorted by (x, y)
+    pair = ab = None
+    for i, j, t, c in zip(x.tolist(), y.tolist(), k.tolist(), block[x, y, k].tolist()):
+        if (i, j) != pair:
+            pair, ab = (i, j), u.coeffs[rows[i]] * v.coeffs[cols[j]]
+        dense[t] = dense[t] + ab * f.element(c)
+    return nilalg.AlgVector(alg, dense)
+
+
+def _rescaled(alg, seed):
+    """alg on the basis s_i b_i for seeded nonzero s_i: the constants become
+    s_i s_j s_k^-1 C[i, j, k], most of them off the prime field."""
+    f, rng = alg.field, random.Random(seed)
+    s = [f.from_code(rng.randrange(1, f.q)) for _ in range(alg.dim)]
+    C = np.zeros_like(alg.C)
+    for i, j, k in np.argwhere(alg.C.any(axis=3)).tolist():
+        C[i, j, k] = (s[i] * s[j] * s[k].inverse() * f.element(alg.C[i, j, k])).coeffs
+    return NilAlgebra(f, C, name=f"{alg.name} rescaled")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: corpus.unitriangular(3, 2, 3),
+    lambda: corpus.unitriangular(3, 3, 2),
+    lambda: corpus.unitriangular(4, 5, 2),
+    lambda: corpus.augmentation_ideal("C9", 3),
+    _big_constant_algebra,
+], ids=["u3_F8", "u3_F9", "u4_F25", "I_F3_C9", "p1048573"])
+def test_fq_products_match_scalar_loop(make):
+    base = make()
+    for alg in (base, _rescaled(base, 7)):
+        rng = random.Random(alg.dim)
+        n, codes = alg.dim * alg.field.e, alg.field.q ** alg.dim
+        # the all-(p-1) pair makes every product of digits (p-1)^2
+        xs = [alg.from_flat([alg.field.p - 1] * n)]
+        ys = [alg.from_flat([alg.field.p - 1] * n)]
+        xs += [alg.unpack(rng.randrange(codes)) for _ in range(40)]
+        ys += [alg.unpack(rng.randrange(codes)) for _ in range(40)]
+        got = alg._fq_products([x.flat() for x in xs], [y.flat() for y in ys])
+        assert got.shape == (len(xs), alg.dim, alg.field.e)
+        expected = [_scalar_product(alg, x, y).flat() for x, y in zip(xs, ys)]
+        assert [tuple(r) for r in got.reshape(len(xs), n).tolist()] == expected
+        assert [(x * y).flat() for x, y in zip(xs, ys)] == expected
+
+
 # ------------------------------------------------------------- the parser --
 
 def _reference_parse(text):

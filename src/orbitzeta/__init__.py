@@ -8,18 +8,16 @@ from .bogomod import (MqPresentation, build_mq, frobenius_matrix,
                       power_class_layers, predicted_ab_order, verify_filtration)
 from .budgets import Budgets, DEFAULT_BUDGETS, parse_budget_config
 from .coadjoint import (CensusResult, CharacterTable, CyclotomicValue,
-                        DualFunctional, OrbitRecord, character_table,
-                        coadjoint_act, conjecture_probe, fake_degree,
+                        character_table, conjecture_probe,
                         fake_degree_identities, induced_character_values,
                         inner_product, max_isotropic_subalgebra, orbit_census,
-                        orbit_method_character, orbit_size,
-                        orthonormality_check, radical, transitivity_check,
+                        orthonormality_check, transitivity_check,
                         verify_induced_matches_orbit)
 from .errors import (BudgetError, InternalInconsistencyError, ToolError,
                      ValidationError)
 from .ffield import Field, FieldElement, is_prime, make_field
-from .grouptab import (ClassData, FiniteGroupTable, central_quotient,
-                       direct_product, parse_group_file, serialize_cayley)
+from .grouptab import (FiniteGroupTable, central_quotient, direct_product,
+                       parse_group_file, serialize_cayley)
 from .nilalg import (AlgVector, NilAlgebra, make_augmentation_ideal,
                      make_unitriangular, make_zero_algebra,
                      parse_algebra_file, serialize_algebra)

@@ -189,9 +189,6 @@ class AlgebraGroup:
             self._L = self._log_rows(X).astype(X.dtype)
         return self._L
 
-    def vector_digits(self, v: AlgVector) -> np.ndarray:
-        return np.array(v.flat(), dtype=np.int64)
-
     def dual_matrix_for(self, g) -> np.ndarray:
         """Matrix of the coadjoint action of 1+g on dual rows: lambda @ M.
 

@@ -1,11 +1,15 @@
 """Coadjoint orbits of 1+J on the prime-field dual of J, and the orbit
 method character theory at desk scale.
 
-Dual functionals are Z/p-linear maps J -> Z/p, stored as coordinate rows of
-length dim(J)*e.  The group acts by lambda^g(a) = lambda(a^(g^-1)); orbits,
-the alternating forms B_lambda(a,b) = lambda([a,b]), their radicals, fake
-degrees, polarizations (sums of radicals on the ideal flag of J) and the
-exact character values all live here.
+A dual functional, a Z/p-linear map J -> Z/p, is a digit row of length
+dim(J)*e, and the engine packs it to a code like any point of J.  The group
+acts by lambda^g(a) = lambda(a^(g^-1)), which is lambda -> lambda @
+AlgebraGroup.dual_matrix_for(g).  engine_for caches one AlgebraGroup per
+algebra.  orbit_census returns the orbits as arrays (CensusResult):
+representatives, sizes, ranks of the alternating forms B_lambda(a,b) =
+lambda([a,b]), fake degrees and the stacked radical rows.  Polarizations
+(sums of radicals on the ideal flag of J) and the exact character values
+also live here.
 
 A character table is one integer array H[o, c, r] of residue counts, with
 chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o; the class constancy,
@@ -17,7 +21,6 @@ histograms.  CharacterTable.reduced() is the scalar view, every value as
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,20 +32,18 @@ from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, _adjoin, orbit_partition
 from .linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
                      reduce_mod_p, rref_mod_p)
-from .nilalg import AlgVector, NilAlgebra
+from .nilalg import NilAlgebra
 
 
 def engine_for(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
-    """The engine cached on alg, after bounding |1+J| by the caller's budgets:
-    the cached engine keeps the budgets of the call that built it."""
+    """The engine cached on alg, after bounding |1+J| by the caller's budgets;
+    the engine checks the caller's budgets from then on, whichever call
+    built it."""
     check_budget(budgets, "group_enumeration_max", alg.field.q ** alg.dim)
-    return _engine(alg, budgets)
-
-
-def _engine(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
     eng = getattr(alg, "_engine", None)
     if eng is None:
         eng = alg._engine = AlgebraGroup(alg, budgets)
+    eng.budgets = budgets
     return eng
 
 
@@ -110,59 +111,7 @@ class CyclotomicValue:
         return f"({body})/{self.denom}" if self.denom != 1 else body
 
 
-# ------------------------------------------------------ dual functionals --
-
-class DualFunctional:
-    """Additive character coordinates: a Z/p-linear functional on J, read
-    through x -> zeta_p^(lambda(x)).  Row vector of length dim*e."""
-
-    __slots__ = ("alg", "row")
-
-    def __init__(self, alg: NilAlgebra, row):
-        row = tuple(int(x) % alg.field.p for x in row)
-        if len(row) != alg.dim * alg.field.e:
-            raise ValidationError(f"functional needs {alg.dim * alg.field.e} coordinates")
-        self.alg = alg
-        self.row = row
-
-    def __call__(self, v: AlgVector) -> int:
-        flat = v.flat()
-        return sum(a * b for a, b in zip(self.row, flat)) % self.alg.field.p
-
-    def pack(self) -> int:
-        p = self.alg.field.p
-        return sum(c * p ** t for t, c in enumerate(self.row))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DualFunctional) and self.alg is other.alg
-                and self.row == other.row)
-
-    def __hash__(self) -> int:
-        return hash((id(self.alg), self.row))
-
-    def __repr__(self) -> str:
-        return f"DualFunctional{self.row}"
-
-
-def coadjoint_act(lam: DualFunctional, g: AlgVector) -> DualFunctional:
-    """lambda^g with lambda^g(a) = lambda(a^((1+g)^-1)); (lam^g)^h = lam^(gh)."""
-    if g.alg is not lam.alg:
-        raise ValidationError("functional and group element live on different algebras")
-    eng = _engine(lam.alg)  # one matrix, no enumeration
-    M = eng.dual_matrix_for(g.flat())
-    row = (np.array(lam.row, dtype=np.int64) @ M) % eng.p
-    return DualFunctional(lam.alg, row)
-
-
 # -------------------------------------------------------------- censuses --
-
-@dataclass
-class OrbitRecord:
-    rep: int                      # packed dual coordinates, least in the orbit
-    size: int
-    fake_degree: int
-    radical_prime_rows: tuple     # echelon rows over Z/p
-
 
 @dataclass
 class CensusResult:
@@ -181,34 +130,9 @@ class CensusResult:
     def count(self) -> int:
         return len(self.reps)
 
-    @property
-    def records(self) -> OrbitRecords:
-        """The orbits as a read-only sequence of OrbitRecords, each built
-        from the arrays when it is read."""
-        return OrbitRecords(self)
-
     def fake_degree_multiset(self) -> list[tuple[int, int]]:
         degrees, counts = np.unique(self.fake_degrees, return_counts=True)
         return list(zip(degrees.tolist(), counts.tolist()))
-
-
-class OrbitRecords(Sequence):
-    """Read-only view of a census as OrbitRecords, one built per index read;
-    the orbits of rank 0, whose radical is all of J, share one tuple."""
-
-    def __init__(self, census: CensusResult):
-        self._census = census
-        n = census.radical_rows.shape[-1]
-        self._full = tuple(map(tuple, np.eye(n, dtype=np.int64).tolist()))
-
-    def __len__(self) -> int:
-        return self._census.count
-
-    def __getitem__(self, i: int) -> OrbitRecord:
-        c = self._census
-        rank, rows = int(c.ranks[i]), c.radical_rows[i]
-        radical = tuple(map(tuple, rows[:len(rows) - rank].tolist())) if rank else self._full
-        return OrbitRecord(int(c.reps[i]), int(c.sizes[i]), int(c.fake_degrees[i]), radical)
 
 
 def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
@@ -218,21 +142,14 @@ def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
     return (lam_prod - lam_prod.T) % p
 
 
-def radical_of(alg: NilAlgebra, lam_digits):
-    """(rank, prime echelon rows of Rad B_lambda, an int64 array)."""
-    K = gram_matrix(alg, lam_digits)
-    rows = nullspace_mod_p(K, len(K), alg.field.p)
-    return len(K) - len(rows), rows
-
-
 # Gram matrices per batched elimination: bounds the n x n stacks in memory
 _RADICAL_BATCH = 1024
 
 
 def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.ndarray):
     """(ranks, radical rows, closed) of the dual rows, as arrays: rows [:n - rank]
-    of radical rows are the prime echelon rows of Rad B_lambda that radical_of
-    gives, in the dtype of lam_rows.
+    of radical rows are the reduced prime echelon rows of Rad B_lambda, the
+    kernel of its Gram matrix, in the dtype of lam_rows.
 
     K_lambda[s, t] = lambda([b_s, b_t]), and every bracket lies in C = [J, J]_L,
     the span of derived_rows, its echelon rows.  So K_lambda depends only on
@@ -272,36 +189,6 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.nda
 def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
     if not alg.is_fq_subspace(rows):
         raise InternalInconsistencyError(f"{what} is not F_q-closed")
-
-
-def radical(alg: NilAlgebra, lam):
-    """Prime echelon rows of Rad B_lambda, an int64 array: the kernel rows
-    of radical_of, which are reduced.
-
-    The radical is always closed under F_q scaling; for e > 1 that is a real
-    condition and it is checked.
-    """
-    row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
-    _, rows = radical_of(alg, row)
-    _require_fq_closed(alg, rows, "radical")
-    return rows
-
-
-def orbit_size(alg: NilAlgebra, lam) -> int:
-    row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
-    rank, _ = radical_of(alg, row)
-    if rank % (2 * alg.field.e):
-        raise InternalInconsistencyError(
-            "orbit size is not an even power of q; the pairing is defective")
-    return alg.field.p ** rank
-
-
-def fake_degree(alg: NilAlgebra, lam) -> int:
-    size = orbit_size(alg, lam)
-    root = math.isqrt(size)
-    if root * root != size:
-        raise InternalInconsistencyError(f"orbit size {size} is not a square")
-    return root
 
 
 def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResult:
@@ -514,22 +401,6 @@ def _verify_class_constancy(eng, census, classes, H) -> None:
         if not np.array_equal(_dual_histograms(eng, census.partition, chunk),
                               columns[labels[chunk]]):
             raise InternalInconsistencyError("character histogram varies inside a class")
-
-
-def orbit_method_character(alg: NilAlgebra, lam,
-                           budgets: Budgets | None = None):
-    """chi_Omega for the orbit through lam, as (class packed reps, values).
-
-    Computes the full table (the census is shared work anyway) and returns
-    the row of the orbit containing lam.
-    """
-    eng = engine_for(alg, budgets)
-    row = lam.row if isinstance(lam, DualFunctional) else tuple(int(x) for x in lam)
-    packed = int(np.array(row, dtype=np.int64) @ eng.powers)
-    census = orbit_census(alg, budgets)
-    table = character_table(alg, budgets, census)
-    oid = int(census.partition.labels[packed])
-    return table.class_reps, table.row(oid)
 
 
 def _shift_grams(table: CharacterTable, a=slice(None), b=slice(None)) -> np.ndarray:

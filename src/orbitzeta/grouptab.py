@@ -45,9 +45,6 @@ class OrbitPartition:
         return int(self.labels[i])
 
 
-ClassData = OrbitPartition
-
-
 def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
     """Orbits of the group generated by perms on 0..n_points-1.
 
@@ -601,11 +598,14 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
             kindparts = kind.split()
             word = tuple(_ints(rest.split(), ln))
             if kindparts[:1] == ["pow"] and len(kindparts) == 2:
-                pows[_ints(kindparts[1:], ln)[0]] = word
+                relations, key = pows, _ints(kindparts[1:], ln)[0]
             elif kindparts[:1] == ["comm"] and len(kindparts) == 3:
-                comms[tuple(_ints(kindparts[1:], ln))] = word
+                relations, key = comms, tuple(_ints(kindparts[1:], ln))
             else:
                 raise ValidationError(f"bad relation line: {ln!r}")
+            if key in relations:
+                raise ValidationError(f"repeated relation line: {ln!r}")
+            relations[key] = word
         return FiniteGroupTable.from_power_commutator(p, n, pows, comms, budgets, name=name)
     raise ValidationError(f"unknown group file kind {header[0]!r}")
 

@@ -1,6 +1,4 @@
 import random
-import tracemalloc
-from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -9,19 +7,18 @@ import pytest
 from orbitzeta import coadjoint, corpus
 from orbitzeta.algroup import AlgebraGroup, ginv, gmul, glog
 from orbitzeta.budgets import Budgets
-from orbitzeta.coadjoint import (CyclotomicValue, DualFunctional, OrbitRecord,
-                                 character_table, coadjoint_act,
-                                 conjecture_probe, engine_for, fake_degree,
+from orbitzeta.coadjoint import (CyclotomicValue, character_table,
+                                 conjecture_probe, engine_for,
                                  fake_degree_identities, gram_matrix,
                                  induced_character_values, inner_product,
                                  max_isotropic_subalgebra, orbit_census,
-                                 orbit_method_character, orbit_size,
-                                 orthonormality_check, radical, radical_of,
-                                 transitivity_check,
+                                 orthonormality_check, transitivity_check,
                                  verify_induced_matches_orbit)
 from orbitzeta.coadjoint import _span_points, _subspace_packed_set
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
-from orbitzeta.linalg import nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
+from orbitzeta.ffield import make_field
+from orbitzeta.linalg import nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
+from orbitzeta.nilalg import make_unitriangular
 
 
 # ------------------------------------------------------ cyclotomic values --
@@ -55,29 +52,24 @@ def test_cyclotomic_histogram():
 # ------------------------------------------------------------- functionals --
 
 def test_dual_functional_and_coadjoint_action():
-    alg = corpus.unitriangular(3, 3)
-    lam = DualFunctional(alg, (1, 2, 1))
+    # a dual is a digit row lambda, and 1+g acts by lambda -> lambda @ M_g
+    # (dual_matrix_for); seeded lambda, g, h, a on every duality algebra
     rng = random.Random(4)
-    codes = alg.field.q ** alg.dim
-    for _ in range(30):
-        g = alg.unpack(rng.randrange(codes))
-        h = alg.unpack(rng.randrange(codes))
-        lhs = coadjoint_act(coadjoint_act(lam, g), h)
-        rhs = coadjoint_act(lam, gmul(g, h))
-        assert lhs == rhs
-    # the defining property: lam^g(a) = lam(a^{(1+g)^{-1}})
-    for _ in range(20):
-        g = alg.unpack(rng.randrange(codes))
-        a = alg.unpack(rng.randrange(codes))
-        moved = coadjoint_act(lam, g)
-        back = gmul(gmul(g, a), ginv(g))
-        assert moved(a) == lam(back)
-
-
-def test_dual_functional_validation():
-    alg = corpus.unitriangular(3, 3)
-    with pytest.raises(ValidationError):
-        DualFunctional(alg, (1, 2))
+    for alg in corpus.duality_corpus():
+        eng = engine_for(alg)
+        p = eng.p
+        for _ in range(8):
+            lam_vec, g, h, a = (alg.unpack(rng.randrange(eng.N)) for _ in range(4))
+            lam, g_row, h_row = (np.array(v.flat(), dtype=np.int64) for v in (lam_vec, g, h))
+            moved = lam @ eng.dual_matrix_for(g_row) % p
+            # the action: (lambda M_g) M_h = lambda M_gh
+            gh = eng._gmul_rows(g_row[None], h_row[None])[0]
+            assert np.array_equal(moved @ eng.dual_matrix_for(h_row) % p,
+                                  lam @ eng.dual_matrix_for(gh) % p), alg.name
+            # the defining property: lambda^g(a) = lambda(a^((1+g)^-1)),
+            # with the conjugate from the scalar group law
+            back = np.array(gmul(gmul(g, a), ginv(g)).flat(), dtype=np.int64)
+            assert moved @ np.array(a.flat()) % p == lam @ back % p, alg.name
 
 
 # ---------------------------------------------------------------- censuses --
@@ -129,48 +121,33 @@ def test_census_abelian():
     assert zero.fixed_points == 8
 
 
-def test_census_records_build_one_record_per_read():
-    census = orbit_census(corpus.zero_algebra(16, 2))
-    tracemalloc.start()
-    try:
-        records = census.records
-        first = records[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one record of 16 rows, not a list of 2^16 records
-    assert peak < 2 ** 16
-    assert isinstance(records, Sequence) and len(records) == census.count == 2 ** 16
-    eye = tuple(map(tuple, np.eye(16, dtype=np.int64).tolist()))
-    assert first == OrbitRecord(rep=0, size=1, fake_degree=1, radical_prime_rows=eye)
-    assert records[-1].rep == 2 ** 16 - 1
-    with pytest.raises(IndexError):
-        records[2 ** 16]
+def _radical_rows(alg, lam):
+    """Rad B_lambda from one Gram matrix: the reduced prime echelon rows of its kernel."""
+    return nullspace_mod_p(gram_matrix(alg, lam), alg.dim * alg.field.e, alg.field.p)
 
 
 @pytest.mark.parametrize("alg", corpus.duality_corpus(), ids=lambda alg: alg.name)
 def test_census_radicals_match_radical_of(alg):
     # the census finds every radical in one batched elimination; compare
-    # ranks and spans with the one-matrix route at a seeded sample of reps
+    # ranks and spans with the one-matrix route at a seeded sample of orbits
     census = orbit_census(alg)
-    eng = AlgebraGroup(alg)
-    p = alg.field.p
-    records = random.Random(alg.name).sample(census.records, min(48, census.count))
-    for rec in records:
-        rank, rows = radical_of(alg, eng.digit_rows()[rec.rep])
-        assert p ** rank == rec.size
-        (ech, piv), (rec_ech, rec_piv) = (rref_mod_p(r, p) for r in (rows, rec.radical_prime_rows))
-        assert np.array_equal(ech, rec_ech) and piv == rec_piv
-        assert list(rec.radical_prime_rows) == list(map(tuple, ech.tolist()))
+    eng = engine_for(alg)
+    p, n = eng.p, eng.n
+    for i in random.Random(alg.name).sample(range(census.count), min(48, census.count)):
+        rows = _radical_rows(alg, eng.digit_rows()[census.reps[i]])
+        assert p ** (n - len(rows)) == census.sizes[i]
+        stored = census.radical_rows[i][:n - census.ranks[i]]
+        (ech, piv), (stored_ech, stored_piv) = (rref_mod_p(r, p) for r in (rows, stored))
+        assert np.array_equal(ech, stored_ech) and piv == stored_piv
+        assert stored.tolist() == ech.tolist()
     if alg.field.e > 1:
         # over F_q with q > p (u_3(F_4) in this corpus), the stacked rows
         # themselves, on every orbit
-        n = eng.n
         assert census.radical_rows.shape == (census.count, n, n)
         for rep, rank, stacked in zip(census.reps, census.ranks, census.radical_rows):
-            r, rows = radical_of(alg, eng.digit_rows()[rep])
-            assert r == rank
-            assert stacked[:n - rank].tolist() == [list(row) for row in rows]
+            rows = _radical_rows(alg, eng.digit_rows()[rep])
+            assert n - len(rows) == rank
+            assert stacked[:n - rank].tolist() == rows.tolist()
             assert not stacked[n - rank:].any()
 
 
@@ -266,17 +243,22 @@ def test_fake_degree_identities_aggregate():
             assert fd == 1
 
 
+def _e13_orbit(census):
+    """The orbit of the coordinate functional of e13 on u_3(F_3), basis
+    (e12, e23, e13): the dual (0, 0, 1), at code 3^2."""
+    return int(census.partition.labels[9])
+
+
 def test_orbit_size_and_radical_at_e13_dual():
-    # basis of u3 is (e12, e23, e13); take the coordinate functional of e13
     alg = corpus.unitriangular(3, 3)
-    lam = (0, 0, 1)
-    assert orbit_size(alg, lam) == 9
-    assert fake_degree(alg, lam) == 3
-    rows = radical(alg, lam)
-    assert len(rows) // alg.field.e == 1
-    assert rows[0].tolist() == [0, 0, 1]
+    census = orbit_census(alg)
+    o = _e13_orbit(census)
+    assert census.reps[o] == 9  # the least dual with lambda(e13) = 1
+    assert census.sizes[o] == 9
+    assert census.fake_degrees[o] == 3
+    assert census.radical_rows[o][:3 - census.ranks[o]].tolist() == [[0, 0, 1]]
     # trivial functional: radical is everything, orbit is a point
-    assert orbit_size(alg, (0, 0, 0)) == 1
+    assert census.sizes[census.partition.labels[0]] == 1
 
 
 def test_fixed_points_and_probe():
@@ -491,9 +473,11 @@ def test_class_constancy_catches_a_changed_member():
 
 def test_orbit_method_character_row():
     alg = corpus.unitriangular(3, 3)
-    reps, values = orbit_method_character(alg, (0, 0, 1))
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)
+    values = table.row(_e13_orbit(census))
     assert values[0] == CyclotomicValue.from_int(3, 3)
-    assert len(values) == len(reps) == 11
+    assert len(values) == len(table.class_reps) == 11
 
 
 def naive_induced(alg, lam_digits):
@@ -534,6 +518,15 @@ def test_census_budget():
     with pytest.raises(BudgetError):
         orbit_census(corpus.unitriangular(3, 3),
                      budgets=Budgets(dual_census_max=8))
+
+
+def test_census_after_a_refused_census_checks_the_new_budgets():
+    # a fresh algebra: the refused call builds the engine it caches, and the
+    # next call must not inherit that call's budgets
+    alg = make_unitriangular(3, make_field(3))
+    with pytest.raises(BudgetError, match="dual_census_max"):
+        orbit_census(alg, Budgets(dual_census_max=8))
+    assert orbit_census(alg).count == 11
 
 
 def test_engine_for_checks_budgets_on_a_cached_engine():

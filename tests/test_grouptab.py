@@ -516,6 +516,23 @@ def test_relation_exponents_outside_0_to_p_minus_1_are_rejected(tmp_path, capsys
     assert "Traceback" not in err
 
 
+# the first pow line presents C4; a later line for the same relation must
+# not silently replace it (the second gives C2 x C2)
+@pytest.mark.parametrize("text,line", [("pc 2 2\npow 1: 0 1\npow 1: 0 0\n", "pow 1: 0 0"),
+                                       ("pc 2 3\ncomm 2 1: 0 0 1\ncomm 2 1: 0 0 0\n",
+                                        "comm 2 1: 0 0 0")],
+                         ids=["pow", "comm"])
+def test_repeated_relation_is_rejected(tmp_path, capsys, text, line):
+    with pytest.raises(ValidationError, match=f"^repeated relation line: '{line}'$"):
+        parse_group_file(text)
+    path = tmp_path / "repeated.pc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and line in err
+    assert "Traceback" not in err
+
+
 def test_exponent_range_is_checked_before_the_later_generator_rule():
     # g1 appears in its own power word with exponent -1
     with pytest.raises(ValidationError, match="exponent -1 of g_1"):

@@ -325,7 +325,7 @@ class AlgebraGroup:
         return self.affine_perm(np.eye(self.n, dtype=np.int64) + self._right_mul_matrix(y), y)
 
     def _right_mul_code(self, code) -> np.ndarray:
-        return self.right_mul_perm(self.digit_rows()[code])
+        return self.right_mul_perm(base_p_digits([code], self.p, self.n)[0])
 
     def group_perms(self) -> list[np.ndarray]:
         """Permutations of packed J-coordinates: x -> x^g per generator whose
@@ -364,7 +364,7 @@ class AlgebraGroup:
                 # the seeds at codes p^t, then least non-members; each coset
                 # representative at least doubles the closure
                 codes = generating_set(self.N, 0, self._right_mul_code, self.powers)
-                self._gens = self.digit_rows()[codes].astype(np.int64)
+                self._gens = base_p_digits(codes, self.p, self.n).astype(np.int64)
         return self._gens
 
     def _generator_inverses(self) -> np.ndarray:

@@ -199,11 +199,17 @@ def _dumps(obj) -> str:
 
 def _character_values(table) -> list[list[dict]]:
     """values[orbit][class] as {"den", "vec"} dicts, one shared dict per
-    distinct reduced value."""
+    distinct reduced value: the (den, vec) rows sorted by np.lexsort, where
+    a row that differs from the one before it starts a new value."""
     den, vec = table.reduced()
     flat = np.concatenate([den[..., None], vec], axis=2).reshape(-1, vec.shape[2] + 1)
-    distinct, inverse = np.unique(flat, axis=0, return_inverse=True)
-    leaves = [{"den": row[0], "vec": row[1:]} for row in distinct.tolist()]
+    order = np.lexsort(flat.T)
+    ordered = flat[order]
+    starts = np.ones(len(flat), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    leaves = [{"den": row[0], "vec": row[1:]} for row in ordered[starts].tolist()]
     return [[leaves[j] for j in cells]
             for cells in inverse.reshape(den.shape).tolist()]
 

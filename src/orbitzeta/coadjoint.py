@@ -12,16 +12,21 @@ lambda([a,b]), fake degrees and the stacked radical rows.  Polarizations
 also live here.
 
 A character table is one integer array H[o, c, r] of residue counts, with
-chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o; the class constancy,
-orthonormality and induction checks are integer array operations on such
-histograms.  CharacterTable.reduced() is the scalar view, every value as
-(den, vec) in lowest terms; CyclotomicValue wraps one such value.
+chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o, built in blocks of class
+representatives.  Its checks are whole-table array passes: class constancy
+follows from three checks per generator of 1+J (_verify_class_constancy),
+orthonormality is one product per residue shift, and the induction check
+reads one array I[o, c, r] of induced histograms, made for every orbit at
+once from one batched polarization kernel (_polarizations) and the span
+points of the polarizations grouped by dimension.  CharacterTable.reduced()
+is the scalar view, every value as (den, vec) in lowest terms;
+CyclotomicValue wraps one such value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +36,7 @@ from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, _adjoin, orbit_partition
 from .linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
-                     reduce_mod_p, rref_mod_p)
+                     rref_stack_mod_p)
 from .nilalg import NilAlgebra
 
 
@@ -186,11 +191,6 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.nda
     return tuple(np.concatenate(parts)[where] for parts in zip(*batches))
 
 
-def _require_fq_closed(alg: NilAlgebra, rows, what: str) -> None:
-    if not alg.is_fq_subspace(rows):
-        raise InternalInconsistencyError(f"{what} is not F_q-closed")
-
-
 def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResult:
     """Full orbit decomposition of the dual with per-orbit invariants.
 
@@ -206,13 +206,13 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     part = eng.dual_orbits()
     p, q, e, n = eng.p, alg.field.q, alg.field.e, eng.n
     reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))
-    digits = eng.digit_rows()
+    lam_rows = base_p_digits(reps, p, n)
     derived_rows, _ = alg.derived_lie_subspace()
     if len(derived_rows):
-        ranks, rads, closed = _radicals_by_row(alg, digits[reps], derived_rows)
+        ranks, rads, closed = _radicals_by_row(alg, lam_rows, derived_rows)
     else:  # J is commutative: every radical is J, one array shared by all orbits
         ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
-        rads = np.broadcast_to(np.eye(n, dtype=digits.dtype), (reps.size, n, n))
+        rads = np.broadcast_to(np.eye(n, dtype=lam_rows.dtype), (reps.size, n, n))
     checks = [(sizes != p ** ranks, "orbit size {0} != |J|/|Rad| = {1} at dual {2}"),
               (ranks % (2 * e) != 0, "orbit size {0} is not an even power of q at dual {2}"),
               (~closed, "radical at dual {2} is not F_q-closed")]
@@ -259,12 +259,19 @@ def fake_degree_identities(census: CensusResult) -> dict:
 
 # ------------------------------------------------- isotropic subalgebras --
 
-def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
-    """Vergne's polarization of lambda: H is the sum of the radicals
+# duals per batch of _polarizations: bounds its (duals, flag, n, n) stacks
+_POLARIZATION_BATCH = 256
+
+
+def _polarizations(alg: NilAlgebra, lam_rows):
+    """Vergne's polarization of every dual row: H is the sum of the radicals
     rad(B|V) = {x in V : B(x, V) = 0} over the members V of the ideal flag
-    of refine_to_flag, B = B_lambda.  Returns its prime echelon basis
-    (rows, pivots).  Why H is a polarization, for flag members V <= W,
-    x in rad(B|V), y in rad(B|W), and B(a, b) = lambda(ab - ba):
+    of refine_to_flag, B = B_lambda.  Returns (rows, is_pivot): rows[b] is
+    the prime echelon basis of H for lam_rows[b], int64, its dim H rows on
+    top and zero rows below, and is_pivot[b] marks its pivot columns.
+
+    Why H is a polarization, for flag members V <= W, x in rad(B|V),
+    y in rad(B|W), and B(a, b) = lambda(ab - ba):
     - Isotropic: B(x, y) = 0, because x lies in W.
     - A subalgebra: xy and yx lie in V, because V is an ideal.  For v in V,
       B(xy, v) = B(x, yv) + B(y, vx) and B(yx, v) = B(y, xv) + B(x, vy).
@@ -275,31 +282,75 @@ def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
       rad(B_mu|V).  The flag steps have F_q-codimension 1, so Vergne's count
       gives dim H = dim J - rank(B) / 2e, the rank of the V = J term.
 
-    Verifies all four on exit.  When B = 0, H is J.
+    One pass per _POLARIZATION_BATCH duals: their Gram matrices K, the
+    matrices R K R^T of every flag member R, one kernel elimination of that
+    stack, and one elimination of the sums; then the four properties are
+    checked for every dual at once (_require_polarizations).  When B = 0, H
+    is J.
     """
+    p, n = alg.field.p, alg.dim * alg.field.e
+    lam_rows = np.asarray(lam_rows, dtype=np.int64).reshape(-1, n)
+    # K[s, t] = lambda([b_s, b_t]) = sum_k lambda_k (T[s, t, k] - T[t, s, k])
+    lie = ((alg.T - alg.T.transpose(1, 0, 2)) % p).reshape(n * n, n).T
+    # R[i]: the rows of flag member i, padded with zero rows to n x n.
+    # c R[i] lies in rad(B|V_i) exactly when c R[i] K R[i]^T = 0; a zero
+    # row adds a kernel coordinate that R[i] maps to 0
+    R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
+                  for rows, _ in alg.refine_to_flag()[:-1]])
+    batches = []
+    for lo in range(0, len(lam_rows), _POLARIZATION_BATCH):
+        K = matmul_mod_p(lam_rows[lo:lo + _POLARIZATION_BATCH], lie, p).reshape(-1, n, n)
+        RKR = matmul_mod_p(matmul_mod_p(R, K[:, None], p), R.transpose(0, 2, 1), p)
+        ranks, kernels = nullspace_stack_mod_p(RKR.reshape(-1, n, n), p)
+        sums = matmul_mod_p(kernels.reshape(len(K), len(R), n, n), R, p)
+        ech, _, is_pivot = rref_stack_mod_p(sums.reshape(len(K), -1, n), p)
+        rows = ech[:, :n].astype(np.int64)
+        # rank(B) is the rank of the V = J term, R[0] = J
+        _require_polarizations(alg, K, ranks.reshape(len(K), -1)[:, 0], rows, is_pivot, lo)
+        batches.append((rows, is_pivot))
+    return tuple(np.concatenate(parts) for parts in zip(*batches))
+
+
+def _require_polarizations(alg: NilAlgebra, K, ranks, rows, is_pivot, first: int) -> None:
+    """The exit checks of _polarizations on a batch, the duals first, first + 1, ..:
+    the span of rows[b] is F_q-closed, isotropic for K[b], a subalgebra, and
+    of dim J - ranks[b] / 2e over F_q.
+
+    P[b, c] is the echelon row of rows[b] with pivot c (0 at other columns),
+    so v - v P[b] is the residue of v against that echelon basis, zero
+    exactly for the members of its span."""
     p, e, n = alg.field.p, alg.field.e, alg.dim * alg.field.e
-    K = gram_matrix(alg, lam_digits)
-    ech, piv, rank = np.eye(n, dtype=np.int64), list(range(n)), 0
-    if K.any():
-        # R[i]: the rows of flag member i, padded with zero rows to n x n.
-        # c R[i] lies in rad(B|V_i) exactly when c R[i] K R[i]^T = 0; a zero
-        # row adds a kernel coordinate that R[i] maps to 0
-        R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
-                      for rows, _ in alg.refine_to_flag()[:-1]])
-        ranks, kernels = nullspace_stack_mod_p(
-            matmul_mod_p(matmul_mod_p(R, K, p), R.transpose(0, 2, 1), p), p)
-        ech, piv = rref_mod_p(matmul_mod_p(kernels, R, p).reshape(-1, n), p)
-        rank = int(ranks[0])
-    _require_fq_closed(alg, ech, "polarization")
-    if (ech @ K % p @ ech.T % p).any():
-        raise InternalInconsistencyError("constructed subalgebra is not isotropic")
-    if reduce_mod_p(ech, piv, alg._products_of(ech, ech), p).any():
-        raise InternalInconsistencyError("constructed space is not a subalgebra")
-    expected_dim = alg.dim - rank // (2 * e)
-    if len(ech) != e * expected_dim:
-        raise InternalInconsistencyError(
-            f"isotropic subalgebra has dim {len(ech) // e}, expected {expected_dim}")
-    return ech, piv
+    dims = is_pivot.sum(axis=1)
+    P = np.zeros((len(rows), n, n), dtype=np.int64)
+    P[is_pivot] = rows[np.arange(n) < dims[:, None]]
+
+    def outside(vecs):  # (batch, m, n) -> whether a row of vecs[b] leaves span rows[b]
+        return ((vecs - matmul_mod_p(vecs, P, p)) % p).any(axis=(1, 2))
+
+    # products[b, i, j] = rows[b, i] rows[b, j], as NilAlgebra._products_of
+    left = matmul_mod_p(rows, alg.T.reshape(n, n * n), p).reshape(-1, n, n, n)
+    products = matmul_mod_p(rows[:, None], left, p).reshape(len(rows), n * n, n)
+    expected = alg.dim - ranks // (2 * e)
+    checks = [(outside(rows @ alg.omega % p) if e > 1 else np.zeros(len(rows), dtype=bool),
+               "polarization of dual {0} is not F_q-closed"),
+              (matmul_mod_p(matmul_mod_p(rows, K, p), rows.transpose(0, 2, 1), p).any(axis=(1, 2)),
+               "constructed subalgebra of dual {0} is not isotropic"),
+              (outside(products), "constructed space of dual {0} is not a subalgebra"),
+              (dims != e * expected,
+               "isotropic subalgebra of dual {0} has dim {1}, expected {2}")]
+    for bad, message in checks:
+        if bad.any():
+            b = int(bad.argmax())
+            raise InternalInconsistencyError(
+                message.format(first + b, dims[b] // e, expected[b]))
+
+
+def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
+    """The polarization of one dual (_polarizations, a batch of one): its
+    prime echelon basis (rows, pivots), checked on exit.  When B_lambda = 0,
+    H is J."""
+    rows, is_pivot = _polarizations(alg, np.asarray(lam_digits)[None])
+    return rows[0, :is_pivot[0].sum()], np.flatnonzero(is_pivot[0]).tolist()
 
 
 # ------------------------------------------------------------ characters --
@@ -307,13 +358,16 @@ def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
 @dataclass
 class CharacterTable:
     """chi_o(c) = sum_r H[o, c, r] zeta_p^r / fake_degrees[o], where H[o, c, r]
-    counts the duals mu in orbit o with mu(log c) = r."""
+    counts the duals mu in orbit o with mu(log c) = r.  The induced
+    histograms of every orbit, (I, dims) of _induced_histograms, are made
+    the first time verify_induced_matches_orbit reads them."""
     alg: NilAlgebra
     class_reps: list[int]          # packed J-parts, one per conjugacy class
     class_sizes: list[int]
     orbit_reps: list[int]          # packed duals, one per coadjoint orbit
     fake_degrees: list[int]
     H: np.ndarray                  # int64 residue counts, shape (orbits, classes, p)
+    _induced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -341,12 +395,25 @@ class CharacterTable:
         return [self.row(i) for i in range(len(self.fake_degrees))]
 
 
+# residues per block of _dual_histograms: bounds its (points x N) arrays
+_HISTOGRAM_BATCH = 2 ** 21
+
+
 def _dual_histograms(eng: AlgebraGroup, part: OrbitPartition, points) -> np.ndarray:
-    """hist[i, o, r]: the duals mu in orbit o with mu(log x) = r, x = points[i]."""
+    """hist[i, o, r]: the duals mu in orbit o with mu(log x) = r, x = points[i],
+    in blocks of at most _HISTOGRAM_BATCH residues mu(log x) (one point
+    when N exceeds it)."""
     p, nd = eng.p, part.count
-    residues = eng.log_digit_rows()[points].astype(np.int64) @ eng.digit_rows().T % p
-    idx = (np.arange(len(residues))[:, None] * nd + part.labels) * p + residues
-    return np.bincount(idx.ravel(), minlength=len(residues) * nd * p).reshape(-1, nd, p)
+    points = np.asarray(points, dtype=np.int64)
+    logs, duals = eng.log_digit_rows(), eng.digit_rows().T
+    hist = np.empty((len(points), nd, p), dtype=np.int64)
+    step = max(1, _HISTOGRAM_BATCH // eng.N)
+    for lo in range(0, len(points), step):
+        residues = matmul_mod_p(logs[points[lo:lo + step]], duals, p)
+        idx = (np.arange(len(residues))[:, None] * nd + part.labels) * p + residues
+        hist[lo:lo + step] = np.bincount(
+            idx.ravel(), minlength=len(residues) * nd * p).reshape(-1, nd, p)
+    return hist
 
 
 def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
@@ -384,23 +451,48 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
     return table
 
 
-# class members per residue block: bounds the (members x N) residues in memory
-_CONSTANCY_BATCH = 2 ** 18
-
-
 def _verify_class_constancy(eng, census, classes, H) -> None:
-    """Each chi_Omega is constant on each conjugacy class: every member of a
-    class with more than one member has the (orbit, residue) histogram of
-    that class's column of H."""
-    labels = classes.labels
-    members = np.flatnonzero(np.asarray(classes.sizes)[labels] > 1)
-    columns = H.transpose(1, 0, 2)
-    step = max(1, _CONSTANCY_BATCH // eng.N)
-    for lo in range(0, members.size, step):
-        chunk = members[lo:lo + step]
-        if not np.array_equal(_dual_histograms(eng, census.partition, chunk),
-                              columns[labels[chunk]]):
-            raise InternalInconsistencyError("character histogram varies inside a class")
+    """Each chi_Omega is constant on each conjugacy class, shown from the
+    generators g of 1+J instead of member by member.
+
+    Let M_g be the conjugation matrix of g (x^g = M_g x on columns), pi_g the
+    permutation x -> x^g of group_perms, sigma_g the permutation
+    mu -> mu M_(g^-1) of dual_perms, and L the log rows.  For every moving
+    generator (a central one has M_g = I and moves nothing), three checks:
+    - (a) L[pi_g(x)] = L[x] M_g^T for every x: log(x^g) = log(x)^g;
+    - (b) the orbit labels of the duals are invariant under sigma_g;
+    - (c) M_g M_(g^-1) = I.
+    By (c), mu -> mu M_g is the inverse of sigma_g, so by (b) it permutes
+    every orbit Omega.  By (a), mu(log x^g) = mu(M_g log x) = (mu M_g)(log x),
+    so the histogram #{mu in Omega : mu(log x^g) = r} at x^g is the histogram
+    at x.  The classes are the orbits of the pi_g, and orbit_partition joins
+    two points only along a chain of them, so every member of a class has the
+    histogram of its representative.  A last check ties H, those histograms,
+    to the same labels: each of its columns counts every dual of each orbit.
+    """
+    p, labels = eng.p, census.partition.labels
+    mats, mats_inv = eng._generator_matrices()
+    eye = np.eye(eng.n, dtype=np.int64)
+
+    def fail(what: str):
+        raise InternalInconsistencyError(
+            f"{what}: cannot rule out that a character histogram varies inside a class")
+
+    for i, (mat, mat_inv) in enumerate(zip(mats, mats_inv)):
+        if not np.array_equal(matmul_mod_p(mat, mat_inv, p), eye):
+            fail(f"M_g M_(g^-1) != I at generator {i}")
+    moving = [i for i, mat in enumerate(mats) if not np.array_equal(mat, eye)]
+    perms, dual_perms, logs = eng.group_perms(), eng.dual_perms(), eng.log_digit_rows()
+    if not len(moving) == len(perms) == len(dual_perms):
+        fail("the generator permutations are not those of the moving generators")
+    for i, perm, dual_perm in zip(moving, perms, dual_perms):
+        if not np.array_equal(logs[perm], matmul_mod_p(logs, mats[i].T, p)):
+            fail(f"log is not conjugation-equivariant at generator {i}")
+        if not np.array_equal(labels[dual_perm], labels):
+            fail(f"dual orbit labels move under generator {i}")
+    counts = np.bincount(labels, minlength=len(H))
+    if counts.size != len(H) or (H.sum(axis=2) != counts[:, None]).any():
+        fail("H does not count every dual of each orbit")
 
 
 def _shift_grams(table: CharacterTable, a=slice(None), b=slice(None)) -> np.ndarray:
@@ -457,34 +549,57 @@ def _subspace_packed_set(eng: AlgebraGroup, rows) -> np.ndarray:
     return np.unique(_span_points(rows, eng.p) @ eng.powers)
 
 
-def _induced_histogram(eng: AlgebraGroup, lam_digits):
-    """(I, prime echelon rows of H): I[c, r] counts the x in class c inside
-    1+H with lambda(log x) = r, H the maximal isotropic subalgebra for lambda."""
-    p = eng.p
-    rows, _ = max_isotropic_subalgebra(eng.alg, lam_digits)
-    inside = _subspace_packed_set(eng, rows)
-    if inside.size != p ** len(rows):
-        raise InternalInconsistencyError("isotropic span enumeration mismatch")
-    classes = eng.conjugacy_classes()
-    residues = eng.log_digit_rows()[inside] @ np.asarray(lam_digits, dtype=np.int64) % p
-    counts = np.bincount(classes.labels[inside] * p + residues, minlength=classes.count * p)
-    return counts.reshape(classes.count, p), rows
+# span points per batch of _induced_histograms: bounds its (points x n) arrays
+_SPAN_BATCH = 2 ** 15
+
+
+def _induced_histograms(eng: AlgebraGroup, lam_rows, rows, is_pivot) -> np.ndarray:
+    """I[b, c, r]: the x in class c inside 1+H with lambda(log x) = r, for
+    lambda = lam_rows[b] and H its polarization (rows[b], is_pivot[b]) from
+    _polarizations.  The polarizations of one dimension h share their
+    coefficient vectors: their span points go through the log rows and the
+    class labels in batches of at most _SPAN_BATCH points (one polarization
+    when p^h exceeds it).  Each span has p^h distinct points, which checks
+    that its rows are independent."""
+    p, k = eng.p, eng.conjugacy_classes().count
+    labels, logs = eng.conjugacy_classes().labels, eng.log_digit_rows()
+    lam_rows = np.asarray(lam_rows, dtype=np.int64)
+    dims = is_pivot.sum(axis=1)
+    I = np.empty((len(rows), k, p), dtype=np.int64)
+    for h in np.unique(dims).tolist():
+        coeffs = base_p_digits(np.arange(p ** h), p, h)
+        same = np.flatnonzero(dims == h)
+        step = max(1, _SPAN_BATCH // p ** h)
+        for lo in range(0, same.size, step):
+            b = same[lo:lo + step]
+            codes = matmul_mod_p(coeffs, rows[b, :h], p) @ eng.powers
+            ordered = np.sort(codes, axis=1)
+            if (ordered[:, 1:] == ordered[:, :-1]).any():
+                raise InternalInconsistencyError("isotropic span enumeration mismatch")
+            residues = matmul_mod_p(logs[codes], lam_rows[b, :, None], p)[..., 0]
+            idx = (np.arange(b.size)[:, None] * k + labels[codes]) * p + residues
+            I[b] = np.bincount(idx.ravel(), minlength=b.size * k * p).reshape(-1, k, p)
+    return I
 
 
 def induced_character_values(alg: NilAlgebra, lam_digits,
                              budgets: Budgets | None = None):
     """Values of Ind_{1+H}^{1+J} psi_lambda on the class reps, computed by
     the stabilizer-count formula, where H is the maximal isotropic
-    subalgebra for lambda and psi_lambda(1+v) = zeta^(lambda(log(1+v))).
+    subalgebra for lambda and psi_lambda(1+v) = zeta^(lambda(log(1+v))):
+    _induced_histograms on a batch of one.
 
     Returns (values list aligned with conjugacy classes, prime echelon rows of H).
     """
     eng = engine_for(alg, budgets)
-    I, rows = _induced_histogram(eng, lam_digits)
-    hsize = eng.p ** len(rows)
+    lam = np.asarray(lam_digits, dtype=np.int64).reshape(1, eng.n)
+    rows, is_pivot = _polarizations(alg, lam)
+    I = _induced_histograms(eng, lam, rows, is_pivot)[0]
+    dim = int(is_pivot[0].sum())
+    hsize = eng.p ** dim
     # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
     return [CyclotomicValue.from_histogram(eng.p, [eng.N * x for x in counts], hsize * size)
-            for counts, size in zip(I.tolist(), eng.conjugacy_classes().sizes)], rows
+            for counts, size in zip(I.tolist(), eng.conjugacy_classes().sizes)], rows[0, :dim]
 
 
 def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
@@ -493,17 +608,26 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
                                  table: CharacterTable | None = None) -> bool:
     """Induced character from the isotropic polarization equals the orbit
     method character, exactly, on every conjugacy class:
-    N d_o (I[c, r] - I[c, 0]) = |H| |c| (H[o, c, r] - H[o, c, 0]) for all c, r."""
+    N d_o (I[c, r] - I[c, 0]) = |H| |c| (H[o, c, r] - H[o, c, 0]) for all c, r.
+
+    I is row o of the induced histograms of every orbit of the table, made
+    in one batch (_polarizations, _induced_histograms) the first time any
+    orbit of it is verified."""
     eng = engine_for(alg, budgets)
-    if census is None:
-        census = orbit_census(alg, budgets)
     if table is None:
         table = character_table(alg, budgets, census)
-    lam = eng.digit_rows()[census.reps[orbit_index]]
-    I, rows = _induced_histogram(eng, lam)
-    I, Ho = I.astype(object), table.H[orbit_index].astype(object)
-    hsize, deg = eng.p ** len(rows), table.fake_degrees[orbit_index]
-    sizes = np.array(table.class_sizes, dtype=object)[:, None]
+    if table._induced is None:
+        lam_rows = base_p_digits(table.orbit_reps, eng.p, eng.n)
+        rows, is_pivot = _polarizations(alg, lam_rows)
+        table._induced = (_induced_histograms(eng, lam_rows, rows, is_pivot),
+                          is_pivot.sum(axis=1))
+    I, dims = table._induced
+    # d_o |H| = N and |O| = d_o^2 (checked by _polarizations and the census),
+    # so neither side exceeds N^2 d_o <= N^3: int64 below 2^63, exact ints above
+    dtype = np.int64 if eng.N ** 3 < 2 ** 63 else object
+    I, Ho = I[orbit_index].astype(dtype), table.H[orbit_index].astype(dtype)
+    hsize, deg = eng.p ** int(dims[orbit_index]), table.fake_degrees[orbit_index]
+    sizes = np.array(table.class_sizes, dtype=dtype)[:, None]
     bad = np.flatnonzero((eng.N * deg * (I[:, 1:] - I[:, :1])
                           != hsize * sizes * (Ho[:, 1:] - Ho[:, :1])).any(axis=1))
     if bad.size:
@@ -526,7 +650,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     if census is None:
         census = orbit_census(alg, budgets)
     p = eng.p
-    lamv = eng.digit_rows()[census.reps[orbit_index]].astype(np.int64)
+    lamv = base_p_digits([census.reps[orbit_index]], p, eng.n)[0].astype(np.int64)
     rows, _ = max_isotropic_subalgebra(alg, lamv)
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)
@@ -537,7 +661,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     gens = _adjoin(closure, eng._right_mul_code, np.concatenate([rows @ eng.powers, inside]))
     if inside.size != p ** len(rows) or not np.array_equal(np.flatnonzero(closure), inside):
         raise InternalInconsistencyError("generators of 1+H do not close to 1+H")
-    digits = eng.digit_rows()[gens].astype(np.int64)
+    digits = base_p_digits(gens, p, eng.n).astype(np.int64)
     labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(g)) for g in digits],
                              eng.N).labels
     orbit = np.flatnonzero(labels == labels[lamv @ eng.powers])

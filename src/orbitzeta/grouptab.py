@@ -53,7 +53,8 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
     the points both ends point at take the smaller of the two labels, and
     pointer jumping (the label of the label) then flattens every chain, so
     a long cycle merges in one round.  At the fixed point every label is
-    the least index of its orbit.
+    the least index of its orbit, so the representatives are the points
+    labelled by themselves, and one lookup renumbers the labels densely.
     """
     idx = np.arange(n_points, dtype=np.int64)
     if all(np.array_equal(perm, idx) for perm in perms):
@@ -70,7 +71,12 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
         jumped = labels[labels]
         while not np.array_equal(jumped, labels):
             labels, jumped = jumped, jumped[jumped]
-    reps, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    reps = np.flatnonzero(labels == idx)
+    # a label that is not a representative would count in the last bin
+    dense = np.full(n_points, reps.size, dtype=np.int64)
+    dense[reps] = np.arange(reps.size)
+    labels = dense[labels]
+    sizes = np.bincount(labels, minlength=reps.size + 1)[:reps.size]
     if int(sizes.sum()) != n_points:
         raise InternalInconsistencyError("orbit sizes do not partition the point set")
     return OrbitPartition(labels, reps.tolist(), sizes.tolist())

@@ -14,10 +14,12 @@ from orbitzeta.coadjoint import (CyclotomicValue, character_table,
                                  max_isotropic_subalgebra, orbit_census,
                                  orthonormality_check, transitivity_check,
                                  verify_induced_matches_orbit)
-from orbitzeta.coadjoint import _span_points, _subspace_packed_set
+from orbitzeta.coadjoint import (_dual_histograms, _polarizations, _span_points,
+                                 _subspace_packed_set, _verify_class_constancy)
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import make_field
-from orbitzeta.linalg import nullspace_mod_p, nullspace_stack_mod_p, reduce_mod_p, rref_mod_p
+from orbitzeta.linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p,
+                              nullspace_stack_mod_p, reduce_mod_p, rref_mod_p)
 from orbitzeta.nilalg import make_unitriangular
 
 
@@ -436,39 +438,190 @@ def test_orthonormality_check_catches_a_raised_count():
 
 
 def test_induced_check_catches_a_raised_count(monkeypatch):
-    import orbitzeta.coadjoint as coadjoint
-
     alg = corpus.unitriangular(3, 3)
     census = orbit_census(alg)
     table = character_table(alg, census=census)
-    honest = coadjoint._induced_histogram
+    honest = coadjoint._induced_histograms
 
     def raised(*args, **kwargs):
-        counts, rows = honest(*args, **kwargs)
-        counts[3, 1] += 1
-        return counts, rows
+        counts = honest(*args, **kwargs)
+        counts[:, 3, 1] += 1
+        return counts
 
-    monkeypatch.setattr(coadjoint, "_induced_histogram", raised)
+    monkeypatch.setattr(coadjoint, "_induced_histograms", raised)
     for o in (0, census.count - 1):
         with pytest.raises(InternalInconsistencyError, match="at class 3"):
             verify_induced_matches_orbit(alg, o, census=census, table=table)
 
 
-def test_class_constancy_catches_a_changed_member():
-    from orbitzeta.coadjoint import _verify_class_constancy
+def reference_class_constancy(eng, census, classes, H) -> bool:
+    """The member-by-member route: every member of a class with more than one
+    member has the (orbit, residue) histogram of that class's column of H."""
+    labels = classes.labels
+    members = np.flatnonzero(np.asarray(classes.sizes)[labels] > 1)
+    columns = H.transpose(1, 0, 2)
+    step = max(1, 2 ** 18 // eng.N)
+    return all(np.array_equal(_dual_histograms(eng, census.partition, chunk),
+                              columns[labels[chunk]])
+               for chunk in np.array_split(members, range(step, members.size, step)))
 
+
+@pytest.mark.parametrize("alg", corpus.character_corpus(), ids=lambda alg: alg.name)
+def test_class_constancy_agrees_with_the_member_route(alg):
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)  # runs _verify_class_constancy
+    eng = engine_for(alg)
+    assert reference_class_constancy(eng, census, eng.conjugacy_classes(), table.H)
+
+
+def _u3_f3_check_inputs():
+    """(engine, census, classes, H) of u_3(F_3) on an engine of its own, so
+    that a test may change its caches."""
     alg = corpus.unitriangular(3, 3)
     census = orbit_census(alg)
     table = character_table(alg, census=census)
-    eng = AlgebraGroup(alg)  # its own log cache, not the one the corpus algebra keeps
-    classes = eng.conjugacy_classes()
+    eng = AlgebraGroup(alg)  # its own caches, not the ones the corpus algebra keeps
+    return eng, census, eng.conjugacy_classes(), table.H
+
+
+def test_class_constancy_catches_a_changed_member():
+    eng, census, classes, H = _u3_f3_check_inputs()
     # a member of a class of size 3 that is not its representative: giving it
     # the log of the identity changes its histogram on every orbit
     c = next(c for c, size in enumerate(classes.sizes) if size > 1)
     member = next(x for x in np.flatnonzero(classes.labels == c) if x != classes.reps[c])
     eng.log_digit_rows()[member] = 0
+    assert not reference_class_constancy(eng, census, classes, H)
     with pytest.raises(InternalInconsistencyError, match="varies inside a class"):
-        _verify_class_constancy(eng, census, classes, table.H)
+        _verify_class_constancy(eng, census, classes, H)
+
+
+@pytest.mark.parametrize("change", ["move a fixed dual", "swap two moving duals"])
+def test_class_constancy_catches_a_moved_dual_label(change):
+    import dataclasses
+
+    eng, census, classes, H = _u3_f3_check_inputs()
+    labels = census.partition.labels.copy()
+    fixed = int(np.flatnonzero(census.sizes == 1)[0])
+    a, b = np.flatnonzero(census.sizes == 9)[:2]
+    if change == "move a fixed dual":
+        # sigma_g fixes it, so labels stay invariant (b); the orbit counts of H change
+        labels[census.reps[fixed]] = a
+    else:
+        # the orbit counts stay; label invariance (b) fails
+        x, y = np.flatnonzero(labels == a)[-1], np.flatnonzero(labels == b)[-1]
+        labels[x], labels[y] = b, a
+    moved = dataclasses.replace(
+        census, partition=dataclasses.replace(census.partition, labels=labels))
+    assert not reference_class_constancy(eng, moved, classes, H)
+    with pytest.raises(InternalInconsistencyError, match="varies inside a class"):
+        _verify_class_constancy(eng, moved, classes, H)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_class_constancy_catches_a_wrong_generator_matrix(which):
+    eng, census, classes, H = _u3_f3_check_inputs()
+    eng.group_perms(), eng.dual_perms()  # made from the honest matrices
+    mats = [list(half) for half in eng._generator_matrices()]
+    # M_g (which = 0) or M_(g^-1) (which = 1) of the first generator swapped
+    # for that of the second
+    mats[which][0] = mats[which][1]
+    eng._gen_mats = tuple(mats)
+    with pytest.raises(InternalInconsistencyError, match=r"M_g M_\(g\^-1\) != I at generator 0"):
+        _verify_class_constancy(eng, census, classes, H)
+
+
+def test_class_constancy_catches_an_inequivariant_log():
+    # every log row shifted in its first coordinate: log(x^g) = log(x)^g
+    # fails at a generator that moves that coordinate
+    eng, census, classes, H = _u3_f3_check_inputs()
+    logs = eng.log_digit_rows()
+    logs[:, 0] = (logs[:, 0] + 1) % eng.p
+    with pytest.raises(InternalInconsistencyError, match="not conjugation-equivariant"):
+        _verify_class_constancy(eng, census, classes, H)
+
+
+def reference_polarization(alg, lam):
+    """The per-orbit route: one Gram matrix, the kernels of R K R^T over the
+    flag, and one elimination of their sum."""
+    p, n = alg.field.p, alg.dim * alg.field.e
+    K = gram_matrix(alg, lam)
+    if not K.any():
+        return np.eye(n, dtype=np.int64)
+    R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
+                  for rows, _ in alg.refine_to_flag()[:-1]])
+    _, kernels = nullspace_stack_mod_p(
+        matmul_mod_p(matmul_mod_p(R, K, p), R.transpose(0, 2, 1), p), p)
+    return rref_mod_p(matmul_mod_p(kernels, R, p).reshape(-1, n), p)[0]
+
+
+def reference_induced_histogram(eng, lam, rows):
+    """The per-orbit route: I[c, r] over the packed set of 1+H."""
+    p = eng.p
+    inside = _subspace_packed_set(eng, rows)
+    assert inside.size == p ** len(rows)
+    classes = eng.conjugacy_classes()
+    residues = eng.log_digit_rows()[inside].astype(np.int64) @ lam % p
+    return np.bincount(classes.labels[inside] * p + residues,
+                       minlength=classes.count * p).reshape(classes.count, p)
+
+
+@pytest.mark.parametrize("alg", corpus.character_corpus(), ids=lambda alg: alg.name)
+def test_batched_induction_agrees_with_the_per_orbit_route(alg):
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)
+    assert table._induced is None
+    assert verify_induced_matches_orbit(alg, 0, census=census, table=table)
+    I, dims = table._induced  # made once, for every orbit
+    eng = engine_for(alg)
+    lam_rows = base_p_digits(census.reps, eng.p, eng.n).astype(np.int64)
+    rows, is_pivot = _polarizations(alg, lam_rows)
+    assert np.array_equal(dims, is_pivot.sum(axis=1))
+    for o, lam in enumerate(lam_rows):
+        ref = reference_polarization(alg, lam)
+        assert np.array_equal(rows[o, :dims[o]], ref)
+        assert not rows[o, dims[o]:].any()
+        assert np.array_equal(I[o], reference_induced_histogram(eng, lam, ref))
+    for o in range(census.count):
+        assert verify_induced_matches_orbit(alg, o, census=census, table=table)
+    assert table._induced[0] is I
+
+
+def _perturb_polarization(monkeypatch, at: int, new_rows) -> None:
+    """Make the polarization elimination return new_rows, reduced echelon
+    rows, for the dual at index at of its batch."""
+    honest = coadjoint.rref_stack_mod_p
+    new_rows = np.array(new_rows)
+
+    def perturbed(mats, p):
+        ech, ranks, is_pivot = honest(mats, p)
+        ech[at], is_pivot[at] = 0, False
+        ech[at, :len(new_rows)] = new_rows
+        is_pivot[at, np.argmax(new_rows != 0, axis=1)] = True
+        return ech, ranks, is_pivot
+
+    monkeypatch.setattr(coadjoint, "rref_stack_mod_p", perturbed)
+
+
+# u_3(F_3), prime basis (e12, e23, e13): the orbit of the zero dual has H = J,
+# and the orbits with lambda(e13) != 0 have H of dim 2
+@pytest.mark.parametrize("pick,new_rows,message", [
+    ("zero", [(1, 0, 0), (0, 1, 0)], "of dual {} is not a subalgebra"),
+    ("zero", [(1, 0, 0), (0, 0, 1)], "of dual {} has dim 2, expected 3"),
+    ("e13", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "of dual {} is not isotropic"),
+])
+def test_induction_catches_one_perturbed_polarization_in_the_batch(monkeypatch, pick,
+                                                                  new_rows, message):
+    alg = corpus.unitriangular(3, 3)
+    census = orbit_census(alg)
+    table = character_table(alg, census=census)
+    at = 0 if pick == "zero" else _e13_orbit(census)
+    _perturb_polarization(monkeypatch, at, new_rows)
+    # verifying any other orbit runs the whole batch and names the perturbed dual
+    other = census.count - 1 if at != census.count - 1 else 0
+    with pytest.raises(InternalInconsistencyError, match=message.format(at)):
+        verify_induced_matches_orbit(alg, other, census=census, table=table)
+    assert table._induced is None
 
 
 def test_orbit_method_character_row():
@@ -537,10 +690,16 @@ def test_engine_for_checks_budgets_on_a_cached_engine():
     assert character_table(alg).k == 11
 
 
-def test_radical_closure_check_needs_omega_invariance():
-    from orbitzeta.coadjoint import _require_fq_closed
-
-    alg = corpus.unitriangular(3, 2, 2)  # prime basis (e12, w e12, e23, w e23, e13, w e13)
-    _require_fq_closed(alg, np.array([(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]), "F_4 e13")
-    with pytest.raises(InternalInconsistencyError):
-        _require_fq_closed(alg, np.array([(0, 0, 0, 0, 1, 0)]), "F_2 e13")
+def test_radical_closure_check_needs_omega_invariance(monkeypatch):
+    # u_3(F_4), prime basis (e12, w e12, e23, w e23, e13, w e13): at a dual
+    # with lambda(e13) != 0, H has prime dim 4.  The span of e12, e23, e13
+    # and w e13 has that dim and is closed over F_2, not over F_4
+    alg = corpus.unitriangular(3, 2, 2)
+    lam = np.array([[0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 0]])
+    rows, is_pivot = _polarizations(alg, lam)
+    assert is_pivot.sum(axis=1).tolist() == [4, 4]
+    assert all(alg.is_fq_subspace(r[:4]) for r in rows)
+    _perturb_polarization(monkeypatch, 1, np.eye(6, dtype=np.int64)[[0, 2, 4, 5]])
+    assert not alg.is_fq_subspace(np.eye(6, dtype=np.int64)[[0, 2, 4, 5]])
+    with pytest.raises(InternalInconsistencyError, match="polarization of dual 1 is not F_q-closed"):
+        _polarizations(alg, lam)

@@ -2,7 +2,7 @@
 and representation zeta series of products of finite simple groups, all at
 brute-force-checkable scale."""
 
-from .algroup import AlgebraGroup, bch, gcomm, gconj, gexp, ginv, glog, gmul
+from .algroup import AlgebraGroup
 from .bogomod import (MqPresentation, build_mq, frobenius_matrix,
                       hensel_lift_modulus, invariant_factors, mq_order,
                       power_class_layers, predicted_ab_order, verify_filtration)
@@ -18,9 +18,8 @@ from .errors import (BudgetError, InternalInconsistencyError, ToolError,
 from .ffield import Field, FieldElement, is_prime, make_field
 from .grouptab import (FiniteGroupTable, central_quotient, direct_product,
                        parse_group_file, serialize_cayley)
-from .nilalg import (AlgVector, NilAlgebra, make_augmentation_ideal,
-                     make_unitriangular, make_zero_algebra,
-                     parse_algebra_file, serialize_algebra)
+from .nilalg import (NilAlgebra, make_augmentation_ideal, make_unitriangular,
+                     make_zero_algebra, parse_algebra_file, serialize_algebra)
 from .zetalab import (A1, AbscissaEstimate, DegreeMultiset, FactorSpec,
                       LieTypeSpec, MinDegreeBound, TargetSpec,
                       TruncatedDirichlet, abscissa_estimate, akov_series,

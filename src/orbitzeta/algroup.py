@@ -1,10 +1,13 @@
 """The algebra group 1+J of a nilpotent algebra J.
 
-Group elements are identified with their J-part, so the tuple of an
-AlgVector x stands for 1+x.  Multiplication is (1+x)(1+y) = 1+(x+y+xy);
-inversion is the finite geometric series.  For enumeration-scale work the
-group action is linearized: conjugation by a fixed element is F_q-linear
-on J, so orbit computations run on integer coordinate arrays.
+Group elements are identified with their J-part, so the digit row of x
+(see nilalg) stands for 1+x.  Multiplication is (1+x)(1+y) = 1+(x+y+xy);
+inversion is the finite geometric series.  Both have two routes: the
+engine's, through the structure tensor T, and the C route (_c_route_law,
+_c_route_inverse), through the structure constants alone, which checks
+it.  For enumeration-scale work the group action is linearized:
+conjugation by a fixed element is F_q-linear on J, so orbit computations
+run on integer coordinate arrays.
 """
 
 from __future__ import annotations
@@ -19,94 +22,31 @@ from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
                        orbit_partition)
 from .linalg import base_p_digits
-from .nilalg import AlgVector, NilAlgebra
+from .nilalg import NilAlgebra
 
 _SPOT_SEED = 0x11EA5
 
 
-# ------------------------------------------------------- element algebra --
+# ------------------------------------------------------------ C route --
 
-def gmul(x: AlgVector, y: AlgVector) -> AlgVector:
-    """(1+x)(1+y) = 1 + (x + y + xy)."""
-    return x + y + x * y
-
-
-def ginv(x: AlgVector) -> AlgVector:
-    """y with (1+x)(1+y) = 1, the truncated geometric series."""
-    alg = x.alg
-    acc = alg.zero_vector()
-    term = alg.zero_vector() - x
-    neg = term
-    while not term.is_zero():
-        acc = acc + term
-        term = term * neg
-    return acc
+def _c_route_law(alg: NilAlgebra, X, Y) -> np.ndarray:
+    """(1+x)(1+y) = 1 + (x + y + xy) row-wise on digit rows, the product xy
+    from the structure constants C (NilAlgebra._fq_products): neither T nor
+    omega is read."""
+    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    return (X + Y + alg._fq_products(X, Y).reshape(X.shape)) % alg.field.p
 
 
-def gconj(x: AlgVector, g: AlgVector) -> AlgVector:
-    """The J-part of (1+g)^(-1) (1+x) (1+g)."""
-    return gmul(gmul(ginv(g), x), g)
-
-
-def gcomm(x: AlgVector, y: AlgVector) -> AlgVector:
-    """The J-part of the group commutator [1+x, 1+y]."""
-    return gmul(gmul(ginv(x), ginv(y)), gmul(x, y))
-
-
-def gexp(x: AlgVector) -> AlgVector:
-    """The J-part of exp(x); needs J^p = 0 so the factorials invert."""
-    alg = x.alg
-    c = alg.nilpotency_class
-    if c > alg.field.p:
-        raise ValidationError(
-            f"exp needs J^p = 0: class {c} exceeds characteristic {alg.field.p}")
-    acc = x
-    term = x
-    fact = 1
-    for k in range(2, c):
-        term = term * x
-        fact *= k
-        acc = acc + term.scale(alg.field.from_int(fact).inverse())
-    return acc
-
-
-def glog(y: AlgVector) -> AlgVector:
-    """log(1+y) as an element of J; needs J^p = 0."""
-    alg = y.alg
-    c = alg.nilpotency_class
-    if c > alg.field.p:
-        raise ValidationError(
-            f"log needs J^p = 0: class {c} exceeds characteristic {alg.field.p}")
-    acc = y
-    term = y
-    for k in range(2, c):
-        term = term * y
-        scalar = alg.field.from_int(k).inverse()
-        if k % 2 == 0:
-            scalar = -scalar
-        acc = acc + term.scale(scalar)
-    return acc
-
-
-def bch(x: AlgVector, y: AlgVector) -> AlgVector:
-    """Baker-Campbell-Hausdorff sum truncated at bracket degree 3.
-
-    Exact when J^4 = 0; the factorial denominators force class <= p.
-    """
-    alg = x.alg
-    c = alg.nilpotency_class
-    if c > alg.field.p:
-        raise ValidationError("BCH needs J^p = 0")
-    if c > 4:
-        raise ValidationError("BCH truncation implemented only up to class 4")
-    out = x + y
-    if c > 2:
-        half = alg.field.from_int(2).inverse()
-        out = out + x.bracket(y).scale(half)
-    if c > 3:
-        twelfth = alg.field.from_int(12).inverse()
-        out = out + (x.bracket(x.bracket(y)) + y.bracket(y.bracket(x))).scale(twelfth)
-    return out
+def _c_route_inverse(alg: NilAlgebra, G) -> np.ndarray:
+    """The J-parts of (1+g)^(-1) row-wise: -g + g^2 - ..., finite as J is
+    nilpotent, each power from C."""
+    p = alg.field.p
+    neg = -np.asarray(G, dtype=np.int64) % p
+    inv, term = np.zeros_like(neg), neg
+    while term.any():
+        inv = (inv + term) % p
+        term = alg._fq_products(term, neg).reshape(neg.shape)
+    return inv
 
 
 # ------------------------------------------------------ linearized group --
@@ -143,8 +83,8 @@ class AlgebraGroup:
 
     Group elements are prime coordinate rows of their J-part; the matrices
     come from the structure tensor T of J, and a seeded spot check compares
-    them with conjugation computed from the structure constants C
-    (NilAlgebra._fq_products), the route of gconj."""
+    them with conjugation computed from the structure constants C by the
+    C route."""
 
     def __init__(self, alg: NilAlgebra, budgets: Budgets | None = None):
         self.alg = alg
@@ -225,7 +165,8 @@ class AlgebraGroup:
         return (X + Y + self.alg._mul_rows(X, Y)) % self.p
 
     def _log_rows(self, Y) -> np.ndarray:
-        """glog row-wise on prime coordinate rows; needs J^p = 0."""
+        """log(1+y) = y - y^2/2 + y^3/3 - ... row-wise on prime coordinate
+        rows; needs J^p = 0."""
         alg, p = self.alg, self.p
         c = alg.nilpotency_class
         if c > p:
@@ -242,29 +183,18 @@ class AlgebraGroup:
 
     def _spot_check_linearity(self) -> None:
         """The conjugation matrices of the first four seeds 1 + b_t, from T,
-        against conjugation of two seeded points each, from C: the group law
-        and the geometric-series inverse on digit rows, all eight points in
-        one batch of NilAlgebra._fq_products."""
+        against conjugation of two seeded points each by the C route: the
+        group law and the geometric-series inverse on digit rows, all eight
+        points in one batch."""
         alg, p = self.alg, self.p
         rng = random.Random(_SPOT_SEED ^ self.N)
         gens = self.prime_generators[:4]
         # Python-int codes: N may pass 2^63
         points = base_p_digits([rng.randrange(self.N) for _ in gens for _ in range(2)],
                                p, self.n).astype(np.int64)
-
-        def product(X, Y):
-            return alg._fq_products(X, Y).reshape(len(X), self.n)
-
-        def law(X, Y):  # (1+x)(1+y) = 1 + (x + y + xy)
-            return (X + Y + product(X, Y)) % p
-
-        # the J-part of (1+g)^(-1): -g + g^2 - ..., finite as J is nilpotent
-        neg = -gens % p
-        inv, term = np.zeros_like(gens), neg
-        while term.any():
-            inv = (inv + term) % p
-            term = product(term, neg)
-        direct = law(law(np.repeat(inv, 2, axis=0), points), np.repeat(gens, 2, axis=0))
+        inv = _c_route_inverse(alg, gens)
+        direct = _c_route_law(alg, _c_route_law(alg, np.repeat(inv, 2, axis=0), points),
+                              np.repeat(gens, 2, axis=0))
         mats = np.repeat([self._conjugation_matrix(g, self._inverse(g)) for g in gens], 2, axis=0)
         if not np.array_equal(direct, (mats @ points[:, :, None])[:, :, 0] % p):
             raise InternalInconsistencyError(

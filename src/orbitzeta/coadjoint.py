@@ -35,8 +35,8 @@ from .algroup import AlgebraGroup
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, _adjoin, orbit_partition
-from .linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p, nullspace_stack_mod_p,
-                     rref_stack_mod_p)
+from .linalg import (base_p_digits, exact_dtype, matmul_exact, matmul_mod_p,
+                     nullspace_mod_p, nullspace_stack_mod_p, rref_stack_mod_p)
 from .nilalg import NilAlgebra
 
 
@@ -499,15 +499,18 @@ def _shift_grams(table: CharacterTable, a=slice(None), b=slice(None)) -> np.ndar
     """G[t, a, b] = sum_c |c| sum_r H[a, c, r] H[b, c, r - t], one matrix product
     per shift t, so that <chi_a, chi_b> = sum_t G[t, a, b] zeta^t / (N d_a d_b).
 
-    No entry exceeds N max|O|^2: int64 below 2^63, exact Python ints above.
+    Every term is nonnegative and no entry exceeds N max|O|^2, the bound
+    of matmul_exact: float64 BLAS below 2^53, then int64, then exact ints.
     """
     N = table.alg.field.q ** table.alg.dim
     max_orbit = int(table.H.sum(axis=2).max())
-    dtype = np.int64 if N * max_orbit ** 2 < 2 ** 63 else object
+    bound = N * max_orbit ** 2
+    dtype = exact_dtype(bound)
     left = table.H[a].astype(dtype) * np.array(table.class_sizes, dtype=dtype)[:, None]
-    right = table.H[b].astype(dtype)
+    right = table.H[b]
     left = left.reshape(len(left), -1)
-    return np.stack([left @ np.roll(right, t, axis=2).reshape(len(right), -1).T
+    return np.stack([matmul_exact(left, np.roll(right, t, axis=2).reshape(len(right), -1).T,
+                                  bound)
                      for t in range(table.alg.field.p)])
 
 
@@ -623,8 +626,8 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
                           is_pivot.sum(axis=1))
     I, dims = table._induced
     # d_o |H| = N and |O| = d_o^2 (checked by _polarizations and the census),
-    # so neither side exceeds N^2 d_o <= N^3: int64 below 2^63, exact ints above
-    dtype = np.int64 if eng.N ** 3 < 2 ** 63 else object
+    # so neither side exceeds N^2 d_o <= N^3
+    dtype = exact_dtype(eng.N ** 3)
     I, Ho = I[orbit_index].astype(dtype), table.H[orbit_index].astype(dtype)
     hsize, deg = eng.p ** int(dims[orbit_index]), table.fake_degrees[orbit_index]
     sizes = np.array(table.class_sizes, dtype=dtype)[:, None]

@@ -24,27 +24,46 @@ import numpy as np
 
 # every integer of magnitude at most 2^53 is a float64
 _FLOAT64_EXACT = 2**53
+_INT64_MAX = 2**63 - 1
+
+
+def exact_dtype(bound: int):
+    """int64 when bound, proven for the absolute value of everything about
+    to be formed, fits; else exact Python ints (dtype=object)."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def matmul_exact(A, B, bound: int) -> np.ndarray:
+    """A @ B exactly, for integer arrays and a proven bound on
+    sum_k |A[i, k]| |B[k, j]| for every entry, with matmul broadcasting.
+
+    That sum bounds every product of two entries and every partial sum of
+    the product, in whatever order BLAS takes them.  Below 2^53 each such
+    integer is a float64, so every rounded operation is exact and so is the
+    float64 product, returned as int64.  Otherwise the product is taken in
+    exact_dtype(bound): int64 up to 2^63 - 1, exact Python ints above.
+    """
+    if bound < _FLOAT64_EXACT:
+        A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+        return (A @ B).astype(np.int64)
+    dtype = exact_dtype(bound)
+    return np.asarray(A).astype(dtype) @ np.asarray(B).astype(dtype)
 
 
 def matmul_mod_p(A, B, p: int) -> np.ndarray:
     """A @ B mod p as int64 residues, for integer arrays with entries in
     (-p, p), with matmul broadcasting.
 
-    With inner dimension m, every partial sum of the product, in whatever
-    order BLAS takes, is an integer of magnitude at most m (p-1)^2.  Below
-    2^53 each such integer is a float64, so every rounded operation is exact
-    and so is the float64 product.  Otherwise the product is int64, exact
-    while m (p-1)^2 < 2^63 (nilalg._check_size).  The residues are
-    x - (x // p) p in int64: a float % costs more than the product, and
-    numpy's int64 // by a scalar is several times faster than its %.
+    With inner dimension m, the product is matmul_exact with the bound
+    m (p-1)^2: float64 BLAS below 2^53, then int64 (nilalg._check_size keeps
+    algebra products below 2^63), then exact ints.  The residues are
+    x - (x // p) p: a float % costs more than the product, and numpy's int64
+    // by a scalar is several times faster than its %.
     """
-    A, B = np.asarray(A), np.asarray(B)
-    if A.shape[-1] * (p - 1) ** 2 < _FLOAT64_EXACT:
-        prod = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-    else:
-        prod = A.astype(np.int64) @ B.astype(np.int64)
+    A = np.asarray(A)
+    prod = matmul_exact(A, B, A.shape[-1] * (p - 1) ** 2)
     prod -= prod // p * p
-    return prod
+    return prod.astype(np.int64, copy=False)
 
 
 def base_p_digits(codes, p: int, width: int) -> np.ndarray:
@@ -206,8 +225,6 @@ def nullspace_stack_mod_p(mats, p: int):
 
 
 # ------------------------------------------------------------ mod p^v ----
-
-_INT64_MAX = 2**63 - 1
 
 
 def smith_valuations_mod_pv(rows, p: int, v: int, ncols: int | None = None) -> list[int]:

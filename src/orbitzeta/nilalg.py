@@ -1,17 +1,18 @@
 """Finite dimensional nilpotent associative algebras over F_q, given by
 structure constants on a fixed basis.
 
-AlgVector coefficient tuples over F_q are the element API.  Products have
-two routes.  The C route, _fq_products, multiplies batches of F_q digit
-arrays through the structure constants C with polynomial arithmetic
-reduced by the modulus; AlgVector products are one call of it, and it is
-the reference that T is checked against.  Bulk work runs over Z/p: J has
-the prime basis omega^m b_i at t = i*e + m, and the structure tensor
-T[s, t] holds the prime coordinates of b_s * b_t.  A subspace is a pair
-(rows, pivots) as in linalg: an int64 array of its reduced echelon rows on
-that basis and their pivot columns, so subspace equality is array equality
-and an F_q-dimension is len(rows) // e.  Every algebra verifies
-associativity and nilpotency at construction time.
+An element of J is a digit row: its coefficient on b_i is the F_q
+element with digits row[i*e : (i+1)*e], constant term first, so the row is
+also its coordinates on the prime basis omega^m b_i at t = i*e + m, and
+its code is sum_t row[t] p^t.  Products have two routes.  The C route,
+_fq_products, multiplies batches of F_q digit arrays through the structure
+constants C with polynomial arithmetic reduced by the modulus; it is the
+reference that T is checked against.  Bulk work runs over Z/p: the
+structure tensor T[s, t] holds the prime coordinates of b_s * b_t.  A
+subspace is a pair (rows, pivots) as in linalg: an int64 array of its
+reduced echelon rows on that basis and their pivot columns, so subspace
+equality is array equality and an F_q-dimension is len(rows) // e.  Every
+algebra verifies associativity and nilpotency at construction time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .budgets import Budgets
 from .errors import ValidationError
-from .ffield import Field, FieldElement, make_field, p_adic
+from .ffield import Field, make_field, p_adic
 from .linalg import base_p_digits, matmul_mod_p, reduce_mod_p, rref_mod_p
 
 
@@ -51,67 +52,12 @@ def _zero_constants(field: Field, d: int) -> np.ndarray:
     return np.zeros((d, d, d, field.e), dtype=np.int64)
 
 
-class AlgVector:
-    """An element of J, a coefficient tuple over the algebra's basis."""
-
-    __slots__ = ("alg", "coeffs")
-
-    def __init__(self, alg: "NilAlgebra", coeffs):
-        self.alg = alg
-        self.coeffs = tuple(coeffs)
-
-    def __add__(self, other: "AlgVector") -> "AlgVector":
-        return AlgVector(self.alg, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "AlgVector") -> "AlgVector":
-        return AlgVector(self.alg, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "AlgVector":
-        return AlgVector(self.alg, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "AlgVector") -> "AlgVector":
-        return self.alg.multiply(self, other)
-
-    def scale(self, c: FieldElement) -> "AlgVector":
-        return AlgVector(self.alg, tuple(c * a for a in self.coeffs))
-
-    def bracket(self, other: "AlgVector") -> "AlgVector":
-        return self * other - other * self
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
-
-    def flat(self) -> tuple[int, ...]:
-        """Prime-field coordinates, field coefficients expanded in place."""
-        out = []
-        for a in self.coeffs:
-            out.extend(a.coeffs)
-        return tuple(out)
-
-    def pack(self) -> int:
-        p = self.alg.field.p
-        out = 0
-        for digit in reversed(self.flat()):
-            out = out * p + digit
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgVector) and self.alg is other.alg
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((id(self.alg), self.coeffs))
-
-    def __repr__(self) -> str:
-        return "vec(" + ", ".join(repr(c) for c in self.coeffs) + ")"
-
-
 class NilAlgebra:
     """Nilpotent associative F_q-algebra given by its structure constants.
 
     C[i, j, k] holds the F_q digits (constant term first) of the
     coefficient of b_k in b_i * b_j.  T is the same multiplication over Z/p
-    on the prime basis t = i*e + m (see prime_basis_vector): b_s * b_t has
+    on the prime basis t = i*e + m (see the module docstring): b_s * b_t has
     prime coordinates T[s, t].  omega is the matrix of multiplication by
     omega on prime coordinate rows.
     """
@@ -148,50 +94,7 @@ class NilAlgebra:
         self.T = np.einsum("acrs,ijks->iajckr", shift, self.C).reshape(n, n, n) % p
         self.omega = np.kron(np.eye(d, dtype=np.int64), comp.T)
 
-    # ------------------------------------------------------- vector ops --
-
-    def zero_vector(self) -> AlgVector:
-        return AlgVector(self, (self.field.zero,) * self.dim)
-
-    def basis_vector(self, i: int) -> AlgVector:
-        z = self.field.zero
-        return AlgVector(self, tuple(self.field.one if t == i else z for t in range(self.dim)))
-
-    def prime_basis_vector(self, t: int) -> AlgVector:
-        """Basis of J as a Z/p-space: omega^m * b_i at t = i*e + m."""
-        i, m = divmod(t, self.field.e)
-        coeffs = [0] * self.field.e
-        coeffs[m] = 1
-        z = self.field.zero
-        scalar = self.field.element(coeffs)
-        return AlgVector(self, tuple(scalar if s == i else z for s in range(self.dim)))
-
-    def vector(self, coeffs) -> AlgVector:
-        vals = []
-        for c in coeffs:
-            vals.append(c if isinstance(c, FieldElement) else self.field.from_int(c))
-        if len(vals) != self.dim:
-            raise ValidationError(f"vector needs {self.dim} coordinates")
-        return AlgVector(self, vals)
-
-    def from_flat(self, flat) -> AlgVector:
-        e = self.field.e
-        return AlgVector(self, tuple(
-            self.field.element(flat[i * e:(i + 1) * e]) for i in range(self.dim)))
-
-    def unpack(self, code: int) -> AlgVector:
-        digits = base_p_digits([code], self.field.p, self.dim * self.field.e)
-        return self.from_flat(digits[0].tolist())
-
-    def iter_vectors(self):
-        for code in range(self.field.q ** self.dim):
-            yield self.unpack(code)
-
-    def multiply(self, u: AlgVector, v: AlgVector) -> AlgVector:
-        """The product over F_q from C, one row of _fq_products: the
-        reference route for T."""
-        out = self._fq_products(u.flat(), v.flat())[0].tolist()
-        return AlgVector(self, tuple(FieldElement(self.field, tuple(c)) for c in out))
+    # ------------------------------------------------------- products --
 
     def _fq_products(self, U, V) -> np.ndarray:
         """Row-wise products u_b * v_b over F_q from C, for digit arrays U and

@@ -17,6 +17,7 @@ import numpy as np
 from .budgets import Budgets, check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .ffield import integer_root, is_prime, prime_power_decompose
+from .linalg import exact_dtype
 
 
 # ------------------------------------------------------------ Lie types --
@@ -127,15 +128,6 @@ def sl2_degrees(q: int) -> DegreeMultiset:
 
 # ------------------------------------------------------ truncated series --
 
-_INT64_MAX = 2**63 - 1
-
-
-def _exact_dtype(bound: int):
-    """int64 when bound, proven for the absolute value of everything about
-    to be formed, fits; else exact Python ints (dtype=object)."""
-    return np.int64 if bound <= _INT64_MAX else object
-
-
 def _abs_max(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if len(values) else 0
 
@@ -214,7 +206,7 @@ class TruncatedDirichlet:
     def _from_support(cls, N: int, support, exact: bool = True) -> "TruncatedDirichlet":
         """The series with r_n = c for each (n, c), distinct n in 1..N."""
         support = sorted((n, c) for n, c in support if c)
-        dtype = _exact_dtype(max((abs(c) for _, c in support), default=0))
+        dtype = exact_dtype(max((abs(c) for _, c in support), default=0))
         return cls._from_arrays(N, np.array([n for n, _ in support], dtype=np.int64),
                                 np.array([c for _, c in support], dtype=dtype), exact)
 
@@ -259,7 +251,7 @@ class TruncatedDirichlet:
         support, in int64 when max|r_m| times the support size fits."""
         points = list(points)
         values = self.values
-        running = np.cumsum(values, dtype=_exact_dtype(_abs_max(values) * len(values)))
+        running = np.cumsum(values, dtype=exact_dtype(_abs_max(values) * len(values)))
         running = [0] + running.tolist()
         ends = np.searchsorted(self.index, points, side="right").tolist()
         return [(n, running[i]) for n, i in zip(points, ends)]
@@ -307,7 +299,7 @@ def dirichlet_product(f: TruncatedDirichlet, g: TruncatedDirichlet,
     (fz, fv), (gz, gv) = f._truncated(N), g._truncated(N)
     if not (len(fz) and len(gz)):
         return TruncatedDirichlet(N, exact=f.exact and g.exact)
-    dtype = _exact_dtype(min(_abs_max(fv) * _abs_sum(gv), _abs_max(gv) * _abs_sum(fv)))
+    dtype = exact_dtype(min(_abs_max(fv) * _abs_sum(gv), _abs_max(gv) * _abs_sum(fv)))
     fv, gv = fv.astype(dtype), gv.astype(dtype)
     counts = np.searchsorted(gz, N // fz, side="right")   # partners b of each a
     ends = np.cumsum(counts)
@@ -529,7 +521,7 @@ def synthetic_power_series(c, N: int) -> TruncatedDirichlet:
         raise ValidationError("exponent must be positive")
     a, b = c.numerator, c.denominator
     top = integer_root(N ** a, b) + 2
-    if N ** a <= _INT64_MAX and top ** b <= _INT64_MAX:
+    if exact_dtype(max(N ** a, top ** b)) is np.int64:
         n = np.arange(N + 1, dtype=np.int64)
         power = n ** a
         m = power if b == 1 else np.minimum(

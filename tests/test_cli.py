@@ -466,15 +466,28 @@ def test_verify_corpus_extra_algebra(capsys, algebra_file):
     assert payload["ok"] is True
 
 
+def test_verify_corpus_checks_every_extra_file_of_one_shape(capsys, algebra_file):
+    # u_3(F_2) and I_F2[C4] both parse as d = 3 over F_2; each is named by its path
+    paths = [algebra_file(corpus.unitriangular(3, 2)),
+             algebra_file(corpus.augmentation_ideal("C4", 2))]
+    rc, payload, _ = run(capsys, ["verify-corpus", "--only", "algebras",
+                                  "--extra-algebra", paths[0], "--extra-algebra", paths[1]])
+    assert rc == 0
+    names = payload["suites"][0]["detail"]["algebras"]
+    assert names[-2:] == paths
+    rc, plain, _ = run(capsys, ["verify-corpus", "--only", "algebras"])
+    assert names[:-2] == plain["suites"][0]["detail"]["algebras"]
+
+
 def test_verify_corpus_algebras_compares_batched_and_scalar_gmul(capsys, monkeypatch):
-    # batched products that drop the xy term are still associative; only the
-    # scalar reference triple can notice
+    # a group law through T that drops the xy term is still associative;
+    # only the C route can notice
     def additive(self, X, Y):
         return (X + Y) % self.p
     monkeypatch.setattr("orbitzeta.algroup.AlgebraGroup._gmul_rows", additive)
     rc, _, err = run(capsys, ["verify-corpus", "--only", "algebras"])
     assert rc == 4
-    assert "batched gmul disagrees with gmul" in err
+    assert "the group law through T disagrees with the C route" in err
 
 
 def test_export_json(capsys, tmp_path):

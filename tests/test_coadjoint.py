@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbitzeta import coadjoint, corpus
-from orbitzeta.algroup import AlgebraGroup, ginv, gmul, glog
+from orbitzeta.algroup import AlgebraGroup, _c_route_inverse, _c_route_law
 from orbitzeta.budgets import Budgets
 from orbitzeta.coadjoint import (CyclotomicValue, character_table,
                                  conjecture_probe, engine_for,
@@ -61,17 +61,18 @@ def test_dual_functional_and_coadjoint_action():
         eng = engine_for(alg)
         p = eng.p
         for _ in range(8):
-            lam_vec, g, h, a = (alg.unpack(rng.randrange(eng.N)) for _ in range(4))
-            lam, g_row, h_row = (np.array(v.flat(), dtype=np.int64) for v in (lam_vec, g, h))
+            lam, g_row, h_row, a = base_p_digits([rng.randrange(eng.N) for _ in range(4)],
+                                                 p, eng.n).astype(np.int64)
             moved = lam @ eng.dual_matrix_for(g_row) % p
             # the action: (lambda M_g) M_h = lambda M_gh
             gh = eng._gmul_rows(g_row[None], h_row[None])[0]
             assert np.array_equal(moved @ eng.dual_matrix_for(h_row) % p,
                                   lam @ eng.dual_matrix_for(gh) % p), alg.name
             # the defining property: lambda^g(a) = lambda(a^((1+g)^-1)),
-            # with the conjugate from the scalar group law
-            back = np.array(gmul(gmul(g, a), ginv(g)).flat(), dtype=np.int64)
-            assert moved @ np.array(a.flat()) % p == lam @ back % p, alg.name
+            # with the conjugate from the C route
+            g = g_row[None]
+            back = _c_route_law(alg, _c_route_law(alg, g, a[None]), _c_route_inverse(alg, g))[0]
+            assert moved @ a % p == lam @ back % p, alg.name
 
 
 # ---------------------------------------------------------------- censuses --
@@ -430,6 +431,28 @@ def test_shift_grams_switch_to_exact_integers_past_int64():
     assert int(big.max()) >= 2 ** 63
 
 
+def _int64_shift_grams(table):
+    """The Gram matrices of _shift_grams as int64 products: the reference."""
+    H = table.H.astype(np.int64)
+    left = (H * np.array(table.class_sizes)[:, None]).reshape(len(H), -1)
+    return np.stack([left @ np.roll(H, t, axis=2).reshape(len(H), -1).T
+                     for t in range(table.alg.field.p)])
+
+
+def test_shift_grams_match_the_int64_route():
+    import dataclasses
+
+    from orbitzeta.coadjoint import _shift_grams
+
+    for alg in corpus.character_corpus():
+        table = character_table(alg)
+        assert np.array_equal(_shift_grams(table), _int64_shift_grams(table)), alg.name
+    # counts scaled by 2^20 put N max|O|^2 = 27 * 81 * 2^40 past 2^53: int64
+    table = character_table(corpus.unitriangular(3, 3))
+    big = dataclasses.replace(table, H=table.H * 2 ** 20)
+    assert np.array_equal(_shift_grams(big), _int64_shift_grams(big))
+
+
 def test_orthonormality_check_catches_a_raised_count():
     table = character_table(corpus.unitriangular(3, 3))
     table.H[4, 2, 1] += 1
@@ -633,25 +656,34 @@ def test_orbit_method_character_row():
     assert len(values) == len(table.class_reps) == 11
 
 
+def _series_log(alg, Y):
+    """log(1+y) = y - y^2/2 + y^3/3 - ... row-wise, every power of y from
+    the structure constants C (NilAlgebra._fq_products); needs J^p = 0."""
+    p = alg.field.p
+    acc, term = Y % p, Y
+    for k in range(2, alg.nilpotency_class):
+        term = alg._fq_products(term, Y).reshape(Y.shape)
+        acc = (acc + (-1) ** (k + 1) * pow(k, -1, p) * term) % p
+    return acc
+
+
 def naive_induced(alg, lam_digits):
-    """Independent oracle: Ind psi(g) = |H|^{-1} sum_{x in G} psi0(x g x^{-1})."""
+    """Independent oracle: Ind psi(g) = |H|^{-1} sum_{x in G} psi0(x g x^{-1}),
+    the conjugates and their logs by the C route."""
     eng = AlgebraGroup(alg)
     p = eng.p
     rows, _ = max_isotropic_subalgebra(alg, lam_digits)
-    hset = set(int(x) for x in _subspace_packed_set(eng, rows))
+    hset = np.array(sorted(int(x) for x in _subspace_packed_set(eng, rows)))
     lamv = np.array(lam_digits, dtype=np.int64)
-    els = [alg.unpack(c) for c in range(eng.N)]
-    classes = eng.conjugacy_classes()
+    X = eng.digit_rows().astype(np.int64)
+    inv = _c_route_inverse(alg, X)
     out = []
-    for crep in classes.reps:
-        g = els[int(crep)]
-        counts = [0] * p
-        for x in els:
-            y = gmul(gmul(x, g), ginv(x))
-            if y.pack() in hset:
-                r = int(lamv @ np.array(glog(y).flat(), dtype=np.int64)) % p
-                counts[r] += 1
-        out.append(CyclotomicValue.from_histogram(p, counts, len(hset)))
+    for crep in eng.conjugacy_classes().reps:
+        g = np.tile(X[int(crep)], (eng.N, 1))
+        Y = _c_route_law(alg, _c_route_law(alg, X, g), inv)
+        Y = Y[np.isin(eng.pack_digits(Y), hset)]
+        counts = np.bincount(_series_log(alg, Y) @ lamv % p, minlength=p)
+        out.append(CyclotomicValue.from_histogram(p, counts.tolist(), len(hset)))
     return out
 
 

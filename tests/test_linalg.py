@@ -3,8 +3,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitzeta import linalg
-from orbitzeta.linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p,
-                              nullspace_stack_mod_p, rref_mod_p, rref_stack_mod_p)
+from orbitzeta.linalg import (base_p_digits, matmul_exact, matmul_mod_p,
+                              nullspace_mod_p, nullspace_stack_mod_p, rref_mod_p,
+                              rref_stack_mod_p)
 
 PRIMES = (2, 3, 5, 7, 251)
 
@@ -211,3 +212,25 @@ def test_matmul_mod_p_matches_exact_products(case):
     assert got.dtype == np.int64
     assert got.shape == want.shape
     assert got.tolist() == want.tolist()
+
+
+def test_matmul_exact_takes_each_route_within_its_bound():
+    # sum |a||b| = 2^53 - 2^26: float64; (2^27 + 1)(2^26 + 1), odd and past
+    # 2^53: int64; 2^80: exact ints
+    for A, B, dtype in (([[2**26, 2**26]], [[2**26 - 1], [2**26]], np.int64),
+                        ([[2**27 + 1]], [[-(2**26) - 1]], np.int64),
+                        ([[2**40, 1]], [[2**40], [-1]], object)):
+        A, B = np.array(A, dtype=object), np.array(B, dtype=object)
+        want = A @ B
+        got = matmul_exact(A, B, int((np.abs(A) @ np.abs(B)).max()))
+        assert got.dtype == dtype and got.tolist() == want.tolist()
+
+
+def test_matmul_exact_float_route_fails_past_its_bound(monkeypatch):
+    # (2^27 + 1)(2^26 + 1) = 2^53 + 3 * 2^26 + 1 is odd and past 2^53, so no
+    # float64 holds it: the float route forced past its bound rounds it
+    A, B = np.array([[2**27 + 1]]), np.array([[2**26 + 1]])
+    want = (2**27 + 1) * (2**26 + 1)
+    assert matmul_exact(A, B, want).tolist() == [[want]]
+    monkeypatch.setattr(linalg, "_FLOAT64_EXACT", 2**63)
+    assert matmul_exact(A, B, want).tolist() != [[want]]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitzeta import corpus, nilalg
+from orbitzeta.linalg import base_p_digits
 from orbitzeta.budgets import Budgets
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import make_field
@@ -15,6 +16,23 @@ from orbitzeta.linalg import rref_mod_p
 from orbitzeta.nilalg import (NilAlgebra, make_augmentation_ideal,
                               make_unitriangular, make_zero_algebra,
                               parse_algebra_file, serialize_algebra)
+
+
+def product(alg, u, v):
+    """u * v by the C route, for one digit row each or row-wise batches,
+    as digit rows."""
+    u = np.asarray(u)
+    return alg._fq_products(u, v).reshape(u.shape)
+
+
+def basis_rows(alg):
+    """The digit rows of the F_q basis b_0, .., b_(d-1)."""
+    return np.eye(alg.dim * alg.field.e, dtype=np.int64)[::alg.field.e]
+
+
+def random_rows(alg, rng, count):
+    codes = [rng.randrange(alg.field.q ** alg.dim) for _ in range(count)]
+    return base_p_digits(codes, alg.field.p, alg.dim * alg.field.e).astype(np.int64)
 
 
 def test_unitriangular_dimensions_and_class():
@@ -44,12 +62,12 @@ def test_unitriangular_products():
     assert np.array_equal(u5.C, want)
     # e_{12} e_{23} = e_{13}, all other basis products vanish
     u3 = make_unitriangular(3, make_field(5))
-    e12, e23, e13 = (u3.basis_vector(i) for i in range(3))
-    assert e12 * e23 == e13
-    assert (e23 * e12).is_zero()
-    assert (e12 * e13).is_zero()
-    assert (e13 * e13).is_zero()
-    assert e12.bracket(e23) == e13
+    e12, e23, e13 = basis_rows(u3)
+    assert np.array_equal(product(u3, e12, e23), e13)
+    assert not product(u3, e23, e12).any()
+    assert not product(u3, e12, e13).any()
+    assert not product(u3, e13, e13).any()
+    assert np.array_equal((product(u3, e12, e23) - product(u3, e23, e12)) % 5, e13)
 
 
 def test_power_basis_chain():
@@ -76,8 +94,8 @@ def test_augmentation_ideal_basics():
                 want[a, b, b, 0] -= 1
         assert np.array_equal(alg.C, want % 2)
     c2 = corpus.augmentation_ideal("C2", 2)
-    x = c2.basis_vector(0)
-    assert (x * x).is_zero()  # (g-1)^2 = g^2 - 2g + 1 = 0 in char 2
+    x = basis_rows(c2)[0]
+    assert not product(c2, x, x).any()  # (g-1)^2 = g^2 - 2g + 1 = 0 in char 2
     assert c2.nilpotency_class == 2
     assert c2.is_p_nilpotent()
 
@@ -90,9 +108,8 @@ def test_augmentation_ideal_char_must_divide_order():
 def test_zero_algebra():
     z = make_zero_algebra(3, make_field(3))
     assert z.nilpotency_class == 2
-    for i in range(3):
-        for j in range(3):
-            assert (z.basis_vector(i) * z.basis_vector(j)).is_zero()
+    b = basis_rows(z)
+    assert not product(z, np.repeat(b, 3, axis=0), np.tile(b, (3, 1))).any()
     rows, _ = z.derived_lie_subspace()
     assert rows.tolist() == []
 
@@ -112,28 +129,15 @@ def test_derived_lie_subspace_dims():
 def test_vector_arithmetic_sampled():
     alg = corpus.unitriangular(3, 3)
     rng = random.Random(23)
-    codes = alg.field.q ** alg.dim
-    for _ in range(80):
-        u, v, w = (alg.unpack(rng.randrange(codes)) for _ in range(3))
-        assert (u + v) * w == u * w + v * w
-        assert u * (v + w) == u * v + u * w
-        assert (u * v) * w == u * (v * w)
-        assert u.bracket(v) == u * v - v * u
-        assert (u - u).is_zero()
+    u, v, w = random_rows(alg, rng, 3 * 80).reshape(80, 3, -1).transpose(1, 0, 2)
+    p = alg.field.p
 
+    def mul(x, y):
+        return product(alg, x, y)
 
-def test_pack_flat_roundtrip():
-    alg = corpus.unitriangular(3, 2, 2)  # F4: e = 2 exercises the prime-basis layout
-    rng = random.Random(3)
-    codes = alg.field.q ** alg.dim
-    for _ in range(40):
-        v = alg.unpack(rng.randrange(codes))
-        assert alg.unpack(v.pack()) == v
-        assert alg.from_flat(v.flat()) == v
-    # prime basis enumerates the Z/p-basis omega^m b_i
-    n = alg.dim * alg.field.e
-    seen = {alg.prime_basis_vector(t).pack() for t in range(n)}
-    assert len(seen) == n
+    assert np.array_equal(mul((u + v) % p, w), (mul(u, w) + mul(v, w)) % p)
+    assert np.array_equal(mul(u, (v + w) % p), (mul(u, v) + mul(u, w)) % p)
+    assert np.array_equal(mul(mul(u, v), w), mul(u, mul(v, w)))
 
 
 def test_structure_constant_validation():
@@ -174,7 +178,8 @@ def test_structure_constant_validation():
 def test_parser_adds_repeated_targets_mod_p():
     alg = parse_algebra_file("alg 3 1 2\n0 0 1 2\n0 0 1 2\n")
     assert alg.C[0, 0, 1, 0] == 1
-    assert (alg.basis_vector(0) * alg.basis_vector(0)) == alg.basis_vector(1)
+    b = basis_rows(alg)
+    assert np.array_equal(product(alg, b[0], b[0]), b[1])
     # the two lines cancel over F_2: J*J = 0
     assert parse_algebra_file("alg 2 1 2\n0 0 1 1\n0 0 1 1\n").nilpotency_class == 2
 
@@ -203,9 +208,10 @@ def test_augmentation_ideal_matches_group_algebra_relations():
     gen = next(x for x in range(4) if g.element_order(x) == 4)
     # basis vectors are (r - 1) over nonidentity r; pick the generator's one
     idx = [x for x in range(g.order) if x != g.identity].index(gen)
-    x = alg.basis_vector(idx)
-    assert not (x * x).is_zero()
-    assert ((x * x) * x * x).is_zero()
+    x = basis_rows(alg)[idx]
+    x2 = product(alg, x, x)
+    assert x2.any()
+    assert not product(alg, product(alg, x2, x), x).any()
 
 
 def test_unitriangular_needs_n_at_least_two():
@@ -218,14 +224,13 @@ def test_flag_members_are_two_sided_ideals():
 
     for alg in (corpus.unitriangular(3, 3), corpus.unitriangular(4, 2),
                 corpus.augmentation_ideal("D8", 2)):
-        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        basis = basis_rows(alg)
         for rows, piv in alg.refine_to_flag():
-            for row in rows:
-                v = alg.from_flat(row)
-                for b in basis:
-                    for prod in (b * v, v * b):
-                        ech, ext_piv = rref_mod_p(np.vstack([rows, prod.flat()]), alg.field.p)
-                        assert np.array_equal(ech, rows) and ext_piv == piv
+            # b v and v b for every basis row b and member row v
+            b, v = np.repeat(basis, len(rows), axis=0), np.tile(rows, (alg.dim, 1))
+            prods = np.vstack([product(alg, b, v), product(alg, v, b)])
+            ech, ext_piv = rref_mod_p(np.vstack([rows, prods]), alg.field.p)
+            assert np.array_equal(ech, rows) and ext_piv == piv
 
 
 def _big_constant_algebra():
@@ -248,30 +253,30 @@ def _big_constant_algebra():
 def test_structure_tensor_matches_multiply(make):
     alg = make()
     rng = random.Random(alg.dim)
-    codes = alg.field.q ** alg.dim
     # the all-(p-1) pair makes every term of an unreduced contraction ~2^60
-    top = alg.from_flat([alg.field.p - 1] * (alg.dim * alg.field.e))
-    xs = [top] + [alg.unpack(rng.randrange(codes)) for _ in range(40)]
-    ys = [top] + [alg.unpack(rng.randrange(codes)) for _ in range(40)]
-    got = alg._mul_rows([x.flat() for x in xs], [y.flat() for y in ys])
-    assert [tuple(r) for r in got.tolist()] == [(x * y).flat() for x, y in zip(xs, ys)]
+    top = np.full((1, alg.dim * alg.field.e), alg.field.p - 1)
+    xs = np.vstack([top, random_rows(alg, rng, 40)])
+    ys = np.vstack([top, random_rows(alg, rng, 40)])
+    assert np.array_equal(alg._mul_rows(xs, ys), product(alg, xs, ys))
 
 
 def _scalar_product(alg, u, v):
-    """u * v over F_q from C, one FieldElement product per nonzero constant:
-    the reference for NilAlgebra._fq_products."""
-    f = alg.field
+    """u * v over F_q from C for digit rows u and v, one FieldElement
+    product per nonzero constant, as a digit tuple: the reference for
+    NilAlgebra._fq_products."""
+    f, e = alg.field, alg.field.e
+    u, v = ([f.element(w[i * e:(i + 1) * e]) for i in range(alg.dim)] for w in (u, v))
     dense = [f.zero] * alg.dim
-    rows = [i for i, a in enumerate(u.coeffs) if not a.is_zero()]
-    cols = [j for j, b in enumerate(v.coeffs) if not b.is_zero()]
+    rows = [i for i, a in enumerate(u) if not a.is_zero()]
+    cols = [j for j, b in enumerate(v) if not b.is_zero()]
     block = alg.C[rows][:, cols]
     x, y, k = np.nonzero(block.any(axis=3))  # sorted by (x, y)
     pair = ab = None
     for i, j, t, c in zip(x.tolist(), y.tolist(), k.tolist(), block[x, y, k].tolist()):
         if (i, j) != pair:
-            pair, ab = (i, j), u.coeffs[rows[i]] * v.coeffs[cols[j]]
+            pair, ab = (i, j), u[rows[i]] * v[cols[j]]
         dense[t] = dense[t] + ab * f.element(c)
-    return nilalg.AlgVector(alg, dense)
+    return tuple(c for a in dense for c in a.coeffs)
 
 
 def _rescaled(alg, seed):
@@ -296,17 +301,15 @@ def test_fq_products_match_scalar_loop(make):
     base = make()
     for alg in (base, _rescaled(base, 7)):
         rng = random.Random(alg.dim)
-        n, codes = alg.dim * alg.field.e, alg.field.q ** alg.dim
+        n = alg.dim * alg.field.e
         # the all-(p-1) pair makes every product of digits (p-1)^2
-        xs = [alg.from_flat([alg.field.p - 1] * n)]
-        ys = [alg.from_flat([alg.field.p - 1] * n)]
-        xs += [alg.unpack(rng.randrange(codes)) for _ in range(40)]
-        ys += [alg.unpack(rng.randrange(codes)) for _ in range(40)]
-        got = alg._fq_products([x.flat() for x in xs], [y.flat() for y in ys])
+        top = np.full((1, n), alg.field.p - 1)
+        xs = np.vstack([top, random_rows(alg, rng, 40)])
+        ys = np.vstack([top, random_rows(alg, rng, 40)])
+        got = alg._fq_products(xs, ys)
         assert got.shape == (len(xs), alg.dim, alg.field.e)
-        expected = [_scalar_product(alg, x, y).flat() for x, y in zip(xs, ys)]
+        expected = [_scalar_product(alg, x.tolist(), y.tolist()) for x, y in zip(xs, ys)]
         assert [tuple(r) for r in got.reshape(len(xs), n).tolist()] == expected
-        assert [(x * y).flat() for x, y in zip(xs, ys)] == expected
 
 
 # ------------------------------------------------------------- the parser --

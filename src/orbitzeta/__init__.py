@@ -7,10 +7,8 @@ from .bogomod import (MqPresentation, build_mq, frobenius_matrix,
                       hensel_lift_modulus, invariant_factors, mq_order,
                       power_class_layers, predicted_ab_order, verify_filtration)
 from .budgets import Budgets, DEFAULT_BUDGETS, parse_budget_config
-from .coadjoint import (CensusResult, CharacterTable, CyclotomicValue,
-                        character_table, conjecture_probe,
-                        fake_degree_identities, induced_character_values,
-                        inner_product, max_isotropic_subalgebra, orbit_census,
+from .coadjoint import (CensusResult, CharacterTable, character_table,
+                        conjecture_probe, fake_degree_identities, orbit_census,
                         orthonormality_check, transitivity_check,
                         verify_induced_matches_orbit)
 from .errors import (BudgetError, InternalInconsistencyError, ToolError,

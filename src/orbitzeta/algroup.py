@@ -182,13 +182,21 @@ class AlgebraGroup:
         return acc
 
     def _spot_check_linearity(self) -> None:
-        """The conjugation matrices of the first four seeds 1 + b_t, from T,
-        against conjugation of two seeded points each by the C route: the
-        group law and the geometric-series inverse on digit rows, all eight
-        points in one batch."""
+        """The conjugation matrices of up to five seeds, from T, against
+        conjugation of two seeded points each by the C route: the group law
+        and the geometric-series inverse on digit rows, in one batch.
+
+        The seeds are 1 + b_t for the first four prime basis vectors and 1 + g
+        for the all-ones digit row g.  On u_n(F_q) every b_t^2 = 0, so the
+        inverse series of 1 + b_t has one term and a truncated series passes
+        there; g^2 != 0 for n >= 3 exposes it.  A law with yx in place of xy
+        conjugates by the inverse of what the true law conjugates by, and the
+        two agree when every square is central, as in u_3(F_2) and I_F2[D8]:
+        no conjugation shows it there, and verify-corpus compares the law
+        itself with the C route."""
         alg, p = self.alg, self.p
         rng = random.Random(_SPOT_SEED ^ self.N)
-        gens = self.prime_generators[:4]
+        gens = np.concatenate([self.prime_generators[:4], np.ones((1, self.n), dtype=np.int64)])
         # Python-int codes: N may pass 2^63
         points = base_p_digits([rng.randrange(self.N) for _ in gens for _ in range(2)],
                                p, self.n).astype(np.int64)

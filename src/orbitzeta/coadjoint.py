@@ -18,16 +18,14 @@ follows from three checks per generator of 1+J (_verify_class_constancy),
 orthonormality is one product per residue shift, and the induction check
 reads one array I[o, c, r] of induced histograms, made for every orbit at
 once from one batched polarization kernel (_polarizations) and the span
-points of the polarizations grouped by dimension.  CharacterTable.reduced()
-is the scalar view, every value as (den, vec) in lowest terms;
-CyclotomicValue wraps one such value.
+points of the polarizations grouped by dimension.  A character value is one
+cell of the two arrays (den, vec) of CharacterTable.reduced(), in lowest
+terms over the basis zeta_p, .., zeta_p^(p-1); the CLI prints those cells.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,70 +48,6 @@ def engine_for(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
         eng = alg._engine = AlgebraGroup(alg, budgets)
     eng.budgets = budgets
     return eng
-
-
-# ------------------------------------------------------------ cyclotomic --
-
-class CyclotomicValue:
-    """An element of Q(zeta_p): integer vector over the basis
-    {zeta_p, .., zeta_p^(p-1)} divided by a positive integer denominator.
-
-    Rational numbers embed via 1 = -(zeta + .. + zeta^(p-1)).
-    """
-
-    __slots__ = ("p", "vec", "denom")
-
-    def __init__(self, p: int, vec, denom: int = 1):
-        if denom == 0:
-            raise ValidationError("zero denominator")
-        if denom < 0:
-            vec = [-a for a in vec]
-            denom = -denom
-        vec = tuple(int(a) for a in vec)
-        if len(vec) != p - 1:
-            raise ValidationError(f"need {p - 1} coordinates for p={p}")
-        g = denom
-        for a in vec:
-            g = math.gcd(g, a)
-        if g > 1:
-            vec = tuple(a // g for a in vec)
-            denom //= g
-        self.p = p
-        self.vec = vec
-        self.denom = denom
-
-    @classmethod
-    def from_int(cls, p: int, value: int) -> "CyclotomicValue":
-        return cls(p, (-value,) * (p - 1))
-
-    @classmethod
-    def from_histogram(cls, p: int, counts, denom: int = 1) -> "CyclotomicValue":
-        """Sum of counts[r] * zeta^r over residues r."""
-        c0 = int(counts[0])
-        return cls(p, tuple(int(counts[k]) - c0 for k in range(1, p)), denom)
-
-    def as_rational(self) -> Fraction | None:
-        first = self.vec[0]
-        if all(x == first for x in self.vec):
-            return Fraction(-first, self.denom)
-        return None
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.vec)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CyclotomicValue) and self.p == other.p
-                and self.vec == other.vec and self.denom == other.denom)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.vec, self.denom))
-
-    def __repr__(self) -> str:
-        r = self.as_rational()
-        if r is not None:
-            return str(r)
-        body = "+".join(f"{x}z^{k}" for k, x in enumerate(self.vec, start=1) if x)
-        return f"({body})/{self.denom}" if self.denom != 1 else body
 
 
 # -------------------------------------------------------------- censuses --
@@ -141,7 +75,10 @@ class CensusResult:
 
 
 def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
-    """K[s,t] = lambda([b_s, b_t]) over the prime basis."""
+    """K[s,t] = lambda([b_s, b_t]) over the prime basis, for one dual.
+
+    The slow reference of _radicals_by_row, which forms K for a batch of
+    duals from their values on [J, J]_L; the tests compare the two."""
     p = alg.field.p
     lam_prod = alg.T @ np.asarray(lam_digits, dtype=np.int64) % p  # lambda(b_s b_t)
     return (lam_prod - lam_prod.T) % p
@@ -345,20 +282,13 @@ def _require_polarizations(alg: NilAlgebra, K, ranks, rows, is_pivot, first: int
                 message.format(first + b, dims[b] // e, expected[b]))
 
 
-def max_isotropic_subalgebra(alg: NilAlgebra, lam_digits):
-    """The polarization of one dual (_polarizations, a batch of one): its
-    prime echelon basis (rows, pivots), checked on exit.  When B_lambda = 0,
-    H is J."""
-    rows, is_pivot = _polarizations(alg, np.asarray(lam_digits)[None])
-    return rows[0, :is_pivot[0].sum()], np.flatnonzero(is_pivot[0]).tolist()
-
-
 # ------------------------------------------------------------ characters --
 
 @dataclass
 class CharacterTable:
     """chi_o(c) = sum_r H[o, c, r] zeta_p^r / fake_degrees[o], where H[o, c, r]
-    counts the duals mu in orbit o with mu(log c) = r.  The induced
+    counts the duals mu in orbit o with mu(log c) = r.  The values in lowest
+    terms are the arrays of reduced(), one cell per value.  The induced
     histograms of every orbit, (I, dims) of _induced_histograms, are made
     the first time verify_induced_matches_orbit reads them."""
     alg: NilAlgebra
@@ -373,26 +303,15 @@ class CharacterTable:
     def k(self) -> int:
         return len(self.class_reps)
 
-    def reduced(self, orbits=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """(den, vec) with chi_o(c) = sum_k vec[o, c, k-1] zeta_p^k / den[o, c]
-        in lowest terms, den > 0, for the orbits selected: the coordinates
-        H[o, c, k] - H[o, c, 0], divided once by their gcd with the degree."""
-        H = self.H[orbits]
-        vec = H[..., 1:] - H[..., :1]
-        deg = np.asarray(self.fake_degrees, dtype=np.int64)[orbits]
-        den = np.broadcast_to(deg[..., None], H.shape[:-1])
+        in lowest terms, den > 0: the coordinates H[o, c, k] - H[o, c, 0],
+        divided once by their gcd with the degree."""
+        vec = self.H[..., 1:] - self.H[..., :1]
+        deg = np.asarray(self.fake_degrees, dtype=np.int64)
+        den = np.broadcast_to(deg[:, None], self.H.shape[:-1])
         g = np.gcd(np.gcd.reduce(vec, axis=-1), den)
         return den // g, vec // g[..., None]
-
-    def row(self, i: int) -> list[CyclotomicValue]:
-        den, vec = self.reduced(i)
-        p = self.alg.field.p
-        return [CyclotomicValue(p, v, d) for d, v in zip(den.tolist(), vec.tolist())]
-
-    @property
-    def values(self) -> list[list[CyclotomicValue]]:
-        """values[orbit][class], built from H on every access."""
-        return [self.row(i) for i in range(len(self.fake_degrees))]
 
 
 # residues per block of _dual_histograms: bounds its (points x N) arrays
@@ -495,31 +414,20 @@ def _verify_class_constancy(eng, census, classes, H) -> None:
         fail("H does not count every dual of each orbit")
 
 
-def _shift_grams(table: CharacterTable, a=slice(None), b=slice(None)) -> np.ndarray:
+def _shift_grams(table: CharacterTable) -> np.ndarray:
     """G[t, a, b] = sum_c |c| sum_r H[a, c, r] H[b, c, r - t], one matrix product
     per shift t, so that <chi_a, chi_b> = sum_t G[t, a, b] zeta^t / (N d_a d_b).
 
     Every term is nonnegative and no entry exceeds N max|O|^2, the bound
     of matmul_exact: float64 BLAS below 2^53, then int64, then exact ints.
     """
-    N = table.alg.field.q ** table.alg.dim
-    max_orbit = int(table.H.sum(axis=2).max())
-    bound = N * max_orbit ** 2
+    H, N = table.H, table.alg.field.q ** table.alg.dim
+    bound = N * int(H.sum(axis=2).max()) ** 2
     dtype = exact_dtype(bound)
-    left = table.H[a].astype(dtype) * np.array(table.class_sizes, dtype=dtype)[:, None]
-    right = table.H[b]
-    left = left.reshape(len(left), -1)
-    return np.stack([matmul_exact(left, np.roll(right, t, axis=2).reshape(len(right), -1).T,
-                                  bound)
+    left = H.astype(dtype) * np.array(table.class_sizes, dtype=dtype)[:, None]
+    left = left.reshape(len(H), -1)
+    return np.stack([matmul_exact(left, np.roll(H, t, axis=2).reshape(len(H), -1).T, bound)
                      for t in range(table.alg.field.p)])
-
-
-def inner_product(table: CharacterTable, a: int, b: int) -> CyclotomicValue:
-    """Exact <chi_a, chi_b> = |G|^(-1) sum_c |c| chi_a(c) conj(chi_b(c))."""
-    N = table.alg.field.q ** table.alg.dim
-    G = _shift_grams(table, [a], [b])[:, 0, 0]
-    return CyclotomicValue.from_histogram(table.alg.field.p, G,
-                                          N * table.fake_degrees[a] * table.fake_degrees[b])
 
 
 def orthonormality_check(table: CharacterTable) -> bool:
@@ -536,7 +444,8 @@ def orthonormality_check(table: CharacterTable) -> bool:
     if bad.any():
         a, b = (int(i) for i in np.argwhere(bad)[0])
         raise InternalInconsistencyError(
-            f"<chi_{a}, chi_{b}> = {inner_product(table, a, b)}, expected {int(a == b)}")
+            f"<chi_{a}, chi_{b}> = sum_t G_t zeta^t / {N * deg[a] * deg[b]} with shift "
+            f"sums G = {G[:, a, b].tolist()}, expected {int(a == b)}")
     return True
 
 
@@ -585,26 +494,6 @@ def _induced_histograms(eng: AlgebraGroup, lam_rows, rows, is_pivot) -> np.ndarr
     return I
 
 
-def induced_character_values(alg: NilAlgebra, lam_digits,
-                             budgets: Budgets | None = None):
-    """Values of Ind_{1+H}^{1+J} psi_lambda on the class reps, computed by
-    the stabilizer-count formula, where H is the maximal isotropic
-    subalgebra for lambda and psi_lambda(1+v) = zeta^(lambda(log(1+v))):
-    _induced_histograms on a batch of one.
-
-    Returns (values list aligned with conjugacy classes, prime echelon rows of H).
-    """
-    eng = engine_for(alg, budgets)
-    lam = np.asarray(lam_digits, dtype=np.int64).reshape(1, eng.n)
-    rows, is_pivot = _polarizations(alg, lam)
-    I = _induced_histograms(eng, lam, rows, is_pivot)[0]
-    dim = int(is_pivot[0].sum())
-    hsize = eng.p ** dim
-    # Ind psi (u) = |G| / (|H| |class u|) * sum over class members in 1+H
-    return [CyclotomicValue.from_histogram(eng.p, [eng.N * x for x in counts], hsize * size)
-            for counts, size in zip(I.tolist(), eng.conjugacy_classes().sizes)], rows[0, :dim]
-
-
 def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
                                  budgets: Budgets | None = None,
                                  census: CensusResult | None = None,
@@ -635,10 +524,10 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
                           != hsize * sizes * (Ho[:, 1:] - Ho[:, :1])).any(axis=1))
     if bad.size:
         c = int(bad[0])
-        got = CyclotomicValue.from_histogram(eng.p, I[c] * eng.N, hsize * table.class_sizes[c])
         raise InternalInconsistencyError(
-            f"induced value differs from orbit character at class {c}: "
-            f"{got} vs {table.row(orbit_index)[c]}")
+            f"induced value differs from orbit character at class {c}: histogram "
+            f"{I[c].tolist()} x N/(|H| |c|) = {eng.N}/{hsize * table.class_sizes[c]} "
+            f"vs histogram {Ho[c].tolist()} / d = {deg}")
     return True
 
 
@@ -648,13 +537,18 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     """The subgroup 1+H acts transitively on the functionals agreeing with
     lambda on H.  That set is lambda + Ann(H); the check compares it with
     the orbit of lambda under 1+H, generated by adjoining the rows of H, then
-    its points, since 1 + (rows of H) may generate a proper subgroup."""
+    its points, since 1 + (rows of H) may generate a proper subgroup.
+
+    The slow reference of the polarizations: one orbit, point by point, for
+    the H that _polarizations builds for every dual in one batch; the tests
+    run it on every orbit of the character corpus."""
     eng = engine_for(alg, budgets)
     if census is None:
         census = orbit_census(alg, budgets)
     p = eng.p
     lamv = base_p_digits([census.reps[orbit_index]], p, eng.n)[0].astype(np.int64)
-    rows, _ = max_isotropic_subalgebra(alg, lamv)
+    rows, is_pivot = _polarizations(alg, lamv[None])
+    rows = rows[0, :is_pivot[0].sum()]
     # Ann(H): functionals vanishing on the prime basis of H
     ann = nullspace_mod_p(rows, eng.n, p)
     coset = (_span_points(ann, p) + lamv) % p

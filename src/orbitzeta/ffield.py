@@ -315,10 +315,6 @@ class Field:
             code //= self.p
         return FieldElement(self, tuple(digits))
 
-    def from_int(self, n: int) -> FieldElement:
-        """The image of an ordinary integer (prime subfield element)."""
-        return FieldElement(self, (n % self.p,) + (0,) * (self.e - 1))
-
     def elements(self):
         for code in range(self.q):
             yield self.from_code(code)

@@ -214,13 +214,18 @@ class FiniteGroupTable:
         return out
 
     def center_size(self) -> int:
+        """|Z(G)|: a reference invariant that the tests compare between two
+        constructions of one group (pc presentation and Cayley table)."""
         sizes = self.conjugacy_classes().sizes
         return sum(1 for s in sizes if s == 1)
 
     def conjugate(self, x: int, g: int) -> int:
+        """x^g = g^-1 x g by lookups: with commutator, the slow reference of
+        the permutation-array classes and derived subgroup in the tests."""
         return self.mult(self.inverse(g), self.mult(x, g))
 
     def commutator(self, a: int, b: int) -> int:
+        """[a, b] = a^-1 b^-1 a b by lookups (see conjugate)."""
         return self.mult(self.inverse(a), self.mult(self.inverse(b), self.mult(a, b)))
 
     def is_central(self, z: int) -> bool:

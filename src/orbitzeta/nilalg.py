@@ -149,7 +149,11 @@ class NilAlgebra:
     def is_fq_subspace(self, rows) -> bool:
         """Whether the Z/p-span of reduced echelon rows is an F_q-subspace,
         that is, invariant under multiplication by omega.  The pivot of a
-        reduced row is its first nonzero column."""
+        reduced row is its first nonzero column.
+
+        The slow reference, one span at a time, of the batched closure tests
+        in the census (_radicals_by_row) and the polarizations, which the
+        tests compare with it."""
         if self.field.e == 1:
             return True
         pivots = np.argmax(rows != 0, axis=1)
@@ -217,12 +221,6 @@ class NilAlgebra:
             if len(chain) > self.dim + 1:
                 raise ValidationError("algebra is not nilpotent")
         return chain  # chain[k] is basis of J^{k+1}; last entry is empty
-
-    def power_basis(self, k: int):
-        """Echelon basis (rows, pivots) of J^k, k >= 1; empty from the class on."""
-        if k < 1:
-            raise ValidationError("power index must be >= 1")
-        return self.powers[min(k, len(self.powers)) - 1]
 
     def is_p_nilpotent(self) -> bool:
         return self.nilpotency_class <= self.field.p

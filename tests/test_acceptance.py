@@ -97,10 +97,12 @@ def test_03_orbit_method_characters():
             assert orthonormality_check(table)
             assert table.k == engine_for(alg).k(), alg.name
             identity_idx = list(table.class_reps).index(0)
+            # chi_i(1) = d_i: the integer d is -d (zeta + .. + zeta^(p-1))
+            den, vec = table.reduced()
             for i in range(table.k):
                 assert table.fake_degrees[i] == census.fake_degrees[i]
-                assert (table.row(i)[identity_idx].as_rational()
-                        == Fraction(table.fake_degrees[i]))
+                assert den[i, identity_idx] == 1
+                assert (vec[i, identity_idx] == -table.fake_degrees[i]).all()
                 assert verify_induced_matches_orbit(alg, i, census=census,
                                                     table=table), (alg.name, i)
 

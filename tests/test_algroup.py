@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitzeta import corpus
+from orbitzeta import algroup, corpus
 from orbitzeta.algroup import (AlgebraGroup, _c_route_inverse, _c_route_law,
                                orbit_partition)
 from orbitzeta.budgets import Budgets
@@ -269,6 +269,17 @@ def test_spot_check_catches_a_wrong_conjugation_matrix(monkeypatch):
         with pytest.raises(InternalInconsistencyError,
                            match="^conjugation matrix disagrees with direct conjugation$"):
             AlgebraGroup(alg)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (5, 2)])
+def test_spot_check_catches_a_truncated_inverse(monkeypatch, n, q):
+    # every basis seed 1 + b_t of u_n(F_q) has b_t^2 = 0, so its inverse
+    # series has one term; the all-ones seed g has g^2 != 0 and shows the cut
+    monkeypatch.setattr(algroup, "_c_route_inverse",
+                        lambda alg, G: -np.asarray(G, dtype=np.int64) % alg.field.p)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^conjugation matrix disagrees with direct conjugation$"):
+        AlgebraGroup(corpus.unitriangular(n, q))
 
 
 def test_engine_builds_past_int64():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import orbitzeta
 from orbitzeta import bogomod, corpus
 from orbitzeta.budgets import Budgets
-from orbitzeta.coadjoint import CyclotomicValue, character_table
+from orbitzeta.coadjoint import character_table
 from orbitzeta.cli import _decimal_digits, _dumps, build_parser, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
@@ -502,15 +502,18 @@ def test_export_json(capsys, tmp_path):
     assert all("invariant_factors" in row for row in mq)
 
 
-def _cyclo_json(value):
-    return {"vec": [int(x) for x in value.vec], "den": int(value.denom)}
+def _reduced_json(h, d):
+    """{"vec", "den"} of sum_r h[r] zeta^r / d = sum_k (h[k] - h[0]) zeta^k / d
+    in lowest terms: one gcd over the integers."""
+    vec = [x - h[0] for x in h[1:]]
+    g = math.gcd(d, *vec)
+    return {"vec": [x // g for x in vec], "den": d // g}
 
 
 def _reference_rows(table):
-    """values[orbit][class] by the per-value route: one CyclotomicValue and
-    one dict per cell, from the histogram H."""
-    p = table.alg.field.p
-    return [[_cyclo_json(CyclotomicValue.from_histogram(p, h, d)) for h in hist]
+    """values[orbit][class] by the per-value route: one gcd reduction and one
+    dict per cell, from the histogram H."""
+    return [[_reduced_json(h, d) for h in hist]
             for hist, d in zip(table.H.tolist(), table.fake_degrees)]
 
 

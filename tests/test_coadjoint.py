@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,48 +7,18 @@ import pytest
 from orbitzeta import coadjoint, corpus
 from orbitzeta.algroup import AlgebraGroup, _c_route_inverse, _c_route_law
 from orbitzeta.budgets import Budgets
-from orbitzeta.coadjoint import (CyclotomicValue, character_table,
-                                 conjecture_probe, engine_for,
-                                 fake_degree_identities, gram_matrix,
-                                 induced_character_values, inner_product,
-                                 max_isotropic_subalgebra, orbit_census,
+from orbitzeta.coadjoint import (character_table, conjecture_probe, engine_for,
+                                 fake_degree_identities, gram_matrix, orbit_census,
                                  orthonormality_check, transitivity_check,
                                  verify_induced_matches_orbit)
-from orbitzeta.coadjoint import (_dual_histograms, _polarizations, _span_points,
-                                 _subspace_packed_set, _verify_class_constancy)
+from orbitzeta.coadjoint import (_dual_histograms, _induced_histograms, _polarizations,
+                                 _shift_grams, _span_points, _subspace_packed_set,
+                                 _verify_class_constancy)
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import make_field
 from orbitzeta.linalg import (base_p_digits, matmul_mod_p, nullspace_mod_p,
                               nullspace_stack_mod_p, reduce_mod_p, rref_mod_p)
 from orbitzeta.nilalg import make_unitriangular
-
-
-# ------------------------------------------------------ cyclotomic values --
-
-def test_cyclotomic_roots_sum_to_zero():
-    for p in (2, 3, 5, 7):
-        assert CyclotomicValue.from_histogram(p, [1] * p).is_zero()
-
-
-def test_cyclotomic_arithmetic():
-    p = 5
-    z = CyclotomicValue.from_histogram(p, [0, 1, 0, 0, 0])
-    one = CyclotomicValue.from_int(p, 1)
-    assert CyclotomicValue.from_histogram(p, [1, 0, 0, 0, 0]) == one
-    assert CyclotomicValue.from_histogram(p, [2, 2, 2, 2, 2]).is_zero()
-    assert one.as_rational() == Fraction(1)
-    assert z.as_rational() is None
-    # normalization: the sign moves to the coordinates and common factors cancel
-    assert CyclotomicValue(p, (6, 6, 6, 6), -8) == CyclotomicValue(p, (-3, -3, -3, -3), 4)
-    assert CyclotomicValue(p, (-3, -3, -3, -3), 4).as_rational() == Fraction(3, 4)
-    assert CyclotomicValue.from_histogram(p, [4, 0, 0, 0, 0], 4) == one
-
-
-def test_cyclotomic_histogram():
-    # counts of residues (2, 1, 1) at p = 3: 2 + zeta + zeta^2 = 1
-    v = CyclotomicValue.from_histogram(3, [2, 1, 1])
-    assert v == CyclotomicValue.from_int(3, 1)
-    assert v.as_rational() == Fraction(1)
 
 
 # ------------------------------------------------------------- functionals --
@@ -274,10 +244,10 @@ def test_fixed_points_and_probe():
 
 def test_max_isotropic_subalgebra_dim():
     alg = corpus.unitriangular(3, 3)
-    rows, _ = max_isotropic_subalgebra(alg, (0, 0, 1))
-    assert len(rows) == 2  # dim J - log_q(fake degree)
-    rows0, _ = max_isotropic_subalgebra(alg, (0, 0, 0))
-    assert len(rows0) == 3
+    rows, is_pivot = _polarizations(alg, [(0, 0, 1), (0, 0, 0)])
+    # dim J - log_q(fake degree): 2 at lambda(e13) != 0, all of J at 0
+    assert is_pivot.sum(axis=1).tolist() == [2, 3]
+    assert not rows[0, 2:].any()
 
 
 # the flags of u_5(F_2) and I_F2[D8] have 10 and 7 nonzero members; u_4(F_4)
@@ -291,11 +261,12 @@ def test_max_isotropic_subalgebra_rows_are_reduced(alg):
     # their own echelon form, and it holds Rad B_lambda, the V = J term
     census = orbit_census(alg)
     eng = engine_for(alg)
-    p, n, digits = eng.p, eng.n, eng.digit_rows()
+    p, n = eng.p, eng.n
     by_points = alg.name in ("u_3(F_3)", "I_F_3[C3]", "u_4(F_2)")
-    for o, rep in enumerate(census.reps):
-        lam = digits[rep].astype(np.int64)
-        rows, piv = max_isotropic_subalgebra(alg, lam)
+    lam_rows = eng.digit_rows()[census.reps].astype(np.int64)
+    all_rows, is_pivot = _polarizations(alg, lam_rows)
+    for o, lam in enumerate(lam_rows):
+        rows, piv = all_rows[o, :is_pivot[o].sum()], np.flatnonzero(is_pivot[o]).tolist()
         ech, ech_piv = rref_mod_p(rows, p)
         assert rows.dtype == np.int64
         assert np.array_equal(rows, ech) and piv == ech_piv
@@ -319,9 +290,11 @@ def test_character_table_u3_f3():
     assert table.k == 11
     assert sorted(table.fake_degrees) == [1] * 9 + [3, 3]
     assert orthonormality_check(table)
-    # degrees: chi(1) equals the fake degree (verified internally, spot it)
-    for o in range(table.k):
-        assert table.row(o)[0] == CyclotomicValue.from_int(3, table.fake_degrees[o])
+    # degrees: chi(1) equals the fake degree (verified internally, spot it);
+    # an integer m is -m (zeta + zeta^2)
+    den, vec = table.reduced()
+    assert (den[:, 0] == 1).all()
+    assert (vec[:, 0] == -np.array(table.fake_degrees)[:, None]).all()
     # second orthogonality at the identity column: sum d^2 = |G|
     assert sum(d * d for d in table.fake_degrees) == 27
     for o in range(table.k):
@@ -352,16 +325,18 @@ def test_transitivity_check_on_the_character_corpus(alg):
     lambda: corpus.augmentation_ideal("C3", 3),
 ])
 def test_reduced_values_match_the_histogram_route(alg_factory):
+    # per cell: sum_r h[r] zeta^r / d = sum_k (h[k] - h[0]) zeta^k / d, one gcd
     table = character_table(alg_factory())
     p = table.alg.field.p
-    want = [[CyclotomicValue.from_histogram(p, h, d) for h in hist]
-            for hist, d in zip(table.H.tolist(), table.fake_degrees)]
+    want = []
+    for hist, d in zip(table.H.tolist(), table.fake_degrees):
+        for h in hist:
+            vec = [x - h[0] for x in h[1:]]
+            g = math.gcd(d, *vec)
+            want.append((d // g, [x // g for x in vec]))
     den, vec = table.reduced()
     assert den.shape == table.H.shape[:2] and vec.shape == (*den.shape, p - 1)
-    assert [[(v.denom, list(v.vec)) for v in row] for row in want] == \
-        [list(zip(drow, vrow)) for drow, vrow in zip(den.tolist(), vec.tolist())]
-    assert table.values == want
-    assert [table.row(o) for o in range(table.k)] == want
+    assert list(zip(den.ravel().tolist(), vec.reshape(-1, p - 1).tolist())) == want
 
 
 def test_character_table_budget_counts_orbits_classes_and_p():
@@ -376,28 +351,35 @@ def test_character_table_needs_p_nilpotence():
         character_table(corpus.unitriangular(3, 2))
 
 
+def _is_delta(table, G) -> np.ndarray:
+    """Whether <chi_a, chi_b> = sum_t G[t, a, b] zeta^t / (N d_a d_b) is
+    delta_ab, per pair: the sum is rational iff G[t] = G[1] for t >= 1, and
+    then it is G[0] - G[1] over N d_a d_b."""
+    N = table.alg.field.q ** table.alg.dim
+    deg = np.array(table.fake_degrees)
+    return (G[1:] == G[1]).all(axis=0) & (G[0] - G[1] == np.diag(N * deg * deg))
+
+
 def test_inner_product_diagonal():
     alg = corpus.augmentation_ideal("C3", 3)
     table = character_table(alg)
-    one = CyclotomicValue.from_int(3, 1)
-    zero = CyclotomicValue.from_int(3, 0)
-    for a in range(table.k):
-        assert inner_product(table, a, a) == one
-    assert inner_product(table, 0, 1) == zero
+    G = _shift_grams(table)
+    assert G.shape == (3, table.k, table.k)
+    assert _is_delta(table, G).all()
+    assert (G[:, 0, 1] == G[0, 0, 1]).all()  # <chi_0, chi_1> = 0
 
 
-def reference_inner_product(table, a, b):
-    """<chi_a, chi_b> from the histogram rows as polynomials in Z[x]/(x^p - 1):
-    sum_c |c| h_ac(x) h_bc(x^-1), read in Q(zeta) through 1 + zeta + .. = 0."""
+def reference_shift_sums(table, a, b):
+    """The shift sums of <chi_a, chi_b> from the histogram rows as polynomials
+    in Z[x]/(x^p - 1): acc[t] is the coefficient of x^t in
+    sum_c |c| h_ac(x) h_bc(x^-1)."""
     p = table.alg.field.p
-    N = table.alg.field.q ** table.alg.dim
     acc = [0] * p
     for w, ha, hb in zip(table.class_sizes, table.H[a].tolist(), table.H[b].tolist()):
         for r in range(p):
             for s in range(p):
                 acc[(r - s) % p] += w * ha[r] * hb[s]
-    return CyclotomicValue(p, [acc[t] - acc[0] for t in range(1, p)],
-                           N * table.fake_degrees[a] * table.fake_degrees[b])
+    return acc
 
 
 @pytest.mark.parametrize("alg_factory", [
@@ -407,13 +389,11 @@ def reference_inner_product(table, a, b):
 ])
 def test_inner_product_matches_polynomial_reference(alg_factory):
     table = character_table(alg_factory())
-    one = CyclotomicValue.from_int(table.alg.field.p, 1)
-    zero = CyclotomicValue.from_int(table.alg.field.p, 0)
+    G = _shift_grams(table)
     for a in range(table.k):
         for b in range(table.k):
-            got = inner_product(table, a, b)
-            assert got == reference_inner_product(table, a, b)
-            assert got == (one if a == b else zero)
+            assert G[:, a, b].tolist() == reference_shift_sums(table, a, b)
+    assert _is_delta(table, G).all()
 
 
 def test_shift_grams_switch_to_exact_integers_past_int64():
@@ -651,9 +631,11 @@ def test_orbit_method_character_row():
     alg = corpus.unitriangular(3, 3)
     census = orbit_census(alg)
     table = character_table(alg, census=census)
-    values = table.row(_e13_orbit(census))
-    assert values[0] == CyclotomicValue.from_int(3, 3)
-    assert len(values) == len(table.class_reps) == 11
+    den, vec = table.reduced()
+    o = _e13_orbit(census)
+    # chi(1) = 3 = -3 (zeta + zeta^2)
+    assert den[o, 0] == 1 and vec[o, 0].tolist() == [-3, -3]
+    assert den.shape == (census.count, len(table.class_reps)) == (11, 11)
 
 
 def _series_log(alg, Y):
@@ -669,10 +651,12 @@ def _series_log(alg, Y):
 
 def naive_induced(alg, lam_digits):
     """Independent oracle: Ind psi(g) = |H|^{-1} sum_{x in G} psi0(x g x^{-1}),
-    the conjugates and their logs by the C route."""
+    as counts[c, r] = #{x in G : x g x^{-1} in 1+H, lambda(log) = r} for g
+    the rep of class c, the conjugates and their logs by the C route."""
     eng = AlgebraGroup(alg)
     p = eng.p
-    rows, _ = max_isotropic_subalgebra(alg, lam_digits)
+    rows, is_pivot = _polarizations(alg, [lam_digits])
+    rows = rows[0, :is_pivot[0].sum()]
     hset = np.array(sorted(int(x) for x in _subspace_packed_set(eng, rows)))
     lamv = np.array(lam_digits, dtype=np.int64)
     X = eng.digit_rows().astype(np.int64)
@@ -682,9 +666,8 @@ def naive_induced(alg, lam_digits):
         g = np.tile(X[int(crep)], (eng.N, 1))
         Y = _c_route_law(alg, _c_route_law(alg, X, g), inv)
         Y = Y[np.isin(eng.pack_digits(Y), hset)]
-        counts = np.bincount(_series_log(alg, Y) @ lamv % p, minlength=p)
-        out.append(CyclotomicValue.from_histogram(p, counts.tolist(), len(hset)))
-    return out
+        out.append(np.bincount(_series_log(alg, Y) @ lamv % p, minlength=p))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("alg_factory,lam", [
@@ -693,10 +676,13 @@ def naive_induced(alg, lam_digits):
     (lambda: corpus.augmentation_ideal("C3", 3), (1, 0)),
 ])
 def test_induced_against_naive_oracle(alg_factory, lam):
+    # each class member is x g x^{-1} for N / |c| elements x: counts = N I / |c|
     alg = alg_factory()
-    fast, _ = induced_character_values(alg, lam)
-    slow = naive_induced(alg, lam)
-    assert fast == slow
+    eng = engine_for(alg)
+    lam_rows = np.array([lam])
+    I = _induced_histograms(eng, lam_rows, *_polarizations(alg, lam_rows))[0]
+    sizes = np.array(eng.conjugacy_classes().sizes)[:, None]
+    assert np.array_equal(naive_induced(alg, lam) * sizes, eng.N * I)
 
 
 def test_census_budget():

@@ -143,7 +143,7 @@ def test_t_is_root_of_modulus():
     t = f.t()
     acc = f.zero
     for i, c in enumerate(f.modulus):
-        acc = acc + f.from_int(c) * t ** i
+        acc = acc + f.from_code(c) * t ** i  # c < p: a prime subfield element
     assert acc.is_zero()
     with pytest.raises(ValidationError):
         make_field(5).t()

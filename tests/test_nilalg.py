@@ -71,11 +71,10 @@ def test_unitriangular_products():
 
 
 def test_power_basis_chain():
+    # powers[k - 1] is the echelon basis (rows, pivots) of J^k, down to J^c = 0
     u4 = corpus.unitriangular(4, 2)
-    dims = [len(u4.power_basis(k)[0]) for k in range(1, 6)]
-    assert dims == [6, 3, 1, 0, 0]
-    with pytest.raises(ValidationError):
-        u4.power_basis(0)
+    assert [len(rows) for rows, _ in u4.powers] == [6, 3, 1, 0]
+    assert u4.nilpotency_class == 4
 
 
 def test_augmentation_ideal_basics():

@@ -18,7 +18,6 @@ class Budgets:
     field_q_max: int = 2**20          # largest F_q constructible
     table_order_max: int = 4096       # dense Cayley table storage
     pc_generators_max: int = 24       # power-commutator presentation size
-    collection_steps_max: int = 10**7  # rewriting steps per multiplication
     group_enumeration_max: int = 2**22  # elements of 1+J enumerated
     dual_census_max: int = 2**24      # dual functionals visited in a census
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series

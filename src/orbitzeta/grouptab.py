@@ -23,7 +23,6 @@ from .ffield import is_prime
 
 _ASSOC_SEED = 0x5EED01
 _LATIN_CELLS = 2 ** 16       # cells per block of the Latin check
-_PC_SAMPLE_PAIRS = 256
 
 
 # ------------------------------------------------------ permutation engine --
@@ -157,11 +156,9 @@ class FiniteGroupTable:
     i*j and inv[i] that of i^-1.
 
     The constructor validates the table; generators default to the greedy
-    set of least non-members.  pres, a pc presentation the table was
-    tabulated from, adds its consistency checks."""
+    set of least non-members."""
 
-    def __init__(self, table: np.ndarray, generators=None, name=None,
-                 pres: _PcPresentation | None = None):
+    def __init__(self, table: np.ndarray, generators=None, name=None):
         self.table = table
         self.order = m = len(table)
         self.identity = _validate_table(table)
@@ -169,8 +166,6 @@ class FiniteGroupTable:
         if generators is None:
             generators = generating_set(m, self.identity, lambda x: table[:, x])
         self.generators = list(generators)
-        if pres is not None:
-            _verify_pc_table(self, pres)
         self.name = name or f"group{m}"
         self._classes: OrbitPartition | None = None
         self._derived: frozenset[int] | None = None
@@ -305,8 +300,10 @@ class FiniteGroupTable:
         Missing entries mean the trivial word.  Exponents lie in 0..p-1,
         and words may only involve generators with index beyond the
         left-hand side.  Element indices are those of normal words
-        g_1^a_1 .. g_n^a_n, first generator most significant; _pc_table
-        builds the table.
+        g_1^a_1 .. g_n^a_n, first generator most significant.  _pc_table
+        builds the table and proves it the presented group's (Hölder's
+        conditions at each level), the constructor validates it, and
+        _check_pc_relations reads the numbering and the relations back.
         """
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
@@ -318,13 +315,15 @@ class FiniteGroupTable:
             raise BudgetError("group_enumeration_max", f"{p}^{n}", limit)
         check_budget(budgets, "group_enumeration_max", p**n)
         check_budget(budgets, "table_order_max", p**n)
-        pres = _PcPresentation(p, n, power_words, commutator_words, get_budgets(budgets))
-        gens = [p ** (n - 1 - i) for i in range(n)]
-        return cls(_pc_table(pres), gens, name=name, pres=pres)
+        pres = _PcPresentation(p, n, power_words, commutator_words)
+        group = cls(_pc_table(pres), [p ** (n - 1 - i) for i in range(n)], name=name)
+        _check_pc_relations(group, pres)
+        return group
 
 
 def _pc_table(pres: _PcPresentation) -> np.ndarray:
-    """The Cayley table of a pc presentation, bottom-up along its series.
+    """The Cayley table of a pc presentation, bottom-up along its series,
+    checked to be the presented group's at every level.
 
     G_k = <g_k, .., g_n> is g_k^a t with a in 0..p-1 and t in G_(k+1),
     at index a |G_(k+1)| + t.  Conjugation phi(t) = g_k^-1 t g_k maps
@@ -337,12 +336,23 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
     from the images of the generators of G_(k+1), one gather per
     generator: phi(g_j^c s) = phi(g_j)^c phi(s) for s in G_(j+1).
 
-    When the presentation is consistent, G_(k+1) is normal in G_k of index
-    p, phi is the automorphism the relations give, and the blocks are the
-    group's products.  When it is not, phi need not be an automorphism and
-    the table need not be a group's: _validate_table (Latin property,
-    associativity) and _verify_pc_table (generator triples, and sampled
-    pairs against collection) reject it.
+    Given that G_(k+1) is a group, the blocks form a group of order
+    p |G_(k+1)| exactly when (Hölder's theorem on cyclic extensions; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8):
+      (a) phi is an automorphism of G_(k+1);
+      (b) phi(w) = w;
+      (c) phi^p is conjugation by w, t -> w^-1 t w.
+    For (a) it suffices that phi(t g_j) = phi(t) phi(g_j) for every t and
+    every generator g_j of G_(k+1): phi is then an endomorphism, and as
+    phi(g_j) lies in g_j G_(j+1), the only x of G_j with phi(x) in G_(j+1)
+    are those of G_(j+1), so phi is injective on each G_j, from j = n up.
+    Each level checks all three, so by induction from the trivial group
+    G_(n+1) every G_k is a group, in which g_k^p = w and [g_j, g_k] hold by
+    construction.  G_1 then has order p^n and satisfies every relation, so
+    it is a quotient of the presented group; that group has at most p^n
+    elements, because collection writes each of them as a normal word, so
+    the two are equal.  A failure raises ValidationError naming the
+    condition and g_k.
     """
     p, n = pres.p, pres.n
     table = np.zeros((1, 1), dtype=np.int32)        # the trivial group G_(n+1)
@@ -356,7 +366,15 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
             for _ in range(p - 1):
                 powers.append(table[powers[-1], image])
             phi = table[np.array(powers)[:, None], phi].ravel()
+        g = f"g_{k + 1}"
+        fails = f"inconsistent presentation: condition ({{}}) fails at {g}: conjugation by {g}"
+        if any(not np.array_equal(phi[table[:, x]], table[phi, phi[x]])
+               for x in (p ** m for m in range(n - 1 - k))):   # generators of G_(k+1)
+            raise ValidationError(fails.format("a") + f" is not an automorphism of "
+                                  f"<g_{k + 2}, .., g_{n}>")
         w = pres.word_index(pres.pow_letters[k])
+        if phi[w] != w:
+            raise ValidationError(fails.format("b") + f" moves {g}^p")
         out = np.empty((p * size, p * size), dtype=np.int32)
         phi_b = np.arange(size)                     # phi^b, from b = 0
         for b in range(p):
@@ -369,8 +387,37 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
                 if (a + b) % p:
                     block += (a + b) % p * size
             phi_b = phi[phi_b]
+        w_inv = np.flatnonzero(table[w] == 0)[0]    # 0 is the identity of G_(k+1)
+        if not np.array_equal(phi_b, table[table[w_inv], w]):
+            raise ValidationError(fails.format("c") + f", p times over, is not "
+                                  f"conjugation by {g}^p")
         table = out
     return table
+
+
+def _check_pc_relations(group: FiniteGroupTable, pres: _PcPresentation) -> None:
+    """The table of a pc group read back against its presentation, by table
+    lookups only: each normal word g_1^a_1 .. g_n^a_n multiplies out to
+    its own index, and each power and commutator relation holds."""
+    p, table, inv = pres.p, group.table, group.inv
+    gens = np.asarray(group.generators, dtype=np.int64)
+    words = np.array([group.identity])
+    for g in gens:
+        powers = [group.identity]
+        for _ in range(p - 1):
+            powers.append(table[powers[-1], g])
+        words = table[words[:, None], powers].ravel()
+    if not np.array_equal(words, np.arange(group.order)):
+        raise InternalInconsistencyError("pc table: normal words do not land on their indices")
+    for j, g in enumerate(gens):
+        if group.power(g, p) != pres.word_index(pres.pow_letters[j]):
+            raise InternalInconsistencyError(f"pc table breaks the relation pow {j + 1}")
+        # [g_j, g_i] = g_j^-1 g_i^-1 g_j g_i for every i < j
+        comms = table[inv[g], table[inv[gens[:j]], table[g, gens[:j]]]]
+        for i, c in enumerate(comms.tolist()):
+            if c != pres.word_index(pres.comm_letters.get((j, i), [])):
+                raise InternalInconsistencyError(
+                    f"pc table breaks the relation comm {j + 1} {i + 1}")
 
 
 def _validate_table(arr: np.ndarray) -> int:
@@ -411,31 +458,10 @@ def _validate_table(arr: np.ndarray) -> int:
     return int(e[0])
 
 
-def _verify_pc_table(group: FiniteGroupTable, pres: _PcPresentation) -> None:
-    """Consistency of a tabulated pc presentation: associativity on every
-    generator triple, and the table against direct collection of both
-    normal words on a seeded sample of pairs."""
-    table, m = group.table, group.order
-    gens = np.asarray(group.generators, dtype=np.int64)
-    a, b, c = (x.ravel() for x in np.meshgrid(gens, gens, gens, indexing="ij"))
-    bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
-    if bad.size:
-        t = bad[0]
-        raise ValidationError(
-            f"inconsistent presentation: associativity fails on generators "
-            f"({a[t]},{b[t]},{c[t]})")
-    rng = np.random.default_rng(_ASSOC_SEED ^ m)
-    for x, y in rng.integers(0, m, (_PC_SAMPLE_PAIRS, 2)).tolist():
-        if pres.index(pres.mult(pres.tuple_of(x), pres.tuple_of(y))) != table[x, y]:
-            raise ValidationError(
-                f"inconsistent presentation: the table disagrees with collection at ({x},{y})")
-
-
 class _PcPresentation:
-    def __init__(self, p, n, power_words, commutator_words, budgets: Budgets):
+    def __init__(self, p, n, power_words, commutator_words):
         self.p = p
         self.n = n
-        self.budgets = budgets
         self.pow_letters: list[list[int]] = [[] for _ in range(n)]
         self.comm_letters: dict[tuple[int, int], list[int]] = {}
         for i, word in (power_words or {}).items():
@@ -468,62 +494,6 @@ class _PcPresentation:
     def word_index(self, letters: list[int]) -> int:
         """Index of a normal word given by its letters."""
         return sum(self._powers[self.n - 1 - g] for g in letters)
-
-    def index(self, vec: tuple[int, ...]) -> int:
-        out = 0
-        for a in vec:
-            out = out * self.p + a
-        return out
-
-    def tuple_of(self, idx: int) -> tuple[int, ...]:
-        digits = []
-        for k in range(self.n - 1, -1, -1):
-            digits.append((idx // self._powers[k]) % self.p)
-        return tuple(digits)
-
-    def letters_of(self, vec) -> list[int]:
-        out = []
-        for idx, a in enumerate(vec):
-            out.extend([idx] * a)
-        return out
-
-    def collect(self, letters: list[int]) -> tuple[int, ...]:
-        """Collection from the left; returns the normal form exponent tuple."""
-        p = self.p
-        w = list(letters)
-        steps = 0
-        limit = self.budgets.collection_steps_max
-        i = 0
-        while i < len(w):
-            g = w[i]
-            if i + 1 < len(w) and w[i + 1] < g:
-                h = w[i + 1]
-                repl = [h, g] + self.comm_letters.get((g, h), [])
-                w[i:i + 2] = repl
-                if i:
-                    i -= 1
-            else:
-                start = i
-                while start and w[start - 1] == g:
-                    start -= 1
-                end = start
-                while end < len(w) and w[end] == g:
-                    end += 1
-                if end - start >= p:
-                    w[start:start + p] = self.pow_letters[g]
-                    i = max(start - 1, 0)
-                else:
-                    i += 1
-            steps += 1
-            if steps > limit:
-                raise BudgetError("collection_steps_max", steps, limit)
-        vec = [0] * self.n
-        for g in w:
-            vec[g] += 1
-        return tuple(vec)
-
-    def mult(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return self.collect(self.letters_of(u) + self.letters_of(v))
 
 
 # ------------------------------------------------------------ operations --

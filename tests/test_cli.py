@@ -345,7 +345,8 @@ def test_budget_config_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["nonsense", "no_such_key=5", "field_q_max=x",
-                                     "field_q_max=0", "closure_max=5"])
+                                     "field_q_max=0", "closure_max=5",
+                                     "collection_steps_max=5"])
 def test_budget_bad_setting_exits_2(capsys, setting):
     rc, _, err = run(capsys, ["budget", "--set", setting])
     assert rc == 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitzeta import corpus
-from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets
+from orbitzeta.algroup import AlgebraGroup
+from orbitzeta.budgets import Budgets
 from orbitzeta.cli import main
-from orbitzeta.errors import BudgetError, ValidationError
+from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import prime_power_decompose
-from orbitzeta.grouptab import (FiniteGroupTable, _PcPresentation, _close,
+from orbitzeta.grouptab import (FiniteGroupTable, _check_pc_relations, _close, _PcPresentation,
                                 central_quotient, derived_subgroup, direct_product,
                                 parse_group_file, serialize_cayley)
 
@@ -395,20 +397,58 @@ def test_inconsistent_presentation_is_rejected(tmp_path, capsys, n):
     zeros = ["0"] * (n - 3)
     text = "\n".join([f"pc 2 {n}", " ".join(["pow 1: 0 1 0", *zeros]),
                       " ".join(["comm 2 1: 0 0 1", *zeros])]) + "\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"condition \(b\) fails at g_1"):
         parse_group_file(text)
     path = tmp_path / "bad.pc"
     path.write_text(text, encoding="utf-8")
     assert main(["grouptab", "classes", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "condition (b)" in err and "Traceback" not in err
 
 
-def test_pc_table_is_checked_against_collection():
+def test_pc_table_is_checked_against_its_relations():
     # a valid group table (C4) that the presentation (C2 x C2) does not give
     c4 = FiniteGroupTable.from_power_commutator(2, 2, {1: (0, 1)}, {})
-    with pytest.raises(ValidationError, match="collection"):
-        FiniteGroupTable(c4.table, c4.generators,
-                         pres=_PcPresentation(2, 2, {}, {}, DEFAULT_BUDGETS))
+    with pytest.raises(InternalInconsistencyError, match="relation pow 1$"):
+        _check_pc_relations(c4, _PcPresentation(2, 2, {}, {}))
+    _check_pc_relations(c4, _PcPresentation(2, 2, {1: (0, 1)}, {}))
+
+
+def _pad(text: str, extra: int) -> str:
+    """A pc file with extra free generators of order p after the last one:
+    the same relations, in a group p^extra times larger."""
+    lines = text.splitlines()
+    p, n = lines[0].split()[1:]
+    head = [f"pc {p} {int(n) + extra}"]
+    return "\n".join(head + [ln + " 0" * extra for ln in lines[1:]]) + "\n"
+
+
+# a presentation that fails condition (a) or (c) of _pc_table, at g_1 and
+# one level down; test_inconsistent_presentation_is_rejected fails (b)
+CONDITION_CASES = {
+    # g2^2 = g3 makes <g2, g3, g4> C4 x C2, where phi(g2)^2 = g3 != phi(g3)
+    "a": ("pc 2 4\npow 2: 0 0 1 0\ncomm 2 1: 0 0 0 1\ncomm 3 1: 0 0 0 1\n", "g_1"),
+    "a_inner": ("pc 2 5\npow 3: 0 0 0 1 0\ncomm 3 2: 0 0 0 0 1\ncomm 4 2: 0 0 0 0 1\n",
+                "g_2"),
+    # g1^2 = 1, yet phi^2(g2) = g2 g4
+    "c": ("pc 2 4\ncomm 2 1: 0 0 1 0\ncomm 3 1: 0 0 0 1\n", "g_1"),
+    "c_inner": ("pc 2 5\ncomm 3 2: 0 0 0 1 0\ncomm 4 2: 0 0 0 0 1\n", "g_2"),
+}
+
+
+@pytest.mark.parametrize("extra", [0, 6], ids=["small", "order_above_256"])
+@pytest.mark.parametrize("case", sorted(CONDITION_CASES))
+def test_each_consistency_condition_rejects_its_presentation(tmp_path, capsys, case, extra):
+    text, generator = CONDITION_CASES[case]
+    text = _pad(text, extra)
+    message = rf"^inconsistent presentation: condition \({case[0]}\) fails at {generator}: "
+    with pytest.raises(ValidationError, match=message):
+        parse_group_file(text)
+    path = tmp_path / "bad.pc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"condition ({case[0]})" in err and "Traceback" not in err
 
 
 def test_pc_order_beyond_table_budget(tmp_path, capsys):
@@ -446,11 +486,44 @@ def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
+_COLLECTION_STEPS = 10 ** 6
+
+
+def _collect(pres: _PcPresentation, letters: list[int]) -> int:
+    """Collection from the left: the index of the normal word that the word
+    in letters (generator numbers from 0) rewrites to, by the relations."""
+    p, w = pres.p, list(letters)
+    i = 0
+    for _ in range(_COLLECTION_STEPS):
+        if i == len(w):
+            return pres.word_index(w)
+        g = w[i]
+        if i + 1 < len(w) and w[i + 1] < g:
+            # g h = h g [g, h] for h < g
+            h = w[i + 1]
+            w[i:i + 2] = [h, g] + pres.comm_letters.get((g, h), [])
+            i = max(i - 1, 0)
+        else:
+            start = i
+            while start and w[start - 1] == g:
+                start -= 1
+            end = start
+            while end < len(w) and w[end] == g:
+                end += 1
+            if end - start >= p:
+                w[start:start + p] = pres.pow_letters[g]
+                i = max(start - 1, 0)
+            else:
+                i += 1
+    raise AssertionError(f"collection took more than {_COLLECTION_STEPS} steps")
+
+
 def _full_word_table(p, n, pows, comms):
     """The Cayley table from one collection of each full normal word x g_i."""
-    pres = _PcPresentation(p, n, pows, comms, DEFAULT_BUDGETS)
-    words = [pres.letters_of(pres.tuple_of(x)) for x in range(p ** n)]
-    right_mul = [np.array([pres.index(pres.collect(w + [i])) for w in words], dtype=np.int32)
+    pres = _PcPresentation(p, n, pows, comms)
+    words = [[g for g in range(n) for _ in range(x // p ** (n - 1 - g) % p)]
+             for x in range(p ** n)]
+    right_mul = [np.array([_collect(pres, w + [i]) for w in words], dtype=np.int32)
                  for i in range(n)]
     return _tabulate(right_mul, p ** n, 0)
 
@@ -483,6 +556,48 @@ def test_pc_table_matches_full_words_on_class2_presentations(seed, shape):
     p, n, pows, comms = _class2_presentation(random.Random(seed), p, r, s)
     g = FiniteGroupTable.from_power_commutator(p, n, pows, comms)
     assert np.array_equal(g.table, _full_word_table(p, n, pows, comms))
+
+
+def _is_group_table(table: np.ndarray) -> bool:
+    """Exhaustively: 0 is a two-sided identity, every row and column is a
+    permutation, and (ij)k = i(jk) for every triple."""
+    idx = np.arange(len(table))
+    return (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)
+            and (np.sort(table, axis=0) == idx[:, None]).all()
+            and (np.sort(table, axis=1) == idx).all()
+            and np.array_equal(table[table], table[:, table]))
+
+
+@st.composite
+def _presentations(draw):
+    """p in {2, 3}, order at most 81, and a random word in the later
+    generators for every power and commutator relation: consistent or not."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if p == 2 else 4))
+
+    def word(after):
+        tail = draw(st.lists(st.integers(0, p - 1), min_size=n - after, max_size=n - after))
+        return (0,) * after + tuple(tail)
+
+    pows = {i: word(i) for i in range(1, n + 1)}
+    comms = {(j, i): word(j) for j in range(2, n + 1) for i in range(1, j)}
+    return p, n, pows, comms
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentation=_presentations())
+def test_pc_conditions_accept_exactly_the_presentations_collection_makes_a_group(presentation):
+    # the collector's table is a group exactly when the presentation is
+    # consistent, and then it is the presented group's
+    reference = _full_word_table(*presentation)
+    try:
+        g = FiniteGroupTable.from_power_commutator(*presentation)
+    except ValidationError as error:
+        assert str(error).startswith("inconsistent presentation: condition (")
+        assert not _is_group_table(reference)
+    else:
+        assert _is_group_table(reference)
+        assert np.array_equal(g.table, reference)
 
 
 # g_i^p = g_(i+1): nontrivial power words, which class-2 presentations over
@@ -550,3 +665,56 @@ def test_close_and_derived_subgroup_take_no_permutations():
     members = derived_subgroup(8, 0, lambda x: np.arange(8) ^ x, lambda: [],
                                np.array([1, 0]))
     assert members.tolist() == [0, 1]
+
+
+# ------------------------------------------------- unitriangular anchors --
+
+def _unitriangular_pc(n: int, p: int) -> str:
+    """The pc file of U_n(F_p) on the elementary matrices x_ij = 1 + e_ij
+    (i < j), ordered by height j - i and then by i, with x_ij^p = 1,
+    [x_ij, x_jl] = x_il and [x_ij, x_ki] = x_kj^-1; other pairs commute.
+    Each commutator has a greater height than both of its arguments."""
+    gens = sorted(itertools.combinations(range(n), 2), key=lambda ij: (ij[1] - ij[0], ij[0]))
+    lines = [f"pc {p} {len(gens)}"]
+    for b, (i, j) in enumerate(gens):
+        for a, (k, l) in enumerate(gens[:b]):
+            # [x_ij, x_kl] for the later generator x_ij
+            target, e = ((i, l), 1) if j == k else ((k, j), p - 1) if l == i else (None, 0)
+            if target is not None:
+                word = [0] * len(gens)
+                word[gens.index(target)] = e
+                lines.append(f"comm {b + 1} {a + 1}: " + " ".join(map(str, word)))
+    return "\n".join(lines) + "\n"
+
+
+def test_unitriangular_pc_relations_hold_for_the_matrices():
+    n, p = 4, 3
+    lines = _unitriangular_pc(n, p).splitlines()
+    gens = sorted(itertools.combinations(range(n), 2), key=lambda ij: (ij[1] - ij[0], ij[0]))
+
+    def x(ij, e=1):
+        m = np.eye(n, dtype=np.int64)
+        m[ij] = e
+        return m
+
+    comms = {tuple(int(t) for t in ln.split(":")[0].split()[1:]): ln.split(":")[1].split()
+             for ln in lines[1:]}
+    for a, b in itertools.combinations(range(len(gens)), 2):
+        # [x_b, x_a] for the later generator x_b
+        found = x(gens[b], p - 1) @ x(gens[a], p - 1) @ x(gens[b]) @ x(gens[a]) % p
+        want = np.eye(n, dtype=np.int64)
+        for g, e in zip(gens, map(int, comms.get((b + 1, a + 1), [0] * len(gens)))):
+            want = want @ x(g, e) % p
+        assert np.array_equal(found, want), (gens[b], gens[a])
+
+
+# k(U_5(F_2)) = 61 at order 1024, class 4; k(U_4(F_q)) = 2q^3 + q^2 - 2q,
+# 57 for q = 3 at order 729, past the exhaustive associativity check
+@pytest.mark.parametrize("n,p,k", [(5, 2, 61), (4, 3, 57)])
+def test_unitriangular_pc_files_match_the_algebra_group(tmp_path, capsys, n, p, k):
+    path = tmp_path / f"u{n}_{p}.pc"
+    path.write_text(_unitriangular_pc(n, p), encoding="utf-8")
+    assert main(["grouptab", "classes", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["order"] == p ** (n * (n - 1) // 2)
+    assert payload["k"] == k == AlgebraGroup(corpus.unitriangular(n, p)).k()

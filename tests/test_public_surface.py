@@ -2,8 +2,9 @@
 in the README as a library entry point.
 
 A public name is a module-level function or class, or a method of a
-module-level class, whose name does not start with an underscore, in any
-module of src/orbitzeta except corpus.py (the bundled inputs of the tests).
+module-level class (private classes included), whose name does not start
+with an underscore, in any module of src/orbitzeta except corpus.py (the
+bundled inputs of the tests).
 A caller is a load of the name (`f(..)`, `obj.f`) anywhere in the package
 outside the name's own definition, matched by name alone; an import or a
 re-export is not one.  The README names a function by writing it in a code
@@ -20,12 +21,13 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 def _public_definitions(tree: ast.Module):
     """(qualified name, name, node) of every public def or class of a module,
-    and of every public method of its classes."""
+    and of every public method of its classes, private ones included."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, defs) or node.name.startswith("_"):
+        if not isinstance(node, defs):
             continue
-        yield node.name, node.name, node
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("_"):
@@ -77,3 +79,10 @@ def test_without_the_readme_its_entry_points_are_reported():
     assert {"coadjoint.transitivity_check", "nilalg.NilAlgebra.is_fq_subspace",
             "zetalab.TruncatedDirichlet.partial_sum"} <= set(missing)
     assert "coadjoint.character_table" not in missing  # the CLI calls it
+
+
+def test_public_methods_of_private_classes_are_counted():
+    tree = ast.parse("class _Presentation:\n"
+                     "    def collect(self):\n        pass\n"
+                     "    def _letters(self):\n        pass\n")
+    assert [q for q, _, _ in _public_definitions(tree)] == ["_Presentation.collect"]

@@ -13,7 +13,7 @@ from .coadjoint import (CensusResult, CharacterTable, character_table,
                         verify_induced_matches_orbit)
 from .errors import (BudgetError, InternalInconsistencyError, ToolError,
                      ValidationError)
-from .ffield import Field, FieldElement, is_prime, make_field
+from .ffield import Field, is_prime, make_field
 from .grouptab import (FiniteGroupTable, central_quotient, direct_product,
                        parse_group_file, serialize_cayley)
 from .nilalg import (NilAlgebra, make_augmentation_ideal, make_unitriangular,

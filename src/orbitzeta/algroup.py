@@ -280,7 +280,6 @@ class AlgebraGroup:
         conjugation matrix of the inverse: lambda -> lambda @ M.
         """
         if self._dual_perms is None:
-            check_budget(self.budgets, "dual_census_max", self.N)
             _, mats_inv = self._generator_matrices()
             self._dual_perms = [self.affine_perm(mat) for mat in _moving(mats_inv)]
         return self._dual_perms

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .budgets import Budgets
 from .errors import InternalInconsistencyError, ValidationError
 from .ffield import (_poly_mod, _poly_mul, _poly_powmod, check_field_order, is_prime,
@@ -69,15 +71,12 @@ def frobenius_matrix(p: int, e: int, v: int) -> list[list[int]]:
         red = _poly_powmod([0, 1], j * p, fhat, mod)
         cols.append(red + [0] * (e - len(red)))
     mat = [[cols[j][i] for j in range(e)] for i in range(e)]
-    # mod-p reduction must be the Frobenius matrix of F_q on the same basis
-    field = make_field(p, e)
-    for j in range(e):
-        basis_j = field.element(tuple(1 if i == j else 0 for i in range(e)))
-        frob = basis_j.frobenius()
-        for i in range(e):
-            if mat[i][j] % p != int(frob.coeffs[i]):
-                raise InternalInconsistencyError(
-                    "Frobenius matrix does not reduce to the field Frobenius")
+    # mod-p reduction must be the Frobenius matrix of F_q on the same basis,
+    # whose column j is (t^j)^p: row j of frob, from the unit digit rows
+    frob = make_field(p, e).row_power(np.eye(e, dtype=np.int64), p)
+    if [[x % p for x in row] for row in mat] != frob.T.tolist():
+        raise InternalInconsistencyError(
+            "Frobenius matrix does not reduce to the field Frobenius")
     # phi has order e: the e-th power is the identity at working precision
     power = [[1 if i == j else 0 for j in range(e)] for i in range(e)]
     for _ in range(e):
@@ -186,14 +185,16 @@ def mq_order(pres: MqPresentation) -> int:
 
 def power_class_layers(group: FiniteGroupTable, p: int) -> list[int]:
     """|C_i| = number of conjugacy classes meeting pi_i minus pi_(i+1),
-    where pi_i is the set of p^i-th powers."""
-    classes = group.conjugacy_classes()
-    current = set(range(group.order))
+    where pi_i is the set of p^i-th powers.  pi must be a p-group, where
+    x -> x^p is not injective, so the powers shrink to the identity."""
+    if p_adic(group.order, p)[1] != 1:
+        raise ValidationError(f"group of order {group.order} is not a {p}-group")
+    labels = group.conjugacy_classes().labels
+    current = np.arange(group.order)
     layers = []
     while len(current) > 1:
-        nxt = {group.power(x, p) for x in current}
-        diff = current - nxt
-        layers.append(len({classes.class_of(x) for x in diff}))
+        nxt = np.unique(group.power(current, p))
+        layers.append(len(np.setdiff1d(labels[current], labels[nxt])))
         current = nxt
     return layers
 

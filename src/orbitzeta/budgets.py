@@ -17,9 +17,7 @@ from .errors import ValidationError
 class Budgets:
     field_q_max: int = 2**20          # largest F_q constructible
     table_order_max: int = 4096       # dense Cayley table storage
-    pc_generators_max: int = 24       # power-commutator presentation size
     group_enumeration_max: int = 2**22  # elements of 1+J enumerated
-    dual_census_max: int = 2**24      # dual functionals visited in a census
     series_cutoff_max: int = 10**6    # truncation length of Dirichlet series
     # Dirichlet products of one product_series: twice the most the tests and
     # the benchmark run, 256 for three SL2 factors of multiplicity near 2^64

@@ -139,7 +139,6 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     fixed point count matches |J| / |[J,J]_L|.
     """
     eng = engine_for(alg, budgets)
-    check_budget(budgets, "dual_census_max", eng.N)
     part = eng.dual_orbits()
     p, q, e, n = eng.p, alg.field.q, alg.field.e, eng.n
     reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))

@@ -3,9 +3,9 @@
 The modulus is pinned to the lexicographically least monic irreducible
 polynomial of degree e over Z/p (coefficient tuples compared from the
 constant term up), so every run of the tool agrees on element encodings.
-Elements are coefficient tuples in the monomial basis 1, t, .., t^(e-1);
-the integer code of an element is its base-p digit string, constant term
-least significant.
+An element is a digit row, its coefficients in the monomial basis
+1, t, .., t^(e-1); the integer code of an element is its base-p digit
+string, constant term least significant.
 """
 
 from __future__ import annotations
@@ -152,93 +152,6 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
-class FieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "Field", coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((a - b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((-a) % f.p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        prod = _poly_mul(_trim(list(self.coeffs)), _trim(list(other.coeffs)), f.p)
-        return f._reduced(prod)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        f = self.field
-        return f._reduced(_poly_powmod(list(self.coeffs), n, f._modulus_list, f.p))
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in " + self.field.name)
-        return self ** (self.field.q - 2)
-
-    def frobenius(self) -> "FieldElement":
-        return self ** self.field.p
-
-    def trace(self) -> int:
-        """Trace down to the prime field, returned as an integer mod p."""
-        acc = self
-        power = self
-        for _ in range(self.field.e - 1):
-            power = power.frobenius()
-            acc = acc + power
-        if any(c for c in acc.coeffs[1:]):
-            raise AssertionError("trace did not land in the prime field")
-        return acc.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @property
-    def code(self) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.field.p + c
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
-
-    def __repr__(self) -> str:
-        if self.field.e == 1:
-            return f"{self.coeffs[0]}"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}t^{i}" if i > 1 else f"{head}t")
-        return "+".join(terms) if terms else "0"
-
-
 def check_field_order(budgets: Budgets | None, p: int, e: int) -> None:
     """Bound q = p^e by field_q_max without forming p^e when e alone puts it
     past the limit: for |p| >= 2, p^e >= 2^e."""
@@ -260,10 +173,7 @@ class Field:
         self.p = p
         self.e = e
         self.q = p**e
-        self._modulus_list = self._least_irreducible(p, e)
-        self.modulus = tuple(self._modulus_list)
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1))
+        self.modulus = tuple(self._least_irreducible(p, e))
         self.name = f"F_{self.q}"
 
     @staticmethod
@@ -277,53 +187,43 @@ class Field:
                 return cand
         raise AssertionError("no irreducible polynomial found")  # cannot happen
 
-    def _reduced(self, poly: list[int]) -> FieldElement:
-        """The element of a polynomial over Z/p, reduced by the modulus."""
-        red = _poly_mod(poly, self._modulus_list, self.p)
-        return FieldElement(self, tuple(red) + (0,) * (self.e - len(red)))
-
     def reduce_digit_products(self, products) -> np.ndarray:
         """The digit rows (..., e) of the polynomials sum x_a y_c t^(a+c),
         given the residues mod p (..., e, e) of the digit products x_a y_c
-        (or of sums of them) at [..., a, c]: _reduced on arrays.  They are
-        collected by degree, then the top coefficient is cleared with the
-        monic modulus, degree by degree.  The entries stay residues, so no
-        step exceeds (p - 1)^2 in magnitude: exact in int64 while
-        (p - 1)^2 < 2^63, as nilalg._check_size implies."""
+        (or of sums of them) at [..., a, c].  They are collected by degree,
+        then the top coefficient is cleared with the monic modulus, degree by
+        degree.  The entries stay residues, so no step exceeds (p - 1)^2 in
+        magnitude: exact in int64 while (p - 1)^2 < 2^63, as
+        nilalg._check_size implies."""
         p, e = self.p, self.e
         red = np.zeros(products.shape[:-2] + (2 * e - 1,), dtype=np.int64)
         for a in range(e):
             red[..., a:a + e] += products[..., a, :]
         red %= p
-        tail = np.array(self._modulus_list[:e], dtype=np.int64)
+        tail = np.array(self.modulus[:e], dtype=np.int64)
         for k in range(2 * e - 2, e - 1, -1):
             red[..., k - e:k] = (red[..., k - e:k] - red[..., k, None] * tail) % p
         return red[..., :e]
 
-    def element(self, coeffs) -> FieldElement:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.e:
-            raise ValidationError(f"need {self.e} coefficients for {self.name}")
-        return FieldElement(self, coeffs)
+    def row_power(self, rows, n: int) -> np.ndarray:
+        """x^n for every digit row x of rows (..., e), n >= 0, by square and
+        multiply through reduce_digit_products; exact in int64 while
+        (p - 1)^2 < 2^63."""
+        p = self.p
 
-    def from_code(self, code: int) -> FieldElement:
-        if not (0 <= code < self.q):
-            raise ValidationError(f"element code {code} out of range for {self.name}")
-        digits = []
-        for _ in range(self.e):
-            digits.append(code % self.p)
-            code //= self.p
-        return FieldElement(self, tuple(digits))
+        def mul(x, y):
+            return self.reduce_digit_products(x[..., :, None] * y[..., None, :] % p)
 
-    def elements(self):
-        for code in range(self.q):
-            yield self.from_code(code)
-
-    def t(self) -> FieldElement:
-        """The residue of the variable, a root of the modulus."""
-        if self.e == 1:
-            raise ValidationError("prime field has no extension generator")
-        return FieldElement(self, (0, 1) + (0,) * (self.e - 2))
+        base = np.asarray(rows, dtype=np.int64) % p
+        result = np.zeros_like(base)
+        result[..., 0] = 1
+        while n:
+            if n & 1:
+                result = mul(result, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
+        return result
 
     def __repr__(self) -> str:
         return self.name

@@ -309,7 +309,6 @@ class FiniteGroupTable:
             raise ValidationError(f"{p} is not prime")
         if n < 0:
             raise ValidationError("a pc presentation needs n >= 0 generators")
-        check_budget(budgets, "pc_generators_max", n)
         limit = get_budgets(budgets).group_enumeration_max
         if n > limit.bit_length():  # p^n >= 2^n, bounded before the power is formed
             raise BudgetError("group_enumeration_max", f"{p}^{n}", limit)
@@ -375,23 +374,22 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
         w = pres.word_index(pres.pow_letters[k])
         if phi[w] != w:
             raise ValidationError(fails.format("b") + f" moves {g}^p")
-        out = np.empty((p * size, p * size), dtype=np.int32)
+        out = np.empty((p, size, p, size), dtype=np.int32)   # [a, t, b, u]
         phi_b = np.arange(size)                     # phi^b, from b = 0
         for b in range(p):
-            rows = [phi_b, table[w, phi_b]]
-            # mode="clip" lets take write into the block unbuffered; every
-            # index is an entry of the table, so none is clipped
-            for a in range(p):
-                block = out[a * size:(a + 1) * size, b * size:(b + 1) * size]
-                np.take(table, rows[a + b >= p], axis=0, out=block, mode="clip")
-                if (a + b) % p:
-                    block += (a + b) % p * size
+            # block column b in one gather over every row block a; mode="clip"
+            # lets take write into it unbuffered, and every index is an entry
+            # of the table, so none is clipped
+            a_plus_b = np.arange(b, b + p)
+            rows = np.where(a_plus_b[:, None] >= p, table[w, phi_b], phi_b)
+            np.take(table, rows, axis=0, out=out[:, :, b, :], mode="clip")
+            out[:, :, b, :] += (a_plus_b % p * size)[:, None, None]
             phi_b = phi[phi_b]
         w_inv = np.flatnonzero(table[w] == 0)[0]    # 0 is the identity of G_(k+1)
         if not np.array_equal(phi_b, table[table[w_inv], w]):
             raise ValidationError(fails.format("c") + f", p times over, is not "
                                   f"conjugation by {g}^p")
-        table = out
+        table = out.reshape(p * size, p * size)
     return table
 
 

@@ -387,13 +387,17 @@ def _structure_line(ln: str, field: Field, d: int) -> tuple[int, ...]:
         raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
     if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
         raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
-    field.from_code(code)  # raises unless 0 <= code < q
+    if not (0 <= code < field.q):
+        raise ValidationError(f"element code {code} out of range for {field.name}")
     return i, j, k, code
 
 
 def serialize_algebra(alg: NilAlgebra) -> str:
     f = alg.field
+    nonzero = np.argwhere(alg.C.any(axis=3))
+    # codes as exact Python ints: q may pass 2^63
+    codes = alg.C[tuple(nonzero.T)].astype(object) @ np.array(
+        [f.p ** m for m in range(f.e)], dtype=object)
     out = [f"alg {f.p} {f.e} {alg.dim}"]
-    for i, j, k in np.argwhere(alg.C.any(axis=3)).tolist():
-        out.append(f"{i} {j} {k} {f.element(alg.C[i, j, k]).code}")
+    out += [f"{i} {j} {k} {code}" for (i, j, k), code in zip(nonzero.tolist(), codes.tolist())]
     return "\n".join(out) + "\n"

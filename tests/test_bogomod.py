@@ -13,7 +13,7 @@ from orbitzeta.bogomod import (build_mq, frobenius_matrix,
                                predicted_ab_order, smith_valuations,
                                verify_filtration)
 from orbitzeta.errors import ValidationError
-from orbitzeta.ffield import make_field, p_adic, prime_power_decompose
+from orbitzeta.ffield import _poly_powmod, make_field, p_adic, prime_power_decompose
 from orbitzeta.linalg import smith_valuations_mod_pv
 
 
@@ -195,10 +195,12 @@ def test_power_class_layers():
     assert power_class_layers(corpus.group("C2xC2"), 2) == [3]
     assert power_class_layers(corpus.group("He27"), 3) == [10]
     # layer sizes sum to k - 1
-    for name in ("D8", "C9", "M16", "g128"):
+    for name, p in corpus.mq_corpus():
         g = corpus.group(name)
-        p, _ = prime_power_decompose(g.order)
-        assert sum(power_class_layers(g, p)) == g.k() - 1
+        assert sum(power_class_layers(g, p)) == g.k() - 1, name
+    # squaring permutes C3: the powers never shrink, so it is refused
+    with pytest.raises(ValidationError, match="not a 2-group"):
+        power_class_layers(corpus.group("C3"), 2)
 
 
 def test_verify_filtration():
@@ -274,12 +276,13 @@ def test_frobenius_matrix_lift_compatibility():
 
 
 def test_frobenius_matrix_reduces_to_field_frobenius():
+    # column j: the digits of (t^j)^p by the polynomial kit
     for p, e in [(2, 2), (2, 3), (3, 2), (5, 2)]:
-        field = make_field(p, e)
+        modulus = list(make_field(p, e).modulus)
         cols = []
         for j in range(e):
-            code = field.from_code(p ** j).frobenius().code
-            cols.append([(code // p ** i) % p for i in range(e)])
+            red = _poly_powmod([0] * j + [1], p, modulus, p)
+            cols.append(red + [0] * (e - len(red)))
         from_field = [[cols[j][i] for j in range(e)] for i in range(e)]
         reduced = [[x % p for x in row] for row in frobenius_matrix(p, e, 2)]
         assert from_field == reduced

@@ -346,7 +346,8 @@ def test_budget_config_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("setting", ["nonsense", "no_such_key=5", "field_q_max=x",
                                      "field_q_max=0", "closure_max=5",
-                                     "collection_steps_max=5"])
+                                     "collection_steps_max=5", "dual_census_max=1",
+                                     "pc_generators_max=1"])
 def test_budget_bad_setting_exits_2(capsys, setting):
     rc, _, err = run(capsys, ["budget", "--set", setting])
     assert rc == 2
@@ -355,7 +356,7 @@ def test_budget_bad_setting_exits_2(capsys, setting):
 
 def test_budget_violation_exits_3(capsys, algebra_file):
     path = algebra_file(corpus.unitriangular(3, 2))
-    rc, _, err = run(capsys, ["orbits", "census", path, "--set", "dual_census_max=4"])
+    rc, _, err = run(capsys, ["orbits", "census", path, "--set", "group_enumeration_max=4"])
     assert rc == 3
     assert "error:" in err
 
@@ -674,11 +675,11 @@ def test_repeated_main_calls_match_fresh_processes(capsys, algebra_file, group_f
     # interpreter prints, and --set values do not carry over
     census = ["orbits", "census", algebra_file(corpus.unitriangular(3, 3))]
     calls = [census,
-             ["budget", "--set", "character_table_max=5", "--set", "dual_census_max=7"],
+             ["budget", "--set", "character_table_max=5", "--set", "group_enumeration_max=7"],
              ["zeta", "product", a1_spec([(5, 1)])],                 # no --N: exit 2
              ["grouptab", "classes", group_file("D8")],
              ["grouptab", "classes", "/nonexistent/file.grp"],      # exit 2
-             ["budget", "--set", "dual_census_max=9"],
+             ["budget", "--set", "group_enumeration_max=9"],
              census]
     assert build_parser() is build_parser()
     for argv in calls:
@@ -688,6 +689,16 @@ def test_repeated_main_calls_match_fresh_processes(capsys, algebra_file, group_f
             rc = exc.code
         proc = _cli_subprocess(argv)
         assert (rc, capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
+
+
+def test_pc_order_near_the_table_budget_finishes(tmp_path):
+    # C_4093 has p = 4093 blocks per block column: one gather per column
+    # keeps it to a second where one gather per block took minutes
+    path = tmp_path / "c4093.pc"
+    path.write_text("pc 4093 1\n", encoding="utf-8")
+    proc = _cli_subprocess(["grouptab", "classes", str(path)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["k"] == 4093
 
 
 def test_nilalg_info_huge_dimension_exits_2_quickly(tmp_path):
@@ -841,7 +852,7 @@ _ALG_ARGV = {"nilalg": ["nilalg", "info"], "algroup": ["algroup", "classes"],
 @pytest.mark.parametrize("sub", ["nilalg", "algroup", "orbits", "grouptab", "mq"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @example(header=(2, 1, 1), lines=[], group="pc 2 4294967296\n",
-         setting=("pc_generators_max", 2 ** 64), p=2, e=1)
+         setting=("group_enumeration_max", 2 ** 64), p=2, e=1)
 @given(header=_ALG_HEADER, lines=st.lists(_ALG_LINE, max_size=2), group=_GROUP_TEXT,
        setting=_SET, p=st.one_of(st.sampled_from([2, 3]), _UP_TO_2_64),
        e=st.one_of(st.integers(1, 2), _UP_TO_2_64))

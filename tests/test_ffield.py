@@ -6,8 +6,10 @@ import pytest
 
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.budgets import Budgets
-from orbitzeta.ffield import (Field, FieldElement, _poly_mod, _poly_mul, _poly_powmod,
-                              is_prime, make_field, p_adic)
+from orbitzeta.ffield import (Field, _poly_mod, _poly_mul, _poly_powmod, is_prime,
+                              make_field, p_adic)
+from orbitzeta.linalg import base_p_digits
+from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (7, 1), (3, 3)]
@@ -57,96 +59,148 @@ def test_make_field_interned():
     assert make_field(3, 2) is not make_field(3, 1)
 
 
+# ------------------------------------------- F_q on digit arrays --
+
+def _ref_mul(f, a, b):
+    """a * b for digit tuples by the polynomial kit: the scalar reference,
+    which never calls reduce_digit_products."""
+    red = _poly_mod(_poly_mul(list(a), list(b), f.p), list(f.modulus), f.p)
+    return tuple(red) + (0,) * (f.e - len(red))
+
+
+def _ref_pow(f, a, n):
+    red = _poly_powmod(list(a), n, list(f.modulus), f.p)
+    return tuple(red) + (0,) * (f.e - len(red))
+
+
+def _all_rows(f):
+    """The (q, e) digit array of every element of f, row c holding code c."""
+    return base_p_digits(np.arange(f.q), f.p, f.e).astype(np.int64)
+
+
+def _mul(f, x, y):
+    """Row-wise products of digit arrays of equal shape, on arrays."""
+    return f.reduce_digit_products(x[..., :, None] * y[..., None, :] % f.p)
+
+
+def _pairs(f):
+    """Every pair (x, y) of elements of f as two (q^2, e) digit arrays."""
+    rows = _all_rows(f)
+    return np.repeat(rows, f.q, axis=0), np.tile(rows, (f.q, 1))
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_digit_products_match_polynomial_kit(p, e):
+    f = make_field(p, e)
+    x, y = _pairs(f)
+    want = [_ref_mul(f, a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert [tuple(r) for r in _mul(f, x, y).tolist()] == want
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_digit_products_match_sympy(p, e):
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    f = make_field(p, e)
+    x, y = _pairs(f)
+    modulus = list(f.modulus)[::-1]   # sympy lists the leading coefficient first
+    got = _mul(f, x, y).tolist()
+    for a, b, row in zip(x.tolist(), y.tolist(), got):
+        prod = galois.gf_mul(galois.gf_strip(a[::-1]), galois.gf_strip(b[::-1]), p, ZZ)
+        rem = [int(c) for c in galois.gf_rem(prod, modulus, p, ZZ)][::-1]
+        assert row == rem + [0] * (e - len(rem)), (a, b)
+
+
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_every_element_satisfies_x_q_equals_x(p, e):
     f = make_field(p, e)
-    for x in f.elements():
-        assert x ** f.q == x
+    x = _all_rows(f)
+    assert np.array_equal(f.row_power(x, f.q), x)
+    for n in (0, 1, 2, p, f.q - 1, 2 * f.q + 3):
+        assert [tuple(r) for r in f.row_power(x, n).tolist()] == \
+            [_ref_pow(f, a, n) for a in x.tolist()]
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_field_axioms_sampled(p, e):
     f = make_field(p, e)
-    rng = random.Random(1000 * p + e)
-    els = list(f.elements())
-    for _ in range(60):
-        a, b, c = (rng.choice(els) for _ in range(3))
-        assert (a + b) * c == a * c + b * c
-        assert a * (b * c) == (a * b) * c
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a + (-a) == f.zero
-        assert a * f.one == a
+    rng = np.random.default_rng(1000 * p + e)
+    a, b, c = (_all_rows(f)[rng.integers(0, f.q, 200)] for _ in range(3))
+    one = np.zeros_like(a)
+    one[:, 0] = 1
+    assert np.array_equal(_mul(f, (a + b) % p, c), (_mul(f, a, c) + _mul(f, b, c)) % p)
+    assert np.array_equal(_mul(f, a, _mul(f, b, c)), _mul(f, _mul(f, a, b), c))
+    assert np.array_equal(_mul(f, a, b), _mul(f, b, a))
+    assert np.array_equal(_mul(f, a, one), a)
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_inverse_and_division(p, e):
+    # x^(q-2) is the inverse of every nonzero x: F_q^* is a group
     f = make_field(p, e)
-    for x in f.elements():
-        if x.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-        else:
-            assert x * x.inverse() == f.one
-            assert x ** -1 == x.inverse()
-            assert (f.one / x) * x == f.one
+    x = _all_rows(f)[1:]
+    one = np.zeros_like(x)
+    one[:, 0] = 1
+    assert np.array_equal(_mul(f, x, f.row_power(x, f.q - 2)), one)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
 def test_frobenius_fixed_field_is_prime_field(p, e):
     f = make_field(p, e)
-    fixed = [x for x in f.elements() if x.frobenius() == x]
-    assert len(fixed) == p
+    x = _all_rows(f)
+    frob = f.row_power(x, p)
+    assert (frob == x).all(axis=1).sum() == p
     # phi has order e
-    for x in f.elements():
-        y = x
-        for _ in range(e):
-            y = y.frobenius()
-        assert y == x
-    # and is a ring homomorphism
-    rng = random.Random(17)
-    els = list(f.elements())
-    for _ in range(40):
-        a, b = rng.choice(els), rng.choice(els)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+    y = x
+    for _ in range(e):
+        y = f.row_power(y, p)
+    assert np.array_equal(y, x)
+    # and is a ring homomorphism, on every pair
+    a, b = _pairs(f)
+    fa, fb = f.row_power(a, p), f.row_power(b, p)
+    assert np.array_equal(f.row_power((a + b) % p, p), (fa + fb) % p)
+    assert np.array_equal(f.row_power(_mul(f, a, b), p), _mul(f, fa, fb))
+
+
+def _traces(f, x):
+    """x + x^p + .. + x^(p^(e-1)) for the digit rows x."""
+    acc, power = x.copy(), x
+    for _ in range(f.e - 1):
+        power = f.row_power(power, f.p)
+        acc += power
+    return acc % f.p
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_trace_additive_and_surjective(p, e):
     f = make_field(p, e)
-    traces = {x.trace() for x in f.elements()}
-    assert traces == set(range(p))
+    traces = _traces(f, _all_rows(f))
+    assert not traces[:, 1:].any()          # lands in the prime field
     # each fiber of the trace has size q/p
-    from collections import Counter
-
-    fibers = Counter(x.trace() for x in f.elements())
-    assert all(v == f.q // p for v in fibers.values())
-    rng = random.Random(5)
-    els = list(f.elements())
-    for _ in range(40):
-        a, b = rng.choice(els), rng.choice(els)
-        assert (a + b).trace() == (a.trace() + b.trace()) % p
+    assert np.bincount(traces[:, 0], minlength=p).tolist() == [f.q // p] * p
+    a, b = _pairs(f)
+    assert np.array_equal(_traces(f, (a + b) % p), (_traces(f, a) + _traces(f, b)) % p)
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_code_roundtrip(p, e):
+    # a code of an algebra file reads back as its digits and writes back as
+    # itself; q is out of range
     f = make_field(p, e)
-    for code in range(f.q):
-        assert f.from_code(code).code == code
-    with pytest.raises(ValidationError):
-        f.from_code(f.q)
+    for code, digits in enumerate(_all_rows(f).tolist()):
+        assert sum(c * p ** m for m, c in enumerate(digits)) == code
+        text = f"alg {p} {e} 2\n0 0 1 {code}\n" if code else f"alg {p} {e} 2\n"
+        assert serialize_algebra(parse_algebra_file(text)) == text
+    with pytest.raises(ValidationError, match=f"element code {f.q} out of range for F_{f.q}"):
+        parse_algebra_file(f"alg {p} {e} 2\n0 0 1 {f.q}\n")
 
 
 def test_t_is_root_of_modulus():
     f = make_field(2, 3)
-    t = f.t()
-    acc = f.zero
-    for i, c in enumerate(f.modulus):
-        acc = acc + f.from_code(c) * t ** i  # c < p: a prime subfield element
-    assert acc.is_zero()
-    with pytest.raises(ValidationError):
-        make_field(5).t()
+    t = np.array([0, 1, 0])
+    acc = sum(c * f.row_power(t, i) for i, c in enumerate(f.modulus)) % f.p
+    assert not acc.any()
 
 
 def test_field_budget():
@@ -202,22 +256,6 @@ def test_poly_powmod_matches_repeated_multiplication(mod, m):
             acc = _poly_mod(_poly_mul(acc, a, mod), m, mod)
             n += 1
         assert _poly_powmod(a, n, m, mod) == acc, (mod, m, n)
-
-
-def test_negative_power_goes_through_inverse(monkeypatch):
-    f = make_field(3, 2)
-    x = f.from_code(5)
-    calls = []
-    real = FieldElement.inverse
-
-    def spy(self):
-        calls.append(self)
-        return real(self)
-    monkeypatch.setattr(FieldElement, "inverse", spy)
-    assert x ** -3 == real(x) ** 3
-    assert calls == [x]
-    with pytest.raises(ZeroDivisionError):
-        f.zero ** -2
 
 
 def _irreducible_by_trial_division(m, p):

@@ -610,6 +610,13 @@ def test_pc_table_matches_full_words_on_cyclic_chains(p, n):
     assert g.element_order(g.generators[0]) == p ** n
 
 
+@pytest.mark.parametrize("p", [2, 7, 1021])
+def test_cyclic_pc_table_is_addition_mod_p(p):
+    i = np.arange(p)
+    g = FiniteGroupTable.from_power_commutator(p, 1, {}, {})
+    assert np.array_equal(g.table, (i[:, None] + i) % p)
+
+
 # Q8 written with g1^2 = g2^2: reducing the exponent 2 mod 2 would give D8
 Q8_AS_SQUARES = "pc 2 3\npow 1: 0 2 0\npow 2: 0 0 1\ncomm 2 1: 0 0 1\n"
 

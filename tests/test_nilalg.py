@@ -11,7 +11,7 @@ from orbitzeta import corpus, nilalg
 from orbitzeta.linalg import base_p_digits
 from orbitzeta.budgets import Budgets
 from orbitzeta.errors import ValidationError
-from orbitzeta.ffield import make_field
+from orbitzeta.ffield import _poly_mod, _poly_mul, _poly_powmod, make_field
 from orbitzeta.linalg import rref_mod_p
 from orbitzeta.nilalg import (NilAlgebra, make_augmentation_ideal,
                               make_unitriangular, make_zero_algebra,
@@ -259,33 +259,50 @@ def test_structure_tensor_matches_multiply(make):
     assert np.array_equal(alg._mul_rows(xs, ys), product(alg, xs, ys))
 
 
+def _fq_mul(f, a, b):
+    """a * b in F_q for digit tuples, by the polynomial kit."""
+    red = _poly_mod(_poly_mul(list(a), list(b), f.p), list(f.modulus), f.p)
+    return tuple(red) + (0,) * (f.e - len(red))
+
+
+def _fq_add(f, a, b):
+    return tuple((x + y) % f.p for x, y in zip(a, b))
+
+
+def _fq_inverse(f, a):
+    red = _poly_powmod(list(a), f.q - 2, list(f.modulus), f.p)
+    return tuple(red) + (0,) * (f.e - len(red))
+
+
 def _scalar_product(alg, u, v):
-    """u * v over F_q from C for digit rows u and v, one FieldElement
+    """u * v over F_q from C for digit rows u and v, one polynomial-kit
     product per nonzero constant, as a digit tuple: the reference for
     NilAlgebra._fq_products."""
     f, e = alg.field, alg.field.e
-    u, v = ([f.element(w[i * e:(i + 1) * e]) for i in range(alg.dim)] for w in (u, v))
-    dense = [f.zero] * alg.dim
-    rows = [i for i, a in enumerate(u) if not a.is_zero()]
-    cols = [j for j, b in enumerate(v) if not b.is_zero()]
+    u, v = ([tuple(w[i * e:(i + 1) * e]) for i in range(alg.dim)] for w in (u, v))
+    dense = [(0,) * e] * alg.dim
+    rows = [i for i, a in enumerate(u) if any(a)]
+    cols = [j for j, b in enumerate(v) if any(b)]
     block = alg.C[rows][:, cols]
     x, y, k = np.nonzero(block.any(axis=3))  # sorted by (x, y)
     pair = ab = None
     for i, j, t, c in zip(x.tolist(), y.tolist(), k.tolist(), block[x, y, k].tolist()):
         if (i, j) != pair:
-            pair, ab = (i, j), u[rows[i]] * v[cols[j]]
-        dense[t] = dense[t] + ab * f.element(c)
-    return tuple(c for a in dense for c in a.coeffs)
+            pair, ab = (i, j), _fq_mul(f, u[rows[i]], v[cols[j]])
+        dense[t] = _fq_add(f, dense[t], _fq_mul(f, ab, c))
+    return tuple(c for a in dense for c in a)
 
 
 def _rescaled(alg, seed):
     """alg on the basis s_i b_i for seeded nonzero s_i: the constants become
     s_i s_j s_k^-1 C[i, j, k], most of them off the prime field."""
     f, rng = alg.field, random.Random(seed)
-    s = [f.from_code(rng.randrange(1, f.q)) for _ in range(alg.dim)]
+    s = [tuple(base_p_digits([rng.randrange(1, f.q)], f.p, f.e)[0].tolist())
+         for _ in range(alg.dim)]
     C = np.zeros_like(alg.C)
     for i, j, k in np.argwhere(alg.C.any(axis=3)).tolist():
-        C[i, j, k] = (s[i] * s[j] * s[k].inverse() * f.element(alg.C[i, j, k])).coeffs
+        scale = _fq_mul(f, _fq_mul(f, s[i], s[j]), _fq_inverse(f, s[k]))
+        C[i, j, k] = _fq_mul(f, scale, alg.C[i, j, k].tolist())
     return NilAlgebra(f, C, name=f"{alg.name} rescaled")
 
 
@@ -314,8 +331,8 @@ def test_fq_products_match_scalar_loop(make):
 # ------------------------------------------------------------- the parser --
 
 def _reference_parse(text):
-    """The per-line parse, one from_code call and one C[i, j, k] update per
-    line: C reduced mod p, or the ValidationError of the first bad line."""
+    """The per-line parse, one code range check and one C[i, j, k] update
+    per line: C reduced mod p, or the ValidationError of the first bad line."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     _, p, e, d = lines[0].split()
@@ -331,7 +348,10 @@ def _reference_parse(text):
             raise ValidationError(f"structure line has non-integer tokens: {ln!r}") from None
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise ValidationError(f"structure constant index ({i},{j},{k}) out of range")
-        C[i, j, k] = (C[i, j, k] + field.from_code(code).coeffs) % field.p
+        if not (0 <= code < field.q):
+            raise ValidationError(f"element code {code} out of range for {field.name}")
+        C[i, j, k] = (C[i, j, k] + [code // field.p ** m % field.p
+                                    for m in range(field.e)]) % field.p
     return C
 
 
@@ -434,21 +454,23 @@ def test_codes_past_int64_parse_exactly():
 def _first_nonassociative_triple(field, C):
     """The least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), by F_q
     arithmetic on C alone."""
-    d = len(C)
-    c = [[[field.element(C[i, j, k]) for k in range(d)] for j in range(d)] for i in range(d)]
+    d, zero = len(C), (0,) * field.e
+    c = C.tolist()
 
     def product(u, v):
-        out = [field.zero] * d
+        out = [zero] * d
         for s, t in itertools.product(range(d), repeat=2):
-            if not (u[s].is_zero() or v[t].is_zero()):
+            if any(u[s]) and any(v[t]):
+                uv = _fq_mul(field, u[s], v[t])
                 for k in range(d):
-                    out[k] = out[k] + u[s] * v[t] * c[s][t][k]
-        return [x.coeffs for x in out]
+                    out[k] = _fq_add(field, out[k], _fq_mul(field, uv, c[s][t][k]))
+        return out
 
-    basis = [[field.one if s == i else field.zero for s in range(d)] for i in range(d)]
+    one = (1,) + zero[1:]
+    basis = [[one if s == i else zero for s in range(d)] for i in range(d)]
     for i, j, k in itertools.product(range(d), repeat=3):
-        left = product([field.element(x) for x in product(basis[i], basis[j])], basis[k])
-        right = product(basis[i], [field.element(x) for x in product(basis[j], basis[k])])
+        left = product(product(basis[i], basis[j]), basis[k])
+        right = product(basis[i], product(basis[j], basis[k]))
         if left != right:
             return i, j, k
     return None

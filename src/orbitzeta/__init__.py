@@ -6,7 +6,7 @@ from .algroup import AlgebraGroup
 from .bogomod import (MqPresentation, build_mq, frobenius_matrix,
                       hensel_lift_modulus, invariant_factors, mq_order,
                       power_class_layers, predicted_ab_order, verify_filtration)
-from .budgets import Budgets, DEFAULT_BUDGETS, parse_budget_config
+from .budgets import Budgets, DEFAULT_BUDGETS, budget_scope, parse_budget_config
 from .coadjoint import (CensusResult, CharacterTable, character_table,
                         conjecture_probe, fake_degree_identities, orbit_census,
                         orthonormality_check, transitivity_check,

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from .budgets import Budgets, check_budget
+from .budgets import check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
                        orbit_partition)
@@ -86,9 +86,8 @@ class AlgebraGroup:
     them with conjugation computed from the structure constants C by the
     C route."""
 
-    def __init__(self, alg: NilAlgebra, budgets: Budgets | None = None):
+    def __init__(self, alg: NilAlgebra):
         self.alg = alg
-        self.budgets = budgets
         self.p = alg.field.p
         self.e = alg.field.e
         self.n = alg.dim * alg.field.e          # prime-field dimension
@@ -117,7 +116,7 @@ class AlgebraGroup:
 
     def digit_rows(self) -> np.ndarray:
         if self._X is None:
-            check_budget(self.budgets, "group_enumeration_max", self.N)
+            check_budget("group_enumeration_max", self.N)
             self._X = base_p_digits(np.arange(self.N), self.p, self.n)
         return self._X
 
@@ -226,7 +225,7 @@ class AlgebraGroup:
         x < p the difference x - p wraps above x and min(x, x - p) is x mod p.
         The blocks are then summed with their powers of p, from the top.
         """
-        check_budget(self.budgets, "group_enumeration_max", self.N)
+        check_budget("group_enumeration_max", self.N)
         p, n, N = self.p, self.n, self.N
         mat = np.asarray(mat, dtype=np.int64) % p
         shift = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(
@@ -297,7 +296,7 @@ class AlgebraGroup:
                 # set serves the orbits
                 self._gens = self.prime_generators
             else:
-                check_budget(self.budgets, "group_enumeration_max", self.N)
+                check_budget("group_enumeration_max", self.N)
                 # the seeds at codes p^t, then least non-members; each coset
                 # representative at least doubles the closure
                 codes = generating_set(self.N, 0, self._right_mul_code, self.powers)
@@ -324,7 +323,7 @@ class AlgebraGroup:
     def conjugacy_classes(self) -> OrbitPartition:
         """Conjugation orbits on J; the orbit of x is the class of 1+x."""
         if self._classes is None:
-            check_budget(self.budgets, "group_enumeration_max", self.N)
+            check_budget("group_enumeration_max", self.N)
             self._classes = orbit_partition(self.group_perms(), self.N)
         return self._classes
 
@@ -340,7 +339,7 @@ class AlgebraGroup:
 
     def commutator_subgroup_packed(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
-        check_budget(self.budgets, "group_enumeration_max", self.N)
+        check_budget("group_enumeration_max", self.N)
         gens, inv = self._generators(), self._generator_inverses()
         k = len(gens)
         # [1+u, 1+v] = (1+u)^-1 (1+v)^-1 (1+u)(1+v) for every generator pair

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import Budgets
 from .errors import InternalInconsistencyError, ValidationError
 from .ffield import (_poly_mod, _poly_mul, _poly_powmod, check_field_order, is_prime,
                      make_field, p_adic, prime_power_decompose)
@@ -64,6 +63,9 @@ def frobenius_matrix(p: int, e: int, v: int) -> list[list[int]]:
         raise ValidationError("need e >= 1 and v >= 1")
     if e == 1:
         return [[1]]
+    # the check against the field's Frobenius multiplies residues in int64
+    if (p - 1) ** 2 >= 2**63:
+        raise ValidationError(f"the Frobenius matrix over Z/{p} needs (p-1)^2 < 2^63")
     fhat = hensel_lift_modulus(p, e, v)
     mod = p ** v
     cols = []
@@ -109,8 +111,7 @@ class MqPresentation:
 
 
 def build_mq(group: FiniteGroupTable, p: int, e: int,
-             frobenius: list[list[int]] | None = None,
-             budgets: Budgets | None = None) -> MqPresentation:
+             frobenius: list[list[int]] | None = None) -> MqPresentation:
     """Relation matrix of M_q(pi) over Z/p^v, p^v = p*exp(pi)."""
     if p < 2:
         raise ValidationError(f"{p} is not prime")
@@ -120,7 +121,7 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
         raise ValidationError("extension degree must be >= 1")
     # the trivial group passes the order test for every p, and the Frobenius
     # matrix builds monomials of degree up to (e-1)p: bound q = p^e first
-    check_field_order(budgets, p, e)
+    check_field_order(p, e)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     t, rest = p_adic(group.exponent(), p)

@@ -3,14 +3,17 @@
 Every brute-force routine checks its input size against one of these limits
 before allocating anything; violations raise BudgetError naming the limit.
 Budgets come from defaults, an optional flat key=value config file, and
-command line overrides, in that order.
+command line overrides, in that order.  The checks read the budgets of the
+innermost budget_scope; outside every scope they read DEFAULT_BUDGETS.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace, fields
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -30,23 +33,42 @@ DEFAULT_BUDGETS = Budgets()
 
 _INT_FIELDS = {f.name for f in fields(Budgets)}
 
-
-def get_budgets(budgets: Budgets | None) -> Budgets:
-    return DEFAULT_BUDGETS if budgets is None else budgets
+_CURRENT: ContextVar[Budgets] = ContextVar("orbitzeta_budgets", default=DEFAULT_BUDGETS)
 
 
-def check_budget(budgets: Budgets | None, name: str, needed: int) -> None:
-    from .errors import BudgetError
+def current_budgets() -> Budgets:
+    """The budgets of the innermost budget_scope, or DEFAULT_BUDGETS."""
+    return _CURRENT.get()
 
-    b = get_budgets(budgets)
-    limit = getattr(b, name)
+
+@contextmanager
+def budget_scope(b: Budgets):
+    """Every budget check inside the with block reads b."""
+    token = _CURRENT.set(b)
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)
+
+
+def check_budget(name: str, needed: int) -> None:
+    limit = getattr(_CURRENT.get(), name)
     if needed > limit:
         raise BudgetError(name, needed, limit)
 
 
-def parse_budget_config(text: str, base: Budgets | None = None) -> Budgets:
+def check_power_budget(name: str, p: int, n: int) -> None:
+    """Bound p^n by the named budget without forming p^n when n alone puts
+    it past the limit: for |p| >= 2, p^n >= 2^n."""
+    limit = getattr(_CURRENT.get(), name)
+    if abs(p) > 1 and n > limit.bit_length():
+        raise BudgetError(name, f"{p}^{n}", limit)
+    check_budget(name, p**n)
+
+
+def parse_budget_config(text: str, base: Budgets = DEFAULT_BUDGETS) -> Budgets:
     """Parse a flat key=value config (one per line, # comments)."""
-    out = get_budgets(base)
+    out = base
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__, corpus
 from .algroup import AlgebraGroup, _c_route_law
 from .bogomod import build_mq, invariant_factors, mq_order, verify_filtration
-from .budgets import Budgets, get_budgets, parse_budget_config
+from .budgets import (DEFAULT_BUDGETS, Budgets, budget_scope, current_budgets,
+                      parse_budget_config)
 from .coadjoint import (character_table, conjecture_probe, engine_for,
                         fake_degree_identities, orbit_census)
 from .errors import InternalInconsistencyError, ToolError, ValidationError
@@ -68,12 +69,12 @@ def _sha256(path: str) -> str:
 
 
 def _effective_budgets(args) -> Budgets:
-    budgets = None
-    if getattr(args, "budget_config", None):
+    budgets = DEFAULT_BUDGETS
+    if args.budget_config:
         budgets = parse_budget_config(_read_text(args.budget_config))
-    for setting in getattr(args, "set", None) or []:
+    for setting in args.set or []:
         budgets = parse_budget_config(setting, base=budgets)
-    return get_budgets(budgets)
+    return budgets
 
 
 def _checkpoint_grid(N: int) -> list[int]:
@@ -217,9 +218,8 @@ def _character_values(table) -> list[list[dict]]:
 # --------------------------------------------------------------- payloads --
 
 def cmd_grouptab(args) -> dict:
-    budgets = _effective_budgets(args)
-    g = parse_group_file(_read_text(args.file), budgets)
-    classes = g.conjugacy_classes(budgets)
+    g = parse_group_file(_read_text(args.file))
+    classes = g.conjugacy_classes()
     return {
         "order": g.order,
         "k": classes.count,
@@ -229,8 +229,7 @@ def cmd_grouptab(args) -> dict:
 
 
 def cmd_nilalg_info(args) -> dict:
-    budgets = _effective_budgets(args)
-    alg = parse_algebra_file(_read_text(args.file), budgets)
+    alg = parse_algebra_file(_read_text(args.file))
     derived_rows, _ = alg.derived_lie_subspace()
     return {
         "dim": alg.dim,
@@ -241,9 +240,8 @@ def cmd_nilalg_info(args) -> dict:
 
 
 def cmd_algroup(args) -> dict:
-    budgets = _effective_budgets(args)
-    alg = parse_algebra_file(_read_text(args.file), budgets)
-    eng = AlgebraGroup(alg, budgets)
+    alg = parse_algebra_file(_read_text(args.file))
+    eng = AlgebraGroup(alg)
     return {
         "group_order": eng.N,
         "k": eng.k(),
@@ -252,9 +250,8 @@ def cmd_algroup(args) -> dict:
 
 
 def cmd_orbits_census(args) -> dict:
-    budgets = _effective_budgets(args)
-    alg = parse_algebra_file(_read_text(args.file), budgets)
-    census = orbit_census(alg, budgets)
+    alg = parse_algebra_file(_read_text(args.file))
+    census = orbit_census(alg)
     sizes, counts = np.unique(census.sizes, return_counts=True)
     return {
         "group_order": census.alg.field.q ** census.alg.dim,
@@ -267,9 +264,8 @@ def cmd_orbits_census(args) -> dict:
 
 
 def cmd_orbits_characters(args) -> dict:
-    budgets = _effective_budgets(args)
-    alg = parse_algebra_file(_read_text(args.file), budgets)
-    table = character_table(alg, budgets)
+    alg = parse_algebra_file(_read_text(args.file))
+    table = character_table(alg)
     return {
         "k": table.k,
         "class_reps": [int(c) for c in table.class_reps],
@@ -283,21 +279,19 @@ def cmd_orbits_characters(args) -> dict:
 
 
 def cmd_orbits_probe(args) -> dict:
-    budgets = _effective_budgets(args)
-    alg = parse_algebra_file(_read_text(args.file), budgets)
-    report = conjecture_probe(alg, budgets)
+    alg = parse_algebra_file(_read_text(args.file))
+    report = conjecture_probe(alg)
     report["name"] = alg.name
     report["dim"] = alg.dim
     return report
 
 
 def cmd_mq(args) -> dict:
-    budgets = _effective_budgets(args)
-    g = parse_group_file(_read_text(args.file), budgets)
-    pres = build_mq(g, args.p, args.e, budgets=budgets)
+    g = parse_group_file(_read_text(args.file))
+    pres = build_mq(g, args.p, args.e)
     factors = invariant_factors(pres)  # the one Smith form of this command
     order = math.prod(factors)
-    kk = g.k(budgets)
+    kk = g.k()
     filt = verify_filtration(pres, g, factors)
     return {
         "k": kk,
@@ -321,9 +315,8 @@ def cmd_zeta_sl2(args) -> dict:
 
 
 def cmd_zeta_product(args) -> dict:
-    budgets = _effective_budgets(args)
     spec = _load_factor_spec(args.spec)
-    series = product_series(spec, args.N, mode=args.mode, budgets=budgets)
+    series = product_series(spec, args.N, mode=args.mode)
     checkpoints = series.partial_counts(_checkpoint_grid(series.N))
     if args.emit_plot_data:
         _write_text(args.emit_plot_data, "n,R_n\n" + "".join(
@@ -337,9 +330,8 @@ def cmd_zeta_product(args) -> dict:
 
 
 def cmd_zeta_abscissa(args) -> dict:
-    budgets = _effective_budgets(args)
     spec = _load_factor_spec(args.spec)
-    series = product_series(spec, args.N, mode=args.mode, budgets=budgets)
+    series = product_series(spec, args.N, mode=args.mode)
     est = abscissa_estimate(series)
     if args.emit_plot_data:
         _write_text(args.emit_plot_data, "n,R_n,log_ratio\n" + "".join(
@@ -362,8 +354,7 @@ def cmd_zeta_target(args) -> dict:
         raise ValidationError(f"--c must be a rational number in float range, "
                               f"got {args.c!r}") from None
     lie = _parse_lie_type(args.type)
-    ts = target_abscissa_spec(c, lie, args.p, imax=args.imax,
-                              budgets=_effective_budgets(args))
+    ts = target_abscissa_spec(c, lie, args.p, imax=args.imax)
     above = ts.akov_partial_sums(cf + 0.1, args.imax)[-1]
     below = ts.akov_partial_sums(cf - 0.1, args.imax)[-1]
     entries = [[i, a, _decimal_digits(f) if f else 0] for i, a, f in ts.entries]
@@ -383,20 +374,19 @@ def cmd_zeta_target(args) -> dict:
 
 
 def cmd_budget(args) -> dict:
-    budgets = _effective_budgets(args)
-    out = asdict(budgets)
+    out = asdict(current_budgets())
     out["threads"] = args.threads
     return out
 
 
 # ---------------------------------------------------------- verify-corpus --
 
-def _suite_fields(budgets) -> dict:
+def _suite_fields() -> dict:
     """On the (q, e) digit array of all of F_q: x^q = x, the trace lands
     on Z/p and onto it, and the Frobenius fixes exactly p elements."""
     checked = []
     for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
-        field = make_field(p, e, budgets)
+        field = make_field(p, e)
         q = field.q
         x = base_p_digits(np.arange(q), p, e).astype(np.int64)
         bad = np.flatnonzero((field.row_power(x, q) != x).any(axis=1))
@@ -420,11 +410,11 @@ def _suite_fields(budgets) -> dict:
     return {"fields": checked}
 
 
-def _suite_groups(budgets) -> dict:
+def _suite_groups() -> dict:
     rows = []
     for name in corpus.groups_of_order_le(128):
         g = corpus.group(name)
-        classes = g.conjugacy_classes(budgets)
+        classes = g.conjugacy_classes()
         if sum(classes.sizes) != g.order:
             raise InternalInconsistencyError(f"{name}: class sizes do not sum to order")
         derived = len(g.commutator_subgroup())
@@ -435,7 +425,7 @@ def _suite_groups(budgets) -> dict:
     return {"groups": rows}
 
 
-def _suite_algebras(budgets, extra_files=()) -> dict:
+def _suite_algebras(extra_files=()) -> dict:
     """The group law on 200 seeded triples per algebra, as one batch of
     digit rows: associative by the engine's route through T, and equal to
     the C route (_c_route_law), which reads neither T nor omega.  An extra
@@ -444,14 +434,14 @@ def _suite_algebras(budgets, extra_files=()) -> dict:
 
     algs = list(corpus.duality_corpus()) + list(corpus.character_corpus())
     for path in extra_files:
-        algs.append(parse_algebra_file(_read_text(path), budgets, name=path))
+        algs.append(parse_algebra_file(_read_text(path), name=path))
     names: list[str] = []
     for alg in algs:
         if alg.name in names:
             continue
         rng = random.Random(0xC0FFEE ^ alg.dim)
         codes = [rng.randrange(alg.field.q ** alg.dim) for _ in range(3 * 200)]
-        eng = AlgebraGroup(alg, budgets)  # samples 1+J, however large
+        eng = AlgebraGroup(alg)  # samples 1+J, however large
         rows = base_p_digits(codes, eng.p, eng.n).astype(np.int64).reshape(200, 3, eng.n)
         x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
         left = eng._gmul_rows(eng._gmul_rows(x, y), z)
@@ -464,13 +454,13 @@ def _suite_algebras(budgets, extra_files=()) -> dict:
     return {"algebras": names}
 
 
-def _suite_duality(budgets) -> dict:
+def _suite_duality() -> dict:
     rows = []
     for alg in [corpus.unitriangular(3, 2), corpus.unitriangular(3, 3),
                 corpus.unitriangular(4, 2), corpus.augmentation_ideal("D8", 2),
                 corpus.augmentation_ideal("C3", 3)]:
-        census = orbit_census(alg, budgets)
-        eng = engine_for(alg, budgets)
+        census = orbit_census(alg)
+        eng = engine_for(alg)
         if census.count != eng.k():
             raise InternalInconsistencyError(
                 f"{alg.name}: {census.count} orbits but k = {eng.k()}")
@@ -479,7 +469,7 @@ def _suite_duality(budgets) -> dict:
     return {"duality": rows}
 
 
-def _suite_mq(budgets) -> dict:
+def _suite_mq() -> dict:
     anchors = {"C2": [2], "C4": [2, 4]}
     rows = []
     for name, expect in anchors.items():
@@ -492,24 +482,24 @@ def _suite_mq(budgets) -> dict:
         g = corpus.group(name)
         p, _ = prime_power_decompose(g.order)
         order = mq_order(build_mq(g, p, 1))
-        if order != p ** (g.k(budgets) - 1):
+        if order != p ** (g.k() - 1):
             raise InternalInconsistencyError(f"|M_{p}({name})| != p^(k-1)")
         rows.append({"name": name, "order": order})
     return {"mq": rows}
 
 
-def _suite_zeta(budgets) -> dict:
+def _suite_zeta() -> dict:
     for q in [5, 7, 9, 11, 13, 25, 27, 49, 81, 97]:
         sl2_degrees(q)  # self-validating identities
     if divisor_tuple_count(8) != 4 or divisor_tuple_count(12) != 8:
         raise InternalInconsistencyError("divisor tuple anchors failed")
-    f = product_series(corpus.zeta_products()["sl2_5"], 2000, budgets=budgets)
-    g = product_series(corpus.zeta_products()["sl2_7"], 2000, budgets=budgets)
-    h = product_series(corpus.zeta_products()["sl2_9"], 2000, budgets=budgets)
+    f = product_series(corpus.zeta_products()["sl2_5"], 2000)
+    g = product_series(corpus.zeta_products()["sl2_7"], 2000)
+    h = product_series(corpus.zeta_products()["sl2_9"], 2000)
     if dirichlet_product(dirichlet_product(f, g), h) != \
             dirichlet_product(f, dirichlet_product(g, h)):
         raise InternalInconsistencyError("Dirichlet convolution not associative")
-    tower = product_series(corpus.zeta_products()["sl2_tower_5"], 4096, budgets=budgets)
+    tower = product_series(corpus.zeta_products()["sl2_tower_5"], 4096)
     for n in (2, 4):
         if not prg_witness(tower, corpus.zeta_products()["sl2_tower_5"], n):
             raise InternalInconsistencyError(f"PRG witness failed at n = {n}")
@@ -527,7 +517,6 @@ _SUITES = {
 
 
 def cmd_verify_corpus(args) -> dict:
-    budgets = _effective_budgets(args)
     only = args.only
     if only and only not in _SUITES:
         raise ValidationError(f"unknown suite {only!r}; choose from {sorted(_SUITES)}")
@@ -537,9 +526,9 @@ def cmd_verify_corpus(args) -> dict:
             continue
         t0 = time.monotonic()
         if name == "algebras":
-            detail = fn(budgets, tuple(args.extra_algebra or []))
+            detail = fn(tuple(args.extra_algebra or []))
         else:
-            detail = fn(budgets)
+            detail = fn()
         elapsed = time.monotonic() - t0
         results.append({"name": name, "ok": True, "detail": detail})
         print(f"  suite {name:<10} ok   ({elapsed:.1f}s)", file=sys.stderr)
@@ -547,7 +536,6 @@ def cmd_verify_corpus(args) -> dict:
 
 
 def cmd_export(args) -> dict:
-    budgets = _effective_budgets(args)
     try:
         os.makedirs(args.target, exist_ok=True)
     except OSError as exc:
@@ -559,7 +547,7 @@ def cmd_export(args) -> dict:
         written.append(name)
 
     alg = corpus.unitriangular(3, 3)
-    census = orbit_census(alg, budgets)
+    census = orbit_census(alg)
     orbits = census.reps.tolist(), census.sizes.tolist(), census.fake_degrees.tolist()
     if args.format == "json":
         payload = {
@@ -567,7 +555,7 @@ def cmd_export(args) -> dict:
             "orbits": [{"rep": r, "size": s, "fake_degree": d} for r, s, d in zip(*orbits)],
         }
         emit("census_u3_F3.json", _dumps(payload) + "\n")
-        table = character_table(alg, budgets, census=census)
+        table = character_table(alg, census=census)
         payload = {
             "algebra": alg.name,
             "class_reps": [int(c) for c in table.class_reps],
@@ -579,15 +567,14 @@ def cmd_export(args) -> dict:
             g = corpus.group(name)
             p, _ = prime_power_decompose(g.order)
             pres = build_mq(g, p, 1)
-            rows.append({"group": name, "p": p, "k": g.k(budgets),
+            rows.append({"group": name, "p": p, "k": g.k(),
                          "invariant_factors": invariant_factors(pres)})
         emit("mq_corpus.json", _dumps(rows) + "\n")
     else:
         lines = ["rep,size,fake_degree"]
         lines += [f"{r},{s},{d}" for r, s, d in zip(*orbits)]
         emit("census_u3_F3.csv", "\n".join(lines) + "\n")
-        series = product_series(corpus.zeta_products()["sl2_tower_5"], 10000,
-                                budgets=budgets)
+        series = product_series(corpus.zeta_products()["sl2_tower_5"], 10000)
         lines = ["n,R_n"]
         for n, r in series.partial_counts(_checkpoint_grid(series.N)):
             lines.append(f"{n},{r}")
@@ -718,13 +705,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        text = _dumps(args.func(args)) + "\n"
-        if getattr(args, "out", None):
-            _write_text(args.out, text)
-        else:
-            sys.stdout.write(text)
-        if getattr(args, "manifest", None):
-            _write_text(args.manifest, _dumps(_manifest(args, argv, t0)) + "\n")
+        with budget_scope(_effective_budgets(args)):
+            text = _dumps(args.func(args)) + "\n"
+            if args.out:
+                _write_text(args.out, text)
+            else:
+                sys.stdout.write(text)
+            if args.manifest:
+                _write_text(args.manifest, _dumps(_manifest(args, argv, t0)) + "\n")
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -740,7 +728,7 @@ def _manifest(args, argv, t0: float) -> dict:
     return {
         "command": argv if argv is not None else sys.argv[1:],
         "inputs": inputs,
-        "budgets": asdict(_effective_budgets(args)),
+        "budgets": asdict(current_budgets()),
         "seed": "fixed (seeded spot checks only; see module constants)",
         "version": __version__,
         "timing_ms": round(1000 * (time.monotonic() - t0), 3),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algroup import AlgebraGroup
-from .budgets import Budgets, check_budget
+from .budgets import check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import OrbitPartition, _adjoin, orbit_partition
 from .linalg import (base_p_digits, exact_dtype, matmul_exact, matmul_mod_p,
@@ -38,15 +38,13 @@ from .linalg import (base_p_digits, exact_dtype, matmul_exact, matmul_mod_p,
 from .nilalg import NilAlgebra
 
 
-def engine_for(alg: NilAlgebra, budgets: Budgets | None = None) -> AlgebraGroup:
-    """The engine cached on alg, after bounding |1+J| by the caller's budgets;
-    the engine checks the caller's budgets from then on, whichever call
-    built it."""
-    check_budget(budgets, "group_enumeration_max", alg.field.q ** alg.dim)
+def engine_for(alg: NilAlgebra) -> AlgebraGroup:
+    """The engine cached on alg, after bounding |1+J| by the budgets in
+    scope; a cached engine checks the budgets in scope at each call."""
+    check_budget("group_enumeration_max", alg.field.q ** alg.dim)
     eng = getattr(alg, "_engine", None)
     if eng is None:
-        eng = alg._engine = AlgebraGroup(alg, budgets)
-    eng.budgets = budgets
+        eng = alg._engine = AlgebraGroup(alg)
     return eng
 
 
@@ -128,7 +126,7 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.nda
     return tuple(np.concatenate(parts)[where] for parts in zip(*batches))
 
 
-def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResult:
+def orbit_census(alg: NilAlgebra) -> CensusResult:
     """Full orbit decomposition of the dual with per-orbit invariants.
 
     The radicals take one Gram matrix per distinct restriction of lambda to
@@ -138,7 +136,7 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     q-powers, radicals are F_q-closed (substantive only when e > 1), and the
     fixed point count matches |J| / |[J,J]_L|.
     """
-    eng = engine_for(alg, budgets)
+    eng = engine_for(alg)
     part = eng.dual_orbits()
     p, q, e, n = eng.p, alg.field.q, alg.field.e, eng.n
     reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))
@@ -164,13 +162,13 @@ def orbit_census(alg: NilAlgebra, budgets: Budgets | None = None) -> CensusResul
     return CensusResult(alg, part, reps, sizes, ranks, q ** (ranks // (2 * e)), rads, fixed)
 
 
-def conjecture_probe(alg: NilAlgebra, budgets: Budgets | None = None) -> dict:
+def conjecture_probe(alg: NilAlgebra) -> dict:
     """Compare |J/[J,J]_L| with |(1+J)_ab|.
 
     Equality holds on many algebras (and conjecturally failed in general);
     disagreement is reported, never raised.
     """
-    eng = engine_for(alg, budgets)
+    eng = engine_for(alg)
     derived_rows, _ = alg.derived_lie_subspace()
     lie_index = eng.p ** (eng.n - len(derived_rows))
     group_ab = eng.abelianization_order()
@@ -334,8 +332,7 @@ def _dual_histograms(eng: AlgebraGroup, part: OrbitPartition, points) -> np.ndar
     return hist
 
 
-def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
-                    census: CensusResult | None = None) -> CharacterTable:
+def character_table(alg: NilAlgebra, census: CensusResult | None = None) -> CharacterTable:
     """Exact character table of 1+J by the orbit method.
 
     Requires nilpotency class < p so that log is available.  chi_Omega(1+x)
@@ -347,11 +344,11 @@ def character_table(alg: NilAlgebra, budgets: Budgets | None = None,
         raise ValidationError(
             f"orbit method characters need class < p; class is "
             f"{alg.nilpotency_class} at p={alg.field.p}")
-    eng = engine_for(alg, budgets)
+    eng = engine_for(alg)
     if census is None:
-        census = orbit_census(alg, budgets)
+        census = orbit_census(alg)
     classes = eng.conjugacy_classes()
-    check_budget(budgets, "character_table_max", census.count * classes.count * eng.p)
+    check_budget("character_table_max", census.count * classes.count * eng.p)
     H = np.ascontiguousarray(
         _dual_histograms(eng, census.partition, classes.reps).transpose(1, 0, 2))
     table = CharacterTable(alg, [int(r) for r in classes.reps],
@@ -494,7 +491,6 @@ def _induced_histograms(eng: AlgebraGroup, lam_rows, rows, is_pivot) -> np.ndarr
 
 
 def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
-                                 budgets: Budgets | None = None,
                                  census: CensusResult | None = None,
                                  table: CharacterTable | None = None) -> bool:
     """Induced character from the isotropic polarization equals the orbit
@@ -504,9 +500,9 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
     I is row o of the induced histograms of every orbit of the table, made
     in one batch (_polarizations, _induced_histograms) the first time any
     orbit of it is verified."""
-    eng = engine_for(alg, budgets)
+    eng = engine_for(alg)
     if table is None:
-        table = character_table(alg, budgets, census)
+        table = character_table(alg, census)
     if table._induced is None:
         lam_rows = base_p_digits(table.orbit_reps, eng.p, eng.n)
         rows, is_pivot = _polarizations(alg, lam_rows)
@@ -531,7 +527,6 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
 
 
 def transitivity_check(alg: NilAlgebra, orbit_index: int,
-                       budgets: Budgets | None = None,
                        census: CensusResult | None = None) -> bool:
     """The subgroup 1+H acts transitively on the functionals agreeing with
     lambda on H.  That set is lambda + Ann(H); the check compares it with
@@ -541,9 +536,9 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     The slow reference of the polarizations: one orbit, point by point, for
     the H that _polarizations builds for every dual in one batch; the tests
     run it on every orbit of the character corpus."""
-    eng = engine_for(alg, budgets)
+    eng = engine_for(alg)
     if census is None:
-        census = orbit_census(alg, budgets)
+        census = orbit_census(alg)
     p = eng.p
     lamv = base_p_digits([census.reps[orbit_index]], p, eng.n)[0].astype(np.int64)
     rows, is_pivot = _polarizations(alg, lamv[None])

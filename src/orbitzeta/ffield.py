@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as _iter_product
 
 import numpy as np
 
-from .budgets import Budgets, check_budget, get_budgets
-from .errors import BudgetError, ValidationError
+from .budgets import check_power_budget
+from .errors import ValidationError
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -152,24 +151,20 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
-def check_field_order(budgets: Budgets | None, p: int, e: int) -> None:
-    """Bound q = p^e by field_q_max without forming p^e when e alone puts it
-    past the limit: for |p| >= 2, p^e >= 2^e."""
+def check_field_order(p: int, e: int) -> None:
+    """Bound q = p^e by field_q_max, before p^e is formed."""
     if e < 1:
         raise ValidationError("extension degree must be >= 1")
-    limit = get_budgets(budgets).field_q_max
-    if abs(p) > 1 and e > limit.bit_length():
-        raise BudgetError("field_q_max", f"{p}^{e}", limit)
-    check_budget(budgets, "field_q_max", p**e)
+    check_power_budget("field_q_max", p, e)
 
 
 class Field:
     """F_{p^e} with the canonical modulus; construct through make_field."""
 
-    def __init__(self, p: int, e: int, budgets: Budgets | None = None):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        check_field_order(budgets, p, e)
+        check_field_order(p, e)
         self.p = p
         self.e = e
         self.q = p**e
@@ -180,9 +175,11 @@ class Field:
     def _least_irreducible(p: int, e: int) -> list[int]:
         if e == 1:
             return [0, 1]
-        # a zero constant term leaves the factor t, so the scan starts at 1
-        for tail in _iter_product(range(1, p), *[range(p)] * (e - 1)):
-            cand = list(tail) + [1]
+        # the tails in order are the base-p codes with the constant term most
+        # significant, counted lazily (p may be near 2^32); a zero constant
+        # term leaves the factor t, so the scan starts at 1
+        for code in range(p ** (e - 1), p ** e):
+            cand = [code // p ** (e - 1 - i) % p for i in range(e)] + [1]
             if _is_irreducible(cand, p):
                 return cand
         raise AssertionError("no irreducible polynomial found")  # cannot happen
@@ -229,14 +226,11 @@ class Field:
         return self.name
 
 
-@lru_cache(maxsize=None)
-def _make_field_cached(p: int, e: int) -> Field:
-    # the caller has bounded q = p^e by its own budgets
-    return Field(p, e, Budgets(field_q_max=p ** e))
+_make_field_cached = lru_cache(maxsize=None)(Field)
 
 
-def make_field(p: int, e: int = 1, budgets: Budgets | None = None) -> Field:
+def make_field(p: int, e: int = 1) -> Field:
     """Interned constructor: the same (p, e) always returns the same object,
     whichever budgets admitted it."""
-    check_field_order(budgets, p, e)
+    check_field_order(p, e)
     return _make_field_cached(p, e)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import Budgets, check_budget, get_budgets
-from .errors import BudgetError, InternalInconsistencyError, ValidationError
+from .budgets import check_budget, check_power_budget
+from .errors import InternalInconsistencyError, ValidationError
 from .ffield import is_prime
 
 _ASSOC_SEED = 0x5EED01
@@ -232,21 +232,21 @@ class FiniteGroupTable:
         """x -> g^-1 x g for each generator g."""
         return [self.table[self.inv[g]][self.table[:, g]] for g in self.generators]
 
-    def conjugacy_classes(self, budgets: Budgets | None = None) -> OrbitPartition:
+    def conjugacy_classes(self) -> OrbitPartition:
         if self._classes is None:
-            check_budget(budgets, "group_enumeration_max", self.order)
+            check_budget("group_enumeration_max", self.order)
             classes = orbit_partition(self._conjugation_perms(), self.order)
             if any(self.order % s for s in classes.sizes):
                 raise InternalInconsistencyError("class size does not divide group order")
             self._classes = classes
         return self._classes
 
-    def k(self, budgets: Budgets | None = None) -> int:
-        return self.conjugacy_classes(budgets).count
+    def k(self) -> int:
+        return self.conjugacy_classes().count
 
-    def class_power_map(self, p: int, budgets: Budgets | None = None) -> list[int]:
+    def class_power_map(self, p: int) -> list[int]:
         """For each class id, the class id of the p-th power of its elements."""
-        classes = self.conjugacy_classes(budgets)
+        classes = self.conjugacy_classes()
         image = classes.labels[self.power(np.arange(self.order), p)]
         out = image[classes.reps]
         if self.order <= 2**12:
@@ -277,9 +277,9 @@ class FiniteGroupTable:
     # ------------------------------------------------------ constructors --
 
     @classmethod
-    def from_cayley_table(cls, table, budgets: Budgets | None = None, name=None):
+    def from_cayley_table(cls, table, name=None):
         m = len(table)
-        check_budget(budgets, "table_order_max", m)
+        check_budget("table_order_max", m)
         try:
             arr = np.asarray(table, dtype=np.int32)
         except (OverflowError, ValueError):
@@ -291,8 +291,7 @@ class FiniteGroupTable:
         return cls(arr, name=name)
 
     @classmethod
-    def from_power_commutator(cls, p, n, power_words, commutator_words,
-                              budgets: Budgets | None = None, name=None):
+    def from_power_commutator(cls, p, n, power_words, commutator_words, name=None):
         """Power-commutator presentation on generators g_1 < .. < g_n.
 
         power_words: dict i -> exponent tuple for g_i^p (1-based i);
@@ -309,11 +308,8 @@ class FiniteGroupTable:
             raise ValidationError(f"{p} is not prime")
         if n < 0:
             raise ValidationError("a pc presentation needs n >= 0 generators")
-        limit = get_budgets(budgets).group_enumeration_max
-        if n > limit.bit_length():  # p^n >= 2^n, bounded before the power is formed
-            raise BudgetError("group_enumeration_max", f"{p}^{n}", limit)
-        check_budget(budgets, "group_enumeration_max", p**n)
-        check_budget(budgets, "table_order_max", p**n)
+        check_power_budget("group_enumeration_max", p, n)
+        check_budget("table_order_max", p**n)
         pres = _PcPresentation(p, n, power_words, commutator_words)
         group = cls(_pc_table(pres), [p ** (n - 1 - i) for i in range(n)], name=name)
         _check_pc_relations(group, pres)
@@ -496,8 +492,7 @@ class _PcPresentation:
 
 # ------------------------------------------------------------ operations --
 
-def central_quotient(group: FiniteGroupTable, z: int,
-                     budgets: Budgets | None = None) -> FiniteGroupTable:
+def central_quotient(group: FiniteGroupTable, z: int) -> FiniteGroupTable:
     """The quotient of the group by the cyclic central subgroup generated by z."""
     if not group.is_central(z):
         raise ValidationError(f"element {z} is not central")
@@ -509,7 +504,7 @@ def central_quotient(group: FiniteGroupTable, z: int,
         cur = group.mult(cur, z)
     # each coset x<z> is numbered by its least element, in ascending order
     reps, image = np.unique(group.table[:, zpowers].min(axis=1), return_inverse=True)
-    check_budget(budgets, "table_order_max", len(reps))
+    check_budget("table_order_max", len(reps))
     image = image.astype(np.int32)
     qe = int(image[e])
     gens = sorted({int(image[g]) for g in group.generators} - {qe})
@@ -520,11 +515,10 @@ def central_quotient(group: FiniteGroupTable, z: int,
     return quotient
 
 
-def direct_product(g1: FiniteGroupTable, g2: FiniteGroupTable, name=None,
-                   budgets: Budgets | None = None) -> FiniteGroupTable:
+def direct_product(g1: FiniteGroupTable, g2: FiniteGroupTable, name=None) -> FiniteGroupTable:
     """g1 x g2 with (a1, a2) at index a1 * |g2| + a2."""
     m1, m2 = g1.order, g2.order
-    check_budget(budgets, "table_order_max", m1 * m2)
+    check_budget("table_order_max", m1 * m2)
     table = g1.table[:, None, :, None] * m2 + g2.table[None, :, None, :]
     gens = [g * m2 + g2.identity for g in g1.generators]
     gens += [g1.identity * m2 + h for h in g2.generators]
@@ -541,8 +535,7 @@ def _ints(tokens, line: str) -> list[int]:
         raise ValidationError(f"non-integer token in group file line {line!r}") from None
 
 
-def parse_group_file(text: str, budgets: Budgets | None = None,
-                     name=None) -> FiniteGroupTable:
+def parse_group_file(text: str, name=None) -> FiniteGroupTable:
     """Parse the group file format.
 
     Either 'cayley m' followed by m rows of m indices, or 'pc p n' followed
@@ -565,7 +558,7 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
             if len(row) != m:
                 raise ValidationError(f"table row has {len(row)} entries, expected {m}")
             table.append(row)
-        return FiniteGroupTable.from_cayley_table(table, budgets, name=name)
+        return FiniteGroupTable.from_cayley_table(table, name=name)
     if header[0] == "pc":
         if len(header) != 3:
             raise ValidationError("pc header must be 'pc p n'")
@@ -585,7 +578,7 @@ def parse_group_file(text: str, budgets: Budgets | None = None,
             if key in relations:
                 raise ValidationError(f"repeated relation line: {ln!r}")
             relations[key] = word
-        return FiniteGroupTable.from_power_commutator(p, n, pows, comms, budgets, name=name)
+        return FiniteGroupTable.from_power_commutator(p, n, pows, comms, name=name)
     raise ValidationError(f"unknown group file kind {header[0]!r}")
 
 

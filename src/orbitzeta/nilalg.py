@@ -21,7 +21,6 @@ import random
 
 import numpy as np
 
-from .budgets import Budgets
 from .errors import ValidationError
 from .ffield import Field, make_field, p_adic
 from .linalg import base_p_digits, matmul_mod_p, reduce_mod_p, rref_mod_p
@@ -330,8 +329,7 @@ def make_zero_algebra(dim: int, field: Field) -> NilAlgebra:
 
 # ----------------------------------------------------------------- files --
 
-def parse_algebra_file(text: str, budgets: Budgets | None = None,
-                       name=None) -> NilAlgebra:
+def parse_algebra_file(text: str, name=None) -> NilAlgebra:
     """Parse 'alg p e d' followed by sparse structure lines 'i j k coeff'.
 
     coeff is the integer code of a field element (base-p digits, constant
@@ -350,7 +348,7 @@ def parse_algebra_file(text: str, budgets: Budgets | None = None,
         p, e, d = (int(x) for x in header[1:])
     except ValueError:
         raise ValidationError(f"algebra header has non-integer tokens: {lines[0]!r}") from None
-    field = make_field(p, e, budgets)
+    field = make_field(p, e)
     C = _zero_constants(field, d)
     try:
         rows = np.fromiter(_line_tokens(lines[1:]), dtype=np.int64,

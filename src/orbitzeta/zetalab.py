@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budgets import Budgets, check_budget
+from .budgets import check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .ffield import integer_root, is_prime, prime_power_decompose
 from .linalg import exact_dtype
@@ -356,8 +356,7 @@ def sl2_tower(p: int, imax: int) -> FactorSpec:
                       name=f"sl2-tower-{p}")
 
 
-def product_series(spec: FactorSpec, N: int, mode: str = "exact",
-                   budgets: Budgets | None = None) -> TruncatedDirichlet:
+def product_series(spec: FactorSpec, N: int, mode: str = "exact") -> TruncatedDirichlet:
     """Convolution of the factor series, truncated at N.
 
     Only factors whose minimal nontrivial degree is <= N contribute; the
@@ -368,7 +367,7 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
     products, about 2 log2(mult).  Their total is checked against
     series_products_max before the first product.
     """
-    check_budget(budgets, "series_cutoff_max", N)
+    check_budget("series_cutoff_max", N)
     if mode not in ("exact", "akov"):
         raise ValidationError(f"unknown mode {mode!r}")
     powers = []
@@ -385,7 +384,7 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact",
             powers.append((TruncatedDirichlet.from_degree_multiset(ms, N), mult))
         elif q ** L.pos_roots <= N:
             powers.append((akov_series(L, q, N), mult))
-    check_budget(budgets, "series_products_max",
+    check_budget("series_products_max",
                  sum(mult.bit_length() + mult.bit_count() - 1 for _, mult in powers))
     out = TruncatedDirichlet.identity(N)
     for f, mult in powers:
@@ -582,8 +581,7 @@ class TargetSpec:
 _TARGET_MULT_BITS_MAX = 2**16
 
 
-def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400,
-                         budgets: Budgets | None = None) -> TargetSpec:
+def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400) -> TargetSpec:
     """Choose a_i = max(floor(ic), ceil(2i/h)) and f(i) = p^(k(h a_i - 2i)/2).
 
     Needs h even (so the exponent is an integer) and k*h*c > 2 (so the
@@ -595,7 +593,7 @@ def target_abscissa_spec(c, L: LieTypeSpec, p: int, imax: int = 400,
     """
     if imax < 1:
         raise ValidationError("need imax >= 1")
-    check_budget(budgets, "target_terms_max", imax)
+    check_budget("target_terms_max", imax)
     c = Fraction(c)
     if c <= 0:
         raise ValidationError("target abscissa must be positive")

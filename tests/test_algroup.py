@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from orbitzeta import algroup, corpus
 from orbitzeta.algroup import (AlgebraGroup, _c_route_inverse, _c_route_law,
                                orbit_partition)
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.coadjoint import orbit_census
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import make_field
@@ -244,11 +244,11 @@ def test_dual_orbit_count_matches_classes():
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetError, match="group_enumeration_max"):
-        orbit_census(corpus.unitriangular(4, 2), Budgets(group_enumeration_max=8))
-    with pytest.raises(BudgetError):
-        AlgebraGroup(corpus.unitriangular(3, 3),
-                     budgets=Budgets(group_enumeration_max=8)).conjugacy_classes()
+    with budget_scope(Budgets(group_enumeration_max=8)):
+        with pytest.raises(BudgetError, match="group_enumeration_max"):
+            orbit_census(corpus.unitriangular(4, 2))
+        with pytest.raises(BudgetError):
+            AlgebraGroup(corpus.unitriangular(3, 3)).conjugacy_classes()
 
 
 def test_vectorized_associativity_bulk():

@@ -12,6 +12,7 @@ from orbitzeta.bogomod import (build_mq, frobenius_matrix,
                                mq_order, power_class_layers,
                                predicted_ab_order, smith_valuations,
                                verify_filtration)
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import _poly_powmod, make_field, p_adic, prime_power_decompose
 from orbitzeta.linalg import smith_valuations_mod_pv
@@ -286,6 +287,14 @@ def test_frobenius_matrix_reduces_to_field_frobenius():
         from_field = [[cols[j][i] for j in range(e)] for i in range(e)]
         reduced = [[x % p for x in row] for row in frobenius_matrix(p, e, 2)]
         assert from_field == reduced
+
+
+def test_frobenius_matrix_needs_exact_int64_residue_products():
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63
+    with budget_scope(Budgets(field_q_max=2**64)):
+        assert len(frobenius_matrix(3037000493, 2, 1)) == 2
+        with pytest.raises(ValidationError, match=r"\(p-1\)\^2 < 2\^63"):
+            frobenius_matrix(4294967291, 2, 1)
 
 
 def _relation_rows_at_precision(group, p, e, w):

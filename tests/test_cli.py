@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import orbitzeta
 from orbitzeta import bogomod, corpus
-from orbitzeta.budgets import Budgets
-from orbitzeta.coadjoint import character_table
+from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets, current_budgets
+from orbitzeta.coadjoint import character_table, orbit_census
 from orbitzeta.cli import _decimal_digits, _dumps, build_parser, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
@@ -371,6 +371,28 @@ def test_raised_field_budget_reaches_the_field(capsys, tmp_path):
                                   "--set", "field_q_max=2000000"])
     assert rc == 0
     assert payload["dim"] == 1
+
+
+def test_raised_field_budget_reaches_every_field_of_mq(capsys, group_file):
+    # q = 2^21 is past the default field_q_max of 2^20; the lifted modulus
+    # and the Frobenius matrix build F_q under the raised limit as well
+    argv = ["mq", "compute", group_file("C4"), "--p", "2", "--e", "21"]
+    rc, _, err = run(capsys, argv)
+    assert rc == 3 and "field_q_max" in err and "1048576" in err
+    rc, payload, _ = run(capsys, argv + ["--set", "field_q_max=4194304"])
+    assert rc == 0
+    assert payload["order"] == 2 ** 63 == payload["q"] ** (payload["k"] - 1)
+
+
+@pytest.mark.parametrize("setting,code", [("group_enumeration_max=8", 3),
+                                          ("group_enumeration_max=x", 2)])
+def test_budgets_of_a_failed_run_do_not_reach_the_library(capsys, algebra_file,
+                                                          setting, code):
+    alg = corpus.unitriangular(3, 3)  # |1+J| = 27
+    rc, _, _ = run(capsys, ["orbits", "census", algebra_file(alg), "--set", setting])
+    assert rc == code
+    assert current_budgets() is DEFAULT_BUDGETS
+    assert orbit_census(alg).count == 11
 
 
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from orbitzeta import coadjoint, corpus
 from orbitzeta.algroup import AlgebraGroup, _c_route_inverse, _c_route_law
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.coadjoint import (character_table, conjecture_probe, engine_for,
                                  fake_degree_identities, gram_matrix, orbit_census,
                                  orthonormality_check, transitivity_check,
@@ -341,9 +341,11 @@ def test_reduced_values_match_the_histogram_route(alg_factory):
 
 def test_character_table_budget_counts_orbits_classes_and_p():
     alg = corpus.unitriangular(3, 3)  # 11 orbits, 11 classes, p = 3
-    assert character_table(alg, Budgets(character_table_max=363)).k == 11
-    with pytest.raises(BudgetError, match="character_table_max"):
-        character_table(alg, Budgets(character_table_max=362))
+    with budget_scope(Budgets(character_table_max=363)):
+        assert character_table(alg).k == 11
+    with budget_scope(Budgets(character_table_max=362)):
+        with pytest.raises(BudgetError, match="character_table_max"):
+            character_table(alg)
 
 
 def test_character_table_needs_p_nilpotence():
@@ -686,24 +688,26 @@ def test_induced_against_naive_oracle(alg_factory, lam):
 
 
 def test_census_budget():
-    with pytest.raises(BudgetError, match="group_enumeration_max"):
-        orbit_census(corpus.unitriangular(3, 3),
-                     budgets=Budgets(group_enumeration_max=8))
+    with budget_scope(Budgets(group_enumeration_max=8)):
+        with pytest.raises(BudgetError, match="group_enumeration_max"):
+            orbit_census(corpus.unitriangular(3, 3))
 
 
 def test_census_after_a_refused_census_checks_the_new_budgets():
     # a fresh algebra: the next call must not inherit the refused call's budgets
     alg = make_unitriangular(3, make_field(3))
-    with pytest.raises(BudgetError, match="group_enumeration_max"):
-        orbit_census(alg, Budgets(group_enumeration_max=8))
+    with budget_scope(Budgets(group_enumeration_max=8)):
+        with pytest.raises(BudgetError, match="group_enumeration_max"):
+            orbit_census(alg)
     assert orbit_census(alg).count == 11
 
 
 def test_engine_for_checks_budgets_on_a_cached_engine():
     alg = corpus.unitriangular(3, 3)
     engine_for(alg)  # cached on alg under the default budgets
-    with pytest.raises(BudgetError, match="group_enumeration_max"):
-        character_table(alg, Budgets(group_enumeration_max=4))
+    with budget_scope(Budgets(group_enumeration_max=4)):
+        with pytest.raises(BudgetError, match="group_enumeration_max"):
+            character_table(alg)
     assert character_table(alg).k == 11
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbitzeta.errors import BudgetError, ValidationError
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.ffield import (Field, _poly_mod, _poly_mul, _poly_powmod, is_prime,
                               make_field, p_adic)
 from orbitzeta.linalg import base_p_digits
@@ -204,28 +204,31 @@ def test_t_is_root_of_modulus():
 
 
 def test_field_budget():
-    from orbitzeta.budgets import Budgets
-
-    with pytest.raises(BudgetError):
-        make_field(2, 30, budgets=Budgets(field_q_max=2**10))
+    with budget_scope(Budgets(field_q_max=2**10)), pytest.raises(BudgetError):
+        make_field(2, 30)
 
 
 def test_field_budget_is_checked_before_forming_a_huge_power():
     # 2^(3 * 10^9) would take minutes to form; the bit-length bound refuses it first
-    from orbitzeta.budgets import Budgets
-
-    for build in (lambda: Field(2, 3 * 10**9), lambda: Field(3, 10**12),
-                  lambda: make_field(2, 3 * 10**9, budgets=Budgets())):
+    for build in (lambda: Field(2, 3 * 10**9), lambda: Field(3, 10**12)):
         with pytest.raises(BudgetError, match="field_q_max"):
             build()
+    with budget_scope(Budgets()), pytest.raises(BudgetError, match="field_q_max"):
+        make_field(2, 3 * 10**9)
 
 
 def test_make_field_under_raised_budget_is_interned():
-    raised = Budgets(field_q_max=2 * 10**6)
-    f = make_field(1048583, 1, raised)
-    assert f.q == 1048583 and make_field(1048583, 1, raised) is f
+    with budget_scope(Budgets(field_q_max=2 * 10**6)):
+        f = make_field(1048583, 1)
+        assert f.q == 1048583 and make_field(1048583, 1) is f
     with pytest.raises(BudgetError, match="field_q_max"):
         make_field(1048583, 1)  # the cache does not bypass the default budget
+
+
+def test_modulus_search_is_lazy_in_p():
+    # p = 4294967291 = 3 mod 4, so t^2 + 1 is irreducible and comes first
+    with budget_scope(Budgets(field_q_max=2**64)):
+        assert Field(4294967291, 2).modulus == (1, 0, 1)
 
 
 # ------------------------------------------------------- polynomial kit --

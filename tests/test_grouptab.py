@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from orbitzeta import corpus
 from orbitzeta.algroup import AlgebraGroup
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.cli import main
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import prime_power_decompose
@@ -277,11 +277,8 @@ def test_serialize_parse_roundtrip():
 
 
 def test_table_budget():
-    with pytest.raises(BudgetError):
-        FiniteGroupTable.from_cayley_table(
-            [[i ^ j for j in range(4)] for i in range(4)],
-            budgets=Budgets(table_order_max=2),
-        )
+    with budget_scope(Budgets(table_order_max=2)), pytest.raises(BudgetError):
+        FiniteGroupTable.from_cayley_table([[i ^ j for j in range(4)] for i in range(4)])
 
 
 def test_group_lookup_errors():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitzeta import corpus, nilalg
 from orbitzeta.linalg import base_p_digits
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import _poly_mod, _poly_mul, _poly_powmod, make_field
 from orbitzeta.linalg import rref_mod_p
@@ -166,12 +166,13 @@ def test_structure_constant_validation():
         NilAlgebra(f, np.zeros((2, 2, 3, 1), dtype=np.int64))
     # n (p-1)^2 < 2^63 keeps every int64 contraction exact; p = 3037000493 is
     # the largest prime with (p-1)^2 < 2^63, so n = 1 passes and n = 2 fails
-    big = make_field(3037000493, 1, Budgets(field_q_max=2**32))
+    with budget_scope(Budgets(field_q_max=2**32)):
+        big = make_field(3037000493, 1)
     assert make_zero_algebra(1, big).dim == 1
     with pytest.raises(ValidationError):
         make_zero_algebra(2, big)
-    with pytest.raises(ValidationError):
-        make_zero_algebra(1, make_field(4294967311, 1, Budgets(field_q_max=2**33)))
+    with budget_scope(Budgets(field_q_max=2**33)), pytest.raises(ValidationError):
+        make_zero_algebra(1, make_field(4294967311, 1))
 
 
 def test_parser_adds_repeated_targets_mod_p():
@@ -355,10 +356,10 @@ def _reference_parse(text):
     return C
 
 
-def _parsed_constants(text, budgets=None):
+def _parsed_constants(text):
     """The C that parse_algebra_file hands to NilAlgebra, for any C."""
     with mock.patch.object(nilalg, "NilAlgebra", lambda field, C, name=None: C):
-        return parse_algebra_file(text, budgets)
+        return parse_algebra_file(text)
 
 
 # tokens a structure line may hold, valid or not: int() accepts "+1" and "1_0"
@@ -437,16 +438,16 @@ def test_structure_line_error_messages(line, message, after):
 
 def test_codes_past_int64_parse_exactly():
     # q = 2^64: codes from 2^63 on are field elements but not int64 values
-    budgets = Budgets(field_q_max=2**64)
     code = 2**63 + 5
-    C = _parsed_constants(f"alg 2 64 2\n0 0 1 {code}\n1 0 1 1\n", budgets)
-    assert C[0, 0, 1].tolist() == [(code >> m) & 1 for m in range(64)]
-    assert C[1, 0, 1].tolist() == [1] + [0] * 63
-    # the two lines cancel over F_2: the zero algebra of dimension 1
-    alg = parse_algebra_file(f"alg 2 64 1\n0 0 0 {code}\n0 0 0 {code}\n", budgets)
-    assert alg.nilpotency_class == 2
-    with pytest.raises(ValidationError, match=f"element code {2**64} out of range"):
-        parse_algebra_file(f"alg 2 64 1\n0 0 0 {2**64}\n", budgets)
+    with budget_scope(Budgets(field_q_max=2**64)):
+        C = _parsed_constants(f"alg 2 64 2\n0 0 1 {code}\n1 0 1 1\n")
+        assert C[0, 0, 1].tolist() == [(code >> m) & 1 for m in range(64)]
+        assert C[1, 0, 1].tolist() == [1] + [0] * 63
+        # the two lines cancel over F_2: the zero algebra of dimension 1
+        alg = parse_algebra_file(f"alg 2 64 1\n0 0 0 {code}\n0 0 0 {code}\n")
+        assert alg.nilpotency_class == 2
+        with pytest.raises(ValidationError, match=f"element code {2**64} out of range"):
+            parse_algebra_file(f"alg 2 64 1\n0 0 0 {2**64}\n")
 
 
 # ------------------------------------------------------ the product checks --
@@ -477,7 +478,8 @@ def _first_nonassociative_triple(field, C):
 
 
 # p = 134217689 = prevprime(2^27): n (p-1)^2 >= 2^53 at n = 3, the int64 route
-_BIG = make_field(134217689, 1, Budgets(field_q_max=2**28))
+with budget_scope(Budgets(field_q_max=2**28)):
+    _BIG = make_field(134217689, 1)
 
 
 @pytest.mark.parametrize("alg,float_route", [

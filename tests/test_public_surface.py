@@ -9,6 +9,9 @@ A caller is a load of the name (`f(..)`, `obj.f`) anywhere in the package
 outside the name's own definition, matched by name alone; an import or a
 re-export is not one.  The README names a function by writing it in a code
 span (`name`, `Class.name` or `module.name`).
+
+No function of the package takes a `budgets` parameter: every budget check
+reads the budgets of the innermost `budget_scope`.
 """
 
 import ast
@@ -86,3 +89,16 @@ def test_public_methods_of_private_classes_are_counted():
                      "    def collect(self):\n        pass\n"
                      "    def _letters(self):\n        pass\n")
     assert [q for q, _, _ in _public_definitions(tree)] == ["_Presentation.collect"]
+
+
+def test_no_function_takes_a_budgets_parameter():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                if any(a.arg == "budgets" for a in params):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitzeta import zetalab
-from orbitzeta.budgets import Budgets
+from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.errors import BudgetError, ValidationError
 from orbitzeta.zetalab import (
     A1,
@@ -417,8 +417,8 @@ def test_product_series_tower_stays_int64():
 
 
 def test_product_series_budget():
-    with pytest.raises(BudgetError):
-        product_series(sl2_tower(5, 2), 10 ** 4, budgets=Budgets(series_cutoff_max=100))
+    with budget_scope(Budgets(series_cutoff_max=100)), pytest.raises(BudgetError):
+        product_series(sl2_tower(5, 2), 10 ** 4)
 
 
 def test_product_series_counts_products_before_the_first(monkeypatch):
@@ -432,10 +432,12 @@ def test_product_series_counts_products_before_the_first(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(zetalab, "dirichlet_product", counting)
-    with pytest.raises(BudgetError, match="series_products_max"):
-        product_series(spec, 10, budgets=Budgets(series_products_max=131))
+    with budget_scope(Budgets(series_products_max=131)):
+        with pytest.raises(BudgetError, match="series_products_max"):
+            product_series(spec, 10)
     assert calls == []
-    product_series(spec, 10, budgets=Budgets(series_products_max=132))
+    with budget_scope(Budgets(series_products_max=132)):
+        product_series(spec, 10)
     assert len(calls) == 132
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .budgets import check_budget, check_power_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .ffield import is_prime
+from .linalg import int_rows
 
 _ASSOC_SEED = 0x5EED01
 _LATIN_CELLS = 2 ** 16       # cells per block of the Latin check
@@ -161,10 +162,11 @@ class FiniteGroupTable:
     def __init__(self, table: np.ndarray, generators=None, name=None):
         self.table = table
         self.order = m = len(table)
-        self.identity = _validate_table(table)
+        self.identity, greedy = _validate_table(table)
         self.inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
         if generators is None:
-            generators = generating_set(m, self.identity, lambda x: table[:, x])
+            generators = greedy if greedy is not None else generating_set(
+                m, self.identity, lambda x: table[:, x])
         self.generators = list(generators)
         self.name = name or f"group{m}"
         self._classes: OrbitPartition | None = None
@@ -414,16 +416,27 @@ def _check_pc_relations(group: FiniteGroupTable, pres: _PcPresentation) -> None:
                     f"pc table breaks the relation comm {j + 1} {i + 1}")
 
 
-def _validate_table(arr: np.ndarray) -> int:
-    """The identity of a square table with entries in 0..m-1, after checking
-    that it is the Cayley table of a group: a unique two-sided identity, the
-    Latin property and associativity, exhaustively for m <= 256 and on 10m
-    seeded triples above."""
+def _validate_table(arr: np.ndarray) -> tuple[int, list[int] | None]:
+    """The identity of a square table with entries in 0..m-1 and, for
+    m <= 256, its greedy generating set (None above), after checking that it
+    is the Cayley table of a group: a unique two-sided identity, the Latin
+    property and associativity, exhaustively for m <= 256 and on 10m seeded
+    triples above.
+
+    Exhaustive associativity is Light's test over that generating set A:
+    M = {a : (x a) y = x (a y) for all x, y} is closed under products, as
+    for a and b in M, (x (a b)) y = ((x a) b) y = (x a) (b y)
+    = x (a (b y)) = x ((a b) y).  M holds the identity and A, and every
+    element is a left-normed product of elements of A (generating_set
+    closes the identity under right multiplication by A), so M is the
+    whole table: |A| m^2 lookups.  Only after a failure does the ordered
+    scan run, so that the message names the first failing triple."""
     m = len(arr)
     ident = np.arange(m, dtype=np.int32)
     e = np.flatnonzero((arr == ident).all(axis=1) & (arr == ident[:, None]).all(axis=0))
     if len(e) != 1:
         raise ValidationError("Cayley table has no unique two-sided identity")
+    e = int(e[0])
     # Latin: a row of m entries is a permutation exactly when it hits all m
     # of its cells row * m + value, and so for columns; blocks of rows and of
     # columns bound the cell arrays
@@ -436,20 +449,25 @@ def _validate_table(arr: np.ndarray) -> int:
             seen[offsets + block] = True
             if not seen.all():
                 raise ValidationError("Cayley table rows/columns are not permutations")
-    if m <= 256:
-        for i in range(m):
-            left = arr[arr[i], :]        # (i*j)*k
-            right = arr[i][arr]          # i*(j*k)
-            if not np.array_equal(left, right):
-                j, kk = np.argwhere(left != right)[0]
-                raise ValidationError(f"associativity fails at triple ({i},{j},{kk})")
-    else:
+    if m > 256:
         i, j, kk = np.random.default_rng(_ASSOC_SEED).integers(0, m, (3, 10 * m))
         bad = np.flatnonzero(arr[arr[i, j], kk] != arr[i, arr[j, kk]])
         if bad.size:
             t = bad[0]
             raise ValidationError(f"associativity fails at triple ({i[t]},{j[t]},{kk[t]})")
-    return int(e[0])
+        return e, None
+    # the columns arr[:, x] are the right multiplications, permutations by
+    # the Latin check
+    gens = generating_set(m, e, lambda x: arr[:, x])
+    if all(np.array_equal(arr[arr[:, a]], arr[:, arr[a]]) for a in gens):
+        return e, gens
+    for i in range(m):
+        left = arr[arr[i], :]        # (i*j)*k
+        right = arr[i][arr]          # i*(j*k)
+        if not np.array_equal(left, right):
+            j, kk = np.argwhere(left != right)[0]
+            raise ValidationError(f"associativity fails at triple ({i},{j},{kk})")
+    raise InternalInconsistencyError("Light's test and the triple scan disagree")
 
 
 class _PcPresentation:
@@ -552,12 +570,17 @@ def parse_group_file(text: str, name=None) -> FiniteGroupTable:
         m, = _ints(header[1:], lines[0])
         if len(lines) != m + 1:
             raise ValidationError(f"expected {m} table rows, got {len(lines) - 1}")
-        table = []
-        for ln in lines[1:]:
-            row = _ints(ln.split(), ln)
-            if len(row) != m:
-                raise ValidationError(f"table row has {len(row)} entries, expected {m}")
-            table.append(row)
+        table = int_rows(lines[1:], m)
+        if table is None or table.max(initial=0) >= m:
+            # row by row, so that an error names the first bad row; an entry
+            # >= m reaches the range check as a Python int, which int32
+            # conversion of the array would wrap
+            table = []
+            for ln in lines[1:]:
+                row = _ints(ln.split(), ln)
+                if len(row) != m:
+                    raise ValidationError(f"table row has {len(row)} entries, expected {m}")
+                table.append(row)
         return FiniteGroupTable.from_cayley_table(table, name=name)
     if header[0] == "pc":
         if len(header) != 3:

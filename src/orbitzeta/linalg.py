@@ -78,10 +78,37 @@ def base_p_digits(codes, p: int, width: int) -> np.ndarray:
     return digits
 
 
+def int_rows(lines, width: int):
+    """The lines of a file body as one (len(lines), width) int64 array, in a
+    single numpy conversion, when every line holds exactly width tokens of
+    decimal digits below 2^63 - 1; None otherwise, so that the caller reads
+    the lines one by one and names the first bad one.
+
+    Each line gets a sentinel -1: a line of another token count shifts a
+    sentinel out of the last column.  Besides the sentinels, only digits and
+    blanks reach np.fromstring, which would read "+ 1" as 1, and which
+    saturates values past int64 at 2^63 - 1.
+    """
+    text = " -1\n".join(lines + [""])
+    if (not text.isascii() or text.count("-") != len(lines)
+            or text.encode().translate(None, b"0123456789 \t\n-")):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.size != len(lines) * (width + 1):
+        return None
+    rows = values.reshape(len(lines), width + 1)
+    if (rows[:, width] != -1).any() or (rows[:, :width] == _INT64_MAX).any():
+        return None
+    return rows[:, :width]
+
+
 def rref_mod_p(rows, p: int):
     """Reduced row echelon form over Z/p: (int64 array of the nonzero rows,
     list of their pivot columns).  Input unchanged."""
-    mat = np.array(rows, dtype=np.int64) % p
+    mat = np.asarray(rows, dtype=np.int64)
+    if mat.ndim == 2:
+        mat = mat[mat.any(axis=1)]  # a zero row takes part in no step
+    mat = mat % p
     if mat.ndim != 2 or not mat.size:
         return np.zeros((0, mat.shape[-1] if mat.ndim == 2 else 0), dtype=np.int64), []
     nrows, ncols = mat.shape

@@ -12,18 +12,18 @@ structure tensor T[s, t] holds the prime coordinates of b_s * b_t.  A
 subspace is a pair (rows, pivots) as in linalg: an int64 array of its
 reduced echelon rows on that basis and their pivot columns, so subspace
 equality is array equality and an F_q-dimension is len(rows) // e.  Every
-algebra verifies associativity and nilpotency at construction time.
+algebra proves itself associative and nilpotent at construction time, by
+Light's test over a complement V of J^2 and the power chain through V
+(NilAlgebra._verified_power_chain).
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
 from .errors import ValidationError
 from .ffield import Field, make_field, p_adic
-from .linalg import base_p_digits, matmul_mod_p, reduce_mod_p, rref_mod_p
+from .linalg import base_p_digits, int_rows, matmul_mod_p, reduce_mod_p, rref_mod_p
 
 
 # T holds n^3 int64 entries (16 MB at n = 128); augmentation ideals of
@@ -44,6 +44,13 @@ def _check_size(field: Field, d: int) -> None:
     if n * (field.p - 1) ** 2 >= 2**63:
         raise ValidationError(f"J has dimension {n} over Z/{field.p}; int64 "
                               "contractions need n (p-1)^2 < 2^63")
+
+
+def _support(X):
+    """The columns of X with a nonzero entry; a slice when that is all of
+    them, so that indexing by it copies nothing."""
+    cols = X.any(axis=0)
+    return slice(None) if cols.all() else np.flatnonzero(cols)
 
 
 def _zero_constants(field: Field, d: int) -> np.ndarray:
@@ -73,8 +80,7 @@ class NilAlgebra:
         self.name = name or f"nilalg(d={d},{field.name})"
         self.C = C % field.p
         self._build_tensor()
-        self._verify_associativity()
-        self.powers = self._power_ideal_chain()
+        self.powers = self._verified_power_chain()
         self.nilpotency_class = len(self.powers)  # least n with J^n = 0
         self._flag = None
 
@@ -158,68 +164,109 @@ class NilAlgebra:
         pivots = np.argmax(rows != 0, axis=1)
         return not reduce_mod_p(rows, pivots, rows @ self.omega, self.field.p).any()
 
-    # ----------------------------------------------------- verification --
+    # ------------------------------------------- verification and chain --
 
-    def _verify_associativity(self) -> None:
+    def _verified_power_chain(self):
+        """Echelon bases of the powers J = J^1 > J^2 > .. > J^c = 0, the last
+        one empty, so the nilpotency class c is the length of the list; made
+        while proving that J is associative and nilpotent, without a scan
+        of all basis triples.
+
+        1. J^2 is the span of the n^2 products b_s b_t, the rows of T: one
+           elimination, which presumes no associativity.
+        2. V is spanned by the prime unit vectors off the pivots of J^2, so
+           J = V + J^2.
+        3. Light's test: (x a) y = x (a y) for all F_q basis vectors x, a
+           and y, where a = b_j runs over the b_j whose F_q-span meets V in a
+           prime unit vector (_light_test).  T is F_q-bilinear, so the
+           associator is F_q-trilinear: this holds for all x and y in J and
+           every a in the F_q-span of those b_j, V included.
+        4. The chain P_1 = J, P_(k+1) = P_k V, one product with the g columns
+           of T at V and one elimination per step; it must fall strictly to
+           P_c = 0.
+        5. The certificate: P_2 = J V, which lies in J^2, has its dimension.
+
+        Why that suffices.  M = {a : (x a) y = x (a y) for all x, y} is a
+        subspace, the associator being trilinear, and it is closed under
+        products (Light's argument): for a and b in M, x (a b) = (x a) b,
+        so (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y))
+        = x ((a b) y).  Step 3 puts V in M.  Steps 2 and 5 give
+        J = V + J V, and then P_k <= V^k + P_(k+1) for every k, with V^k the
+        span of the left-normed products of k elements of V: P_1 = V + P_2,
+        and P_(k+1) = P_k V <= V^(k+1) + P_(k+2).  So at P_c = 0 every
+        element of J is a sum of products of elements of V, which M holds:
+        M = J, and J is associative.  Then a product of m >= k elements of
+        J is a sum of products of at least k elements of V, each of which
+        lies in J V^(k-1) = P_k: the P_k are the powers J^k, and J^c = 0.
+
+        Conversely an associative nilpotent J passes every step:
+        J^2 = J V + J^m for every m, so J V = J^2, and P_k = J^k falls
+        strictly to 0.  So when a step fails, J is not associative or not
+        nilpotent, and _reject tells which.
+        """
+        p, e, n = self.field.p, self.field.e, self.T.shape[0]
+        # keep only the pivots of J^2: its echelon rows are a view that would
+        # keep the whole matrix of n^2 products alive
+        square_pivots = rref_mod_p(self.T.reshape(n * n, n), p)[1]
+        in_v = np.ones(n, dtype=bool)
+        in_v[square_pivots] = False
+        if not self._light_test(np.flatnonzero(in_v.reshape(-1, e).any(axis=1)) * e):
+            self._reject()
+        # row s: the products b_s a for the g vectors a of V
+        times_v = self.T[:, in_v].reshape(n, -1)
+        chain = [(np.eye(n, dtype=np.int64), list(range(n)))]
+        while len(chain[-1][0]):
+            rows = chain[-1][0]
+            chain.append(rref_mod_p(matmul_mod_p(rows, times_v, p).reshape(-1, n), p))
+            if len(chain[-1][0]) >= len(rows):
+                self._reject()
+        if len(chain[1][0]) != len(square_pivots):
+            self._reject()
+        return chain
+
+    def _light_test(self, middle) -> bool:
+        """Whether (b_i a) b_k = b_i (a b_k) for every prime basis vector a
+        at an index in middle and all F_q basis vectors b_i and b_k: two
+        products per a, one at a time, each over the prime coordinates on
+        which some b_i a, or some a b_k, is nonzero."""
         p, e, d = self.field.p, self.field.e, self.dim
         T, n = self.T, self.T.shape[0]
-        if d > 64:
-            # above the exhaustive cutoff: 20000 seeded triples, evaluated as
-            # one product per k for (b_i b_j) b_k and per i for b_i (b_j b_k)
-            rng = random.Random(0xA550C)
-            i, j, k = np.array([[rng.randrange(d) for _ in range(3)]
-                                for _ in range(20000)]).T
-            left, right = (np.empty((len(i), n), dtype=np.int64) for _ in range(2))
-            for g in np.unique(k):
-                at = np.flatnonzero(k == g)
-                left[at] = matmul_mod_p(T[i[at] * e, j[at] * e], T[:, g * e], p)
-            for g in np.unique(i):
-                at = np.flatnonzero(i == g)
-                right[at] = matmul_mod_p(T[j[at] * e, k[at] * e], T[g * e], p)
-            bad = np.flatnonzero((left != right).any(axis=1))
-            if bad.size:
-                t = bad[0]
-                raise ValidationError("structure constants not associative at basis "
-                                      f"triple ({i[t]},{j[t]},{k[t]})")
-            return
-        # (b_i b_j) b_k and b_i (b_j b_k) over the F_q basis, one i at a time
+        # row s: b_s b_k for every k; and b_i b_u for every i and u
+        times_basis = T[:, ::e].reshape(n, d * n)
+        basis_times = T[::e]
+        for a in middle:
+            xa, ay = T[::e, a], T[a, ::e]
+            if not (xa.any() or ay.any()):
+                continue  # a annihilates J on both sides
+            s, u = _support(xa), _support(ay)
+            left = matmul_mod_p(xa[:, s], times_basis[s], p)
+            right = matmul_mod_p(ay[:, u], basis_times[:, u], p)
+            if not np.array_equal(left.reshape(d, d, n), right):
+                return False
+        return True
+
+    def _reject(self):
+        """Raise for an algebra that a step of _verified_power_chain refused:
+        at its first nonassociative basis triple (i, j, k), found by a scan
+        of every triple, or, if there is none, as not nilpotent."""
+        p, e, d = self.field.p, self.field.e, self.dim
+        T, n = self.T, self.T.shape[0]
+        # (b_i b_j) b_k and b_i (b_j b_k) over the F_q basis, one i at a time,
+        # each over the prime coordinates where some b_i b_j, or some b_i b_u,
+        # is nonzero; a b_i with b_i J = 0 has no nonzero associator
         lower = T[::e, ::e].reshape(d * d, n)
         upper = T[:, ::e].reshape(n, d * n)
-        for i in range(d):
-            left = matmul_mod_p(T[i * e, ::e], upper, p).reshape(d, d, n)
-            right = matmul_mod_p(lower, T[i * e], p).reshape(d, d, n)
+        for i in np.flatnonzero(T[::e].any(axis=(1, 2))):
+            s, u = _support(T[i * e, ::e]), _support(T[i * e].T)
+            left = matmul_mod_p(T[i * e, ::e][:, s], upper[s], p).reshape(d, d, n)
+            right = matmul_mod_p(lower[:, u], T[i * e][u], p).reshape(d, d, n)
             if not np.array_equal(left, right):
                 j, k = (int(x) for x in np.argwhere((left != right).any(axis=2))[0])
                 raise ValidationError(
                     f"structure constants not associative at basis triple ({i},{j},{k})")
+        raise ValidationError("algebra is not nilpotent: power chain stalled")
 
     # ----------------------------------------------------------- chains --
-
-    def _power_ideal_chain(self):
-        """Echelon bases of J = J^1 >= J^2 >= ..., stopping at the first zero power.
-
-        Returns the list [basis(J^1), .., basis(J^{c-1})] where J^c = 0; the
-        nilpotency class is one more than the list length of nonzero powers.
-        J^(k+1) is spanned by the products v * b_t of the rows v of J^k with
-        the prime basis, one product with T.  That one side suffices because
-        every NilAlgebra verifies associativity before its chain, and in an
-        associative algebra J^k J = J J^k = J^(k+1).  J^1 is the identity,
-        which is reduced.
-        """
-        p, n = self.field.p, self.T.shape[0]
-        chain = [(np.eye(n, dtype=np.int64), list(range(n)))]
-        while True:
-            prev_rows, _ = chain[-1]
-            if not len(prev_rows):
-                break
-            prods = matmul_mod_p(prev_rows, self.T.reshape(n, n * n), p)
-            nxt = rref_mod_p(prods.reshape(-1, n), p)
-            if len(nxt[0]) >= len(prev_rows):
-                raise ValidationError("algebra is not nilpotent: power chain stalled")
-            chain.append(nxt)
-            if len(chain) > self.dim + 1:
-                raise ValidationError("algebra is not nilpotent")
-        return chain  # chain[k] is basis of J^{k+1}; last entry is empty
 
     def is_p_nilpotent(self) -> bool:
         return self.nilpotency_class <= self.field.p
@@ -334,8 +381,9 @@ def parse_algebra_file(text: str, name=None) -> NilAlgebra:
 
     coeff is the integer code of a field element (base-p digits, constant
     term least significant); repeated (i, j, k) lines add up.  The body is
-    read as one (lines, 4) int64 array; when that fails, the lines are
-    checked in order, so an error names the first offending line.
+    read as one (lines, 4) int64 array by linalg.int_rows; when that fails,
+    the lines are checked in order, so an error names the first offending
+    line.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -350,28 +398,15 @@ def parse_algebra_file(text: str, name=None) -> NilAlgebra:
         raise ValidationError(f"algebra header has non-integer tokens: {lines[0]!r}") from None
     field = make_field(p, e)
     C = _zero_constants(field, d)
-    try:
-        rows = np.fromiter(_line_tokens(lines[1:]), dtype=np.int64,
-                           count=4 * (len(lines) - 1)).reshape(-1, 4)
-        valid = (rows >= 0).all() and (rows[:, :3] < d).all() and (rows[:, 3] < field.q).all()
-    except (ValueError, OverflowError):
-        valid = False
-    if not valid:
+    rows = int_rows(lines[1:], 4)
+    if rows is None or (rows[:, :3] >= d).any() or (rows[:, 3] >= field.q).any():
         # the first offending line raises; valid lines only get here with
-        # codes past int64, when q > 2^63
+        # codes past int64, when q > 2^63, or with tokens such as +1 or 1_0
+        # that int() reads
         rows = np.array([_structure_line(ln, field, d) for ln in lines[1:]],
                         dtype=object).reshape(-1, 4)
     np.add.at(C, tuple(rows[:, :3].astype(np.int64).T), base_p_digits(rows[:, 3], p, e))
     return NilAlgebra(field, C, name=name)
-
-
-def _line_tokens(lines):
-    """The integers of structure lines of four tokens each, in order."""
-    for ln in lines:
-        toks = ln.split()
-        if len(toks) != 4:
-            raise ValueError(ln)
-        yield from map(int, toks)
 
 
 def _structure_line(ln: str, field: Field, d: int) -> tuple[int, ...]:

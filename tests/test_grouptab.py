@@ -68,6 +68,113 @@ def test_cayley_table_validation():
         FiniteGroupTable.from_cayley_table(loop)
 
 
+def _random_loop(m, rng):
+    """A random Latin square of order m with identity 0 (first row and column
+    0..m-1), filled cell by cell with random backtracking."""
+    table = np.zeros((m, m), dtype=int)
+    table[0], table[:, 0] = np.arange(m), np.arange(m)
+    cells = [(i, j) for i in range(1, m) for j in range(1, m)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(table[i, :j]) | set(table[:i, j])
+        for v in rng.sample(range(m), m):
+            if v not in used:
+                table[i, j] = v
+                if fill(c + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return table
+
+
+def _first_nonassociative_triple(table):
+    """The least (i, j, k) with (i j) k != i (j k), by the whole m^3 cube."""
+    table = np.asarray(table)
+    bad = np.argwhere(table[table] != table[:, table])
+    return tuple(int(x) for x in bad[0]) if bad.size else None
+
+
+_SMALL_GROUPS = [name for name, order in corpus.GROUP_ORDERS.items() if order <= 8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       group=st.sampled_from([None, None] + _SMALL_GROUPS))
+def test_loops_are_accepted_exactly_when_the_cube_check_passes(m, seed, group):
+    # random loops of order <= 8 (every loop of order <= 4 is a group), and
+    # corpus groups of order <= 8 under a random relabelling
+    rng = random.Random(seed)
+    if group is None:
+        table = _random_loop(m, rng)
+    else:
+        base = corpus.group(group).table
+        relabel = np.array(rng.sample(range(len(base)), len(base)))
+        table = np.empty_like(base)
+        table[np.ix_(relabel, relabel)] = relabel[base]
+    want = _first_nonassociative_triple(table)
+    if want is None:
+        assert FiniteGroupTable.from_cayley_table(table.tolist()).order == len(table)
+    else:
+        with pytest.raises(ValidationError, match=r"^associativity fails at triple "
+                           rf"\({want[0]},{want[1]},{want[2]}\)$"):
+            FiniteGroupTable.from_cayley_table(table.tolist())
+
+
+def _reference_cayley_parse(text):
+    """parse_group_file on a Cayley file, one row at a time."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    m = int(lines[0].split()[1])
+    if len(lines) != m + 1:
+        raise ValidationError(f"expected {m} table rows, got {len(lines) - 1}")
+    table = []
+    for ln in lines[1:]:
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError:
+            raise ValidationError(f"non-integer token in group file line {ln!r}") from None
+        if len(row) != m:
+            raise ValidationError(f"table row has {len(row)} entries, expected {m}")
+        table.append(row)
+    return FiniteGroupTable.from_cayley_table(table)
+
+
+# tokens a table row may hold, valid or not: int() accepts "+1", "1_0" and "٣"
+_ODD_TOKENS = ["+1", "1_0", "07", "\u0663", "x", "1.5", "-1", "- 1", "+ 1", str(2**31),
+               str(2**32 + 1), str(2**63 - 1), str(2**63), str(2**64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_SMALL_GROUPS), data=st.data())
+def test_cayley_rows_parse_as_the_per_row_reference(name, data):
+    rows = [row.split() for row in serialize_cayley(corpus.group(name)).splitlines()[1:]]
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(rows))
+        at = data.draw(st.integers(0, len(row) - 1))
+        edit = data.draw(st.sampled_from(["token", "drop", "add"]))
+        if edit == "token":
+            row[at] = data.draw(st.sampled_from(_ODD_TOKENS))
+        elif edit == "drop":
+            del row[at]
+        else:
+            row.insert(at, data.draw(st.sampled_from(row)))
+    sep = data.draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    tail = data.draw(st.sampled_from(["", "  # comment", "\n\n"]))
+    text = "\n".join([f"cayley {len(rows)}"] + [sep.join(row) + tail for row in rows]) + "\n"
+    try:
+        want = _reference_cayley_parse(text)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            parse_group_file(text)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(parse_group_file(text).table, want.table)
+
+
 def _swapped(m, axis):
     """The table of Z/m with the entries at m - 3 and m - 2 of its last row
     (axis 1) or last column (axis 0) swapped: that line stays a permutation,

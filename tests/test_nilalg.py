@@ -12,7 +12,7 @@ from orbitzeta.linalg import base_p_digits
 from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.errors import ValidationError
 from orbitzeta.ffield import _poly_mod, _poly_mul, _poly_powmod, make_field
-from orbitzeta.linalg import rref_mod_p
+from orbitzeta.linalg import reduce_mod_p, rref_mod_p
 from orbitzeta.nilalg import (NilAlgebra, make_augmentation_ideal,
                               make_unitriangular, make_zero_algebra,
                               parse_algebra_file, serialize_algebra)
@@ -510,18 +510,55 @@ def test_associativity_mutation_raises_at_first_triple(alg, float_route, data):
         assert want is None
 
 
-def _sampled_reference(alg):
-    """The message of the sampled associativity check (d > 64) as one
-    vector-matrix product per drawn triple, or None when every draw passes."""
+def _unverified(field, C):
+    """An algebra with the structure tensor T of C and no checks run."""
+    alg = NilAlgebra.__new__(NilAlgebra)
+    alg.field, alg.dim, alg.C = field, len(C), np.asarray(C) % field.p
+    alg._build_tensor()
+    return alg
+
+
+def _first_failing_triple(alg):
+    """The least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None: the
+    exhaustive per-triple loop, one i at a time over T."""
     T, p, e, d = alg.T, alg.field.p, alg.field.e, alg.dim
-    rng = random.Random(0xA550C)
-    for _ in range(20000):
-        i, j, k = (rng.randrange(d) for _ in range(3))
-        left = T[i * e, j * e] @ T[:, k * e] % p
-        right = T[j * e, k * e] @ T[i * e] % p
-        if not np.array_equal(left, right):
-            return f"structure constants not associative at basis triple ({i},{j},{k})"
+    n = T.shape[0]
+    for i in range(d):
+        left = (T[i * e, ::e] @ T[:, ::e].reshape(n, d * n) % p).reshape(d, d, n)
+        right = (T[::e, ::e].reshape(d * d, n) @ T[i * e] % p).reshape(d, d, n)
+        bad = np.argwhere((left != right).any(axis=2))
+        if bad.size:
+            return i, int(bad[0, 0]), int(bad[0, 1])
     return None
+
+
+def _is_nilpotent(alg):
+    """Whether J^(n+1) = 0, with J^(k+1) spanned by the products of the rows
+    of J^k with the basis on both sides."""
+    rows = np.eye(alg.T.shape[0], dtype=np.int64)
+    for _ in range(alg.T.shape[0]):
+        rows = rref_mod_p(alg._ideal_products(rows), alg.field.p)[0]
+    return not len(rows)
+
+
+def _expect_verdict(field, C):
+    """NilAlgebra(field, C) accepts exactly when C is associative on every
+    basis triple and nilpotent, and otherwise names the first failing triple,
+    or non-nilpotency."""
+    raw = _unverified(field, C)
+    triple = _first_failing_triple(raw)
+    try:
+        alg = NilAlgebra(field, C)
+    except ValidationError as exc:
+        if triple:
+            assert str(exc) == ("structure constants not associative at basis "
+                                f"triple ({triple[0]},{triple[1]},{triple[2]})")
+        else:
+            assert str(exc) == "algebra is not nilpotent: power chain stalled"
+            assert not _is_nilpotent(raw)
+        return None
+    assert triple is None and _is_nilpotent(raw)
+    return alg
 
 
 @pytest.mark.parametrize("base,products,seed", [
@@ -533,23 +570,84 @@ def _sampled_reference(alg):
 ], ids=["u13_F2_one", "u13_F2_sparse", "u13_F2_dense", "zero65_F3_sparse", "zero65_F3"])
 def test_sampled_associativity_mutation_matches_per_triple_loop(base, products, seed):
     # random extra products b_a b_b += c b_t on an algebra with d > 64 (so
-    # e = 1: n = d e <= 128); the grouped products must raise at the first
-    # failing draw of the loop
+    # e = 1: n = d e <= 128); the verdict and message must be those of the
+    # exhaustive per-triple loop
     f, d = base.field, base.dim
     rng = np.random.default_rng(seed)
     C = base.C.copy()
     a, b, t = rng.integers(0, d, (3, products))
     C[a, b, t] = (C[a, b, t] + rng.integers(1, f.p, (products, 1))) % f.p
-    mutated = NilAlgebra.__new__(NilAlgebra)
-    mutated.field, mutated.dim, mutated.C = f, d, C
-    mutated._build_tensor()
-    want = _sampled_reference(mutated)
-    try:
+    _expect_verdict(f, C)
+
+
+def test_one_failing_triple_past_d_64_is_rejected():
+    # b_60 b_61 = b_62 and b_62 b_63 = b_64 in dimension 65: only
+    # (b_60 b_61) b_63 = b_64 differs from b_60 (b_61 b_63) = 0, one triple
+    # of 65^3
+    f = make_field(3)
+    C = np.zeros((65, 65, 65, 1), dtype=np.int64)
+    C[60, 61, 62] = C[62, 63, 64] = 1
+    with pytest.raises(ValidationError, match=r"^structure constants not associative "
+                       r"at basis triple \(60,61,63\)$"):
         NilAlgebra(f, C)
-    except ValidationError as exc:
-        assert str(exc) == want if want else "not associative" not in str(exc)
-    else:
-        assert want is None
+    # without the second product it is associative, of class 3
+    C[62, 63, 64] = 0
+    assert NilAlgebra(f, C).nilpotency_class == 3
+
+
+def _f2_algebra(d, products):
+    """The F_2-algebra of dimension d with b_i b_j = b_k for each (i, j, k)
+    of products, and every other product of basis vectors 0."""
+    C = np.zeros((d, d, d, 1), dtype=np.int64)
+    for i, j, k in products:
+        C[i, j, k, 0] = 1
+    return C
+
+
+@pytest.mark.parametrize("products,d,message", [
+    # V is empty and J V = 0, but J^2 = J: only the certificate refuses
+    ([(0, 0, 0)], 1, "algebra is not nilpotent: power chain stalled"),
+    # V = {b_0, b_1}; Light's test passes and the chain through V reaches 0
+    # (J V = <b_3>, then 0), but the idempotent b_2 lies in J^2
+    ([(2, 1, 3), (2, 2, 2)], 4, "structure constants not associative at basis triple (2,2,1)"),
+    # V = {b_0, b_3}, and only the first fails Light's test: (b_0 b_0) b_0 = b_2
+    # while b_0 (b_0 b_0) = 0; the chain J > <b_1, b_2> > <b_2> > 0 passes
+    ([(0, 0, 1), (1, 0, 2)], 4, "structure constants not associative at basis triple (0,0,0)"),
+    # V = {b_0, b_1}, and only the last fails: (b_1 b_1) b_1 = b_3, b_1 (b_1 b_1) = 0
+    ([(1, 1, 2), (2, 1, 3)], 4, "structure constants not associative at basis triple (1,1,1)"),
+], ids=["certificate_only", "certificate_nonassociative", "light_first", "light_last"])
+def test_each_step_of_the_light_route_refuses_on_its_own(products, d, message):
+    with pytest.raises(ValidationError) as exc:
+        NilAlgebra(make_field(2), _f2_algebra(d, products))
+    assert str(exc.value) == message
+
+
+_MUTATION_BASES = [corpus.unitriangular(4, 2), corpus.augmentation_ideal("D8", 2),
+                   corpus.augmentation_ideal("Q8", 2), corpus.augmentation_ideal("C4xC2", 2),
+                   corpus.augmentation_ideal("C9", 3), corpus.unitriangular(4, 3),
+                   corpus.unitriangular(3, 2, 2), corpus.zero_algebra(4, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_light_route_accepts_exactly_the_associative_nilpotent_mutations(data):
+    # add to a few cells C[i, j, k], half of them with b_j in J^2, whose
+    # associators (b_i, b_j, y) Light's test over V never evaluates
+    alg = data.draw(st.sampled_from(_MUTATION_BASES))
+    f, d, e = alg.field, alg.dim, alg.field.e
+    rows, piv = alg.powers[1]
+    basis = np.eye(d * e, dtype=np.int64)[::e]
+    in_square = np.flatnonzero(~reduce_mod_p(rows, piv, basis, f.p).any(axis=1)).tolist()
+    C = alg.C.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        mids = in_square if in_square and data.draw(st.booleans()) else list(range(d))
+        i, j, k = (data.draw(st.integers(0, d - 1)), data.draw(st.sampled_from(mids)),
+                   data.draw(st.integers(0, d - 1)))
+        delta = data.draw(st.lists(st.integers(0, f.p - 1), min_size=e, max_size=e))
+        C[i, j, k] = (C[i, j, k] + delta) % f.p
+    accepted = _expect_verdict(f, C)
+    if accepted is not None:
+        _assert_chain_is_two_sided(accepted)
 
 
 def _two_sided_chain(alg):
@@ -560,11 +658,23 @@ def _two_sided_chain(alg):
     return chain
 
 
-@pytest.mark.parametrize("alg", corpus.duality_corpus() + [
-    corpus.unitriangular(4, 2, 2), corpus.unitriangular(3, 3, 2),
-    corpus.unitriangular(4, 3, 2), corpus.unitriangular(3, 2, 3)], ids=lambda a: a.name)
-def test_one_sided_power_chain_matches_two_sided(alg):
+def _assert_chain_is_two_sided(alg):
     two_sided = _two_sided_chain(alg)
     assert len(alg.powers) == len(two_sided)
     for (rows, piv), (want, want_piv) in zip(alg.powers, two_sided):
         assert np.array_equal(rows, want) and piv == want_piv
+
+
+def _chain_corpus():
+    """Every corpus algebra up to the ideals of groups of order 32, once each."""
+    algs = corpus.duality_corpus() + [
+        corpus.unitriangular(4, 2, 2), corpus.unitriangular(3, 3, 2),
+        corpus.unitriangular(4, 3, 2), corpus.unitriangular(3, 2, 3)]
+    algs += corpus.character_corpus() + [corpus.augmentation_ideal(name, p) for name, p
+                                         in corpus.abelianization_dim_corpus()]
+    return list({alg.name: alg for alg in algs}.values())
+
+
+@pytest.mark.parametrize("alg", _chain_corpus(), ids=lambda a: a.name)
+def test_one_sided_power_chain_matches_two_sided(alg):
+    _assert_chain_is_two_sided(alg)

@@ -19,7 +19,7 @@ from .grouptab import (FiniteGroupTable, central_quotient, direct_product,
 from .nilalg import (NilAlgebra, make_augmentation_ideal, make_unitriangular,
                      make_zero_algebra, parse_algebra_file, serialize_algebra)
 from .zetalab import (A1, AbscissaEstimate, DegreeMultiset, FactorSpec,
-                      LieTypeSpec, MinDegreeBound, TargetSpec,
+                      LieTypeSpec, TargetSpec,
                       TruncatedDirichlet, abscissa_estimate, akov_series,
                       dirichlet_product, divisor_tuple_count, l_of_n,
                       min_nontrivial_degree, prg_witness, product_series,

@@ -3,10 +3,11 @@ conjugacy classes, the class power map, derived subgroups and central
 quotients, and the orbit and closure engine over permutation arrays that
 both group models (these tables and the algebra groups 1+J) run on.
 
-Every group is one validated dense int32 Cayley table with its inverse
-array.  Elements are integer indices with a deterministic numbering per
-construction, so class representatives (least index in the class) are
-reproducible across runs.
+Every group is one dense int32 Cayley table with its inverse array, proved
+a group at every order by its identity, right inverses and Light's test
+over a generating set (`_validate_table`).  Elements are integer indices
+with a deterministic numbering per construction, so class representatives
+(least index in the class) are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .errors import InternalInconsistencyError, ValidationError
 from .ffield import is_prime
 from .linalg import int_rows
 
-_ASSOC_SEED = 0x5EED01
-_LATIN_CELLS = 2 ** 16       # cells per block of the Latin check
-
+_LIGHT_CELLS = 2 ** 17       # entries per side in one block of Light's test
 
 # ------------------------------------------------------ permutation engine --
 
@@ -104,7 +103,8 @@ def _adjoin(mask: np.ndarray, right_mul, candidates) -> list[int]:
 
     An adjoined x brings the coset mask x, which is disjoint from mask, so
     the closure under all right multiplications so far continues from that
-    coset."""
+    coset.  The coset holds x = e x only if mask holds the identity e;
+    otherwise x could come up as a candidate forever, so that is an error."""
     perms: list[np.ndarray] = []
     chosen = []
     for x in candidates:
@@ -112,6 +112,8 @@ def _adjoin(mask: np.ndarray, right_mul, candidates) -> list[int]:
             chosen.append(int(x))
             perms.append(right_mul(x))
             _close(mask, perms, perms[-1][mask])
+            if not mask[x]:
+                raise InternalInconsistencyError(f"adjoining {x} does not reach it")
     return chosen
 
 
@@ -156,18 +158,17 @@ class FiniteGroupTable:
     """A finite group on elements 0..order-1: table[i, j] is the index of
     i*j and inv[i] that of i^-1.
 
-    The constructor validates the table; generators default to the greedy
-    set of least non-members."""
+    The constructor proves the table a group (_validate_table), seeding
+    Light's test with the generators it is given: the pc generators, or
+    those of the factors of a product or of the group a quotient comes
+    from.  Without them (Cayley input) the generators are the set that the
+    proof grows, the greedy set of least non-members."""
 
     def __init__(self, table: np.ndarray, generators=None, name=None):
         self.table = table
         self.order = m = len(table)
-        self.identity, greedy = _validate_table(table)
-        self.inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
-        if generators is None:
-            generators = greedy if greedy is not None else generating_set(
-                m, self.identity, lambda x: table[:, x])
-        self.generators = list(generators)
+        self.identity, self.inv, gens = _validate_table(table, generators or ())
+        self.generators = gens if generators is None else list(generators)
         self.name = name or f"group{m}"
         self._classes: OrbitPartition | None = None
         self._derived: frozenset[int] | None = None
@@ -416,51 +417,55 @@ def _check_pc_relations(group: FiniteGroupTable, pres: _PcPresentation) -> None:
                     f"pc table breaks the relation comm {j + 1} {i + 1}")
 
 
-def _validate_table(arr: np.ndarray) -> tuple[int, list[int] | None]:
-    """The identity of a square table with entries in 0..m-1 and, for
-    m <= 256, its greedy generating set (None above), after checking that it
-    is the Cayley table of a group: a unique two-sided identity, the Latin
-    property and associativity, exhaustively for m <= 256 and on 10m seeded
-    triples above.
+def _validate_table(arr: np.ndarray, seeds=()) -> tuple[int, np.ndarray, list[int]]:
+    """The identity, the inverse array and a generating set A of a square
+    table with entries in 0..m-1, after proving it the Cayley table of a
+    group, at every order, in three steps:
+      1. a unique two-sided identity e;
+      2. a right inverse of every element: each row holds e;
+      3. associativity, by Light's test over A (Clifford and Preston, The
+         Algebraic Theory of Semigroups I, 1961, section 1.2).
+    A is what generating_set grows from e by the seeds, then by the least
+    elements not yet reached; the closure needs no column to be a
+    permutation.  M = {a : (x a) y = x (a y) for all x, y} is closed under
+    products, as for a and b in M, (x (a b)) y = ((x a) b) y = (x a) (b y)
+    = x (a (b y)) = x ((a b) y).  M holds e and A, and every element is a
+    left-normed product e a_1 .. a_k of elements of A, so M is the whole
+    table: |A| m^2 lookups, in the least unsigned dtype that holds m - 1,
+    a block of rows x at a time.  A finite monoid in which every element x
+    has a right inverse x' is a group: with x'' the right inverse of x',
+    x = x (x' x'') = (x x') x'' = x'', so x' x = x' x'' = e.
 
-    Exhaustive associativity is Light's test over that generating set A:
-    M = {a : (x a) y = x (a y) for all x, y} is closed under products, as
-    for a and b in M, (x (a b)) y = ((x a) b) y = (x a) (b y)
-    = x (a (b y)) = x ((a b) y).  M holds the identity and A, and every
-    element is a left-normed product of elements of A (generating_set
-    closes the identity under right multiplication by A), so M is the
-    whole table: |A| m^2 lookups.  Only after a failure does the ordered
-    scan run, so that the message names the first failing triple."""
+    A failure raises ValidationError.  For m <= 256 an ordered scan then
+    names the least failing triple; above, the message names the first
+    triple (x, a, y) that Light's test found."""
     m = len(arr)
-    ident = np.arange(m, dtype=np.int32)
-    e = np.flatnonzero((arr == ident).all(axis=1) & (arr == ident[:, None]).all(axis=0))
+    small = arr.astype(np.min_scalar_type(m - 1))
+    ident = np.arange(m, dtype=small.dtype)
+    e = np.flatnonzero((small[:, 0] == 0) & (small[0] == 0))  # e 0 = 0 e = 0
+    e = e[(small[e] == ident).all(axis=1) & (small[:, e] == ident[:, None]).all(axis=0)]
     if len(e) != 1:
         raise ValidationError("Cayley table has no unique two-sided identity")
     e = int(e[0])
-    # Latin: a row of m entries is a permutation exactly when it hits all m
-    # of its cells row * m + value, and so for columns; blocks of rows and of
-    # columns bound the cell arrays
-    step = max(1, _LATIN_CELLS // m)
+    inv = np.argmax(small == e, axis=1).astype(np.int32)
+    lost = np.flatnonzero(small[ident, inv] != e)
+    if lost.size:
+        raise ValidationError(f"Cayley table element {lost[0]} has no inverse")
+    gens = generating_set(m, e, lambda x: small[:, x], seeds)
+    A = np.array(gens, dtype=np.intp)
+    cols, rows = small[:, A], small[A]  # x a and a y for a in A
+    step = max(1, _LIGHT_CELLS // max(1, m * len(A)))
     for lo in range(0, m, step):
-        rows, cols = arr[lo:lo + step], arr[:, lo:lo + step].T
-        offsets = np.arange(0, len(rows) * m, m)[:, None]
-        for block in (rows, cols):
-            seen = np.zeros(len(rows) * m, dtype=bool)
-            seen[offsets + block] = True
-            if not seen.all():
-                raise ValidationError("Cayley table rows/columns are not permutations")
+        # [x, a, y] = (x a) y and x (a y) for the rows x of a block
+        left = np.take(small, cols[lo:lo + step], axis=0)
+        right = np.take(small[lo:lo + step], rows, axis=1)
+        if not np.array_equal(left, right):
+            break
+    else:
+        return e, inv, gens
     if m > 256:
-        i, j, kk = np.random.default_rng(_ASSOC_SEED).integers(0, m, (3, 10 * m))
-        bad = np.flatnonzero(arr[arr[i, j], kk] != arr[i, arr[j, kk]])
-        if bad.size:
-            t = bad[0]
-            raise ValidationError(f"associativity fails at triple ({i[t]},{j[t]},{kk[t]})")
-        return e, None
-    # the columns arr[:, x] are the right multiplications, permutations by
-    # the Latin check
-    gens = generating_set(m, e, lambda x: arr[:, x])
-    if all(np.array_equal(arr[arr[:, a]], arr[:, arr[a]]) for a in gens):
-        return e, gens
+        x, a, y = np.argwhere(left != right)[0]
+        raise ValidationError(f"associativity fails at triple ({lo + x},{A[a]},{y})")
     for i in range(m):
         left = arr[arr[i], :]        # (i*j)*k
         right = arr[i][arr]          # i*(j*k)

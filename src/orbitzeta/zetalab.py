@@ -402,51 +402,30 @@ def product_series(spec: FactorSpec, N: int, mode: str = "exact") -> TruncatedDi
 
 # --------------------------------------------------------------- l_H(n) --
 
-@dataclass(frozen=True)
-class MinDegreeBound:
-    """Lower bound min-degree > d*q^(e*rank) for non-A1 types.  The absolute
-    constants are not pinned down anywhere, so they are explicit inputs."""
-
-    d: float
-    e: float
-
-    def __post_init__(self):
-        if self.d <= 0 or self.e <= 1:
-            raise ValidationError("need d > 0 and e > 1")
-
-    def threshold(self, L: LieTypeSpec, q: int) -> float:
-        return self.d * q ** (self.e * L.rank)
-
-
-def min_nontrivial_degree(L: LieTypeSpec, q: int,
-                          bound: MinDegreeBound | None = None) -> int:
+def min_nontrivial_degree(L: LieTypeSpec, q: int) -> int:
     """Exact (q-1)/2 for A1 with odd q >= 5; otherwise the AKOV support
-    degree q^|Phi+|, or the configured bound threshold."""
+    degree q^|Phi+|."""
     if (L.rank, L.pos_roots) == (1, 1) and q % 2 == 1 and q >= 5:
         return (q - 1) // 2
-    if bound is not None:
-        return math.ceil(bound.threshold(L, q))
     return q ** L.pos_roots
 
 
-def l_of_n(spec: FactorSpec, n: int,
-           bound: MinDegreeBound | None = None) -> int:
+def l_of_n(spec: FactorSpec, n: int) -> int:
     """Number of factors, with multiplicity, having an irreducible of
     nontrivial degree <= n."""
     total = 0
     for L, q, mult in spec.factors:
-        if min_nontrivial_degree(L, q, bound) <= n:
+        if min_nontrivial_degree(L, q) <= n:
             total += mult
     return total
 
 
-def prg_witness(series: TruncatedDirichlet, spec: FactorSpec, n: int,
-                bound: MinDegreeBound | None = None) -> bool:
+def prg_witness(series: TruncatedDirichlet, spec: FactorSpec, n: int) -> bool:
     """R_(n^2) >= l(n)(l(n)-1)/2 — the counting inequality behind the
     polynomial-representation-growth characterization."""
     if n * n > series.N:
         raise ValidationError(f"need n^2 = {n * n} within the cutoff {series.N}")
-    l = l_of_n(spec, n, bound)
+    l = l_of_n(spec, n)
     return series.partial_count(n * n) >= l * (l - 1) // 2
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -178,8 +179,8 @@ def test_cayley_rows_parse_as_the_per_row_reference(name, data):
 def _swapped(m, axis):
     """The table of Z/m with the entries at m - 3 and m - 2 of its last row
     (axis 1) or last column (axis 0) swapped: that line stays a permutation,
-    and the two lines across it repeat an entry.  At m = 300 all three lie
-    in the last block of the Latin check."""
+    and the two lines across it repeat an entry.  At m = 300 every row still
+    holds the identity, so Light's test is what refuses the table."""
     table = (np.arange(m)[:, None] + np.arange(m)) % m
     line = table[-1] if axis == 1 else table[:, -1]
     line[[-3, -2]] = line[[-2, -3]]
@@ -192,12 +193,116 @@ REPEATED_ROW_ENTRY = [[0, 1, 2], [1, 0, 0], [2, 2, 1]]
 REPEATED_COLUMN_ENTRY = [list(col) for col in zip(*REPEATED_ROW_ENTRY)]
 
 
-@pytest.mark.parametrize("table", [REPEATED_ROW_ENTRY, REPEATED_COLUMN_ENTRY,
-                                   _swapped(300, 0), _swapped(300, 1)],
-                         ids=["row", "column", "row_300", "column_300"])
-def test_cayley_table_repeated_entry(table):
-    with pytest.raises(ValidationError, match=r"^Cayley table rows/columns are not permutations$"):
+def _named_triple(message):
+    """The triple (x, y, z) that an associativity message names."""
+    match = re.fullmatch(r"associativity fails at triple \((\d+),(\d+),(\d+)\)", message)
+    assert match, message
+    return tuple(int(v) for v in match.groups())
+
+
+def _fails_by_lookup(table, triple):
+    t = np.asarray(table)
+    x, y, z = triple
+    return t[t[x, y], z] != t[x, t[y, z]]
+
+
+def _classes_on_cayley_file(tmp_path, capsys, table):
+    """Exit code and error line of `grouptab classes` on a Cayley file of
+    table, which must fail without a traceback."""
+    path = tmp_path / "table.grp"
+    path.write_text(f"cayley {len(table)}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in table), encoding="utf-8")
+    code = main(["grouptab", "classes", str(path)])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    return code, err[len("error: "):].strip()
+
+
+# the row case has a row without the identity; in the column case every row
+# holds it, and (1 2) 1 = 0 while 1 (2 1) = 1
+@pytest.mark.parametrize("table,message", [
+    (REPEATED_ROW_ENTRY, "Cayley table element 2 has no inverse"),
+    (REPEATED_COLUMN_ENTRY, "associativity fails at triple (1,2,1)"),
+    (_swapped(300, 0), "associativity fails at triple (296,1,299)"),
+    (_swapped(300, 1), "associativity fails at triple (298,1,297)"),
+], ids=["row", "column", "row_300", "column_300"])
+def test_cayley_table_repeated_entry(tmp_path, capsys, table, message):
+    with pytest.raises(ValidationError) as info:
         FiniteGroupTable.from_cayley_table(table)
+    assert str(info.value) == message
+    if message.startswith("associativity"):
+        assert _fails_by_lookup(table, _named_triple(message))
+    assert _classes_on_cayley_file(tmp_path, capsys, table) == (2, message)
+
+
+def _intercalate(m, c):
+    """The table of Z/m, m even, with its intercalate at rows {1, 1 + m/2}
+    and columns {c, c + m/2} switched: a Latin square with identity 0 that
+    is not associative."""
+    table = (np.arange(m)[:, None] + np.arange(m)) % m
+    rows, cols = np.ix_([1, 1 + m // 2], [c, c + m // 2])
+    table[rows, cols] = table[rows, cols][:, ::-1]
+    return table.tolist()
+
+
+@pytest.mark.parametrize("c", range(2, 7))
+def test_single_intercalate_tables_of_z300_are_refused(tmp_path, capsys, c):
+    # each fails (x y) z = x (y z) on 4752 of the 27 million triples, and
+    # Light's test over A = [1] finds one; the triple it names fails by lookup
+    table = _intercalate(300, c)
+    t = np.asarray(table)
+    assert sum(np.count_nonzero(t[t[x]] != t[x][t]) for x in range(300)) == 4752
+    code, message = _classes_on_cayley_file(tmp_path, capsys, table)
+    assert code == 2
+    assert _fails_by_lookup(table, _named_triple(message))
+
+
+def _is_group_by_the_cube(table):
+    """The reference: a unique two-sided identity, every row and column a
+    permutation, and (x y) z = x (y z) on the whole m^3 cube."""
+    t = np.asarray(table)
+    ident = np.arange(len(t))
+    identities = [e for e in ident if (t[e] == ident).all() and (t[:, e] == ident).all()]
+    latin = (np.sort(t, axis=1) == ident).all() and (np.sort(t, axis=0) == ident[:, None]).all()
+    return len(identities) == 1 and latin and bool((t[t] == t[:, t]).all())
+
+
+_GROUPS_UP_TO_6 = {m: [corpus.cyclic(m).table] for m in range(1, 7)}
+_GROUPS_UP_TO_6[4].append(corpus.abelian(2, 2).table)
+_GROUPS_UP_TO_6[6].append(corpus.dihedral(3).table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(1, 6), kind=st.sampled_from(["random", "perturbed", "loop"]),
+       rename=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tables_up_to_order_6_are_accepted_exactly_when_groups(m, kind, rename, seed):
+    # identity 0 and any other entries: uniform at random (rarely Latin),
+    # a group of order m relabelled with 0 fixed and one to three entries
+    # redrawn, or a random loop; then, for half the draws, the elements
+    # renamed, which moves the identity off 0
+    rng = random.Random(seed)
+    if kind == "loop":
+        table = _random_loop(m, rng)
+    elif kind == "random":
+        table = np.array([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+    else:
+        base = rng.choice(_GROUPS_UP_TO_6[m])
+        relabel = np.array([0] + rng.sample(range(1, m), m - 1))
+        table = np.empty_like(base)
+        table[np.ix_(relabel, relabel)] = relabel[base]
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(m), rng.randrange(m)] = rng.randrange(m)
+    table[0], table[:, 0] = np.arange(m), np.arange(m)
+    if rename:
+        names = np.array(rng.sample(range(m), m))
+        renamed = np.empty_like(table)
+        renamed[np.ix_(names, names)] = names[table]
+        table = renamed
+    if _is_group_by_the_cube(table):
+        assert FiniteGroupTable.from_cayley_table(table.tolist()).order == m
+    else:
+        with pytest.raises(ValidationError):
+            FiniteGroupTable.from_cayley_table(table.tolist())
 
 
 def test_corpus_orders_match():

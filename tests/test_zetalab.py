@@ -16,7 +16,6 @@ from orbitzeta.zetalab import (
     DegreeMultiset,
     FactorSpec,
     LieTypeSpec,
-    MinDegreeBound,
     TruncatedDirichlet,
     abscissa_estimate,
     akov_series,
@@ -461,11 +460,6 @@ def test_min_nontrivial_degree():
     assert min_nontrivial_degree(A1, 4) == 4  # even q falls back to q^|Phi+|
     b2 = LieTypeSpec.type_b(2)
     assert min_nontrivial_degree(b2, 3) == 81
-    assert min_nontrivial_degree(b2, 3, MinDegreeBound(0.5, 1.5)) == 14
-    with pytest.raises(ValidationError):
-        MinDegreeBound(0, 2)
-    with pytest.raises(ValidationError):
-        MinDegreeBound(1, 1)
 
 
 def test_l_of_n_tower():

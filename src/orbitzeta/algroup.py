@@ -21,7 +21,7 @@ from .budgets import check_budget
 from .errors import InternalInconsistencyError, ValidationError
 from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
                        orbit_partition)
-from .linalg import base_p_digits
+from .linalg import base_p_digits, matmul_mod_p
 from .nilalg import NilAlgebra
 
 _SPOT_SEED = 0x11EA5
@@ -72,11 +72,6 @@ def _digit_sum_table(p: int) -> np.ndarray:
     return ((digits[:, None] + digits[None, :]) % p @ p ** np.arange(w)).astype(np.uint8)
 
 
-def _moving(mats) -> list[np.ndarray]:
-    """The matrices that are not the identity."""
-    return [mat for mat in mats if not np.array_equal(mat, np.eye(len(mat), dtype=mat.dtype))]
-
-
 class AlgebraGroup:
     """Vectorized view of 1+J: coordinate arrays, conjugation matrices,
     orbit machinery for conjugacy classes and the coadjoint action.
@@ -100,13 +95,7 @@ class AlgebraGroup:
         self._classes = None
         self._dual_orbits = None
         self._gens = None
-        self._gen_invs = None
         self._gen_mats = None
-        # 1 + omega^m b_i need not generate 1+J: inside I_F2[D8] they are the
-        # embedded dihedral elements and close at order 8.  Orbit machinery
-        # uses _generators(), which extends this seed set until the subgroup
-        # closure is everything.
-        self.prime_generators = np.eye(self.n, dtype=np.int64)
         self._spot_check_linearity()
 
     # ---------------------------------------------------------- helpers --
@@ -128,36 +117,43 @@ class AlgebraGroup:
             self._L = self._log_rows(X).astype(X.dtype)
         return self._L
 
-    def dual_matrix_for(self, g) -> np.ndarray:
-        """Matrix of the coadjoint action of 1+g on dual rows: lambda @ M.
-
-        g is the J-part as a prime coordinate row.  The action is conjugation
-        by (1+g)^(-1), whose inverse is 1+g."""
-        return self._conjugation_matrix(self._inverse(g), g)
-
-    def _right_mul_matrix(self, y) -> np.ndarray:
-        """Row s is b_s * y, so x * y = x @ R."""
-        return np.tensordot(self.alg.T, np.asarray(y, dtype=np.int64), axes=([1], [0])) % self.p
-
-    def _inverse(self, g) -> np.ndarray:
-        """J-part of (1+g)^(-1): the truncated series -g + g^2 - ..."""
-        minus_r = -self._right_mul_matrix(g) % self.p
-        acc = np.zeros(self.n, dtype=np.int64)
-        term = -np.asarray(g, dtype=np.int64) % self.p
-        while term.any():
-            acc = (acc + term) % self.p
-            term = term @ minus_r % self.p
-        return acc
-
-    def _conjugation_matrix(self, g, h) -> np.ndarray:
-        """M with (1+g)^(-1)(1+x)(1+g) = 1 + (M @ x) % p, x a column, where
-        h = _inverse(g) is the J-part of (1+g)^(-1)."""
+    def conjugation_matrices(self, G):
+        """(M, D) for the rows g of G, stacked: M[i] with
+        (1+g)^(-1)(1+x)(1+g) = 1 + (M[i] @ x) % p, x a column, and D[i] the
+        matrix of the coadjoint action of 1+g on dual rows, lambda @ D[i].
+        That action is conjugation by (1+g)^(-1), so D[i] is the M of the
+        inverse h, whose own inverse is 1+g."""
+        G = np.asarray(G, dtype=np.int64).reshape(-1, self.n)
+        H = self._inverse_rows(G)
         n, p = self.n, self.p
-        left_h = h @ self.alg.T.reshape(n, n * n) % p   # row t is h * b_t
         eye = np.eye(n, dtype=np.int64)
-        # x -> x + xg + hx + hxg = x (1 + R_g)(1 + L_h) on rows
-        rows = (eye + self._right_mul_matrix(g)) @ (eye + left_h.reshape(n, n)) % p
-        return rows.T
+
+        def conj(g, h):
+            # x -> x + xg + hx + hxg = x (1 + R_g)(1 + L_h) on rows, where row
+            # t of L_h is h * b_t
+            left = (eye + matmul_mod_p(h, self.alg.T.reshape(n, n * n), p).reshape(-1, n, n)) % p
+            return matmul_mod_p(self._right_mul_matrices(g), left, p).transpose(0, 2, 1)
+
+        return conj(G, H), conj(H, G)
+
+    def _right_mul_matrices(self, Y) -> np.ndarray:
+        """I + R_y for the rows y of Y, stacked, as residues: row s is
+        b_s + b_s y, so the J-part of (1+x)(1+y) is x (I + R_y) + y."""
+        n, p = self.n, self.p
+        T = self.alg.T.transpose(1, 0, 2).reshape(n, n * n)   # row t holds b_s b_t
+        R = matmul_mod_p(np.asarray(Y, dtype=np.int64).reshape(-1, n), T, p).reshape(-1, n, n)
+        return (np.eye(n, dtype=np.int64) + R) % p
+
+    def _inverse_rows(self, G) -> np.ndarray:
+        """The J-parts of (1+g)^(-1) row-wise: the truncated series
+        -g + g^2 - ..., each power through T (_mul_rows)."""
+        p = self.p
+        neg = -np.asarray(G, dtype=np.int64) % p
+        inv, term = np.zeros_like(neg), neg
+        while term.any():
+            inv = (inv + term) % p
+            term = self.alg._mul_rows(term, neg)
+        return inv
 
     def _gmul_rows(self, X, Y) -> np.ndarray:
         """(1+x)(1+y) row-wise, as J-parts."""
@@ -195,14 +191,15 @@ class AlgebraGroup:
         itself with the C route."""
         alg, p = self.alg, self.p
         rng = random.Random(_SPOT_SEED ^ self.N)
-        gens = np.concatenate([self.prime_generators[:4], np.ones((1, self.n), dtype=np.int64)])
+        gens = np.concatenate([np.eye(self.n, dtype=np.int64)[:4],
+                               np.ones((1, self.n), dtype=np.int64)])
         # Python-int codes: N may pass 2^63
         points = base_p_digits([rng.randrange(self.N) for _ in gens for _ in range(2)],
                                p, self.n).astype(np.int64)
         inv = _c_route_inverse(alg, gens)
         direct = _c_route_law(alg, _c_route_law(alg, np.repeat(inv, 2, axis=0), points),
                               np.repeat(gens, 2, axis=0))
-        mats = np.repeat([self._conjugation_matrix(g, self._inverse(g)) for g in gens], 2, axis=0)
+        mats = np.repeat(self.conjugation_matrices(gens)[0], 2, axis=0)
         if not np.array_equal(direct, (mats @ points[:, :, None])[:, :, 0] % p):
             raise InternalInconsistencyError(
                 "conjugation matrix disagrees with direct conjugation")
@@ -258,18 +255,16 @@ class AlgebraGroup:
 
     def right_mul_perm(self, y) -> np.ndarray:
         """x -> (1+x)(1+y) on packed codes: x (1 + R_y) + y."""
-        y = np.asarray(y, dtype=np.int64)
-        return self.affine_perm(np.eye(self.n, dtype=np.int64) + self._right_mul_matrix(y), y)
+        return self.affine_perm(self._right_mul_matrices(y)[0], y)
 
     def _right_mul_code(self, code) -> np.ndarray:
         return self.right_mul_perm(base_p_digits([code], self.p, self.n)[0])
 
     def group_perms(self) -> list[np.ndarray]:
-        """Permutations of packed J-coordinates: x -> x^g per generator whose
-        conjugation is not the identity; a central generator moves nothing."""
+        """Permutations of packed J-coordinates: x -> x^g per generator."""
         if self._group_perms is None:
             mats, _ = self._generator_matrices()
-            self._group_perms = [self.affine_perm(mat.T) for mat in _moving(mats)]
+            self._group_perms = [self.affine_perm(mat.T) for mat in mats]
         return self._group_perms
 
     def dual_perms(self) -> list[np.ndarray]:
@@ -279,43 +274,39 @@ class AlgebraGroup:
         conjugation matrix of the inverse: lambda -> lambda @ M.
         """
         if self._dual_perms is None:
-            _, mats_inv = self._generator_matrices()
-            self._dual_perms = [self.affine_perm(mat) for mat in _moving(mats_inv)]
+            _, duals = self._generator_matrices()
+            self._dual_perms = [self.affine_perm(mat) for mat in duals]
         return self._dual_perms
 
     # ------------------------------------------------------- generators --
 
     def _generators(self) -> np.ndarray:
-        """A verified generating set of 1+J as digit rows: those seeds
-        1 + omega^m b_i that the earlier ones do not generate, then least
-        coset representatives until the closure is everything."""
+        """The non-central members of a verified generating set of 1+J, as
+        digit rows.  The set is the seeds 1 + b_t that the earlier ones do
+        not generate, then least coset representatives until the closure is
+        everything; 1 + b_t alone need not generate 1+J (inside I_F2[D8]
+        they close at order 8).  A central generator moves no point and
+        adds no commutator, so the orbits and the derived subgroup need only
+        the others, whose matrices (conjugation_matrices) are kept."""
         if self._gens is None:
             T = self.alg.T
             if np.array_equal(T, T.transpose(1, 0, 2)):
-                # J commutative: every conjugation is trivial and any seed
-                # set serves the orbits
-                self._gens = self.prime_generators
+                # J commutative: every element is central
+                gens = np.zeros((0, self.n), dtype=np.int64)
             else:
                 check_budget("group_enumeration_max", self.N)
                 # the seeds at codes p^t, then least non-members; each coset
                 # representative at least doubles the closure
                 codes = generating_set(self.N, 0, self._right_mul_code, self.powers)
-                self._gens = base_p_digits(codes, self.p, self.n).astype(np.int64)
+                gens = base_p_digits(codes, self.p, self.n).astype(np.int64)
+            mats, duals = self.conjugation_matrices(gens)
+            moving = (mats != np.eye(self.n, dtype=np.int64)).any(axis=(1, 2))
+            self._gens, self._gen_mats = gens[moving], (mats[moving], duals[moving])
         return self._gens
 
-    def _generator_inverses(self) -> np.ndarray:
-        """The J-parts of the inverses of _generators(), one series each."""
-        if self._gen_invs is None:
-            self._gen_invs = np.array([self._inverse(g) for g in self._generators()])
-        return self._gen_invs
-
     def _generator_matrices(self):
-        """The conjugation matrices of the generators, and those of their
-        inverses, which act on dual rows (dual_matrix_for)."""
-        if self._gen_mats is None:
-            pairs = list(zip(self._generators(), self._generator_inverses()))
-            self._gen_mats = ([self._conjugation_matrix(g, h) for g, h in pairs],
-                              [self._conjugation_matrix(h, g) for g, h in pairs])
+        """The stacked conjugation and dual matrices of _generators()."""
+        self._generators()
         return self._gen_mats
 
     # ----------------------------------------------------------- classes --
@@ -337,10 +328,11 @@ class AlgebraGroup:
 
     # ------------------------------------------------- derived subgroup --
 
-    def commutator_subgroup_packed(self) -> np.ndarray:
+    def commutator_subgroup(self) -> np.ndarray:
         """Sorted packed indices of the derived subgroup of 1+J."""
         check_budget("group_enumeration_max", self.N)
-        gens, inv = self._generators(), self._generator_inverses()
+        gens = self._generators()
+        inv = self._inverse_rows(gens)
         k = len(gens)
         # [1+u, 1+v] = (1+u)^-1 (1+v)^-1 (1+u)(1+v) for every generator pair
         comms = self._gmul_rows(
@@ -350,5 +342,5 @@ class AlgebraGroup:
                                 self.pack_digits(comms))
 
     def abelianization_order(self) -> int:
-        return self.N // int(self.commutator_subgroup_packed().size)
+        return self.N // self.commutator_subgroup().size
 

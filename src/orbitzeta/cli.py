@@ -223,8 +223,8 @@ def cmd_grouptab(args) -> dict:
     return {
         "order": g.order,
         "k": classes.count,
-        "class_sizes": sorted(classes.sizes),
-        "derived_order": len(g.commutator_subgroup()),
+        "class_sizes": np.sort(classes.sizes).tolist(),
+        "derived_order": g.commutator_subgroup().size,
     }
 
 
@@ -268,11 +268,12 @@ def cmd_orbits_characters(args) -> dict:
     table = character_table(alg)
     return {
         "k": table.k,
-        "class_reps": [int(c) for c in table.class_reps],
-        "class_sizes": [int(s) for s in table.class_sizes],
+        "class_reps": table.class_reps.tolist(),
+        "class_sizes": table.class_sizes.tolist(),
         "orbits": [
-            {"rep": int(rep), "degree": int(degree), "values": values}
-            for rep, degree, values in zip(table.orbit_reps, table.fake_degrees,
+            {"rep": rep, "degree": degree, "values": values}
+            for rep, degree, values in zip(table.orbit_reps.tolist(),
+                                           table.fake_degrees.tolist(),
                                            _character_values(table))
         ],
     }
@@ -415,9 +416,9 @@ def _suite_groups() -> dict:
     for name in corpus.groups_of_order_le(128):
         g = corpus.group(name)
         classes = g.conjugacy_classes()
-        if sum(classes.sizes) != g.order:
+        if classes.sizes.sum() != g.order:
             raise InternalInconsistencyError(f"{name}: class sizes do not sum to order")
-        derived = len(g.commutator_subgroup())
+        derived = g.commutator_subgroup().size
         if g.order % derived:
             raise InternalInconsistencyError(f"{name}: derived order does not divide")
         rows.append({"name": name, "order": g.order, "k": classes.count,
@@ -558,7 +559,7 @@ def cmd_export(args) -> dict:
         table = character_table(alg, census=census)
         payload = {
             "algebra": alg.name,
-            "class_reps": [int(c) for c in table.class_reps],
+            "class_reps": table.class_reps.tolist(),
             "values": _character_values(table),
         }
         emit("characters_u3_F3.json", _dumps(payload) + "\n")

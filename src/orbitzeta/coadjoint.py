@@ -3,13 +3,13 @@ method character theory at desk scale.
 
 A dual functional, a Z/p-linear map J -> Z/p, is a digit row of length
 dim(J)*e, and the engine packs it to a code like any point of J.  The group
-acts by lambda^g(a) = lambda(a^(g^-1)), which is lambda -> lambda @
-AlgebraGroup.dual_matrix_for(g).  engine_for caches one AlgebraGroup per
-algebra.  orbit_census returns the orbits as arrays (CensusResult):
-representatives, sizes, ranks of the alternating forms B_lambda(a,b) =
-lambda([a,b]), fake degrees and the stacked radical rows.  Polarizations
-(sums of radicals on the ideal flag of J) and the exact character values
-also live here.
+acts by lambda^g(a) = lambda(a^(g^-1)), which is lambda -> lambda @ D with
+D the dual matrix of AlgebraGroup.conjugation_matrices.  engine_for caches
+one AlgebraGroup per algebra.  orbit_census returns the orbits as int64
+arrays (CensusResult): representatives, sizes, ranks of the alternating
+forms B_lambda(a,b) = lambda([a,b]) and fake degrees; the radicals behind
+the ranks are checked and dropped.  Polarizations (sums of radicals on the
+ideal flag of J) and the exact character values also live here.
 
 A character table is one integer array H[o, c, r] of residue counts, with
 chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o, built in blocks of class
@@ -52,15 +52,14 @@ def engine_for(alg: NilAlgebra) -> AlgebraGroup:
 
 @dataclass
 class CensusResult:
-    """Per-orbit arrays in the order of partition.reps: rows [:n - ranks[o]] of
-    radical_rows[o] are the prime echelon rows of Rad B_lambda, the rest 0."""
+    """Per-orbit int64 arrays in the order of partition.reps; reps and sizes
+    are those of the partition."""
     alg: NilAlgebra
     partition: OrbitPartition
-    reps: np.ndarray              # packed duals, least in their orbit, int64
-    sizes: np.ndarray             # int64
-    ranks: np.ndarray             # rank of B_lambda, int64
-    fake_degrees: np.ndarray      # q^(rank / 2e), int64
-    radical_rows: np.ndarray      # (orbits, n, n), in the digit dtype
+    reps: np.ndarray              # packed duals, least in their orbit
+    sizes: np.ndarray
+    ranks: np.ndarray             # rank of B_lambda
+    fake_degrees: np.ndarray      # q^(rank / 2e)
     fixed_points: int
 
     @property
@@ -87,9 +86,8 @@ _RADICAL_BATCH = 1024
 
 
 def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.ndarray):
-    """(ranks, radical rows, closed) of the dual rows, as arrays: rows [:n - rank]
-    of radical rows are the reduced prime echelon rows of Rad B_lambda, the
-    kernel of its Gram matrix, in the dtype of lam_rows.
+    """(ranks, closed) of the dual rows, as arrays: the rank of the Gram
+    matrix of B_lambda, and whether its kernel Rad B_lambda is F_q-closed.
 
     K_lambda[s, t] = lambda([b_s, b_t]), and every bracket lies in C = [J, J]_L,
     the span of derived_rows, its echelon rows.  So K_lambda depends only on
@@ -97,10 +95,10 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.nda
     the same values share K, and with it the rank, the radical and closed.
     One Gram matrix is eliminated per distinct row of values, at most
     p^dim C of them, one batched elimination per _RADICAL_BATCH, and the
-    results are gathered back to every dual.
+    ranks and closures are gathered back to every dual.
 
-    The rows span ker K, K the Gram matrix, so they are F_q-closed exactly
-    when omega maps each row into ker K: K (rows omega)^T = 0 mod p."""
+    The kernel rows span ker K, so they are F_q-closed exactly when omega
+    maps each of them into ker K: K (rows omega)^T = 0 mod p."""
     p, n = alg.field.p, alg.dim * alg.field.e
     # key: the values in base p, with the digits so far renumbered densely
     # (below len(lam_rows)) whenever one more would pass int64
@@ -122,7 +120,7 @@ def _radicals_by_row(alg: NilAlgebra, lam_rows: np.ndarray, derived_rows: np.nda
         if alg.field.e > 1:
             images = kernel @ alg.omega % p
             closed = ~(K @ images.transpose(0, 2, 1) % p).any(axis=(1, 2))
-        batches.append((ranks, kernel.astype(lam_rows.dtype), closed))
+        batches.append((ranks, closed))
     return tuple(np.concatenate(parts)[where] for parts in zip(*batches))
 
 
@@ -139,14 +137,12 @@ def orbit_census(alg: NilAlgebra) -> CensusResult:
     eng = engine_for(alg)
     part = eng.dual_orbits()
     p, q, e, n = eng.p, alg.field.q, alg.field.e, eng.n
-    reps, sizes = (np.asarray(a, dtype=np.int64) for a in (part.reps, part.sizes))
-    lam_rows = base_p_digits(reps, p, n)
+    reps, sizes = part.reps, part.sizes
     derived_rows, _ = alg.derived_lie_subspace()
     if len(derived_rows):
-        ranks, rads, closed = _radicals_by_row(alg, lam_rows, derived_rows)
-    else:  # J is commutative: every radical is J, one array shared by all orbits
+        ranks, closed = _radicals_by_row(alg, base_p_digits(reps, p, n), derived_rows)
+    else:  # J is commutative: every radical is J
         ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
-        rads = np.broadcast_to(np.eye(n, dtype=lam_rows.dtype), (reps.size, n, n))
     checks = [(sizes != p ** ranks, "orbit size {0} != |J|/|Rad| = {1} at dual {2}"),
               (ranks % (2 * e) != 0, "orbit size {0} is not an even power of q at dual {2}"),
               (~closed, "radical at dual {2} is not F_q-closed")]
@@ -159,7 +155,7 @@ def orbit_census(alg: NilAlgebra) -> CensusResult:
     if fixed != expected_fixed:
         raise InternalInconsistencyError(
             f"fixed duals {fixed} != |J|/|[J,J]_L| = {expected_fixed}")
-    return CensusResult(alg, part, reps, sizes, ranks, q ** (ranks // (2 * e)), rads, fixed)
+    return CensusResult(alg, part, reps, sizes, ranks, q ** (ranks // (2 * e)), fixed)
 
 
 def conjecture_probe(alg: NilAlgebra) -> dict:
@@ -289,10 +285,10 @@ class CharacterTable:
     histograms of every orbit, (I, dims) of _induced_histograms, are made
     the first time verify_induced_matches_orbit reads them."""
     alg: NilAlgebra
-    class_reps: list[int]          # packed J-parts, one per conjugacy class
-    class_sizes: list[int]
-    orbit_reps: list[int]          # packed duals, one per coadjoint orbit
-    fake_degrees: list[int]
+    class_reps: np.ndarray         # packed J-parts, one per conjugacy class, int64
+    class_sizes: np.ndarray        # int64
+    orbit_reps: np.ndarray         # packed duals, one per coadjoint orbit, int64
+    fake_degrees: np.ndarray       # int64
     H: np.ndarray                  # int64 residue counts, shape (orbits, classes, p)
     _induced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -305,8 +301,7 @@ class CharacterTable:
         in lowest terms, den > 0: the coordinates H[o, c, k] - H[o, c, 0],
         divided once by their gcd with the degree."""
         vec = self.H[..., 1:] - self.H[..., :1]
-        deg = np.asarray(self.fake_degrees, dtype=np.int64)
-        den = np.broadcast_to(deg[:, None], self.H.shape[:-1])
+        den = np.broadcast_to(self.fake_degrees[:, None], self.H.shape[:-1])
         g = np.gcd(np.gcd.reduce(vec, axis=-1), den)
         return den // g, vec // g[..., None]
 
@@ -351,14 +346,13 @@ def character_table(alg: NilAlgebra, census: CensusResult | None = None) -> Char
     check_budget("character_table_max", census.count * classes.count * eng.p)
     H = np.ascontiguousarray(
         _dual_histograms(eng, census.partition, classes.reps).transpose(1, 0, 2))
-    table = CharacterTable(alg, [int(r) for r in classes.reps],
-                           [int(s) for s in classes.sizes],
-                           census.reps.tolist(), census.fake_degrees.tolist(), H)
+    table = CharacterTable(alg, classes.reps, classes.sizes, census.reps,
+                           census.fake_degrees, H)
     # chi(1) = fake degree: identity class is packed 0, always class rep 0
     if table.class_reps[0] != 0:
         raise InternalInconsistencyError("identity class is not first")
     # chi_o(1) = d_o: every coordinate (H[o,0,r] - H[o,0,0]) / d_o on zeta^r is -d_o
-    deg = np.array(table.fake_degrees, dtype=np.int64)
+    deg = table.fake_degrees
     bad = np.flatnonzero((H[:, 0, 1:] - H[:, 0, :1] != -(deg * deg)[:, None]).any(axis=1))
     if bad.size:
         raise InternalInconsistencyError(f"chi(1) != fake degree on orbit {bad[0]}")
@@ -372,8 +366,8 @@ def _verify_class_constancy(eng, census, classes, H) -> None:
 
     Let M_g be the conjugation matrix of g (x^g = M_g x on columns), pi_g the
     permutation x -> x^g of group_perms, sigma_g the permutation
-    mu -> mu M_(g^-1) of dual_perms, and L the log rows.  For every moving
-    generator (a central one has M_g = I and moves nothing), three checks:
+    mu -> mu M_(g^-1) of dual_perms, and L the log rows.  For every generator
+    (the engine keeps only those with M_g != I), three checks:
     - (a) L[pi_g(x)] = L[x] M_g^T for every x: log(x^g) = log(x)^g;
     - (b) the orbit labels of the duals are invariant under sigma_g;
     - (c) M_g M_(g^-1) = I.
@@ -387,21 +381,17 @@ def _verify_class_constancy(eng, census, classes, H) -> None:
     """
     p, labels = eng.p, census.partition.labels
     mats, mats_inv = eng._generator_matrices()
-    eye = np.eye(eng.n, dtype=np.int64)
 
     def fail(what: str):
         raise InternalInconsistencyError(
             f"{what}: cannot rule out that a character histogram varies inside a class")
 
-    for i, (mat, mat_inv) in enumerate(zip(mats, mats_inv)):
-        if not np.array_equal(matmul_mod_p(mat, mat_inv, p), eye):
-            fail(f"M_g M_(g^-1) != I at generator {i}")
-    moving = [i for i, mat in enumerate(mats) if not np.array_equal(mat, eye)]
+    bad = (matmul_mod_p(mats, mats_inv, p) != np.eye(eng.n, dtype=np.int64)).any(axis=(1, 2))
+    if bad.any():
+        fail(f"M_g M_(g^-1) != I at generator {bad.argmax()}")
     perms, dual_perms, logs = eng.group_perms(), eng.dual_perms(), eng.log_digit_rows()
-    if not len(moving) == len(perms) == len(dual_perms):
-        fail("the generator permutations are not those of the moving generators")
-    for i, perm, dual_perm in zip(moving, perms, dual_perms):
-        if not np.array_equal(logs[perm], matmul_mod_p(logs, mats[i].T, p)):
+    for i, (mat, perm, dual_perm) in enumerate(zip(mats, perms, dual_perms)):
+        if not np.array_equal(logs[perm], matmul_mod_p(logs, mat.T, p)):
             fail(f"log is not conjugation-equivariant at generator {i}")
         if not np.array_equal(labels[dual_perm], labels):
             fail(f"dual orbit labels move under generator {i}")
@@ -420,7 +410,7 @@ def _shift_grams(table: CharacterTable) -> np.ndarray:
     H, N = table.H, table.alg.field.q ** table.alg.dim
     bound = N * int(H.sum(axis=2).max()) ** 2
     dtype = exact_dtype(bound)
-    left = H.astype(dtype) * np.array(table.class_sizes, dtype=dtype)[:, None]
+    left = H.astype(dtype) * table.class_sizes.astype(dtype)[:, None]
     left = left.reshape(len(H), -1)
     return np.stack([matmul_exact(left, np.roll(H, t, axis=2).reshape(len(H), -1).T, bound)
                      for t in range(table.alg.field.p)])
@@ -435,7 +425,7 @@ def orthonormality_check(table: CharacterTable) -> bool:
     """
     N = table.alg.field.q ** table.alg.dim
     G = _shift_grams(table)
-    deg = np.array(table.fake_degrees, dtype=object)
+    deg = table.fake_degrees.astype(object)
     bad = (G[1:] != G[1]).any(axis=0) | (G[0] - G[1] != np.diag(N * deg * deg))
     if bad.any():
         a, b = (int(i) for i in np.argwhere(bad)[0])
@@ -513,15 +503,15 @@ def verify_induced_matches_orbit(alg: NilAlgebra, orbit_index: int,
     # so neither side exceeds N^2 d_o <= N^3
     dtype = exact_dtype(eng.N ** 3)
     I, Ho = I[orbit_index].astype(dtype), table.H[orbit_index].astype(dtype)
-    hsize, deg = eng.p ** int(dims[orbit_index]), table.fake_degrees[orbit_index]
-    sizes = np.array(table.class_sizes, dtype=dtype)[:, None]
+    hsize, deg = eng.p ** int(dims[orbit_index]), int(table.fake_degrees[orbit_index])
+    sizes = table.class_sizes.astype(dtype)[:, None]
     bad = np.flatnonzero((eng.N * deg * (I[:, 1:] - I[:, :1])
                           != hsize * sizes * (Ho[:, 1:] - Ho[:, :1])).any(axis=1))
     if bad.size:
         c = int(bad[0])
         raise InternalInconsistencyError(
             f"induced value differs from orbit character at class {c}: histogram "
-            f"{I[c].tolist()} x N/(|H| |c|) = {eng.N}/{hsize * table.class_sizes[c]} "
+            f"{I[c].tolist()} x N/(|H| |c|) = {eng.N}/{hsize * int(table.class_sizes[c])} "
             f"vs histogram {Ho[c].tolist()} / d = {deg}")
     return True
 
@@ -553,7 +543,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     if inside.size != p ** len(rows) or not np.array_equal(np.flatnonzero(closure), inside):
         raise InternalInconsistencyError("generators of 1+H do not close to 1+H")
     digits = base_p_digits(gens, p, eng.n).astype(np.int64)
-    labels = orbit_partition([eng.affine_perm(eng.dual_matrix_for(g)) for g in digits],
+    labels = orbit_partition([eng.affine_perm(mat) for mat in eng.conjugation_matrices(digits)[1]],
                              eng.N).labels
     orbit = np.flatnonzero(labels == labels[lamv @ eng.powers])
     if not np.array_equal(orbit, np.unique(coset @ eng.powers)):

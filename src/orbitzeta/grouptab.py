@@ -33,8 +33,8 @@ class OrbitPartition:
     conjugation, the conjugacy classes.  labels[i] is the orbit id of i."""
 
     labels: np.ndarray          # int64, length N
-    reps: list[int]             # least index per orbit, ascending
-    sizes: list[int]
+    reps: np.ndarray            # int64, the least index per orbit, ascending
+    sizes: np.ndarray           # int64, the orbit sizes in the order of reps
 
     @property
     def count(self) -> int:
@@ -58,7 +58,7 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
     idx = np.arange(n_points, dtype=np.int64)
     if all(np.array_equal(perm, idx) for perm in perms):
         # every point is fixed; skip the propagation
-        return OrbitPartition(idx.copy(), list(range(n_points)), [1] * n_points)
+        return OrbitPartition(idx.copy(), idx, np.ones(n_points, dtype=np.int64))
     labels, prev = idx.copy(), None
     while not np.array_equal(labels, prev):
         prev = labels.copy()
@@ -78,7 +78,7 @@ def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
     sizes = np.bincount(labels, minlength=reps.size + 1)[:reps.size]
     if int(sizes.sum()) != n_points:
         raise InternalInconsistencyError("orbit sizes do not partition the point set")
-    return OrbitPartition(labels, reps.tolist(), sizes.tolist())
+    return OrbitPartition(labels, reps, sizes)
 
 
 def _close(mask: np.ndarray, perms: list[np.ndarray], frontier: np.ndarray) -> None:
@@ -171,7 +171,7 @@ class FiniteGroupTable:
         self.generators = gens if generators is None else list(generators)
         self.name = name or f"group{m}"
         self._classes: OrbitPartition | None = None
-        self._derived: frozenset[int] | None = None
+        self._derived: np.ndarray | None = None
 
     # ------------------------------------------------------------ basics --
 
@@ -207,15 +207,14 @@ class FiniteGroupTable:
 
     def exponent(self) -> int:
         out = 1
-        for r in self.conjugacy_classes().reps:
+        for r in self.conjugacy_classes().reps.tolist():
             out = math.lcm(out, self.element_order(r))
         return out
 
     def center_size(self) -> int:
         """|Z(G)|: a reference invariant that the tests compare between two
         constructions of one group (pc presentation and Cayley table)."""
-        sizes = self.conjugacy_classes().sizes
-        return sum(1 for s in sizes if s == 1)
+        return int(np.count_nonzero(self.conjugacy_classes().sizes == 1))
 
     def conjugate(self, x: int, g: int) -> int:
         """x^g = g^-1 x g by lookups: with commutator, the slow reference of
@@ -239,7 +238,7 @@ class FiniteGroupTable:
         if self._classes is None:
             check_budget("group_enumeration_max", self.order)
             classes = orbit_partition(self._conjugation_perms(), self.order)
-            if any(self.order % s for s in classes.sizes):
+            if (self.order % classes.sizes).any():
                 raise InternalInconsistencyError("class size does not divide group order")
             self._classes = classes
         return self._classes
@@ -248,34 +247,33 @@ class FiniteGroupTable:
         return self.conjugacy_classes().count
 
     def class_power_map(self, p: int) -> list[int]:
-        """For each class id, the class id of the p-th power of its elements."""
+        """For each class id, the class id of the p-th power of its elements,
+        checked to be the same from every member of the class."""
         classes = self.conjugacy_classes()
         image = classes.labels[self.power(np.arange(self.order), p)]
         out = image[classes.reps]
-        if self.order <= 2**12:
-            # representative independence, exhaustively
-            bad = np.flatnonzero(image != out[classes.labels])
-            if bad.size:
-                raise InternalInconsistencyError(
-                    f"class power map not constant on class of element {bad[0]}")
+        bad = np.flatnonzero(image != out[classes.labels])
+        if bad.size:
+            raise InternalInconsistencyError(
+                f"class power map not constant on class of element {bad[0]}")
         return out.tolist()
 
     # ----------------------------------------------------------- derived --
 
-    def commutator_subgroup(self) -> frozenset[int]:
+    def commutator_subgroup(self) -> np.ndarray:
+        """Sorted indices of the derived subgroup, int64."""
         if self._derived is None:
             table, inv = self.table, self.inv
             gens = np.asarray(self.generators, dtype=np.int64)
             a, b = np.repeat(gens, gens.size), np.tile(gens, gens.size)
             # [a, b] = a^-1 b^-1 a b for every generator pair
             comms = table[inv[a], table[inv[b], table[a, b]]]
-            members = derived_subgroup(self.order, self.identity, lambda x: table[:, x],
-                                       self._conjugation_perms, comms)
-            self._derived = frozenset(members.tolist())
+            self._derived = derived_subgroup(self.order, self.identity, lambda x: table[:, x],
+                                             self._conjugation_perms, comms)
         return self._derived
 
     def abelianization_order(self) -> int:
-        return self.order // len(self.commutator_subgroup())
+        return self.order // self.commutator_subgroup().size
 
     # ------------------------------------------------------ constructors --
 

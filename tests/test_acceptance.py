@@ -10,13 +10,16 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
+
 from orbitzeta import corpus
 from orbitzeta.algroup import AlgebraGroup
 from orbitzeta.bogomod import build_mq, invariant_factors, mq_order, verify_filtration
 from orbitzeta.coadjoint import (character_table, engine_for, fake_degree_identities,
-                                 orbit_census, orthonormality_check,
+                                 gram_matrix, orbit_census, orthonormality_check,
                                  verify_induced_matches_orbit)
 from orbitzeta.ffield import is_prime
+from orbitzeta.linalg import base_p_digits, nullspace_stack_mod_p
 from orbitzeta.zetalab import (LieTypeSpec, abscissa_estimate, l_of_n,
                                prg_witness, prime_power_decompose,
                                product_series, sl2_degrees,
@@ -75,8 +78,12 @@ def test_02_fake_degree_identities():
             ident = fake_degree_identities(census)
             assert ident["sum_fake_squares"] == ident["group_order"], alg.name
             assert ident["dual_size"] == ident["group_order"], alg.name
-            # the stored kernel rows of each radical: its prime dimension
-            rad_dims = census.radical_rows.any(axis=2).sum(axis=1)
+            # the prime dimension of each radical, from a reference elimination
+            # of the stacked Gram matrices of the representatives
+            lam_rows = base_p_digits(census.reps, p, e * alg.dim)
+            ranks, _ = nullspace_stack_mod_p(
+                np.stack([gram_matrix(alg, lam) for lam in lam_rows]), p)
+            rad_dims = e * alg.dim - ranks
             for rep, size, fake, rad_dim in zip(census.reps.tolist(), census.sizes.tolist(),
                                                 census.fake_degrees.tolist(), rad_dims.tolist()):
                 assert _is_q_power(fake, q), (alg.name, fake)

@@ -48,7 +48,7 @@ def test_group_axioms_sampled(alg_name, alg):
     assert np.array_equal(law(zero, x), x)
     eng = AlgebraGroup(alg)
     assert np.array_equal(eng._gmul_rows(x, y), law(x, y))
-    assert np.array_equal([eng._inverse(g) for g in x], inv)
+    assert np.array_equal(eng._inverse_rows(x), inv)
 
 
 def test_conjugation_and_commutator_identities():
@@ -85,7 +85,7 @@ def test_orbit_partition_identity_fast_path():
     idx = np.arange(10, dtype=np.int64)
     part = orbit_partition([idx.copy(), idx.copy()], 10)
     assert part.count == 10
-    assert part.sizes == [1] * 10
+    assert np.array_equal(part.sizes, np.ones(10))
 
 
 def test_orbit_partition_cycle():
@@ -128,8 +128,17 @@ def test_orbit_partition_matches_per_seed_bfs(perm_lists):
     part = orbit_partition(perms, n_points)
     labels, reps, sizes = _orbit_partition_bfs(perms, n_points)
     assert np.array_equal(part.labels, labels)
-    assert part.reps == reps
-    assert part.sizes == sizes
+    assert part.reps.tolist() == reps
+    assert part.sizes.tolist() == sizes
+
+
+@pytest.mark.parametrize("perms", [[np.arange(6)], [np.array([1, 2, 0, 3, 5, 4])]],
+                         ids=["identity", "cycles"])
+def test_orbit_partition_returns_int64_arrays(perms):
+    # both the fixed-point path and the fast path of the identity
+    part = orbit_partition(perms, 6)
+    for arr in (part.labels, part.reps, part.sizes):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
 
 
 KNOWN_GROUP_K = [
@@ -172,7 +181,7 @@ def test_brute_force_class_count_matches_engine():
         g = FiniteGroupTable.from_cayley_table(table.reshape(N, N))
         assert g.k() == eng.k(), alg.name
         assert sorted(g.conjugacy_classes().sizes) == sorted(eng.conjugacy_classes().sizes)
-        assert len(g.commutator_subgroup()) == eng.commutator_subgroup_packed().size
+        assert np.array_equal(g.commutator_subgroup(), eng.commutator_subgroup())
 
 
 def test_derived_subgroup_is_budgeted_before_its_masks():
@@ -262,9 +271,13 @@ def test_vectorized_associativity_bulk():
 
 
 def test_spot_check_catches_a_wrong_conjugation_matrix(monkeypatch):
-    right = AlgebraGroup._conjugation_matrix
-    monkeypatch.setattr(AlgebraGroup, "_conjugation_matrix",
-                        lambda self, g, h: np.roll(right(self, g, h), 1, axis=0))
+    right = AlgebraGroup.conjugation_matrices
+
+    def rolled(self, G):
+        mats, duals = right(self, G)
+        return np.roll(mats, 1, axis=1), duals
+
+    monkeypatch.setattr(AlgebraGroup, "conjugation_matrices", rolled)
     for alg in (corpus.unitriangular(4, 2), corpus.unitriangular(3, 3, 2)):
         with pytest.raises(InternalInconsistencyError,
                            match="^conjugation matrix disagrees with direct conjugation$"):
@@ -289,13 +302,15 @@ def test_engine_builds_past_int64():
 
 
 def test_generator_inverses_are_computed_once(monkeypatch):
+    # one batched inverse series for the matrices of every generator, one
+    # for the commutators
     eng = AlgebraGroup(corpus.augmentation_ideal("D8", 2))
     calls = []
-    inverse = AlgebraGroup._inverse
-    monkeypatch.setattr(AlgebraGroup, "_inverse",
-                        lambda self, g: calls.append(1) or inverse(self, g))
-    eng.group_perms(), eng.dual_perms(), eng.commutator_subgroup_packed()
-    assert len(calls) == len(eng._generators()) > 0
+    inverse = AlgebraGroup._inverse_rows
+    monkeypatch.setattr(AlgebraGroup, "_inverse_rows",
+                        lambda self, G: calls.append(len(G)) or inverse(self, G))
+    eng.group_perms(), eng.dual_perms(), eng.commutator_subgroup(), eng.k()
+    assert calls == [len(eng._generators())] * 2 and calls[0] > 0
 
 
 def test_digit_rows_hold_digits_above_127():
@@ -320,6 +335,18 @@ def test_central_generator_is_skipped():
     C = np.zeros((4, 4, 4, 1), dtype=np.int64)
     C[:3, :3, :3] = u3.C
     eng = AlgebraGroup(NilAlgebra(u3.field, C))
-    assert len(eng.group_perms()) == len(eng.dual_perms()) < len(eng._generators())
+    gens = eng._generators()
+    assert len(eng.group_perms()) == len(eng.dual_perms()) == len(gens) > 0
+    assert not gens[:, 3].any()  # the seed 1 + b_3 is dropped
     assert eng.k() == eng.dual_orbits().count == 10
     assert eng.abelianization_order() == 8
+
+
+@pytest.mark.parametrize("alg", corpus.duality_corpus(), ids=lambda alg: alg.name)
+def test_no_generator_is_central(alg):
+    eng = AlgebraGroup(alg)
+    gens = eng._generators()
+    mats, duals = eng.conjugation_matrices(gens)
+    eye = np.eye(eng.n, dtype=np.int64)
+    assert (mats != eye).any(axis=(1, 2)).all() and (duals != eye).any(axis=(1, 2)).all()
+    assert all(np.array_equal(a, b) for a, b in zip((mats, duals), eng._generator_matrices()))

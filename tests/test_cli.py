@@ -262,10 +262,11 @@ def test_orbits_characters_matches_the_per_value_route(capsys, algebra_file, alg
             assert cell == rows[i][c], (i, c)
     want = {
         "k": table.k,
-        "class_reps": [int(c) for c in table.class_reps],
-        "class_sizes": [int(s) for s in table.class_sizes],
-        "orbits": [{"rep": int(table.orbit_reps[i]), "degree": int(table.fake_degrees[i]),
-                    "values": rows[i]} for i in range(table.k)],
+        "class_reps": table.class_reps.tolist(),
+        "class_sizes": table.class_sizes.tolist(),
+        "orbits": [{"rep": rep, "degree": degree, "values": values}
+                   for rep, degree, values in zip(table.orbit_reps.tolist(),
+                                                  table.fake_degrees.tolist(), rows)],
     }
     assert text == _canonical(want)
 
@@ -538,7 +539,7 @@ def _reference_rows(table):
     """values[orbit][class] by the per-value route: one gcd reduction and one
     dict per cell, from the histogram H."""
     return [[_reduced_json(h, d) for h in hist]
-            for hist, d in zip(table.H.tolist(), table.fake_degrees)]
+            for hist, d in zip(table.H.tolist(), table.fake_degrees.tolist())]
 
 
 def _canonical(obj) -> str:
@@ -551,7 +552,7 @@ def test_export_json_matches_the_per_value_route(capsys, tmp_path):
     assert rc == 0
     alg = corpus.unitriangular(3, 3)
     table = character_table(alg)
-    want = {"algebra": alg.name, "class_reps": [int(c) for c in table.class_reps],
+    want = {"algebra": alg.name, "class_reps": table.class_reps.tolist(),
             "values": _reference_rows(table)}
     text = (target / "characters_u3_F3.json").read_text(encoding="utf-8")
     assert json.loads(text) == want

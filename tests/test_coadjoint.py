@@ -24,8 +24,9 @@ from orbitzeta.nilalg import make_unitriangular
 # ------------------------------------------------------------- functionals --
 
 def test_dual_functional_and_coadjoint_action():
-    # a dual is a digit row lambda, and 1+g acts by lambda -> lambda @ M_g
-    # (dual_matrix_for); seeded lambda, g, h, a on every duality algebra
+    # a dual is a digit row lambda, and 1+g acts by lambda -> lambda @ D_g
+    # (the dual matrices of conjugation_matrices); seeded lambda, g, h, a on
+    # every duality algebra
     rng = random.Random(4)
     for alg in corpus.duality_corpus():
         eng = engine_for(alg)
@@ -33,11 +34,11 @@ def test_dual_functional_and_coadjoint_action():
         for _ in range(8):
             lam, g_row, h_row, a = base_p_digits([rng.randrange(eng.N) for _ in range(4)],
                                                  p, eng.n).astype(np.int64)
-            moved = lam @ eng.dual_matrix_for(g_row) % p
-            # the action: (lambda M_g) M_h = lambda M_gh
             gh = eng._gmul_rows(g_row[None], h_row[None])[0]
-            assert np.array_equal(moved @ eng.dual_matrix_for(h_row) % p,
-                                  lam @ eng.dual_matrix_for(gh) % p), alg.name
+            D_g, D_h, D_gh = eng.conjugation_matrices(np.stack([g_row, h_row, gh]))[1]
+            moved = lam @ D_g % p
+            # the action: (lambda D_g) D_h = lambda D_gh
+            assert np.array_equal(moved @ D_h % p, lam @ D_gh % p), alg.name
             # the defining property: lambda^g(a) = lambda(a^((1+g)^-1)),
             # with the conjugate from the C route
             g = g_row[None]
@@ -99,29 +100,41 @@ def _radical_rows(alg, lam):
     return nullspace_mod_p(gram_matrix(alg, lam), alg.dim * alg.field.e, alg.field.p)
 
 
+def _stacked_radicals(alg, lam_rows):
+    """(ranks, kernels) of a reference elimination of the stacked Gram matrices
+    of gram_matrix: rows [:n - rank] of a kernel are the reduced prime
+    echelon rows of Rad B_lambda, the rest 0."""
+    grams = np.stack([gram_matrix(alg, lam) for lam in lam_rows])
+    return nullspace_stack_mod_p(grams, alg.field.p)
+
+
 @pytest.mark.parametrize("alg", corpus.duality_corpus(), ids=lambda alg: alg.name)
 def test_census_radicals_match_radical_of(alg):
-    # the census finds every radical in one batched elimination; compare
-    # ranks and spans with the one-matrix route at a seeded sample of orbits
+    # the census ranks against the radicals of one stacked elimination of the
+    # Gram matrices of its representatives, and those against the one-matrix
+    # route at a seeded sample of orbits
     census = orbit_census(alg)
     eng = engine_for(alg)
     p, n = eng.p, eng.n
+    ranks, kernels = _stacked_radicals(alg, eng.digit_rows()[census.reps])
+    assert np.array_equal(census.ranks, ranks)
+    assert np.array_equal(census.sizes, p ** ranks)
     for i in random.Random(alg.name).sample(range(census.count), min(48, census.count)):
         rows = _radical_rows(alg, eng.digit_rows()[census.reps[i]])
         assert p ** (n - len(rows)) == census.sizes[i]
-        stored = census.radical_rows[i][:n - census.ranks[i]]
-        (ech, piv), (stored_ech, stored_piv) = (rref_mod_p(r, p) for r in (rows, stored))
-        assert np.array_equal(ech, stored_ech) and piv == stored_piv
-        assert stored.tolist() == ech.tolist()
+        stacked = kernels[i][:n - census.ranks[i]]
+        (ech, piv), (stacked_ech, stacked_piv) = (rref_mod_p(r, p) for r in (rows, stacked))
+        assert np.array_equal(ech, stacked_ech) and piv == stacked_piv
+        assert stacked.tolist() == ech.tolist()
     if alg.field.e > 1:
         # over F_q with q > p (u_3(F_4) in this corpus), the stacked rows
-        # themselves, on every orbit
-        assert census.radical_rows.shape == (census.count, n, n)
-        for rep, rank, stacked in zip(census.reps, census.ranks, census.radical_rows):
+        # themselves, on every orbit, and each radical F_q-closed
+        for rep, rank, stacked in zip(census.reps, census.ranks, kernels):
             rows = _radical_rows(alg, eng.digit_rows()[rep])
             assert n - len(rows) == rank
             assert stacked[:n - rank].tolist() == rows.tolist()
             assert not stacked[n - rank:].any()
+            assert alg.is_fq_subspace(rows)
 
 
 @pytest.mark.parametrize("alg", corpus.duality_corpus() + corpus.character_corpus(),
@@ -134,17 +147,13 @@ def test_radicals_by_row_match_one_elimination_per_rep(alg):
     eng = engine_for(alg)
     p, n = eng.p, eng.n
     lam_rows = eng.digit_rows()[census.reps]
-    ranks, rads, closed = coadjoint._radicals_by_row(
-        alg, lam_rows, alg.derived_lie_subspace()[0])
-    assert rads.dtype == lam_rows.dtype
+    ranks, closed = coadjoint._radicals_by_row(alg, lam_rows, alg.derived_lie_subspace()[0])
     for lo in range(0, len(lam_rows), 1024):
         at = slice(lo, lo + 1024)
         # lambda(b_s b_t) for every rep, as gram_matrix forms it
         prods = (alg.T.reshape(n * n, n) @ lam_rows[at].T.astype(np.int64)).T.reshape(-1, n, n)
         ref_ranks, ref_kernels = nullspace_stack_mod_p(prods - prods.transpose(0, 2, 1), p)
         assert np.array_equal(ranks[at], ref_ranks) and np.array_equal(census.ranks[at], ref_ranks)
-        assert np.array_equal(rads[at], ref_kernels)
-        assert np.array_equal(census.radical_rows[at], ref_kernels)
         assert closed[at].tolist() == [alg.is_fq_subspace(kernel[:n - rank])
                                        for rank, kernel in zip(ref_ranks, ref_kernels)]
 
@@ -163,11 +172,25 @@ def test_radicals_by_row_eliminate_once_per_restriction(monkeypatch):
     stack, eliminated = coadjoint.nullspace_stack_mod_p, []
     monkeypatch.setattr(coadjoint, "nullspace_stack_mod_p",
                         lambda K, p: eliminated.append(len(K)) or stack(K, p))
-    ranks, rads, closed = coadjoint._radicals_by_row(alg, lam_rows, derived)
+    ranks, closed = coadjoint._radicals_by_row(alg, lam_rows, derived)
     assert eliminated == [len(np.unique(lam_rows[:, 4:], axis=0))]
-    ref_ranks, ref_kernels = stack(np.stack([gram_matrix(alg, lam) for lam in lam_rows]), p)
-    assert np.array_equal(ranks, ref_ranks) and np.array_equal(rads, ref_kernels)
+    ref_ranks, _ = stack(np.stack([gram_matrix(alg, lam) for lam in lam_rows]), p)
+    assert np.array_equal(ranks, ref_ranks)
     assert closed.all()
+
+
+def test_commutative_census_reads_no_digits_of_its_representatives(monkeypatch):
+    # J commutative: every radical is J, so no dual row is formed; a
+    # noncommutative J forms the rows of its representatives once
+    calls = []
+    digits = coadjoint.base_p_digits
+    monkeypatch.setattr(coadjoint, "base_p_digits",
+                        lambda codes, p, width: calls.append(len(codes)) or digits(codes, p, width))
+    for alg in (corpus.zero_algebra(6, 2), corpus.augmentation_ideal("C9", 3)):
+        assert orbit_census(alg).count == alg.field.q ** alg.dim
+    assert calls == []
+    assert orbit_census(corpus.unitriangular(3, 3)).count == 11
+    assert calls == [11]
 
 
 def test_census_checks_radicals_are_fq_closed(monkeypatch):
@@ -183,19 +206,19 @@ def test_census_checks_radicals_are_fq_closed(monkeypatch):
 def test_census_checks_sizes_and_ranks_name_the_dual(monkeypatch):
     alg = corpus.unitriangular(3, 2)  # orbit sizes 1 and 4: ranks 0 and 2
     part = engine_for(alg).dual_orbits()
-    first = part.reps[part.sizes.index(4)]
+    first = part.reps[np.flatnonzero(part.sizes == 4)[0]]
     radicals = coadjoint._radicals_by_row
 
     def halved(*args):
-        ranks, rows, closed = radicals(*args)
-        return ranks // 2, rows, closed
+        ranks, closed = radicals(*args)
+        return ranks // 2, closed
 
     monkeypatch.setattr(coadjoint, "_radicals_by_row", halved)
     with pytest.raises(InternalInconsistencyError,
                        match=rf"orbit size 4 != \|J\|/\|Rad\| = 2 at dual {first}$"):
         orbit_census(alg)
     # sizes 2 = p^1 agree with the halved ranks, which are odd
-    monkeypatch.setattr(part, "sizes", [min(s, 2) for s in part.sizes])
+    monkeypatch.setattr(part, "sizes", np.minimum(part.sizes, 2))
     with pytest.raises(InternalInconsistencyError,
                        match=rf"orbit size 2 is not an even power of q at dual {first}$"):
         orbit_census(alg)
@@ -229,7 +252,8 @@ def test_orbit_size_and_radical_at_e13_dual():
     assert census.reps[o] == 9  # the least dual with lambda(e13) = 1
     assert census.sizes[o] == 9
     assert census.fake_degrees[o] == 3
-    assert census.radical_rows[o][:3 - census.ranks[o]].tolist() == [[0, 0, 1]]
+    assert census.ranks[o] == 2
+    assert _radical_rows(alg, (0, 0, 1)).tolist() == [[0, 0, 1]]
     # trivial functional: radical is everything, orbit is a point
     assert census.sizes[census.partition.labels[0]] == 1
 
@@ -270,7 +294,8 @@ def test_max_isotropic_subalgebra_rows_are_reduced(alg):
         ech, ech_piv = rref_mod_p(rows, p)
         assert rows.dtype == np.int64
         assert np.array_equal(rows, ech) and piv == ech_piv
-        rad = census.radical_rows[o][:n - census.ranks[o]]
+        rad = _radical_rows(alg, lam)
+        assert len(rad) == n - census.ranks[o]
         assert not reduce_mod_p(rows, piv, rad, p).any()
         if by_points:
             # every pair x, y of points of H: lambda(xy - yx) = 0 and xy in H
@@ -527,7 +552,7 @@ def test_class_constancy_catches_a_moved_dual_label(change):
 def test_class_constancy_catches_a_wrong_generator_matrix(which):
     eng, census, classes, H = _u3_f3_check_inputs()
     eng.group_perms(), eng.dual_perms()  # made from the honest matrices
-    mats = [list(half) for half in eng._generator_matrices()]
+    mats = [half.copy() for half in eng._generator_matrices()]
     # M_g (which = 0) or M_(g^-1) (which = 1) of the first generator swapped
     # for that of the second
     mats[which][0] = mats[which][1]

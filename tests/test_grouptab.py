@@ -3,6 +3,7 @@ import json
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.cli import main
 from orbitzeta.errors import BudgetError, InternalInconsistencyError, ValidationError
 from orbitzeta.ffield import prime_power_decompose
-from orbitzeta.grouptab import (FiniteGroupTable, _check_pc_relations, _close, _PcPresentation,
-                                central_quotient, derived_subgroup, direct_product,
-                                parse_group_file, serialize_cayley)
+from orbitzeta.grouptab import (FiniteGroupTable, OrbitPartition, _check_pc_relations, _close,
+                                _PcPresentation, central_quotient, derived_subgroup,
+                                direct_product, parse_group_file, serialize_cayley)
 
 
 def order_profile(g: FiniteGroupTable) -> dict:
@@ -514,6 +515,19 @@ def test_class_power_map_is_representative_independent():
             assert cmap[classes.class_of(x)] == classes.class_of(xp), (name, x)
 
 
+def test_class_power_map_checks_every_order():
+    # Z/5000, past 2^12, as a stand-in with the additive power x -> n x and
+    # classes 1 and 2 merged: 2 * 1 and 2 * 2 land in different classes
+    m = 5000
+    labels = np.concatenate([[0, 1, 1], np.arange(2, m - 1)])
+    part = OrbitPartition(labels, np.delete(np.arange(m), 2), np.bincount(labels))
+    group = SimpleNamespace(order=m, conjugacy_classes=lambda: part,
+                            power=lambda x, n: x * n % m)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^class power map not constant on class of element 2$"):
+        FiniteGroupTable.class_power_map(group, 2)
+
+
 # ------------------------------------------------- table engine references --
 
 def _classes_bfs(g):
@@ -580,9 +594,11 @@ def test_table_engine_matches_bfs_and_set_closure(name, seed):
     labels, reps, sizes = _classes_bfs(g)
     classes = g.conjugacy_classes()
     assert classes.labels.tolist() == labels
-    assert classes.reps == reps
-    assert classes.sizes == sizes
-    assert g.commutator_subgroup() == _derived_sets(g)
+    assert classes.reps.tolist() == reps
+    assert classes.sizes.tolist() == sizes
+    derived = g.commutator_subgroup()
+    assert derived.dtype == np.int64
+    assert derived.tolist() == sorted(_derived_sets(g))
 
 
 def test_sympy_oracle_class_count_and_derived_order():

@@ -66,7 +66,9 @@ def _block_width(p: int) -> int:
 @functools.cache
 def _digit_sum_table(p: int) -> np.ndarray:
     """table[a, b] is the block code of the digit-wise sum mod p of the
-    blocks of codes a and b, w = _block_width(p) digits each, as uint8."""
+    blocks of codes a and b, w = _block_width(p) digits each, as uint8.
+    affine_perm reads it for 3 <= p <= 16 only: at p = 2 the sum is XOR,
+    and for p > 16 a block is one digit, added directly."""
     w = _block_width(p)
     digits = base_p_digits(np.arange(p ** w), p, w)
     return ((digits[:, None] + digits[None, :]) % p @ p ** np.arange(w)).astype(np.uint8)
@@ -209,17 +211,20 @@ class AlgebraGroup:
     def affine_perm(self, mat, shift=None) -> np.ndarray:
         """Packed codes of (x @ mat + shift) % p for every point x, in code order.
 
-        The output digits go in blocks of w, the largest w with p^w <= 256
-        (w = 1 when p > 16), and each block is one N-vector of its codes,
-        never an N x n digit array.  Digit doubling on block codes: the
-        points below p^(t+1) with digit d at t are the points below p^t plus
-        d e_t, so their block codes are those below p^t plus the block code
-        of d * mat[t], added digit-wise mod p.  For w > 1 that sum is a
-        lookup in the p^w x p^w table of _digit_sum_table, and the codes
-        stay below p^w <= 256, one byte each.  For w = 1 a code is its digit
-        and is added directly: sums stay below 2p - 1, which the unsigned
-        digit dtype holds; it then has at least 2p values, so for a digit
-        x < p the difference x - p wraps above x and min(x, x - p) is x mod p.
+        Digit doubling, never an N x n digit array: the points below p^(t+1)
+        with digit d at t are the points below p^t plus d e_t, so their
+        images are the images of the points below p^t plus d * mat[t],
+        added digit-wise mod p.  At p = 2 that sum is XOR, which carries
+        nothing between digits, so the whole packed code is one block and
+        each step is one XOR of the first 2^t codes with the code of mat[t].
+        For p > 2 the output digits go in blocks of w, the largest w with
+        p^w <= 256 (w = 1 when p > 16), and each block is one N-vector of
+        its codes.  For w > 1 the digit-wise sum is a lookup in the
+        p^w x p^w table of _digit_sum_table, and the codes stay below
+        p^w <= 256, one byte each.  For w = 1 a code is its digit and is
+        added directly: sums stay below 2p - 1, which the unsigned digit
+        dtype holds; it then has at least 2p values, so for a digit x < p
+        the difference x - p wraps above x and min(x, x - p) is x mod p.
         The blocks are then summed with their powers of p, from the top.
         """
         check_budget("group_enumeration_max", self.N)
@@ -227,6 +232,13 @@ class AlgebraGroup:
         mat = np.asarray(mat, dtype=np.int64) % p
         shift = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(
             shift, dtype=np.int64) % p
+        if p == 2:
+            step_codes = mat @ self.powers
+            packed = np.empty(N, dtype=np.int64)
+            packed[0] = shift @ self.powers
+            for t in range(n):
+                np.bitwise_xor(packed[:1 << t], step_codes[t], out=packed[1 << t:2 << t])
+            return packed
         # steps[d - 1, t] is the digit row of d * mat[t]
         steps = np.arange(1, p, dtype=np.int64)[:, None, None] * mat % p
         w = _block_width(p)

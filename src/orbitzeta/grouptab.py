@@ -44,32 +44,52 @@ class OrbitPartition:
         return int(self.labels[i])
 
 
+def _labels_fixed(labels: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """Whether labels is constant along every perm; one call per round of
+    orbit_partition."""
+    return all(np.array_equal(labels[perm], labels) for perm in perms)
+
+
 def orbit_partition(perms: list[np.ndarray], n_points: int) -> OrbitPartition:
     """Orbits of the group generated by perms on 0..n_points-1.
 
-    Min-label propagation with pointer jumping: every label points at a
-    point of the same orbit and never rises.  Along each edge x -> perm[x]
-    the points both ends point at take the smaller of the two labels, and
-    pointer jumping (the label of the label) then flattens every chain, so
-    a long cycle merges in one round.  At the fixed point every label is
-    the least index of its orbit, so the representatives are the points
-    labelled by themselves, and one lookup renumbers the labels densely.
+    Min-label propagation in rounds: every label points at a point of the
+    same orbit and never rises, so labels[x] <= x.  A round gathers,
+    labels = min(labels, labels[perm]) for every perm, and jumps pointers
+    (the label of the label) until labels[labels] == labels.  If then
+    labels[perm] == labels for every perm (_labels_fixed), labels is
+    constant on each orbit, and the label l of an orbit is a point of it
+    with labels[l] = l <= every index in it: the fixed point, where every
+    label is the least index of its orbit.  Otherwise a hooking pass runs
+    before the next round: along each edge x -> perm[x] whose ends point at
+    different labels, both labels take the smaller.  Gathers and jumping
+    alone can be slow: on a cycle numbered L-1, 0, L-2, 1, ... they take
+    L/2 rounds.  Hooking merges whole chains, and a long cycle takes a
+    few.  The representatives are the points labelled by themselves, and
+    one lookup renumbers the labels densely.
     """
     idx = np.arange(n_points, dtype=np.int64)
     if all(np.array_equal(perm, idx) for perm in perms):
         # every point is fixed; skip the propagation
         return OrbitPartition(idx.copy(), idx, np.ones(n_points, dtype=np.int64))
-    labels, prev = idx.copy(), None
-    while not np.array_equal(labels, prev):
-        prev = labels.copy()
+    labels = idx.copy()
+    while True:
         for perm in perms:
-            ends = labels.copy(), labels[perm]
-            smaller = np.minimum(*ends)
-            for end in ends:
-                np.minimum.at(labels, end, smaller)
+            np.minimum(labels, labels[perm], out=labels)
         jumped = labels[labels]
         while not np.array_equal(jumped, labels):
             labels, jumped = jumped, jumped[jumped]
+        del jumped      # a copy of labels: free it before the hooking pass
+        if _labels_fixed(labels, perms):
+            break
+        for perm in perms:
+            # an edge whose ends share a label hooks nothing
+            ends = labels[perm]
+            edges = np.flatnonzero(ends != labels)
+            ends = labels[edges], ends[edges]
+            smaller = np.minimum(*ends)
+            for end in ends:
+                np.minimum.at(labels, end, smaller)
     reps = np.flatnonzero(labels == idx)
     # a label that is not a representative would count in the last bin
     dense = np.full(n_points, reps.size, dtype=np.int64)

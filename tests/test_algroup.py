@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitzeta import algroup, corpus
+from orbitzeta import algroup, corpus, grouptab
 from orbitzeta.algroup import (AlgebraGroup, _c_route_inverse, _c_route_law,
                                orbit_partition)
 from orbitzeta.budgets import Budgets, budget_scope
@@ -141,6 +141,31 @@ def test_orbit_partition_returns_int64_arrays(perms):
         assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
 
 
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["perm", "inverse"])
+def test_orbit_partition_hooks_an_adversarial_cycle(monkeypatch, inverse):
+    # one cycle through L-1, 0, L-2, 1, ...: in this direction gathers and
+    # pointer jumping alone move the least label two steps a round, so they
+    # need L/2 rounds (the inverse needs 2); with the hooking pass both take
+    # at most log2 L
+    L = 2 ** 14
+    order = np.empty(L, dtype=np.int64)
+    order[0::2], order[1::2] = np.arange(L - 1, L // 2 - 1, -1), np.arange(L // 2)
+    perm = np.empty(L, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    if inverse:
+        perm = np.argsort(perm)
+    rounds = []
+    fixed = grouptab._labels_fixed
+    monkeypatch.setattr(grouptab, "_labels_fixed",
+                        lambda labels, perms: rounds.append(1) or fixed(labels, perms))
+    part = orbit_partition([perm], L)
+    labels, reps, sizes = _orbit_partition_bfs([perm], L)
+    assert np.array_equal(part.labels, labels)
+    assert part.reps.tolist() == reps == [0]
+    assert part.sizes.tolist() == sizes == [L]
+    assert 1 <= len(rounds) <= 14
+
 KNOWN_GROUP_K = [
     ("u3_F2", corpus.unitriangular(3, 2), 5),
     ("u3_F3", corpus.unitriangular(3, 3), 11),
@@ -202,13 +227,14 @@ def test_right_mul_perm_matches_scalar():
 
 
 @pytest.mark.parametrize("p,dim", [(2, 6), (3, 4), (5, 3), (131, 2), (2, 8), (2, 9), (2, 17),
-                                   (3, 5), (3, 6), (17, 2), (257, 2)])
+                                   (3, 5), (3, 6), (17, 2), (257, 2), (2, 1)])
 @pytest.mark.parametrize("with_shift", [False, True])
 def test_affine_perm_matches_digit_matmul(p, dim, with_shift):
-    # blocks of w digits with p^w <= 256: w = 8 at p = 2 (dim 8, 9 and 17
-    # end at, past and one past two blocks), w = 5 at p = 3; w = 1 adds the
-    # digits directly from p = 17 on.  p = 131, 257: digits on the way reach
-    # 2p - 2, beyond a byte
+    # p = 2 is one block of all n digits, summed by XOR, at dim 1 to 17;
+    # blocks of w digits with p^w <= 256 for 3 <= p <= 16: w = 5 at p = 3
+    # (dim 4, 5 and 6 end inside, at and one past the first block); w = 1
+    # adds the digits directly from p = 17 on.  p = 131, 257: digits on the
+    # way reach 2p - 2, beyond a byte
     eng = AlgebraGroup(corpus.zero_algebra(dim, p))
     rng = np.random.default_rng(p * 10 + with_shift)
     mat = rng.integers(0, p, (dim, dim))
@@ -221,8 +247,9 @@ def test_affine_perm_matches_digit_matmul(p, dim, with_shift):
 
 @pytest.mark.parametrize("dim,p", [(16, 2), (10, 3)])
 def test_affine_perm_peak_memory(dim, p):
-    # one warm call holds its N int64 codes and a byte per point per block,
-    # never an N x n digit array: at most 4 int64 words per point at peak
+    # one warm call never forms an N x n digit array.  At p = 2 it holds
+    # only its N int64 codes, with O(n^2) besides; for p > 2 the codes and
+    # a byte per point per block, at most 4 int64 words per point at peak
     eng = AlgebraGroup(corpus.zero_algebra(dim, p))
     rng = np.random.default_rng(dim)
     mat, shift = rng.integers(0, p, (dim, dim)), rng.integers(0, p, dim)
@@ -233,7 +260,17 @@ def test_affine_perm_peak_memory(dim, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * eng.N
+    assert peak <= (8 * (eng.N + 4 * dim * dim) if p == 2 else 4 * 8 * eng.N)
+
+
+@pytest.mark.parametrize("p,built", [(2, 0), (3, 1)])
+def test_affine_perm_reads_the_digit_sum_table_only_past_p_2(p, built):
+    # at p = 2 the digit-wise sum is XOR; at p = 3 the blocks need the table
+    algroup._digit_sum_table.cache_clear()
+    eng = AlgebraGroup(corpus.zero_algebra(6, p))
+    rng = np.random.default_rng(p)
+    eng.affine_perm(rng.integers(0, p, (6, 6)), rng.integers(0, p, 6))
+    assert algroup._digit_sum_table.cache_info().misses == built
 
 
 def test_abelianization_orders():

@@ -97,7 +97,6 @@ class MqPresentation:
     e: int
     v: int
     k: int                        # class count of pi, including the identity
-    gens: list                    # (j, class_index) per generator
     rows: list                    # relation matrix over Z/p^v, one row per generator
     name: str = ""
 
@@ -107,7 +106,7 @@ class MqPresentation:
 
     @property
     def ngens(self) -> int:
-        return len(self.gens)
+        return len(self.rows)
 
 
 def build_mq(group: FiniteGroupTable, p: int, e: int,
@@ -124,23 +123,24 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
     check_field_order(p, e)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    t, rest = p_adic(group.exponent(), p)
-    if rest != 1:
-        raise InternalInconsistencyError("p-group exponent is not a p-power")
-    v = t + 1
-    mod = p ** v
     classes = group.conjugacy_classes()
     k = classes.count
-    ident_class = classes.class_of(group.identity)
+    ident_class = int(classes.labels[group.identity])
     nontrivial = [c for c in range(k) if c != ident_class]
     pos = {c: i for i, c in enumerate(nontrivial)}
     pm = group.class_power_map(p)
+    # exp(pi) = p^t, t the number of steps of the class power map, from the
+    # identity map, that carry every class to the identity class
+    image, t = list(range(k)), 0
+    while any(c != ident_class for c in image):
+        image, t = [pm[c] for c in image], t + 1
+    v = t + 1
+    mod = p ** v
     if frobenius is None:
         frobenius = frobenius_matrix(p, e, v)
     if len(frobenius) != e or any(len(r) != e for r in frobenius):
         raise ValidationError("Frobenius matrix has the wrong shape")
     n = e * (k - 1)
-    gens = [(j, c) for c in nontrivial for j in range(e)]
     rows = []
     for c in nontrivial:
         target = pm[c]
@@ -152,7 +152,7 @@ def build_mq(group: FiniteGroupTable, p: int, e: int,
                 for i in range(e):
                     row[base + i] = (row[base + i] - frobenius[i][j]) % mod
             rows.append(row)
-    return MqPresentation(p, e, v, k, gens, rows, name=group.name)
+    return MqPresentation(p, e, v, k, rows, name=group.name)
 
 
 def smith_valuations(rows, p: int, v: int, ncols: int | None = None) -> list[int]:

@@ -1,7 +1,10 @@
 """Command line surface.
 
 Subcommands mirror the library modules: grouptab, nilalg, algroup, orbits,
-mq, zeta, plus budget, verify-corpus and export.  JSON on stdout is the
+mq, zeta, plus budget, verify-corpus and export.  The table COMMANDS names
+every leaf of that tree with its payload function and its arguments;
+build_parser builds the argparse tree from it, and each leaf takes the
+options --budget-config, --set, --manifest and --out.  JSON on stdout is the
 canonical machine output (sorted keys, 2-space indent); CSV is only emitted
 for series checkpoints via --emit-plot-data or export.
 
@@ -375,9 +378,7 @@ def cmd_zeta_target(args) -> dict:
 
 
 def cmd_budget(args) -> dict:
-    out = asdict(current_budgets())
-    out["threads"] = args.threads
-    return out
+    return asdict(current_budgets())
 
 
 # ---------------------------------------------------------- verify-corpus --
@@ -585,15 +586,54 @@ def cmd_export(args) -> dict:
 
 # ------------------------------------------------------------------ main --
 
-def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-config", help="flat key=value budget file")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override a single budget (repeatable)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads (current implementation is serial; "
-                          "accepted so pipelines can pass it uniformly)")
-    sub.add_argument("--manifest", help="write a run manifest JSON to this path")
-    sub.add_argument("--out", help="write the JSON payload here instead of stdout")
+_FILE = [("file", {})]
+_SERIES = [("spec", {}),
+           ("--N", {"type": int, "required": True}),
+           ("--mode", {"choices": ("exact", "akov"), "default": "exact"}),
+           ("--emit-plot-data", {"metavar": "CSV"})]
+
+# command -> (help, {subcommand, or None for a command without one:
+# (payload function, argument specs)}); an argument spec is the name or
+# flag and the keywords of add_argument
+COMMANDS = {
+    "grouptab": ("finite group file queries", {"classes": (cmd_grouptab, _FILE)}),
+    "nilalg": ("nilpotent algebra file queries", {"info": (cmd_nilalg_info, _FILE)}),
+    "algroup": ("the group 1+J by brute force", {
+        "classes": (cmd_algroup, _FILE),
+        "abelianization": (cmd_algroup, _FILE)}),
+    "orbits": ("coadjoint orbit census and characters", {
+        "census": (cmd_orbits_census, _FILE),
+        "characters": (cmd_orbits_characters, _FILE),
+        "probe": (cmd_orbits_probe, _FILE)}),
+    "mq": ("the module M_q of a p-group", {
+        "compute": (cmd_mq, _FILE + [("--p", {"type": int, "required": True}),
+                                     ("--e", {"type": int, "default": 1})])}),
+    "zeta": ("representation zeta series", {
+        "sl2": (cmd_zeta_sl2, [("q", {"type": int})]),
+        "product": (cmd_zeta_product, _SERIES),
+        "abscissa": (cmd_zeta_abscissa, _SERIES),
+        "target": (cmd_zeta_target, [
+            ("--c", {"required": True, "help": "target abscissa, a rational like 1/2"}),
+            ("--type", {"default": "A1", "help": "Lie type label, e.g. A1, A3, B3"}),
+            ("--p", {"type": int, "required": True}),
+            ("--imax", {"type": int, "default": 40}),
+            ("--emit-plot-data", {"metavar": "CSV"})])}),
+    "budget": ("print the effective budgets", {None: (cmd_budget, [])}),
+    "verify-corpus": ("run the cross-module invariant suites", {None: (cmd_verify_corpus, [
+        ("--only", {"help": "restrict to one suite"}),
+        ("--extra-algebra", {"action": "append", "metavar": "FILE",
+                             "help": "include an algebra file in the associativity suite"})])}),
+    "export": ("write corpus tables to a directory", {None: (cmd_export, [
+        ("--target", {"required": True}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"})])}),
+}
+
+# the options of every leaf, after its own
+_COMMON = [("--budget-config", {"help": "flat key=value budget file"}),
+           ("--set", {"action": "append", "metavar": "KEY=VALUE",
+                      "help": "override a single budget (repeatable)"}),
+           ("--manifest", {"help": "write a run manifest JSON to this path"}),
+           ("--out", {"help": "write the JSON payload here instead of stdout"})]
 
 
 @functools.cache
@@ -604,100 +644,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "representation zeta series at desk scale.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("grouptab", help="finite group file queries")
-    gsubs = p.add_subparsers(dest="sub", required=True)
-    for sub_name in ("classes", "derived"):
-        sp = gsubs.add_parser(sub_name)
-        sp.add_argument("file")
-        _common(sp)
-        sp.set_defaults(func=cmd_grouptab)
-
-    p = subs.add_parser("nilalg", help="nilpotent algebra file queries")
-    nsubs = p.add_subparsers(dest="sub", required=True)
-    sp = nsubs.add_parser("info")
-    sp.add_argument("file")
-    _common(sp)
-    sp.set_defaults(func=cmd_nilalg_info)
-
-    p = subs.add_parser("algroup", help="the group 1+J by brute force")
-    asubs = p.add_subparsers(dest="sub", required=True)
-    for sub_name in ("classes", "abelianization"):
-        sp = asubs.add_parser(sub_name)
-        sp.add_argument("file")
-        _common(sp)
-        sp.set_defaults(func=cmd_algroup)
-
-    p = subs.add_parser("orbits", help="coadjoint orbit census and characters")
-    osubs = p.add_subparsers(dest="sub", required=True)
-    sp = osubs.add_parser("census")
-    sp.add_argument("file")
-    _common(sp)
-    sp.set_defaults(func=cmd_orbits_census)
-    sp = osubs.add_parser("characters")
-    sp.add_argument("file")
-    _common(sp)
-    sp.set_defaults(func=cmd_orbits_characters)
-    sp = osubs.add_parser("probe")
-    sp.add_argument("file")
-    _common(sp)
-    sp.set_defaults(func=cmd_orbits_probe)
-
-    p = subs.add_parser("mq", help="the module M_q of a p-group")
-    msubs = p.add_subparsers(dest="sub", required=True)
-    sp = msubs.add_parser("compute")
-    sp.add_argument("file")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--e", type=int, default=1)
-    _common(sp)
-    sp.set_defaults(func=cmd_mq)
-
-    p = subs.add_parser("zeta", help="representation zeta series")
-    zsubs = p.add_subparsers(dest="sub", required=True)
-    sp = zsubs.add_parser("sl2")
-    sp.add_argument("q", type=int)
-    _common(sp)
-    sp.set_defaults(func=cmd_zeta_sl2)
-    sp = zsubs.add_parser("product")
-    sp.add_argument("spec")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "akov"), default="exact")
-    sp.add_argument("--emit-plot-data", metavar="CSV")
-    _common(sp)
-    sp.set_defaults(func=cmd_zeta_product)
-    sp = zsubs.add_parser("abscissa")
-    sp.add_argument("spec")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "akov"), default="exact")
-    sp.add_argument("--emit-plot-data", metavar="CSV")
-    _common(sp)
-    sp.set_defaults(func=cmd_zeta_abscissa)
-    sp = zsubs.add_parser("target")
-    sp.add_argument("--c", required=True, help="target abscissa, a rational like 1/2")
-    sp.add_argument("--type", default="A1", help="Lie type label, e.g. A1, A3, B3")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--imax", type=int, default=40)
-    sp.add_argument("--emit-plot-data", metavar="CSV")
-    _common(sp)
-    sp.set_defaults(func=cmd_zeta_target)
-
-    sp = subs.add_parser("budget", help="print the effective budgets")
-    _common(sp)
-    sp.set_defaults(func=cmd_budget)
-
-    sp = subs.add_parser("verify-corpus", help="run the cross-module invariant suites")
-    sp.add_argument("--only", help="restrict to one suite")
-    sp.add_argument("--extra-algebra", action="append", metavar="FILE",
-                    help="include an algebra file in the associativity suite")
-    _common(sp)
-    sp.set_defaults(func=cmd_verify_corpus)
-
-    sp = subs.add_parser("export", help="write corpus tables to a directory")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _common(sp)
-    sp.set_defaults(func=cmd_export)
-
+    for command, (help_text, leaves) in COMMANDS.items():
+        top = subs.add_parser(command, help=help_text)
+        if None not in leaves:
+            nested = top.add_subparsers(dest="sub", required=True)
+        for sub, (func, specs) in leaves.items():
+            leaf = top if sub is None else nested.add_parser(sub)
+            for name, kwargs in specs + _COMMON:
+                leaf.add_argument(name, **kwargs)
+            leaf.set_defaults(func=func)
     return parser
 
 

@@ -13,7 +13,6 @@ with a deterministic numbering per construction, so class representatives
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,6 @@ class OrbitPartition:
     @property
     def count(self) -> int:
         return len(self.reps)
-
-    def class_of(self, i: int) -> int:
-        return int(self.labels[i])
 
 
 def _labels_fixed(labels: np.ndarray, perms: list[np.ndarray]) -> bool:
@@ -214,23 +210,6 @@ class FiniteGroupTable:
             n >>= 1
         return result if np.ndim(i) else int(result)
 
-    def element_order(self, i: int) -> int:
-        e = self.identity
-        cur = i
-        n = 1
-        while cur != e:
-            cur = self.mult(cur, i)
-            n += 1
-            if n > self.order:
-                raise InternalInconsistencyError("element order exceeds group order")
-        return n
-
-    def exponent(self) -> int:
-        out = 1
-        for r in self.conjugacy_classes().reps.tolist():
-            out = math.lcm(out, self.element_order(r))
-        return out
-
     def center_size(self) -> int:
         """|Z(G)|: a reference invariant that the tests compare between two
         constructions of one group (pc presentation and Cayley table)."""
@@ -377,7 +356,7 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
         phi = np.zeros(1, dtype=np.int32)           # phi on G_(n+1)
         for j in range(n - 1, k, -1):
             # phi on G_j from phi on G_(j+1): g_j^c s -> phi(g_j)^c phi(s)
-            image = table[p ** (n - 1 - j), pres.word_index(pres.comm_letters.get((j, k), []))]
+            image = table[p ** (n - 1 - j), pres.comm.get((j, k), 0)]
             powers = [0]
             for _ in range(p - 1):
                 powers.append(table[powers[-1], image])
@@ -388,7 +367,7 @@ def _pc_table(pres: _PcPresentation) -> np.ndarray:
                for x in (p ** m for m in range(n - 1 - k))):   # generators of G_(k+1)
             raise ValidationError(fails.format("a") + f" is not an automorphism of "
                                   f"<g_{k + 2}, .., g_{n}>")
-        w = pres.word_index(pres.pow_letters[k])
+        w = pres.pow[k]
         if phi[w] != w:
             raise ValidationError(fails.format("b") + f" moves {g}^p")
         out = np.empty((p, size, p, size), dtype=np.int32)   # [a, t, b, u]
@@ -425,12 +404,12 @@ def _check_pc_relations(group: FiniteGroupTable, pres: _PcPresentation) -> None:
     if not np.array_equal(words, np.arange(group.order)):
         raise InternalInconsistencyError("pc table: normal words do not land on their indices")
     for j, g in enumerate(gens):
-        if group.power(g, p) != pres.word_index(pres.pow_letters[j]):
+        if group.power(g, p) != pres.pow[j]:
             raise InternalInconsistencyError(f"pc table breaks the relation pow {j + 1}")
         # [g_j, g_i] = g_j^-1 g_i^-1 g_j g_i for every i < j
         comms = table[inv[g], table[inv[gens[:j]], table[g, gens[:j]]]]
         for i, c in enumerate(comms.tolist()):
-            if c != pres.word_index(pres.comm_letters.get((j, i), [])):
+            if c != pres.comm.get((j, i), 0):
                 raise InternalInconsistencyError(
                     f"pc table breaks the relation comm {j + 1} {i + 1}")
 
@@ -494,28 +473,31 @@ def _validate_table(arr: np.ndarray, seeds=()) -> tuple[int, np.ndarray, list[in
 
 
 class _PcPresentation:
+    """The relations of a pc presentation as element indices, generators
+    numbered from 0: pow[i] is that of g_i^p and comm[j, i] that of
+    [g_j, g_i] for j > i, absent when trivial."""
+
     def __init__(self, p, n, power_words, commutator_words):
         self.p = p
         self.n = n
-        self.pow_letters: list[list[int]] = [[] for _ in range(n)]
-        self.comm_letters: dict[tuple[int, int], list[int]] = {}
+        self.pow: list[int] = [0] * n
+        self.comm: dict[tuple[int, int], int] = {}
         for i, word in (power_words or {}).items():
             if not (1 <= i <= n):
                 raise ValidationError(f"power relation index {i} out of range")
-            self.pow_letters[i - 1] = self._letters(word, i, f"pow {i}")
+            self.pow[i - 1] = self._index(word, i, f"pow {i}")
         for (j, i), word in (commutator_words or {}).items():
             if not (1 <= i < j <= n):
                 raise ValidationError(f"commutator relation indices ({j},{i}) out of range")
-            self.comm_letters[(j - 1, i - 1)] = self._letters(word, j, f"comm {j} {i}")
-        self._powers = [p**k for k in range(n + 1)]
+            self.comm[(j - 1, i - 1)] = self._index(word, j, f"comm {j} {i}")
 
-    def _letters(self, word, minimum: int, relation: str) -> list[int]:
-        """The letters of a normal word: exponents in 0..p-1 (reducing them
+    def _index(self, word, minimum: int, relation: str) -> int:
+        """The index of a normal word: exponents in 0..p-1 (reducing them
         mod p would presume g^p = 1), on generators beyond minimum."""
         word = tuple(int(x) for x in word)
         if len(word) != self.n:
             raise ValidationError(f"relation word must have {self.n} exponents")
-        letters = []
+        index = 0
         for idx, a in enumerate(word):
             if not 0 <= a < self.p:
                 raise ValidationError(
@@ -523,12 +505,8 @@ class _PcPresentation:
             if a and idx + 1 <= minimum:
                 raise ValidationError(
                     f"relation word touches generator g_{idx + 1}, must only involve later ones")
-            letters.extend([idx] * a)
-        return letters
-
-    def word_index(self, letters: list[int]) -> int:
-        """Index of a normal word given by its letters."""
-        return sum(self._powers[self.n - 1 - g] for g in letters)
+            index = index * self.p + a
+        return index
 
 
 # ------------------------------------------------------------ operations --

@@ -189,7 +189,9 @@ def test_unitriangular_group_is_dihedral_of_order_8():
     table = eng.pack_digits(_c_route_law(alg, np.repeat(X, 8, axis=0), np.tile(X, (8, 1))))
     g = FiniteGroupTable.from_cayley_table(table.reshape(8, 8).tolist())
     assert g.k() == 5
-    assert g.exponent() == 4
+    # exponent 4: every fourth power is the identity, not every square
+    x = np.arange(g.order)
+    assert (g.power(x, 4) == g.identity).all() and (g.power(x, 2) != g.identity).any()
     assert g.center_size() == 2
 
 

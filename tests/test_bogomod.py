@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,25 @@ def test_predicted_ab_order_validation():
         predicted_ab_order(corpus.group("C3"), 2, 1)
 
 
+def _largest_element_order(group) -> int:
+    """The largest order of an element, by a walk of the table: x, x^2, ...,
+    each until it reaches the identity."""
+    x = np.arange(group.order)
+    power, orders = x.copy(), np.ones(group.order, dtype=np.int64)
+    while (moving := power != group.identity).any():
+        power[moving] = group.table[power[moving], x[moving]]
+        orders += moving
+    return int(orders.max())
+
+
+@pytest.mark.parametrize("name", corpus.group_names())
+def test_working_precision_is_one_past_the_exponent(name):
+    # p^v = p exp(pi), and in a p-group exp(pi) is the largest element order
+    g = corpus.group(name)
+    p, _ = prime_power_decompose(g.order)
+    assert p ** (build_mq(g, p, 1).v - 1) == _largest_element_order(g)
+
+
 def test_mq_presentation_fields():
     pres = build_mq(corpus.group("C4"), 2, 2)
     assert pres.q == 4
@@ -300,7 +320,7 @@ def test_frobenius_matrix_needs_exact_int64_residue_products():
 def _relation_rows_at_precision(group, p, e, w):
     """Rebuild the relation matrix mod p^w independently of build_mq."""
     classes = group.conjugacy_classes()
-    ident = classes.class_of(group.identity)
+    ident = classes.labels[group.identity]
     nontrivial = [c for c in range(classes.count) if c != ident]
     pos = {c: i for i, c in enumerate(nontrivial)}
     pm = group.class_power_map(p)

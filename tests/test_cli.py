@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import orbitzeta
 from orbitzeta import bogomod, corpus
 from orbitzeta.budgets import DEFAULT_BUDGETS, Budgets, current_budgets
 from orbitzeta.coadjoint import character_table, orbit_census
-from orbitzeta.cli import _decimal_digits, _dumps, build_parser, main
+from orbitzeta.cli import COMMANDS, _decimal_digits, _dumps, build_parser, main
 from orbitzeta.errors import InternalInconsistencyError, ToolError
 from orbitzeta.grouptab import parse_group_file, serialize_cayley
 from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
@@ -328,7 +330,6 @@ def test_budget_payload(capsys):
     assert rc == 0
     assert payload["table_order_max"] == 4096
     assert payload["series_cutoff_max"] == 10 ** 6
-    assert isinstance(payload["threads"], int)
 
 
 def test_budget_set_override(capsys):
@@ -581,12 +582,59 @@ def test_console_script_smoke():
     assert json.loads(proc.stdout)["count"] == 9
 
 
-def test_thread_flag_does_not_change_output(capsys, algebra_file):
-    path = algebra_file(corpus.unitriangular(3, 3))
-    rc1, payload1, _ = run(capsys, ["orbits", "census", path, "--threads", "1"])
-    rc2, payload2, _ = run(capsys, ["orbits", "census", path, "--threads", "8"])
-    assert rc1 == rc2 == 0
-    assert payload1 == payload2
+# ------------------------------------------------------ the command table --
+
+_LEAVES = {(command, sub) for command, (_, leaves) in COMMANDS.items() for sub in leaves}
+
+
+def _bad_inputs(tmp_path) -> dict:
+    """One bad input per leaf: a missing file for every leaf that reads one
+    (its required options set to 2), a refused value for the others."""
+    missing = str(tmp_path / "missing")
+    regular = tmp_path / "regular"
+    regular.write_text("", encoding="utf-8")
+    cases = {}
+    for command, sub in _LEAVES:
+        _, specs = COMMANDS[command][1][sub]
+        if specs and specs[0][0] in ("file", "spec"):
+            required = [x for name, kw in specs if kw.get("required") for x in (name, "2")]
+            cases[command, sub] = [command, sub, missing, *required]
+    cases.update({
+        ("zeta", "sl2"): ["zeta", "sl2", "4"],
+        ("zeta", "target"): ["zeta", "target", "--c", "0", "--p", "2"],
+        ("budget", None): ["budget", "--set", "no_such_key=5"],
+        ("verify-corpus", None): ["verify-corpus", "--only", "nope"],
+        ("export", None): ["export", "--target", str(regular / "out")],
+    })
+    return cases
+
+
+def test_every_leaf_exits_2_on_a_bad_input(capsys, tmp_path):
+    cases = _bad_inputs(tmp_path)
+    assert set(cases) == _LEAVES
+    for argv in cases.values():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:     # argparse refuses the input itself
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2, (argv, err)
+        assert "error:" in err and "Traceback" not in err, (argv, err)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_shows_every_leaf_and_no_other():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    shown = set()
+    for line in "".join(blocks).splitlines():
+        words = line.split()
+        if words[:1] == ["orbitzeta"]:
+            leaves = COMMANDS.get(words[1], (None, {}))[1]
+            shown.add((words[1], None if None in leaves else words[2]))
+    assert shown == _LEAVES
 
 
 # ------------------------------------------------------------- the writer --

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -21,8 +22,23 @@ from orbitzeta.grouptab import (FiniteGroupTable, OrbitPartition, _check_pc_rela
                                 direct_product, parse_group_file, serialize_cayley)
 
 
+def element_orders(g: FiniteGroupTable) -> np.ndarray:
+    """The order of every element, by a walk of the table: x, x^2, ..., each
+    until it reaches the identity."""
+    x = np.arange(g.order)
+    power, orders = x.copy(), np.ones(g.order, dtype=np.int64)
+    while (moving := power != g.identity).any():
+        power[moving] = g.table[power[moving], x[moving]]
+        orders += moving
+    return orders
+
+
 def order_profile(g: FiniteGroupTable) -> dict:
-    return dict(Counter(g.element_order(x) for x in range(g.order)))
+    return dict(Counter(element_orders(g).tolist()))
+
+
+def exponent(g: FiniteGroupTable) -> int:
+    return math.lcm(*element_orders(g).tolist())
 
 
 def test_s3_from_permutations():
@@ -36,7 +52,7 @@ def test_s3_from_permutations():
     assert sorted(classes.sizes) == [1, 2, 3]
     assert len(g.commutator_subgroup()) == 3
     assert g.abelianization_order() == 2
-    assert g.exponent() == 6
+    assert exponent(g) == 6
     assert g.center_size() == 1
 
 
@@ -46,7 +62,7 @@ def test_klein_four_cayley_table():
     g = FiniteGroupTable.from_cayley_table(table)
     assert g.order == 4
     assert g.k() == 4
-    assert g.exponent() == 2
+    assert exponent(g) == 2
     assert all(g.inverse(x) == x for x in range(4))
 
 
@@ -342,10 +358,10 @@ def test_q8_structure():
     classes = g.conjugacy_classes()
     # squaring sends all three order-4 classes to the central involution
     cmap = g.class_power_map(2)
-    central_inv = next(x for x in range(8) if g.element_order(x) == 2)
+    central_inv = np.flatnonzero(element_orders(g) == 2)[0]
     targets = Counter(cmap)
-    assert targets[classes.class_of(central_inv)] == 3
-    assert targets[classes.class_of(g.identity)] == 2
+    assert targets[classes.labels[central_inv]] == 3
+    assert targets[classes.labels[g.identity]] == 2
 
 
 # the order-16 groups differ pairwise in these classical order profiles
@@ -370,7 +386,8 @@ def test_order16_groups_pairwise_distinct():
         g = corpus.group(name)
         classes = g.conjugacy_classes()
         squares = len({g.mult(x, x) for x in range(g.order)})
-        center_exp = max(g.element_order(z) for z in range(g.order) if g.is_central(z))
+        orders = element_orders(g)
+        center_exp = max(orders[z] for z in range(g.order) if g.is_central(z))
         prints[name] = (
             tuple(sorted(order_profile(g).items())),
             classes.count,
@@ -398,7 +415,7 @@ def test_heisenberg_and_m27():
 def test_power_commutator_c4():
     g = FiniteGroupTable.from_power_commutator(2, 2, {1: (0, 1)}, {})
     assert g.order == 4
-    assert g.exponent() == 4
+    assert exponent(g) == 4
     assert order_profile(g) == {1: 1, 2: 1, 4: 2}
 
 
@@ -421,7 +438,7 @@ def test_g128_invariants():
     g = corpus.group("g128")
     assert g.order == 128
     assert g.k() == 26
-    assert g.exponent() == 4
+    assert exponent(g) == 4
     assert g.abelianization_order() == 16
 
 
@@ -430,12 +447,12 @@ def test_central_quotient_d8():
     z = next(x for x in range(8) if g_is_central_involution(d8, x))
     q = central_quotient(d8, z)
     assert q.order == 4
-    assert q.exponent() == 2
+    assert exponent(q) == 2
     assert q.k() == 4
 
 
 def g_is_central_involution(g, x):
-    return x != g.identity and g.is_central(x) and g.element_order(x) == 2
+    return x != g.identity and g.is_central(x) and element_orders(g)[x] == 2
 
 
 def test_central_quotient_requires_central():
@@ -449,7 +466,7 @@ def test_direct_product():
     g = direct_product(corpus.group("D8"), corpus.group("C3"))
     assert g.order == 24
     assert g.k() == 15  # 5 * 3
-    assert g.exponent() == 12
+    assert exponent(g) == 12
 
 
 def test_conjugation_identities():
@@ -474,10 +491,10 @@ def test_class_partition_properties():
         rng = random.Random(11)
         for _ in range(40):
             x, a = rng.randrange(g.order), rng.randrange(g.order)
-            assert classes.class_of(x) == classes.class_of(g.conjugate(x, a))
+            assert classes.labels[x] == classes.labels[g.conjugate(x, a)]
         # reps really lie in their classes
         for i, r in enumerate(classes.reps):
-            assert classes.class_of(r) == i
+            assert classes.labels[r] == i
 
 
 def test_serialize_parse_roundtrip():
@@ -512,7 +529,7 @@ def test_class_power_map_is_representative_independent():
             xp = x
             for _ in range(p - 1):
                 xp = g.mult(xp, x)
-            assert cmap[classes.class_of(x)] == classes.class_of(xp), (name, x)
+            assert cmap[classes.labels[x]] == classes.labels[xp], (name, x)
 
 
 def test_class_power_map_checks_every_order():
@@ -714,19 +731,26 @@ def _tabulate(right_mul: list[np.ndarray], m: int, identity: int) -> np.ndarray:
 _COLLECTION_STEPS = 10 ** 6
 
 
-def _collect(pres: _PcPresentation, letters: list[int]) -> int:
+def _letters(word) -> list[int]:
+    """The letters of an exponent word: generator g (from 0) a_g times."""
+    return [g for g, a in enumerate(word) for _ in range(a)]
+
+
+def _collect(p: int, n: int, pow_letters, comm_letters, letters: list[int]) -> int:
     """Collection from the left: the index of the normal word that the word
-    in letters (generator numbers from 0) rewrites to, by the relations."""
-    p, w = pres.p, list(letters)
+    in letters (generator numbers from 0) rewrites to, by the relations:
+    pow_letters[g] are the letters of g^p, comm_letters[g, h] those of
+    [g, h] for g > h, absent when trivial."""
+    w = list(letters)
     i = 0
     for _ in range(_COLLECTION_STEPS):
         if i == len(w):
-            return pres.word_index(w)
+            return sum(p ** (n - 1 - g) for g in w)
         g = w[i]
         if i + 1 < len(w) and w[i + 1] < g:
             # g h = h g [g, h] for h < g
             h = w[i + 1]
-            w[i:i + 2] = [h, g] + pres.comm_letters.get((g, h), [])
+            w[i:i + 2] = [h, g] + comm_letters.get((g, h), [])
             i = max(i - 1, 0)
         else:
             start = i
@@ -736,7 +760,7 @@ def _collect(pres: _PcPresentation, letters: list[int]) -> int:
             while end < len(w) and w[end] == g:
                 end += 1
             if end - start >= p:
-                w[start:start + p] = pres.pow_letters[g]
+                w[start:start + p] = pow_letters[g]
                 i = max(start - 1, 0)
             else:
                 i += 1
@@ -745,10 +769,11 @@ def _collect(pres: _PcPresentation, letters: list[int]) -> int:
 
 def _full_word_table(p, n, pows, comms):
     """The Cayley table from one collection of each full normal word x g_i."""
-    pres = _PcPresentation(p, n, pows, comms)
-    words = [[g for g in range(n) for _ in range(x // p ** (n - 1 - g) % p)]
-             for x in range(p ** n)]
-    right_mul = [np.array([_collect(pres, w + [i]) for w in words], dtype=np.int32)
+    pow_letters = [_letters(pows.get(g + 1, ())) for g in range(n)]
+    comm_letters = {(j - 1, i - 1): _letters(word) for (j, i), word in comms.items()}
+    words = [_letters(x // p ** (n - 1 - g) % p for g in range(n)) for x in range(p ** n)]
+    right_mul = [np.array([_collect(p, n, pow_letters, comm_letters, w + [i]) for w in words],
+                          dtype=np.int32)
                  for i in range(n)]
     return _tabulate(right_mul, p ** n, 0)
 
@@ -832,7 +857,7 @@ def test_pc_table_matches_full_words_on_cyclic_chains(p, n):
     pows = {i: tuple(int(j == i) for j in range(n)) for i in range(1, n)}
     g = FiniteGroupTable.from_power_commutator(p, n, pows, {})
     assert np.array_equal(g.table, _full_word_table(p, n, pows, {}))
-    assert g.element_order(g.generators[0]) == p ** n
+    assert element_orders(g)[g.generators[0]] == p ** n
 
 
 @pytest.mark.parametrize("p", [2, 7, 1021])

@@ -205,7 +205,7 @@ def test_augmentation_ideal_matches_group_algebra_relations():
     # in I[C4] over F2 with x = g-1: x^4 = g^4 - 1 = 0 but x^2 != 0
     alg = corpus.augmentation_ideal("C4", 2)
     g = corpus.group("C4")
-    gen = next(x for x in range(4) if g.element_order(x) == 4)
+    gen = next(x for x in range(4) if g.power(x, 2) != g.identity)   # of order 4
     # basis vectors are (r - 1) over nonidentity r; pick the generator's one
     idx = [x for x in range(g.order) if x != g.identity].index(gen)
     x = basis_rows(alg)[idx]

@@ -19,9 +19,8 @@ import numpy as np
 
 from .budgets import check_budget
 from .errors import InternalInconsistencyError, ValidationError
-from .grouptab import (OrbitPartition, derived_subgroup, generating_set,
-                       orbit_partition)
-from .linalg import base_p_digits, matmul_mod_p
+from .grouptab import OrbitPartition, derived_subgroup, orbit_partition
+from .linalg import base_p_digits, matmul_mod_p, reduce_mod_p, rref_mod_p
 from .nilalg import NilAlgebra
 
 _SPOT_SEED = 0x11EA5
@@ -72,6 +71,57 @@ def _digit_sum_table(p: int) -> np.ndarray:
     w = _block_width(p)
     digits = base_p_digits(np.arange(p ** w), p, w)
     return ((digits[:, None] + digits[None, :]) % p @ p ** np.arange(w)).astype(np.uint8)
+
+
+def _graded_generators(alg: NilAlgebra) -> np.ndarray:
+    """Digit rows g whose 1 + g generate 1+J, read off the power chain
+    P_k = J^k with no enumeration of the group.
+
+    Layer k is the echelon rows of P_k whose pivots are not pivots of
+    P_(k+1); they span P_k modulo P_(k+1).  The coordinates on layer k of
+    an x in P_k, modulo P_(k+1), are the entries at those pivots of x
+    reduced against the echelon rows of P_(k+1).  A layer row is kept
+    unless it lies, modulo P_(k+1), in the span of the layer rows kept
+    before it, the brackets ab - ba of layer rows whose degrees sum to k
+    and the p-th powers a^p of layer rows of degree k/p.
+
+    Why they generate.  The 1 + P_k form an N_p-series: for a in P_i and b
+    in P_j, [1+a, 1+b] = 1 + (ab - ba) modulo P_(i+j+1), and
+    (1+a)^p = 1 + a^p with a^p in P_(ip).  Let H be the subgroup of the
+    kept rows, and say it meets 1 + P_i in all of P_i modulo P_(i+1) for
+    every i < k.  Its commutators then give every bracket of degree k
+    modulo P_(k+1), and its p-th powers every a^p for a in P_(k/p): the
+    p-th power of a sum differs from the sum of the p-th powers by brackets
+    of degree k (Jacobson's formula).  With the kept rows of layer k, H
+    meets 1 + P_k in all of P_k modulo P_(k+1), and by induction on k,
+    |H| = N.  (Jennings' restricted Lie algebra of the series; the set need
+    not be minimal.)"""
+    p, chain = alg.field.p, alg.powers
+    layers = []
+    for (rows, piv), (_, lower_piv) in zip(chain, chain[1:]):
+        top = [i for i, col in enumerate(piv) if col not in lower_piv]
+        layers.append((rows[top], [piv[i] for i in top]))
+    # the layer rows, a basis of J, with their degrees; every bracket of two
+    # of them, and the p-th power of each whose degree times p is below c
+    basis = np.concatenate([rows for rows, _ in layers])
+    degree = np.repeat(np.arange(1, len(chain)), [len(rows) for rows, _ in layers])
+    prods = alg._products_of(basis, basis)
+    brackets, bracket_degree = prods - prods.transpose(1, 0, 2), np.add.outer(degree, degree)
+    low = degree * p < len(chain)
+    powers = basis[low]
+    if low.any():  # then p < c, so at most n products
+        for _ in range(p - 1):
+            powers = alg._mul_rows(powers, basis[low])
+    gens = []
+    for k, (layer, layer_piv) in enumerate(layers, start=1):
+        made = np.concatenate([brackets[bracket_degree == k], powers[p * degree[low] == k]])
+        coords = reduce_mod_p(*chain[k], made, p)[:, layer_piv]
+        # layer row t lies in the span of the made rows and the rows before
+        # it exactly when a combination of the made rows ends at column t:
+        # a pivot of the column-reversed echelon form
+        ends = {len(layer) - 1 - col for col in rref_mod_p(coords[:, ::-1], p)[1]}
+        gens.append(layer[[t for t in range(len(layer)) if t not in ends]])
+    return np.concatenate(gens)
 
 
 class AlgebraGroup:
@@ -293,24 +343,17 @@ class AlgebraGroup:
     # ------------------------------------------------------- generators --
 
     def _generators(self) -> np.ndarray:
-        """The non-central members of a verified generating set of 1+J, as
-        digit rows.  The set is the seeds 1 + b_t that the earlier ones do
-        not generate, then least coset representatives until the closure is
-        everything; 1 + b_t alone need not generate 1+J (inside I_F2[D8]
-        they close at order 8).  A central generator moves no point and
-        adds no commutator, so the orbits and the derived subgroup need only
-        the others, whose matrices (conjugation_matrices) are kept."""
+        """The non-central rows of _graded_generators(alg), a generating set
+        of 1+J, as digit rows.  A central generator moves no point and adds
+        no commutator, so the orbits and the derived subgroup need only the
+        others, whose matrices (conjugation_matrices) are kept."""
         if self._gens is None:
             T = self.alg.T
             if np.array_equal(T, T.transpose(1, 0, 2)):
                 # J commutative: every element is central
                 gens = np.zeros((0, self.n), dtype=np.int64)
             else:
-                check_budget("group_enumeration_max", self.N)
-                # the seeds at codes p^t, then least non-members; each coset
-                # representative at least doubles the closure
-                codes = generating_set(self.N, 0, self._right_mul_code, self.powers)
-                gens = base_p_digits(codes, self.p, self.n).astype(np.int64)
+                gens = _graded_generators(self.alg)
             mats, duals = self.conjugation_matrices(gens)
             moving = (mats != np.eye(self.n, dtype=np.int64)).any(axis=(1, 2))
             self._gens, self._gen_mats = gens[moving], (mats[moving], duals[moving])

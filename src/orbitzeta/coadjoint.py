@@ -53,7 +53,8 @@ def engine_for(alg: NilAlgebra) -> AlgebraGroup:
 @dataclass
 class CensusResult:
     """Per-orbit int64 arrays in the order of partition.reps; reps and sizes
-    are those of the partition."""
+    are those of the partition.  For a commutative J, ranks and
+    fake_degrees are read-only broadcast views of 0 and 1."""
     alg: NilAlgebra
     partition: OrbitPartition
     reps: np.ndarray              # packed duals, least in their orbit
@@ -129,10 +130,12 @@ def orbit_census(alg: NilAlgebra) -> CensusResult:
 
     The radicals take one Gram matrix per distinct restriction of lambda to
     [J,J]_L (_radicals_by_row).  Cross-checks inside, as array comparisons
-    over every representative: orbit sizes partition the dual, every orbit
-    size equals |J| / |Rad B_lambda| at its representative, sizes are even
-    q-powers, radicals are F_q-closed (substantive only when e > 1), and the
-    fixed point count matches |J| / |[J,J]_L|.
+    over every representative when [J,J]_L != 0: orbit sizes partition the
+    dual, every orbit size equals |J| / |Rad B_lambda| at its
+    representative, sizes are even q-powers and radicals are F_q-closed
+    (substantive only when e > 1).  Always, the fixed point count matches
+    |J| / |[J,J]_L|; for a commutative J that makes every orbit a point, and
+    ranks and fake degrees are read-only zero-stride views.
     """
     eng = engine_for(alg)
     part = eng.dual_orbits()
@@ -141,21 +144,23 @@ def orbit_census(alg: NilAlgebra) -> CensusResult:
     derived_rows, _ = alg.derived_lie_subspace()
     if len(derived_rows):
         ranks, closed = _radicals_by_row(alg, base_p_digits(reps, p, n), derived_rows)
+        checks = [(sizes != p ** ranks, "orbit size {0} != |J|/|Rad| = {1} at dual {2}"),
+                  (ranks % (2 * e) != 0, "orbit size {0} is not an even power of q at dual {2}"),
+                  (~closed, "radical at dual {2} is not F_q-closed")]
+        for bad, message in checks:
+            if bad.any():
+                i = bad.argmax()
+                raise InternalInconsistencyError(message.format(sizes[i], p ** ranks[i], reps[i]))
+        fake_degrees = q ** (ranks // (2 * e))
     else:  # J is commutative: every radical is J
-        ranks, closed = np.zeros(reps.size, dtype=np.int64), np.ones(reps.size, dtype=bool)
-    checks = [(sizes != p ** ranks, "orbit size {0} != |J|/|Rad| = {1} at dual {2}"),
-              (ranks % (2 * e) != 0, "orbit size {0} is not an even power of q at dual {2}"),
-              (~closed, "radical at dual {2} is not F_q-closed")]
-    for bad, message in checks:
-        if bad.any():
-            i = bad.argmax()
-            raise InternalInconsistencyError(message.format(sizes[i], p ** ranks[i], reps[i]))
+        ranks = np.broadcast_to(np.int64(0), reps.shape)
+        fake_degrees = np.broadcast_to(np.int64(1), reps.shape)
     fixed = int(np.count_nonzero(sizes == 1))
     expected_fixed = p ** (n - len(derived_rows))
     if fixed != expected_fixed:
         raise InternalInconsistencyError(
             f"fixed duals {fixed} != |J|/|[J,J]_L| = {expected_fixed}")
-    return CensusResult(alg, part, reps, sizes, ranks, q ** (ranks // (2 * e)), fixed)
+    return CensusResult(alg, part, reps, sizes, ranks, fake_degrees, fixed)
 
 
 def conjecture_probe(alg: NilAlgebra) -> dict:

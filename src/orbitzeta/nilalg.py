@@ -30,6 +30,10 @@ from .linalg import base_p_digits, int_rows, matmul_mod_p, reduce_mod_p, rref_mo
 # groups of order 128 are the largest algebras the corpus builds
 _PRIME_DIM_MAX = 128
 
+# pair products x_s y_t per block of NilAlgebra._mul_rows: bounds its
+# (rows, n^2) temporaries
+_PAIRS_BATCH = 2 ** 16
+
 
 def _check_size(field: Field, d: int) -> None:
     """The bounds on J that hold before any array of its size exists."""
@@ -127,13 +131,22 @@ class NilAlgebra:
     # -------------------------------------------- prime coordinate rows --
 
     def _mul_rows(self, X, Y) -> np.ndarray:
-        """Row-wise products x_r * y_r of prime coordinate rows."""
-        p = self.field.p
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
-        out = np.zeros(Y.shape, dtype=np.int64)
-        for s in np.flatnonzero(X.any(axis=0)):
-            out = (out + X[:, s, None] * (Y @ self.T[s] % p)) % p
+        """Row-wise products x_r * y_r of prime coordinate rows, as residues.
+
+        x y = sum_(s,t) x_s y_t T[s, t], so one product per block of rows:
+        pairs[r, s n + t] = x_rs y_rt mod p against T as an (n^2, n) matrix,
+        float64 BLAS while n^2 (p-1)^2 < 2^53 (matmul_mod_p).  A block holds
+        at most _PAIRS_BATCH pairs."""
+        p, n = self.field.p, self.T.shape[0]
+        X = np.asarray(X, dtype=np.int64).reshape(-1, n)
+        Y = np.asarray(Y, dtype=np.int64).reshape(-1, n)
+        T = self.T.reshape(n * n, n)
+        out = np.empty(X.shape, dtype=np.int64)
+        step = max(1, _PAIRS_BATCH // (n * n))
+        for lo in range(0, len(X), step):
+            pairs = X[lo:lo + step, :, None] * Y[lo:lo + step, None, :]
+            pairs -= pairs // p * p
+            out[lo:lo + step] = matmul_mod_p(pairs.reshape(-1, n * n), T, p)
         return out
 
     def _products_of(self, U, V) -> np.ndarray:

@@ -389,3 +389,96 @@ def test_no_generator_is_central(alg):
     eye = np.eye(eng.n, dtype=np.int64)
     assert (mats != eye).any(axis=(1, 2)).all() and (duals != eye).any(axis=(1, 2)).all()
     assert all(np.array_equal(a, b) for a, b in zip((mats, duals), eng._generator_matrices()))
+
+
+# ------------------------------------------------------- generating sets --
+
+def _greedy_generators(eng):
+    """The moving members of the greedy generating set, the reference: the
+    seeds 1 + b_t that the earlier ones do not generate, then least coset
+    representatives, each found by closure over N-point right
+    multiplications."""
+    codes = grouptab.generating_set(eng.N, 0, eng._right_mul_code, eng.powers)
+    gens = base_p_digits(codes, eng.p, eng.n).astype(np.int64)
+    mats, _ = eng.conjugation_matrices(gens)
+    return gens[(mats != np.eye(eng.n, dtype=np.int64)).any(axis=(1, 2))]
+
+
+def _closure_size(eng, gens):
+    """The order of the subgroup of 1+J that the rows of gens generate."""
+    mask = np.zeros(eng.N, dtype=bool)
+    mask[0] = True
+    grouptab._adjoin(mask, eng._right_mul_code, eng.pack_digits(gens))
+    return int(np.count_nonzero(mask))
+
+
+GENERATOR_CORPUS = {alg.name: alg
+                    for alg in corpus.duality_corpus() + corpus.character_corpus()}
+
+
+@pytest.mark.parametrize("alg", GENERATOR_CORPUS.values(), ids=GENERATOR_CORPUS)
+def test_graded_generators_generate_and_beat_the_greedy_set(alg):
+    # the whole graded set generates 1+J (_generators() keeps its moving
+    # rows), and it moves with no more generators than the greedy search
+    eng = AlgebraGroup(alg)
+    assert _closure_size(eng, algroup._graded_generators(alg)) == eng.N
+    assert len(eng._generators()) <= len(_greedy_generators(eng))
+
+
+@pytest.mark.parametrize("name,graded,greedy", [
+    ("D8", 3, 4), ("D16", 4, 5), ("M16", 6, 7), ("C4semC4", 6, 7), ("V4semC4", 6, 7),
+    ("D8oC4", 7, 8), ("Q8", 3, 3), ("SD16", 4, 4), ("Q16", 4, 4), ("D8xC2", 7, 7),
+    ("Q8xC2", 7, 7)])
+def test_graded_generator_counts(name, graded, greedy):
+    # moving generators of 1 + I_F2[name], graded set against the greedy one
+    eng = AlgebraGroup(corpus.augmentation_ideal(name, 2))
+    assert len(eng._generators()) == graded
+    assert len(_greedy_generators(eng)) == greedy
+
+
+def test_generators_enumerate_nothing(monkeypatch):
+    # u_8(F_2) (N = 2^28) and I_F2[D8oD8] (N = 2^31) lie past the default
+    # group_enumeration_max: no budget check, no search, no permutation.
+    # u_n(F_q) is generated by its n - 1 root elements; the graded set of
+    # I_F2[D8oD8] is not minimal
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+
+    engines = [(AlgebraGroup(corpus.unitriangular(8, 2)), 7),
+               (AlgebraGroup(corpus.augmentation_ideal("D8oD8", 2)), 15)]
+    record(grouptab, "generating_set")
+    record(algroup, "check_budget")
+    record(AlgebraGroup, "right_mul_perm")
+    record(AlgebraGroup, "affine_perm")
+    for eng, count in engines:
+        assert len(eng._generators()) == count
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,p,e", [(3, 2, 1), (4, 2, 1), (5, 3, 1), (3, 2, 2), (4, 7, 1),
+                                   (6, 2, 1)])
+def test_unitriangular_generators_are_the_root_elements(n, p, e):
+    # the prime rows of the n - 1 root elements b_(i, i+1), the first
+    # layer; p = 3 < class 5 in u_5(F_3), where p-th powers of layer rows enter
+    gens = AlgebraGroup(corpus.unitriangular(n, p, e))._generators()
+    assert len(gens) == (n - 1) * e
+    assert not gens[:, (n - 1) * e:].any()
+
+
+def test_log_rows_peak_memory():
+    # _mul_rows forms its pair products a block of rows at a time: the log
+    # series of all N = 15,625 points of u_4(F_5) (n = 6) peaks at no more
+    # than 6 int64 words per digit of its input
+    eng = AlgebraGroup(corpus.unitriangular(4, 5))
+    X = eng.digit_rows()
+    eng._log_rows(X)
+    tracemalloc.start()
+    try:
+        eng._log_rows(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * X.size

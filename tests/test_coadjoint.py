@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,28 @@ def test_commutative_census_reads_no_digits_of_its_representatives(monkeypatch):
     assert calls == []
     assert orbit_census(corpus.unitriangular(3, 3)).count == 11
     assert calls == [11]
+
+
+def test_commutative_census_keeps_no_point_arrays():
+    # beyond the cached partition, the census of J = F_2^16 with zero product
+    # (N = 2^16, every orbit a point) keeps no N-array: ranks and fake
+    # degrees are zero-stride views, and only the fixed point count forms a
+    # byte per point
+    alg = corpus.zero_algebra(16, 2)
+    eng = engine_for(alg)
+    eng.dual_orbits(), alg.derived_lie_subspace()
+    tracemalloc.start()
+    try:
+        census = orbit_census(alg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= eng.N // 16 and peak <= eng.N * 2
+    assert census.ranks.strides == census.fake_degrees.strides == (0,)
+    assert fake_degree_identities(census) == {
+        "orbit_count": eng.N, "dual_size": eng.N, "sum_fake_squares": eng.N,
+        "group_order": eng.N, "linear_count": eng.N, "fixed_points": eng.N}
+    assert census.fake_degree_multiset() == [(1, eng.N)]
 
 
 def test_census_checks_radicals_are_fq_closed(monkeypatch):

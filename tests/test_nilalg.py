@@ -260,6 +260,37 @@ def test_structure_tensor_matches_multiply(make):
     assert np.array_equal(alg._mul_rows(xs, ys), product(alg, xs, ys))
 
 
+def _mul_rows_by_basis(alg, X, Y):
+    """Row-wise x_r * y_r as a sum over the prime basis vectors b_s in the
+    support of X: x_rs (y_r T[s]) mod p, one int64 product per b_s."""
+    p = alg.field.p
+    out = np.zeros(Y.shape, dtype=np.int64)
+    for s in np.flatnonzero(X.any(axis=0)):
+        out = (out + X[:, s, None] * (Y @ alg.T[s] % p)) % p
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: corpus.unitriangular(4, 2),
+    lambda: corpus.augmentation_ideal("D8", 2),
+    lambda: corpus.unitriangular(4, 3),
+    lambda: corpus.unitriangular(3, 5),
+    lambda: corpus.unitriangular(3, 3, 2),
+], ids=["u4_F2", "I_F2_D8", "u4_F3", "u3_F5", "u3_F9"])
+@pytest.mark.parametrize("rows_per_block", [1, 3, None], ids=["1", "3", "default"])
+def test_mul_rows_matches_the_per_basis_sum(monkeypatch, make, rows_per_block):
+    # 41 rows: blocks of 1 and 3 rows end at and inside the last block
+    alg = make()
+    n = alg.dim * alg.field.e
+    if rows_per_block is not None:
+        monkeypatch.setattr(nilalg, "_PAIRS_BATCH", rows_per_block * n * n + n - 1)
+    rng = random.Random(n * alg.field.q)
+    xs, ys = random_rows(alg, rng, 41), random_rows(alg, rng, 41)
+    got = alg._mul_rows(xs, ys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _mul_rows_by_basis(alg, xs, ys))
+
+
 def _fq_mul(f, a, b):
     """a * b in F_q for digit tuples, by the polynomial kit."""
     red = _poly_mod(_poly_mul(list(a), list(b), f.p), list(f.modulus), f.p)

@@ -255,11 +255,10 @@ def cmd_algroup(args) -> dict:
 def cmd_orbits_census(args) -> dict:
     alg = parse_algebra_file(_read_text(args.file))
     census = orbit_census(alg)
-    sizes, counts = np.unique(census.sizes, return_counts=True)
     return {
         "group_order": census.alg.field.q ** census.alg.dim,
         "orbit_count": census.count,
-        "sizes_histogram": dict(zip(map(str, sizes.tolist()), counts.tolist())),
+        "sizes_histogram": {str(size): count for size, count in census.size_histogram()},
         "fake_degrees": [[d, m] for d, m in census.fake_degree_multiset()],
         "fixed_points": census.fixed_points,
         "identities": fake_degree_identities(census),

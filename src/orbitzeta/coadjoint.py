@@ -61,15 +61,20 @@ class CensusResult:
     sizes: np.ndarray
     ranks: np.ndarray             # rank of B_lambda
     fake_degrees: np.ndarray      # q^(rank / 2e)
+    orbits_by_rank: np.ndarray    # orbits of rank r, each of p^r duals (checked)
     fixed_points: int
 
     @property
     def count(self) -> int:
         return len(self.reps)
 
+    def size_histogram(self) -> list[tuple[int, int]]:
+        p = self.alg.field.p
+        return [(p ** r, c) for r, c in enumerate(self.orbits_by_rank.tolist()) if c]
+
     def fake_degree_multiset(self) -> list[tuple[int, int]]:
-        degrees, counts = np.unique(self.fake_degrees, return_counts=True)
-        return list(zip(degrees.tolist(), counts.tolist()))
+        q, e = self.alg.field.q, self.alg.field.e
+        return [(q ** (r // (2 * e)), c) for r, c in enumerate(self.orbits_by_rank.tolist()) if c]
 
 
 def gram_matrix(alg: NilAlgebra, lam_digits) -> np.ndarray:
@@ -152,15 +157,17 @@ def orbit_census(alg: NilAlgebra) -> CensusResult:
                 i = bad.argmax()
                 raise InternalInconsistencyError(message.format(sizes[i], p ** ranks[i], reps[i]))
         fake_degrees = q ** (ranks // (2 * e))
+        orbits_by_rank = np.bincount(ranks)
     else:  # J is commutative: every radical is J
         ranks = np.broadcast_to(np.int64(0), reps.shape)
         fake_degrees = np.broadcast_to(np.int64(1), reps.shape)
+        orbits_by_rank = np.array([len(reps)])
     fixed = int(np.count_nonzero(sizes == 1))
     expected_fixed = p ** (n - len(derived_rows))
     if fixed != expected_fixed:
         raise InternalInconsistencyError(
             f"fixed duals {fixed} != |J|/|[J,J]_L| = {expected_fixed}")
-    return CensusResult(alg, part, reps, sizes, ranks, fake_degrees, fixed)
+    return CensusResult(alg, part, reps, sizes, ranks, fake_degrees, orbits_by_rank, fixed)
 
 
 def conjecture_probe(alg: NilAlgebra) -> dict:

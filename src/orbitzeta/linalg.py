@@ -3,10 +3,13 @@ form over Z/p^v.
 
 A subspace is one pair (rows, pivots): an int64 array of its reduced row
 echelon basis and the list of its pivot columns, made by one elimination,
-so that equality of subspaces is equality of the arrays.  The one-matrix
-elimination (rref_mod_p) reduces mod p after every row operation.  The
-elimination of a stack of matrices (rref_stack_mod_p) delays the reduction:
-it reduces only the residues of the current column, each new pivot row and
+so that equality of subspaces is equality of the arrays.  At p = 2 a row
+is packed into bits and a row operation is one XOR (after M4RI, Albrecht,
+Bard and Hart, ACM TOMS 2010): one Python int per row of one matrix
+(rref_mod_p), one uint64 word per row of a stack of up to 64 columns
+(rref_stack_mod_p).  Otherwise the elimination runs column by column: one
+matrix reduces mod p after every row operation, and a stack delays the
+reduction to the residues of the current column, each new pivot row and
 the result, in an unsigned dtype sized by the number of updates an entry
 can take.  A kernel, of one matrix or of each matrix of a stack, takes one
 elimination, of the column-reversed rows (see _kernel_rows); the census
@@ -106,15 +109,21 @@ def rref_mod_p(rows, p: int):
     """Reduced row echelon form over Z/p: (int64 array of the nonzero rows,
     list of their pivot columns).  Input unchanged."""
     mat = np.asarray(rows, dtype=np.int64)
-    if mat.ndim == 2:
-        mat = mat[mat.any(axis=1)]  # a zero row takes part in no step
-    mat = mat % p
-    if mat.ndim != 2 or not mat.size:
-        return np.zeros((0, mat.shape[-1] if mat.ndim == 2 else 0), dtype=np.int64), []
+    if mat.ndim != 2:
+        return np.zeros((0, 0), dtype=np.int64), []
+    return _rref_mod_2(mat) if p == 2 else _rref_by_columns(mat, p)
+
+
+def _rref_by_columns(mat: np.ndarray, p: int):
+    """rref_mod_p of a 2-D int64 array column by column, reducing mod p after
+    every row operation: the route for p > 2, and the reference at p = 2."""
+    mat = mat[mat.any(axis=1)] % p  # a zero row takes part in no step
     nrows, ncols = mat.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
+        if row == nrows:
+            break
         nonzero = np.flatnonzero(mat[row:, col])
         if not nonzero.size:
             continue
@@ -131,9 +140,41 @@ def rref_mod_p(rows, p: int):
             mat[hit] = (mat[hit] - np.outer(factors[hit], mat[row])) % p
         pivots.append(col)
         row += 1
-        if row == nrows:
-            break
     return mat[:row], pivots
+
+
+def _rref_mod_2(mat: np.ndarray):
+    """rref_mod_p at p = 2 on rows packed into Python ints, column c at bit
+    n - 1 - c, so that the leading bit is the pivot.  A basis keyed by
+    leading bit takes each distinct row, reduced by XOR until its leading bit
+    is new or it vanishes; back-substitution, by ascending leading bit, then
+    clears the other pivot bits, with basis rows that are already reduced."""
+    n = mat.shape[1]
+    width, pad = -(-n // 8), -n % 8  # bytes of a packed row, and its unused low bits
+    if n <= 62:
+        ints = ((mat & 1) @ (1 << np.arange(n - 1, -1, -1))).tolist()
+    else:
+        data = np.packbits(mat & 1, axis=1).tobytes()
+        ints = [int.from_bytes(data[i:i + width], "big") >> pad
+                for i in range(0, len(data), width)]
+    basis: dict[int, int] = {}
+    for row in set(ints):
+        while row and (top := row.bit_length() - 1) in basis:
+            row ^= basis[top]
+        if row:
+            basis[top] = row
+    mask = 0
+    for top in sorted(basis):
+        low = basis[top] & mask
+        while low:
+            bit = low & -low
+            basis[top] ^= basis[bit.bit_length() - 1]
+            low ^= bit
+        mask |= 1 << top
+    tops = sorted(basis, reverse=True)
+    data = b"".join((basis[t] << pad).to_bytes(width, "big") for t in tops)
+    ech = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(tops), width), axis=1)
+    return ech[:, :n].astype(np.int64), [n - 1 - t for t in tops]
 
 
 def nullspace_mod_p(rows, ncols: int, p: int) -> np.ndarray:
@@ -167,17 +208,18 @@ def _stack_dtype(p: int, m: int, n: int):
 
 
 def rref_stack_mod_p(mats, p: int):
-    """Reduced row echelon forms over Z/p of a stack of matrices (B, m, n).
+    """Reduced row echelon forms over Z/p of a stack of matrices (B, m, n),
+    by _rref_stack_mod_2 at p = 2 when n <= 64.
 
-    One elimination runs on the whole stack, column by column, and reduces
-    mod p only where it must (delayed reduction): the residues of the current
-    column, the new pivot row and the final result.  Every other entry is a
-    nonnegative integer congruent to its residue.  A pivot adds (p - factor)
-    times the reduced pivot row to the other rows, at most (p - 1)^2 per
-    entry, and each matrix has at most min(m, n) pivots, so no entry exceeds
-    p - 1 + min(m, n) (p - 1)^2, which _stack_dtype holds.  The pivot row is
-    0 left of its pivot column: those columns are cleared below the rank, so
-    an update touches only the columns from the pivot on.
+    Otherwise one elimination runs on the whole stack, column by column, and
+    reduces mod p only where it must (delayed reduction): the residues of the
+    current column, the new pivot row and the final result.  Every other
+    entry is a nonnegative integer congruent to its residue.  A pivot adds
+    (p - factor) times the reduced pivot row to the other rows, at most
+    (p - 1)^2 per entry, and each matrix has at most min(m, n) pivots, so no
+    entry exceeds p - 1 + min(m, n) (p - 1)^2, which _stack_dtype holds.  The
+    pivot row is 0 left of its pivot column: those columns are cleared below
+    the rank, so an update touches only the columns from the pivot on.
 
     Returns (ech, ranks, is_pivot): ech[b], in the dtype of _stack_dtype, is
     the reduced echelon form of mats[b] with its ranks[b] nonzero rows on
@@ -185,6 +227,8 @@ def rref_stack_mod_p(mats, p: int):
     """
     mats = np.asarray(mats)
     nmat, m, n = mats.shape
+    if p == 2 and n <= 64:
+        return _rref_stack_mod_2(mats)
     dtype = _stack_dtype(p, m, n)
     ech = (mats % p).astype(dtype)
     ranks = np.zeros(nmat, dtype=np.int64)
@@ -212,6 +256,34 @@ def rref_stack_mod_p(mats, p: int):
         ranks[b] += 1
     np.remainder(ech, p, out=ech)
     return ech, ranks, is_pivot
+
+
+def _rref_stack_mod_2(mats: np.ndarray):
+    """rref_stack_mod_p at p = 2 and n <= 64, each row one uint64 word with
+    column c at bit n - 1 - c.  As in rref_stack_mod_p, the matrices with a
+    live row in a column swap it up to their rank; it then clears the column
+    in their other rows by one masked XOR across the batch."""
+    nmat, m, n = mats.shape
+    bits = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    words = (mats & 1).astype(np.uint64) @ bits
+    ranks = np.zeros(nmat, dtype=np.int64)
+    is_pivot = np.zeros((nmat, n), dtype=bool)
+    below = np.arange(m)
+    for col in range(n):
+        has = (words & bits[col]) != 0
+        live = has & (below >= ranks[:, None])
+        b = np.flatnonzero(live.any(axis=1))
+        if not b.size:
+            continue
+        row, src, at = ranks[b], live[b].argmax(axis=1), np.arange(b.size)
+        lead, words[b, src] = words[b, src], words[b, row]
+        hit = has[b]
+        hit[at, src], hit[at, row] = hit[at, row], False
+        words[b] ^= hit * lead[:, None]
+        words[b, row] = lead
+        is_pivot[b, col] = True
+        ranks[b] += 1
+    return (words[..., None] & bits != 0).astype(_stack_dtype(2, m, n)), ranks, is_pivot
 
 
 def _kernel_rows(ech, is_pivot, p: int) -> np.ndarray:

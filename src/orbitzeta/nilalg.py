@@ -285,10 +285,10 @@ class NilAlgebra:
         return self.nilpotency_class <= self.field.p
 
     def derived_lie_subspace(self):
-        """Echelon basis of the span of all brackets [b_s, b_t]."""
-        n = self.T.shape[0]
-        return rref_mod_p((self.T - self.T.transpose(1, 0, 2)).reshape(n * n, n),
-                          self.field.p)
+        """Echelon basis of the span of all brackets [b_s, b_t], from those
+        with s < t: [b_t, b_s] = -[b_s, b_t], and [b_s, b_s] = 0."""
+        s, t = np.triu_indices(self.T.shape[0], 1)
+        return rref_mod_p(self.T[s, t] - self.T[t, s], self.field.p)
 
     def refine_to_flag(self):
         """A chain of ideals J = J_1 > J_2 > .. > 0 with F_q-codimension-1 steps.

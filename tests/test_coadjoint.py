@@ -216,6 +216,31 @@ def test_commutative_census_keeps_no_point_arrays():
     assert census.fake_degree_multiset() == [(1, eng.N)]
 
 
+def test_census_histograms_form_no_point_array():
+    # J = F_2^20 with zero product: N = 2^20 orbits, each a point.  Both
+    # histograms read the orbit counts by rank, so they form no N-array
+    # (np.unique over sizes would copy and sort 8 MB)
+    census = orbit_census(corpus.zero_algebra(20, 2))
+    tracemalloc.start()
+    try:
+        sizes, degrees = census.size_histogram(), census.fake_degree_multiset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096
+    assert sizes == degrees == [(1, 2 ** 20)]
+
+
+def test_census_histograms_match_the_point_arrays():
+    for alg in corpus.duality_corpus():
+        census = orbit_census(alg)
+        want = [np.unique(values, return_counts=True)
+                for values in (census.sizes, census.fake_degrees)]
+        got = census.size_histogram(), census.fake_degree_multiset()
+        for (values, counts), pairs in zip(want, got):
+            assert pairs == list(zip(values.tolist(), counts.tolist()))
+
+
 def test_census_checks_radicals_are_fq_closed(monkeypatch):
     alg = corpus.unitriangular(3, 2, 2)  # prime basis (e12, w e12, e23, w e23, e13, w e13)
     alg.derived_lie_subspace()

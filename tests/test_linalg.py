@@ -2,10 +2,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitzeta import linalg
+from orbitzeta import coadjoint, corpus, linalg
+from orbitzeta.algroup import AlgebraGroup
 from orbitzeta.linalg import (base_p_digits, matmul_exact, matmul_mod_p,
                               nullspace_mod_p, nullspace_stack_mod_p, rref_mod_p,
                               rref_stack_mod_p)
+from orbitzeta.nilalg import parse_algebra_file, serialize_algebra
 
 PRIMES = (2, 3, 5, 7, 251)
 
@@ -90,6 +92,136 @@ def test_nullspace_stack_matches_nullspace_mod_p(case):
         assert kernels[b, :n - ranks[b]].tolist() == [list(r) for r in rows]
         assert not kernels[b, n - ranks[b]:].any()
         assert not (mat @ kernels[b].T % p).any()
+
+
+# ------------------------------------------------ the packed p = 2 arms ----
+
+# widths at the packing edges: rref_mod_p packs a row by one int64 product
+# up to 62 columns and by np.packbits past them; rref_stack_mod_p packs a
+# row into one uint64 word up to 64 columns
+EDGE_WIDTHS = (1, 61, 62, 63, 64, 65, 127, 128)
+
+
+def _binary_rows(rng, m, n, kind):
+    """An m x n matrix with entries in [-2, 4), random, of rank at most 3
+    (so that duplicate rows are likely) or zero mod 2, and its first row
+    again at the end."""
+    if kind == "low rank":
+        mat = rng.integers(0, 2, (m, 3)) @ rng.integers(0, 2, (3, n)) % 2
+    else:
+        mat = rng.integers(0, 2, (m, n)) * (kind == "random")
+    mat = mat + 2 * rng.integers(-1, 2, (m, n))  # other representatives mod 2
+    return np.concatenate([mat, mat[:1]]) if m else mat
+
+
+@st.composite
+def binary_matrices(draw):
+    """One matrix with entries in [-2, 4): width at a packing edge or small,
+    and 0 to 2n rows, or n^2 rows (the shape of T) when n <= 16."""
+    n = draw(st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 16)))
+    m = draw(st.sampled_from([0, 1, 3, n, 2 * n] + ([n * n] if n <= 16 else [])))
+    kind = draw(st.sampled_from(["random", "low rank", "zero"]))
+    return _binary_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=binary_matrices())
+@example(mat=_binary_rows(np.random.default_rng(1), 128 * 128, 128, "low rank"))
+@example(mat=_binary_rows(np.random.default_rng(2), 62 * 62, 62, "random"))
+@example(mat=np.zeros((4, 63), dtype=np.int64))
+def test_packed_rref_mod_2_matches_the_column_loop(mat):
+    before = mat.copy()
+    got, got_pivots = rref_mod_p(mat, 2)
+    want, want_pivots = linalg._rref_by_columns(mat, 2)
+    assert np.array_equal(mat, before)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want) and got_pivots == want_pivots
+
+
+@st.composite
+def binary_stacks(draw):
+    """1 to 4 matrices of one shape, entries in [-2, 4), of width at most 64
+    and m x m, or m^2 x m (tall) when m <= 8."""
+    n = draw(st.one_of(st.sampled_from([w for w in EDGE_WIDTHS if w <= 64]),
+                       st.integers(1, 16)))
+    m = draw(st.sampled_from([1, 3, n] + ([n * n] if n <= 8 else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "low rank", "zero"]), min_size=1, max_size=4))
+    return np.stack([_binary_rows(rng, m, n, kind) for kind in kinds])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mats=binary_stacks(), unsigned=st.booleans())
+def test_packed_rref_stack_mod_2_matches_the_column_loop(mats, unsigned):
+    if unsigned:  # a stack that an earlier elimination returned
+        mats = (mats % 2).astype(np.uint8)
+    before = mats.copy()
+    ech, ranks, is_pivot = rref_stack_mod_p(mats, 2)
+    assert np.array_equal(mats, before)
+    assert ech.dtype == linalg._stack_dtype(2, *mats.shape[1:]) and ech.shape == mats.shape
+    assert ranks.dtype == np.int64 and is_pivot.dtype == bool
+    for b, mat in enumerate(mats):
+        rows, pivots = linalg._rref_by_columns(mat.astype(np.int64), 2)
+        assert ranks[b] == len(rows) and np.flatnonzero(is_pivot[b]).tolist() == pivots
+        assert np.array_equal(ech[b, :ranks[b]], rows) and not ech[b, ranks[b]:].any()
+
+
+def test_rref_mod_p_of_empty_and_one_dimensional_input():
+    for p in (2, 3):
+        for rows, shape in (([], (0, 0)), ([1, 0, 1], (0, 0)), (np.zeros((0, 5)), (0, 5)),
+                            (np.zeros((3, 0)), (0, 0)), (np.zeros((3, 4)), (0, 4))):
+            ech, pivots = rref_mod_p(rows, p)
+            assert ech.dtype == np.int64 and ech.shape == shape and pivots == []
+
+
+def test_packed_rref_mod_2_on_squares_and_brackets():
+    # the n^2 x n products and brackets of T, as the power chain and the
+    # derived subalgebra eliminate them; I_F2[g128] (n = 127) takes packbits
+    for alg in (corpus.unitriangular(5, 2), corpus.unitriangular(3, 2, 2),
+                corpus.augmentation_ideal("D8", 2), corpus.augmentation_ideal("g128", 2)):
+        n = alg.T.shape[0]
+        for T in (alg.T, alg.T - alg.T.transpose(1, 0, 2)):
+            rows = T.reshape(n * n, n)
+            got, got_pivots = rref_mod_p(rows, 2)
+            want, want_pivots = linalg._rref_by_columns(rows, 2)
+            assert np.array_equal(got, want) and got_pivots == want_pivots
+
+
+def test_no_p2_elimination_reaches_the_column_loops(monkeypatch):
+    # the column loop of one matrix refuses p = 2, and every p = 2 stack of
+    # at most 64 columns must go to the packed arm; fresh constructions,
+    # censuses, polarizations, kernels and the group engine over F_2 and F_4
+    # then still run
+    honest = {name: getattr(linalg, name)
+              for name in ("_rref_by_columns", "rref_stack_mod_p", "_rref_stack_mod_2")}
+    calls = {"stacks": 0, "packed stacks": 0}
+
+    def by_columns(mat, p):
+        assert p != 2
+        return honest["_rref_by_columns"](mat, p)
+
+    def stack(mats, p):
+        calls["stacks"] += p == 2 and np.shape(mats)[2] <= 64
+        return honest["rref_stack_mod_p"](mats, p)
+
+    def packed_stack(mats):
+        calls["packed stacks"] += 1
+        return honest["_rref_stack_mod_2"](mats)
+    monkeypatch.setattr(linalg, "_rref_by_columns", by_columns)
+    monkeypatch.setattr(linalg, "_rref_stack_mod_2", packed_stack)
+    for module in (linalg, coadjoint):
+        monkeypatch.setattr(module, "rref_stack_mod_p", stack)
+    for alg in (corpus.unitriangular(4, 2), corpus.unitriangular(3, 2, 2),
+                corpus.augmentation_ideal("D8", 2), corpus.augmentation_ideal("Q16", 2)):
+        alg = parse_algebra_file(serialize_algebra(alg))  # construction runs again
+        alg.refine_to_flag()
+        census = coadjoint.orbit_census(alg)
+        lam_rows = base_p_digits(census.reps, 2, alg.T.shape[0]).astype(np.int64)
+        coadjoint._polarizations(alg, lam_rows)
+        coadjoint.transitivity_check(alg, census.count - 1, census)
+        eng = AlgebraGroup(alg)
+        eng.k(), eng.abelianization_order()
+    assert calls["packed stacks"] == calls["stacks"] > 0
 
 
 def _nullspace_by_two_eliminations(rows, ncols, p):

@@ -125,6 +125,20 @@ def test_derived_lie_subspace_dims():
     assert len(rows) == d8.dim - (corpus.group("D8").k() - 1)
 
 
+def test_derived_lie_subspace_is_the_span_of_all_brackets():
+    # the s < t brackets that derived_lie_subspace eliminates span what all
+    # n^2 brackets span, over prime fields and over F_4 and F_9
+    for alg in (corpus.augmentation_ideal("He27", 3), corpus.augmentation_ideal("M27", 3),
+                corpus.augmentation_ideal("D8oQ8", 2), corpus.unitriangular(4, 5),
+                corpus.unitriangular(3, 2, 2), corpus.unitriangular(3, 3, 2),
+                corpus.zero_algebra(3, 7)):
+        n = alg.T.shape[0]
+        rows, pivots = alg.derived_lie_subspace()
+        want, want_pivots = rref_mod_p((alg.T - alg.T.transpose(1, 0, 2)).reshape(n * n, n),
+                                       alg.field.p)
+        assert np.array_equal(rows, want) and pivots == want_pivots
+
+
 def test_vector_arithmetic_sampled():
     alg = corpus.unitriangular(3, 3)
     rng = random.Random(23)

@@ -145,18 +145,20 @@ def _rref_by_columns(mat: np.ndarray, p: int):
 
 def _rref_mod_2(mat: np.ndarray):
     """rref_mod_p at p = 2 on rows packed into Python ints, column c at bit
-    n - 1 - c, so that the leading bit is the pivot.  A basis keyed by
-    leading bit takes each distinct row, reduced by XOR until its leading bit
-    is new or it vanishes; back-substitution, by ascending leading bit, then
-    clears the other pivot bits, with basis rows that are already reduced."""
+    n - 1 - c (np.packbits, behind zero bits that fill whole 64-bit words),
+    so that the leading bit is the pivot.  A basis keyed by leading bit takes
+    each distinct row, reduced by XOR until its leading bit is new or it
+    vanishes; back-substitution by ascending leading bit clears the other
+    pivot bits, with basis rows that are already reduced."""
     n = mat.shape[1]
-    width, pad = -(-n // 8), -n % 8  # bytes of a packed row, and its unused low bits
-    if n <= 62:
-        ints = ((mat & 1) @ (1 << np.arange(n - 1, -1, -1))).tolist()
-    else:
-        data = np.packbits(mat & 1, axis=1).tobytes()
-        ints = [int.from_bytes(data[i:i + width], "big") >> pad
-                for i in range(0, len(data), width)]
+    nwords = max(1, -(-n // 64))  # one at n = 0 too, for words[:, 0]
+    lead = 64 * nwords - n
+    bits = np.zeros((len(mat), lead + n), dtype=bool)
+    bits[:, lead:] = mat & 1
+    words = np.packbits(bits, axis=1).view(">u8")
+    ints = words[:, 0].tolist()
+    for w in range(1, nwords):
+        ints = [high << 64 | low for high, low in zip(ints, words[:, w].tolist())]
     basis: dict[int, int] = {}
     for row in set(ints):
         while row and (top := row.bit_length() - 1) in basis:
@@ -172,9 +174,9 @@ def _rref_mod_2(mat: np.ndarray):
             low ^= bit
         mask |= 1 << top
     tops = sorted(basis, reverse=True)
-    data = b"".join((basis[t] << pad).to_bytes(width, "big") for t in tops)
-    ech = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(tops), width), axis=1)
-    return ech[:, :n].astype(np.int64), [n - 1 - t for t in tops]
+    data = b"".join(basis[t].to_bytes(8 * nwords, "big") for t in tops)
+    ech = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(tops), 8 * nwords), axis=1)
+    return ech[:, lead:].astype(np.int64), [n - 1 - t for t in tops]
 
 
 def nullspace_mod_p(rows, ncols: int, p: int) -> np.ndarray:

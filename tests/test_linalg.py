@@ -96,9 +96,9 @@ def test_nullspace_stack_matches_nullspace_mod_p(case):
 
 # ------------------------------------------------ the packed p = 2 arms ----
 
-# widths at the packing edges: rref_mod_p packs a row by one int64 product
-# up to 62 columns and by np.packbits past them; rref_stack_mod_p packs a
-# row into one uint64 word up to 64 columns
+# widths about the packing edges: rref_mod_p packs a row into 64-bit words,
+# one up to 64 columns and two up to 128; rref_stack_mod_p packs a row into
+# one uint64 word up to 64 columns
 EDGE_WIDTHS = (1, 61, 62, 63, 64, 65, 127, 128)
 
 
@@ -176,7 +176,7 @@ def test_rref_mod_p_of_empty_and_one_dimensional_input():
 
 def test_packed_rref_mod_2_on_squares_and_brackets():
     # the n^2 x n products and brackets of T, as the power chain and the
-    # derived subalgebra eliminate them; I_F2[g128] (n = 127) takes packbits
+    # derived subalgebra eliminate them; I_F2[g128] (n = 127) takes two words
     for alg in (corpus.unitriangular(5, 2), corpus.unitriangular(3, 2, 2),
                 corpus.augmentation_ideal("D8", 2), corpus.augmentation_ideal("g128", 2)):
         n = alg.T.shape[0]

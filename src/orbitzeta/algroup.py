@@ -169,24 +169,17 @@ class AlgebraGroup:
             self._L = self._log_rows(X).astype(X.dtype)
         return self._L
 
-    def conjugation_matrices(self, G):
-        """(M, D) for the rows g of G, stacked: M[i] with
-        (1+g)^(-1)(1+x)(1+g) = 1 + (M[i] @ x) % p, x a column, and D[i] the
-        matrix of the coadjoint action of 1+g on dual rows, lambda @ D[i].
-        That action is conjugation by (1+g)^(-1), so D[i] is the M of the
-        inverse h, whose own inverse is 1+g."""
+    def conjugation_matrices(self, G) -> np.ndarray:
+        """M[i] for the rows g of G, stacked: (1+g)^(-1)(1+x)(1+g) =
+        1 + (M[i] @ x) % p, x a column; on dual rows, lambda -> lambda @ M[i]
+        is the coadjoint action of (1+g)^(-1).  On rows, x -> x + xg + hx + hxg
+        = x (1 + R_g)(1 + L_h), h the J-part of (1+g)^(-1) and row t of L_h
+        the product h * b_t."""
         G = np.asarray(G, dtype=np.int64).reshape(-1, self.n)
-        H = self._inverse_rows(G)
         n, p = self.n, self.p
-        eye = np.eye(n, dtype=np.int64)
-
-        def conj(g, h):
-            # x -> x + xg + hx + hxg = x (1 + R_g)(1 + L_h) on rows, where row
-            # t of L_h is h * b_t
-            left = (eye + matmul_mod_p(h, self.alg.T.reshape(n, n * n), p).reshape(-1, n, n)) % p
-            return matmul_mod_p(self._right_mul_matrices(g), left, p).transpose(0, 2, 1)
-
-        return conj(G, H), conj(H, G)
+        left = matmul_mod_p(self._inverse_rows(G), self.alg.T.reshape(n, n * n), p)
+        left = (np.eye(n, dtype=np.int64) + left.reshape(-1, n, n)) % p
+        return matmul_mod_p(self._right_mul_matrices(G), left, p).transpose(0, 2, 1)
 
     def _right_mul_matrices(self, Y) -> np.ndarray:
         """I + R_y for the rows y of Y, stacked, as residues: row s is
@@ -251,7 +244,7 @@ class AlgebraGroup:
         inv = _c_route_inverse(alg, gens)
         direct = _c_route_law(alg, _c_route_law(alg, np.repeat(inv, 2, axis=0), points),
                               np.repeat(gens, 2, axis=0))
-        mats = np.repeat(self.conjugation_matrices(gens)[0], 2, axis=0)
+        mats = np.repeat(self.conjugation_matrices(gens), 2, axis=0)
         if not np.array_equal(direct, (mats @ points[:, :, None])[:, :, 0] % p):
             raise InternalInconsistencyError(
                 "conjugation matrix disagrees with direct conjugation")
@@ -325,19 +318,16 @@ class AlgebraGroup:
     def group_perms(self) -> list[np.ndarray]:
         """Permutations of packed J-coordinates: x -> x^g per generator."""
         if self._group_perms is None:
-            mats, _ = self._generator_matrices()
-            self._group_perms = [self.affine_perm(mat.T) for mat in mats]
+            self._group_perms = [self.affine_perm(mat.T) for mat in self._generator_matrices()]
         return self._group_perms
 
     def dual_perms(self) -> list[np.ndarray]:
-        """Permutations of packed dual coordinates under the coadjoint action.
-
-        lambda^g(a) = lambda(a^(g^-1)), i.e. row vectors act through the
-        conjugation matrix of the inverse: lambda -> lambda @ M.
-        """
+        """Permutations of packed dual coordinates, lambda -> lambda @ M_g per
+        generator g: the coadjoint action of g^(-1), lambda^(g^-1)(a) =
+        lambda(a^g).  The inverses of a generating set generate the same
+        group, so these have the orbits of the coadjoint action."""
         if self._dual_perms is None:
-            _, duals = self._generator_matrices()
-            self._dual_perms = [self.affine_perm(mat) for mat in duals]
+            self._dual_perms = [self.affine_perm(mat) for mat in self._generator_matrices()]
         return self._dual_perms
 
     # ------------------------------------------------------- generators --
@@ -354,13 +344,13 @@ class AlgebraGroup:
                 gens = np.zeros((0, self.n), dtype=np.int64)
             else:
                 gens = _graded_generators(self.alg)
-            mats, duals = self.conjugation_matrices(gens)
+            mats = self.conjugation_matrices(gens)
             moving = (mats != np.eye(self.n, dtype=np.int64)).any(axis=(1, 2))
-            self._gens, self._gen_mats = gens[moving], (mats[moving], duals[moving])
+            self._gens, self._gen_mats = gens[moving], mats[moving]
         return self._gens
 
-    def _generator_matrices(self):
-        """The stacked conjugation and dual matrices of _generators()."""
+    def _generator_matrices(self) -> np.ndarray:
+        """The stacked conjugation matrices of _generators()."""
         self._generators()
         return self._gen_mats
 

@@ -3,18 +3,19 @@ method character theory at desk scale.
 
 A dual functional, a Z/p-linear map J -> Z/p, is a digit row of length
 dim(J)*e, and the engine packs it to a code like any point of J.  The group
-acts by lambda^g(a) = lambda(a^(g^-1)), which is lambda -> lambda @ D with
-D the dual matrix of AlgebraGroup.conjugation_matrices.  engine_for caches
-one AlgebraGroup per algebra.  orbit_census returns the orbits as int64
-arrays (CensusResult): representatives, sizes, ranks of the alternating
-forms B_lambda(a,b) = lambda([a,b]) and fake degrees; the radicals behind
-the ranks are checked and dropped.  Polarizations (sums of radicals on the
-ideal flag of J) and the exact character values also live here.
+acts by lambda^g(a) = lambda(a^(g^-1)), so lambda -> lambda @ M_g, M_g a
+conjugation matrix of AlgebraGroup, is the action of g^(-1).  engine_for
+caches one AlgebraGroup per algebra.  orbit_census returns the orbits as
+int64 arrays (CensusResult): representatives, sizes, ranks of the
+alternating forms B_lambda(a,b) = lambda([a,b]) and fake degrees; the
+radicals behind the ranks are checked and dropped.  Polarizations (sums of
+radicals on the ideal flag of J) and the exact character values also live
+here.
 
 A character table is one integer array H[o, c, r] of residue counts, with
 chi_o(c) = sum_r H[o, c, r] zeta_p^r / d_o, built in blocks of class
 representatives.  Its checks are whole-table array passes: class constancy
-follows from three checks per generator of 1+J (_verify_class_constancy),
+follows from checks on the generators of 1+J (_verify_class_constancy),
 orthonormality is one product per residue shift, and the induction check
 reads one array I[o, c, r] of induced histograms, made for every orbit at
 once from one batched polarization kernel (_polarizations) and the span
@@ -188,13 +189,15 @@ def conjecture_probe(alg: NilAlgebra) -> dict:
 
 
 def fake_degree_identities(census: CensusResult) -> dict:
-    """Aggregate identities: sum of squares, count, abelianization count."""
+    """Aggregate identities: sum of squares, count, abelianization count,
+    read off orbits_by_rank: the h_r orbits of rank r have degree p^(r/2)."""
+    p, by_rank = census.alg.field.p, census.orbits_by_rank.tolist()
     return {
         "orbit_count": census.count,
         "dual_size": int(census.sizes.sum()),
-        "sum_fake_squares": int((census.fake_degrees ** 2).sum()),
+        "sum_fake_squares": sum(h * p ** r for r, h in enumerate(by_rank)),
         "group_order": census.alg.field.q ** census.alg.dim,
-        "linear_count": int(np.count_nonzero(census.fake_degrees == 1)),
+        "linear_count": by_rank[0],
         "fixed_points": census.fixed_points,
     }
 
@@ -207,10 +210,11 @@ _POLARIZATION_BATCH = 256
 
 def _polarizations(alg: NilAlgebra, lam_rows):
     """Vergne's polarization of every dual row: H is the sum of the radicals
-    rad(B|V) = {x in V : B(x, V) = 0} over the members V of the ideal flag
-    of refine_to_flag, B = B_lambda.  Returns (rows, is_pivot): rows[b] is
-    the prime echelon basis of H for lam_rows[b], int64, its dim H rows on
-    top and zero rows below, and is_pivot[b] marks its pivot columns.
+    rad(B|V) = {x in V : B(x, V) = 0} over the members V of the ideal flag,
+    spanned by the suffixes of refine_to_flag, B = B_lambda.  Returns
+    (rows, is_pivot): rows[b] is the prime echelon basis of H for
+    lam_rows[b], int64, its dim H rows on top and zero rows below, and
+    is_pivot[b] marks its pivot columns.
 
     Why H is a polarization, for flag members V <= W, x in rad(B|V),
     y in rad(B|W), and B(a, b) = lambda(ab - ba):
@@ -234,11 +238,11 @@ def _polarizations(alg: NilAlgebra, lam_rows):
     lam_rows = np.asarray(lam_rows, dtype=np.int64).reshape(-1, n)
     # K[s, t] = lambda([b_s, b_t]) = sum_k lambda_k (T[s, t, k] - T[t, s, k])
     lie = ((alg.T - alg.T.transpose(1, 0, 2)) % p).reshape(n * n, n).T
-    # R[i]: the rows of flag member i, padded with zero rows to n x n.
-    # c R[i] lies in rad(B|V_i) exactly when c R[i] K R[i]^T = 0; a zero
-    # row adds a kernel coordinate that R[i] maps to 0
-    R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
-                  for rows, _ in alg.refine_to_flag()[:-1]])
+    # R[i]: flag[e i:], a basis of flag member V_i, padded with zero rows to
+    # n x n.  c R[i] lies in rad(B|V_i) exactly when c R[i] K R[i]^T = 0; a
+    # zero row adds a kernel coordinate that R[i] maps to 0
+    flag = alg.refine_to_flag()
+    R = np.stack([np.pad(flag[i:], ((0, i), (0, 0))) for i in range(0, n, alg.field.e)])
     batches = []
     for lo in range(0, len(lam_rows), _POLARIZATION_BATCH):
         K = matmul_mod_p(lam_rows[lo:lo + _POLARIZATION_BATCH], lie, p).reshape(-1, n, n)
@@ -377,30 +381,30 @@ def _verify_class_constancy(eng, census, classes, H) -> None:
     generators g of 1+J instead of member by member.
 
     Let M_g be the conjugation matrix of g (x^g = M_g x on columns), pi_g the
-    permutation x -> x^g of group_perms, sigma_g the permutation
-    mu -> mu M_(g^-1) of dual_perms, and L the log rows.  For every generator
-    (the engine keeps only those with M_g != I), three checks:
+    permutation x -> x^g of group_perms, sigma_g the map mu -> mu M_g of
+    dual_perms, and L the log rows.  Three checks, over every generator (the
+    engine keeps only those with M_g != I):
     - (a) L[pi_g(x)] = L[x] M_g^T for every x: log(x^g) = log(x)^g;
     - (b) the orbit labels of the duals are invariant under sigma_g;
-    - (c) M_g M_(g^-1) = I.
-    By (c), mu -> mu M_g is the inverse of sigma_g, so by (b) it permutes
-    every orbit Omega.  By (a), mu(log x^g) = mu(M_g log x) = (mu M_g)(log x),
-    so the histogram #{mu in Omega : mu(log x^g) = r} at x^g is the histogram
-    at x.  The classes are the orbits of the pi_g, and orbit_partition joins
-    two points only along a chain of them, so every member of a class has the
-    histogram of its representative.  A last check ties H, those histograms,
-    to the same labels: each of its columns counts every dual of each orbit.
+    - (c) M_g has rank n, by one elimination of the stack of all M_g.
+    By (c) sigma_g is injective, so by (b) it permutes every orbit Omega.
+    By (a), mu(log x^g) = mu(M_g log x) = (mu M_g)(log x), so the histogram
+    #{mu in Omega : mu(log x^g) = r} at x^g is the histogram at x.  The
+    classes are the orbits of the pi_g, and orbit_partition joins two points
+    only along a chain of them, so every member of a class has the histogram
+    of its representative.  A last check ties H, those histograms, to the
+    same labels: each of its columns counts every dual of each orbit.
     """
     p, labels = eng.p, census.partition.labels
-    mats, mats_inv = eng._generator_matrices()
+    mats = eng._generator_matrices()
 
     def fail(what: str):
         raise InternalInconsistencyError(
             f"{what}: cannot rule out that a character histogram varies inside a class")
 
-    bad = (matmul_mod_p(mats, mats_inv, p) != np.eye(eng.n, dtype=np.int64)).any(axis=(1, 2))
+    bad = rref_stack_mod_p(mats, p)[1] != eng.n
     if bad.any():
-        fail(f"M_g M_(g^-1) != I at generator {bad.argmax()}")
+        fail(f"M_g is singular at generator {bad.argmax()}")
     perms, dual_perms, logs = eng.group_perms(), eng.dual_perms(), eng.log_digit_rows()
     for i, (mat, perm, dual_perm) in enumerate(zip(mats, perms, dual_perms)):
         if not np.array_equal(logs[perm], matmul_mod_p(logs, mat.T, p)):
@@ -533,7 +537,8 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     """The subgroup 1+H acts transitively on the functionals agreeing with
     lambda on H.  That set is lambda + Ann(H); the check compares it with
     the orbit of lambda under 1+H, generated by adjoining the rows of H, then
-    its points, since 1 + (rows of H) may generate a proper subgroup.
+    its points, since 1 + (rows of H) may generate a proper subgroup.  Their
+    M_g act as their inverses, which generate 1+H too.
 
     The slow reference of the polarizations: one orbit, point by point, for
     the H that _polarizations builds for every dual in one batch; the tests
@@ -555,7 +560,7 @@ def transitivity_check(alg: NilAlgebra, orbit_index: int,
     if inside.size != p ** len(rows) or not np.array_equal(np.flatnonzero(closure), inside):
         raise InternalInconsistencyError("generators of 1+H do not close to 1+H")
     digits = base_p_digits(gens, p, eng.n).astype(np.int64)
-    labels = orbit_partition([eng.affine_perm(mat) for mat in eng.conjugation_matrices(digits)[1]],
+    labels = orbit_partition([eng.affine_perm(mat) for mat in eng.conjugation_matrices(digits)],
                              eng.N).labels
     orbit = np.flatnonzero(labels == labels[lamv @ eng.powers])
     if not np.array_equal(orbit, np.unique(coset @ eng.powers)):

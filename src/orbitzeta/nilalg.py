@@ -156,14 +156,6 @@ class NilAlgebra:
         left = matmul_mod_p(np.reshape(U, (-1, n)), self.T.reshape(n, n * n), p)
         return matmul_mod_p(np.reshape(V, (-1, n)), left.reshape(-1, n, n), p)
 
-    def _ideal_products(self, rows) -> np.ndarray:
-        """The rows v * b_t and b_t * v for every row v and prime basis vector b_t."""
-        p, n = self.field.p, self.T.shape[0]
-        rows = np.reshape(rows, (-1, n))
-        # b_t * v = sum_s v_s T[t, s]
-        return np.concatenate([matmul_mod_p(rows, T.reshape(n, n * n), p).reshape(-1, n)
-                               for T in (self.T, self.T.transpose(1, 0, 2))])
-
     def is_fq_subspace(self, rows) -> bool:
         """Whether the Z/p-span of reduced echelon rows is an F_q-subspace,
         that is, invariant under multiplication by omega.  The pivot of a
@@ -290,50 +282,33 @@ class NilAlgebra:
         s, t = np.triu_indices(self.T.shape[0], 1)
         return rref_mod_p(self.T[s, t] - self.T[t, s], self.field.p)
 
-    def refine_to_flag(self):
-        """A chain of ideals J = J_1 > J_2 > .. > 0 with F_q-codimension-1 steps.
+    def refine_to_flag(self) -> np.ndarray:
+        """An (n, n) int64 basis B of J, n = dim * e, whose suffixes B[e i:]
+        for i = 0 .. dim - 1 span a chain of ideals J = J_1 > J_2 > .. > 0
+        with F_q-codimension-1 steps: the ideal flag.
 
-        Refines the power chain deterministically: each layer J^m extends
-        J^{m+1} by the F_q-multiples of the earliest echelon rows of J^m.
-        Verifies J*J_i + J_i*J <= J_{i+1} for every step, which makes each
-        member a two-sided ideal.
+        It refines the power chain.  Above J^(m+1), each step adds the
+        F_q-multiples of the earliest echelon row of J^m outside the span so
+        far; B holds each layer's blocks in reverse order, so the suffixes are
+        those spans, J^(m+1) last.  A block adds e rows, as J^m and J^(m+1)
+        are F_q-subspaces.  Every W with J^(m+1) <= W <= J^m is a two-sided
+        ideal: J W + W J <= J^(m+1) <= W.
         """
-        if self._flag is not None:
-            return self._flag
-        p, e = self.field.p, self.field.e
-        flag = [self.powers[0]]
-        for m in range(len(self.powers) - 1, 0, -1):
-            lower_rows, lower_piv = self.powers[m]  # J^{m+1}
-            upper_rows, _ = self.powers[m - 1]      # J^m
-            cur_rows, cur_piv = lower_rows, lower_piv
-            intermediates = []
-            for v in upper_rows:
-                if not reduce_mod_p(cur_rows, cur_piv, v, p).any():
-                    continue
-                multiples = [v]
-                for _ in range(e - 1):
-                    multiples.append(multiples[-1] @ self.omega % p)
-                cur_rows, cur_piv = rref_mod_p(np.concatenate([cur_rows, multiples]), p)
-                intermediates.append((cur_rows, cur_piv))
-            # the last extension re-derives J^m itself; keep strict ones only
-            for space in intermediates[:-1]:
-                flag.append(space)
-            flag.append(self.powers[m])
-        flag = sorted(flag, key=lambda sp: -len(sp[0]))
-        dims = [len(rows) for rows, _ in flag]
-        if dims != [e * k for k in range(self.dim, -1, -1)]:
-            raise ValidationError(f"flag refinement produced dimensions {dims}")
-        self._verify_flag_ideals(flag)
-        self._flag = flag
-        return flag
-
-    def _verify_flag_ideals(self, flag) -> None:
-        # J*J_i + J_i*J <= J_{i+1} holds for the power-chain refinement and
-        # makes every member a two-sided ideal; check it on basis vectors.
-        for (rows, _), (nxt_rows, nxt_piv) in zip(flag, flag[1:]):
-            prods = self._ideal_products(rows)
-            if reduce_mod_p(nxt_rows, nxt_piv, prods, self.field.p).any():
-                raise ValidationError("flag member is not an ideal with codim-1 drop")
+        if self._flag is None:
+            p, e = self.field.p, self.field.e
+            layers = []
+            for (upper_rows, _), (cur_rows, cur_piv) in zip(self.powers, self.powers[1:]):
+                blocks = []
+                for v in upper_rows:
+                    if reduce_mod_p(cur_rows, cur_piv, v, p).any():
+                        block = [v]
+                        for _ in range(e - 1):
+                            block.append(block[-1] @ self.omega % p)
+                        blocks.append(block)
+                        cur_rows, cur_piv = rref_mod_p(np.concatenate([cur_rows, block]), p)
+                layers += blocks[::-1]
+            self._flag = np.concatenate(layers)
+        return self._flag
 
 
 # ------------------------------------------------------------ constructors --

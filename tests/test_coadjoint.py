@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orbitzeta import coadjoint, corpus
+from orbitzeta import coadjoint, corpus, grouptab
 from orbitzeta.algroup import AlgebraGroup, _c_route_inverse, _c_route_law
 from orbitzeta.budgets import Budgets, budget_scope
 from orbitzeta.coadjoint import (character_table, conjecture_probe, engine_for,
@@ -25,9 +25,9 @@ from orbitzeta.nilalg import make_unitriangular
 # ------------------------------------------------------------- functionals --
 
 def test_dual_functional_and_coadjoint_action():
-    # a dual is a digit row lambda, and 1+g acts by lambda -> lambda @ D_g
-    # (the dual matrices of conjugation_matrices); seeded lambda, g, h, a on
-    # every duality algebra
+    # a dual is a digit row lambda, and lambda -> lambda @ M_g, with M_g the
+    # conjugation matrix of 1+g, is the coadjoint action of (1+g)^(-1);
+    # seeded lambda, g, h, a on every duality algebra
     rng = random.Random(4)
     for alg in corpus.duality_corpus():
         eng = engine_for(alg)
@@ -36,15 +36,35 @@ def test_dual_functional_and_coadjoint_action():
             lam, g_row, h_row, a = base_p_digits([rng.randrange(eng.N) for _ in range(4)],
                                                  p, eng.n).astype(np.int64)
             gh = eng._gmul_rows(g_row[None], h_row[None])[0]
-            D_g, D_h, D_gh = eng.conjugation_matrices(np.stack([g_row, h_row, gh]))[1]
-            moved = lam @ D_g % p
-            # the action: (lambda D_g) D_h = lambda D_gh
-            assert np.array_equal(moved @ D_h % p, lam @ D_gh % p), alg.name
-            # the defining property: lambda^g(a) = lambda(a^((1+g)^-1)),
+            M_g, M_h, M_gh = eng.conjugation_matrices(np.stack([g_row, h_row, gh]))
+            moved = lam @ M_g % p
+            # the action of inverses: (lambda M_h) M_g = lambda M_gh
+            assert np.array_equal(lam @ M_h % p @ M_g % p, lam @ M_gh % p), alg.name
+            # the defining property: lambda^((1+g)^-1)(a) = lambda(a^(1+g)),
             # with the conjugate from the C route
             g = g_row[None]
-            back = _c_route_law(alg, _c_route_law(alg, g, a[None]), _c_route_inverse(alg, g))[0]
-            assert moved @ a % p == lam @ back % p, alg.name
+            conj = _c_route_law(alg, _c_route_law(alg, _c_route_inverse(alg, g), a[None]), g)[0]
+            assert moved @ a % p == lam @ conj % p, alg.name
+
+
+def _coadjoint_corpus():
+    """The duality and character corpora, once each."""
+    algs = corpus.duality_corpus() + corpus.character_corpus()
+    return list({alg.name: alg for alg in algs}.values())
+
+
+@pytest.mark.parametrize("alg", _coadjoint_corpus(), ids=lambda alg: alg.name)
+def test_dual_orbits_match_the_inverse_matrices(alg):
+    # lambda -> lambda M_g is the coadjoint action of g^(-1); the reference
+    # acts by g itself, through the matrices of the inverses of the
+    # generators, and must give the same partition
+    eng = AlgebraGroup(alg)
+    gens = eng._generators()
+    inverse_mats = eng.conjugation_matrices(eng._inverse_rows(gens))
+    ref = grouptab.orbit_partition([eng.affine_perm(mat) for mat in inverse_mats], eng.N)
+    part = eng.dual_orbits()
+    for got, want in zip((part.labels, part.reps, part.sizes), (ref.labels, ref.reps, ref.sizes)):
+        assert np.array_equal(got, want), alg.name
 
 
 # ---------------------------------------------------------------- censuses --
@@ -229,6 +249,32 @@ def test_census_histograms_form_no_point_array():
         tracemalloc.stop()
     assert peak <= 4096
     assert sizes == degrees == [(1, 2 ** 20)]
+
+
+def test_fake_degree_identities_form_no_point_array():
+    # J = F_2^20 with zero product: the sum of squares and the linear count
+    # come from the orbit counts by rank, never an N-array (8 MB)
+    census = orbit_census(corpus.zero_algebra(20, 2))
+    tracemalloc.start()
+    try:
+        ident = fake_degree_identities(census)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096
+    assert ident["sum_fake_squares"] == ident["linear_count"] == 2 ** 20
+
+
+def test_fake_degree_identities_match_the_point_arrays():
+    for alg in _coadjoint_corpus():
+        census = orbit_census(alg)
+        assert fake_degree_identities(census) == {
+            "orbit_count": census.count,
+            "dual_size": int(census.sizes.sum()),
+            "sum_fake_squares": int((census.fake_degrees ** 2).sum()),
+            "group_order": alg.field.q ** alg.dim,
+            "linear_count": int(np.count_nonzero(census.fake_degrees == 1)),
+            "fixed_points": census.fixed_points}, alg.name
 
 
 def test_census_histograms_match_the_point_arrays():
@@ -596,16 +642,22 @@ def test_class_constancy_catches_a_moved_dual_label(change):
         _verify_class_constancy(eng, moved, classes, H)
 
 
-@pytest.mark.parametrize("which", [0, 1])
-def test_class_constancy_catches_a_wrong_generator_matrix(which):
+@pytest.mark.parametrize("change", ["singular", "swapped"])
+def test_class_constancy_catches_a_wrong_generator_matrix(change):
     eng, census, classes, H = _u3_f3_check_inputs()
     eng.group_perms(), eng.dual_perms()  # made from the honest matrices
-    mats = [half.copy() for half in eng._generator_matrices()]
-    # M_g (which = 0) or M_(g^-1) (which = 1) of the first generator swapped
-    # for that of the second
-    mats[which][0] = mats[which][1]
-    eng._gen_mats = tuple(mats)
-    with pytest.raises(InternalInconsistencyError, match=r"M_g M_\(g\^-1\) != I at generator 0"):
+    mats = eng._generator_matrices().copy()
+    if change == "singular":
+        # the first generator's M_g loses its last row: the rank check (c)
+        mats[0, -1] = 0
+        message = "M_g is singular at generator 0"
+    else:
+        # the first generator's M_g swapped for the second's, of rank n:
+        # log(x^g) = log(x)^g (a) fails against the honest permutation
+        mats[0] = mats[1]
+        message = "log is not conjugation-equivariant at generator 0"
+    eng._gen_mats = mats
+    with pytest.raises(InternalInconsistencyError, match=message):
         _verify_class_constancy(eng, census, classes, H)
 
 
@@ -626,11 +678,39 @@ def reference_polarization(alg, lam):
     K = gram_matrix(alg, lam)
     if not K.any():
         return np.eye(n, dtype=np.int64)
-    R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0)))
-                  for rows, _ in alg.refine_to_flag()[:-1]])
+    # the reduced echelon rows of each flag member, padded to n x n
+    flag = alg.refine_to_flag()
+    members = [rref_mod_p(flag[i:], p)[0] for i in range(0, n, alg.field.e)]
+    R = np.stack([np.pad(rows, ((0, n - len(rows)), (0, 0))) for rows in members])
     _, kernels = nullspace_stack_mod_p(
         matmul_mod_p(matmul_mod_p(R, K, p), R.transpose(0, 2, 1), p), p)
     return rref_mod_p(matmul_mod_p(kernels, R, p).reshape(-1, n), p)[0]
+
+
+@pytest.mark.parametrize("alg", _coadjoint_corpus(), ids=lambda alg: alg.name)
+def test_polarizations_match_the_member_route(alg):
+    # up to 64 seeded orbit representatives per algebra, the batched kernel
+    # against one Gram matrix each over the echelon rows of the flag members
+    census = orbit_census(alg)
+    eng = engine_for(alg)
+    picks = sorted(random.Random(38).sample(range(census.count), min(64, census.count)))
+    lam_rows = base_p_digits(census.reps[picks], eng.p, eng.n).astype(np.int64)
+    rows, is_pivot = _polarizations(alg, lam_rows)
+    for b, lam in enumerate(lam_rows):
+        ref = reference_polarization(alg, lam)
+        assert np.array_equal(rows[b, :len(ref)], ref) and not rows[b, len(ref):].any()
+        assert is_pivot[b].sum() == len(ref)
+
+
+def test_polarizations_refuse_a_reversed_flag(monkeypatch):
+    # the prefixes of the flag basis of u_4(F_2) are not ideals: the sum of
+    # the radicals over them leaves its span under products
+    alg = make_unitriangular(4, make_field(2))
+    flag = alg.refine_to_flag()
+    monkeypatch.setattr(alg, "refine_to_flag", lambda: flag[::-1])
+    lam_rows = base_p_digits(orbit_census(alg).reps, 2, alg.T.shape[0]).astype(np.int64)
+    with pytest.raises(InternalInconsistencyError, match="is not a subalgebra"):
+        _polarizations(alg, lam_rows)
 
 
 def reference_induced_histogram(eng, lam, rows):

@@ -199,10 +199,14 @@ def test_parser_adds_repeated_targets_mod_p():
 
 
 def test_refine_to_flag():
+    # one (n, n) basis whose suffixes B[e i:] drop by one F_q-dimension each
     for alg in (corpus.unitriangular(3, 3), corpus.unitriangular(4, 2),
-                corpus.augmentation_ideal("D8", 2)):
-        flag = alg.refine_to_flag()
-        assert [len(rows) for rows, _ in flag] == list(range(alg.dim, -1, -1))
+                corpus.augmentation_ideal("D8", 2), corpus.unitriangular(3, 2, 2)):
+        B, e, n = alg.refine_to_flag(), alg.field.e, alg.T.shape[0]
+        assert B.shape == (n, n) and B.dtype == np.int64
+        assert [len(rref_mod_p(B[e * i:], alg.field.p)[0]) for i in range(alg.dim + 1)] \
+            == list(range(n, -1, -e))
+        assert alg.refine_to_flag() is B  # made once
 
 
 def test_serialize_parse_roundtrip():
@@ -231,20 +235,6 @@ def test_augmentation_ideal_matches_group_algebra_relations():
 def test_unitriangular_needs_n_at_least_two():
     with pytest.raises(ValidationError):
         make_unitriangular(1, make_field(2))
-
-
-def test_flag_members_are_two_sided_ideals():
-    from orbitzeta.linalg import rref_mod_p
-
-    for alg in (corpus.unitriangular(3, 3), corpus.unitriangular(4, 2),
-                corpus.augmentation_ideal("D8", 2)):
-        basis = basis_rows(alg)
-        for rows, piv in alg.refine_to_flag():
-            # b v and v b for every basis row b and member row v
-            b, v = np.repeat(basis, len(rows), axis=0), np.tile(rows, (alg.dim, 1))
-            prods = np.vstack([product(alg, b, v), product(alg, v, b)])
-            ech, ext_piv = rref_mod_p(np.vstack([rows, prods]), alg.field.p)
-            assert np.array_equal(ech, rows) and ext_piv == piv
 
 
 def _big_constant_algebra():
@@ -577,12 +567,20 @@ def _first_failing_triple(alg):
     return None
 
 
+def _ideal_products(alg, rows):
+    """The rows v * b_t and b_t * v for every row v and prime basis vector b_t."""
+    n = alg.T.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    return np.concatenate([alg._products_of(rows, eye).reshape(-1, n),
+                           alg._products_of(eye, rows).reshape(-1, n)])
+
+
 def _is_nilpotent(alg):
     """Whether J^(n+1) = 0, with J^(k+1) spanned by the products of the rows
     of J^k with the basis on both sides."""
     rows = np.eye(alg.T.shape[0], dtype=np.int64)
     for _ in range(alg.T.shape[0]):
-        rows = rref_mod_p(alg._ideal_products(rows), alg.field.p)[0]
+        rows = rref_mod_p(_ideal_products(alg, rows), alg.field.p)[0]
     return not len(rows)
 
 
@@ -699,7 +697,7 @@ def _two_sided_chain(alg):
     """J^(k+1) as the span of v * b_t and b_t * v over the rows v of J^k."""
     chain = [alg.powers[0]]
     while len(chain[-1][0]):
-        chain.append(rref_mod_p(alg._ideal_products(chain[-1][0]), alg.field.p))
+        chain.append(rref_mod_p(_ideal_products(alg, chain[-1][0]), alg.field.p))
     return chain
 
 
@@ -723,3 +721,53 @@ def _chain_corpus():
 @pytest.mark.parametrize("alg", _chain_corpus(), ids=lambda a: a.name)
 def test_one_sided_power_chain_matches_two_sided(alg):
     _assert_chain_is_two_sided(alg)
+
+
+def _member_list_flag(alg):
+    """The flag as a list of (rows, pivots) members, J first and 0 last: the
+    greedy loop over the power chain with one elimination per member, the
+    reference for the suffixes of refine_to_flag."""
+    p, e = alg.field.p, alg.field.e
+    flag = [alg.powers[0]]
+    for m in range(len(alg.powers) - 1, 0, -1):
+        cur_rows, cur_piv = alg.powers[m]
+        intermediates = []
+        for v in alg.powers[m - 1][0]:
+            if not reduce_mod_p(cur_rows, cur_piv, v, p).any():
+                continue
+            multiples = [v]
+            for _ in range(e - 1):
+                multiples.append(multiples[-1] @ alg.omega % p)
+            cur_rows, cur_piv = rref_mod_p(np.concatenate([cur_rows, multiples]), p)
+            intermediates.append((cur_rows, cur_piv))
+        # the last extension re-derives J^m itself
+        flag += intermediates[:-1] + [alg.powers[m]]
+    return sorted(flag, key=lambda member: -len(member[0]))
+
+
+@pytest.mark.parametrize("alg", _chain_corpus(), ids=lambda a: a.name)
+def test_flag_suffixes_span_the_member_list(alg):
+    B, p, e = alg.refine_to_flag(), alg.field.p, alg.field.e
+    members = _member_list_flag(alg)
+    assert len(members) == alg.dim + 1
+    for i, (rows, piv) in enumerate(members):
+        ech, ech_piv = rref_mod_p(B[e * i:], p)
+        assert np.array_equal(ech, rows) and ech_piv == piv, i
+
+
+def test_flag_members_are_two_sided_ideals():
+    # on every corpus algebra, e = 1 and e = 2 among them: every suffix span
+    # of the flag basis is an F_q-subspace, and b v and v b lie in it for
+    # every F_q basis row b and member row v (C route)
+    algs = _chain_corpus()
+    assert {alg.field.e for alg in algs} >= {1, 2}
+    for alg in algs:
+        B, p, e = alg.refine_to_flag(), alg.field.p, alg.field.e
+        basis = basis_rows(alg)
+        for i in range(0, len(B), e):
+            rows, piv = rref_mod_p(B[i:], p)
+            assert alg.is_fq_subspace(rows)
+            b, v = np.repeat(basis, len(rows), axis=0), np.tile(rows, (alg.dim, 1))
+            prods = np.vstack([product(alg, b, v), product(alg, v, b)])
+            ech, ext_piv = rref_mod_p(np.vstack([rows, prods]), p)
+            assert np.array_equal(ech, rows) and ext_piv == piv, (alg.name, i)
